@@ -123,4 +123,4 @@ let futex_wait t i ~expected ~timeout_ns =
 
 let futex_wake t i ~count = futex_wake_ t.words i count
 
-external sched_yield : unit -> unit = "ulipc_shm_sched_yield"
+let sched_yield = Ulipc_real.Backoff.sched_yield

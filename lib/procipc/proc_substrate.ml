@@ -176,9 +176,16 @@ let queue_length _ ch =
   | Q_mpsc q -> Pring.Mpsc.length q
   | Q_spsc q -> Pring.Spsc.length q
 
-(* Awake flag: one shared word, exchange for the producers' TAS. *)
+(* Awake flag: one shared word, exchange for the producers' TAS.  The
+   consumer's clear is an exchange too, not a release store: it must be
+   a full barrier, or the C.3 dequeue load that follows can pass it
+   (x86 TSO lets a load overtake an earlier store to another word).  A
+   producer would then still see the consumer awake and skip its V
+   while the consumer, having seen the queue empty, sleeps for good.
+   The domains backend's [Atomic.set] is an exchange for the same
+   reason. *)
 let awake_test_and_set t ch = Parena.at_xchg t.arena ch.awake_w 1 <> 0
-let awake_clear t ch = Parena.at_store t.arena ch.awake_w 0
+let awake_clear t ch = ignore (Parena.at_xchg t.arena ch.awake_w 0 : int)
 let awake_set t ch = Parena.at_store t.arena ch.awake_w 1
 let awake_read t ch = Parena.at_load t.arena ch.awake_w <> 0
 

@@ -36,7 +36,6 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
-#include <sched.h>
 
 #define WORD_PTR(ba, i) (((intnat *)Caml_ba_data_val(ba)) + Long_val(i))
 
@@ -131,14 +130,3 @@ CAMLprim value ulipc_shm_futex_wake(value ba, value i, value n)
 #endif
 }
 
-/* sched_yield with the runtime lock released: on a time-shared core
-   this genuinely hands the quantum to the peer process, which is the
-   cheapest cross-process "busy wait" a uniprocessor has. */
-CAMLprim value ulipc_shm_sched_yield(value unit)
-{
-  (void)unit;
-  caml_release_runtime_system();
-  sched_yield();
-  caml_acquire_runtime_system();
-  return Val_unit;
-}

@@ -78,6 +78,8 @@ external nanosleep_ns : int -> unit = "ulipc_nanosleep_ns"
    noalloc calling convention does not allow.  The call itself still
    allocates nothing — int argument, unit result. *)
 
+external sched_yield : unit -> unit = "ulipc_sched_yield"
+
 let key =
   Domain.DLS.new_key (fun () ->
       (* Timer slack is per-thread; ask for 1 ns the first time this

@@ -34,5 +34,10 @@ val wait : t -> bool
 (** One backoff step; [true] when the step escalated to a sleep (the
     caller records it in {!Ulipc.Counters}). *)
 
+external sched_yield : unit -> unit = "ulipc_sched_yield"
+(** [sched_yield(2)] with the OCaml runtime lock released: hands the CPU
+    to a runnable thread or process that shares it, and returns at once
+    when there is none.  Allocation-free. *)
+
 val progress : t -> unit
 (** Reset the episode: the domain completed a queue operation. *)

@@ -1,4 +1,6 @@
-/* Per-thread timer-slack reduction for the backoff sleeps.
+/* Scheduling stubs for the in-process backend: per-thread timer-slack
+   reduction and an allocation-free nanosleep for the backoff parks, and
+   sched_yield for the Rsem grace spin and the fork'd backend's waits.
 
    Linux pads every nanosleep of a non-realtime task by the task's
    timer slack (50 us by default), which puts a ~70 us floor under the
@@ -13,6 +15,7 @@
 #include <caml/threads.h>
 #include <time.h>
 #include <errno.h>
+#include <sched.h>
 
 #ifdef __linux__
 #include <sys/prctl.h>
@@ -47,5 +50,18 @@ CAMLprim value ulipc_nanosleep_ns(value ns)
     nanosleep(&req, NULL);
     caml_acquire_runtime_system();
   }
+  return Val_unit;
+}
+
+/* sched_yield with the runtime lock released: lets a runnable thread or
+   process that shares this CPU run now instead of at the next
+   preemption (on a uniprocessor, the cheapest cross-process busy-wait),
+   and lets the other systhreads of this domain take the runtime lock. */
+CAMLprim value ulipc_sched_yield(value unit)
+{
+  (void)unit;
+  caml_release_runtime_system();
+  sched_yield();
+  caml_acquire_runtime_system();
   return Val_unit;
 }

@@ -1,7 +1,8 @@
 (* The real-OCaml-5-domains instantiation of Ulipc.Substrate.S: a
-   selectable queue transport, a bool Atomic.t for the awake flag, a
-   Mutex/Condition counting semaphore, and pause-hint delay loops for
-   every scheduling hint.
+   selectable queue transport, a bool Atomic.t for the awake flag, an
+   {!Rsem} counting semaphore (atomic fast path, time-bounded grace
+   spin, waiting-array park), and pause-hint delay loops for every
+   scheduling hint.
 
    Messages are slab slot indices (immediate ints): the substrate owns a
    {!Slab} of preallocated payload slots, producers fill a slot's flat

@@ -18,15 +18,41 @@
     semaphore starvation-free — grant [g] can only release park ticket
     [g], the oldest waiter not yet served.  Only when parked waiters
     outnumber the array's slots do generations share a slot and grants
-    degrade to (counted) per-slot broadcasts. *)
+    degrade to (counted) per-slot broadcasts.
+
+    Between the two, a {!p} that finds no credit spins for a
+    time-bounded, preemption-aware grace before it parks: it polls the
+    count until {!grace_ns} have passed, and gives up at once when two
+    of its clock reads are more than {!desched_gap_ns} apart (it was
+    descheduled, so CPUs are oversubscribed and spinning only delays
+    the poster).  Every 2 µs of spinning it yields the CPU once, so a
+    poster queued on the same CPU runs instead of waiting out the
+    grace. *)
 
 type t
 
+val grace_ns : int
+(** The default grace on a multiprocessor: 20 µs, about twice the
+    slowest kernel park→wake measured on a 2-CPU x86 VM (5–13 µs), so
+    that a P spins at most twice what parking would cost it. *)
+
+val desched_gap_ns : int
+(** A gap between two consecutive clock reads of the grace spin longer
+    than this (3 µs, against ~0.4 µs of pauses between reads) means the
+    spinning domain was descheduled. *)
+
+val stop_spinning : deadline:int -> prev:int -> now:int -> bool
+(** The grace spin's exit rule on {!Ulipc_observe.Clock.now_ns}
+    timestamps: [true] once [now] reaches [deadline], or when [now]
+    follows the previous read [prev] by more than {!desched_gap_ns}. *)
+
 val create : ?spin:int -> ?slots:int -> int -> t
-(** [create count] with the given initial count.  [spin] bounds the
-    fast-path retries a {!p} performs before parking; the default is a
-    small bound on multiprocessors and [0] on a uniprocessor, where
-    spinning can only delay the poster.  [slots] is a hint for the
+(** [create count] with the given initial count.  [spin] is the grace in
+    nanoseconds that a {!p} finding no credit spins on the count before
+    parking; it defaults to {!grace_ns} on a multiprocessor and [0] on a
+    uniprocessor, where spinning can only delay the poster.  [~spin:0]
+    parks at once.  The grace ends early when the spinning domain is
+    descheduled (see {!stop_spinning}).  [slots] is a hint for the
     expected concurrently-parked population (rounded up to a power of
     two, default 8): with at most [slots] waiters parked at once every
     wake is a directed single signal, beyond that slots are shared and
@@ -36,7 +62,9 @@ val create : ?spin:int -> ?slots:int -> int -> t
 
 val p : t -> unit
 (** Down: block while the count is zero, then decrement.  Uncontended
-    (count positive): one CAS, no lock. *)
+    (count positive): one load and one CAS, no lock and no clock read.
+    Otherwise it spins out the grace, then parks.  Allocation-free on
+    every path. *)
 
 val try_p : t -> bool
 (** Non-blocking down: decrement and return [true] if the count is

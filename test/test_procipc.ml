@@ -550,6 +550,45 @@ let test_driver_trace_invariants () =
   Alcotest.(check bool) "blocks were observed" true
     (r.Ulipc_observe.Trace_analysis.blocks > 0)
 
+(* Run [f] in a forked child that leads its own process group, and fail
+   the test, killing the whole group, unless it exits cleanly within
+   [timeout_s].  A lost wake-up leaves every process of a session parked
+   in FUTEX_WAIT for good; the parent-side deadline turns that hang into
+   a failure. *)
+let within_deadline ~timeout_s what f =
+  match Unix.fork () with
+  | 0 ->
+    ignore (Unix.setsid () : int);
+    (try f () with _ -> Unix._exit 1);
+    Unix._exit 0
+  | pid ->
+    let deadline = Unix.gettimeofday () +. timeout_s in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.01;
+        wait ()
+      | 0, _ ->
+        (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "%s: still running after %.0f s (lost wake-up)" what
+          timeout_s
+      | _, Unix.WEXITED 0 -> ()
+      | _, _ -> Alcotest.failf "%s: session failed" what
+    in
+    wait ()
+
+(* Thousands of synchronous round trips through the blocking protocols,
+   where every call parks one side or the other: each call is a chance
+   for the consumer's awake-flag clear to be reordered after its queue
+   check, which loses the wake-up and hangs the pair. *)
+let test_blocking_echo_no_hang (name, waiting) () =
+  let messages = 20_000 in
+  within_deadline ~timeout_s:20.0 (name ^ " proc echo") (fun () ->
+      let m = Ulipc_workload.Proc_driver.run ~nclients:1 ~messages waiting in
+      if m.Ulipc_workload.Metrics.messages <> messages then
+        failwith "message count")
+
 let test_fd_baseline_echoes () =
   (* The pipe baseline the bench rows race: run it small, here, so a
      broken framing or a hung select fails in the suite and not only
@@ -622,5 +661,9 @@ let suites =
         Alcotest.test_case "driver trace invariants" `Quick
           test_driver_trace_invariants;
         Alcotest.test_case "fd baselines echo" `Quick test_fd_baseline_echoes;
+        Alcotest.test_case "BSW echo never hangs" `Quick
+          (test_blocking_echo_no_hang ("BSW", Proc_rpc.Block));
+        Alcotest.test_case "BSLS(50) echo never hangs" `Quick
+          (test_blocking_echo_no_hang ("BSLS(50)", Proc_rpc.Limited_spin 50));
       ] );
   ]

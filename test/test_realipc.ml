@@ -752,6 +752,103 @@ let test_rsem_v_n_no_lost_wakeup () =
   List.iter Domain.join domains;
   Alcotest.(check int) "all credits consumed exactly once" 0 (Rsem.value s)
 
+(* The grace spin's exit rule on synthetic timestamps: clock reads
+   ~0.4 us apart run until the deadline; one read more than
+   [desched_gap_ns] after its predecessor stops the spin early. *)
+let test_rsem_stop_spinning () =
+  let stop = Rsem.stop_spinning and gap = Rsem.desched_gap_ns in
+  let deadline = Rsem.grace_ns in
+  Alcotest.(check bool) "steady reads keep spinning" false
+    (stop ~deadline ~prev:0 ~now:400);
+  Alcotest.(check bool) "deadline reached" true
+    (stop ~deadline ~prev:(deadline - 400) ~now:deadline);
+  Alcotest.(check bool) "past the deadline" true
+    (stop ~deadline ~prev:(deadline - 400) ~now:(deadline + 100));
+  Alcotest.(check bool) "gap of exactly the bound keeps spinning" false
+    (stop ~deadline ~prev:1_000 ~now:(1_000 + gap));
+  Alcotest.(check bool) "longer gap means descheduled" true
+    (stop ~deadline ~prev:1_000 ~now:(1_000 + gap + 1));
+  (* A whole grace of steady reads: the first stop is the deadline. *)
+  let rec first_stop prev =
+    let now = prev + 400 in
+    if stop ~deadline ~prev ~now then now else first_stop now
+  in
+  Alcotest.(check int) "steady spin ends at the deadline" deadline
+    (first_stop 0);
+  Alcotest.(check bool) "grace outlasts the gap bound" true (deadline > gap)
+
+(* Cross-domain handoffs in bursts of [rounds]: each round the poster
+   domain sees the go signal, waits [delay_ns], then posts V while this
+   domain is in P.  Bursts repeat until one satisfies [ok parks], where
+   [parks] counts the P's of the burst that parked, or until [timeout_s]
+   has passed; returns the last burst's count.  Repeating matters
+   because a freshly spawned domain may share its parent's CPU for a
+   while (Linux places it there and may be slow to migrate it): both
+   domains then cannot spin at once, and every round parks correctly. *)
+let handoff_bursts s ~delay_ns ~rounds ~timeout_s ok =
+  let go = Atomic.make 0 and stop = Atomic.make false in
+  let poster =
+    Domain.spawn (fun () ->
+        let next = ref 1 in
+        while not (Atomic.get stop) do
+          if Atomic.get go < !next then Domain.cpu_relax ()
+          else begin
+            let t0 = Ulipc_observe.Clock.now_ns () in
+            while Ulipc_observe.Clock.now_ns () - t0 < delay_ns do
+              Domain.cpu_relax ()
+            done;
+            Rsem.v s;
+            incr next
+          end
+        done)
+  in
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec burst first =
+    let parks0 = Rsem.parks s in
+    for r = first to first + rounds - 1 do
+      Atomic.set go r;
+      Rsem.p s
+    done;
+    let parks = Rsem.parks s - parks0 in
+    if ok parks || Unix.gettimeofday () > deadline then parks
+    else burst (first + rounds)
+  in
+  let parks = burst 1 in
+  Atomic.set stop true;
+  Domain.join poster;
+  parks
+
+(* A V landing a few us after P is entered falls inside the grace, so P
+   takes it without parking; a fixed spin shorter than the delay (64
+   pauses is ~1.5 us) would park on every round.  A round still parks,
+   correctly, whenever the host deschedules either domain, hence the
+   slack. *)
+let test_rsem_grace_catches_late_v () =
+  if Domain.recommended_domain_count () = 1 then Alcotest.skip ();
+  let rounds = 50 in
+  let parks =
+    handoff_bursts (Rsem.create 0) ~delay_ns:4_000 ~rounds ~timeout_s:5.0
+      (fun parks -> parks <= rounds / 4)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 1 in 4 rounds parks (%d of %d)" parks rounds)
+    true
+    (parks <= rounds / 4)
+
+(* [~spin:0] is "park at once": the same late V finds P already parked
+   in nearly every round (a round escapes only if P is delayed past the
+   V). *)
+let test_rsem_spin0_parks () =
+  let rounds = 50 in
+  let parks =
+    handoff_bursts (Rsem.create ~spin:0 0) ~delay_ns:4_000 ~rounds
+      ~timeout_s:5.0 (fun parks -> parks >= rounds * 3 / 4)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 3 in 4 rounds park (%d of %d)" parks rounds)
+    true
+    (parks >= rounds * 3 / 4)
+
 (* ------------------------------------------------------------------ *)
 (* Rpc protocols on real domains *)
 
@@ -1080,6 +1177,11 @@ let suites =
           test_rsem_v_n_counting;
         Alcotest.test_case "v_n 4-domain no-lost-wakeup stress" `Quick
           test_rsem_v_n_no_lost_wakeup;
+        Alcotest.test_case "grace exit rule (synthetic clock)" `Quick
+          test_rsem_stop_spinning;
+        Alcotest.test_case "grace catches a V a few us late" `Quick
+          test_rsem_grace_catches_late_v;
+        Alcotest.test_case "spin 0 parks at once" `Quick test_rsem_spin0_parks;
       ] );
     ( "realipc.rpc",
       [
