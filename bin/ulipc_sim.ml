@@ -50,27 +50,7 @@ let machine_conv =
   Arg.conv (parse, print)
 
 let protocol_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "bss" -> Ok Ulipc.Protocol_kind.BSS
-    | "bsw" -> Ok Ulipc.Protocol_kind.BSW
-    | "bswy" -> Ok Ulipc.Protocol_kind.BSWY
-    | "sysv" -> Ok Ulipc.Protocol_kind.SYSV
-    | "handoff" -> Ok Ulipc.Protocol_kind.HANDOFF
-    | "csem" -> Ok Ulipc.Protocol_kind.CSEM
-    | "bsls" -> Ok (Ulipc.Protocol_kind.BSLS 10)
-    | s when String.length s > 5 && String.sub s 0 5 = "bsls:" -> (
-      match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some n when n >= 0 -> Ok (Ulipc.Protocol_kind.BSLS n)
-      | Some _ | None -> Error (`Msg "bsls:N needs a non-negative N"))
-    | _ ->
-      Error
-        (`Msg
-          (Printf.sprintf
-             "unknown protocol %S (bss, bsw, bswy, bsls[:N], sysv, handoff, csem)" s))
-  in
-  let print ppf k = Ulipc.Protocol_kind.pp ppf k in
-  Arg.conv (parse, print)
+  Arg.conv (Ulipc.Protocol_kind.of_string, Ulipc.Protocol_kind.pp)
 
 let machine_arg =
   Arg.(
@@ -83,7 +63,7 @@ let protocol_arg =
     value
     & opt protocol_conv Ulipc.Protocol_kind.BSS
     & info [ "p"; "protocol" ] ~docv:"PROTO"
-        ~doc:"IPC protocol: bss, bsw, bswy, bsls[:N], sysv, handoff, csem.")
+        ~doc:("IPC protocol: " ^ Ulipc.Protocol_kind.spellings ^ "."))
 
 let messages_arg =
   Arg.(
@@ -347,7 +327,7 @@ let list_cmd =
     List.iter
       (fun m -> Format.printf "  %a@." Ulipc_machines.Machine.pp m)
       machines;
-    Format.printf "protocols: bss, bsw, bswy, bsls[:N], sysv, handoff, csem@.";
+    Format.printf "protocols: %s@." Ulipc.Protocol_kind.spellings;
     Format.printf "figures: %s@."
       (String.concat ", " (List.map fst (figure_builders 0)))
   in

@@ -33,53 +33,9 @@ let backend_conv =
   in
   Arg.conv (parse, print)
 
-(* Same spelling as ulipc_trace; SYSV/CSEM are sim-only and rejected by
-   [waiting_of_kind] below. *)
+(* The shared spelling; SYSV/CSEM parse but have no real backend. *)
 let protocol_conv =
-  let with_arg s prefix k =
-    let n = String.length prefix in
-    if String.length s > n && String.sub s 0 n = prefix then
-      match int_of_string_opt (String.sub s n (String.length s - n)) with
-      | Some v when v >= 0 -> Some (Ok (k v))
-      | Some _ | None ->
-        Some (Error (`Msg (prefix ^ "N needs a non-negative N")))
-    else None
-  in
-  let parse s =
-    match String.lowercase_ascii s with
-    | "bss" -> Ok Ulipc.Protocol_kind.BSS
-    | "bsw" -> Ok Ulipc.Protocol_kind.BSW
-    | "bswy" -> Ok Ulipc.Protocol_kind.BSWY
-    | "handoff" -> Ok Ulipc.Protocol_kind.HANDOFF
-    | "bsls" -> Ok (Ulipc.Protocol_kind.BSLS 10)
-    | "adapt" -> Ok (Ulipc.Protocol_kind.ADAPT 4096)
-    | s -> (
-      match
-        ( with_arg s "bsls:" (fun n -> Ulipc.Protocol_kind.BSLS n),
-          with_arg s "adapt:" (fun n -> Ulipc.Protocol_kind.ADAPT n) )
-      with
-      | Some r, _ | _, Some r -> r
-      | None, None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown protocol %S (bss, bsw, bswy, bsls[:N], adapt[:N], \
-                handoff)"
-               s)))
-  in
-  Arg.conv (parse, Ulipc.Protocol_kind.pp)
-
-let waiting_of_kind = function
-  | Ulipc.Protocol_kind.BSS -> Ok Ulipc_real.Rpc.Spin
-  | Ulipc.Protocol_kind.BSW -> Ok Ulipc_real.Rpc.Block
-  | Ulipc.Protocol_kind.BSWY -> Ok Ulipc_real.Rpc.Block_yield
-  | Ulipc.Protocol_kind.BSLS n -> Ok (Ulipc_real.Rpc.Limited_spin n)
-  | Ulipc.Protocol_kind.ADAPT cap -> Ok (Ulipc_real.Rpc.Adaptive cap)
-  | Ulipc.Protocol_kind.HANDOFF -> Ok Ulipc_real.Rpc.Handoff
-  | (Ulipc.Protocol_kind.SYSV | Ulipc.Protocol_kind.CSEM) as k ->
-    Error
-      (Printf.sprintf "protocol %s has no real implementation"
-         (Ulipc.Protocol_kind.name k))
+  Arg.conv (Ulipc.Protocol_kind.of_string, Ulipc.Protocol_kind.pp)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                          *)
@@ -245,9 +201,13 @@ let dump_series frames =
 
 let run_dashboard backend kind nclients messages depth nservers transport
     interval_ms once dump prometheus =
-  match waiting_of_kind kind with
-  | Error e -> `Error (false, e)
-  | Ok waiting -> (
+  match Ulipc.Protocol_kind.to_waiting kind with
+  | None ->
+    `Error
+      ( false,
+        Printf.sprintf "protocol %s has no real implementation"
+          (Ulipc.Protocol_kind.name kind) )
+  | Some waiting -> (
     if backend = Proc && nservers > 1 then
       `Error (false, "--nservers applies to the real backend only")
     else

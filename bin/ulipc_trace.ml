@@ -33,52 +33,13 @@ let backend_conv =
   Arg.conv (parse, print)
 
 let protocol_conv =
-  let with_arg s prefix k =
-    let n = String.length prefix in
-    if String.length s > n && String.sub s 0 n = prefix then
-      match int_of_string_opt (String.sub s n (String.length s - n)) with
-      | Some v when v >= 0 -> Some (Ok (k v))
-      | Some _ | None ->
-        Some (Error (`Msg (prefix ^ "N needs a non-negative N")))
-    else None
-  in
-  let parse s =
-    match String.lowercase_ascii s with
-    | "bss" -> Ok Ulipc.Protocol_kind.BSS
-    | "bsw" -> Ok Ulipc.Protocol_kind.BSW
-    | "bswy" -> Ok Ulipc.Protocol_kind.BSWY
-    | "sysv" -> Ok Ulipc.Protocol_kind.SYSV
-    | "handoff" -> Ok Ulipc.Protocol_kind.HANDOFF
-    | "csem" -> Ok Ulipc.Protocol_kind.CSEM
-    | "bsls" -> Ok (Ulipc.Protocol_kind.BSLS 10)
-    | "adapt" -> Ok (Ulipc.Protocol_kind.ADAPT 4096)
-    | s -> (
-      match
-        ( with_arg s "bsls:" (fun n -> Ulipc.Protocol_kind.BSLS n),
-          with_arg s "adapt:" (fun n -> Ulipc.Protocol_kind.ADAPT n) )
-      with
-      | Some r, _ | _, Some r -> r
-      | None, None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown protocol %S (bss, bsw, bswy, bsls[:N], adapt[:N], \
-                sysv, handoff, csem)"
-               s)))
-  in
-  Arg.conv (parse, Ulipc.Protocol_kind.pp)
+  Arg.conv (Ulipc.Protocol_kind.of_string, Ulipc.Protocol_kind.pp)
 
-let waiting_of_kind = function
-  | Ulipc.Protocol_kind.BSS -> Ok Ulipc_real.Rpc.Spin
-  | Ulipc.Protocol_kind.BSW -> Ok Ulipc_real.Rpc.Block
-  | Ulipc.Protocol_kind.BSWY -> Ok Ulipc_real.Rpc.Block_yield
-  | Ulipc.Protocol_kind.BSLS n -> Ok (Ulipc_real.Rpc.Limited_spin n)
-  | Ulipc.Protocol_kind.ADAPT cap -> Ok (Ulipc_real.Rpc.Adaptive cap)
-  | Ulipc.Protocol_kind.HANDOFF -> Ok Ulipc_real.Rpc.Handoff
-  | (Ulipc.Protocol_kind.SYSV | Ulipc.Protocol_kind.CSEM) as k ->
-    Error
-      (Printf.sprintf "protocol %s has no real-domains implementation"
-         (Ulipc.Protocol_kind.name k))
+(* SYSV and CSEM are not waiting modes of the shared core: sim only. *)
+let no_real_backend kind =
+  failwith
+    (Printf.sprintf "protocol %s has no real-domains implementation"
+       (Ulipc.Protocol_kind.name kind))
 
 let machines =
   [
@@ -168,9 +129,9 @@ let validate_json path =
   | Error msg -> failwith (path ^ ": emitted JSON does not parse: " ^ msg)
 
 let run_real ~kind ~transport ~nclients ~messages ~depth ~out =
-  match waiting_of_kind kind with
-  | Error msg -> failwith msg
-  | Ok waiting ->
+  match Ulipc.Protocol_kind.to_waiting kind with
+  | None -> no_real_backend kind
+  | Some waiting ->
     let sink = Ulipc_real.Trace_ring.create ~capacity:(1 lsl 18) () in
     let m =
       Real_driver.run ~transport ~trace:sink ~depth ~nclients ~messages
@@ -201,9 +162,9 @@ let run_real ~kind ~transport ~nclients ~messages ~depth ~out =
    pid-namespaced and merged by the driver (CLOCK_MONOTONIC is
    system-wide, so the merged order is causal across processes). *)
 let run_proc ~kind ~nclients ~messages ~depth ~out =
-  match waiting_of_kind kind with
-  | Error msg -> failwith msg
-  | Ok waiting ->
+  match Ulipc.Protocol_kind.to_waiting kind with
+  | None -> no_real_backend kind
+  | Some waiting ->
     let events_out = ref [] and dropped_out = ref 0 in
     let m =
       Proc_driver.run ~depth ~nclients ~messages ~events_out ~dropped_out

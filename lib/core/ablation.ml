@@ -72,7 +72,7 @@ let iface variant =
     match variant with
     | No_second_dequeue -> consumer_without_second_dequeue s ch ~side
     | Plain_store_wake | Unconditional_wake ->
-      Prims.blocking_dequeue s ch ~side ()
+      Prims.blocking_dequeue s ch ~side No_hint
   in
   let send (s : Session.t) ~client msg =
     Prims.flow_enqueue s s.Session.request msg;

@@ -1,39 +1,27 @@
-(* The producer and consumer halves match the session's protocol family:
-   spinning for BSS, per-item semaphore grants for CSEM, and the
-   tas-guarded awake-flag wake-up for every blocking protocol. *)
+(* The producer and consumer halves of the session's protocol: the shared
+   core's [produce]/[consume] for every waiting mode (so [collect] is
+   exactly the client half of a synchronous send), per-item semaphore
+   grants for CSEM, and the kernel queues for SYSV. *)
 
 open Ulipc_os
+module P = Sim_protocols
 
-let post (s : Session.t) ~client msg =
+let post (s : Session.t) ~client:_ msg =
   match s.Session.kind with
-  | Protocol_kind.BSS ->
-    ignore (client : int);
-    Prims.spin_enqueue s s.Session.request msg
-  | Protocol_kind.CSEM ->
-    Prims.flow_enqueue s s.Session.request msg;
-    Usys.sem_v s.Session.request.Channel.sem
+  | Protocol_kind.CSEM -> Csem.produce s s.Session.request msg
   | Protocol_kind.SYSV ->
     (* System V is naturally asynchronous: msgsnd does not wait. *)
     Usys.msgsnd s.Session.sysv_request ~mtype:Sysv_ipc.request_mtype
       (s.Session.inject msg)
-  | Protocol_kind.BSW | Protocol_kind.BSWY | Protocol_kind.BSLS _
-  | Protocol_kind.ADAPT _ | Protocol_kind.HANDOFF ->
-    Prims.flow_enqueue s s.Session.request msg;
-    let (_ : bool) = Prims.wake_consumer s s.Session.request ~target:Server in
-    ()
+  | kind ->
+    ignore
+      (P.produce s (Dispatch.waiting kind) s.Session.request ~target:Server msg
+        : bool)
 
 let collect (s : Session.t) ~client =
   let ch = Session.reply_channel s client in
   match s.Session.kind with
-  | Protocol_kind.BSS -> Prims.spinning_dequeue s ch
-  | Protocol_kind.CSEM ->
-    Usys.sem_p ch.Channel.sem;
-    let rec take () =
-      match Ulipc_shm.Ms_queue.dequeue ch.Channel.queue with
-      | Some m -> m
-      | None -> take ()
-    in
-    take ()
+  | Protocol_kind.CSEM -> Csem.consume ch
   | Protocol_kind.SYSV -> (
     match
       s.Session.project
@@ -42,9 +30,7 @@ let collect (s : Session.t) ~client =
     with
     | Some m -> m
     | None -> invalid_arg "Async.collect: foreign payload in session queue")
-  | Protocol_kind.BSW | Protocol_kind.BSWY | Protocol_kind.BSLS _
-  | Protocol_kind.ADAPT _ | Protocol_kind.HANDOFF ->
-    Prims.blocking_dequeue s ch ~side:Client ()
+  | kind -> P.consume s (Dispatch.waiting kind) ch ~side:Client ~budget:P.budget
 
 let try_collect (s : Session.t) ~client =
   Ulipc_shm.Ms_queue.dequeue (Session.reply_channel s client).Channel.queue

@@ -7,10 +7,12 @@
     {e no} system calls at all in the best case: the server drains the
     batch in one possession of the CPU.
 
-    The sleep/wake-up machinery is the BSW/BSWY producer and consumer
-    halves, so these calls compose with servers running any of the
-    blocking protocols (BSW, BSWY, BSLS, HANDOFF).  They do not apply to
-    SYSV sessions. *)
+    The sleep/wake-up machinery is the session protocol's own producer
+    and consumer halves ({!Protocol_core.Make.produce} and [consume]), so
+    [post] is a send without its wait and [collect] is exactly the
+    client half of a synchronous send — BSLS polls included.  CSEM
+    sessions use per-item semaphore grants, SYSV sessions the kernel
+    queues. *)
 
 val post : Session.t -> client:int -> Message.t -> unit
 (** Enqueue a request and wake the server if needed; return immediately.
@@ -18,8 +20,9 @@ val post : Session.t -> client:int -> Message.t -> unit
     queue is full. *)
 
 val collect : Session.t -> client:int -> Message.t
-(** Wait for the next response on this client's reply channel, sleeping if
-    none is ready (the standard C.1–C.5 consumer sequence). *)
+(** Wait for the next response on this client's reply channel the way a
+    synchronous send of the session's protocol would (spinning for BSS,
+    polling then the C.1–C.5 sequence for BSLS, ...). *)
 
 val try_collect : Session.t -> client:int -> Message.t option
 (** Non-blocking poll of the reply channel: one dequeue attempt. *)

@@ -10,3 +10,9 @@
 val send : Session.t -> client:int -> Message.t -> Message.t
 val receive : Session.t -> Message.t
 val reply : Session.t -> client:int -> Message.t -> unit
+
+val produce : Session.t -> Channel.t -> Message.t -> unit
+(** Flow-controlled enqueue, then a V: one grant per item. *)
+
+val consume : Channel.t -> Message.t
+(** A P, then the dequeue the grant guarantees. *)

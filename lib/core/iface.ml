@@ -6,25 +6,14 @@ type t = {
 
 let of_kind kind =
   match kind with
-  | Protocol_kind.BSS ->
-    { send = Bss.send; receive = Bss.receive; reply = Bss.reply }
-  | Protocol_kind.BSW ->
-    { send = Bsw.send; receive = Bsw.receive; reply = Bsw.reply }
-  | Protocol_kind.BSWY ->
-    { send = Bswy.send; receive = Bswy.receive; reply = Bswy.reply }
-  | Protocol_kind.BSLS max_spin | Protocol_kind.ADAPT max_spin ->
-    {
-      send = (fun s ~client msg -> Bsls.send s ~client ~max_spin msg);
-      receive = (fun s -> Bsls.receive s ~max_spin);
-      reply = Bsls.reply;
-    }
   | Protocol_kind.SYSV ->
     { send = Sysv_ipc.send; receive = Sysv_ipc.receive; reply = Sysv_ipc.reply }
-  | Protocol_kind.HANDOFF ->
-    {
-      send = Handoff_ipc.send;
-      receive = Handoff_ipc.receive;
-      reply = Handoff_ipc.reply;
-    }
   | Protocol_kind.CSEM ->
     { send = Csem.send; receive = Csem.receive; reply = Csem.reply }
+  | kind ->
+    let w = Dispatch.waiting kind in
+    {
+      send = Dispatch.send_with w;
+      receive = Dispatch.receive_with w;
+      reply = Dispatch.reply_with w;
+    }

@@ -1,6 +1,6 @@
 (* The labelled steps of the paper's figures, instantiated over the
    simulated substrate.  The implementation lives in Protocol_core.Make
-   (shared verbatim with the real-domains backend); this module keeps the
-   historical path for Ablation, Async, Csem and the tests. *)
+   (shared verbatim with the real backends); this module keeps the path
+   Ablation, Csem and Async use. *)
 
 include Sim_protocols.Prims

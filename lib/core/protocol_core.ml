@@ -1,27 +1,79 @@
 (* The substrate-parametric protocol core: every sleep/wake-up protocol of
    the paper, written once against the Substrate.S primitives and
-   instantiated over the simulator (Sim_protocols) and over real OCaml 5
-   domains (Ulipc_real.Rpc).  Nothing in this file knows whether time is
-   simulated or real. *)
+   instantiated over the simulator (Sim_protocols), real OCaml 5 domains
+   (Ulipc_real.Rpc) and fork'd processes (Ulipc_procipc.Proc_rpc).
+   Nothing in this file knows whether time is simulated or real.
+
+   The six protocols are one algorithm.  They share the producer steps
+   P.1–P.3 and the consumer sequence C.1–C.5 and differ only in what a
+   waiting side does, so the protocol is a [waiting] value and the
+   channel is an explicit argument: [produce] and [consume] are the two
+   halves, and every substrate composes its send/receive/reply/post/
+   collect from them on whichever channels its session shape dictates
+   (a sharded request plane, one request queue, a simulated session). *)
+
+type waiting =
+  | Spin
+  | Block
+  | Block_yield
+  | Limited_spin of int
+  | Handoff
+  | Adaptive of int
+
+type side = Client | Server
+
+let blocks = function
+  | Spin -> false
+  | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ -> true
+
+let validate ~who ?(host = true) waiting =
+  (match waiting with
+  | Limited_spin max_spin when max_spin < 0 ->
+    invalid_arg (who ^ ": max_spin must be non-negative")
+  | Adaptive cap when cap < 0 ->
+    invalid_arg (who ^ ": adaptive spin cap must be non-negative")
+  | Spin | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ -> ());
+  (* On a single-core host a spinning consumer occupies the only CPU its
+     producer could use, so no spin budget can ever pay off — the paper's
+     own uniprocessor rule (§2.1: yield, never spin).  Clamp the adaptive
+     cap to 0 there: the controller then runs BSW's exact consumer path
+     (one extra queue-occupancy load) instead of re-learning futility per
+     channel.  BSLS gets the same clamp: traces showed every BSLS(50)
+     spin on a uniprocessor burning its full budget *inside the peer's
+     already-signalled wake path* (spin exhausts ~= blocks, EXPERIMENTS
+     "anomaly 1"), so a clamped budget of 0 skips the poll loop entirely
+     and the path is BSW plus the busy-wait hint.  Drivers still report
+     the protocol under its requested name — the clamp changes the budget
+     actually spent, not the protocol asked for. *)
+  if (not host) || Domain.recommended_domain_count () > 1 then waiting
+  else
+    match waiting with
+    | Adaptive _ -> Adaptive 0
+    | Limited_spin _ -> Limited_spin 0
+    | Spin | Block | Block_yield | Handoff -> waiting
 
 module Make (S : Substrate.S) = struct
+  (* What a producer does when there is no room — a full queue, or on the
+     real backends an exhausted payload slab: BSS busy-waits; every
+     blocking protocol sleeps, counted, because a full queue means the
+     consumer is saturated (the paper sleeps one second). *)
+  let wait_for_room s = function
+    | Spin -> S.busy_wait s
+    | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
+      let c = S.counters s in
+      c.Counters.queue_full_sleeps <- c.Counters.queue_full_sleeps + 1;
+      S.flow_sleep s
+
+  let rec enqueue s waiting ch msg =
+    if not (S.enqueue s ch msg) then begin
+      wait_for_room s waiting;
+      enqueue s waiting ch msg
+    end
+
   module Prims = struct
-    type side = Client | Server
+    type nonrec side = side = Client | Server
 
-    let busy_wait = S.busy_wait
-    let poll_queue = S.poll
-
-    let flow_enqueue s ch msg =
-      while not (S.enqueue s ch msg) do
-        let c = S.counters s in
-        c.Counters.queue_full_sleeps <- c.Counters.queue_full_sleeps + 1;
-        S.flow_sleep s
-      done
-
-    let spin_enqueue s ch msg =
-      while not (S.enqueue s ch msg) do
-        S.busy_wait s
-      done
+    let flow_enqueue s ch msg = enqueue s Block ch msg
 
     let wake_consumer s ch ~target =
       if not (S.awake_test_and_set s ch) then begin
@@ -84,10 +136,12 @@ module Make (S : Substrate.S) = struct
        closure on purpose — a [~on_empty:(fun () -> ...)] argument
        capturing the substrate would allocate a closure on every
        consumer call, and the zero-copy message plane promises an
-       allocation-free round-trip. *)
+       allocation-free round-trip.  Passed positionally, not as an
+       optional argument, for the same reason: a computed [?on_empty]
+       would box its [Some] per call. *)
     type empty_hint = No_hint | Hint_busy_wait | Hint_handoff_server
 
-    let rec blocking_loop s ch ~side on_empty =
+    let rec blocking_dequeue s ch ~side on_empty =
       let m = S.dequeue s ch in
       (* C.1 *)
       if m != S.no_msg then m
@@ -110,12 +164,9 @@ module Make (S : Substrate.S) = struct
           (* C.4 *)
           S.awake_set s ch;
           (* C.5 *)
-          blocking_loop s ch ~side on_empty
+          blocking_dequeue s ch ~side on_empty
         end
       end
-
-    let blocking_dequeue s ch ~side ?(on_empty = No_hint) () =
-      blocking_loop s ch ~side on_empty
 
     let bump_spin_iter s side =
       let c = S.counters s in
@@ -148,247 +199,133 @@ module Make (S : Substrate.S) = struct
       limited_spin_loop s ch ~side ~max_spin 0
   end
 
-  let bump_sends s =
-    let c = S.counters s in
-    c.Counters.sends <- c.Counters.sends + 1
+  open Prims
 
-  let bump_receives s =
-    let c = S.counters s in
-    c.Counters.receives <- c.Counters.receives + 1
+  (* The producer half: Figure 1's spinning enqueue for BSS; for every
+     blocking protocol the flow-controlled enqueue (P.1) and the
+     tas-guarded conditional wake-up (P.2–P.3). *)
+  let produce s waiting ch ~target msg =
+    enqueue s waiting ch msg;
+    blocks waiting && wake_consumer s ch ~target
 
-  let bump_replies s =
+  (* Adaptive BSLS: the BSLS code path with a per-channel MAX_SPIN that
+     tracks the observed spin-success rate.  A spin episode that ends with
+     a visible message (hit) grows the budget multiplicatively,
+     [cur <- min cap (2*cur + 8)]; an exhausted spin (miss) halves it, and
+     a miss at or below the kick size drops it straight to 0.  The +8
+     additive kick lets a budget of 0 restart: at [cur = 0] a
+     queue-occupancy load stands in for the spin, so an arriving message
+     still reads as a hit.  At [cap = 0] no budget can ever grow — the
+     controller is skipped entirely and the path is exactly BSW's
+     consumer sequence, which is what [validate]'s single-core clamp
+     relies on (never-spin must cost nothing next to BSW).
+
+     A hit only counts if the spin stayed on the CPU: a spin whose wall
+     time far exceeds its iteration budget was descheduled mid-spin, and
+     a message visible on resume was delivered by the preemption, not the
+     polling.  Crediting those turns oversubscription into the paper's
+     Figure 11 positive feedback — preemption causes hits, hits grow the
+     budget, longer spins cause more preemption — driving the budget to
+     its cap exactly when spinning is most harmful.  The elapsed-time
+     guard (two CLOCK_MONOTONIC reads, only on the [cur > 0] path) makes
+     every descheduled spin a miss, so on a saturated host the budget
+     decays to 0 and ADAPT converges to BSW.  The clock must be monotonic:
+     a wall-clock step during the spin would read as a huge (or negative)
+     elapsed time and poison the learned budget.  Integer nanoseconds end
+     to end ([Clock.now_ns]) so the guard allocates no floats.  The clock
+     is the host's, which is why the simulator runs ADAPT as BSLS. *)
+  let adaptive_dequeue s ch ~side ~cap ~budget =
+    if cap = 0 then blocking_dequeue s ch ~side No_hint
+    else begin
+      let cur = Atomic.get budget in
+      let productive =
+        if cur = 0 then not (S.queue_is_empty s ch)
+        else begin
+          let t0 = Ulipc_observe.Clock.now_ns () in
+          limited_spin s ch ~side ~max_spin:cur;
+          let spin_ns = Ulipc_observe.Clock.now_ns () - t0 in
+          (* ~10 ns per cpu_relax iteration plus 1 µs of clock-granularity
+             slack: a genuine early exit sits under this, while even one
+             context-switch round (the cheapest way off the CPU and back)
+             costs several µs and lands over it. *)
+          (not (S.queue_is_empty s ch)) && spin_ns < 1_000 + (cur * 10)
+        end
+      in
+      if productive then Atomic.set budget (min cap ((2 * cur) + 8))
+      else
+        (* A miss at or below the additive kick collapses straight to 0
+           rather than decaying 8 -> 4 -> 2 -> 1 -> 0: the decay tail is
+           four more missed episodes, each paying two clock reads and its
+           leftover polls, before the channel returns to the blocking
+           path — and every spurious hit restarts it.  With the collapse
+           one miss undoes one kick, so the budget is non-zero only while
+           hits actually recur and ADAPT's floor is provably BSW: at
+           [cur = 0] the only per-message overhead is the one
+           queue-occupancy probe. *)
+        Atomic.set budget (if cur <= 8 then 0 else cur / 2);
+      blocking_dequeue s ch ~side Hint_busy_wait
+    end
+
+  (* The consumer half.  Clients of BSWY and BSLS (and ADAPT) busy-wait
+     once before clearing their flag (Figures 7 and 9), HANDOFF clients
+     hand off to the server instead; a BSWY or HANDOFF server first takes
+     any pending request — that is what lets it batch under several
+     clients — and only then gives the CPU away (yield, or handoff to
+     PID_ANY) before its blocking sequence.
+
+     [Limited_spin 0] skips the poll loop rather than entering it: the
+     loop would charge a fall-through (and, in the simulator, a
+     shared-memory read) per empty check, and a never-spinning budget —
+     what [validate]'s single-core clamp produces — must cost nothing
+     next to BSW.
+
+     An asynchronous [collect] is this client half on every substrate,
+     hints and polls included, so a posted call waits exactly as a
+     synchronous [send] would.  [budget] is an [int Atomic.t] on every
+     substrate too: only its channel's consumer writes it, and the
+     Atomic publishes it across domains (fork'd processes each own a
+     copy). *)
+  let consume s waiting ch ~side ~budget =
+    match (waiting, side) with
+    | Spin, _ -> spinning_dequeue s ch
+    | Block, _ -> blocking_dequeue s ch ~side No_hint
+    | Block_yield, Client -> blocking_dequeue s ch ~side Hint_busy_wait
+    | Handoff, Client -> blocking_dequeue s ch ~side Hint_handoff_server
+    | (Block_yield | Handoff), Server ->
+      let m = S.dequeue s ch in
+      if m != S.no_msg then m
+      else begin
+        (match waiting with Handoff -> S.handoff_any s | _ -> S.yield s);
+        blocking_dequeue s ch ~side No_hint
+      end
+    | Limited_spin max_spin, _ ->
+      if max_spin > 0 then limited_spin s ch ~side ~max_spin;
+      blocking_dequeue s ch ~side
+        (match side with Client -> Hint_busy_wait | Server -> No_hint)
+    | Adaptive cap, _ -> adaptive_dequeue s ch ~side ~cap ~budget
+
+  let send s waiting ~req ~reply ~budget msg =
+    if produce s waiting req ~target:Server msg then begin
+      (* We really did wake the server: let it run (Figure 7), or hand
+         it the CPU outright (§6). *)
+      match waiting with
+      | Block_yield -> S.busy_wait s
+      | Handoff -> S.handoff_server s
+      | Spin | Block | Limited_spin _ | Adaptive _ -> ()
+    end;
+    let ans = consume s waiting reply ~side:Client ~budget in
+    let c = S.counters s in
+    c.Counters.sends <- c.Counters.sends + 1;
+    ans
+
+  let receive s waiting ch ~budget =
+    let m = consume s waiting ch ~side:Server ~budget in
+    let c = S.counters s in
+    c.Counters.receives <- c.Counters.receives + 1;
+    m
+
+  let reply s waiting ch msg =
+    let (_ : bool) = produce s waiting ch ~target:Client msg in
     let c = S.counters s in
     c.Counters.replies <- c.Counters.replies + 1
-
-  (* Both Sides Spin (Figure 1): the busy-waiting baseline.  No process
-     ever blocks, so performance is entirely in the scheduler's hands —
-     the point of §2.2. *)
-  module Bss = struct
-    let send s ~client msg =
-      let reply_ch = S.reply_channel s client in
-      Prims.spin_enqueue s (S.request s) msg;
-      let ans = Prims.spinning_dequeue s reply_ch in
-      bump_sends s;
-      ans
-
-    let receive s =
-      let m = Prims.spinning_dequeue s (S.request s) in
-      bump_receives s;
-      m
-
-    let reply s ~client msg =
-      Prims.spin_enqueue s (S.reply_channel s client) msg;
-      bump_replies s
-  end
-
-  (* Both Sides Wait (Figure 5): the basic blocking protocol.  Producers
-     conditionally wake the consumer with tas-guarded V operations;
-     consumers run the C.1–C.5 sequence before sleeping. *)
-  module Bsw = struct
-    let send s ~client msg =
-      let reply_ch = S.reply_channel s client in
-      Prims.flow_enqueue s (S.request s) msg;
-      let (_ : bool) = Prims.wake_consumer s (S.request s) ~target:Server in
-      let ans = Prims.blocking_dequeue s reply_ch ~side:Prims.Client () in
-      bump_sends s;
-      ans
-
-    let receive s =
-      let m = Prims.blocking_dequeue s (S.request s) ~side:Prims.Server () in
-      bump_receives s;
-      m
-
-    let reply s ~client msg =
-      let ch = S.reply_channel s client in
-      Prims.flow_enqueue s ch msg;
-      let (_ : bool) = Prims.wake_consumer s ch ~target:Client in
-      bump_replies s
-  end
-
-  (* Both Sides Wait and Yield (Figure 7): BSW plus busy_wait/yield calls
-     that suggest hand-off scheduling to the operating system. *)
-  module Bswy = struct
-    let send s ~client msg =
-      let reply_ch = S.reply_channel s client in
-      Prims.flow_enqueue s (S.request s) msg;
-      if Prims.wake_consumer s (S.request s) ~target:Server then
-        (* We really did wake the server: let it run (Figure 7). *)
-        S.busy_wait s;
-      let ans =
-        Prims.blocking_dequeue s reply_ch ~side:Prims.Client
-          ~on_empty:Prims.Hint_busy_wait ()
-      in
-      bump_sends s;
-      ans
-
-    let receive s =
-      let m = S.dequeue s (S.request s) in
-      if m != S.no_msg then begin
-        (* Requests pending: keep processing rather than give up the CPU —
-           this is what lets the server batch under multiple clients. *)
-        bump_receives s;
-        m
-      end
-      else begin
-        S.yield s;
-        (* let the clients run *)
-        let m = Prims.blocking_dequeue s (S.request s) ~side:Prims.Server () in
-        bump_receives s;
-        m
-      end
-
-    let reply s ~client msg =
-      let ch = S.reply_channel s client in
-      Prims.flow_enqueue s ch msg;
-      let (_ : bool) = Prims.wake_consumer s ch ~target:Client in
-      bump_replies s
-  end
-
-  (* Both Sides Limited Spin (Figure 9): poll the queue up to MAX_SPIN
-     times before running the blocking sequence. *)
-  module Bsls = struct
-    let send s ~client ~max_spin msg =
-      let reply_ch = S.reply_channel s client in
-      Prims.flow_enqueue s (S.request s) msg;
-      let (_ : bool) = Prims.wake_consumer s (S.request s) ~target:Server in
-      Prims.limited_spin s reply_ch ~side:Prims.Client ~max_spin;
-      let ans =
-        Prims.blocking_dequeue s reply_ch ~side:Prims.Client
-          ~on_empty:Prims.Hint_busy_wait ()
-      in
-      bump_sends s;
-      ans
-
-    let receive s ~max_spin =
-      Prims.limited_spin s (S.request s) ~side:Prims.Server ~max_spin;
-      let m = Prims.blocking_dequeue s (S.request s) ~side:Prims.Server () in
-      bump_receives s;
-      m
-
-    let reply s ~client msg =
-      let ch = S.reply_channel s client in
-      Prims.flow_enqueue s ch msg;
-      let (_ : bool) = Prims.wake_consumer s ch ~target:Client in
-      bump_replies s
-  end
-
-  (* BSWY with the extended kernel interface of §6: every scheduling hint
-     becomes an explicit handoff. *)
-  module Handoff = struct
-    let send s ~client msg =
-      let reply_ch = S.reply_channel s client in
-      Prims.flow_enqueue s (S.request s) msg;
-      if Prims.wake_consumer s (S.request s) ~target:Server then
-        S.handoff_server s;
-      let ans =
-        Prims.blocking_dequeue s reply_ch ~side:Prims.Client
-          ~on_empty:Prims.Hint_handoff_server ()
-      in
-      bump_sends s;
-      ans
-
-    let receive s =
-      let m = S.dequeue s (S.request s) in
-      if m != S.no_msg then begin
-        bump_receives s;
-        m
-      end
-      else begin
-        S.handoff_any s;
-        (* let the clients run *)
-        let m = Prims.blocking_dequeue s (S.request s) ~side:Prims.Server () in
-        bump_receives s;
-        m
-      end
-
-    let reply s ~client msg =
-      let ch = S.reply_channel s client in
-      Prims.flow_enqueue s ch msg;
-      let (_ : bool) = Prims.wake_consumer s ch ~target:Client in
-      bump_replies s
-  end
-
-  type iface = {
-    send : S.t -> client:int -> S.msg -> S.msg;
-    receive : S.t -> S.msg;
-    reply : S.t -> client:int -> S.msg -> unit;
-  }
-
-  (* Overload-aware BSLS: the §5 future-work sketch.  Replies defer their
-     wake-up V operations behind an admission window; deferred wake-ups
-     are released on every receive — including right before the server
-     would block, which is what guarantees no deferred client starves. *)
-  module Bsls_throttle = struct
-    type server_state = {
-      max_active : int;
-      mutable active : int;
-          (* wake-ups issued whose follow-up request has not yet been
-             received *)
-      mutable pending : S.channel list; (* deferred wake-ups, oldest first *)
-    }
-
-    let server_state ~max_pending =
-      if max_pending <= 0 then
-        invalid_arg "Bsls_throttle.server_state: max_pending must be positive";
-      { max_active = max_pending; active = 0; pending = [] }
-
-    let pending_wakeups st = List.length st.pending
-
-    let wake_now s st ch =
-      if Prims.wake_consumer s ch ~target:Prims.Client then
-        st.active <- st.active + 1
-
-    (* Release deferred clients while the admission window has room. *)
-    let release_window s st =
-      let rec go () =
-        match st.pending with
-        | ch :: rest when st.active < st.max_active ->
-          st.pending <- rest;
-          wake_now s st ch;
-          go ()
-        | _ :: _ | [] -> ()
-      in
-      go ()
-
-    let iface ~max_spin st =
-      let send s ~client msg = Bsls.send s ~client ~max_spin msg in
-      let receive s =
-        release_window s st;
-        (* Progress guarantee: if no request is waiting we may be about to
-           block, and only a released client can produce the next request —
-           keep releasing until a wake-up actually lands (a false return
-           means the released client was already awake or has exited). *)
-        if S.queue_is_empty s (S.request s) then begin
-          let rec force () =
-            match st.pending with
-            | [] -> ()
-            | ch :: rest ->
-              st.pending <- rest;
-              if Prims.wake_consumer s ch ~target:Prims.Client then
-                st.active <- st.active + 1
-              else force ()
-          in
-          force ()
-        end;
-        let m = Bsls.receive s ~max_spin in
-        (* A request arrived: whoever sent it is no longer sleeping. *)
-        if st.active > 0 then st.active <- st.active - 1;
-        m
-      in
-      let reply s ~client msg =
-        let ch = S.reply_channel s client in
-        Prims.flow_enqueue s ch msg;
-        (* Defer only while the client is still awake (spinning): the
-           reply is already enqueued, so a client that clears its flag
-           after this read must find it at the second dequeue (step C.3)
-           and never sleeps.  A client whose flag is already clear may be
-           asleep and might never be flushed if the server stops
-           receiving — wake it now. *)
-        if st.active < st.max_active || not (S.awake_read s ch) then
-          wake_now s st ch
-        else st.pending <- st.pending @ [ ch ];
-        bump_replies s
-      in
-      { send; receive; reply }
-  end
 end

@@ -1,28 +1,69 @@
 (** The substrate-parametric protocol core.
 
-    [Make (S)] derives {e every} sleep/wake-up protocol of the paper —
-    BSS (Figure 1), BSW (Figure 5), BSWY (Figure 7), BSLS (Figure 9), the
-    §6 hand-off variant and the §5 overload throttle — from the
-    {!Substrate.S} primitives alone.  The library instantiates it twice:
-    {!Sim_protocols} over the simulated kernel (re-exported as the
-    historical {!Bss}/{!Bsw}/… modules) and [Ulipc_real.Rpc] over real
-    OCaml 5 domains.  A third backend only has to provide a substrate;
-    the protocol logic is shared, which is what makes differential
-    testing across substrates meaningful. *)
+    The paper's six protocols — BSS (Figure 1), BSW (Figure 5), BSWY
+    (Figure 7), BSLS (Figure 9), the §6 hand-off variant, and the
+    adaptive-budget BSLS the real backends add — are one algorithm: the
+    producer steps P.1–P.3 and the consumer sequence C.1–C.5, differing
+    only in what a waiting side does.  This module names that choice
+    once, as a {!waiting} value, and [Make (S)] derives the algorithm
+    from the {!Substrate.S} primitives alone, with the channel an
+    explicit argument of every operation.  Each substrate composes its
+    calls from the same {!Make.produce}/{!Make.consume} halves on the
+    channels its session shape dictates: {!Dispatch} and {!Async} over
+    the simulated session ({!Sim_protocols}), [Ulipc_real.Rpc] over a
+    sharded request plane on OCaml 5 domains, [Ulipc_procipc.Proc_rpc]
+    over fork'd processes.  A new backend only has to provide a
+    substrate, and differential testing across substrates is meaningful
+    because there is nothing else to differ. *)
+
+type waiting =
+  | Spin  (** BSS: busy-wait, never block *)
+  | Block  (** BSW: awake flag + counting semaphore, the Figure 5 sequence *)
+  | Block_yield
+      (** BSWY: BSW with the Figure 7 scheduling hints — the client
+          busy-waits after really waking the server and before clearing
+          its flag; the server yields once before blocking. *)
+  | Limited_spin of int
+      (** BSLS: poll up to MAX_SPIN times, then run the Figure 5
+          sequence *)
+  | Handoff
+      (** §6: BSWY with every hint an explicit handoff — to the server
+          from a client, to whoever is best from the server. *)
+  | Adaptive of int
+      (** Adaptive BSLS: per-channel MAX_SPIN, adjusted from the observed
+          spin-success rate and capped by the argument.  A spin episode
+          that ends with a message visible grows the budget
+          ([cur <- min cap (2*cur + 8)]); an exhausted spin halves it.  At
+          [cur = 0] the code path is BSW's consumer sequence, so idle
+          channels pay nothing for the option to spin.  Driven by the
+          host's monotonic clock, so only the real backends run it. *)
+
+type side = Client | Server
+(** Which end of the session the calling process is: selects the
+    consumer's hints and attributes instrumentation counters. *)
+
+val blocks : waiting -> bool
+(** Whether the mode may put a consumer to sleep on its semaphore — every
+    mode but [Spin] — so that producers must wake it. *)
+
+val validate : who:string -> ?host:bool -> waiting -> waiting
+(** The one budget check of every session constructor.  Rejects negative
+    budgets and, when [host] (default [true]) and the host has a single
+    CPU, clamps [Limited_spin]/[Adaptive] budgets to 0: no spin can pay
+    off when the peer cannot run concurrently.  The simulator passes
+    [~host:false] — its CPU count is the simulated machine's.
+    @raise Invalid_argument ["<who>: max_spin must be non-negative"] or
+    ["<who>: adaptive spin cap must be non-negative"]. *)
 
 module Make (S : Substrate.S) : sig
   (** The labelled steps of the paper's figures, over [S]'s primitives.
       See {!Prims} (the simulator instantiation) for per-function
       commentary. *)
   module Prims : sig
-    type side = Client | Server
+    type nonrec side = side = Client | Server
 
-    val busy_wait : S.t -> unit
-    val poll_queue : S.t -> S.channel -> unit
     val flow_enqueue : S.t -> S.channel -> S.msg -> unit
-    val spin_enqueue : S.t -> S.channel -> S.msg -> unit
     val wake_consumer : S.t -> S.channel -> target:side -> bool
-    val spinning_dequeue : S.t -> S.channel -> S.msg
 
     type empty_hint = No_hint | Hint_busy_wait | Hint_handoff_server
     (** The scheduling hint run between a failed first dequeue (C.1) and
@@ -37,57 +78,42 @@ module Make (S : Substrate.S) : sig
         side door (e.g. a TIMED receive) and must rebalance the credit
         themselves. *)
 
-    val blocking_dequeue :
-      S.t -> S.channel -> side:side -> ?on_empty:empty_hint -> unit -> S.msg
-
-    val limited_spin : S.t -> S.channel -> side:side -> max_spin:int -> unit
+    val blocking_dequeue : S.t -> S.channel -> side:side -> empty_hint -> S.msg
   end
 
-  module Bss : sig
-    val send : S.t -> client:int -> S.msg -> S.msg
-    val receive : S.t -> S.msg
-    val reply : S.t -> client:int -> S.msg -> unit
-  end
+  val wait_for_room : S.t -> waiting -> unit
+  (** One back-off of a producer that found no room (full queue, or an
+      exhausted payload slab): [busy_wait] for [Spin], otherwise a
+      counted [flow_sleep]. *)
 
-  module Bsw : sig
-    val send : S.t -> client:int -> S.msg -> S.msg
-    val receive : S.t -> S.msg
-    val reply : S.t -> client:int -> S.msg -> unit
-  end
+  val produce : S.t -> waiting -> S.channel -> target:side -> S.msg -> bool
+  (** The producer half: enqueue on the channel (backing off per
+      {!wait_for_room} while it is full), then — unless [Spin] — the
+      tas-guarded conditional wake-up of its consumer.  Returns whether a
+      V was actually issued. *)
 
-  module Bswy : sig
-    val send : S.t -> client:int -> S.msg -> S.msg
-    val receive : S.t -> S.msg
-    val reply : S.t -> client:int -> S.msg -> unit
-  end
+  val consume :
+    S.t -> waiting -> S.channel -> side:side -> budget:int Atomic.t -> S.msg
+  (** The consumer half: the next message on the channel, waiting per the
+      mode.  [budget] is the channel's adaptive MAX_SPIN cell, read and
+      written by [Adaptive] only; its owner is the channel's unique
+      consumer. *)
 
-  module Bsls : sig
-    val send : S.t -> client:int -> max_spin:int -> S.msg -> S.msg
-    val receive : S.t -> max_spin:int -> S.msg
-    val reply : S.t -> client:int -> S.msg -> unit
-  end
+  val send :
+    S.t ->
+    waiting ->
+    req:S.channel ->
+    reply:S.channel ->
+    budget:int Atomic.t ->
+    S.msg ->
+    S.msg
+  (** A synchronous call: {!produce} on [req], the post-wake hint of BSWY
+      and HANDOFF, then the client {!consume} on [reply] with [reply]'s
+      [budget].  Counts a send. *)
 
-  module Handoff : sig
-    val send : S.t -> client:int -> S.msg -> S.msg
-    val receive : S.t -> S.msg
-    val reply : S.t -> client:int -> S.msg -> unit
-  end
+  val receive : S.t -> waiting -> S.channel -> budget:int Atomic.t -> S.msg
+  (** The server {!consume}.  Counts a receive. *)
 
-  type iface = {
-    send : S.t -> client:int -> S.msg -> S.msg;
-    receive : S.t -> S.msg;
-    reply : S.t -> client:int -> S.msg -> unit;
-  }
-  (** A first-class protocol triple over this substrate (the generic
-      analogue of {!Iface.t}). *)
-
-  module Bsls_throttle : sig
-    type server_state
-
-    val server_state : max_pending:int -> server_state
-    (** @raise Invalid_argument if [max_pending <= 0]. *)
-
-    val pending_wakeups : server_state -> int
-    val iface : max_spin:int -> server_state -> iface
-  end
+  val reply : S.t -> waiting -> S.channel -> S.msg -> unit
+  (** {!produce} towards a client.  Counts a reply. *)
 end

@@ -17,15 +17,15 @@ type t = {
 let create ?events ~kernel ~costs ~multiprocessor ~kind ~nclients ~capacity () =
   if nclients <= 0 then invalid_arg "Session.create: nclients must be positive";
   if capacity <= 0 then invalid_arg "Session.create: capacity must be positive";
-  (match kind with
-  | Protocol_kind.BSLS max_spin when max_spin < 0 ->
-    invalid_arg "Session.create: max_spin must be non-negative"
-  | Protocol_kind.ADAPT cap when cap < 0 ->
-    invalid_arg "Session.create: adaptive spin cap must be non-negative"
-  | Protocol_kind.BSS | Protocol_kind.BSW | Protocol_kind.BSWY
-  | Protocol_kind.BSLS _ | Protocol_kind.ADAPT _ | Protocol_kind.SYSV
-  | Protocol_kind.HANDOFF | Protocol_kind.CSEM ->
-    ());
+  (* The budget check every session constructor shares.  No single-core
+     clamp: the simulated machine's CPU count, not the host's, decides
+     whether a spin can pay off here. *)
+  Option.iter
+    (fun w ->
+      ignore
+        (Protocol_core.validate ~who:"Session.create" ~host:false w
+          : Protocol_core.waiting))
+    (Protocol_kind.to_waiting kind);
   let inject, project = Ulipc_engine.Univ.embed () in
   {
     kernel;

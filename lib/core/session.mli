@@ -44,7 +44,8 @@ val create :
 (** [capacity] bounds each shared queue (the free-pool size) and the
     System V queues alike.
     @raise Invalid_argument if [nclients <= 0], [capacity <= 0], or
-    [kind] is [BSLS max_spin] with [max_spin < 0]. *)
+    [kind] carries a negative budget ([BSLS] or [ADAPT]; see
+    {!Protocol_core.validate}). *)
 
 val register_server : t -> Ulipc_os.Syscall.pid -> unit
 (** Called by the server process (or the driver) so clients can hand off

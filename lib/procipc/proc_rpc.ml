@@ -1,26 +1,26 @@
 (* The cross-process RPC layer: Protocol_core instantiated over
    {!Proc_substrate}, so BSS, BSW, BSWY, BSLS, HANDOFF and ADAPT run
-   over the shared arena with their send/receive/reply sequences
-   written exactly once — in the core — and fork'd processes as the
-   peers.  Single server (the proc plane has no sharded fleet); the
-   dispatch below is the in-process Rpc's with the steal/stash/shard
-   machinery removed.
+   over the shared arena with their waiting-mode dispatch and their
+   send/receive/reply sequences written exactly once — in the core —
+   and fork'd processes as the peers.  Single server (the proc plane has
+   no sharded fleet): every call is one core operation on the one
+   request channel or a client's reply channel.
 
    Payloads are ints only ({!Pslab}): an OCaml pointer cannot cross an
    address space, so the typed codec seam of the in-process Rpc
    collapses to the [int_codec] case — which is also the paper's model
    (register-sized messages).
 
-   The waiting type is THE in-process [Ulipc_real.Rpc.waiting], re-
-   exported by equation, so drivers configure both backends with one
-   value.  The single-core clamp (no spin budget can pay off when the
-   peers outnumber the CPUs) applies with extra force here: the peer is
-   a process, and nothing preempts a spinning process early. *)
+   The waiting type is the core's, re-exported by equation (as
+   [Ulipc_real.Rpc.waiting] is), so drivers configure both backends
+   with one value.  The single-core clamp (no spin budget can pay off
+   when the peers outnumber the CPUs) applies with extra force here: the
+   peer is a process, and nothing preempts a spinning process early. *)
 
 module S = Proc_substrate
 module P = Ulipc.Protocol_core.Make (Proc_substrate)
 
-type waiting = Ulipc_real.Rpc.waiting =
+type waiting = Ulipc.Protocol_core.waiting =
   | Spin
   | Block
   | Block_yield
@@ -31,38 +31,22 @@ type waiting = Ulipc_real.Rpc.waiting =
 type t = {
   waiting : waiting;
   sub : S.t;
-  adapt : int array;
+  adapt : int Atomic.t array;
       (* per-channel adaptive MAX_SPIN: slot 0 = request channel (the
-         server's), slot [1 + i] = reply channel [i] (client [i]'s).
-         Plain ints: the array is copied at fork and each slot is only
-         ever touched by the process that owns its channel. *)
+         server's), slot [1 + i] = reply channel [i] (client [i]'s).  The
+         array is copied at fork, so each process owns its copy and each
+         slot is only ever touched by the process that owns its
+         channel. *)
 }
 
 let create ?(capacity = 64) ?trace ?slots ~nclients waiting =
-  (match waiting with
-  | Limited_spin max_spin when max_spin < 0 ->
-    invalid_arg "Proc_rpc.create: max_spin must be non-negative"
-  | Adaptive cap when cap < 0 ->
-    invalid_arg "Proc_rpc.create: adaptive spin cap must be non-negative"
-  | Spin | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ -> ());
-  (* Same single-core clamp as the in-process Rpc (see its comment for
-     the trace evidence): a spin budget is pure loss when the peer
-     cannot run concurrently. *)
-  let waiting =
-    if Domain.recommended_domain_count () > 1 then waiting
-    else
-      match waiting with
-      | Adaptive _ -> Adaptive 0
-      | Limited_spin _ -> Limited_spin 0
-      | w -> w
-  in
+  let waiting = Ulipc.Protocol_core.validate ~who:"Proc_rpc.create" waiting in
   {
     waiting;
     sub = S.create ?trace ?slots ~capacity ~nclients ();
-    adapt = Array.make (1 + nclients) 0;
+    adapt = Array.init (1 + nclients) (fun _ -> Atomic.make 0);
   }
 
-let sub t = t.sub
 let nclients t = S.nclients t.sub
 let slab t = S.slab t.sub
 let arena t = S.arena t.sub
@@ -70,7 +54,6 @@ let trace t = S.trace t.sub
 let counters t = S.counters t.sub
 let wake_residue t = S.wake_residue t.sub
 let harvest_sem_counters t = S.harvest_sem_counters t.sub
-let waiting t = t.waiting
 
 (* Conservative occupancy of the one request ring (see Pring.Mpsc.length
    for the snapshot invariant) — the parent's telemetry gauge, readable
@@ -82,21 +65,9 @@ let check_client t client =
 
 let ctrs t = S.counters t.sub
 
-let bump_sends t =
-  let c = ctrs t in
-  c.Ulipc.Counters.sends <- c.Ulipc.Counters.sends + 1
-
 let bump_receives t =
   let c = ctrs t in
   c.Ulipc.Counters.receives <- c.Ulipc.Counters.receives + 1
-
-let bump_replies t =
-  let c = ctrs t in
-  c.Ulipc.Counters.replies <- c.Ulipc.Counters.replies + 1
-
-let bump_full_sleep t =
-  let c = ctrs t in
-  c.Ulipc.Counters.queue_full_sleeps <- c.Ulipc.Counters.queue_full_sleeps + 1
 
 (* Slab exhaustion = flow control, bounded as in-process (an undersized
    explicit ~slots must error out, not hang every producer). *)
@@ -114,125 +85,25 @@ let rec alloc_slot_retry t retries =
           that default"
          (Pslab.in_use_count slab) (Pslab.slots slab))
   else begin
-    (match t.waiting with
-    | Spin -> P.Prims.busy_wait t.sub
-    | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-      bump_full_sleep t;
-      S.flow_sleep t.sub);
+    P.wait_for_room t.sub t.waiting;
     alloc_slot_retry t (retries + 1)
   end
 
 let alloc_slot t = alloc_slot_retry t 0
 
-(* Adaptive BSLS: the same hit/miss MAX_SPIN controller as the
-   in-process Rpc (multiplicative growth with a +8 kick, halve on miss,
-   collapse at or below the kick; the elapsed-time guard makes every
-   descheduled spin a miss — see rpc.ml for the full argument).  The
-   budget slot is a plain per-process int, single-writer by channel
-   ownership. *)
-let adaptive_dequeue t ch ~slot ~cap ~side =
-  if cap = 0 then P.Prims.blocking_dequeue t.sub ch ~side ()
-  else begin
-    let cur = t.adapt.(slot) in
-    let productive =
-      if cur = 0 then not (S.queue_is_empty t.sub ch)
-      else begin
-        let t0 = Ulipc_observe.Clock.now_ns () in
-        P.Prims.limited_spin t.sub ch ~side ~max_spin:cur;
-        let spin_ns = Ulipc_observe.Clock.now_ns () - t0 in
-        (not (S.queue_is_empty t.sub ch)) && spin_ns < 1_000 + (cur * 10)
-      end
-    in
-    if productive then t.adapt.(slot) <- min cap ((2 * cur) + 8)
-    else t.adapt.(slot) <- (if cur <= 8 then 0 else cur / 2);
-    P.Prims.blocking_dequeue t.sub ch ~side ~on_empty:P.Prims.Hint_busy_wait ()
-  end
-
-(* Raw index plane: the core's per-protocol send/receive/reply bodies,
-   dispatch on the waiting mode (single server, so [S.request] is the
-   one request channel throughout). *)
+(* Raw index plane: one core operation on the request channel or the
+   client's reply channel. *)
 
 let send_msg t ~client m =
-  let sub = t.sub in
-  let req_ch = S.request sub in
-  let reply_ch = S.reply_channel sub client in
-  let ans =
-    match t.waiting with
-    | Spin ->
-      P.Prims.spin_enqueue sub req_ch m;
-      P.Prims.spinning_dequeue sub reply_ch
-    | Block ->
-      P.Prims.flow_enqueue sub req_ch m;
-      let (_ : bool) = P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server in
-      P.Prims.blocking_dequeue sub reply_ch ~side:P.Prims.Client ()
-    | Block_yield ->
-      P.Prims.flow_enqueue sub req_ch m;
-      if P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server then
-        S.busy_wait sub;
-      P.Prims.blocking_dequeue sub reply_ch ~side:P.Prims.Client
-        ~on_empty:P.Prims.Hint_busy_wait ()
-    | Limited_spin max_spin ->
-      P.Prims.flow_enqueue sub req_ch m;
-      let (_ : bool) = P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server in
-      if max_spin > 0 then
-        P.Prims.limited_spin sub reply_ch ~side:P.Prims.Client ~max_spin;
-      P.Prims.blocking_dequeue sub reply_ch ~side:P.Prims.Client
-        ~on_empty:P.Prims.Hint_busy_wait ()
-    | Handoff ->
-      P.Prims.flow_enqueue sub req_ch m;
-      if P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server then
-        S.handoff_server sub;
-      P.Prims.blocking_dequeue sub reply_ch ~side:P.Prims.Client
-        ~on_empty:P.Prims.Hint_handoff_server ()
-    | Adaptive cap ->
-      P.Prims.flow_enqueue sub req_ch m;
-      let (_ : bool) = P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server in
-      adaptive_dequeue t reply_ch ~slot:(1 + client) ~cap ~side:P.Prims.Client
-  in
-  bump_sends t;
-  ans
+  P.send t.sub t.waiting ~req:(S.request t.sub)
+    ~reply:(S.reply_channel t.sub client)
+    ~budget:t.adapt.(1 + client) m
 
 let receive_msg t =
-  let sub = t.sub in
-  let ch = S.request sub in
-  let m =
-    match t.waiting with
-    | Spin -> P.Prims.spinning_dequeue sub ch
-    | Block -> P.Prims.blocking_dequeue sub ch ~side:P.Prims.Server ()
-    | Block_yield ->
-      let m = S.dequeue sub ch in
-      if m != S.no_msg then m
-      else begin
-        S.yield sub;
-        P.Prims.blocking_dequeue sub ch ~side:P.Prims.Server ()
-      end
-    | Limited_spin max_spin ->
-      if max_spin > 0 then
-        P.Prims.limited_spin sub ch ~side:P.Prims.Server ~max_spin;
-      P.Prims.blocking_dequeue sub ch ~side:P.Prims.Server ()
-    | Handoff ->
-      let m = S.dequeue sub ch in
-      if m != S.no_msg then m
-      else begin
-        S.handoff_any sub;
-        P.Prims.blocking_dequeue sub ch ~side:P.Prims.Server ()
-      end
-    | Adaptive cap ->
-      adaptive_dequeue t ch ~slot:0 ~cap ~side:P.Prims.Server
-  in
-  bump_receives t;
-  m
+  P.receive t.sub t.waiting (S.request t.sub) ~budget:t.adapt.(0)
 
 let reply_msg t ~client m =
-  let sub = t.sub in
-  let ch = S.reply_channel sub client in
-  (match t.waiting with
-  | Spin -> P.Prims.spin_enqueue sub ch m
-  | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-    P.Prims.flow_enqueue sub ch m;
-    let (_ : bool) = P.Prims.wake_consumer sub ch ~target:P.Prims.Client in
-    ());
-  bump_replies t
+  P.reply t.sub t.waiting (S.reply_channel t.sub client) m
 
 (* Typed layer: alloc/fill before, read/release after. *)
 
@@ -275,7 +146,8 @@ let serve t f =
   Pslab.set_data slab i rep;
   reply_msg t ~client i
 
-(* Asynchronous halves, for the pipelined client. *)
+(* Asynchronous halves, for the pipelined client: the core's producer
+   half, and exactly the client consumer half of [send]. *)
 
 let post t ~client req =
   check_client t client;
@@ -283,32 +155,15 @@ let post t ~client req =
   let i = alloc_slot t in
   Pslab.set_client slab i client;
   Pslab.set_data slab i req;
-  let req_ch = S.request t.sub in
-  match t.waiting with
-  | Spin -> P.Prims.spin_enqueue t.sub req_ch i
-  | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-    P.Prims.flow_enqueue t.sub req_ch i;
-    ignore (P.Prims.wake_consumer t.sub req_ch ~target:P.Prims.Server : bool)
+  ignore (P.produce t.sub t.waiting (S.request t.sub) ~target:Server i : bool)
 
 let collect t ~client =
   check_client t client;
   let slab = S.slab t.sub in
-  let ch = S.reply_channel t.sub client in
   let j =
-    match t.waiting with
-    | Spin -> P.Prims.spinning_dequeue t.sub ch
-    | Block | Handoff ->
-      P.Prims.blocking_dequeue t.sub ch ~side:P.Prims.Client ()
-    | Block_yield ->
-      P.Prims.blocking_dequeue t.sub ch ~side:P.Prims.Client
-        ~on_empty:P.Prims.Hint_busy_wait ()
-    | Limited_spin max_spin ->
-      if max_spin > 0 then
-        P.Prims.limited_spin t.sub ch ~side:P.Prims.Client ~max_spin;
-      P.Prims.blocking_dequeue t.sub ch ~side:P.Prims.Client
-        ~on_empty:P.Prims.Hint_busy_wait ()
-    | Adaptive cap ->
-      adaptive_dequeue t ch ~slot:(1 + client) ~cap ~side:P.Prims.Client
+    P.consume t.sub t.waiting
+      (S.reply_channel t.sub client)
+      ~side:Client ~budget:t.adapt.(1 + client)
   in
   let rep = Pslab.get_data slab j in
   Pslab.release slab j;

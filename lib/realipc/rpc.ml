@@ -2,15 +2,14 @@
 
    This module contains NO protocol logic of its own: it instantiates the
    substrate-parametric core (Ulipc.Protocol_core.Make) over the
-   real-domains substrate and composes each call from the core's shared
-   primitives (P.Prims) — the producer steps P.1–P.3, the consumer
-   sequence C.1–C.5, the raced-wake-up drain and the poll loops are the
-   very same code the simulator runs.  The composition (rather than the
-   core's fixed Bss/Bsw/... entry points) is what lets the request plane
-   be SHARDED without widening the Substrate.S seam: a client's send
-   targets its home shard's channel, a server's receive drains its own
-   shard's channel, and at [nservers = 1] every composition reduces to
-   the core module bodies verbatim.
+   real-domains substrate and makes every call one core operation —
+   send, receive, reply, produce, consume — on an explicit channel: the
+   producer steps P.1–P.3, the consumer sequence C.1–C.5, the raced-
+   wake-up drain, the poll loops and the ADAPT controller are the very
+   same code the simulator runs.  The explicit channel is what lets the
+   request plane be SHARDED without widening the Substrate.S seam: a
+   client's send targets its home shard's channel, a server's receive
+   drains its own shard's channel.
 
    Cross-shard rebalancing is handoff-based stealing.  Mpsc_ring has
    exactly one legal consumer, so an idle server cannot dequeue from a
@@ -40,7 +39,7 @@
 
 module P = Ulipc.Protocol_core.Make (Real_substrate)
 
-type waiting =
+type waiting = Ulipc.Protocol_core.waiting =
   | Spin
   | Block
   | Block_yield
@@ -105,32 +104,7 @@ let create ?(capacity = 64) ?transport ?trace ?slots ?req_codec ?rep_codec
   if nclients <= 0 then invalid_arg "Rpc.create: nclients must be positive";
   if capacity <= 0 then invalid_arg "Rpc.create: capacity must be positive";
   if nservers <= 0 then invalid_arg "Rpc.create: nservers must be positive";
-  (match waiting with
-  | Limited_spin max_spin when max_spin < 0 ->
-    invalid_arg "Rpc.create: max_spin must be non-negative"
-  | Adaptive cap when cap < 0 ->
-    invalid_arg "Rpc.create: adaptive spin cap must be non-negative"
-  | Spin | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ -> ());
-  (* On a single-core host a spinning consumer occupies the only CPU its
-     producer could use, so no spin budget can ever pay off — the paper's
-     own uniprocessor rule (§2.1: yield, never spin).  Clamp the adaptive
-     cap to 0 there: the controller then runs BSW's exact consumer path
-     (one extra queue-occupancy load) instead of re-learning futility per
-     channel.  BSLS gets the same clamp: traces showed every BSLS(50)
-     spin on a uniprocessor burning its full budget *inside the peer's
-     already-signalled wake path* (spin exhausts ~= blocks, EXPERIMENTS
-     "anomaly 1"), so a clamped budget of 0 skips the poll loop entirely
-     and the path is BSW plus the busy-wait hint.  The driver still
-     reports the protocol under its requested name — the clamp changes
-     the budget actually spent, not the protocol asked for. *)
-  let waiting =
-    if Domain.recommended_domain_count () > 1 then waiting
-    else
-      match waiting with
-      | Adaptive _ -> Adaptive 0
-      | Limited_spin _ -> Limited_spin 0
-      | w -> w
-  in
+  let waiting = Ulipc.Protocol_core.validate ~who:"Rpc.create" waiting in
   let req_codec =
     match req_codec with Some c -> c | None -> boxed_codec ()
   in
@@ -189,10 +163,6 @@ let bump_replies t k =
   let c = ctrs t in
   c.Ulipc.Counters.replies <- c.Ulipc.Counters.replies + k
 
-let bump_full_sleep t =
-  let c = ctrs t in
-  c.Ulipc.Counters.queue_full_sleeps <- c.Ulipc.Counters.queue_full_sleeps + 1
-
 (* Slab exhaustion is flow control, one layer under the full-queue case:
    every slot is riding a queue or held by a busy peer, so the sender
    backs off exactly as it would for a full queue — but only for a
@@ -216,73 +186,11 @@ let rec alloc_slot_retry t retries =
           (capacity + 1), or omit ~slots for that default"
          (Slab.in_use_count slab) (Slab.slots slab) retries)
   else begin
-    (match t.waiting with
-    | Spin -> P.Prims.busy_wait t.sub
-    | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-      bump_full_sleep t;
-      Real_substrate.flow_sleep t.sub);
+    P.wait_for_room t.sub t.waiting;
     alloc_slot_retry t (retries + 1)
   end
 
 let alloc_slot t = alloc_slot_retry t 0
-
-(* Adaptive BSLS: the BSLS code path with a per-channel MAX_SPIN that
-   tracks the observed spin-success rate.  A spin episode that ends with
-   a visible message (hit) grows the budget multiplicatively,
-   [cur <- min cap (2*cur + 8)]; an exhausted spin (miss) halves it, and
-   a miss at or below the kick size drops it straight to 0.  The +8
-   additive kick lets a budget of 0 restart: at [cur = 0] a
-   queue-occupancy load stands in for the spin, so an arriving message
-   still reads as a hit.  At [cap = 0] no budget can ever grow — the
-   controller is skipped entirely and the path is exactly BSW's
-   consumer sequence, which is what [create]'s single-core clamp
-   relies on (never-spin must cost nothing next to BSW).
-
-   A hit only counts if the spin stayed on the CPU: a spin whose wall
-   time far exceeds its iteration budget was descheduled mid-spin, and
-   a message visible on resume was delivered by the preemption, not the
-   polling.  Crediting those turns oversubscription into the paper's
-   Figure 11 positive feedback — preemption causes hits, hits grow the
-   budget, longer spins cause more preemption — driving the budget to
-   its cap exactly when spinning is most harmful.  The elapsed-time
-   guard (two CLOCK_MONOTONIC reads, only on the [cur > 0] path) makes
-   every descheduled spin a miss, so on a saturated host the budget
-   decays to 0 and ADAPT converges to BSW.  The clock must be monotonic:
-   a wall-clock step during the spin would read as a huge (or negative)
-   elapsed time and poison the learned budget.  Integer nanoseconds end
-   to end ([Clock.now_ns]) so the guard allocates no floats. *)
-let adaptive_dequeue t ch ~slot ~cap ~side =
-  if cap = 0 then P.Prims.blocking_dequeue t.sub ch ~side ()
-  else begin
-    let cur = Atomic.get slot in
-    let productive =
-      if cur = 0 then not (Real_substrate.queue_is_empty t.sub ch)
-      else begin
-        let t0 = Ulipc_observe.Clock.now_ns () in
-        P.Prims.limited_spin t.sub ch ~side ~max_spin:cur;
-        let spin_ns = Ulipc_observe.Clock.now_ns () - t0 in
-        (* ~10 ns per cpu_relax iteration plus 1 µs of clock-granularity
-           slack: a genuine early exit sits under this, while even one
-           context-switch round (the cheapest way off the CPU and back)
-           costs several µs and lands over it. *)
-        (not (Real_substrate.queue_is_empty t.sub ch))
-        && spin_ns < 1_000 + (cur * 10)
-      end
-    in
-    if productive then Atomic.set slot (min cap ((2 * cur) + 8))
-    else
-      (* A miss at or below the additive kick collapses straight to 0
-         rather than decaying 8 -> 4 -> 2 -> 1 -> 0: the decay tail is
-         four more missed episodes, each paying two clock reads and its
-         leftover polls, before the channel returns to the blocking
-         path — and every spurious hit restarts it.  With the collapse
-         one miss undoes one kick, so the budget is non-zero only while
-         hits actually recur and ADAPT's floor is provably BSW: at
-         [cur = 0] the only per-message overhead is the one
-         queue-occupancy probe. *)
-      Atomic.set slot (if cur <= 8 then 0 else cur / 2);
-    P.Prims.blocking_dequeue t.sub ch ~side ~on_empty:P.Prims.Hint_busy_wait ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Steal orchestration.                                                *)
@@ -363,7 +271,7 @@ let service_steal t ~server =
         in
         if a > 0 then begin
           ignore
-            (P.Prims.wake_consumer sub thief_ch ~target:P.Prims.Server : bool);
+            (P.Prims.wake_consumer sub thief_ch ~target:Server : bool);
           let c = ctrs t in
           c.Ulipc.Counters.steal_handoffs <-
             c.Ulipc.Counters.steal_handoffs + 1;
@@ -396,61 +304,19 @@ let pop_stash st =
   else Real_substrate.no_msg
 
 (* ------------------------------------------------------------------ *)
-(* The raw index planes: protocol dispatch over slot indices.  The     *)
-(* typed layer below them is nothing but alloc/fill before and         *)
-(* read/release after.                                                 *)
+(* The raw index planes: one core operation on the shard's or the      *)
+(* client's channel.  The typed layer below them is nothing but        *)
+(* alloc/fill before and read/release after.                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Client send: the core's Bss/Bsw/Bswy/Bsls/Handoff send bodies with
-   the client's HOME SHARD channel in place of the session-global
-   [S.request].  Composed from the same Prims, so the producer steps and
-   the consumer sequence are still written exactly once (in the core) —
-   at [nservers = 1] this is the core module body, line for line. *)
+let client_budget t client = t.adapt.(nservers t + client)
+
 let send_msg t ~client m =
   let sub = t.sub in
-  let req_ch = Real_substrate.request_shard sub (shard_of_client t client) in
-  let reply_ch = Real_substrate.reply_channel sub client in
-  let ans =
-    match t.waiting with
-    | Spin ->
-      P.Prims.spin_enqueue sub req_ch m;
-      P.Prims.spinning_dequeue sub reply_ch
-    | Block ->
-      P.Prims.flow_enqueue sub req_ch m;
-      let (_ : bool) = P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server in
-      P.Prims.blocking_dequeue sub reply_ch ~side:P.Prims.Client ()
-    | Block_yield ->
-      P.Prims.flow_enqueue sub req_ch m;
-      if P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server then
-        (* We really did wake the server: let it run (Figure 7). *)
-        Real_substrate.busy_wait sub;
-      P.Prims.blocking_dequeue sub reply_ch ~side:P.Prims.Client
-        ~on_empty:P.Prims.Hint_busy_wait ()
-    | Limited_spin max_spin ->
-      P.Prims.flow_enqueue sub req_ch m;
-      let (_ : bool) = P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server in
-      (* A clamped (or explicit) budget of 0 skips the spin entirely:
-         invoking the loop would still charge a fall-through per empty
-         check, and never-spin must cost nothing next to BSW. *)
-      if max_spin > 0 then
-        P.Prims.limited_spin sub reply_ch ~side:P.Prims.Client ~max_spin;
-      P.Prims.blocking_dequeue sub reply_ch ~side:P.Prims.Client
-        ~on_empty:P.Prims.Hint_busy_wait ()
-    | Handoff ->
-      P.Prims.flow_enqueue sub req_ch m;
-      if P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server then
-        Real_substrate.handoff_server sub;
-      P.Prims.blocking_dequeue sub reply_ch ~side:P.Prims.Client
-        ~on_empty:P.Prims.Hint_handoff_server ()
-    | Adaptive cap ->
-      P.Prims.flow_enqueue sub req_ch m;
-      let (_ : bool) = P.Prims.wake_consumer sub req_ch ~target:P.Prims.Server in
-      adaptive_dequeue t reply_ch
-        ~slot:t.adapt.(nservers t + client)
-        ~cap ~side:P.Prims.Client
-  in
-  bump_sends t 1;
-  ans
+  P.send sub t.waiting
+    ~req:(Real_substrate.request_shard sub (shard_of_client t client))
+    ~reply:(Real_substrate.reply_channel sub client)
+    ~budget:(client_budget t client) m
 
 (* Server receive on its own shard: stash first (stolen-handoff
    leftovers are the oldest messages this server owns), then one
@@ -470,57 +336,16 @@ let receive_msg t ~server =
     let sub = t.sub in
     let ch = Real_substrate.request_shard sub server in
     if Real_substrate.queue_is_empty sub ch then try_post_steal t ~server;
-    let m =
-      match t.waiting with
-      | Spin -> P.Prims.spinning_dequeue sub ch
-      | Block -> P.Prims.blocking_dequeue sub ch ~side:P.Prims.Server ()
-      | Block_yield ->
-        let m = Real_substrate.dequeue sub ch in
-        if m != Real_substrate.no_msg then
-          (* Requests pending: keep processing rather than give up the
-             CPU — this is what lets the server batch under multiple
-             clients. *)
-          m
-        else begin
-          Real_substrate.yield sub;
-          (* let the clients run *)
-          P.Prims.blocking_dequeue sub ch ~side:P.Prims.Server ()
-        end
-      | Limited_spin max_spin ->
-        if max_spin > 0 then
-          P.Prims.limited_spin sub ch ~side:P.Prims.Server ~max_spin;
-        P.Prims.blocking_dequeue sub ch ~side:P.Prims.Server ()
-      | Handoff ->
-        let m = Real_substrate.dequeue sub ch in
-        if m != Real_substrate.no_msg then m
-        else begin
-          Real_substrate.handoff_any sub;
-          (* let the clients run *)
-          P.Prims.blocking_dequeue sub ch ~side:P.Prims.Server ()
-        end
-      | Adaptive cap ->
-        adaptive_dequeue t ch ~slot:t.adapt.(server) ~cap ~side:P.Prims.Server
-    in
+    let m = P.receive sub t.waiting ch ~budget:t.adapt.(server) in
     retract_steal t ~server;
-    bump_receives t 1;
     m
   end
 
-(* Replies: one producer path for every waiting mode (the core's reply
-   bodies only differ in Bss's unthrottled enqueue).  Any server may
-   reply to any client — after a steal the thief answers on a reply
-   channel whose "home" server never saw the request, which is exactly
-   why pooled ring sessions use MPSC reply rings. *)
+(* Any server may reply to any client — after a steal the thief answers
+   on a reply channel whose "home" server never saw the request, which
+   is exactly why pooled ring sessions use MPSC reply rings. *)
 let reply_msg t ~client m =
-  let sub = t.sub in
-  let ch = Real_substrate.reply_channel sub client in
-  (match t.waiting with
-  | Spin -> P.Prims.spin_enqueue sub ch m
-  | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-    P.Prims.flow_enqueue sub ch m;
-    let (_ : bool) = P.Prims.wake_consumer sub ch ~target:P.Prims.Client in
-    ());
-  bump_replies t 1
+  P.reply t.sub t.waiting (Real_substrate.reply_channel t.sub client) m
 
 let send t ~client req =
   check_client t client;
@@ -564,8 +389,9 @@ let serve ?(server = 0) t f =
   t.rep_codec.write slab i rep;
   reply_msg t ~client i
 
-(* The asynchronous halves, composed from the same shared primitives the
-   synchronous protocols use (cf. Ulipc.Async on the simulator side). *)
+(* The asynchronous halves: the core's producer half, and exactly the
+   client consumer half of [send] (cf. Ulipc.Async on the simulator
+   side). *)
 
 let post ?shard t ~client req =
   check_client t client;
@@ -575,30 +401,16 @@ let post ?shard t ~client req =
   let i = alloc_slot t in
   Slab.set_client slab i client;
   t.req_codec.write slab i req;
-  let req_ch = Real_substrate.request_shard t.sub sh in
-  match t.waiting with
-  | Spin -> P.Prims.spin_enqueue t.sub req_ch i
-  | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-    P.Prims.flow_enqueue t.sub req_ch i;
-    ignore (P.Prims.wake_consumer t.sub req_ch ~target:P.Prims.Server : bool)
+  ignore
+    (P.produce t.sub t.waiting
+       (Real_substrate.request_shard t.sub sh)
+       ~target:Server i
+      : bool)
 
 let collect_msg t ~client =
-  let ch = Real_substrate.reply_channel t.sub client in
-  match t.waiting with
-  | Spin -> P.Prims.spinning_dequeue t.sub ch
-  | Block | Handoff -> P.Prims.blocking_dequeue t.sub ch ~side:P.Prims.Client ()
-  | Block_yield ->
-    P.Prims.blocking_dequeue t.sub ch ~side:P.Prims.Client
-      ~on_empty:P.Prims.Hint_busy_wait ()
-  | Limited_spin max_spin ->
-    if max_spin > 0 then
-      P.Prims.limited_spin t.sub ch ~side:P.Prims.Client ~max_spin;
-    P.Prims.blocking_dequeue t.sub ch ~side:P.Prims.Client
-      ~on_empty:P.Prims.Hint_busy_wait ()
-  | Adaptive cap ->
-    adaptive_dequeue t ch
-      ~slot:t.adapt.(nservers t + client)
-      ~cap ~side:P.Prims.Client
+  P.consume t.sub t.waiting
+    (Real_substrate.reply_channel t.sub client)
+    ~side:Client ~budget:(client_budget t client)
 
 let collect t ~client =
   let slab = Real_substrate.slab t.sub in
@@ -619,9 +431,9 @@ let wake_batch t ch ~target =
   if not (Real_substrate.awake_test_and_set t.sub ch) then begin
     let c = ctrs t in
     (match target with
-    | P.Prims.Client ->
+    | Ulipc.Protocol_core.Client ->
       c.Ulipc.Counters.client_wakeups <- c.Ulipc.Counters.client_wakeups + 1
-    | P.Prims.Server ->
+    | Ulipc.Protocol_core.Server ->
       c.Ulipc.Counters.server_wakeups <- c.Ulipc.Counters.server_wakeups + 1);
     Real_substrate.sem_v_n t.sub ch 1
   end
@@ -634,18 +446,11 @@ let rec push_batch t ch ~target buf ~pos ~len =
   if len > 0 then begin
     let k = Real_substrate.enqueue_many t.sub ch buf ~pos ~len in
     if k > 0 then begin
-      (match t.waiting with
-      | Spin -> ()
-      | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-        wake_batch t ch ~target);
+      if Ulipc.Protocol_core.blocks t.waiting then wake_batch t ch ~target;
       push_batch t ch ~target buf ~pos:(pos + k) ~len:(len - k)
     end
     else begin
-      (match t.waiting with
-      | Spin -> P.Prims.busy_wait t.sub
-      | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-        bump_full_sleep t;
-        Real_substrate.flow_sleep t.sub);
+      P.wait_for_room t.sub t.waiting;
       push_batch t ch ~target buf ~pos ~len
     end
   end
@@ -671,7 +476,7 @@ let post_batch t ~client reqs =
         | rest -> (n, rest)
       in
       let n, rest = fill 0 reqs in
-      if n > 0 then push_batch t request ~target:P.Prims.Server buf ~pos:0 ~len:n;
+      if n > 0 then push_batch t request ~target:Server buf ~pos:0 ~len:n;
       chunks rest
   in
   chunks reqs
@@ -722,6 +527,12 @@ let receive_batch ?(server = 0) t ~max =
     first :: build (k - 1) []
   end
 
+(* A full span: only the consumer can make room, so wake it before
+   backing off — the same no-deferred-wake rule as [push_batch]. *)
+let wait_for_consumer t ch ~target =
+  if Ulipc.Protocol_core.blocks t.waiting then wake_batch t ch ~target;
+  P.wait_for_room t.sub t.waiting
+
 (* Multipush flow control for a same-client reply run: [enqueue_local]
    parks each index in the SPSC producer-private buffer — no shared
    store per message — and the end-of-run flush publishes the whole span
@@ -734,32 +545,19 @@ let receive_batch ?(server = 0) t ~max =
 let rec push_local t ch ~target m =
   if not (Real_substrate.enqueue_local t.sub ch m) then begin
     ignore (Real_substrate.flush_local t.sub ch : bool);
-    (match t.waiting with
-    | Spin -> P.Prims.busy_wait t.sub
-    | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-      wake_batch t ch ~target;
-      bump_full_sleep t;
-      Real_substrate.flow_sleep t.sub);
+    wait_for_consumer t ch ~target;
     push_local t ch ~target m
   end
 
 let rec flush_run t ch ~target =
   if not (Real_substrate.flush_local t.sub ch) then begin
-    (match t.waiting with
-    | Spin -> P.Prims.busy_wait t.sub
-    | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-      wake_batch t ch ~target;
-      bump_full_sleep t;
-      Real_substrate.flow_sleep t.sub);
+    wait_for_consumer t ch ~target;
     flush_run t ch ~target
   end
 
 let finish_run t ch ~target =
   flush_run t ch ~target;
-  match t.waiting with
-  | Spin -> ()
-  | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
-    wake_batch t ch ~target
+  if Ulipc.Protocol_core.blocks t.waiting then wake_batch t ch ~target
 
 let reply_batch t reps =
   (* Group consecutive same-client replies so each run rides the reply
@@ -777,15 +575,15 @@ let reply_batch t reps =
     | (client, rep) :: rest ->
       check_client t client;
       let ch = Real_substrate.reply_channel t.sub client in
-      push_local t ch ~target:P.Prims.Client (encode rep);
+      push_local t ch ~target:Client (encode rep);
       let rec run n = function
         | (c, r) :: rest when c = client ->
-          push_local t ch ~target:P.Prims.Client (encode r);
+          push_local t ch ~target:Client (encode r);
           run (n + 1) rest
         | rest -> (n, rest)
       in
       let n, rest = run 1 rest in
-      finish_run t ch ~target:P.Prims.Client;
+      finish_run t ch ~target:Client;
       bump_replies t n;
       runs rest
   in
@@ -857,7 +655,7 @@ let call_pipelined t ~client ~depth reqs =
             burst (n + 1) rest
       in
       let pending = burst 0 pending in
-      push_batch t request ~target:P.Prims.Server buf ~pos:0 ~len:k;
+      push_batch t request ~target:Server buf ~pos:0 ~len:k;
       go pending (npending - k) (out + k) acc
     end
     else begin

@@ -4,9 +4,10 @@
     segment: the queue structure, the awake-flag discipline and the race
     repairs are {e literally} the simulated protocols — this module is
     [Ulipc.Protocol_core.Make] applied to the real-domains substrate
-    ({!Real_substrate}), with every entry point composed from the core's
-    shared primitives, so the producer steps P.1–P.3 and the consumer
-    sequence C.1–C.5 exist in the codebase exactly once.
+    ({!Real_substrate}), with every entry point one core operation on the
+    shard's or the client's channel, so the waiting-mode dispatch, the
+    producer steps P.1–P.3 and the consumer sequence C.1–C.5 exist in the
+    codebase exactly once.
 
     A session has [nservers] request shards (one per server domain,
     default 1 — then exactly the classic one-queue session) and one
@@ -30,7 +31,7 @@
     the ring transport allocates {e nothing} on the minor heap — at any
     [nservers]. *)
 
-type waiting =
+type waiting = Ulipc.Protocol_core.waiting =
   | Spin  (** BSS: busy-wait with [Domain.cpu_relax], never block *)
   | Block  (** BSW: awake flag + counting semaphore, the Figure 5 sequence *)
   | Block_yield
@@ -44,11 +45,10 @@ type waiting =
           to [Domain.cpu_relax]. *)
   | Adaptive of int
       (** Adaptive BSLS: per-channel MAX_SPIN, adjusted from the observed
-          spin-success rate and capped by the argument.  A spin episode
-          that ends with a message visible grows the budget
-          ([cur <- min cap (2*cur + 8)]); an exhausted spin halves it.  At
-          [cur = 0] the code path is BSW's consumer sequence, so idle
-          channels pay nothing for the option to spin. *)
+          spin-success rate and capped by the argument (see
+          {!Ulipc.Protocol_core.Adaptive}). *)
+(** The protocol core's waiting mode, re-exported so [Rpc.Block] etc.
+    name it. *)
 
 (** {1 Codecs}
 
@@ -110,9 +110,12 @@ val create :
     clients are mapped to shards round-robin by client id unless
     [shard_assign] overrides the map (tests pin all clients to one
     shard to force stealing).
+    On a single-CPU host [Limited_spin]/[Adaptive] budgets are clamped
+    to 0 ({!Ulipc.Protocol_core.validate}).
     @raise Invalid_argument if [nclients <= 0], [capacity <= 0],
-    [nservers <= 0], if a [Limited_spin] bound is negative, or if
-    [shard_assign] maps a client outside [0 .. nservers-1]. *)
+    [nservers <= 0], if a [Limited_spin] or [Adaptive] budget is
+    negative, or if [shard_assign] maps a client outside
+    [0 .. nservers-1]. *)
 
 val nclients : ('req, 'rep) t -> int
 
@@ -166,7 +169,8 @@ val post : ?shard:int -> ('req, 'rep) t -> client:int -> 'req -> unit
     @raise Invalid_argument on a bad client or shard number. *)
 
 val collect : ('req, 'rep) t -> client:int -> 'rep
-(** Wait for the next reply to this client (pairs with {!post}). *)
+(** Wait for the next reply to this client (pairs with {!post}) — exactly
+    the client half of {!send}, hints and spins included. *)
 
 (** {1 Batched & pipelined fast path}
 

@@ -29,8 +29,6 @@
    percentiles (and can be checked against the full invariant suite by
    bin/ulipc_trace). *)
 
-let kind_of_waiting = Real_driver.kind_of_waiting
-
 let probe_warmup = 32
 let probe_ops = 512
 
@@ -332,7 +330,7 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
   Metrics.of_real ~latency ~utilization ~utilization_max:utilization ~depth
     ~nservers:1 ~wake_latency_p50_us ~wake_latency_p99_us
     ~minor_words_per_op:!minor_words_per_op ~series ~machine
-    ~protocol:(kind_of_waiting waiting)
+    ~protocol:(Ulipc.Protocol_kind.of_waiting waiting)
     ~nclients
     ~messages:(nclients * messages)
     ~elapsed_s ~counters ()

@@ -3,8 +3,6 @@
     and Unix-domain-socket baselines on the same machine.  See
     proc_driver.ml for the fork/barrier/report discipline. *)
 
-val kind_of_waiting : Ulipc_real.Rpc.waiting -> Ulipc.Protocol_kind.t
-
 val run :
   ?machine:string ->
   ?capacity:int ->

@@ -62,14 +62,6 @@
    keeps the subtraction honest even though individual service times
    are sub-µs. *)
 
-let kind_of_waiting = function
-  | Ulipc_real.Rpc.Spin -> Ulipc.Protocol_kind.BSS
-  | Ulipc_real.Rpc.Block -> Ulipc.Protocol_kind.BSW
-  | Ulipc_real.Rpc.Block_yield -> Ulipc.Protocol_kind.BSWY
-  | Ulipc_real.Rpc.Limited_spin max_spin -> Ulipc.Protocol_kind.BSLS max_spin
-  | Ulipc_real.Rpc.Handoff -> Ulipc.Protocol_kind.HANDOFF
-  | Ulipc_real.Rpc.Adaptive cap -> Ulipc.Protocol_kind.ADAPT cap
-
 let probe_warmup = 32
 let probe_ops = 512
 
@@ -336,7 +328,7 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
   Metrics.of_real ~latency ~utilization ~utilization_max ~depth ~nservers
     ~wake_latency_p50_us ~wake_latency_p99_us
     ~minor_words_per_op:!minor_words_per_op ~series ~machine
-    ~protocol:(kind_of_waiting waiting)
+    ~protocol:(Ulipc.Protocol_kind.of_waiting waiting)
     ~nclients
     ~messages:(nclients * messages)
     ~elapsed_s ~counters ()

@@ -6,10 +6,6 @@
     same {!Metrics.t} (counter fields included) so simulated and real runs
     print through one code path. *)
 
-val kind_of_waiting : Ulipc_real.Rpc.waiting -> Ulipc.Protocol_kind.t
-(** Spin ↦ BSS, Block ↦ BSW, Block_yield ↦ BSWY, Limited_spin n ↦ BSLS n,
-    Handoff ↦ HANDOFF, Adaptive cap ↦ ADAPT cap. *)
-
 val probe_warmup : int
 (** Round-trips client 0 performs before the allocation probe to fault in
     domain-local state (backoff, trace buffers).  Probe traffic runs

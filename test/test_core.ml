@@ -666,3 +666,201 @@ let guard_suites =
   ]
 
 let suites = suites @ guard_suites
+
+(* ------------------------------------------------------------------ *)
+(* Golden simulator runs.  Every protocol through the driver on
+   sgi-indy, 2 clients x 200 messages: the simulator is deterministic,
+   so the elapsed simulated time and every counter are exact, and a
+   change to any protocol's step sequence moves at least one of them.
+   Fields absent from a row are 0; sends/receives/replies are 404 for
+   all (2 x 200 echoes plus a connect and a disconnect per client). *)
+
+let bsls10_fields =
+  [
+    ("client_blocks", 10);
+    ("server_blocks", 3);
+    ("client_wakeups", 10);
+    ("server_wakeups", 3);
+    ("spin_iterations", 1788);
+    ("spin_fallthroughs", 15);
+    ("server_spin_iterations", 844);
+    ("server_spin_fallthroughs", 3);
+  ]
+
+let golden =
+  Ulipc.Protocol_kind.
+    [
+      (BSS, 57_359_950, []);
+      ( BSW,
+        47_389_300,
+        [
+          ("client_blocks", 404);
+          ("server_blocks", 7);
+          ("client_wakeups", 404);
+          ("server_wakeups", 7);
+        ] );
+      ( BSWY,
+        53_457_700,
+        [
+          ("client_blocks", 404);
+          ("server_blocks", 1);
+          ("client_wakeups", 404);
+          ("server_wakeups", 1);
+        ] );
+      (BSLS 10, 57_262_650, bsls10_fields);
+      (* The simulator runs ADAPT n as BSLS n. *)
+      (ADAPT 10, 57_262_650, bsls10_fields);
+      ( HANDOFF,
+        67_055_150,
+        [ ("client_blocks", 392); ("client_wakeups", 392) ] );
+      (SYSV, 58_855_000, []);
+      (CSEM, 60_506_200, []);
+    ]
+
+let golden_case (kind, elapsed, fields) =
+  let name = Ulipc.Protocol_kind.name kind in
+  Alcotest.test_case (name ^ " exact on sgi-indy") `Quick (fun () ->
+      let m =
+        Driver.run
+          (Driver.config ~machine:sgi ~kind ~nclients:2
+             ~messages_per_client:200 ())
+      in
+      Alcotest.(check int) (name ^ " elapsed ns") elapsed m.Metrics.elapsed;
+      let expect =
+        [ ("sends", 404); ("receives", 404); ("replies", 404) ] @ fields
+      in
+      List.iter
+        (fun (field, v) ->
+          Alcotest.(check int)
+            (name ^ " " ^ field)
+            (Option.value ~default:0 (List.assoc_opt field expect))
+            v)
+        (Ulipc.Counters.to_fields m.Metrics.counters))
+
+(* [Limited_spin 0] skips the poll loop: no fall-through is charged on
+   either side, however often the queues run dry. *)
+let test_bsls0_never_falls_through () =
+  let m =
+    Driver.run
+      (Driver.config ~machine:sgi ~kind:(Ulipc.Protocol_kind.BSLS 0)
+         ~nclients:2 ~messages_per_client:200 ())
+  in
+  let c = m.Metrics.counters in
+  Alcotest.(check int) "all echoed" 400 m.Metrics.messages;
+  Alcotest.(check int)
+    "client fall-throughs" 0 c.Ulipc.Counters.spin_fallthroughs;
+  Alcotest.(check int) "server fall-throughs" 0
+    c.Ulipc.Counters.server_spin_fallthroughs;
+  Alcotest.(check int) "client iterations" 0 c.Ulipc.Counters.spin_iterations
+
+(* [Async.collect] is exactly the client half of a synchronous send: BSLS
+   has no post-wake hint, so [post] + [collect] must replay a [send]
+   step for step — same simulated time, same spins, same blocks. *)
+let test_collect_is_send_client_half () =
+  let run ~async =
+    let kernel =
+      Kernel.create ~ncpus:1
+        ~policy:(Sched_decay.create Ulipc_machines.Sgi_indy.sched_params)
+        ~costs:Ulipc_machines.Sgi_indy.costs ()
+    in
+    let session =
+      Ulipc.Session.create ~kernel ~costs:Ulipc_machines.Sgi_indy.costs
+        ~multiprocessor:false ~kind:(Ulipc.Protocol_kind.BSLS 3) ~nclients:1
+        ~capacity:8 ()
+    in
+    let n = 50 in
+    let _server =
+      Kernel.spawn kernel ~name:"server" (fun () ->
+          for _ = 1 to n do
+            let m = Ulipc.Dispatch.receive session in
+            Ulipc.Dispatch.reply session ~client:0 (Ulipc.Message.echo_reply m)
+          done)
+    in
+    let _client =
+      Kernel.spawn kernel ~name:"client" (fun () ->
+          for seq = 1 to n do
+            let msg = Ulipc.Message.make ~opcode:Echo ~reply_chan:0 ~seq 0.0 in
+            let r =
+              if async then begin
+                Ulipc.Async.post session ~client:0 msg;
+                Ulipc.Async.collect session ~client:0
+              end
+              else Ulipc.Dispatch.send session ~client:0 msg
+            in
+            if r.Ulipc.Message.seq <> seq then failwith "echo mismatch"
+          done)
+    in
+    (match Kernel.run kernel with
+    | Kernel.Completed -> ()
+    | r -> Alcotest.failf "run: %a" Kernel.pp_result r);
+    (Kernel.now kernel, session.Ulipc.Session.counters)
+  in
+  let t_send, c_send = run ~async:false in
+  let t_async, c_async = run ~async:true in
+  let open Ulipc.Counters in
+  Alcotest.(check bool)
+    (Printf.sprintf "send polls its reply (%d iterations)"
+       c_send.spin_iterations)
+    true (c_send.spin_iterations > 0);
+  Alcotest.(check int) "same simulated time" t_send t_async;
+  Alcotest.(check int) "same spin iterations" c_send.spin_iterations
+    c_async.spin_iterations;
+  Alcotest.(check int) "same fall-throughs" c_send.spin_fallthroughs
+    c_async.spin_fallthroughs;
+  Alcotest.(check int) "same client blocks" c_send.client_blocks
+    c_async.client_blocks
+
+let test_session_rejects_negative_adapt_cap () =
+  Alcotest.check_raises "bad adaptive cap"
+    (Invalid_argument "Session.create: adaptive spin cap must be non-negative")
+    (fun () -> ignore (make_session ~kind:(Ulipc.Protocol_kind.ADAPT (-1)) ()))
+
+let test_protocol_spellings () =
+  let open Ulipc.Protocol_kind in
+  List.iter
+    (fun (s, k) ->
+      match of_string s with
+      | Ok k' when equal k k' -> ()
+      | Ok k' -> Alcotest.failf "%s parsed as %s" s (name k')
+      | Error (`Msg e) -> Alcotest.failf "%s rejected: %s" s e)
+    [
+      ("bss", BSS); ("BSW", BSW); ("bswy", BSWY); ("bsls", BSLS 10);
+      ("bsls:3", BSLS 3); ("adapt", ADAPT 4096); ("adapt:0", ADAPT 0);
+      ("sysv", SYSV); ("handoff", HANDOFF); ("csem", CSEM);
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (s ^ " rejected") true
+        (Result.is_error (of_string s)))
+    [ "bsls:-1"; "adapt:x"; "bogus"; "bsls:" ];
+  (* Every waiting mode round-trips through its kind. *)
+  List.iter
+    (fun k ->
+      match to_waiting k with
+      | Some w ->
+        Alcotest.(check bool)
+          (name k ^ " round trip") true
+          (equal k (of_waiting w))
+      | None -> Alcotest.failf "%s has no waiting mode" (name k))
+    [ BSS; BSW; BSWY; BSLS 5; ADAPT 7; HANDOFF ];
+  Alcotest.(check bool) "SYSV/CSEM are not waiting modes" true
+    (to_waiting SYSV = None && to_waiting CSEM = None)
+[@@ocamlformat "disable"]
+
+let suites =
+  suites
+  @ [
+      ("core.golden", List.map golden_case golden);
+      ( "core.waiting",
+        [
+          Alcotest.test_case "BSLS(0) never falls through" `Quick
+            test_bsls0_never_falls_through;
+          Alcotest.test_case "collect is the client half of send" `Quick
+            test_collect_is_send_client_half;
+          Alcotest.test_case "negative ADAPT cap rejected" `Quick
+            test_session_rejects_negative_adapt_cap;
+          Alcotest.test_case "protocol spellings" `Quick
+            test_protocol_spellings;
+        ] );
+    ]

@@ -17,14 +17,6 @@ let transform ~client v = (2 * v) + client
 (* ------------------------------------------------------------------ *)
 (* One trace through the simulator *)
 
-let sim_kind_of = function
-  | Ulipc_real.Rpc.Spin -> Ulipc.Protocol_kind.BSS
-  | Ulipc_real.Rpc.Block -> Ulipc.Protocol_kind.BSW
-  | Ulipc_real.Rpc.Block_yield -> Ulipc.Protocol_kind.BSWY
-  | Ulipc_real.Rpc.Limited_spin n -> Ulipc.Protocol_kind.BSLS n
-  | Ulipc_real.Rpc.Handoff -> Ulipc.Protocol_kind.HANDOFF
-  | Ulipc_real.Rpc.Adaptive cap -> Ulipc.Protocol_kind.ADAPT cap
-
 let run_sim waiting (traces : int list array) =
   let nclients = Array.length traces in
   let kernel =
@@ -34,7 +26,9 @@ let run_sim waiting (traces : int list array) =
   in
   let session =
     Ulipc.Session.create ~kernel ~costs:Ulipc_machines.Sgi_indy.costs
-      ~multiprocessor:false ~kind:(sim_kind_of waiting) ~nclients ~capacity:8 ()
+      ~multiprocessor:false
+      ~kind:(Ulipc.Protocol_kind.of_waiting waiting)
+      ~nclients ~capacity:8 ()
   in
   let total = Array.fold_left (fun acc l -> acc + List.length l) 0 traces in
   let _server =
@@ -196,6 +190,69 @@ let test_limited_spin_counters transport () =
     (c.server_spin_iterations >= c.server_spin_fallthroughs * max_spin);
   Alcotest.(check int) "no stale wake-ups" 0 (Ulipc_real.Rpc.wake_residue t)
 
+(* [Limited_spin 0] skips the poll loop on real domains too: no
+   fall-through is charged however often a queue runs dry. *)
+let test_bsls0_never_falls_through () =
+  let messages = 500 in
+  let t : (int, int) Ulipc_real.Rpc.t =
+    Ulipc_real.Rpc.create ~nclients:1 (Ulipc_real.Rpc.Limited_spin 0)
+  in
+  let server =
+    Domain.spawn (fun () ->
+        for _ = 1 to messages do
+          Ulipc_real.Rpc.serve t (fun ~client:_ v -> v + 1)
+        done)
+  in
+  for i = 1 to messages do
+    if Ulipc_real.Rpc.send t ~client:0 i <> i + 1 then failwith "echo mismatch"
+  done;
+  Domain.join server;
+  let c = Ulipc_real.Rpc.counters t in
+  Alcotest.(check int)
+    "client fall-throughs" 0 c.Ulipc.Counters.spin_fallthroughs;
+  Alcotest.(check int) "server fall-throughs" 0
+    c.Ulipc.Counters.server_spin_fallthroughs
+
+(* [Rpc.collect] is the client half of [send], BSLS polls included: with
+   the server holding each reply back for 20 ms, both paths run the poll
+   loop before they block.  On a single-CPU host the session clamps the
+   budget to 0 and neither may poll. *)
+let test_collect_polls_like_send () =
+  let rounds = 3 in
+  let polls ~async =
+    let t : (int, int) Ulipc_real.Rpc.t =
+      Ulipc_real.Rpc.create ~nclients:1 (Ulipc_real.Rpc.Limited_spin 3)
+    in
+    let server =
+      Domain.spawn (fun () ->
+          for _ = 1 to rounds do
+            Ulipc_real.Rpc.serve t (fun ~client:_ v ->
+                Unix.sleepf 0.02;
+                v + 1)
+          done)
+    in
+    for i = 1 to rounds do
+      let r =
+        if async then begin
+          Ulipc_real.Rpc.post t ~client:0 i;
+          Ulipc_real.Rpc.collect t ~client:0
+        end
+        else Ulipc_real.Rpc.send t ~client:0 i
+      in
+      if r <> i + 1 then failwith "echo mismatch"
+    done;
+    Domain.join server;
+    let c = Ulipc_real.Rpc.counters t in
+    c.Ulipc.Counters.spin_iterations + c.Ulipc.Counters.spin_fallthroughs
+  in
+  let multicore = Domain.recommended_domain_count () > 1 in
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s polls (%d) iff multicore" what n)
+        multicore (n > 0))
+    [ ("send", polls ~async:false); ("post+collect", polls ~async:true) ]
+
 let suites =
   [
     ( "differential",
@@ -218,5 +275,9 @@ let suites =
         Alcotest.test_case
           "BSLS counters under stress (real domains, two-lock)" `Slow
           (test_limited_spin_counters Ulipc_real.Real_substrate.Two_lock);
+        Alcotest.test_case "BSLS(0) never falls through (real domains)" `Quick
+          test_bsls0_never_falls_through;
+        Alcotest.test_case "collect polls like send (real domains)" `Quick
+          test_collect_polls_like_send;
       ] );
   ]

@@ -589,6 +589,39 @@ let test_blocking_echo_no_hang (name, waiting) () =
       if m.Ulipc_workload.Metrics.messages <> messages then
         failwith "message count")
 
+(* The pipelined path — Proc_rpc.post/collect/call_pipelined — with
+   eight calls in flight per client. *)
+let test_pipelined_echo_no_hang (name, waiting) () =
+  let messages = 2_000 in
+  within_deadline ~timeout_s:20.0 (name ^ " depth-8 proc echo") (fun () ->
+      let m =
+        Ulipc_workload.Proc_driver.run ~nclients:2 ~messages ~depth:8 waiting
+      in
+      if m.Ulipc_workload.Metrics.messages <> 2 * messages then
+        failwith "message count")
+
+(* [Limited_spin 0] skips the poll loop across processes too. *)
+let test_bsls0_never_falls_through () =
+  within_deadline ~timeout_s:20.0 "BSLS(0) proc echo" (fun () ->
+      let m =
+        Ulipc_workload.Proc_driver.run ~nclients:1 ~messages:500
+          (Proc_rpc.Limited_spin 0)
+      in
+      let c = m.Ulipc_workload.Metrics.counters in
+      if
+        c.Ulipc.Counters.spin_fallthroughs <> 0
+        || c.Ulipc.Counters.server_spin_fallthroughs <> 0
+      then failwith "BSLS(0) charged a spin fall-through")
+
+let test_create_rejects_negative_budgets () =
+  Alcotest.check_raises "bad max_spin"
+    (Invalid_argument "Proc_rpc.create: max_spin must be non-negative")
+    (fun () ->
+      ignore (Proc_rpc.create ~nclients:1 (Proc_rpc.Limited_spin (-1))));
+  Alcotest.check_raises "bad adaptive cap"
+    (Invalid_argument "Proc_rpc.create: adaptive spin cap must be non-negative")
+    (fun () -> ignore (Proc_rpc.create ~nclients:1 (Proc_rpc.Adaptive (-1))))
+
 let test_fd_baseline_echoes () =
   (* The pipe baseline the bench rows race: run it small, here, so a
      broken framing or a hung select fails in the suite and not only
@@ -652,6 +685,12 @@ let suites =
           (prop_proc_matches_domains "BSWY" Proc_rpc.Block_yield);
         QCheck_alcotest.to_alcotest
           (prop_proc_matches_domains "ADAPT" (Proc_rpc.Adaptive 4096));
+        QCheck_alcotest.to_alcotest
+          (prop_proc_matches_domains "BSS" Proc_rpc.Spin);
+        QCheck_alcotest.to_alcotest
+          (prop_proc_matches_domains "BSLS(3)" (Proc_rpc.Limited_spin 3));
+        QCheck_alcotest.to_alcotest
+          (prop_proc_matches_domains "HANDOFF" Proc_rpc.Handoff);
       ] );
     ( "procipc.liveness",
       [
@@ -665,5 +704,13 @@ let suites =
           (test_blocking_echo_no_hang ("BSW", Proc_rpc.Block));
         Alcotest.test_case "BSLS(50) echo never hangs" `Quick
           (test_blocking_echo_no_hang ("BSLS(50)", Proc_rpc.Limited_spin 50));
+        Alcotest.test_case "BSW depth-8 echo never hangs" `Quick
+          (test_pipelined_echo_no_hang ("BSW", Proc_rpc.Block));
+        Alcotest.test_case "HANDOFF depth-8 echo never hangs" `Quick
+          (test_pipelined_echo_no_hang ("HANDOFF", Proc_rpc.Handoff));
+        Alcotest.test_case "BSLS(0) never falls through" `Quick
+          test_bsls0_never_falls_through;
+        Alcotest.test_case "create rejects negative budgets" `Quick
+          test_create_rejects_negative_budgets;
       ] );
   ]
