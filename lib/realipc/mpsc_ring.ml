@@ -1,5 +1,5 @@
 (* Bounded multi-producer/single-consumer ring: Vyukov's bounded queue
-   specialised to one consumer, over flat arrays.  Producers claim a
+   specialised to one consumer, over one flat array.  Producers claim a
    slot by CAS-ing the tail ticket; each slot carries a sequence number
    that says which lap of the ring it is ready for, so a
    claimed-but-unfilled slot is distinguishable from a filled one
@@ -16,20 +16,36 @@
    no CAS at all: check the head slot's sequence, take the value, bump
    the sequence a full lap, bump head.
 
-   The values live in a flat [int array] (non-negative immediates —
-   slab indices on the message plane), published by the per-slot
-   sequence bump exactly as the old record field was: the plain value
-   store happens before the releasing [Atomic.set] on the slot's
-   sequence, and the consumer reads the value only after acquiring that
-   sequence.  No ['a option] box, no write barrier, no allocation;
-   dequeue returns [-1] when empty.
+   Cell layout: slot [i] is the word pair [cells.(2i)] (its sequence)
+   and [cells.(2i+1)] (its value, a non-negative immediate — a slab
+   index on the message plane).  A message's sequence and value are
+   adjacent words, so the producer's fill and the consumer's take move
+   one cache line between them, not a line of a separate sequence
+   array plus a line of a value array.  (A pair straddles a line
+   boundary only when the array's data starts off a 16-byte boundary,
+   and then one pair in four.)  No ['a option] box, no per-slot Atomic
+   block, no write barrier, no allocation; dequeue returns [-1] when
+   empty.
 
-   Flow control is exact against the logical [cap] (which may be smaller
-   than the power-of-two slot count): a producer first checks
-   [tail - head >= cap] and reports full without claiming a ticket.
-   Under concurrency [enqueue] may transiently report full while a
-   consumer is mid-dequeue — callers retry (flow_enqueue/spin_enqueue),
-   exactly as they already do for a genuinely full queue.
+   Sequence loads and stores are plain, under x86-TSO (the argument is
+   spelled out in spsc_ring.ml): a producer stores the value, then the
+   sequence (store-store); the consumer loads the sequence, then the
+   value (load-load), then stores the recycled sequence (load-store) —
+   TSO reorders none of these, and the amd64 backend schedules no
+   instructions across them.  The producers' ticket CAS stays a real
+   CAS: it is the synchronisation.  On a weakly-ordered target these
+   accesses must become acquire/release atomics.
+
+   Flow control is exact against the logical [cap].  When [cap] equals
+   the (power-of-two) slot count the sequence check is already exact: a
+   producer finding its slot still at the previous lap (seq < tail)
+   reports full, and it never reads [head] — the consumer's line stays
+   with the consumer.  Only when [cap] is smaller than the slot count
+   does a producer first check [tail - head >= cap] and report full
+   without claiming a ticket.  Under concurrency [enqueue] may
+   transiently report full while a consumer is mid-dequeue — callers
+   retry (flow_enqueue/spin_enqueue), exactly as they already do for a
+   genuinely full queue.
 
    A producer that is descheduled between winning the CAS and publishing
    its sequence leaves a "hole": the consumer cannot pass it, so later
@@ -38,8 +54,7 @@
    so the hole's owner is the one that wakes the consumer it stalled. *)
 
 type t = {
-  values : int array;
-  seqs : int Atomic.t array;
+  cells : int array; (* 2 * ring words: (seq, value) per slot *)
   mask : int;
   ring : int;
   cap : int;
@@ -49,13 +64,9 @@ type t = {
 
 let nil = -1
 
-(* Plain store/load into an atomic's cell — the x86-TSO publication
-   spelling discussed at length in spsc_ring.ml: the producers' ticket
-   CAS stays a real CAS (that is the synchronisation), but the stores
-   that *follow* a won ticket (value, then sequence) and the single
-   consumer's recycle/head stores are ordered by TSO alone, so
-   [Atomic.set]'s full fence on each is pure overhead.  Same-unit so
-   they inline to the bare mov.  On a weakly-ordered target revert to
+(* Plain store/load into an atomic's cell — the x86-TSO spelling of
+   spsc_ring.ml, for the consumer's [head].  Same-unit so they inline to
+   the bare mov.  On a weakly-ordered target revert to
    [Atomic.set]/[Atomic.get]. *)
 let fenceless_set (r : int Atomic.t) (v : int) = (Obj.magic r : int ref) := v
 let fenceless_get (r : int Atomic.t) : int = !(Obj.magic r : int ref)
@@ -64,9 +75,12 @@ let create ~capacity () =
   let ring, mask, cap =
     Ring_layout.geometry ~who:"Mpsc_ring.create" ~capacity
   in
+  let cells = Array.make (2 * ring) 0 in
+  for i = 0 to ring - 1 do
+    cells.(2 * i) <- i
+  done;
   {
-    values = Array.make ring 0;
-    seqs = Array.init ring Atomic.make;
+    cells;
     mask;
     ring;
     cap;
@@ -76,25 +90,28 @@ let create ~capacity () =
 
 let capacity q = q.cap
 
+(* Index of ticket [idx]'s sequence word; its value is the next word. *)
+let cell q idx = (idx land q.mask) lsl 1
+
 let rec raw_enqueue q v =
   let tail = Atomic.get q.tail in
-  if tail - fenceless_get q.head >= q.cap then false
+  if q.cap < q.ring && tail - fenceless_get q.head >= q.cap then false
   else begin
-    let i = tail land q.mask in
-    let seq = Atomic.get (Array.unsafe_get q.seqs i) in
+    let c = cell q tail in
+    let seq = Array.unsafe_get q.cells c in
     if seq = tail then
       if Atomic.compare_and_set q.tail tail (tail + 1) then begin
         (* Ticket won: the slot is ours alone.  The plain value store is
-           published by the sequence bump. *)
-        Array.unsafe_set q.values i v;
-        fenceless_set (Array.unsafe_get q.seqs i) (tail + 1);
+           published by the sequence store that follows it. *)
+        Array.unsafe_set q.cells (c + 1) v;
+        Array.unsafe_set q.cells c (tail + 1);
         true
       end
       else raw_enqueue q v (* lost the ticket race; retry *)
     else if seq - tail < 0 then
-      (* Still occupied from the previous lap: full at ring granularity
-         (unreachable after the exact check above, kept as the Vyukov
-         fallback). *)
+      (* Still occupied from the previous lap: full.  The exact check
+         when [cap = ring]; unreachable after the [head] check
+         otherwise. *)
       false
     else raw_enqueue q v (* another producer advanced tail; reload *)
   end
@@ -109,10 +126,10 @@ let enqueue q v =
    enqueue's full check). *)
 let dequeue q =
   let head = fenceless_get q.head in
-  let i = head land q.mask in
-  if Atomic.get (Array.unsafe_get q.seqs i) = head + 1 then begin
-    let v = Array.unsafe_get q.values i in
-    fenceless_set (Array.unsafe_get q.seqs i) (head + q.ring);
+  let c = cell q head in
+  if Array.unsafe_get q.cells c = head + 1 then begin
+    let v = Array.unsafe_get q.cells (c + 1) in
+    Array.unsafe_set q.cells c (head + q.ring);
     fenceless_set q.head (head + 1);
     v
   end
@@ -144,9 +161,9 @@ let rec claim_batch q vs ~pos ~len =
     else if Atomic.compare_and_set q.tail tail (tail + k) then begin
       for i = 0 to k - 1 do
         let idx = tail + i in
-        let j = idx land q.mask in
-        Array.unsafe_set q.values j (Array.unsafe_get vs (pos + i));
-        fenceless_set (Array.unsafe_get q.seqs j) (idx + 1)
+        let c = cell q idx in
+        Array.unsafe_set q.cells (c + 1) (Array.unsafe_get vs (pos + i));
+        Array.unsafe_set q.cells c (idx + 1)
       done;
       k
     end
@@ -170,10 +187,10 @@ let rec take_batch q buf ~pos ~max ~head i =
   if i >= max then i
   else begin
     let idx = head + i in
-    let j = idx land q.mask in
-    if Atomic.get (Array.unsafe_get q.seqs j) = idx + 1 then begin
-      Array.unsafe_set buf (pos + i) (Array.unsafe_get q.values j);
-      fenceless_set (Array.unsafe_get q.seqs j) (idx + q.ring);
+    let c = cell q idx in
+    if Array.unsafe_get q.cells c = idx + 1 then begin
+      Array.unsafe_set buf (pos + i) (Array.unsafe_get q.cells (c + 1));
+      Array.unsafe_set q.cells c (idx + q.ring);
       take_batch q buf ~pos ~max ~head (i + 1)
     end
     else i

@@ -1,17 +1,22 @@
-(** Bounded lock-free multi-producer/single-consumer ring over flat
-    arrays.
+(** Bounded lock-free multi-producer/single-consumer ring over one flat
+    array.
 
     Vyukov's bounded queue specialised to one consumer: producers claim
     slots by CAS on a tail ticket, per-slot sequence numbers mark each
     slot free / filled / consumed for the current lap, and the single
-    consumer advances head with plain atomic stores — no lock, no
-    per-message node.  Tail and head tickets live on separate
-    cache-line-padded atomics ({!Padding}).
+    consumer advances head with plain stores — no lock, no per-message
+    node.  Tail and head tickets live on separate cache-line-padded
+    atomics ({!Padding}).
 
     The ring carries {e non-negative immediate ints} (slab slot indices
-    on the message plane, {!Slab}) in a flat [int array]: no ['a option]
-    box, no write barrier, zero heap allocation per operation.  [-1] is
-    the dequeue-side empty sentinel; enqueueing a negative value raises.
+    on the message plane, {!Slab}).  Each slot is two adjacent words of
+    one flat [int array] — its sequence, then its value — so a message
+    moves one cache line from producer to consumer: no ['a option] box,
+    no per-slot [Atomic.t], no write barrier, zero heap allocation per
+    operation.  A producer reads the consumer's index only when the
+    capacity is below the power-of-two slot count; otherwise the
+    sequence check alone is the exact full test.  [-1] is the
+    dequeue-side empty sentinel; enqueueing a negative value raises.
 
     This is the transport for the session's shared request queue: every
     client (and {!Rpc.post}) produces, only the server consumes.

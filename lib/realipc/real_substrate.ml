@@ -1,8 +1,11 @@
 (* The real-OCaml-5-domains instantiation of Ulipc.Substrate.S: a
-   selectable queue transport, a bool Atomic.t for the awake flag, an
-   {!Rsem} counting semaphore (atomic fast path, time-bounded grace
-   spin, waiting-array park), and pause-hint delay loops for every
-   scheduling hint.
+   selectable queue transport, an {!Rsem} counting semaphore (atomic
+   fast path, time-bounded grace spin, waiting-array park) whose count
+   word also carries the consumer's awake flag as its low bit, and
+   pause-hint delay loops for every scheduling hint.  Folding the flag
+   into the semaphore word puts a wake-up's four locked operations
+   (producer test-and-set and V, consumer P and flag set) on one cache
+   line.
 
    Messages are slab slot indices (immediate ints): the substrate owns a
    {!Slab} of preallocated payload slots, producers fill a slot's flat
@@ -58,8 +61,7 @@ type queue =
 
 type channel = {
   queue : queue;
-  awake : bool Atomic.t;
-  sem : Rsem.t;
+  sem : Rsem.t; (* its flag bit is the consumer's awake flag *)
   chan_id : int; (* -(k+1) = request shard k, n >= 0 = reply channel n *)
 }
 
@@ -80,8 +82,11 @@ type msg = int
 
 let no_msg = Slab.nil (* -1: an index no slab ever hands out *)
 
+(* Consumers start awake. *)
 let make_channel ~chan_id queue =
-  { queue; awake = Atomic.make true; sem = Rsem.create 0; chan_id }
+  let sem = Rsem.create 0 in
+  Rsem.flag_set sem;
+  { queue; sem; chan_id }
 
 let create ?(transport = Ring) ?trace ?slots ?(nservers = 1) ?shard_assign
     ~capacity ~nclients () =
@@ -135,11 +140,10 @@ let transport t = t.transport
 let trace t = t.trace
 let slab t = t.slab
 
-(* Substrate.S sees a single request channel: the protocol core is only
-   ever handed shard channels explicitly by Rpc's sharded dispatch, and
-   the [S.request] calls inside the core's Bss/Bsw/... modules are
-   reached only on the [nservers = 1] fast path, where shard 0 IS the
-   session's one request queue. *)
+(* Substrate.S names a single request channel, shard 0.  The protocol
+   core never calls [S.request]: Rpc hands it each shard channel
+   explicitly, and at [nservers = 1] shard 0 IS the session's one
+   request queue. *)
 let request t = t.requests.(0)
 let nclients t = Array.length t.replies
 let nshards t = Array.length t.requests
@@ -322,10 +326,14 @@ let queue_is_empty _ ch =
   | Q_spsc q -> Spsc_ring.is_empty q
   | Q_mpsc q -> Mpsc_ring.is_empty q
 
-let awake_test_and_set _ ch = Atomic.exchange ch.awake true
-let awake_clear _ ch = Atomic.set ch.awake false
-let awake_set _ ch = Atomic.set ch.awake true
-let awake_read _ ch = Atomic.get ch.awake
+(* The awake flag is the channel semaphore's flag bit.  The three
+   writes are full barriers (see Rsem): the test-and-set orders P.1's
+   enqueue before P.2's flag read, the clear orders C.2 before C.3's
+   dequeue. *)
+let awake_test_and_set _ ch = Rsem.flag_test_and_set ch.sem
+let awake_clear _ ch = Rsem.flag_clear ch.sem
+let awake_set _ ch = Rsem.flag_set ch.sem
+let awake_read _ ch = Rsem.flag_get ch.sem
 
 let sem_p t ch =
   emit t ch Ulipc_observe.Event.Block;

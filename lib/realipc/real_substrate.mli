@@ -1,8 +1,9 @@
 (** Real-OCaml-5-domains substrate for the protocol core.
 
-    A selectable queue transport for the data path, [bool Atomic.t] for
-    the awake flags, {!Rsem} for the counting semaphores,
-    [Domain.cpu_relax] delay hints for every busy-wait.
+    A selectable queue transport for the data path, {!Rsem} for the
+    counting semaphores — each channel's awake flag is the flag bit of
+    its semaphore's count word, so a wake-up touches one contended cache
+    line — and [Domain.cpu_relax] delay hints for every busy-wait.
 
     Messages are slab slot {e indices} (immediate ints): the substrate
     owns a {!Slab} of preallocated payload slots, producers fill a

@@ -201,7 +201,7 @@ let alloc_slot t = alloc_slot_retry t 0
    backlog and the pair would just ping-pong single messages. *)
 let steal_min = 2
 
-(* Thief side: my ring is empty, so post a claim on the deepest loaded
+(* Thief side: if my ring is empty, post a claim on the deepest loaded
    sibling and then block as usual — the handoff arrives on MY ring, so
    the normal producer wake-up protocol covers the delivery and there is
    no second wait primitive to get wrong.  At most one outstanding claim
@@ -211,7 +211,11 @@ let try_post_steal t ~server =
   let sub = t.sub in
   let n = Real_substrate.nshards sub in
   let st = t.servers.(server) in
-  if n > 1 && st.posted_on < 0 then begin
+  if
+    n > 1 && st.posted_on < 0
+    && Real_substrate.queue_is_empty sub
+         (Real_substrate.request_shard sub server)
+  then begin
     let best = ref (-1) and best_depth = ref (steal_min - 1) in
     for k = 0 to n - 1 do
       if k <> server then begin
@@ -321,9 +325,10 @@ let send_msg t ~client m =
 (* Server receive on its own shard: stash first (stolen-handoff
    leftovers are the oldest messages this server owns), then one
    token-service pass, then the waiting-mode consumer sequence on the
-   own ring — posting a steal claim on the deepest sibling first
-   whenever the own ring is already empty (the claim costs one CAS and
-   is retracted after the next successful receive). *)
+   own ring — in a pool, posting a steal claim on the deepest sibling
+   first whenever the own ring is already empty (the claim costs one
+   CAS and is retracted after the next successful receive).  A lone
+   server skips the emptiness probe: its only use is the claim. *)
 let receive_msg t ~server =
   let st = t.servers.(server) in
   let m = pop_stash st in
@@ -334,8 +339,8 @@ let receive_msg t ~server =
   else begin
     service_steal t ~server;
     let sub = t.sub in
+    try_post_steal t ~server;
     let ch = Real_substrate.request_shard sub server in
-    if Real_substrate.queue_is_empty sub ch then try_post_steal t ~server;
     let m = P.receive sub t.waiting ch ~budget:t.adapt.(server) in
     retract_steal t ~server;
     m

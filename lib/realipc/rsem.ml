@@ -1,13 +1,37 @@
 (* Counting semaphore with an atomic fast path (a "benaphore", the shape
-   a futex-based semaphore takes without raw futex access): [count] holds
-   the semaphore value when non-negative and minus the number of waiters
-   when negative, so the uncontended V and P are one atomic
+   a futex-based semaphore takes without raw futex access): the count
+   holds the semaphore value when non-negative and minus the number of
+   waiters when negative, so the uncontended V and P are one atomic
    read-modify-write each and never touch a lock — the property the
    paper's argument needs, since every block/wake otherwise re-imports
    the kernel-crossing cost the user-level queues removed.
 
+   The count shares its word with one FLAG bit: [word = 2*count + flag].
+   The flag is the awake flag of the channel consumer that Ps on this
+   semaphore (Real_substrate keeps no flag of its own), so the four
+   locked read-modify-writes of a BSW hop — the producer's
+   test-and-set and V, the consumer's P and flag set — land on one
+   cache line, and each side pays one line transfer per hop instead of
+   two.  A V adds 2, a P takes 2 away, and [asr 1] decodes the count
+   (arithmetic shift, so a negative count decodes too); [value] never
+   shows the flag.
+
+   Every flag write — [flag_test_and_set], [flag_clear], [flag_set] —
+   is a CAS that writes the word even when the bit already has the
+   wanted value.  The locked instruction is a full barrier, and the
+   protocol needs two: the producer's enqueue store (P.1) must be
+   visible before its test-and-set reads the flag (P.2), and the
+   consumer's clear (C.2) before its second dequeue reads the queue
+   (C.3).  x86 lets a load pass an earlier store to another word, so a
+   test-and-set that returned early on a plain load of an already-set
+   bit would let the producer read "awake" while its message still sat
+   in its store buffer; the consumer, clearing and finding the queue
+   empty, would then park with no V on its way.  A flag write whose CAS
+   loses to a concurrent V or P re-reads the word and retries; a P
+   whose CAS loses to a flag write does the same.
+
    Slow path: a WAITING ARRAY (Dice & Kogan, "Semaphores Augmented with
-   a Waiting Array").  A P that drives [count] negative claims a ticket
+   a Waiting Array").  A P that drives the count negative claims a ticket
    from [p_ticket] (one fetch-and-add) and parks on the ticket's slot —
    a cache-padded Mutex/Condition/counter triple at index
    [ticket mod slots].  A V that observes a negative count claims the
@@ -39,7 +63,7 @@
      served in the exact order they committed to park (the
      claim/release shape of Chalmers & Pedersen's fair protocol).
 
-   [v_n] still publishes n credits with ONE atomic add on [count] and
+   [v_n] still publishes n credits with ONE atomic add on [word] and
    one on [v_ticket]; the n slot deliveries each take only their own
    slot's lock — the wake-coalescing entry point for batched replies.
 
@@ -95,8 +119,9 @@ type slot = {
 }
 
 type t = {
-  count : int Atomic.t;
-      (* >= 0: semaphore value; < 0: number of waiters parked or parking *)
+  word : int Atomic.t;
+      (* 2*count + flag.  count >= 0: semaphore value; < 0: number of
+         waiters parked or parking.  flag: the consumer's awake bit. *)
   grace : int; (* ns a P spins on the count before parking; 0 = never *)
   p_ticket : int Atomic.t; (* FIFO park-ticket dispenser *)
   v_ticket : int Atomic.t; (* FIFO grant-ticket dispenser *)
@@ -145,7 +170,7 @@ let create ?(spin = default_spin) ?(slots = default_slots) count =
     incr shift
   done;
   {
-    count = Padding.copy_padded (Atomic.make count);
+    word = Padding.copy_padded (Atomic.make (2 * count));
     grace = spin;
     p_ticket = Padding.copy_padded (Atomic.make 0);
     v_ticket = Padding.copy_padded (Atomic.make 0);
@@ -195,19 +220,23 @@ let grant t k =
   else if s.sleeping = 1 then Condition.signal s.cond;
   Mutex.unlock s.mutex
 
+(* One credit in the word's encoding; the flag is bit 0. *)
+let credit = 2
+
 (* CAS only on a positive count: never registers as a waiter, never
    blocks, and cannot disturb the waiter accounting.  Also the probe of
    every grace pause. *)
 let rec try_p t =
-  let c = Atomic.get t.count in
-  if c <= 0 then false
-  else if Atomic.compare_and_set t.count c (c - 1) then true
+  let w = Atomic.get t.word in
+  if w asr 1 <= 0 then false
+  else if Atomic.compare_and_set t.word w (w - credit) then true
   else try_p t
 
 (* Commit to waiting.  A credit that appeared since the last read is
-   consumed by the add itself (the old value was positive); otherwise
+   consumed by the add itself (the old count was positive); otherwise
    the add registered this P as a waiter and it parks. *)
-let commit t = if Atomic.fetch_and_add t.count (-1) <= 0 then park t
+let commit t =
+  if Atomic.fetch_and_add t.word (-credit) asr 1 <= 0 then park t
 
 let stop_spinning ~deadline ~prev ~now =
   now >= deadline || now - prev > desched_gap_ns
@@ -238,9 +267,9 @@ let rec grace_loop t ~deadline ~prev ~yield_at pauses =
    found empty, so an uncontended P stays one load and one CAS, with no
    call out of [p] (the [try_p] loop inlined by hand). *)
 let rec p t =
-  let c = Atomic.get t.count in
-  if c > 0 then begin
-    if not (Atomic.compare_and_set t.count c (c - 1)) then p t
+  let w = Atomic.get t.word in
+  if w asr 1 > 0 then begin
+    if not (Atomic.compare_and_set t.word w (w - credit)) then p t
   end
   else if t.grace = 0 then commit t
   else begin
@@ -261,17 +290,29 @@ let wake_parked t wake =
   done
 
 let v t =
-  let old = Atomic.fetch_and_add t.count 1 in
+  let old = Atomic.fetch_and_add t.word credit asr 1 in
   if old < 0 then wake_parked t 1
 
 let v_n t n =
   if n < 0 then invalid_arg "Rsem.v_n: negative credit count";
   if n > 0 then begin
-    let old = Atomic.fetch_and_add t.count n in
+    let old = Atomic.fetch_and_add t.word (credit * n) asr 1 in
     if old < 0 then wake_parked t (min n (-old))
   end
 
-let value t = max 0 (Atomic.get t.count)
+(* The flag writes: a CAS that always writes, even when the bit is
+   unchanged, so each stays a full barrier (see the header).  Returns
+   the previous flag.  Top-level recursion, so no closure per call. *)
+let rec flag_write t bit =
+  let w = Atomic.get t.word in
+  if Atomic.compare_and_set t.word w ((w land lnot 1) lor bit) then w land 1 = 1
+  else flag_write t bit
+
+let flag_test_and_set t = flag_write t 1
+let flag_set t = ignore (flag_write t 1 : bool)
+let flag_clear t = ignore (flag_write t 0 : bool)
+let flag_get t = Atomic.get t.word land 1 = 1
+let value t = max 0 (Atomic.get t.word asr 1)
 let parked t = Atomic.get t.parked
 let waiters t = parked t
 let parks t = Atomic.get t.p_ticket

@@ -8,6 +8,17 @@
     Counting semantics matter: the sleep/wake-up protocols rely on a V
     posted before the P remaining pending (§3, Interleaving 1).
 
+    The count word also carries one {e flag} bit ([word = 2*count +
+    flag]): the awake flag of the channel consumer that Ps here.  Both
+    halves of a wake-up — the producer's test-and-set and V, the
+    consumer's P and flag set — then hit one cache line.  The flag
+    writes ({!flag_test_and_set}, {!flag_clear}, {!flag_set}) are each
+    a CAS that writes the word even when the bit is unchanged, so each
+    is a full barrier: the protocol needs the producer's enqueue to be
+    visible before its test-and-set reads the flag, and the consumer's
+    clear before its second dequeue reads the queue.  A semaphore whose users never touch the flag behaves exactly
+    as one without it.
+
     The contended path is a waiting array (Dice & Kogan, "Semaphores
     Augmented with a Waiting Array"): a parking P claims a FIFO ticket
     and sleeps on the ticket's private cache-padded slot (its own
@@ -56,7 +67,7 @@ val create : ?spin:int -> ?slots:int -> int -> t
     expected concurrently-parked population (rounded up to a power of
     two, default 8): with at most [slots] waiters parked at once every
     wake is a directed single signal, beyond that slots are shared and
-    grants broadcast per slot.
+    grants broadcast per slot.  The flag starts clear.
     @raise Invalid_argument on a negative initial count or spin bound,
       or a non-positive [slots]. *)
 
@@ -88,7 +99,26 @@ val v_n : t -> int -> unit
 
 val value : t -> int
 (** Racy snapshot of the credit count (0 while waiters are parked), for
-    tests and residue accounting. *)
+    tests and residue accounting.  Never shows the flag. *)
+
+(** {2 The flag bit}
+
+    Independent of the count: no flag operation adds or takes a credit,
+    and no V or P changes the flag. *)
+
+val flag_test_and_set : t -> bool
+(** Set the flag and return its previous value, with one CAS that
+    always writes (a full barrier) — the producer's [tas] on the
+    consumer's awake flag. *)
+
+val flag_clear : t -> unit
+(** Clear the flag with one always-writing CAS (a full barrier). *)
+
+val flag_set : t -> unit
+(** Set the flag with one always-writing CAS (a full barrier). *)
+
+val flag_get : t -> bool
+(** Plain load of the flag. *)
 
 val parked : t -> int
 (** Number of waiters currently committed to the waiting array (ticket

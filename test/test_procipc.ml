@@ -3,7 +3,9 @@
    across fork(2) — including the differential property that fork'd
    processes over the shm arena compute exactly the reply sequences the
    in-process domains backend computes, and the dead-peer guard that
-   keeps a server from hanging when its client is killed mid-run.
+   keeps a server from hanging when its client is killed mid-run.  The
+   deadline-bounded liveness runs of the domains backend live here too:
+   only a forked child can be killed when a lost wake-up hangs it.
 
    These suites live in their own binary (main_proc.ml), NOT in the
    aggregate main.ml: OCaml 5's [Unix.fork] refuses to run once any
@@ -600,6 +602,21 @@ let test_pipelined_echo_no_hang (name, waiting) () =
       if m.Ulipc_workload.Metrics.messages <> 2 * messages then
         failwith "message count")
 
+(* The same deadline over the in-process domains backend.  Its awake
+   flag is the low bit of the channel semaphore's word, so every
+   producer test-and-set and consumer clear races a V or P on that
+   word; a lost wake-up there would hang [dune runtest] in-process.
+   The Real_driver session runs in the deadline's child, which is also
+   what keeps this process domain-free for the next fork. *)
+let test_real_echo_no_hang what ?depth ~nclients waiting () =
+  let messages = 20_000 in
+  within_deadline ~timeout_s:20.0 (what ^ " domains echo") (fun () ->
+      let m =
+        Ulipc_workload.Real_driver.run ?depth ~nclients ~messages waiting
+      in
+      if m.Ulipc_workload.Metrics.messages <> nclients * messages then
+        failwith "message count")
+
 (* [Limited_spin 0] skips the poll loop across processes too. *)
 let test_bsls0_never_falls_through () =
   within_deadline ~timeout_s:20.0 "BSLS(0) proc echo" (fun () ->
@@ -712,5 +729,19 @@ let suites =
           test_bsls0_never_falls_through;
         Alcotest.test_case "create rejects negative budgets" `Quick
           test_create_rejects_negative_budgets;
+      ] );
+    ( "realipc.liveness",
+      [
+        Alcotest.test_case "BSW echo never hangs" `Quick
+          (test_real_echo_no_hang "BSW" ~nclients:1 Ulipc_real.Rpc.Block);
+        Alcotest.test_case "BSLS(50) echo never hangs" `Quick
+          (test_real_echo_no_hang "BSLS(50)" ~nclients:1
+             (Ulipc_real.Rpc.Limited_spin 50));
+        Alcotest.test_case "BSW 2-client fan-in never hangs" `Quick
+          (test_real_echo_no_hang "BSW fan-in" ~nclients:2
+             Ulipc_real.Rpc.Block);
+        Alcotest.test_case "BSW depth-8 echo never hangs" `Quick
+          (test_real_echo_no_hang "BSW depth-8" ~depth:8 ~nclients:1
+             Ulipc_real.Rpc.Block);
       ] );
   ]

@@ -336,9 +336,15 @@ let test_mpsc_capacity () =
     Alcotest.(check int) "empty again" Mpsc_ring.nil (Mpsc_ring.dequeue q)
   done
 
-let test_mpsc_concurrent_producers () =
-  let q = Mpsc_ring.create ~capacity:32 () in
-  let nproducers = 4 in
+(* [nproducers] domains into one consumer.  Besides no loss, no
+   duplication and per-producer FIFO, the consumer checks the capacity
+   bound on every turn: it owns [head], so [length] can only over-read a
+   producer's claim, and a claim past [capacity] is exactly what the
+   producers' full check must forbid.  At a non-power-of-two capacity
+   that check is the [head] comparison (the sequence check alone would
+   admit a whole ring); at a power of two it is the sequence check. *)
+let mpsc_concurrent ~capacity ~nproducers () =
+  let q = Mpsc_ring.create ~capacity () in
   let per_producer = 2_000 in
   let producer p () =
     for i = 1 to per_producer do
@@ -347,10 +353,11 @@ let test_mpsc_concurrent_producers () =
       done
     done
   in
-  let received = ref [] in
+  let received = ref [] and over = ref 0 in
   let consumer () =
     let remaining = ref (nproducers * per_producer) in
     while !remaining > 0 do
+      if Mpsc_ring.length q > capacity then incr over;
       let v = Mpsc_ring.dequeue q in
       if v = Mpsc_ring.nil then Domain.cpu_relax ()
       else begin
@@ -374,6 +381,7 @@ let test_mpsc_concurrent_producers () =
   for p = 1 to nproducers do
     Alcotest.(check bool) (Printf.sprintf "producer %d fifo" p) true (ordered p)
   done;
+  Alcotest.(check int) "never more than capacity in flight" 0 !over;
   Alcotest.(check bool) "drained" true (Mpsc_ring.is_empty q)
 
 let test_mpsc_rejects_nonpositive () =
@@ -849,6 +857,136 @@ let test_rsem_spin0_parks () =
     true
     (parks >= rounds * 3 / 4)
 
+(* The folded word ([2*count + flag]) against a [(count, flag)] model:
+   each operation's own result must match, and after every step [value]
+   is the model count — never showing the flag — and [flag_get] the
+   model flag.  A [P] runs only on a positive model count; on zero it
+   would wait for a V nobody posts. *)
+type rsem_op =
+  | V
+  | V_n of int
+  | Try_p
+  | P
+  | Flag_tas
+  | Flag_clear
+  | Flag_set
+  | Flag_get
+
+let rsem_op_name = function
+  | V -> "v"
+  | V_n n -> Printf.sprintf "v_n %d" n
+  | Try_p -> "try_p"
+  | P -> "p"
+  | Flag_tas -> "flag_test_and_set"
+  | Flag_clear -> "flag_clear"
+  | Flag_set -> "flag_set"
+  | Flag_get -> "flag_get"
+
+let prop_rsem_flag_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return V);
+          (2, map (fun n -> V_n n) (int_bound 4));
+          (3, return Try_p);
+          (3, return P);
+          (2, return Flag_tas);
+          (2, return Flag_clear);
+          (1, return Flag_set);
+          (1, return Flag_get);
+        ])
+  in
+  let arb =
+    QCheck.make
+      QCheck.Gen.(pair (int_bound 3) (list op))
+      ~print:(fun (init, ops) ->
+        Printf.sprintf "create %d; %s" init
+          (String.concat "; " (List.map rsem_op_name ops)))
+  in
+  QCheck.Test.make ~name:"Rsem count and flag bit match a (count, flag) model"
+    ~count:300 arb (fun (init, ops) ->
+      let s = Rsem.create init in
+      let count = ref init and flag = ref false in
+      let step = function
+        | V ->
+          Rsem.v s;
+          incr count;
+          true
+        | V_n n ->
+          Rsem.v_n s n;
+          count := !count + n;
+          true
+        | Try_p ->
+          let expect = !count > 0 in
+          if expect then decr count;
+          Rsem.try_p s = expect
+        | P ->
+          if !count > 0 then begin
+            Rsem.p s;
+            decr count
+          end;
+          true
+        | Flag_tas ->
+          let was = !flag in
+          flag := true;
+          Rsem.flag_test_and_set s = was
+        | Flag_clear ->
+          Rsem.flag_clear s;
+          flag := false;
+          true
+        | Flag_set ->
+          Rsem.flag_set s;
+          flag := true;
+          true
+        | Flag_get -> Rsem.flag_get s = !flag
+      in
+      List.for_all
+        (fun op -> step op && Rsem.value s = !count && Rsem.flag_get s = !flag)
+        ops)
+
+(* Two domains on one word: the toggler writes the flag (test-and-set,
+   clear, set in turn) and posts one credit after each write; the taker
+   takes each credit with a P and, every fourth round, runs a V/try_p
+   pair of its own.  [~spin:0] makes every P that finds no credit commit
+   at once, so flag CASes also land while the count is negative and the
+   taker is parked.  No flag write may add or eat a credit and no V or
+   P may change the flag: at quiescence the count is 0, every park was
+   granted, and the flag is the toggler's last write. *)
+let test_rsem_flag_vs_credits () =
+  let s = Rsem.create ~spin:0 0 in
+  let rounds = 20_000 in
+  let toggler =
+    Domain.spawn (fun () ->
+        for i = 1 to rounds do
+          (match i mod 3 with
+          | 0 -> ignore (Rsem.flag_test_and_set s : bool)
+          | 1 -> Rsem.flag_clear s
+          | _ -> Rsem.flag_set s);
+          Rsem.v s
+        done)
+  in
+  let taker =
+    Domain.spawn (fun () ->
+        let missed = ref 0 in
+        for i = 1 to rounds do
+          Rsem.p s;
+          if i mod 4 = 0 then begin
+            Rsem.v s;
+            if not (Rsem.try_p s) then incr missed
+          end
+        done;
+        !missed)
+  in
+  Domain.join toggler;
+  let missed = Domain.join taker in
+  Alcotest.(check int) "own V always taken back by try_p" 0 missed;
+  Alcotest.(check int) "credits balance" 0 (Rsem.value s);
+  Alcotest.(check int) "nobody parked" 0 (Rsem.parked s);
+  Alcotest.(check int) "every park granted" (Rsem.parks s) (Rsem.grants s);
+  Alcotest.(check bool) "flag is the last write" (rounds mod 3 <> 1)
+    (Rsem.flag_get s)
+
 (* ------------------------------------------------------------------ *)
 (* Rpc protocols on real domains *)
 
@@ -1155,13 +1293,15 @@ let suites =
         Alcotest.test_case "capacity boundary + wraparound" `Quick
           test_mpsc_capacity;
         Alcotest.test_case "concurrent 4p/1c, no loss/dup" `Quick
-          test_mpsc_concurrent_producers;
+          (mpsc_concurrent ~capacity:32 ~nproducers:4);
         Alcotest.test_case "rejects non-positive capacity" `Quick
           test_mpsc_rejects_nonpositive;
         QCheck_alcotest.to_alcotest prop_mpsc_model;
         QCheck_alcotest.to_alcotest prop_mpsc_batch_model;
         Alcotest.test_case "concurrent batch 2p/1c, no loss/dup" `Quick
           test_mpsc_batch_concurrent;
+        Alcotest.test_case "concurrent 2p/1c at capacity 3 (ring 4)" `Quick
+          (mpsc_concurrent ~capacity:3 ~nproducers:2);
       ] );
     ( "realipc.rsem",
       [
@@ -1182,6 +1322,9 @@ let suites =
         Alcotest.test_case "grace catches a V a few us late" `Quick
           test_rsem_grace_catches_late_v;
         Alcotest.test_case "spin 0 parks at once" `Quick test_rsem_spin0_parks;
+        QCheck_alcotest.to_alcotest prop_rsem_flag_model;
+        Alcotest.test_case "flag writes race V/P, 2 domains" `Quick
+          test_rsem_flag_vs_credits;
       ] );
     ( "realipc.rpc",
       [
