@@ -1,17 +1,17 @@
+(* Field order is a cache layout.  On the real backends the client and
+   the server bump their own fields of one shared record on every call,
+   and two fields on one line make each bump pull the line from the
+   peer.  So the fields a client writes per message come first, the
+   ones a server writes per message last, and eight rarely written
+   fields (64 bytes) sit between them: no client field can share a
+   64-byte line with a server field, whatever the record's alignment. *)
 type t = {
   mutable sends : int;
-  mutable receives : int;
-  mutable replies : int;
   mutable client_blocks : int;
-  mutable server_blocks : int;
-  mutable client_wakeups : int;
   mutable server_wakeups : int;
-  mutable race_fix_p : int;
-  mutable queue_full_sleeps : int;
   mutable spin_iterations : int;
   mutable spin_fallthroughs : int;
-  mutable server_spin_iterations : int;
-  mutable server_spin_fallthroughs : int;
+  mutable queue_full_sleeps : int;
   mutable backoff_sleeps : int;
   mutable steal_posts : int;
   mutable steal_handoffs : int;
@@ -19,6 +19,13 @@ type t = {
   mutable slab_hwm : int;
   mutable sem_parks : int;
   mutable sem_grants : int;
+  mutable receives : int;
+  mutable replies : int;
+  mutable server_blocks : int;
+  mutable client_wakeups : int;
+  mutable race_fix_p : int;
+  mutable server_spin_iterations : int;
+  mutable server_spin_fallthroughs : int;
 }
 
 let create () =

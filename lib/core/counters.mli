@@ -5,25 +5,21 @@
     statistics quoted in the paper: how often a consumer actually blocked,
     how many wake-up system calls were issued, how many spin-loop
     iterations a BSLS client performed before its reply arrived (§4.2),
-    and how often races were detected and repaired. *)
+    and how often races were detected and repaired.
+
+    The field order is a cache layout: fields a client bumps per message
+    first, fields a server bumps per message last, 64 bytes of rarely
+    written fields between, so the two sides of a real session never
+    write one line. *)
 
 type t = {
   mutable sends : int;  (** completed synchronous sends *)
-  mutable receives : int;  (** completed server receives *)
-  mutable replies : int;
   mutable client_blocks : int;  (** P calls that client consumers made *)
-  mutable server_blocks : int;
-  mutable client_wakeups : int;  (** V calls aimed at sleeping clients *)
   mutable server_wakeups : int;
-  mutable race_fix_p : int;
-      (** P calls made only to drain a wake-up that raced with a successful
-          second dequeue (Interleaving 3 repair) *)
-  mutable queue_full_sleeps : int;  (** [sleep(1)] on a full queue *)
   mutable spin_iterations : int;  (** BSLS poll-loop iterations, client side *)
   mutable spin_fallthroughs : int;
       (** BSLS sends whose poll loop exhausted MAX_SPIN *)
-  mutable server_spin_iterations : int;
-  mutable server_spin_fallthroughs : int;
+  mutable queue_full_sleeps : int;  (** [sleep(1)] on a full queue *)
   mutable backoff_sleeps : int;
       (** busy-wait steps that escalated past the bounded spin budget to
           a real (bounded exponential) sleep — the real backend's yield;
@@ -46,6 +42,15 @@ type t = {
       (** credits V's delivered into waiting-array slots — directed
           wake-ups aimed at one parked waiter each; [sem_parks] minus
           [sem_grants] is the population still parked *)
+  mutable receives : int;  (** completed server receives *)
+  mutable replies : int;
+  mutable server_blocks : int;
+  mutable client_wakeups : int;  (** V calls aimed at sleeping clients *)
+  mutable race_fix_p : int;
+      (** P calls made only to drain a wake-up that raced with a successful
+          second dequeue (Interleaving 3 repair) *)
+  mutable server_spin_iterations : int;
+  mutable server_spin_fallthroughs : int;
 }
 
 val create : unit -> t

@@ -130,9 +130,9 @@ module Make (S : Substrate.S) = struct
         done
       end
 
-    (* What to do between a failed first dequeue (C.1) and clearing the
-       awake flag (C.2): nothing (BSW), the §2.1 busy-wait hint (BSWY,
-       BSLS) or the §6 hand-off (HANDOFF).  An enumeration rather than a
+    (* What to do between a failed first dequeue (C.1) and the substrate's
+       [await]: nothing (BSW), the §2.1 busy-wait hint (BSWY, BSLS) or
+       the §6 hand-off (HANDOFF).  An enumeration rather than a
        closure on purpose — a [~on_empty:(fun () -> ...)] argument
        capturing the substrate would allocate a closure on every
        consumer call, and the zero-copy message plane promises an
@@ -141,6 +141,11 @@ module Make (S : Substrate.S) = struct
        would box its [Some] per call. *)
     type empty_hint = No_hint | Hint_busy_wait | Hint_handoff_server
 
+    (* [S.await] waits on the message, not on the semaphore: more C.1
+       dequeues with the flag still set, so a producer finds the
+       consumer awake and issues no V.  It writes neither the flag nor
+       the semaphore, so whether it returns a message or gives up, the
+       sequence below is the paper's, unchanged. *)
     let rec blocking_dequeue s ch ~side on_empty =
       let m = S.dequeue s ch in
       (* C.1 *)
@@ -150,21 +155,25 @@ module Make (S : Substrate.S) = struct
         | No_hint -> ()
         | Hint_busy_wait -> S.busy_wait s
         | Hint_handoff_server -> S.handoff_server s);
-        S.awake_clear s ch;
-        (* C.2 *)
-        let m = S.dequeue s ch in
-        (* C.3 *)
-        if m != S.no_msg then begin
-          drain_raced_wakeup s ch;
-          m
-        end
+        let m = S.await s ch in
+        if m != S.no_msg then m
         else begin
-          count_block s side;
-          S.sem_p s ch;
-          (* C.4 *)
-          S.awake_set s ch;
-          (* C.5 *)
-          blocking_dequeue s ch ~side on_empty
+          S.awake_clear s ch;
+          (* C.2 *)
+          let m = S.dequeue s ch in
+          (* C.3 *)
+          if m != S.no_msg then begin
+            drain_raced_wakeup s ch;
+            m
+          end
+          else begin
+            count_block s side;
+            S.sem_p s ch;
+            (* C.4 *)
+            S.awake_set s ch;
+            (* C.5 *)
+            blocking_dequeue s ch ~side on_empty
+          end
         end
       end
 

@@ -14,7 +14,17 @@
     sharded request plane on OCaml 5 domains, [Ulipc_procipc.Proc_rpc]
     over fork'd processes.  A new backend only has to provide a
     substrate, and differential testing across substrates is meaningful
-    because there is nothing else to differ. *)
+    because there is nothing else to differ.
+
+    Two substrate obligations carry the no-lost-wake-up argument.  The
+    flag writes of P.2 and C.2 ({!Substrate.S.awake_test_and_set},
+    {!Substrate.S.awake_clear}) are full barriers on every real backend,
+    so neither side's next read of the other's word can pass its own
+    write.  And {!Substrate.S.await}, which a blocking consumer runs
+    between its first dequeue and C.2, is repeated C.1 only: it never
+    touches the flag or the semaphore, so while it waits producers see
+    the consumer awake and skip their V, and when it gives up C.2–C.5
+    run exactly as they would have without it. *)
 
 type waiting =
   | Spin  (** BSS: busy-wait, never block *)

@@ -61,6 +61,12 @@ let dequeue (s : t) (ch : channel) =
   | None -> no_msg
 
 let queue_is_empty (_ : t) (ch : channel) = Ms_queue.is_empty ch.Channel.queue
+
+(* The paper's consumer clears its flag right after a failed dequeue;
+   the simulator runs it unchanged, so [await] gives up at once, charges
+   nothing and emits nothing. *)
+let await (_ : t) (_ : channel) = no_msg
+
 let awake_test_and_set (_ : t) ch = Mem.Flag.test_and_set ch.Channel.awake
 let awake_clear (_ : t) ch = Mem.Flag.write ch.Channel.awake false
 let awake_set (_ : t) ch = Mem.Flag.write ch.Channel.awake true

@@ -5,8 +5,10 @@
     bounded FIFO queue, the consumer's awake flag with an atomic
     test-and-set, a counting semaphore, and the scheduling hints
     ([busy_wait]/[poll]/[yield]/[handoff]).  This signature names exactly
-    those primitives, plus the session shape (one request channel, one
-    reply channel per client) and a shared {!Counters} sink, so that
+    those primitives, plus the bounded wait on the queue ([await]) a
+    real consumer makes before it clears its flag, the session shape
+    (one request channel, one reply channel per client) and a shared
+    {!Counters} sink, so that
     {!Protocol_core.Make} can derive every protocol once and run it
     unchanged over the simulator ({!Sim_substrate}) and over real OCaml 5
     domains ([Ulipc_real.Real_substrate]) — or over any third backend that
@@ -52,17 +54,39 @@ module type S = sig
   val queue_is_empty : t -> channel -> bool
   (** Cheap emptiness hint, as used by the polling loops. *)
 
+  val await : t -> channel -> msg
+  (** A bounded run of extra C.1 dequeues, made by the consumer after
+      its first dequeue found the queue empty and before it clears its
+      awake flag (C.2): the message, or [no_msg] once the substrate's
+      grace is over.  Repeated C.1 only — it never touches the flag or
+      the semaphore.  That is its whole lost-wake-up argument: while it
+      runs the flag is still set, so every producer skips its V exactly
+      as it would for a consumer still busy, and when it gives up, C.2–C.5
+      run exactly as they would have without it.  The real backends wait
+      here for up to a time-bounded grace (zero on a uniprocessor) and
+      report an expired grace through {!note_spin_exhausted}; the
+      simulator returns [no_msg] at once. *)
+
   (** {2 Awake flag} *)
 
   val awake_test_and_set : t -> channel -> bool
   (** Atomically set the consumer's awake flag, returning its previous
-      value — the producer-side safeguard of Interleavings 2 and 3. *)
+      value — the producer-side safeguard of Interleavings 2 and 3.  A
+      full barrier: the producer's enqueue (P.1) must be visible before
+      the flag is read (P.2). *)
 
   val awake_clear : t -> channel -> unit
-  (** Step C.2 of Figure 4: plain store of [false]. *)
+  (** Step C.2 of Figure 4: clear the flag.  A full barrier on every
+      real backend, not a plain or release store: the clear must be
+      visible before the C.3 dequeue reads the queue.  x86 lets a load
+      pass an earlier store to another word, so a plain store here lets
+      a producer still read "awake" and skip its V while the consumer,
+      having found the queue empty, parks for good — the lost wake-up
+      the fork'd backend once had.  The simulator's memory is
+      sequentially consistent, so a plain store suffices there. *)
 
   val awake_set : t -> channel -> unit
-  (** Step C.5: plain store of [true]. *)
+  (** Step C.5: set the flag again after the consumer is woken. *)
 
   val awake_read : t -> channel -> bool
 
@@ -105,10 +129,11 @@ module type S = sig
   (** {2 Instrumentation} *)
 
   val note_spin_exhausted : t -> channel -> unit
-  (** A §5 limited spin burned its full budget on [channel] and is about
-      to fall through to the blocking sequence.  Pure instrumentation —
-      substrates with a trace sink record a spin-exhaust event, others
-      do nothing; the protocol core's behaviour must not depend on it. *)
+  (** A §5 limited spin, or an {!await} grace, burned its full budget on
+      [channel] and is about to fall through to the blocking sequence.
+      Pure instrumentation — substrates with a trace sink record a
+      spin-exhaust event, others do nothing; the protocol core's
+      behaviour must not depend on it. *)
 
   val counters : t -> Counters.t
   (** The shared sink for the §4.2 statistics.  Substrates whose

@@ -39,10 +39,11 @@
    peer can run concurrently, [sched_yield]s when it cannot — the
    adaptive-semaphore discipline (glibc's spin-then-park mutexes), and
    the cross-process analogue of the in-process Backoff's pause budget.
-   The grace is INSIDE the semaphore, below the Substrate.S seam: BSW
-   still never spins on the QUEUE, the protocols' structure is
-   untouched, and the bound (a handful of attempts) keeps a truly idle
-   consumer's path to the kernel short.
+   The bound (a handful of attempts) keeps a truly idle consumer's path
+   to the kernel short.  The long wait of a synchronous pair happens
+   before this, above the semaphore: Proc_substrate.await polls the
+   ring for up to 20 µs with the consumer's awake flag still set, so a
+   consumer reaches P only once its peer has been quiet that long.
 
    [p_timed] is the dead-peer guard: the same loop with a deadline
    threaded through FUTEX_WAIT's timeout, returning [false] once the

@@ -6,7 +6,12 @@
     in the kernel with [FUTEX_WAIT] keyed on the value word's address
     and is woken by the V side's [FUTEX_WAKE] — sleep-on-address /
     wakeup-by-address, for real.  See fsem.ml for the no-lost-wake-up
-    interleaving argument. *)
+    interleaving argument.
+
+    {!p} spins only briefly before it parks.  The channel consumers of
+    [Proc_substrate] reach it only after its [await] has polled their
+    ring for the {!Ulipc_real.Grace} spin, so a semaphore P there means
+    the peer really was idle. *)
 
 type t
 

@@ -38,6 +38,7 @@ let cache_line_words = 8
 let create ~size_words () =
   if size_words <= 0 then
     invalid_arg "Parena.create: size_words must be positive";
+  Ulipc_real.Ring_layout.require_tso ~who:"Parena.create";
   let dir =
     if Sys.file_exists "/dev/shm" && Sys.is_directory "/dev/shm" then
       "/dev/shm"

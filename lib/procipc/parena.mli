@@ -27,7 +27,10 @@ val cache_line_words : int
 val create : size_words:int -> unit -> t
 (** Map a fresh zero-filled shared region of [size_words] words (every
     page faulted in, so children never pay first-touch faults).
-    @raise Invalid_argument if [size_words <= 0]. *)
+    @raise Invalid_argument if [size_words <= 0].
+    @raise Failure on a build for any architecture but x86-64, whose TSO
+    ordering the plain {!get}/{!set} publishes rely on
+    ({!Ulipc_real.Ring_layout.require_tso}). *)
 
 val words : t -> words
 (** The raw mapped words, for modules that inline their own unsafe

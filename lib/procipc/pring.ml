@@ -15,8 +15,10 @@
      neither.  That the peer is now another PROCESS is irrelevant —
      MAP_SHARED pages are the same physical cache lines in both address
      spaces, so the coherence argument carries over verbatim.  On a
-     weakly-ordered target the index accesses must become
-     [Parena.at_load]/[at_store] (the C stubs' acquire/release forms).
+     weakly-ordered target the index accesses would have to become
+     [Parena.at_load]/[at_store] (the C stubs' acquire/release forms);
+     [Parena.create] refuses to run on one instead
+     ([Ring_layout.require_tso]).
 
    - The MPSC producers' ticket CAS goes through [Parena.at_cas] — that
      one is a real lock;cmpxchg, exactly as [Atomic.compare_and_set]

@@ -19,7 +19,16 @@
                      FUTEX_WAIT/FUTEX_WAKE contended — the kernel
                      sleep/wake-up the paper's blocking protocols need,
                      without a kernel queue object;
+   - await        -> the in-process {!Ulipc_real.Grace} spin over the
+                     ring's dequeue, with the awake flag still set;
    - messages     -> {!Pslab} slot indices, no_msg = -1, as in-process.
+
+   [await] is what keeps a synchronous pair out of the parking regime.
+   Fsem's own grace is a short spin (64 pauses, ~1.5 µs) that cannot
+   outlast a peer's futex wake, so before [await] a pair that parked
+   once kept parking on most calls.  [await] waits on the message for
+   up to 20 µs while producers still see the consumer awake and issue
+   no V; Fsem is reached only by a consumer whose peer really is idle.
 
    The scheduling hints differ from Real_substrate in one deliberate
    way: the peer is a separate PROCESS, so on a machine where the peers
@@ -154,17 +163,35 @@ let enqueue t ch m =
   end;
   ok
 
+(* The ring's dequeue alone: what [await] polls. *)
+let raw_dequeue ch =
+  match ch.queue with
+  | Q_mpsc q -> Pring.Mpsc.dequeue q
+  | Q_spsc q -> Pring.Spsc.dequeue q
+
+let dequeued t ch =
+  progress t;
+  emit t ch Ulipc_observe.Event.Dequeue
+
 let dequeue t ch =
-  let m =
-    match ch.queue with
-    | Q_mpsc q -> Pring.Mpsc.dequeue q
-    | Q_spsc q -> Pring.Spsc.dequeue q
-  in
-  if m != no_msg then begin
-    progress t;
-    emit t ch Ulipc_observe.Event.Dequeue
-  end;
+  let m = raw_dequeue ch in
+  if m != no_msg then dequeued t ch;
   m
+
+let note_spin_exhausted t ch = emit t ch Ulipc_observe.Event.Spin_exhaust
+
+(* The in-process [await], over the arena ring: repeated C.1 with the
+   flag still set, never a flag or semaphore write. *)
+let await t ch =
+  if Ulipc_real.Grace.default = 0 then no_msg
+  else begin
+    let m =
+      Ulipc_real.Grace.run ~grace:Ulipc_real.Grace.default raw_dequeue ch
+        ~miss:no_msg
+    in
+    if m != no_msg then dequeued t ch else note_spin_exhausted t ch;
+    m
+  end
 
 let queue_is_empty _ ch =
   match ch.queue with
@@ -182,7 +209,7 @@ let queue_length _ ch =
    (x86 TSO lets a load overtake an earlier store to another word).  A
    producer would then still see the consumer awake and skip its V
    while the consumer, having seen the queue empty, sleeps for good.
-   The domains backend's [Atomic.set] is an exchange for the same
+   The domains backend's clear is an always-writing CAS for the same
    reason. *)
 let awake_test_and_set t ch = Parena.at_xchg t.arena ch.awake_w 1 <> 0
 let awake_clear t ch = ignore (Parena.at_xchg t.arena ch.awake_w 0 : int)
@@ -255,7 +282,6 @@ let flow_sleep t =
   nanosleep_ns 20_000;
   slept t
 
-let note_spin_exhausted t ch = emit t ch Ulipc_observe.Event.Spin_exhaust
 let counters t = t.counters
 
 let wake_residue t =

@@ -11,11 +11,14 @@
 
    Futexes address 32-bit words.  The semaphore value is maintained with
    64-bit atomics like every other arena word, and the futex syscalls
-   target the SAME address, i.e. the low 4 bytes of the word — on the
-   little-endian targets this backend supports (x86-64, aarch64) those
-   low bytes ARE the value for the small non-negative counts a channel
+   target the SAME address, i.e. the low 4 bytes of the word — on
+   x86-64, the one target this backend supports, those low bytes ARE
+   the value (little-endian) for the small non-negative counts a channel
    semaphore holds, so FUTEX_WAIT's atomic value-recheck observes
-   exactly what the OCaml side published.  FUTEX_PRIVATE_FLAG is
+   exactly what the OCaml side published.  x86-64 is also what the
+   arena rings' plain-store publishes need (x86-TSO); Parena.create
+   fails on a build for any other architecture (tso_stubs.c in
+   lib/realipc).  FUTEX_PRIVATE_FLAG is
    deliberately NOT used: private futexes key the wait queue by
    (mm, address) and never match across address spaces — the whole
    point here is that they must.

@@ -1,6 +1,6 @@
 /* Scheduling stubs for the in-process backend: per-thread timer-slack
    reduction and an allocation-free nanosleep for the backoff parks, and
-   sched_yield for the Rsem grace spin and the fork'd backend's waits.
+   sched_yield for the Grace spin and the fork'd backend's waits.
 
    Linux pads every nanosleep of a non-realtime task by the task's
    timer slack (50 us by default), which puts a ~70 us floor under the

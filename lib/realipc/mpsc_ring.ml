@@ -34,7 +34,9 @@
    TSO reorders none of these, and the amd64 backend schedules no
    instructions across them.  The producers' ticket CAS stays a real
    CAS: it is the synchronisation.  On a weakly-ordered target these
-   accesses must become acquire/release atomics.
+   accesses would have to become acquire/release atomics;
+   [Real_substrate.create] refuses to run there instead
+   ([Ring_layout.require_tso]).
 
    Flow control is exact against the logical [cap].  When [cap] equals
    the (power-of-two) slot count the sequence check is already exact: a

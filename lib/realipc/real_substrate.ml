@@ -1,11 +1,18 @@
 (* The real-OCaml-5-domains instantiation of Ulipc.Substrate.S: a
    selectable queue transport, an {!Rsem} counting semaphore (atomic
-   fast path, time-bounded grace spin, waiting-array park) whose count
-   word also carries the consumer's awake flag as its low bit, and
-   pause-hint delay loops for every scheduling hint.  Folding the flag
-   into the semaphore word puts a wake-up's four locked operations
-   (producer test-and-set and V, consumer P and flag set) on one cache
-   line.
+   fast path, waiting-array park) whose count word also carries the
+   consumer's awake flag as its low bit, and pause-hint delay loops for
+   every scheduling hint.  Folding the flag into the semaphore word puts
+   a wake-up's four locked operations (producer test-and-set and V,
+   consumer P and flag set) on one cache line.
+
+   A consumer rarely pays them.  Its [await] polls the queue for up to
+   the {!Grace} spin before C.2, with its flag still set: a producer's
+   test-and-set then finds the flag set and issues no V, so a hop moves
+   only the ring cell and the slab slot.  Only a consumer whose grace
+   ran out clears its flag, and it parks at once: the channel
+   semaphores are created with [~spin:0], because the grace has already
+   been spent where it pays, on the message.
 
    Messages are slab slot indices (immediate ints): the substrate owns a
    {!Slab} of preallocated payload slots, producers fill a slot's flat
@@ -82,9 +89,10 @@ type msg = int
 
 let no_msg = Slab.nil (* -1: an index no slab ever hands out *)
 
-(* Consumers start awake. *)
+(* Consumers start awake.  No grace in the semaphore: [await] has spent
+   it on the queue before the consumer gets to P. *)
 let make_channel ~chan_id queue =
-  let sem = Rsem.create 0 in
+  let sem = Rsem.create ~spin:0 0 in
   Rsem.flag_set sem;
   { queue; sem; chan_id }
 
@@ -92,6 +100,7 @@ let create ?(transport = Ring) ?trace ?slots ?(nservers = 1) ?shard_assign
     ~capacity ~nclients () =
   if nservers <= 0 then
     invalid_arg "Real_substrate.create: nservers must be positive";
+  Ring_layout.require_tso ~who:"Real_substrate.create";
   let shard_map =
     Shard_map.create ?assign:shard_assign ~nclients ~nshards:nservers ()
   in
@@ -228,20 +237,36 @@ let enqueue t ch m =
   else Backoff.note_role (Backoff.get ()) ~server_side:false;
   ok
 
+(* The transport's dequeue alone: what [await] polls. *)
+let raw_dequeue ch =
+  match ch.queue with
+  | Q_two_lock q -> (
+    match Tl_queue.dequeue q with Some v -> v | None -> no_msg)
+  | Q_spsc q -> Spsc_ring.dequeue q
+  | Q_mpsc q -> Mpsc_ring.dequeue q
+
+let dequeued t ch =
+  Backoff.progress (Backoff.get ());
+  emit t ch Ulipc_observe.Event.Dequeue
+
 let dequeue t ch =
-  let m =
-    match ch.queue with
-    | Q_two_lock q -> (
-      match Tl_queue.dequeue q with Some v -> v | None -> no_msg)
-    | Q_spsc q -> Spsc_ring.dequeue q
-    | Q_mpsc q -> Mpsc_ring.dequeue q
-  in
-  if m != no_msg then begin
-    Backoff.progress (Backoff.get ());
-    emit t ch Ulipc_observe.Event.Dequeue
-  end
+  let m = raw_dequeue ch in
+  if m != no_msg then dequeued t ch
   else Backoff.note_role (Backoff.get ()) ~server_side:(ch.chan_id < 0);
   m
+
+let note_spin_exhausted t ch = emit t ch Ulipc_observe.Event.Spin_exhaust
+
+(* Wait on the message with the awake flag still set (see the header).
+   Polls the transport only, never the flag or the semaphore, so a
+   grace that runs out leaves C.2–C.5 exactly as the paper has them. *)
+let await t ch =
+  if Grace.default = 0 then no_msg
+  else begin
+    let m = Grace.run ~grace:Grace.default raw_dequeue ch ~miss:no_msg in
+    if m != no_msg then dequeued t ch else note_spin_exhausted t ch;
+    m
+  end
 
 (* Multipush seam (Torquati): [enqueue_local] parks the index in the
    SPSC ring's producer-private buffer — invisible to the consumer and
@@ -385,7 +410,6 @@ let handoff_any t =
   Domain.cpu_relax ()
 
 let flow_sleep t = if Backoff.wait (Backoff.get ()) then slept t
-let note_spin_exhausted t ch = emit t ch Ulipc_observe.Event.Spin_exhaust
 let counters t = t.counters
 
 let wake_residue t =

@@ -5,6 +5,12 @@
     its semaphore's count word, so a wake-up touches one contended cache
     line — and [Domain.cpu_relax] delay hints for every busy-wait.
 
+    A blocking consumer first waits on the message: [await] polls the
+    channel's queue for up to the {!Grace} spin with its awake flag
+    still set, so a producer that finds the flag set issues no V.  Only
+    when that grace runs out does the consumer clear its flag; the
+    channel semaphores are created with [~spin:0] and park at once.
+
     Messages are slab slot {e indices} (immediate ints): the substrate
     owns a {!Slab} of preallocated payload slots, producers fill a
     slot's flat fields and enqueue only its index, and consumers read
@@ -68,7 +74,10 @@ val create :
     bounded ring — instrumentation on the substrate side of the
     [Substrate.S] seam, like the counters, so the protocol core is
     untouched.  Shard [k]'s channel id is [-(k+1)] (shard 0 keeps the
-    historical [-1]); reply channel [n] keeps id [n]. *)
+    historical [-1]); reply channel [n] keeps id [n].
+    @raise Failure on a build for any architecture but x86-64: the rings
+    publish with plain stores, which are releases only under x86-TSO
+    (see {!Ring_layout.require_tso}). *)
 
 val transport : t -> transport
 

@@ -12,7 +12,13 @@
    Snapshot ordering rule (restated from the ring implementations, which
    each apply it with their own reader role): occupancy [tail - head]
    read by a non-owner must load the index the PEER advances first —
-   a stale own-index under-counts conservatively, never negatively. *)
+   a stale own-index under-counts conservatively, never negatively.
+
+   Memory-model rule: every ring publishes with plain stores, correct
+   only under x86-TSO.  [require_tso] enforces it; the session
+   constructors of both backends call it. *)
+
+external require_tso : who:string -> unit = "ulipc_require_tso"
 
 let ceil_pow2 n =
   let rec go acc = if acc >= n then acc else go (acc * 2) in

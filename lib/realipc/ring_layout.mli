@@ -4,6 +4,13 @@
     as a difference of unwrapped indices.  See ring_layout.ml for the
     snapshot-ordering rule the implementations restate. *)
 
+val require_tso : who:string -> unit
+(** Returns only on a build for x86-64.  The rings publish their index
+    and sequence words with plain stores, a release only under x86-TSO.
+    Called by [Real_substrate.create] and [Ulipc_procipc.Parena.create].
+    @raise Failure naming [who] and the requirement on any other
+    architecture. *)
+
 val ceil_pow2 : int -> int
 (** Smallest power of two [>= n] (and [>= 1]). *)
 

@@ -67,45 +67,21 @@
    one on [v_ticket]; the n slot deliveries each take only their own
    slot's lock — the wake-coalescing entry point for batched replies.
 
-   Before parking, a P that finds no credit spins for a TIME-BOUNDED
-   grace — the paper's BSLS spin-then-block rule (§5, Figure 10)
-   applied to the semaphore itself.  The bound is wall time, not an
-   iteration count, because what it must outlast is the peer's
-   park→wake: one kernel sleep/wake on a 2-CPU x86 VM costs 5–13 µs.
-   A grace shorter than that (64 pauses is ~1.5 µs) makes the
-   semaphore BISTABLE: once one side of a synchronous pair parks, its
-   reply arrives a full wake latency later, so the peer's grace always
-   runs out first and it parks too — every call then pays two kernel
-   round trips.  [grace_ns] is 20 µs, about twice the slowest park→wake
-   seen, which is the competitive spin-then-block bound: a P never
-   spends more than twice what parking would have cost it.
+   Before parking, a P that finds no credit may spin for a TIME-BOUNDED
+   grace, polling [try_p] through {!Grace.run}: 20 µs on a
+   multiprocessor by default, cut short when the spinning domain is
+   descheduled, with a sched_yield every 2 µs (see grace.ml).  The
+   uncontended path is untouched: P tries the count first, and the
+   clock is read only once that fails — a clock read ahead of the fast
+   path costs ~25 ns on a ~10 ns V+P pair.
 
-   Four properties keep the grace cheap where spinning cannot pay:
-
-   - The uncontended path is untouched.  P tries the count first, and
-     the clock is read only once that fails: a clock read ahead of the
-     fast path costs ~25 ns on a ~10 ns V+P pair.
-   - Descheduling ends the grace.  The clock is read once every
-     [pauses_per_check] pauses (~0.4 µs); two reads more than
-     [desched_gap_ns] apart mean this domain lost its CPU, i.e. domains
-     outnumber CPUs, and every further pause only delays the domain
-     that will issue the V (Figure 11's positive feedback).  P parks at
-     once.  The guard observes oversubscription; no flag declares it.
-   - The spinner offers its CPU every [yield_every_ns] (2 µs) with one
-     sched_yield.  The guard cannot see the opposite case, where the
-     domain that will post the V sits runnable on THIS CPU and the
-     spinner is never preempted within the grace.  Linux starts a new
-     domain on its parent's CPU and may leave it there for a long time
-     (up to ~1 s on the 2-vCPU VM), so a fresh client/server pair
-     often shares one CPU.  Without the yield every P there burns the
-     whole grace and then parks; with it the pair hands the CPU back
-     and forth at ~1–2 µs per round trip.  A P that is answered within
-     2 µs never yields, so a busy CPU is not given away.
-   - On a uniprocessor ([Domain.recommended_domain_count () = 1]) the
-     default grace is 0: no V can arrive while this domain spins.
-
-   [create ~spin:0] parks at once; the wake-latency sweep uses it to
-   measure real parks. *)
+   The channel semaphores of both real backends do not spin here: the
+   protocol core's consumer runs the same grace on its QUEUE, with its
+   awake flag still set, before it ever clears the flag and reaches P
+   (Substrate.S.await).  So Real_substrate creates them with
+   [~spin:0], which parks at once; the default grace serves the
+   semaphore's standalone users (the layer ladder's handoff rung).  The
+   wake-latency sweep uses [~spin:0] too, to measure real parks. *)
 
 type slot = {
   mutex : Mutex.t;
@@ -135,16 +111,6 @@ type t = {
   slots : slot array;
 }
 
-let grace_ns = 20_000
-let desched_gap_ns = 3_000
-let yield_every_ns = 2_000
-let pauses_per_check = 16
-
-let default_spin =
-  (* Resolved once: recommended_domain_count consults the machine. *)
-  let cores = Domain.recommended_domain_count () in
-  if cores <= 1 then 0 else grace_ns
-
 let default_slots = 8
 
 let make_slot () =
@@ -158,7 +124,7 @@ let make_slot () =
       broadcasts = 0;
     }
 
-let create ?(spin = default_spin) ?(slots = default_slots) count =
+let create ?(spin = Grace.default) ?(slots = default_slots) count =
   if count < 0 then invalid_arg "Rsem.create: negative initial count";
   if spin < 0 then invalid_arg "Rsem.create: negative spin bound";
   if slots < 1 then invalid_arg "Rsem.create: slots must be positive";
@@ -224,8 +190,8 @@ let grant t k =
 let credit = 2
 
 (* CAS only on a positive count: never registers as a waiter, never
-   blocks, and cannot disturb the waiter accounting.  Also the probe of
-   every grace pause. *)
+   blocks, and cannot disturb the waiter accounting.  Also the poll of
+   the grace spin. *)
 let rec try_p t =
   let w = Atomic.get t.word in
   if w asr 1 <= 0 then false
@@ -238,45 +204,16 @@ let rec try_p t =
 let commit t =
   if Atomic.fetch_and_add t.word (-credit) asr 1 <= 0 then park t
 
-let stop_spinning ~deadline ~prev ~now =
-  now >= deadline || now - prev > desched_gap_ns
-
-(* Top-level recursion rather than a local [let rec]: a local loop
-   closure would capture [t] and be allocated on every P — these are the
-   block/wake primitives of the zero-allocation round-trip.  [prev] is
-   the previous clock read, [yield_at] the time of the next yield, and
-   [pauses] the pauses left before the next clock read. *)
-let rec grace_loop t ~deadline ~prev ~yield_at pauses =
-  if try_p t then ()
-  else if pauses > 0 then begin
-    Domain.cpu_relax ();
-    grace_loop t ~deadline ~prev ~yield_at (pauses - 1)
-  end
-  else begin
-    let now = Ulipc_observe.Clock.now_ns () in
-    if stop_spinning ~deadline ~prev ~now then commit t
-    else if now >= yield_at then begin
-      Backoff.sched_yield ();
-      grace_loop t ~deadline ~prev:now ~yield_at:(now + yield_every_ns)
-        pauses_per_check
-    end
-    else grace_loop t ~deadline ~prev:now ~yield_at pauses_per_check
-  end
-
 (* Fast path first: the clock is read only once the count has been
    found empty, so an uncontended P stays one load and one CAS, with no
-   call out of [p] (the [try_p] loop inlined by hand). *)
+   call out of [p] (the [try_p] loop inlined by hand).  [try_p] is a
+   top-level function, so passing it to the grace allocates nothing. *)
 let rec p t =
   let w = Atomic.get t.word in
   if w asr 1 > 0 then begin
     if not (Atomic.compare_and_set t.word w (w - credit)) then p t
   end
-  else if t.grace = 0 then commit t
-  else begin
-    let now = Ulipc_observe.Clock.now_ns () in
-    grace_loop t ~deadline:(now + t.grace) ~prev:now
-      ~yield_at:(now + yield_every_ns) pauses_per_check
-  end
+  else if not (Grace.run ~grace:t.grace try_p t ~miss:false) then commit t
 
 (* Wake [wake] parked waiters: claim a contiguous run of grant tickets
    with one fetch-and-add, then deliver each credit into its slot.

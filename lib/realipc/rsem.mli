@@ -16,8 +16,8 @@
     a CAS that writes the word even when the bit is unchanged, so each
     is a full barrier: the protocol needs the producer's enqueue to be
     visible before its test-and-set reads the flag, and the consumer's
-    clear before its second dequeue reads the queue.  A semaphore whose users never touch the flag behaves exactly
-    as one without it.
+    clear before its second dequeue reads the queue.  A semaphore whose
+    users never touch the flag behaves exactly as one without it.
 
     The contended path is a waiting array (Dice & Kogan, "Semaphores
     Augmented with a Waiting Array"): a parking P claims a FIFO ticket
@@ -31,43 +31,27 @@
     outnumber the array's slots do generations share a slot and grants
     degrade to (counted) per-slot broadcasts.
 
-    Between the two, a {!p} that finds no credit spins for a
-    time-bounded, preemption-aware grace before it parks: it polls the
-    count until {!grace_ns} have passed, and gives up at once when two
-    of its clock reads are more than {!desched_gap_ns} apart (it was
-    descheduled, so CPUs are oversubscribed and spinning only delays
-    the poster).  Every 2 µs of spinning it yields the CPU once, so a
-    poster queued on the same CPU runs instead of waiting out the
-    grace. *)
+    Between the two, a {!p} that finds no credit may spin for a
+    time-bounded, preemption-aware grace before it parks ({!Grace.run}
+    polling {!try_p}).  The channel semaphores of the real backends are
+    created with [~spin:0] and park at once: the protocol core's
+    consumer has already waited out the same grace on its queue, with
+    its awake flag still set, before it reaches P. *)
 
 type t
-
-val grace_ns : int
-(** The default grace on a multiprocessor: 20 µs, about twice the
-    slowest kernel park→wake measured on a 2-CPU x86 VM (5–13 µs), so
-    that a P spins at most twice what parking would cost it. *)
-
-val desched_gap_ns : int
-(** A gap between two consecutive clock reads of the grace spin longer
-    than this (3 µs, against ~0.4 µs of pauses between reads) means the
-    spinning domain was descheduled. *)
-
-val stop_spinning : deadline:int -> prev:int -> now:int -> bool
-(** The grace spin's exit rule on {!Ulipc_observe.Clock.now_ns}
-    timestamps: [true] once [now] reaches [deadline], or when [now]
-    follows the previous read [prev] by more than {!desched_gap_ns}. *)
 
 val create : ?spin:int -> ?slots:int -> int -> t
 (** [create count] with the given initial count.  [spin] is the grace in
     nanoseconds that a {!p} finding no credit spins on the count before
-    parking; it defaults to {!grace_ns} on a multiprocessor and [0] on a
-    uniprocessor, where spinning can only delay the poster.  [~spin:0]
-    parks at once.  The grace ends early when the spinning domain is
-    descheduled (see {!stop_spinning}).  [slots] is a hint for the
-    expected concurrently-parked population (rounded up to a power of
-    two, default 8): with at most [slots] waiters parked at once every
-    wake is a directed single signal, beyond that slots are shared and
-    grants broadcast per slot.  The flag starts clear.
+    parking; it defaults to {!Grace.default} ({!Grace.grace_ns} on a
+    multiprocessor, [0] on a uniprocessor, where spinning can only delay
+    the poster).  [~spin:0] parks at once.  The grace ends early when
+    the spinning domain is descheduled (see {!Grace.stop_spinning}).
+    [slots] is a hint for the expected concurrently-parked population
+    (rounded up to a power of two, default 8): with at most [slots]
+    waiters parked at once every wake is a directed single signal,
+    beyond that slots are shared and grants broadcast per slot.  The
+    flag starts clear.
     @raise Invalid_argument on a negative initial count or spin bound,
       or a non-positive [slots]. *)
 

@@ -35,8 +35,10 @@
    the slot stores precede the head publish (store-store) and the slot
    load precedes the tail publish (load-store), and TSO reorders
    neither; the amd64 backend schedules no instructions across them.
-   On a weakly-ordered target (ARM) these must revert to
-   [Atomic.set]/[Atomic.get] — a plain store is not a release there. *)
+   On a weakly-ordered target (ARM) these would have to revert to
+   [Atomic.set]/[Atomic.get] — a plain store is not a release there —
+   so [Real_substrate.create] refuses to run on one
+   ([Ring_layout.require_tso]). *)
 
 type t = {
   slots : int array;

@@ -118,7 +118,8 @@ let child_report ?hist ?(waiting_s = 0.0) ?(minor_words = nan) ~finish_us
 (* ------------------------------------------------------------------ *)
 
 let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
-    ?telemetry ?events_out ?dropped_out ~nclients ~messages waiting =
+    ?telemetry ?events_out ?dropped_out ?wake_residue_out ~nclients ~messages
+    waiting =
   if depth <= 0 then invalid_arg "Proc_driver.run: depth must be positive";
   if messages <= 0 then
     invalid_arg "Proc_driver.run: messages must be positive";
@@ -315,6 +316,9 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
   let events = List.sort Ulipc_observe.Event.compare !all_events in
   (match events_out with Some r -> r := events | None -> ());
   (match dropped_out with Some r -> r := !all_dropped | None -> ());
+  (match wake_residue_out with
+  | Some r -> r := Ulipc_procipc.Proc_rpc.wake_residue t
+  | None -> ());
   let wake_latency_p50_us, wake_latency_p99_us =
     if not traced then (nan, nan)
     else begin

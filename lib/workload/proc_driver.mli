@@ -11,6 +11,7 @@ val run :
   ?telemetry:Ulipc_observe.Telemetry.t ->
   ?events_out:Ulipc_observe.Event.t list ref ->
   ?dropped_out:int ref ->
+  ?wake_residue_out:int ref ->
   nclients:int ->
   messages:int ->
   Ulipc_procipc.Proc_rpc.waiting ->
@@ -24,6 +25,8 @@ val run :
     process, sorted — the cross-process feed for [bin/ulipc_trace].
     [dropped_out] receives the total ring-overflow drop count, the
     [~complete] input of {!Ulipc_observe.Trace_analysis.analyse}.
+    [wake_residue_out] receives {!Ulipc_procipc.Proc_rpc.wake_residue}
+    once every child has reported: credits posted but never consumed.
     [machine] defaults to ["proc"].
 
     Shm runs are live-sampled across the fork boundary: every client

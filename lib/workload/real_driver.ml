@@ -70,7 +70,7 @@ let probe_ops = 512
 let max_client_domains nservers = max 1 (min 96 (120 - nservers))
 
 let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
-    ?(nservers = 1) ~nclients ~messages waiting =
+    ?(nservers = 1) ?wake_residue_out ~nclients ~messages waiting =
   if depth <= 0 then invalid_arg "Real_driver.run: depth must be positive";
   if depth > 1 && nservers > 1 then
     invalid_arg
@@ -309,6 +309,7 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
   counters.Ulipc.Counters.slab_hwm <-
     Ulipc_real.Slab.high_water (Ulipc_real.Rpc.slab t);
   Ulipc_real.Rpc.harvest_sem_counters t;
+  Option.iter (fun r -> r := Ulipc_real.Rpc.wake_residue t) wake_residue_out;
   (* Post-harvest stop: the final frame's counter batch carries the
      sem-park/grant and slab-high-water deltas, and summed per-window
      message deltas equal the row's messages exactly. *)

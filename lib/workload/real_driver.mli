@@ -25,6 +25,7 @@ val run :
   ?telemetry:Ulipc_observe.Telemetry.t ->
   ?depth:int ->
   ?nservers:int ->
+  ?wake_residue_out:int ref ->
   nclients:int ->
   messages:int ->
   Ulipc_real.Rpc.waiting ->
@@ -41,6 +42,9 @@ val run :
     ({!Ulipc_observe.Trace_analysis}) and the recovered wake-up-latency
     p50/p99 fill the result's [wake_latency_p50_us]/[wake_latency_p99_us]
     (nan for protocols that never block, e.g. BSS).
+    [wake_residue_out] receives {!Ulipc_real.Rpc.wake_residue} once every
+    domain has been joined: credits posted but never consumed, 0 for a
+    protocol that drains every raced wake-up.
 
     Logical clients are folded onto at most ~96 real domains (OCaml caps
     a process at 128): a domain hosting several clients posts one

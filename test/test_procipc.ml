@@ -24,6 +24,7 @@ module Fsem = Ulipc_procipc.Fsem
 module Pring = Ulipc_procipc.Pring
 module Pslab = Ulipc_procipc.Pslab
 module Proc_rpc = Ulipc_procipc.Proc_rpc
+module Proc_substrate = Ulipc_procipc.Proc_substrate
 
 (* ------------------------------------------------------------------ *)
 (* Fork plumbing: run [f] in a child, marshal its result back. *)
@@ -353,6 +354,93 @@ let test_pslab_cross_fork_handoff () =
   Alcotest.(check int) "parent released it" 0 (Pslab.in_use_count slab)
 
 (* ------------------------------------------------------------------ *)
+(* Proc_substrate.await across fork: a message a child enqueues ~4 us
+   after the parent starts waiting is returned by [await] with the
+   parent's awake flag still set, and the semaphore is never touched.
+   Rounds repeat in bursts until 3 in 4 are caught, because a fresh
+   child may share the parent's CPU for a while; a round [await] gave up
+   on takes its message with a plain dequeue. *)
+
+let test_await_across_fork () =
+  if Ulipc_real.Grace.default = 0 then Alcotest.skip ();
+  let sub =
+    Proc_substrate.create ~extra_words:Parena.cache_line_words ~capacity:4
+      ~nclients:1 ()
+  in
+  let a = Proc_substrate.arena sub in
+  let go = Parena.alloc_line a ~words:1 in
+  let ch = Proc_substrate.reply_channel sub 0 in
+  let delay_ns = 4_000 in
+  match Unix.fork () with
+  | 0 ->
+    (* Poster: round [r]'s message [delay_ns] after [go] reaches [r];
+       a negative [go] ends it. *)
+    let rec post next =
+      let g = Parena.at_load a go in
+      if g < 0 then ()
+      else if g < next then begin
+        Domain.cpu_relax ();
+        post next
+      end
+      else begin
+        let t0 = Ulipc_observe.Clock.now_ns () in
+        while Ulipc_observe.Clock.now_ns () - t0 < delay_ns do
+          Domain.cpu_relax ()
+        done;
+        ignore (Proc_substrate.enqueue sub ch next : bool);
+        post (next + 1)
+      end
+    in
+    (try post 1 with _ -> Unix._exit 1);
+    Unix._exit 0
+  | pid ->
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    (* -2: the child never posted (it died), which fails the round. *)
+    let rec take () =
+      let m = Proc_substrate.dequeue sub ch in
+      if m <> Proc_substrate.no_msg then m
+      else if Unix.gettimeofday () > deadline +. 5.0 then -2
+      else begin
+        Domain.cpu_relax ();
+        take ()
+      end
+    in
+    let rounds = 50 in
+    let failure = ref None in
+    let rec burst first =
+      let hits = ref 0 in
+      for r = first to first + rounds - 1 do
+        Parena.at_store a go r;
+        let m = Proc_substrate.await sub ch in
+        if m = r then incr hits
+        else if m <> Proc_substrate.no_msg || take () <> r then
+          failure := Some (Printf.sprintf "round %d: wrong or lost message" r);
+        if not (Proc_substrate.awake_read sub ch) then
+          failure := Some (Printf.sprintf "round %d: await cleared the flag" r)
+      done;
+      if
+        !failure <> None
+        || !hits >= rounds * 3 / 4
+        || Unix.gettimeofday () > deadline
+      then !hits
+      else burst (first + rounds)
+    in
+    let hits = burst 1 in
+    Parena.at_store a go (-1);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "poster child did not exit cleanly");
+    Option.iter Alcotest.fail !failure;
+    Alcotest.(check bool)
+      (Printf.sprintf "at least 3 in 4 rounds caught (%d of %d)" hits rounds)
+      true
+      (hits >= rounds * 3 / 4);
+    Proc_substrate.harvest_sem_counters sub;
+    let c = Proc_substrate.counters sub in
+    Alcotest.(check int) "no parks" 0 c.Ulipc.Counters.sem_parks;
+    Alcotest.(check int) "no credit" 0 (Proc_substrate.wake_residue sub)
+
+(* ------------------------------------------------------------------ *)
 (* Differential: fork'd shm processes vs in-process domains.
 
    The same client-dependent transform and the same seeded traces as
@@ -583,13 +671,20 @@ let within_deadline ~timeout_s what f =
 (* Thousands of synchronous round trips through the blocking protocols,
    where every call parks one side or the other: each call is a chance
    for the consumer's awake-flag clear to be reordered after its queue
-   check, which loses the wake-up and hangs the pair. *)
+   check, which loses the wake-up and hangs the pair.  Once the session
+   quiesces no semaphore may hold a credit: every V a consumer raced
+   with its own second dequeue (or its await) must have been drained. *)
 let test_blocking_echo_no_hang (name, waiting) () =
   let messages = 20_000 in
   within_deadline ~timeout_s:20.0 (name ^ " proc echo") (fun () ->
-      let m = Ulipc_workload.Proc_driver.run ~nclients:1 ~messages waiting in
+      let residue = ref (-1) in
+      let m =
+        Ulipc_workload.Proc_driver.run ~wake_residue_out:residue ~nclients:1
+          ~messages waiting
+      in
       if m.Ulipc_workload.Metrics.messages <> messages then
-        failwith "message count")
+        failwith "message count";
+      if !residue <> 0 then failwith "wake residue")
 
 (* The pipelined path — Proc_rpc.post/collect/call_pipelined — with
    eight calls in flight per client. *)
@@ -611,11 +706,14 @@ let test_pipelined_echo_no_hang (name, waiting) () =
 let test_real_echo_no_hang what ?depth ~nclients waiting () =
   let messages = 20_000 in
   within_deadline ~timeout_s:20.0 (what ^ " domains echo") (fun () ->
+      let residue = ref (-1) in
       let m =
-        Ulipc_workload.Real_driver.run ?depth ~nclients ~messages waiting
+        Ulipc_workload.Real_driver.run ?depth ~wake_residue_out:residue
+          ~nclients ~messages waiting
       in
       if m.Ulipc_workload.Metrics.messages <> nclients * messages then
-        failwith "message count")
+        failwith "message count";
+      if !residue <> 0 then failwith "wake residue")
 
 (* [Limited_spin 0] skips the poll loop across processes too. *)
 let test_bsls0_never_falls_through () =
@@ -693,6 +791,8 @@ let suites =
           test_mpsc_cross_fork;
         Alcotest.test_case "slab cross-fork handoff" `Quick
           test_pslab_cross_fork_handoff;
+        Alcotest.test_case "await catches a message a few us late" `Quick
+          test_await_across_fork;
       ] );
     ( "procipc.differential",
       [

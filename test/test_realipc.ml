@@ -760,40 +760,16 @@ let test_rsem_v_n_no_lost_wakeup () =
   List.iter Domain.join domains;
   Alcotest.(check int) "all credits consumed exactly once" 0 (Rsem.value s)
 
-(* The grace spin's exit rule on synthetic timestamps: clock reads
-   ~0.4 us apart run until the deadline; one read more than
-   [desched_gap_ns] after its predecessor stops the spin early. *)
-let test_rsem_stop_spinning () =
-  let stop = Rsem.stop_spinning and gap = Rsem.desched_gap_ns in
-  let deadline = Rsem.grace_ns in
-  Alcotest.(check bool) "steady reads keep spinning" false
-    (stop ~deadline ~prev:0 ~now:400);
-  Alcotest.(check bool) "deadline reached" true
-    (stop ~deadline ~prev:(deadline - 400) ~now:deadline);
-  Alcotest.(check bool) "past the deadline" true
-    (stop ~deadline ~prev:(deadline - 400) ~now:(deadline + 100));
-  Alcotest.(check bool) "gap of exactly the bound keeps spinning" false
-    (stop ~deadline ~prev:1_000 ~now:(1_000 + gap));
-  Alcotest.(check bool) "longer gap means descheduled" true
-    (stop ~deadline ~prev:1_000 ~now:(1_000 + gap + 1));
-  (* A whole grace of steady reads: the first stop is the deadline. *)
-  let rec first_stop prev =
-    let now = prev + 400 in
-    if stop ~deadline ~prev ~now then now else first_stop now
-  in
-  Alcotest.(check int) "steady spin ends at the deadline" deadline
-    (first_stop 0);
-  Alcotest.(check bool) "grace outlasts the gap bound" true (deadline > gap)
-
 (* Cross-domain handoffs in bursts of [rounds]: each round the poster
-   domain sees the go signal, waits [delay_ns], then posts V while this
-   domain is in P.  Bursts repeat until one satisfies [ok parks], where
-   [parks] counts the P's of the burst that parked, or until [timeout_s]
-   has passed; returns the last burst's count.  Repeating matters
-   because a freshly spawned domain may share its parent's CPU for a
-   while (Linux places it there and may be slow to migrate it): both
-   domains then cannot spin at once, and every round parks correctly. *)
-let handoff_bursts s ~delay_ns ~rounds ~timeout_s ok =
+   domain sees the go signal, waits [delay_ns], then posts [v ()] while
+   this domain is in [p ()].  Bursts repeat until one satisfies
+   [ok parks], where [parks] counts the P's of the burst that parked
+   (read through [parks ()]), or until [timeout_s] has passed; returns
+   the last burst's count.  Repeating matters because a freshly spawned
+   domain may share its parent's CPU for a while (Linux places it there
+   and may be slow to migrate it): both domains then cannot spin at
+   once, and every round parks correctly. *)
+let handoff_bursts ~p ~v ~parks ~delay_ns ~rounds ~timeout_s ok =
   let go = Atomic.make 0 and stop = Atomic.make false in
   let poster =
     Domain.spawn (fun () ->
@@ -805,26 +781,32 @@ let handoff_bursts s ~delay_ns ~rounds ~timeout_s ok =
             while Ulipc_observe.Clock.now_ns () - t0 < delay_ns do
               Domain.cpu_relax ()
             done;
-            Rsem.v s;
+            v ();
             incr next
           end
         done)
   in
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec burst first =
-    let parks0 = Rsem.parks s in
+    let parks0 = parks () in
     for r = first to first + rounds - 1 do
       Atomic.set go r;
-      Rsem.p s
+      p ()
     done;
-    let parks = Rsem.parks s - parks0 in
-    if ok parks || Unix.gettimeofday () > deadline then parks
+    let n = parks () - parks0 in
+    if ok n || Unix.gettimeofday () > deadline then n
     else burst (first + rounds)
   in
-  let parks = burst 1 in
+  let n = burst 1 in
   Atomic.set stop true;
   Domain.join poster;
-  parks
+  n
+
+let rsem_bursts s =
+  handoff_bursts
+    ~p:(fun () -> Rsem.p s)
+    ~v:(fun () -> Rsem.v s)
+    ~parks:(fun () -> Rsem.parks s)
 
 (* A V landing a few us after P is entered falls inside the grace, so P
    takes it without parking; a fixed spin shorter than the delay (64
@@ -835,7 +817,7 @@ let test_rsem_grace_catches_late_v () =
   if Domain.recommended_domain_count () = 1 then Alcotest.skip ();
   let rounds = 50 in
   let parks =
-    handoff_bursts (Rsem.create 0) ~delay_ns:4_000 ~rounds ~timeout_s:5.0
+    rsem_bursts (Rsem.create 0) ~delay_ns:4_000 ~rounds ~timeout_s:5.0
       (fun parks -> parks <= rounds / 4)
   in
   Alcotest.(check bool)
@@ -849,13 +831,38 @@ let test_rsem_grace_catches_late_v () =
 let test_rsem_spin0_parks () =
   let rounds = 50 in
   let parks =
-    handoff_bursts (Rsem.create ~spin:0 0) ~delay_ns:4_000 ~rounds
+    rsem_bursts (Rsem.create ~spin:0 0) ~delay_ns:4_000 ~rounds
       ~timeout_s:5.0 (fun parks -> parks >= rounds * 3 / 4)
   in
   Alcotest.(check bool)
     (Printf.sprintf "at least 3 in 4 rounds park (%d of %d)" parks rounds)
     true
     (parks >= rounds * 3 / 4)
+
+(* The channel semaphores of the domains backend park at once: the
+   consumer has spent its grace in [await] before it reaches P, so a
+   second grace here would only delay the park.  The same late V as
+   above finds [sem_p] already parked in nearly every round. *)
+let test_channel_sem_parks_at_once () =
+  let sub = Real_substrate.create ~capacity:4 ~nclients:1 () in
+  let ch = Real_substrate.reply_channel sub 0 in
+  let parks () =
+    Real_substrate.harvest_sem_counters sub;
+    (Real_substrate.counters sub).Ulipc.Counters.sem_parks
+  in
+  let rounds = 50 in
+  let parks =
+    handoff_bursts
+      ~p:(fun () -> Real_substrate.sem_p sub ch)
+      ~v:(fun () -> Real_substrate.sem_v sub ch)
+      ~parks ~delay_ns:4_000 ~rounds ~timeout_s:5.0 (fun parks ->
+        parks >= rounds * 3 / 4)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 3 in 4 rounds park (%d of %d)" parks rounds)
+    true
+    (parks >= rounds * 3 / 4);
+  Alcotest.(check int) "no credit" 0 (Real_substrate.wake_residue sub)
 
 (* The folded word ([2*count + flag]) against a [(count, flag)] model:
    each operation's own result must match, and after every step [value]
@@ -986,6 +993,155 @@ let test_rsem_flag_vs_credits () =
   Alcotest.(check int) "every park granted" (Rsem.parks s) (Rsem.grants s);
   Alcotest.(check bool) "flag is the last write" (rounds mod 3 <> 1)
     (Rsem.flag_get s)
+
+(* ------------------------------------------------------------------ *)
+(* Grace, and the substrate's await over it *)
+
+(* The grace spin's exit rule on synthetic timestamps: clock reads
+   ~0.4 us apart run until the deadline; one read more than
+   [desched_gap_ns] after its predecessor stops the spin early. *)
+let test_grace_stop_spinning () =
+  let stop = Grace.stop_spinning and gap = Grace.desched_gap_ns in
+  let deadline = Grace.grace_ns in
+  Alcotest.(check bool) "steady reads keep spinning" false
+    (stop ~deadline ~prev:0 ~now:400);
+  Alcotest.(check bool) "deadline reached" true
+    (stop ~deadline ~prev:(deadline - 400) ~now:deadline);
+  Alcotest.(check bool) "past the deadline" true
+    (stop ~deadline ~prev:(deadline - 400) ~now:(deadline + 100));
+  Alcotest.(check bool) "gap of exactly the bound keeps spinning" false
+    (stop ~deadline ~prev:1_000 ~now:(1_000 + gap));
+  Alcotest.(check bool) "longer gap means descheduled" true
+    (stop ~deadline ~prev:1_000 ~now:(1_000 + gap + 1));
+  (* A whole grace of steady reads: the first stop is the deadline. *)
+  let rec first_stop prev =
+    let now = prev + 400 in
+    if stop ~deadline ~prev ~now then now else first_stop now
+  in
+  Alcotest.(check int) "steady spin ends at the deadline" deadline
+    (first_stop 0);
+  Alcotest.(check bool) "grace outlasts the gap bound" true (deadline > gap)
+
+(* The uniprocessor rule: no grace on one CPU, and a zero grace returns
+   [miss] without polling at all.  A non-zero grace returns the first
+   poll result that is not [miss]. *)
+let test_grace_one_cpu_returns_at_once () =
+  Alcotest.(check int) "one CPU: no grace" 0 (Grace.for_cpus 1);
+  Alcotest.(check int) "two CPUs: the full grace" Grace.grace_ns
+    (Grace.for_cpus 2);
+  let polls = ref 0 in
+  let poll answer_at =
+    incr polls;
+    if !polls >= answer_at then 7 else -1
+  in
+  Alcotest.(check int) "zero grace gives up" (-1)
+    (Grace.run ~grace:(Grace.for_cpus 1) poll 1 ~miss:(-1));
+  Alcotest.(check int) "without polling" 0 !polls;
+  Alcotest.(check int) "a grace returns the first hit" 7
+    (Grace.run ~grace:Grace.grace_ns poll 3 ~miss:(-1));
+  Alcotest.(check int) "after exactly that many polls" 3 !polls
+
+(* Rounds of [Real_substrate.await] on a reply channel against a poster
+   domain that enqueues round [r]'s message [delay_ns] after it sees the
+   go signal.  Returns the hits — rounds whose message [await] itself
+   returned — of the last burst; bursts repeat until [ok hits] or
+   [timeout_s], for the same CPU-sharing reason as [handoff_bursts].  A
+   round [await] gave up on takes its message with a plain dequeue.
+   Fails if any [await] cleared the flag or a message went astray. *)
+let await_bursts sub ch ~delay_ns ~rounds ~timeout_s ok =
+  let go = Atomic.make 0 and stop = Atomic.make false in
+  let poster =
+    Domain.spawn (fun () ->
+        let next = ref 1 in
+        while not (Atomic.get stop) do
+          if Atomic.get go < !next then Domain.cpu_relax ()
+          else begin
+            let t0 = Ulipc_observe.Clock.now_ns () in
+            while Ulipc_observe.Clock.now_ns () - t0 < delay_ns do
+              Domain.cpu_relax ()
+            done;
+            ignore (Real_substrate.enqueue sub ch !next : bool);
+            incr next
+          end
+        done)
+  in
+  let rec take () =
+    let m = Real_substrate.dequeue sub ch in
+    if m = Real_substrate.no_msg then begin
+      Domain.cpu_relax ();
+      take ()
+    end
+    else m
+  in
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec burst first =
+    let hits = ref 0 in
+    for r = first to first + rounds - 1 do
+      Atomic.set go r;
+      let m = Real_substrate.await sub ch in
+      if m = r then incr hits
+      else if m <> Real_substrate.no_msg || take () <> r then
+        Alcotest.failf "round %d: wrong message" r;
+      if not (Real_substrate.awake_read sub ch) then
+        Alcotest.failf "round %d: await cleared the awake flag" r
+    done;
+    if ok !hits || Unix.gettimeofday () > deadline then !hits
+    else burst (first + rounds)
+  in
+  let hits = burst 1 in
+  Atomic.set stop true;
+  Domain.join poster;
+  hits
+
+(* A message enqueued ~4 us after the consumer starts waiting is returned
+   by [await] with the flag still set, and the semaphore is never
+   touched: no parks, no grants, no credit left behind. *)
+let test_await_catches_late_message () =
+  if Grace.default = 0 then Alcotest.skip ();
+  let sub = Real_substrate.create ~capacity:4 ~nclients:1 () in
+  let ch = Real_substrate.reply_channel sub 0 in
+  let rounds = 50 in
+  let hits =
+    await_bursts sub ch ~delay_ns:4_000 ~rounds ~timeout_s:5.0 (fun hits ->
+        hits >= rounds * 3 / 4)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 3 in 4 rounds caught (%d of %d)" hits rounds)
+    true
+    (hits >= rounds * 3 / 4);
+  Real_substrate.harvest_sem_counters sub;
+  let c = Real_substrate.counters sub in
+  Alcotest.(check int) "no parks" 0 c.Ulipc.Counters.sem_parks;
+  Alcotest.(check int) "no grants" 0 c.Ulipc.Counters.sem_grants;
+  Alcotest.(check int) "no credit" 0 (Real_substrate.wake_residue sub)
+
+(* On an empty channel [await] gives up within the grace (plus slack for
+   a descheduling), leaves the flag set and, on a multiprocessor, records
+   one spin-exhaust event: where the consumer stopped waiting on the
+   message. *)
+let test_await_empty_gives_up () =
+  let trace = Trace_ring.create ~capacity:64 () in
+  let sub = Real_substrate.create ~trace ~capacity:4 ~nclients:1 () in
+  let ch = Real_substrate.reply_channel sub 0 in
+  let t0 = Ulipc_observe.Clock.now_ns () in
+  let m = Real_substrate.await sub ch in
+  let elapsed = Ulipc_observe.Clock.now_ns () - t0 in
+  Alcotest.(check int) "no message" Real_substrate.no_msg m;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned within the grace + 50 ms (%d ns)" elapsed)
+    true
+    (elapsed <= Grace.default + 50_000_000);
+  Alcotest.(check bool) "flag still set" true (Real_substrate.awake_read sub ch);
+  Alcotest.(check int) "no credit" 0 (Real_substrate.wake_residue sub);
+  let exhausts =
+    List.length
+      (List.filter
+         (fun e -> e.Ulipc_observe.Event.kind = Ulipc_observe.Event.Spin_exhaust)
+         (Trace_ring.events trace))
+  in
+  Alcotest.(check int) "spin-exhaust events"
+    (if Grace.default = 0 then 0 else 1)
+    exhausts
 
 (* ------------------------------------------------------------------ *)
 (* Rpc protocols on real domains *)
@@ -1317,14 +1473,25 @@ let suites =
           test_rsem_v_n_counting;
         Alcotest.test_case "v_n 4-domain no-lost-wakeup stress" `Quick
           test_rsem_v_n_no_lost_wakeup;
-        Alcotest.test_case "grace exit rule (synthetic clock)" `Quick
-          test_rsem_stop_spinning;
+        Alcotest.test_case "channel semaphores park at once" `Quick
+          test_channel_sem_parks_at_once;
         Alcotest.test_case "grace catches a V a few us late" `Quick
           test_rsem_grace_catches_late_v;
         Alcotest.test_case "spin 0 parks at once" `Quick test_rsem_spin0_parks;
         QCheck_alcotest.to_alcotest prop_rsem_flag_model;
         Alcotest.test_case "flag writes race V/P, 2 domains" `Quick
           test_rsem_flag_vs_credits;
+      ] );
+    ( "realipc.grace",
+      [
+        Alcotest.test_case "exit rule (synthetic clock)" `Quick
+          test_grace_stop_spinning;
+        Alcotest.test_case "one CPU returns at once" `Quick
+          test_grace_one_cpu_returns_at_once;
+        Alcotest.test_case "await catches a message a few us late" `Quick
+          test_await_catches_late_message;
+        Alcotest.test_case "await on an empty channel gives up" `Quick
+          test_await_empty_gives_up;
       ] );
     ( "realipc.rpc",
       [

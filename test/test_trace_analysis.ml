@@ -177,6 +177,63 @@ let test_real_run_clean (waiting, name) transport () =
   check_clean name r;
   Alcotest.(check bool) "trace is non-trivial" true (r.A.events > 0)
 
+(* A BSW echo whose server takes longer than the consumer grace: every
+   client wait exhausts [await] on its reply channel and then blocks, so
+   the client's own event stream shows a spin-exhaust right before each
+   block — where it stopped waiting on the message and started the
+   Figure 5 sequence — and the run stays violation-free. *)
+let test_await_exhaust_before_block () =
+  if Ulipc_real.Grace.default = 0 then Alcotest.skip ();
+  let module Rpc = Ulipc_real.Rpc in
+  let sink = Ulipc_real.Trace_ring.create ~capacity:4096 () in
+  let t : (int, int) Rpc.t =
+    Rpc.create ~trace:sink ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec
+      ~nclients:1 Rpc.Block
+  in
+  let calls = 20 in
+  let slow_echo ~client:_ v =
+    Unix.sleepf 200e-6;
+    v + 1
+  in
+  let server =
+    Domain.spawn (fun () ->
+        for _ = 1 to calls do
+          Rpc.serve t slow_echo
+        done)
+  in
+  for i = 1 to calls do
+    if Rpc.call t ~client:0 i <> i + 1 then Alcotest.fail "echo mismatch"
+  done;
+  Domain.join server;
+  Alcotest.(check int) "nothing dropped" 0 (Ulipc_real.Trace_ring.dropped sink);
+  let events = Ulipc_real.Trace_ring.events sink in
+  check_clean "slow-server BSW" (A.analyse ~complete:true events);
+  (* The reply channel of client 0 is channel 0; only its consumer, the
+     client, blocks on it. *)
+  let blocks =
+    List.filter (fun e -> e.Event.chan = 0 && e.Event.kind = Event.Block) events
+  in
+  Alcotest.(check bool) "the client blocked" true (blocks <> []);
+  let client = (List.hd blocks).Event.actor in
+  let mine =
+    List.filter (fun e -> e.Event.actor = client) events
+    |> List.sort (fun a b -> compare a.Event.seq b.Event.seq)
+  in
+  let rec unannounced prev = function
+    | [] -> 0
+    | e :: rest ->
+      let bad =
+        e.Event.kind = Event.Block
+        && not
+             (match prev with
+             | Some p -> p.Event.kind = Event.Spin_exhaust && p.Event.chan = 0
+             | None -> false)
+      in
+      Bool.to_int bad + unannounced (Some e) rest
+  in
+  Alcotest.(check int) "every block follows a spin-exhaust" 0
+    (unannounced None mine)
+
 let test_sim_run_clean machine () =
   let sink = Ulipc_observe.Sink.create ~capacity:65536 () in
   let m =
@@ -290,6 +347,8 @@ let suites =
             (test_sim_run_clean Ulipc_machines.Sgi_indy.machine);
           Alcotest.test_case "simulated BSW clean (multiprocessor)" `Quick
             (test_sim_run_clean Ulipc_machines.Sgi_challenge.machine);
+          Alcotest.test_case "BSW slow server: spin-exhaust before block"
+            `Quick test_await_exhaust_before_block;
         ] );
     ( "observe.perfetto",
       [ Alcotest.test_case "export parses as JSON" `Quick test_perfetto_export ]
