@@ -83,15 +83,30 @@ let create ?trace ?slots ?(extra_words = 0) ~capacity ~nclients () =
   let slots =
     match slots with Some n -> n | None -> (nclients + 1) * (capacity + 1)
   in
-  (* Generous sizing: every span below is an over-estimate (alloc_line
-     rounds each request up to whole cache lines), so the bump allocator
-     cannot run dry mid-carve. *)
+  (* Sizing, an upper bound on what the carve below takes, so the bump
+     allocator cannot run dry mid-carve.  Every aligned allocation may
+     first skip up to [line - 1] words of padding.
+     - Per channel (the request channel and one reply channel per
+       client): the ring's span, [Pring.span_words] = two index lines
+       plus one (seq, value) pair per slot, [2 * ring + 16]; the awake
+       line (8); the Fsem's two lines (16); three allocations' padding.
+     - Per client, one more line for the caller: the fork driver
+       carves each client's telemetry word after [create].
+     - The slab: three counter lines and three [slots]-word arrays, six
+       allocations' padding.
+     - 1024 words of fixed headroom (the driver's barrier lines), plus
+       whatever [extra_words] the caller asks for. *)
   let ring = Ulipc_real.Ring_layout.ceil_pow2 capacity in
+  let line = Parena.cache_line_words in
+  let channel_words =
+    Pring.span_words ~ring + line + (2 * line) + (3 * (line - 1))
+  in
+  let slab_words = (3 * line) + (3 * slots) + (6 * (line - 1)) in
   let size_words =
-    1024 + (4 * ring)
-    + (nclients * ((2 * ring) + 128))
-    + (4 * slots)
-    + extra_words
+    1024
+    + ((nclients + 1) * channel_words)
+    + (nclients * line)
+    + slab_words + extra_words
   in
   let arena = Parena.create ~size_words () in
   (* Tight timerslack before forking: PR_SET_TIMERSLACK is inherited

@@ -1,8 +1,15 @@
 (** Shared geometry for the flat bounded rings — in-process
     ([Spsc_ring]/[Mpsc_ring]) and cross-process ([Ulipc_procipc.Pring])
     alike: power-of-two slot counts, exact logical capacity, occupancy
-    as a difference of unwrapped indices.  See ring_layout.ml for the
-    snapshot-ordering rule the implementations restate. *)
+    as a difference of unwrapped indices, one flat (seq, value) word
+    pair per slot.
+
+    All four rings follow one rule: a cell is the only line both sides
+    write, the consumer writes only its own index, and a producer reads
+    the consumer's index only when its snapshot says the ring is full.
+    ring_layout.ml states the rule, the TSO memory-ordering argument
+    behind it, and the snapshot-ordering rule for occupancy reads; each
+    ring header refers there. *)
 
 val require_tso : who:string -> unit
 (** Returns only on a build for x86-64.  The rings publish their index

@@ -1,26 +1,31 @@
 (* Bounded single-producer/single-consumer ring over a flat int array:
-   the Lamport ring with the refinements Torquati's SPSC study
-   (TR-10-20) shows matter on shared-cache multicores —
+   the Lamport ring reshaped by the refinements Torquati's SPSC study
+   (TR-10-20) shows matter on shared-cache multicores, under the
+   one-shared-line rule of Ring_layout —
 
-   - head and tail live in separate cache-line-padded atomics, so the
-     producer bumping [head] never invalidates the line the consumer's
-     [tail] lives on;
-   - each side keeps a private snapshot of the peer's index
-     ([cached_tail]/[cached_head]) and re-reads the shared atomic only
-     when the snapshot says the ring looks full/empty, so the common case
-     of a half-full ring touches no shared line but the slot itself;
-   - the slots are a flat [int array] carrying non-negative immediates
-     (slab indices), so an enqueue is a plain unboxed store — no [Some]
-     allocation, no write barrier, no GC pressure — and a dequeue
-     returns the value itself with [-1] as the empty sentinel;
+   - each slot is a (seq, value) word pair; the consumer polls the cell
+     at [tail] for [seq = tail + 1] and never reads the producer's
+     [head] or writes the cell back (a stale cell holds an older lap's
+     seq and never reads as ready), so the slot line is the only line
+     a hop moves;
+   - head and tail live in separate cache-line-padded atomics, and the
+     producer keeps a private snapshot of the consumer's index
+     ([cached_tail]), re-reading the shared [tail] only when the
+     snapshot says the ring looks full;
+   - values are non-negative immediates (slab indices), so an enqueue
+     is two plain unboxed stores and a dequeue returns the value itself
+     with [-1] as the empty sentinel — no [Some] allocation, no write
+     barrier, no GC pressure;
    - multipush ([enqueue_local]/[flush]): the producer batches up to
-     [mp_k] values in a ring-resident private buffer and publishes them
-     with ONE index store, without waiting for a caller-assembled batch;
+     [mp_k] values in a private buffer and publishes them as one span;
    - temporal slipping: [flush] writes the buffered span {e backward}
-     (highest slot first), so by the time the publish makes the span
-     visible the producer has finished touching the slot cache lines
-     and the consumer walks them without line ping-pong (TR-10-20's
-     mpush ordering).
+     (highest slot first), so the cell the consumer polls next is the
+     last one made ready and the consumer walks a span the producer has
+     already finished with (TR-10-20's mpush ordering).
+
+   [head] is still published (last, after the cell) so [is_empty] and
+   [length] — BSLS's polling hint and the telemetry gauge — can read
+   occupancy; no dequeue path reads it.
 
    Indices increase monotonically and are reduced modulo the (power of
    two) slot count; at 2^63 operations wraparound is unreachable.  The
@@ -28,26 +33,23 @@
    capacity 3 rejects the 4th enqueue even though its array has 4 slots —
    the same flow-control boundary as Tl_queue.
 
-   Index publishes go through [fenceless_set] below — the x86-TSO
-   plain store standing in for Torquati's compiler-only WMB — because
-   [Atomic.set]'s full fence alone costs more than the rest of the
-   operation.  The ordering argument: each index has a single writer;
-   the slot stores precede the head publish (store-store) and the slot
-   load precedes the tail publish (load-store), and TSO reorders
-   neither; the amd64 backend schedules no instructions across them.
-   On a weakly-ordered target (ARM) these would have to revert to
-   [Atomic.set]/[Atomic.get] — a plain store is not a release there —
-   so [Real_substrate.create] refuses to run on one
+   Cell and index stores are plain — [fenceless_set] below is the
+   x86-TSO plain store standing in for Torquati's compiler-only WMB —
+   because [Atomic.set]'s full fence alone costs more than the rest of
+   the operation.  The ordering argument is Ring_layout's: value before
+   seq (store-store), seq before value on the consumer side (load-load),
+   value load before the tail publish (load-store); TSO reorders none,
+   and the amd64 backend schedules no instructions across them.
+   [Real_substrate.create] refuses to run on a weakly-ordered target
    ([Ring_layout.require_tso]). *)
 
 type t = {
-  slots : int array;
+  cells : int array; (* 2 * ring words: (seq, value) per slot *)
   mask : int;
   cap : int;
   head : int Atomic.t; (* next write index; written by the producer only *)
   tail : int Atomic.t; (* next read index; written by the consumer only *)
   cached_tail : int ref; (* producer-private snapshot of [tail] *)
-  cached_head : int ref; (* consumer-private snapshot of [head] *)
   mp_buf : int array; (* producer-private multipush buffer *)
   mp_n : int ref; (* producer-private, padded: it changes every
                      enqueue_local and must not share a line with the
@@ -72,13 +74,13 @@ let create ~capacity () =
   in
   let mp_k = min 8 capacity in
   {
-    slots = Array.make ring 0;
+    (* seq 0 is never ready: index [i] is ready at seq [i + 1] >= 1. *)
+    cells = Array.make (2 * ring) 0;
     mask;
     cap;
     head = Padding.copy_padded (Atomic.make 0);
     tail = Padding.copy_padded (Atomic.make 0);
     cached_tail = Padding.copy_padded (ref 0);
-    cached_head = Padding.copy_padded (ref 0);
     mp_buf = Array.make mp_k 0;
     mp_n = Padding.copy_padded (ref 0);
     mp_k;
@@ -86,48 +88,44 @@ let create ~capacity () =
 
 let capacity q = q.cap
 
-(* Producer side.  The slot store is a plain unboxed mutation published
-   by the store on [head]: a consumer that observes the new head also
-   observes the slot contents (store-store order under TSO — see the
-   fenceless publication note in the header). *)
+(* Fill the cell for index [idx]: value first, then the seq that makes
+   it ready (store-store under TSO). *)
+let fill q idx v =
+  let c = (idx land q.mask) lsl 1 in
+  Array.unsafe_set q.cells (c + 1) v;
+  Array.unsafe_set q.cells c (idx + 1)
+
+(* Room for [n] more values?  Reads the consumer's [tail] only when the
+   private snapshot says no. *)
+let has_room q head n =
+  head + n - !(q.cached_tail) <= q.cap
+  ||
+  (q.cached_tail := fenceless_get q.tail;
+   head + n - !(q.cached_tail) <= q.cap)
+
 let raw_enqueue q v =
   let head = fenceless_get q.head in
-  let free =
-    head - !(q.cached_tail) < q.cap
-    ||
-    (q.cached_tail := fenceless_get q.tail;
-     head - !(q.cached_tail) < q.cap)
-  in
-  if free then begin
-    Array.unsafe_set q.slots (head land q.mask) v;
+  if has_room q head 1 then begin
+    fill q head v;
     fenceless_set q.head (head + 1);
     true
   end
   else false
 
-(* Multipush (TR-10-20): publish the whole private buffer with one
-   index store, writing the span backward — highest index first — so
-   the producer is done with every slot cache line before the publish
-   lets the consumer walk them forward (temporal slipping).  All or
-   nothing: a span that does not fit stays buffered, [mp_k <= cap]
-   guarantees it can always fit eventually. *)
+(* Multipush (TR-10-20): write the whole private buffer backward —
+   highest index first — so the cell the consumer is polling becomes
+   ready last and the rest of the span is already filled when it does
+   (temporal slipping).  All or nothing: a span that does not fit stays
+   buffered, [mp_k <= cap] guarantees it can always fit eventually. *)
 let flush q =
   let n = !(q.mp_n) in
   n = 0
   ||
   let head = fenceless_get q.head in
-  let free =
-    head + n - !(q.cached_tail) <= q.cap
-    ||
-    (q.cached_tail := fenceless_get q.tail;
-     head + n - !(q.cached_tail) <= q.cap)
-  in
-  free
+  has_room q head n
   && begin
        for i = n - 1 downto 0 do
-         Array.unsafe_set q.slots
-           ((head + i) land q.mask)
-           (Array.unsafe_get q.mp_buf i)
+         fill q (head + i) (Array.unsafe_get q.mp_buf i)
        done;
        fenceless_set q.head (head + n);
        q.mp_n := 0;
@@ -156,8 +154,8 @@ let enqueue_local q v =
 
 (* A plain enqueue first flushes any multipush leftovers so FIFO order
    holds across mixed use; with an empty buffer (the common case — the
-   branch reads a producer-private word) it is the bare Lamport path,
-   written out inline: without flambda a call to [raw_enqueue] is a real
+   branch reads a producer-private word) it is the bare path, written
+   out inline: without flambda a call to [raw_enqueue] is a real
    cross-function call, and at ~5 ns for the whole pair each call is a
    measurable fraction of the budget. *)
 let enqueue q v =
@@ -171,7 +169,9 @@ let enqueue q v =
        head - !(q.cached_tail) < q.cap)
     in
     if free then begin
-      Array.unsafe_set q.slots (head land q.mask) v;
+      let c = (head land q.mask) lsl 1 in
+      Array.unsafe_set q.cells (c + 1) v;
+      Array.unsafe_set q.cells c (head + 1);
       fenceless_set q.head (head + 1);
       true
     end
@@ -179,27 +179,22 @@ let enqueue q v =
   end
   else flush q && raw_enqueue q v
 
-(* Consumer side.  Consumed slots are not cleared: the values are
-   immediates, so a stale slot retains nothing and the producer only
-   rewrites it after observing the advanced tail. *)
+(* Consumer side: poll the cell, never [head].  The value load precedes
+   the tail publish (load-store), and the cell is left as it is — the
+   producer rewrites it only after observing the advanced tail. *)
 let dequeue q =
   let tail = fenceless_get q.tail in
-  let avail =
-    !(q.cached_head) - tail > 0
-    ||
-    (q.cached_head := fenceless_get q.head;
-     !(q.cached_head) - tail > 0)
-  in
-  if avail then begin
-    let v = Array.unsafe_get q.slots (tail land q.mask) in
+  let c = (tail land q.mask) lsl 1 in
+  if Array.unsafe_get q.cells c = tail + 1 then begin
+    let v = Array.unsafe_get q.cells (c + 1) in
     fenceless_set q.tail (tail + 1);
     v
   end
   else nil
 
-(* Batch operations: claim a whole span of slots per atomic index
-   store, over caller-supplied arrays — O(1) span sizing (the list API
-   this replaces paid a List.length traversal before the fill, then
+(* Batch operations: claim a whole span of slots per index store, over
+   caller-supplied arrays — O(1) span sizing (the list API this
+   replaced paid a List.length traversal before the fill, then
    traversed again to fill).  Semantics are exactly n single ops: the
    accepted prefix obeys the same capacity boundary, FIFO order is
    preserved, and a batch never blocks. *)
@@ -227,55 +222,55 @@ let enqueue_batch q vs ~pos ~len =
     else begin
       (* Backward fill, same temporal-slipping order as [flush]. *)
       for i = k - 1 downto 0 do
-        Array.unsafe_set q.slots
-          ((head + i) land q.mask)
-          (Array.unsafe_get vs (pos + i))
+        fill q (head + i) (Array.unsafe_get vs (pos + i))
       done;
       fenceless_set q.head (head + k);
       k
     end
   end
 
+(* Take every ready cell from [tail] up to [max], stopping at the first
+   that is not.  Top-level recursion, not a local [let rec]: a local
+   loop would capture the ring and the buffer and be allocated on every
+   batch (no flambda to lift it). *)
+let rec take_batch q buf ~pos ~max ~tail i =
+  if i >= max then i
+  else begin
+    let idx = tail + i in
+    let c = (idx land q.mask) lsl 1 in
+    if Array.unsafe_get q.cells c = idx + 1 then begin
+      Array.unsafe_set buf (pos + i) (Array.unsafe_get q.cells (c + 1));
+      take_batch q buf ~pos ~max ~tail (i + 1)
+    end
+    else i
+  end
+
 let dequeue_batch q buf ~pos ~max =
   if max < 0 then invalid_arg "Spsc_ring.dequeue_batch: negative max";
   if pos < 0 || pos + max > Array.length buf then
     invalid_arg "Spsc_ring.dequeue_batch: bad span";
-  if max = 0 then 0
-  else begin
-    let tail = fenceless_get q.tail in
-    let avail =
-      let a = !(q.cached_head) - tail in
-      if a >= max then a
-      else begin
-        q.cached_head := fenceless_get q.head;
-        !(q.cached_head) - tail
-      end
-    in
-    let k = min max avail in
-    if k <= 0 then 0
-    else begin
-      for i = 0 to k - 1 do
-        Array.unsafe_set buf (pos + i)
-          (Array.unsafe_get q.slots ((tail + i) land q.mask))
-      done;
-      fenceless_set q.tail (tail + k);
-      k
-    end
-  end
+  let tail = fenceless_get q.tail in
+  let k = take_batch q buf ~pos ~max ~tail 0 in
+  if k > 0 then fenceless_set q.tail (tail + k);
+  k
 
 (* Snapshot ordering invariant: read [tail] BEFORE [head].  Only the
    consumer advances [tail], so a tail read first can only be stale-low,
-   and [head] read second can only have grown — the difference is a
-   conservative occupancy (an over-estimate) and can never go negative.
-   Reading [head] first races a consumer that drains messages enqueued
-   after the head load: the stale head minus the fresh tail transiently
-   reports a negative length / a spuriously empty ring.  Unflushed
-   multipush values are invisible here by design — they are not yet
-   published. *)
+   and [head] read second can only have grown — a conservative
+   occupancy (an over-estimate).  Reading [head] first races a consumer
+   that drains messages enqueued after the head load: the stale head
+   minus the fresh tail would report a spuriously empty ring.  One
+   window remains: the producer publishes [head] after the cell, so the
+   consumer can take a message and publish [tail] before the producer's
+   [head] store is visible; the difference is then -1 while no
+   unconsumed message is published, so [length] clamps at 0 and
+   [is_empty] correctly says empty.  Unflushed multipush values are
+   invisible here by design — they are not yet published. *)
 let is_empty q =
   let tail = fenceless_get q.tail in
   fenceless_get q.head - tail <= 0
 
 let length q =
   let tail = fenceless_get q.tail in
-  fenceless_get q.head - tail
+  let n = fenceless_get q.head - tail in
+  if n > 0 then n else 0

@@ -1,29 +1,32 @@
 (** Bounded lock-free single-producer/single-consumer ring over a flat
     int array.
 
-    A preallocated [int array] of slots with monotonically increasing
-    head/tail indices on separate cache-line-padded atomics
-    ({!Padding}), plus the cached-peer-index refinement: each side
-    re-reads the other's index only when its private snapshot says the
-    ring looks full (producer) or empty (consumer), so steady-state
-    traffic never ping-pongs the index lines.
+    A preallocated [int array] of (seq, value) word pairs with
+    monotonically increasing head/tail indices on separate
+    cache-line-padded atomics ({!Padding}), under {!Ring_layout}'s
+    one-shared-line rule: the consumer polls the cell at its index for a
+    ready sequence number and publishes only its own index, never
+    reading [head]; the producer re-reads the consumer's index only when
+    its private snapshot says the ring looks full.  A steady-state hop
+    moves the cell's line and nothing else.
 
     The ring carries {e non-negative immediate ints} — slab slot
     indices on the message plane ({!Slab}) — so the per-operation cost
-    is one plain unboxed slot store and one atomic index store: no
-    mutex, no per-message node, no ['a option] box, no write barrier,
-    zero heap allocation.  [-1] is the dequeue-side empty sentinel;
-    enqueueing a negative value raises.
+    is a few plain unboxed word stores: no mutex, no per-message node,
+    no ['a option] box, no write barrier, zero heap allocation.  [-1] is
+    the dequeue-side empty sentinel; enqueueing a negative value
+    raises.
 
     Two further Torquati (TR-10-20) refinements:
 
     - {e multipush}: {!enqueue_local} accumulates values in a
       producer-private buffer (at most [min 8 capacity]) and {!flush}
-      publishes the whole span with one atomic store — batch-grade
-      index traffic without a caller-assembled batch;
+      publishes the whole span at once — batch-grade traffic without a
+      caller-assembled batch;
     - {e temporal slipping}: flushed spans are written backward
-      (highest slot first), so the producer is done with the span's
-      cache lines before the publish lets the consumer walk them.
+      (highest slot first), so the cell the consumer polls is made
+      ready last and the producer is done with the span's cache lines
+      before the consumer walks them.
 
     The session's reply channels are SPSC {e by construction} (the
     server is the only producer, the owning client the only consumer),
@@ -70,8 +73,8 @@ val enqueue_local : t -> int -> bool
     @raise Invalid_argument on a negative value. *)
 
 val flush : t -> bool
-(** Publish every buffered value with one atomic index store, writing
-    the span backward (temporal slipping).  All or nothing: [false]
+(** Publish every buffered value with one index store, writing the
+    span backward (temporal slipping).  All or nothing: [false]
     when the ring lacks room for the whole span, which stays buffered.
     [true] when the buffer is (now) empty.  Producer side only. *)
 
@@ -82,8 +85,8 @@ val pending_local : t -> int
 
 val enqueue_batch : t -> int array -> pos:int -> len:int -> int
 (** [enqueue_batch q vs ~pos ~len] enqueues a prefix of
-    [vs.(pos .. pos+len-1)], claiming the whole span with a single
-    atomic [head] publish, and returns how many values were accepted —
+    [vs.(pos .. pos+len-1)], filling the span backward and publishing
+    [head] once, and returns how many values were accepted —
     observationally n single {!enqueue}s (same FIFO order, same exact
     capacity boundary) at one shared-index store per batch.  The span
     length is a parameter, not a list traversal.  Never blocks; [0]
@@ -93,17 +96,22 @@ val enqueue_batch : t -> int array -> pos:int -> len:int -> int
 
 val dequeue_batch : t -> int array -> pos:int -> max:int -> int
 (** [dequeue_batch q buf ~pos ~max] dequeues up to [max] values into
-    [buf.(pos ..)] (FIFO order), releasing the whole span with a single
-    atomic [tail] store, and returns the count.  Consumer side only.
+    [buf.(pos ..)] (FIFO order), stopping at the first cell that is not
+    ready and releasing the whole span with a single [tail] store, and
+    returns the count.  Consumer side only.
     Allocation-free.
     @raise Invalid_argument on a bad span. *)
 
 val is_empty : t -> bool
-(** Lock-free hint, as used by polling loops: two atomic loads, [tail]
+(** Lock-free hint, as used by polling loops: two index loads, [tail]
     before [head] so a concurrent dequeue can never make an occupied ring
-    look empty.  Unflushed multipush values are not counted (they are
-    not yet published). *)
+    look empty.  [head] is published after the cell, so a message whose
+    cell is ready but whose [head] store is still in flight may read as
+    absent for that instant.  Unflushed multipush values are not counted
+    (they are not yet published). *)
 
 val length : t -> int
 (** Racy but conservative snapshot of the element count: may over-report
-    occupancy against a racing consumer, never negative. *)
+    occupancy against a racing consumer, never negative (clamped at 0
+    for the instant a consumer has taken a message whose [head] store
+    is not yet visible). *)

@@ -332,6 +332,105 @@ let test_mpsc_cross_fork () =
   Alcotest.(check bool) "in-order across fork" true
     (cross_fork_transfer Pring.Mpsc.enqueue Pring.Mpsc.dequeue q)
 
+(* Sequential models at both capacity boundaries — [cap = ring] (1, 2,
+   4, 8) and [cap < ring] (3, 5, 6, 7, 9) — so a producer's stale
+   snapshot of the consumer's index is refreshed on both paths.  Each
+   trial carves its ring from a fresh arena. *)
+let prop_pring_model name (module R : RING) =
+  QCheck.Test.make ~name ~count:200
+    QCheck.(pair (int_range 1 9) (list (option (int_bound 100))))
+    (fun (cap, program) ->
+      let q = R.create (Parena.create ~size_words:256 ()) ~capacity:cap in
+      let model = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some v ->
+            let accepted = R.enqueue q v in
+            let model_accepts = Queue.length model < cap in
+            if model_accepts then Queue.add v model;
+            accepted = model_accepts
+          | None -> (
+            let got = R.dequeue q in
+            match Queue.take_opt model with
+            | Some v -> got = v
+            | None -> got = Pring.nil))
+          && R.length q = Queue.length model)
+        program)
+
+(* Filled to capacity and drained by one, the ring has exactly one free
+   slot, which the producer process sees only by refreshing its stale
+   snapshot of the consumer's index. *)
+let stale_snapshot_case (module R : RING) ~capacity () =
+  let q = R.create (Parena.create ~size_words:256 ()) ~capacity in
+  for i = 1 to capacity do
+    Alcotest.(check bool) "fill" true (R.enqueue q i)
+  done;
+  Alcotest.(check int) "drain one" 1 (R.dequeue q);
+  Alcotest.(check bool) "the freed slot is seen" true (R.enqueue q 100);
+  Alcotest.(check bool) "and then the ring is full" false (R.enqueue q 101);
+  for i = 2 to capacity do
+    Alcotest.(check int) "fifo" i (R.dequeue q)
+  done;
+  Alcotest.(check int) "last" 100 (R.dequeue q);
+  Alcotest.(check int) "empty" Pring.nil (R.dequeue q)
+
+let stale_snapshot_cases name ring =
+  List.map
+    (fun capacity ->
+      Alcotest.test_case
+        (Printf.sprintf "%s stale snapshot at capacity %d" name capacity)
+        `Quick
+        (stale_snapshot_case ring ~capacity))
+    [ 4; 3 ]
+
+(* Session arena sizing: every ring of a large session, request and
+   reply alike, is driven through its last cell, and the rings are all
+   full at once before any is drained, so a span that overlapped its
+   neighbour would corrupt values.  After [create] the arena still holds
+   the lines the fork driver carves (two barrier lines and one line per
+   client). *)
+let test_session_arena_sizing () =
+  List.iter
+    (fun (nclients, capacity) ->
+      let sub = Proc_substrate.create ~capacity ~nclients () in
+      let a = Proc_substrate.arena sub in
+      let ring = Ulipc_real.Ring_layout.ceil_pow2 capacity in
+      let chans =
+        Proc_substrate.request sub
+        :: List.init nclients (Proc_substrate.reply_channel sub)
+      in
+      let enq ch v =
+        Alcotest.(check bool) "enqueue" true (Proc_substrate.enqueue sub ch v)
+      in
+      let deq ch v =
+        Alcotest.(check int) "dequeue" v (Proc_substrate.dequeue sub ch)
+      in
+      (* Advance each ring so a full one ends on its last cell. *)
+      List.iter
+        (fun ch ->
+          for i = 1 to ring - capacity do
+            enq ch i;
+            deq ch i
+          done)
+        chans;
+      List.iteri
+        (fun k ch ->
+          for i = 1 to capacity do
+            enq ch ((k * 1_000_000) + i)
+          done)
+        chans;
+      List.iteri
+        (fun k ch ->
+          for i = 1 to capacity do
+            deq ch ((k * 1_000_000) + i)
+          done)
+        chans;
+      for _ = 1 to nclients + 2 do
+        ignore (Parena.alloc_line a ~words:Parena.cache_line_words : int)
+      done)
+    [ (1, 1); (3, 3); (64, 1000) ]
+
 (* ------------------------------------------------------------------ *)
 (* Pslab across fork: slots allocated in the child are visible and
    releasable in the parent — index-passing ownership transfer. *)
@@ -668,6 +767,47 @@ let within_deadline ~timeout_s what f =
     in
     wait ()
 
+(* Two producer processes into one consumer through a 4-slot Pring.Mpsc
+   ([cap = ring], so every lap reuses cells through the snapshot
+   refresh): no loss, no duplication, per-producer FIFO.  The whole
+   transfer runs under a deadline, so a lost slot that starves the
+   consumer fails instead of hanging. *)
+let test_mpsc_two_producers_cross_fork () =
+  within_deadline ~timeout_s:20.0 "2-producer mpsc transfer" (fun () ->
+      let a = Parena.create ~size_words:1024 () in
+      let q = Pring.Mpsc.create a ~capacity:4 in
+      let per_producer = 5000 in
+      let producer p =
+        match Unix.fork () with
+        | 0 ->
+          for i = 1 to per_producer do
+            while not (Pring.Mpsc.enqueue q ((p * 1_000_000) + i)) do
+              Parena.sched_yield ()
+            done
+          done;
+          Unix._exit 0
+        | pid -> pid
+      in
+      let pids = [ producer 1; producer 2 ] in
+      let next = [| 0; 1; 1 |] in
+      for _ = 1 to 2 * per_producer do
+        let rec take () =
+          let v = Pring.Mpsc.dequeue q in
+          if v = Pring.nil then (
+            Parena.sched_yield ();
+            take ())
+          else v
+        in
+        let v = take () in
+        let p = v / 1_000_000 and i = v mod 1_000_000 in
+        if p < 1 || p > 2 || i <> next.(p) then
+          failwith (Printf.sprintf "got %d, expected producer %d's %d" v p
+                      (if p = 1 || p = 2 then next.(p) else -1));
+        next.(p) <- i + 1
+      done;
+      List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+      if Pring.Mpsc.dequeue q <> Pring.nil then failwith "extra value")
+
 (* Thousands of synchronous round trips through the blocking protocols,
    where every call parks one side or the other: each call is a chance
    for the consumer's awake-flag clear to be reordered after its queue
@@ -789,11 +929,23 @@ let suites =
           test_spsc_cross_fork;
         Alcotest.test_case "mpsc cross-fork transfer" `Quick
           test_mpsc_cross_fork;
+        QCheck_alcotest.to_alcotest
+          (prop_pring_model "Pring.Spsc matches a FIFO model"
+             (module Pring.Spsc));
+        QCheck_alcotest.to_alcotest
+          (prop_pring_model "Pring.Mpsc matches a FIFO model"
+             (module Pring.Mpsc));
+        Alcotest.test_case "mpsc 2-producer cross-fork transfer" `Quick
+          test_mpsc_two_producers_cross_fork;
+        Alcotest.test_case "session arena fits every ring's last cell" `Quick
+          test_session_arena_sizing;
         Alcotest.test_case "slab cross-fork handoff" `Quick
           test_pslab_cross_fork_handoff;
         Alcotest.test_case "await catches a message a few us late" `Quick
           test_await_across_fork;
-      ] );
+      ]
+      @ stale_snapshot_cases "spsc" (module Pring.Spsc)
+      @ stale_snapshot_cases "mpsc" (module Pring.Mpsc) );
     ( "procipc.differential",
       [
         QCheck_alcotest.to_alcotest

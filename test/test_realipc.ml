@@ -149,20 +149,70 @@ let deq_matches_model dequeue nil q model =
   | Some v -> got = v
   | None -> got = nil
 
+(* Capacities 1..9 put the full check at both boundaries: [cap = ring]
+   (1, 2, 4, 8) and [cap < ring] (3, 5, 6, 7, 9), where the producer's
+   snapshot of the consumer's index must be refreshed to report room. *)
+let model_capacity = QCheck.int_range 1 9
+
+(* Multipush against a model with an explicit pending buffer: a value is
+   published (visible to [length]/[dequeue]) only by a flush that fits
+   as a whole; the buffer auto-flushes at [min 8 cap]; a plain enqueue
+   flushes first. *)
+let spsc_op =
+  QCheck.(
+    frequency
+      [
+        (3, map (fun v -> `Enq v) (int_bound 100));
+        (2, map (fun v -> `Local v) (int_bound 100));
+        (1, always `Flush);
+        (4, always `Deq);
+      ])
+
 let prop_spsc_model =
-  QCheck.Test.make ~name:"Spsc_ring matches a FIFO model" ~count:200
-    QCheck.(list (option (int_bound 100)))
-    (fun program ->
-      let q = Spsc_ring.create ~capacity:8 () in
-      let model = Queue.create () in
+  QCheck.Test.make ~name:"Spsc_ring matches a FIFO model" ~count:300
+    QCheck.(pair model_capacity (list spsc_op))
+    (fun (cap, program) ->
+      let q = Spsc_ring.create ~capacity:cap () in
+      let model = Queue.create () and pending = Queue.create () in
+      let mp_k = min 8 cap in
+      let flush_model () =
+        Queue.is_empty pending
+        || Queue.length model + Queue.length pending <= cap
+           && (Queue.transfer pending model;
+               true)
+      in
+      let step = function
+        | `Enq v ->
+          let accepted = Spsc_ring.enqueue q v in
+          let model_accepts =
+            flush_model ()
+            && Queue.length model < cap
+            && (Queue.add v model;
+                true)
+          in
+          accepted = model_accepts
+        | `Local v ->
+          let accepted = Spsc_ring.enqueue_local q v in
+          let model_accepts =
+            if Queue.length pending < mp_k then begin
+              Queue.add v pending;
+              if Queue.length pending = mp_k then ignore (flush_model () : bool);
+              true
+            end
+            else
+              flush_model ()
+              && (Queue.add v pending;
+                  true)
+          in
+          accepted = model_accepts
+        | `Flush -> Spsc_ring.flush q = flush_model ()
+        | `Deq -> deq_matches_model Spsc_ring.dequeue Spsc_ring.nil q model
+      in
       List.for_all
-        (function
-          | Some v ->
-            let accepted = Spsc_ring.enqueue q v in
-            let model_accepts = Queue.length model < 8 in
-            if model_accepts then Queue.add v model;
-            accepted = model_accepts
-          | None -> deq_matches_model Spsc_ring.dequeue Spsc_ring.nil q model)
+        (fun op ->
+          step op
+          && Spsc_ring.pending_local q = Queue.length pending
+          && Spsc_ring.length q = Queue.length model)
         program)
 
 let test_spsc_concurrent_transfer () =
@@ -303,20 +353,49 @@ let test_spsc_multipush_concurrent_transfer () =
    or per-producer reordering under concurrent producers. *)
 
 let prop_mpsc_model =
-  QCheck.Test.make ~name:"Mpsc_ring matches a FIFO model" ~count:200
-    QCheck.(list (option (int_bound 100)))
-    (fun program ->
-      let q = Mpsc_ring.create ~capacity:8 () in
+  QCheck.Test.make ~name:"Mpsc_ring matches a FIFO model" ~count:300
+    QCheck.(pair model_capacity (list (option (int_bound 100))))
+    (fun (cap, program) ->
+      let q = Mpsc_ring.create ~capacity:cap () in
       let model = Queue.create () in
       List.for_all
-        (function
+        (fun op ->
+          (match op with
           | Some v ->
             let accepted = Mpsc_ring.enqueue q v in
-            let model_accepts = Queue.length model < 8 in
+            let model_accepts = Queue.length model < cap in
             if model_accepts then Queue.add v model;
             accepted = model_accepts
           | None -> deq_matches_model Mpsc_ring.dequeue Mpsc_ring.nil q model)
+          && Mpsc_ring.length q = Queue.length model)
         program)
+
+(* The producer's snapshot of the consumer's index goes stale the moment
+   the consumer moves: filled to [capacity] and drained by one, the ring
+   has exactly one free slot, which only a refreshed snapshot can see.
+   Run at [cap = ring] and [cap < ring]. *)
+let stale_snapshot_case ~capacity create enqueue dequeue nil () =
+  let q = create ~capacity () in
+  for i = 1 to capacity do
+    Alcotest.(check bool) "fill" true (enqueue q i)
+  done;
+  Alcotest.(check int) "drain one" 1 (dequeue q);
+  Alcotest.(check bool) "the freed slot is seen" true (enqueue q 100);
+  Alcotest.(check bool) "and then the ring is full" false (enqueue q 101);
+  for i = 2 to capacity do
+    Alcotest.(check int) "fifo" i (dequeue q)
+  done;
+  Alcotest.(check int) "last" 100 (dequeue q);
+  Alcotest.(check int) "empty" nil (dequeue q)
+
+let stale_snapshot_cases name create enqueue dequeue nil =
+  List.map
+    (fun capacity ->
+      Alcotest.test_case
+        (Printf.sprintf "%s stale snapshot at capacity %d" name capacity)
+        `Quick
+        (stale_snapshot_case ~capacity create enqueue dequeue nil))
+    [ 4; 3 ]
 
 let test_mpsc_capacity () =
   (* Capacity 3 on a 4-slot array: boundary at the logical bound, across
@@ -340,9 +419,10 @@ let test_mpsc_capacity () =
    duplication and per-producer FIFO, the consumer checks the capacity
    bound on every turn: it owns [head], so [length] can only over-read a
    producer's claim, and a claim past [capacity] is exactly what the
-   producers' full check must forbid.  At a non-power-of-two capacity
-   that check is the [head] comparison (the sequence check alone would
-   admit a whole ring); at a power of two it is the sequence check. *)
+   producers' full check must forbid.  That check is the comparison
+   against the producers' snapshot of [head], refreshed when it says
+   full, at a power-of-two capacity ([cap = ring]) and below one
+   alike. *)
 let mpsc_concurrent ~capacity ~nproducers () =
   let q = Mpsc_ring.create ~capacity () in
   let per_producer = 2_000 in
@@ -354,12 +434,18 @@ let mpsc_concurrent ~capacity ~nproducers () =
     done
   in
   let received = ref [] and over = ref 0 in
+  (* A lost message would leave the consumer waiting forever; it gives
+     up after 20 s instead, and the loss check below fails. *)
+  let deadline = Unix.gettimeofday () +. 20.0 in
   let consumer () =
     let remaining = ref (nproducers * per_producer) in
     while !remaining > 0 do
       if Mpsc_ring.length q > capacity then incr over;
       let v = Mpsc_ring.dequeue q in
-      if v = Mpsc_ring.nil then Domain.cpu_relax ()
+      if v = Mpsc_ring.nil then begin
+        if Unix.gettimeofday () > deadline then remaining := 0;
+        Domain.cpu_relax ()
+      end
       else begin
         received := v :: !received;
         decr remaining
@@ -405,14 +491,16 @@ let batch_program =
          ]))
 
 let prop_batch_model name create enqueue_batch dequeue_batch =
-  QCheck.Test.make ~name ~count:300 batch_program (fun program ->
-      let q = create ~capacity:8 () in
+  QCheck.Test.make ~name ~count:300
+    QCheck.(pair model_capacity batch_program)
+    (fun (cap, program) ->
+      let q = create ~capacity:cap () in
       let model = Queue.create () in
       List.for_all
         (function
           | `Enq vs ->
             let k = enqueue_batch q vs in
-            let expect = min (List.length vs) (8 - Queue.length model) in
+            let expect = min (List.length vs) (cap - Queue.length model) in
             let rec add i = function
               | v :: rest when i < expect ->
                 Queue.add v model;
@@ -1429,7 +1517,9 @@ let suites =
           test_spsc_multipush_full;
         Alcotest.test_case "multipush concurrent 1p/1c transfer" `Quick
           test_spsc_multipush_concurrent_transfer;
-      ] );
+      ]
+      @ stale_snapshot_cases "spsc" Spsc_ring.create Spsc_ring.enqueue
+          Spsc_ring.dequeue Spsc_ring.nil );
     ( "realipc.slab",
       [
         QCheck_alcotest.to_alcotest prop_slab_model;
@@ -1458,7 +1548,11 @@ let suites =
           test_mpsc_batch_concurrent;
         Alcotest.test_case "concurrent 2p/1c at capacity 3 (ring 4)" `Quick
           (mpsc_concurrent ~capacity:3 ~nproducers:2);
-      ] );
+        Alcotest.test_case "concurrent 2p/1c at capacity 4 (ring 4)" `Quick
+          (mpsc_concurrent ~capacity:4 ~nproducers:2);
+      ]
+      @ stale_snapshot_cases "mpsc" Mpsc_ring.create Mpsc_ring.enqueue
+          Mpsc_ring.dequeue Mpsc_ring.nil );
     ( "realipc.rsem",
       [
         Alcotest.test_case "counting" `Quick test_rsem_counting;
