@@ -236,12 +236,15 @@ let micro_tests () =
            Ulipc_real.Slab.release s (Ulipc_real.Slab.try_alloc s)))
   in
   (* Batch rows push 8 messages per span claim (the ring rows through
-     flat array spans, a shared scratch is fine single-threaded); ns/op
-     is divided by 8 after analysis (micro_rows) so the row reads per
-     message, directly comparable with the single-op row above it. *)
+     flat (client, word) pair spans, a shared scratch is fine
+     single-threaded); ns/op is divided by 8 after analysis (micro_rows)
+     so the row reads per message, directly comparable with the
+     single-op row above it. *)
   let eight_list = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let eight = [| 1; 2; 3; 4; 5; 6; 7; 8 |] in
-  let scratch8 = Array.make 8 0 in
+  let eight =
+    Array.init 16 (fun i -> if i land 1 = 0 then 0 else (i / 2) + 1)
+  in
+  let scratch8 = Array.make 16 0 in
   let queue_batch =
     Test.make_with_resource ~name:"tl_queue batch-8 enqueue+dequeue"
       Test.uniq
@@ -270,7 +273,8 @@ let micro_tests () =
       ~free:ignore
       (Staged.stage (fun q ->
            for v = 1 to 8 do
-             ignore (Ulipc_real.Spsc_ring.enqueue_local q v : bool)
+             ignore
+               (Ulipc_real.Spsc_ring.enqueue_local q ~client:0 ~word:v : bool)
            done;
            ignore (Ulipc_real.Spsc_ring.flush q : bool);
            ignore
@@ -313,8 +317,8 @@ let micro_tests () =
   let round_trip name transport waiting =
     (* Resource: a live echo server domain on the in-place [serve] path
        (the zero-allocation server turn); -1 asks it to exit.  Immediate
-       int codecs keep the payload in the slot's unboxed data field, so
-       the measured round-trip is the index-passing hot path. *)
+       int codecs make the payload the message word itself, so the
+       measured round-trip is the register-to-cell hot path. *)
     let name = Printf.sprintf "%s [%s]" name (transport_name transport) in
     Test.make_with_resource ~name Test.uniq
       ~allocate:(fun () ->

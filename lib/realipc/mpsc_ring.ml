@@ -13,8 +13,8 @@
 
    The consumer owns [head] outright (single consumer), so dequeue does
    no CAS and never writes the cell: check the head slot's sequence,
-   take the value, bump head.  It does not recycle the sequence a lap
-   ahead (Vyukov's third state, [seq = index + ring]): that store would
+   copy the message out, bump head.  It does not recycle the sequence a
+   lap ahead (Vyukov's third state, [seq = index + ring]): that store would
    dirty the cell line for the next producer to re-fetch, and TSO would
    have to commit it before anything the consumer writes after it (the
    server's reply) becomes visible.
@@ -29,28 +29,29 @@
    never more than [cap] messages in flight, for [cap = ring] and
    [cap < ring] alike.  The same bound is what makes the cell free: a
    ticket [t] is claimed only after [head] passed [t - ring], i.e. after
-   the consumer has loaded that lap's value (Ring_layout's ordering
+   the consumer has loaded that lap's words (Ring_layout's ordering
    argument).  Under concurrency [enqueue] may transiently report full
    while a consumer is mid-dequeue — callers retry
    (flow_enqueue/spin_enqueue), exactly as they already do for a
    genuinely full queue.
 
-   Cell layout: slot [i] is the word pair [cells.(2i)] (its sequence)
-   and [cells.(2i+1)] (its value, a non-negative immediate — a slab
-   index on the message plane).  A message's sequence and value are
-   adjacent words, so a hop moves one line between producer and
-   consumer, not a line of a separate sequence array plus a line of a
-   value array.  OCaml array data starts one word after the block
-   header, so on the common (line-aligned header) layout one pair in
-   four straddles a line boundary.  Padding each cell to its own line
-   was measured and rejected: 0 of 6 alternating pairs won on
+   Cell layout: slot [i] is the four words [cells.(4i .. 4i+3)]: its
+   sequence, then the message itself — the client word and the payload
+   word — then a spare word.  A message's sequence and payload share
+   one cell, so a hop moves one line between producer and consumer, not
+   a line of a separate sequence array plus a line of a payload slab.
+   OCaml array data starts one word after the block header, so on the
+   common (line-aligned header) layout one cell in two straddles a line
+   boundary.  Padding each cell to its own line was measured and
+   rejected for the two-word cell: 0 of 6 alternating pairs won on
    sync-domains (round trip 1.09 -> 1.25 us, EXPERIMENTS.md "One shared
    line per hop").  No ['a option] box, no per-slot Atomic block, no
-   write barrier, no allocation; dequeue returns [-1] when empty.
+   write barrier, no allocation.  Readiness is the sequence's alone, so
+   a payload word may be any int.
 
    Sequence loads and stores are plain, under x86-TSO (Ring_layout's
-   argument): a producer stores the value, then the sequence
-   (store-store); the consumer loads the sequence, then the value
+   argument): a producer stores the message words, then the sequence
+   (store-store); the consumer loads the sequence, then the words
    (load-load), then stores [head] (load-store).  The producers' ticket
    CAS stays a real CAS: it is the synchronisation.
    [Real_substrate.create] refuses to run on a weakly-ordered target
@@ -63,7 +64,7 @@
    so the hole's owner is the one that wakes the consumer it stalled. *)
 
 type t = {
-  cells : int array; (* 2 * ring words: (seq, value) per slot *)
+  cells : int array; (* 4 * ring words: (seq, client, word, spare) per slot *)
   mask : int;
   cap : int;
   tail : int Atomic.t; (* producers' ticket counter (CAS) *)
@@ -86,7 +87,7 @@ let create ~capacity () =
   in
   {
     (* seq 0 is never ready: ticket [i] is ready at seq [i + 1] >= 1. *)
-    cells = Array.make (2 * ring) 0;
+    cells = Array.make (4 * ring) 0;
     mask;
     cap;
     tail = Padding.copy_padded (Atomic.make 0);
@@ -105,30 +106,48 @@ let refreshed_room q tail =
   if head > !(q.head_snap) then q.head_snap := head;
   q.cap - (tail - head)
 
-let rec raw_enqueue q v =
+(* Fill the cell for ticket [idx], which the caller has claimed: the
+   message words first, then the sequence that publishes them. *)
+let fill q idx client word =
+  let c = (idx land q.mask) lsl 2 in
+  Array.unsafe_set q.cells (c + 1) client;
+  Array.unsafe_set q.cells (c + 2) word;
+  Array.unsafe_set q.cells c (idx + 1)
+
+let rec enqueue_pair q ~client ~word =
   let tail = Atomic.get q.tail in
   if tail - !(q.head_snap) >= q.cap && refreshed_room q tail <= 0 then false
   else if Atomic.compare_and_set q.tail tail (tail + 1) then begin
-    (* Ticket won: the slot is ours alone.  The plain value store is
-       published by the sequence store that follows it. *)
-    let c = (tail land q.mask) lsl 1 in
-    Array.unsafe_set q.cells (c + 1) v;
-    Array.unsafe_set q.cells c (tail + 1);
+    (* Ticket won: the slot is ours alone. *)
+    fill q tail client word;
     true
   end
-  else raw_enqueue q v (* lost the ticket race; retry *)
+  else enqueue_pair q ~client ~word (* lost the ticket race; retry *)
 
+(* Single consumer: poll the cell, copy the message out, publish
+   [head].  The cell is not written back. *)
+let dequeue_into q dst pos =
+  let head = fenceless_get q.head in
+  let c = (head land q.mask) lsl 2 in
+  if Array.unsafe_get q.cells c = head + 1 then begin
+    dst.(pos) <- Array.unsafe_get q.cells (c + 1);
+    dst.(pos + 1) <- Array.unsafe_get q.cells (c + 2);
+    fenceless_set q.head (head + 1);
+    true
+  end
+  else false
+
+(* The one-word pair: client word 0, and [nil] marks emptiness because
+   no accepted value is negative. *)
 let enqueue q v =
   if v < 0 then invalid_arg "Mpsc_ring.enqueue: negative value";
-  raw_enqueue q v
+  enqueue_pair q ~client:0 ~word:v
 
-(* Single consumer: poll the cell, take the value, publish [head].  The
-   cell is not written back. *)
 let dequeue q =
   let head = fenceless_get q.head in
-  let c = (head land q.mask) lsl 1 in
+  let c = (head land q.mask) lsl 2 in
   if Array.unsafe_get q.cells c = head + 1 then begin
-    let v = Array.unsafe_get q.cells (c + 1) in
+    let v = Array.unsafe_get q.cells (c + 2) in
     fenceless_set q.head (head + 1);
     v
   end
@@ -147,7 +166,7 @@ let dequeue q =
 (* Top-level recursion, not a local [let rec]: a local claim loop would
    capture the queue and the span and be allocated on every batch (no
    flambda to lift it). *)
-let rec claim_batch q vs ~pos ~len =
+let rec claim_batch q span ~pos ~len =
   if len = 0 then 0
   else begin
     let tail = Atomic.get q.tail in
@@ -156,34 +175,31 @@ let rec claim_batch q vs ~pos ~len =
     if k <= 0 then 0
     else if Atomic.compare_and_set q.tail tail (tail + k) then begin
       for i = 0 to k - 1 do
-        let idx = tail + i in
-        let c = (idx land q.mask) lsl 1 in
-        Array.unsafe_set q.cells (c + 1) (Array.unsafe_get vs (pos + i));
-        Array.unsafe_set q.cells c (idx + 1)
+        let s = 2 * (pos + i) in
+        fill q (tail + i) (Array.unsafe_get span s)
+          (Array.unsafe_get span (s + 1))
       done;
       k
     end
-    else claim_batch q vs ~pos ~len (* lost the ticket race; reload *)
+    else claim_batch q span ~pos ~len (* lost the ticket race; reload *)
   end
 
-let enqueue_batch q vs ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length vs then
-    invalid_arg "Mpsc_ring.enqueue_batch: bad span";
-  for i = pos to pos + len - 1 do
-    if vs.(i) < 0 then invalid_arg "Mpsc_ring.enqueue_batch: negative value"
-  done;
-  claim_batch q vs ~pos ~len
+let enqueue_batch q span ~pos ~len =
+  Ring_layout.check_span ~who:"Mpsc_ring.enqueue_batch" span ~pos ~len;
+  claim_batch q span ~pos ~len
 
 (* Batch dequeue (single consumer): take every ready slot from [head]
-   up to [max] into the caller's buffer and publish [head] ONCE at the
-   end, after every value load. *)
+   up to [max] into the caller's span and publish [head] ONCE at the
+   end, after every word load. *)
 let rec take_batch q buf ~pos ~max ~head i =
   if i >= max then i
   else begin
     let idx = head + i in
-    let c = (idx land q.mask) lsl 1 in
+    let c = (idx land q.mask) lsl 2 in
     if Array.unsafe_get q.cells c = idx + 1 then begin
-      Array.unsafe_set buf (pos + i) (Array.unsafe_get q.cells (c + 1));
+      let s = 2 * (pos + i) in
+      Array.unsafe_set buf s (Array.unsafe_get q.cells (c + 1));
+      Array.unsafe_set buf (s + 1) (Array.unsafe_get q.cells (c + 2));
       take_batch q buf ~pos ~max ~head (i + 1)
     end
     else i
@@ -191,8 +207,7 @@ let rec take_batch q buf ~pos ~max ~head i =
 
 let dequeue_batch q buf ~pos ~max =
   if max < 0 then invalid_arg "Mpsc_ring.dequeue_batch: negative max";
-  if pos < 0 || pos + max > Array.length buf then
-    invalid_arg "Mpsc_ring.dequeue_batch: bad span";
+  Ring_layout.check_span ~who:"Mpsc_ring.dequeue_batch" buf ~pos ~len:max;
   let head = fenceless_get q.head in
   let k = take_batch q buf ~pos ~max ~head 0 in
   if k > 0 then fenceless_set q.head (head + k);

@@ -8,33 +8,30 @@
     back — no lock, no per-message node.  Tail and head tickets live on
     separate cache-line-padded atomics ({!Padding}).
 
-    The ring carries {e non-negative immediate ints} (slab slot indices
-    on the message plane, {!Slab}).  Each slot is two adjacent words of
-    one flat [int array] — its sequence, then its value — so a message
-    moves one cache line from producer to consumer: no ['a option] box,
-    no per-slot [Atomic.t], no write barrier, zero heap allocation per
-    operation.  Producers check room against a shared padded snapshot
-    of the consumer's index and re-read the index only when the
-    snapshot says the ring is full ({!Ring_layout}'s one-shared-line
-    rule).  [-1] is the
-    dequeue-side empty sentinel; enqueueing a negative value raises.
+    Each slot is a four-word cell of one flat [int array] — its
+    sequence, then the two-word message [(client, word)], then a spare
+    word — so a message moves one cache line from producer to consumer,
+    payload included: no ['a option] box, no per-slot [Atomic.t], no
+    write barrier, zero heap allocation per operation.  Both message
+    words are immediates and any int is valid: readiness is the
+    sequence number's alone.  Producers check room against a shared
+    padded snapshot of the consumer's index and re-read the index only
+    when the snapshot says the ring is full ({!Ring_layout}'s
+    one-shared-line rule).
 
     This is the transport for the session's shared request queue: every
     client (and {!Rpc.post}) produces, only the server consumes.
     Behaviour is undefined if two domains consume concurrently.
 
     Same observable semantics as {!Tl_queue} when quiescent: FIFO per
-    producer, [enqueue] returns [false] exactly when [capacity] messages
-    are in flight, [dequeue] returns {!nil} when empty.  Under
-    concurrency, [enqueue] may transiently report full (while the
-    consumer is mid-dequeue) and [dequeue] may transiently report empty
+    producer, an enqueue returns [false] exactly when [capacity]
+    messages are in flight, a dequeue reports an empty ring.  Under
+    concurrency, an enqueue may transiently report full (while the
+    consumer is mid-dequeue) and a dequeue may transiently report empty
     (while a producer is mid-enqueue); callers retry, as all the
     protocol loops already do. *)
 
 type t
-
-val nil : int
-(** [-1]: {!dequeue}'s empty sentinel; never a valid element. *)
 
 val create : capacity:int -> unit -> t
 (** The slot array is the capacity rounded up to a power of two, but the
@@ -43,33 +40,53 @@ val create : capacity:int -> unit -> t
 
 val capacity : t -> int
 
-val enqueue : t -> int -> bool
+val enqueue_pair : t -> client:int -> word:int -> bool
 (** [false] when the queue is full.  Any number of concurrent producers;
     lock-free (a failed ticket race retries, but some producer always
-    progresses).
-    @raise Invalid_argument on a negative value. *)
+    progresses). *)
+
+val dequeue_into : t -> int array -> int -> bool
+(** [dequeue_into q dst pos] copies the oldest ready message into
+    [dst.(pos)] (client) and [dst.(pos + 1)] (word), then releases its
+    cell; [false] when none is ready ([dst] untouched).  Consumer side
+    only.  Allocation-free.
+    @raise Invalid_argument if [pos, pos + 1] is outside [dst]. *)
+
+(** {1 One-word messages} *)
+
+val nil : int
+(** [-1]: {!dequeue}'s empty sentinel; never a valid element. *)
+
+val enqueue : t -> int -> bool
+(** [enqueue q v] is [enqueue_pair q ~client:0 ~word:v].
+    @raise Invalid_argument on a negative value (it would read as
+    {!nil}). *)
 
 val dequeue : t -> int
-(** The oldest ready value, or {!nil} when none is.  Consumer side only.
-    Allocation-free. *)
+(** The oldest ready message's word, or {!nil} when none is.  Consumer
+    side only.  Allocation-free. *)
+
+(** {1 Batch operations}
+
+    Spans are flat [int array]s of pairs, as for
+    {!Spsc_ring.enqueue_batch}: message [i] of the span at [pos] is
+    [(span.(2 * (pos + i)), span.(2 * (pos + i) + 1))]. *)
 
 val enqueue_batch : t -> int array -> pos:int -> len:int -> int
-(** [enqueue_batch q vs ~pos ~len] enqueues a prefix of
-    [vs.(pos .. pos+len-1)], claiming the whole span of tickets with a
-    single tail CAS, and returns how many values were accepted —
-    observationally n single {!enqueue}s (FIFO, exact capacity
-    boundary), at one contended CAS per batch instead of one per
-    message.  The span length is a parameter, not a list traversal.
-    Never blocks; [0] when full.  Safe under any number of concurrent
-    producers.
-    @raise Invalid_argument on a bad span or a negative value. *)
+(** [enqueue_batch q span ~pos ~len] enqueues a prefix of the [len]
+    messages at [pos], claiming the whole span of tickets with a single
+    tail CAS, and returns how many were accepted — observationally n
+    single {!enqueue_pair}s (FIFO, exact capacity boundary), at one
+    contended CAS per batch instead of one per message.  Never blocks;
+    [0] when full.  Safe under any number of concurrent producers.
+    @raise Invalid_argument on a bad span. *)
 
 val dequeue_batch : t -> int array -> pos:int -> max:int -> int
-(** [dequeue_batch q buf ~pos ~max] dequeues every ready value up to
-    [max] into [buf.(pos ..)] (FIFO), publishing the consumer index once
-    per batch, and returns the count.  Consumer side only.
-    Allocation-free.
-    @raise Invalid_argument on a bad span. *)
+(** [dequeue_batch q buf ~pos ~max] dequeues every ready message up to
+    [max] into the span of [buf] at [pos] (FIFO), publishing the
+    consumer index once per batch, and returns the count.  Consumer side
+    only.  Allocation-free.
+    @raise Invalid_argument on a negative [max] or a bad span. *)
 
 val is_empty : t -> bool
 (** Lock-free hint, as used by polling loops: two atomic loads, [head]

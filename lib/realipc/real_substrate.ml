@@ -9,18 +9,29 @@
    A consumer rarely pays them.  Its [await] polls the queue for up to
    the {!Grace} spin before C.2, with its flag still set: a producer's
    test-and-set then finds the flag set and issues no V, so a hop moves
-   only the ring cell and the slab slot.  Only a consumer whose grace
+   only the ring cell.  Only a consumer whose grace
    ran out clears its flag, and it parks at once: the channel
    semaphores are created with [~spin:0], because the grace has already
    been spent where it pays, on the message.
 
-   Messages are slab slot indices (immediate ints): the substrate owns a
-   {!Slab} of preallocated payload slots, producers fill a slot's flat
-   fields and pass only its index through the queue, and the consumer
-   reads the fields back out by index.  Queue emptiness is the [no_msg]
-   sentinel (-1), never an option — so the steady-state data path
-   touches no heap: no message records, no option boxing, no queue
-   nodes (on the ring transport).
+   The ring cell carries the message: two immediate words, the client
+   number and one payload word.  A [msg] is an index into the session's
+   REGISTER FILE, one two-word register per endpoint (each client, each
+   server), each on cache lines no other endpoint's register shares.
+   [enqueue] copies register [m] into the claimed cell; [dequeue] copies
+   a ready cell into the consumer's own register (a channel knows whose
+   that is: the owning client of a reply channel, the server of a
+   request shard), publishes its index and returns that register.  A
+   register is only ever written by its endpoint's own domain — the
+   consumer side always, the producer side on the paths whose caller is
+   the endpoint (a client's send, a server's in-place reply) — so it
+   needs no synchronisation and, unlike the shared slab it replaces, no
+   locked free-list operation per message.  Queue emptiness is the
+   [no_msg] sentinel (-1), never an option — so the steady-state data
+   path touches no heap: no message records, no option boxing, no
+   queue nodes (on the ring transport).  Paths whose caller is not an
+   endpoint (a post, a reply from [receive]'s caller, the batch and
+   steal spans) pass [(client, word)] pairs directly.
 
    The request plane is SHARDED: [nservers] request channels, each the
    inbox of one server domain, with clients mapped to a home shard by a
@@ -38,9 +49,9 @@
    operations below); the orchestration lives in {!Rpc}.
 
    Two transports implement the queue primitives.  [Two_lock] is the
-   paper's Michael & Scott two-lock queue (Tl_queue): safe for any mix of
-   producers and consumers, but each operation pays a mutex pair, a
-   shared count and a heap node.  [Ring] exploits the session shape:
+   paper's Michael & Scott two-lock queue (Tl_queue) of pairs: safe for
+   any mix of producers and consumers, but each operation pays a mutex
+   pair, a shared count and heap nodes.  [Ring] exploits the session shape:
    each request shard has many producers and exactly one consumer
    (Mpsc_ring), and each reply channel has one consumer — the owning
    client.  At [nservers = 1] the reply producer is unique too (the
@@ -62,7 +73,7 @@ type transport = Two_lock | Ring
 let transport_name = function Two_lock -> "two-lock" | Ring -> "ring"
 
 type queue =
-  | Q_two_lock of int Tl_queue.t
+  | Q_two_lock of (int * int) Tl_queue.t
   | Q_spsc of Spsc_ring.t
   | Q_mpsc of Mpsc_ring.t
 
@@ -70,6 +81,8 @@ type channel = {
   queue : queue;
   sem : Rsem.t; (* its flag bit is the consumer's awake flag *)
   chan_id : int; (* -(k+1) = request shard k, n >= 0 = reply channel n *)
+  regs : int array; (* the session's register file *)
+  rx : int; (* the consumer's register: where a dequeue lands *)
 }
 
 type t = {
@@ -79,7 +92,9 @@ type t = {
   steal : int Atomic.t array;
       (* per-shard steal token: -1 = free, else the shard id of the idle
          server asking this shard's owner for a span of its backlog *)
-  slab : Slab.t;
+  regs : int array;
+      (* the register file: register [m]'s (client, word) at
+         [reg_pos m], [reg_pos (m + 1)] *)
   transport : transport;
   counters : Ulipc.Counters.t;
   trace : Trace_ring.t option;
@@ -87,17 +102,23 @@ type t = {
 
 type msg = int
 
-let no_msg = Slab.nil (* -1: an index no slab ever hands out *)
+let no_msg = -1 (* no register has a negative index *)
+
+(* Register [m] is the word pair at [16m + 8]: 128 bytes apart, so two
+   registers are always more than a cache line apart whatever the
+   array's alignment, and the 8 leading and trailing words keep the
+   first and the last off the lines of neighbouring heap blocks. *)
+let reg_pos m = (m lsl 4) + 8
 
 (* Consumers start awake.  No grace in the semaphore: [await] has spent
    it on the queue before the consumer gets to P. *)
-let make_channel ~chan_id queue =
+let make_channel ~chan_id ~regs ~rx queue =
   let sem = Rsem.create ~spin:0 0 in
   Rsem.flag_set sem;
-  { queue; sem; chan_id }
+  { queue; sem; chan_id; regs; rx }
 
-let create ?(transport = Ring) ?trace ?slots ?(nservers = 1) ?shard_assign
-    ~capacity ~nclients () =
+let create ?(transport = Ring) ?trace ?(nservers = 1) ?shard_assign ~capacity
+    ~nclients () =
   if nservers <= 0 then
     invalid_arg "Real_substrate.create: nservers must be positive";
   Ring_layout.require_tso ~who:"Real_substrate.create";
@@ -120,26 +141,19 @@ let create ?(transport = Ring) ?trace ?slots ?(nservers = 1) ?shard_assign
       if nservers = 1 then Q_spsc (Spsc_ring.create ~capacity ())
       else Q_mpsc (Mpsc_ring.create ~capacity ())
   in
-  (* Default slab sizing: every channel full plus one in-flight slot per
-     endpoint (client or server) can never exhaust it, so the protocols'
-     flow control (the bounded queues) is what callers observe, not slab
-     pressure.  The channel count grows with the fleet — [nservers]
-     request shards plus [nclients] reply channels — hence the explicit
-     dependence on both. *)
-  let slots =
-    match slots with
-    | Some n -> n
-    | None -> (nclients + nservers) * (capacity + 1)
-  in
+  (* One register per client (0 .. nclients-1), then one per server. *)
+  let regs = Array.make (reg_pos (nclients + nservers)) 0 in
   {
     requests =
       Array.init nservers (fun k ->
-          make_channel ~chan_id:(-(k + 1)) (request_queue ()));
+          make_channel ~chan_id:(-(k + 1)) ~regs ~rx:(nclients + k)
+            (request_queue ()));
     replies =
-      Array.init nclients (fun i -> make_channel ~chan_id:i (reply_queue ()));
+      Array.init nclients (fun i ->
+          make_channel ~chan_id:i ~regs ~rx:i (reply_queue ()));
     shard_map;
     steal = Array.init nservers (fun _ -> Atomic.make (-1));
-    slab = Slab.create ~slots ();
+    regs;
     transport;
     counters = Ulipc.Counters.create ();
     trace;
@@ -147,7 +161,6 @@ let create ?(transport = Ring) ?trace ?slots ?(nservers = 1) ?shard_assign
 
 let transport t = t.transport
 let trace t = t.trace
-let slab t = t.slab
 
 (* Substrate.S names a single request channel, shard 0.  The protocol
    core never calls [S.request]: Rpc hands it each shard channel
@@ -166,8 +179,20 @@ let request_shard t k =
 
 let reply_channel t n =
   if n < 0 || n >= Array.length t.replies then
-    invalid_arg (Printf.sprintf "Rpc.reply_channel: no channel %d" n);
+    invalid_arg
+      (Printf.sprintf "Real_substrate.reply_channel: no channel %d" n);
   t.replies.(n)
+
+(* The register file.  The endpoint checks are the channel lookups'. *)
+let client_register t c = (reply_channel t c).rx
+let server_register t k = (request_shard t k).rx
+let register_client t m = t.regs.(reg_pos m)
+let register_word t m = t.regs.(reg_pos m + 1)
+
+let set_register t m ~client ~word =
+  let p = reg_pos m in
+  t.regs.(p) <- client;
+  t.regs.(p + 1) <- word
 
 let queue_length = function
   | Q_two_lock q -> Tl_queue.length q
@@ -222,13 +247,13 @@ let pre_stamp t =
    hint pick the right spin budget without widening the Substrate.S
    seam. *)
 
-let enqueue t ch m =
+let enqueue_pair t ch ~client ~word =
   let t_ns = pre_stamp t in
   let ok =
     match ch.queue with
-    | Q_two_lock q -> Tl_queue.enqueue q m
-    | Q_spsc q -> Spsc_ring.enqueue q m
-    | Q_mpsc q -> Mpsc_ring.enqueue q m
+    | Q_two_lock q -> Tl_queue.enqueue q (client, word)
+    | Q_spsc q -> Spsc_ring.enqueue_pair q ~client ~word
+    | Q_mpsc q -> Mpsc_ring.enqueue_pair q ~client ~word
   in
   if ok then begin
     Backoff.progress (Backoff.get ());
@@ -237,13 +262,28 @@ let enqueue t ch m =
   else Backoff.note_role (Backoff.get ()) ~server_side:false;
   ok
 
-(* The transport's dequeue alone: what [await] polls. *)
+(* Copy register [m] into the cell. *)
+let enqueue t ch m =
+  let p = reg_pos m in
+  enqueue_pair t ch ~client:t.regs.(p) ~word:t.regs.(p + 1)
+
+(* The transport's dequeue alone, into the consumer's register: what
+   [await] polls. *)
 let raw_dequeue ch =
-  match ch.queue with
-  | Q_two_lock q -> (
-    match Tl_queue.dequeue q with Some v -> v | None -> no_msg)
-  | Q_spsc q -> Spsc_ring.dequeue q
-  | Q_mpsc q -> Mpsc_ring.dequeue q
+  let p = reg_pos ch.rx in
+  let ok =
+    match ch.queue with
+    | Q_two_lock q -> (
+      match Tl_queue.dequeue q with
+      | Some (client, word) ->
+        ch.regs.(p) <- client;
+        ch.regs.(p + 1) <- word;
+        true
+      | None -> false)
+    | Q_spsc q -> Spsc_ring.dequeue_into q ch.regs p
+    | Q_mpsc q -> Mpsc_ring.dequeue_into q ch.regs p
+  in
+  if ok then ch.rx else no_msg
 
 let dequeued t ch =
   Backoff.progress (Backoff.get ());
@@ -268,27 +308,27 @@ let await t ch =
     m
   end
 
-(* Multipush seam (Torquati): [enqueue_local] parks the index in the
+(* Multipush seam (Torquati): [enqueue_local] parks the message in the
    SPSC ring's producer-private buffer — invisible to the consumer and
    free of any shared write — and [flush_local] publishes every parked
-   index with one head store.  Callers must flush before waking the
+   message with one head store.  Callers must flush before waking the
    consumer, or the wake-up races a message it cannot yet see.  On the
    other queue kinds the pair degrades to plain enqueue / no-op, so the
    batched plane in Rpc is transport-oblivious (pooled sessions, whose
    reply channels are MPSC, simply lose the multipush shortcut). *)
 
-let enqueue_local t ch m =
+let enqueue_local t ch ~client ~word =
   match ch.queue with
   | Q_spsc q ->
     let t_ns = pre_stamp t in
-    let ok = Spsc_ring.enqueue_local q m in
+    let ok = Spsc_ring.enqueue_local q ~client ~word in
     if ok then begin
       Backoff.progress (Backoff.get ());
       emit_at t ch Ulipc_observe.Event.Enqueue ~t_ns
     end
     else Backoff.note_role (Backoff.get ()) ~server_side:false;
     ok
-  | Q_two_lock _ | Q_mpsc _ -> enqueue t ch m
+  | Q_two_lock _ | Q_mpsc _ -> enqueue_pair t ch ~client ~word
 
 let flush_local _ ch =
   match ch.queue with
@@ -296,23 +336,23 @@ let flush_local _ ch =
   | Q_two_lock _ | Q_mpsc _ -> true
 
 (* Batch variants: one span claim on the queue, one trace event per
-   message, one backoff progress per batch.  Array-based — the spans
-   live in caller-owned scratch buffers, so a batch round-trip builds
-   no lists. *)
+   message, one backoff progress per batch.  Spans are (client, word)
+   pair arrays in caller-owned scratch buffers (the rings' span
+   layout), so a batch round-trip builds no lists. *)
 
-let enqueue_many t ch vs ~pos ~len =
+let enqueue_many t ch span ~pos ~len =
   let t_ns = pre_stamp t in
   let k =
     match ch.queue with
     | Q_two_lock q ->
+      Ring_layout.check_span ~who:"Real_substrate.enqueue_many" span ~pos ~len;
       let rec to_list i acc =
-        if i < pos then acc else to_list (i - 1) (vs.(i) :: acc)
+        if i < pos then acc
+        else to_list (i - 1) ((span.(2 * i), span.((2 * i) + 1)) :: acc)
       in
-      if len < 0 || pos < 0 || pos + len > Array.length vs then
-        invalid_arg "Real_substrate.enqueue_many: bad span";
       Tl_queue.enqueue_batch q (to_list (pos + len - 1) [])
-    | Q_spsc q -> Spsc_ring.enqueue_batch q vs ~pos ~len
-    | Q_mpsc q -> Mpsc_ring.enqueue_batch q vs ~pos ~len
+    | Q_spsc q -> Spsc_ring.enqueue_batch q span ~pos ~len
+    | Q_mpsc q -> Mpsc_ring.enqueue_batch q span ~pos ~len
   in
   if k > 0 then begin
     Backoff.progress (Backoff.get ());
@@ -327,10 +367,14 @@ let dequeue_many t ch ~buf ~pos ~max =
   let k =
     match ch.queue with
     | Q_two_lock q ->
-      if max < 0 || pos < 0 || pos + max > Array.length buf then
-        invalid_arg "Real_substrate.dequeue_many: bad span";
+      Ring_layout.check_span ~who:"Real_substrate.dequeue_many" buf ~pos
+        ~len:max;
       let ms = Tl_queue.dequeue_batch q ~max in
-      List.iteri (fun i v -> buf.(pos + i) <- v) ms;
+      List.iteri
+        (fun i (client, word) ->
+          buf.(2 * (pos + i)) <- client;
+          buf.((2 * (pos + i)) + 1) <- word)
+        ms;
       List.length ms
     | Q_spsc q -> Spsc_ring.dequeue_batch q buf ~pos ~max
     | Q_mpsc q -> Mpsc_ring.dequeue_batch q buf ~pos ~max

@@ -11,14 +11,20 @@
     when that grace runs out does the consumer clear its flag; the
     channel semaphores are created with [~spin:0] and park at once.
 
-    Messages are slab slot {e indices} (immediate ints): the substrate
-    owns a {!Slab} of preallocated payload slots, producers fill a
-    slot's flat fields and enqueue only its index, and consumers read
-    the fields back out by index — so the steady-state data path
-    allocates nothing on the minor heap.  The single
+    The ring cell carries the message: two immediate words, the client
+    number and one payload word.  A {!msg} is the index of a {e register}
+    in the session's register file — one two-word register per client
+    and per server, no two sharing a cache line.  {!enqueue} copies a
+    register into the claimed cell; {!dequeue} copies a ready cell into
+    the channel consumer's own register and returns it.  Only the
+    endpoint's own domain may write its register, so the steady-state
+    data path allocates nothing and takes no lock.  Producers that are
+    not the endpoint ({!Rpc.post}, {!Rpc.reply}, the batch and steal
+    paths) pass [(client, word)] pairs directly ({!enqueue_pair},
+    {!enqueue_many}).  The single
     [Ulipc.Protocol_core.Make (Real_substrate)] application in {!Rpc}
     still serves sessions of every request/reply type, via codecs that
-    marshal typed payloads into slot fields.
+    turn typed payloads into the payload word.
 
     The request plane is {e sharded}: [nservers] request channels, one
     per server domain, with clients statically mapped to a home shard by
@@ -49,12 +55,12 @@ type t
 type channel
 
 type msg = int
-(** A {!Slab} slot index; {!Ulipc.Substrate.S.no_msg} is [-1]. *)
+(** A register index (see {!client_register}); {!Ulipc.Substrate.S.no_msg}
+    is [-1]. *)
 
 val create :
   ?transport:transport ->
   ?trace:Trace_ring.t ->
-  ?slots:int ->
   ?nservers:int ->
   ?shard_assign:(int -> int) ->
   capacity:int ->
@@ -62,10 +68,9 @@ val create :
   unit ->
   t
 (** [nservers] request shard channels (default 1) plus [nclients] reply
-    channels, each bounded by [capacity], one payload {!Slab} of [slots]
-    slots (default [(nclients + nservers) * (capacity + 1)]: every
-    channel full plus one in-flight slot per endpoint can never exhaust
-    it), and a fresh {!Ulipc.Counters} sink.  [shard_assign] overrides
+    channels, each bounded by [capacity], a register file of
+    [nclients + nservers] registers, and a fresh {!Ulipc.Counters}
+    sink.  [shard_assign] overrides
     the round-robin client→shard map (see {!Shard_map.create}).
     [transport] (default {!Ring}) selects the queue implementation under
     every channel.  [trace] attaches an event-trace sink: every
@@ -84,11 +89,6 @@ val transport : t -> transport
 val trace : t -> Trace_ring.t option
 (** The sink given at {!create} time, for post-run draining. *)
 
-val slab : t -> Slab.t
-(** The payload slab all channels pass indices into.  {!Rpc} owns the
-    slot lifecycle (acquire/fill/pass/release); tests may inspect
-    [Slab.in_use_count] at quiescence. *)
-
 val nclients : t -> int
 
 val wake_residue : t -> int
@@ -101,6 +101,28 @@ val harvest_sem_counters : t -> unit
     parks and directed grants) into the session counters' [sem_parks]
     and [sem_grants] — call at quiescence, the slab high-water
     pattern. *)
+
+(** {1 Register file}
+
+    Register [m] holds one message, [(client, word)].  Client [c] owns
+    register [client_register t c], server [k] owns
+    [server_register t k]: a dequeue on reply channel [c] lands in the
+    first, a dequeue on request shard [k] in the second.  A register is
+    plain memory — only its owner's domain may touch it. *)
+
+val client_register : t -> int -> msg
+(** @raise Invalid_argument on a bad client number. *)
+
+val server_register : t -> int -> msg
+(** @raise Invalid_argument on a bad shard number. *)
+
+val register_client : t -> msg -> int
+val register_word : t -> msg -> int
+val set_register : t -> msg -> client:int -> word:int -> unit
+
+val enqueue_pair : t -> channel -> client:int -> word:int -> bool
+(** {!enqueue} of a message given by its words rather than a register:
+    for producers that own no register of their own. *)
 
 (** {1 Sharded request plane} *)
 
@@ -152,30 +174,31 @@ val steal_pending : t -> shard:int -> int
 (** {1 Batch data path}
 
     Outside the [Substrate.S] seam (the protocol core stays untouched):
-    the pipelined fast path in {!Rpc} uses these to move [k] slot
-    indices per atomic span claim and coalesce [k] wake-ups into one.
-    Spans live in caller-owned scratch arrays, so a batched round-trip
-    builds no lists. *)
+    the pipelined fast path in {!Rpc} uses these to move [k] messages
+    per atomic span claim and coalesce [k] wake-ups into one.  Spans are
+    caller-owned [(client, word)] pair arrays in the rings' layout
+    ({!Spsc_ring.enqueue_batch}), so a batched round-trip builds no
+    lists and touches no register. *)
 
-val enqueue_many : t -> channel -> msg array -> pos:int -> len:int -> int
-(** Enqueue a prefix of [vs.(pos .. pos+len-1)] with one span claim on
-    the transport ({!Spsc_ring.enqueue_batch} /
+val enqueue_many : t -> channel -> int array -> pos:int -> len:int -> int
+(** Enqueue a prefix of the [len] messages of the span at [pos] with one
+    span claim on the transport ({!Spsc_ring.enqueue_batch} /
     {!Mpsc_ring.enqueue_batch} / {!Tl_queue.enqueue_batch}); returns how
     many were accepted.  One trace event per message. *)
 
-val dequeue_many : t -> channel -> buf:msg array -> pos:int -> max:int -> int
-(** Dequeue up to [max] indices into [buf.(pos ..)] with one span claim;
-    returns how many were taken (FIFO, possibly 0). *)
+val dequeue_many : t -> channel -> buf:int array -> pos:int -> max:int -> int
+(** Dequeue up to [max] messages into the span of [buf] at [pos] with
+    one span claim; returns how many were taken (FIFO, possibly 0). *)
 
-val enqueue_local : t -> channel -> msg -> bool
-(** Torquati multipush: park the index in the SPSC producer-private
+val enqueue_local : t -> channel -> client:int -> word:int -> bool
+(** Torquati multipush: park the message in the SPSC producer-private
     buffer — no shared write, invisible to the consumer until
-    {!flush_local}.  On non-SPSC channels this is plain {!enqueue}.
-    Callers must flush before waking the consumer. *)
+    {!flush_local}.  On non-SPSC channels this is plain
+    {!enqueue_pair}.  Callers must flush before waking the consumer. *)
 
 val flush_local : t -> channel -> bool
-(** Publish every parked index with one head store; [false] when the
-    ring lacks room (the indices stay parked).  [true] and a no-op on
+(** Publish every parked message with one head store; [false] when the
+    ring lacks room (the messages stay parked).  [true] and a no-op on
     non-SPSC channels. *)
 
 val sem_v_n : t -> channel -> int -> unit

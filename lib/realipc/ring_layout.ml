@@ -6,19 +6,27 @@
    slot count masked into indices that grow without wrapping, an exact
    logical capacity that may be smaller than the slot count, occupancy
    read as the difference of two monotonically increasing indices, and
-   one flat (seq, value) word pair per slot.  This module is that
-   discipline's one home, so the two backends cannot drift.
+   one flat cell per slot: a seq word, then the message words.  This
+   module is that discipline's one home, so the two backends cannot
+   drift.
+
+   A cell carries the whole message.  The in-process rings' cells are
+   four words, (seq, client, word, spare): the message is the client
+   number and one payload word, copied in by the producer and out by
+   the consumer, so no payload lives anywhere else.  Pring's cells are
+   still (seq, value) pairs carrying one word — a Pslab slot index —
+   until the fork'd backend moves to the same word plane.
 
    One-shared-line rule.  A cell is the only line both sides write, the
    consumer writes only its own index, and a producer reads the
    consumer's index only when its private snapshot of it says the ring
    is full:
 
-   - the producer stores the value, then [seq = index + 1] (the cell is
-     ready), then, on the SPSC rings, its own [head];
+   - the producer stores every message word, then [seq = index + 1]
+     (the cell is ready), then, on the SPSC rings, its own [head];
    - the consumer polls the cell at its index for [seq = index + 1],
-     loads the value, and publishes only its own index — it never
-     writes the cell back;
+     copies every message word out, and only then publishes its own
+     index — it never writes the cell back;
    - a stale cell never reads as ready: a cell last used for index
      [i - ring] holds [seq = i - ring + 1], and a fresh one holds 0.
 
@@ -29,12 +37,14 @@
 
    Memory-ordering argument (every ring header refers here).  A producer
    reuses a cell only after it has seen the consumer's index past it.
-   The consumer loads the value before it stores its index (load ->
-   store), and the producer stores the value before the seq (store ->
-   store); the consumer's seq load precedes its value load (load ->
-   load).  x86-TSO reorders none of these, so the reader of a ready seq
-   sees that lap's value, and a reused cell's new value can never reach
-   a consumer load of the old one.  Every ring publishes with plain
+   The consumer loads every message word before it stores its index
+   (load -> store), and the producer stores every word before the seq
+   (store -> store); the consumer's seq load precedes its word loads
+   (load -> load).  x86-TSO reorders none of these, so the reader of a
+   ready seq sees that lap's words — all of them — and a reused cell's
+   new words can never reach a consumer load of the old message: a
+   message can neither arrive torn between two laps nor half-written.
+   Readiness is the seq alone, so a message word may hold any value.  Every ring publishes with plain
    stores, a release only under TSO: [require_tso] enforces it, and the
    session constructors of both backends call it.  Only the MPSC
    producers' ticket claim is a real CAS.
@@ -54,6 +64,12 @@ let ceil_pow2 n =
 let check_capacity ~who capacity =
   if capacity <= 0 then
     invalid_arg (who ^ ": capacity must be positive")
+
+(* A span of [len] messages at [pos] in a flat array of (client, word)
+   pairs — the batch layout of the in-process rings. *)
+let check_span ~who span ~pos ~len =
+  if pos < 0 || len < 0 || 2 * (pos + len) > Array.length span then
+    invalid_arg (who ^ ": bad span")
 
 (* Ring/mask/cap triple every ring constructor derives. *)
 let geometry ~who ~capacity =

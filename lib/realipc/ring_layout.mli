@@ -1,12 +1,16 @@
 (** Shared geometry for the flat bounded rings — in-process
     ([Spsc_ring]/[Mpsc_ring]) and cross-process ([Ulipc_procipc.Pring])
     alike: power-of-two slot counts, exact logical capacity, occupancy
-    as a difference of unwrapped indices, one flat (seq, value) word
-    pair per slot.
+    as a difference of unwrapped indices, one flat cell per slot — a
+    seq word, then the message words.  The in-process rings' cells are
+    [(seq, client, word, spare)] and carry the whole message;
+    [Ulipc_procipc.Pring]'s are still [(seq, value)] pairs carrying one
+    word.
 
     All four rings follow one rule: a cell is the only line both sides
-    write, the consumer writes only its own index, and a producer reads
-    the consumer's index only when its snapshot says the ring is full.
+    write, the consumer copies every message word out before it writes
+    its own index (and writes nothing else), and a producer reads the
+    consumer's index only when its snapshot says the ring is full.
     ring_layout.ml states the rule, the TSO memory-ordering argument
     behind it, and the snapshot-ordering rule for occupancy reads; each
     ring header refers there. *)
@@ -23,6 +27,12 @@ val ceil_pow2 : int -> int
 
 val check_capacity : who:string -> int -> unit
 (** @raise Invalid_argument when the capacity is not positive. *)
+
+val check_span : who:string -> int array -> pos:int -> len:int -> unit
+(** A batch span is [len] messages at message [pos] of a flat array of
+    [(client, word)] pairs: message [i] at [2 * (pos + i)] and
+    [2 * (pos + i) + 1].
+    @raise Invalid_argument ["<who>: bad span"] if it does not fit. *)
 
 val geometry : who:string -> capacity:int -> int * int * int
 (** [(ring, mask, cap)]: slot count, index mask, exact logical

@@ -19,23 +19,27 @@
    — honours it by draining a span of its own backlog (dequeue_many, its
    right as the ring's consumer) and re-enqueueing the span on the
    thief's ring (enqueue_many; any domain may produce), then waking the
-   thief like any other producer would.  Slot indices move between rings
-   for free: the payload slab is shared, so a steal copies ints, never
-   messages.  Whatever the thief's ring cannot accept stays in the
+   thief like any other producer would.  A message is two words, so a
+   steal copies word pairs between rings through the victim's private
+   span buffers.  Whatever the thief's ring cannot accept stays in the
    victim's private stash, consumed before its own ring — a message
    leaves its home ring at most once and can never be lost or
    duplicated.
 
-   What this module also owns is the slot lifecycle of the zero-copy
-   message plane.  The queues carry slab slot indices (Real_substrate's
-   [msg = int]); a codec pair marshals the session's typed payloads into
-   a slot's flat fields.  Ownership of a slot follows the message: the
-   sender allocates and fills it, the queue transfer hands it over, and
-   the receiver reads and releases it (or, in [serve], refills it in
-   place for the reply).  On the ring transport a steady-state
-   round-trip with immediate payloads therefore allocates nothing on the
-   minor heap — no message records, no options, no closures, no queue
-   nodes. *)
+   What this module also owns is how a typed payload becomes a message.
+   A message is two words in a ring cell, the client number and one
+   payload word; a codec turns a payload into that word and back.  The
+   synchronous paths go through the core with Real_substrate's
+   registers: a client writes its own register and [send]s it, a
+   server's receive lands in the server's register, and [serve]
+   rewrites that register in place for the reply.  Every other producer
+   — [post], [reply], the batch and steal paths — hands the substrate
+   [(client, word)] pairs directly, because it is not necessarily the
+   register's owner.  With the word codec a steady-state round-trip on
+   the ring transport allocates nothing on the minor heap and makes no
+   locked operation outside the ring ticket and the awake-flag CAS — no
+   message records, no options, no closures, no queue nodes, no slab
+   free list. *)
 
 module P = Ulipc.Protocol_core.Make (Real_substrate)
 
@@ -47,34 +51,28 @@ type waiting = Ulipc.Protocol_core.waiting =
   | Handoff
   | Adaptive of int
 
-type 'a codec = {
-  write : Slab.t -> int -> 'a -> unit;
-  read : Slab.t -> int -> 'a;
-}
+(* A codec is how a payload becomes the message's word.  [Word] is the
+   identity.  [Boxed] parks an arbitrary value in the session's slab,
+   the boxed side table, and sends its slot index; decoding releases
+   the slot.  The dynamic check Univ used to do per message is replaced
+   by the session invariant that each channel direction only ever
+   carries its own codec's encoding — enforced by the ('req, 'rep)
+   phantom on [t], not at runtime. *)
+type _ codec = Word : int codec | Boxed : 'a codec
 
-(* The generality Univ used to provide, moved into the slot: arbitrary
-   boxed payloads ride the slab's box field.  The dynamic check Univ did
-   per message is replaced by the session invariant that each channel
-   direction only ever carries its own codec's encoding — enforced by
-   the ('req, 'rep) phantom on [t], not at runtime. *)
-let boxed_codec () =
-  {
-    write = (fun slab i v -> Slab.set_box slab i (Obj.repr v));
-    read = (fun slab i -> Obj.obj (Slab.get_box slab i));
-  }
-
-let int_codec = { write = Slab.set_data; read = Slab.get_data }
-let float_codec = { write = Slab.set_arg; read = Slab.get_arg }
+let boxed_codec () = Boxed
+let int_codec = Word
 
 (* Per-server mutable state, owned exclusively by that server's domain
    (the scratch buffers and the stash are single-writer by the same
    convention that makes the Mpsc_ring consumer unique). *)
 type server_state = {
-  scratch : int array; (* span buffer for batch drains *)
+  scratch : int array; (* (client, word) span buffer for batch drains *)
   steal_buf : int array; (* span buffer for honouring a steal token *)
   stash : int array;
-      (* handoff leftovers the thief's ring could not accept: consumed
-         before the own ring, so stealing can never lose a message *)
+      (* handoff leftovers the thief's ring could not accept, as a span:
+         consumed before the own ring, so stealing can never lose a
+         message *)
   mutable stash_pos : int;
   mutable stash_len : int;
   mutable posted_on : int;
@@ -93,6 +91,7 @@ type ('req, 'rep) t = {
          Atomic for cross-domain publication, never contended. *)
   req_codec : 'req codec;
   rep_codec : 'rep codec;
+  slab : Slab.t; (* the boxed codec's side table *)
   servers : server_state array;
   client_scratch : int array array;
       (* span buffer per client, for its bursts and batch collects;
@@ -111,32 +110,45 @@ let create ?(capacity = 64) ?transport ?trace ?slots ?req_codec ?rep_codec
   let rep_codec =
     match rep_codec with Some c -> c | None -> boxed_codec ()
   in
+  (* Default side-table sizing: every channel full of boxed payloads
+     plus one in flight per endpoint (client or server) can never
+     exhaust it, so the protocols' flow control (the bounded queues) is
+     what callers observe, not slab pressure.  The channel count grows
+     with the fleet — [nservers] request shards plus [nclients] reply
+     channels — hence the dependence on both. *)
+  let slots =
+    match slots with
+    | Some n -> n
+    | None -> (nclients + nservers) * (capacity + 1)
+  in
+  let span () = Array.make (2 * capacity) 0 in
   {
     waiting;
     sub =
-      Real_substrate.create ?transport ?trace ?slots ~nservers ?shard_assign
-        ~capacity ~nclients ();
+      Real_substrate.create ?transport ?trace ~nservers ?shard_assign ~capacity
+        ~nclients ();
     adapt = Array.init (nservers + nclients) (fun _ -> Atomic.make 0);
     req_codec;
     rep_codec;
+    slab = Slab.create ~slots ();
     servers =
       Array.init nservers (fun _ ->
           {
-            scratch = Array.make capacity 0;
-            steal_buf = Array.make capacity 0;
-            stash = Array.make capacity 0;
+            scratch = span ();
+            steal_buf = span ();
+            stash = span ();
             stash_pos = 0;
             stash_len = 0;
             posted_on = -1;
           });
-    client_scratch = Array.init nclients (fun _ -> Array.make capacity 0);
+    client_scratch = Array.init nclients (fun _ -> span ());
   }
 
 let nclients t = Real_substrate.nclients t.sub
 let nservers t = Real_substrate.nshards t.sub
 let transport t = Real_substrate.transport t.sub
 let trace t = Real_substrate.trace t.sub
-let slab t = Real_substrate.slab t.sub
+let slab t = t.slab
 let counters t = Real_substrate.counters t.sub
 let request_depth t k = Real_substrate.request_depth t.sub k
 let wake_residue t = Real_substrate.wake_residue t.sub
@@ -164,8 +176,8 @@ let bump_replies t k =
   c.Ulipc.Counters.replies <- c.Ulipc.Counters.replies + k
 
 (* Slab exhaustion is flow control, one layer under the full-queue case:
-   every slot is riding a queue or held by a busy peer, so the sender
-   backs off exactly as it would for a full queue — but only for a
+   every slot's payload is riding a queue or held by a busy peer, so the
+   sender backs off exactly as it would for a full queue — but only for a
    bounded number of episodes.  Unreachable with the default slab sizing
    (every queue full plus one slot per endpoint fits); an undersized
    explicit [~slots] on a fleet-scale session would otherwise hang every
@@ -174,7 +186,7 @@ let bump_replies t k =
 let alloc_retry_limit = 10_000
 
 let rec alloc_slot_retry t retries =
-  let slab = Real_substrate.slab t.sub in
+  let slab = t.slab in
   let i = Slab.try_alloc slab in
   if i >= 0 then i
   else if retries >= alloc_retry_limit then
@@ -190,7 +202,23 @@ let rec alloc_slot_retry t retries =
     alloc_slot_retry t (retries + 1)
   end
 
-let alloc_slot t = alloc_slot_retry t 0
+let encode : type a req rep. (req, rep) t -> a codec -> a -> int =
+ fun t codec v ->
+  match codec with
+  | Word -> v
+  | Boxed ->
+    let i = alloc_slot_retry t 0 in
+    Slab.set_box t.slab i (Obj.repr v);
+    i
+
+let decode : type a req rep. (req, rep) t -> a codec -> int -> a =
+ fun t codec w ->
+  match codec with
+  | Word -> w
+  | Boxed ->
+    let v = Obj.obj (Slab.get_box t.slab w) in
+    Slab.release t.slab w;
+    v
 
 (* ------------------------------------------------------------------ *)
 (* Steal orchestration.                                                *)
@@ -264,7 +292,7 @@ let service_steal t ~server =
       let st = t.servers.(server) in
       let own = Real_substrate.request_shard sub server in
       let depth = Real_substrate.request_depth sub server in
-      let want = min (Array.length st.steal_buf) (max 1 (depth / 2)) in
+      let want = min (Array.length st.steal_buf / 2) (max 1 (depth / 2)) in
       let k =
         Real_substrate.dequeue_many sub own ~buf:st.steal_buf ~pos:0 ~max:want
       in
@@ -287,7 +315,7 @@ let service_steal t ~server =
              must not be re-enqueued on our ring behind newer traffic,
              or per-shard FIFO would invert; the stash preserves their
              position at the head of our backlog. *)
-          Array.blit st.steal_buf a st.stash 0 (k - a);
+          Array.blit st.steal_buf (2 * a) st.stash 0 (2 * (k - a));
           st.stash_pos <- 0;
           st.stash_len <- k - a
         end
@@ -295,22 +323,40 @@ let service_steal t ~server =
     end
   end
 
-let pop_stash st =
+let drop_stashed st n =
+  st.stash_pos <- st.stash_pos + n;
+  if st.stash_pos = st.stash_len then begin
+    st.stash_pos <- 0;
+    st.stash_len <- 0
+  end
+
+(* Move up to [max] stashed messages into the span of [buf] at [pos];
+   returns how many. *)
+let take_stash st buf ~pos ~max =
+  let n = min max (st.stash_len - st.stash_pos) in
+  if n > 0 then begin
+    Array.blit st.stash (2 * st.stash_pos) buf (2 * pos) (2 * n);
+    drop_stashed st n
+  end;
+  n
+
+(* The oldest stashed message, into the server's register, or [no_msg]. *)
+let pop_stash t ~server =
+  let st = t.servers.(server) in
   if st.stash_pos < st.stash_len then begin
-    let m = st.stash.(st.stash_pos) in
-    st.stash_pos <- st.stash_pos + 1;
-    if st.stash_pos = st.stash_len then begin
-      st.stash_pos <- 0;
-      st.stash_len <- 0
-    end;
-    m
+    let p = 2 * st.stash_pos in
+    let r = Real_substrate.server_register t.sub server in
+    Real_substrate.set_register t.sub r ~client:st.stash.(p)
+      ~word:st.stash.(p + 1);
+    drop_stashed st 1;
+    r
   end
   else Real_substrate.no_msg
 
 (* ------------------------------------------------------------------ *)
-(* The raw index planes: one core operation on the shard's or the      *)
-(* client's channel.  The typed layer below them is nothing but        *)
-(* alloc/fill before and read/release after.                           *)
+(* The raw message planes: one core operation on the shard's or the   *)
+(* client's channel, through the caller's own register — or, for a    *)
+(* producer that owns none, through [produce_pair].                    *)
 (* ------------------------------------------------------------------ *)
 
 let client_budget t client = t.adapt.(nservers t + client)
@@ -328,10 +374,10 @@ let send_msg t ~client m =
    own ring — in a pool, posting a steal claim on the deepest sibling
    first whenever the own ring is already empty (the claim costs one
    CAS and is retracted after the next successful receive).  A lone
-   server skips the emptiness probe: its only use is the claim. *)
+   server skips the emptiness probe: its only use is the claim.  Either
+   way the message lands in the server's register. *)
 let receive_msg t ~server =
-  let st = t.servers.(server) in
-  let m = pop_stash st in
+  let m = pop_stash t ~server in
   if m != Real_substrate.no_msg then begin
     bump_receives t 1;
     m
@@ -352,46 +398,59 @@ let receive_msg t ~server =
 let reply_msg t ~client m =
   P.reply t.sub t.waiting (Real_substrate.reply_channel t.sub client) m
 
+(* The core's producer half (P.1–P.3) for a producer that owns no
+   register: the message goes in by its words.  [post] may come from
+   any domain (shutdown fan-out does), and [reply] from whichever
+   server received the request — in a pool two servers can be replying
+   to one client at once — so neither may borrow a register. *)
+let rec produce_pair t ch ~target ~client ~word =
+  if Real_substrate.enqueue_pair t.sub ch ~client ~word then
+    ignore
+      (Ulipc.Protocol_core.blocks t.waiting
+       && P.Prims.wake_consumer t.sub ch ~target
+        : bool)
+  else begin
+    P.wait_for_room t.sub t.waiting;
+    produce_pair t ch ~target ~client ~word
+  end
+
 let send t ~client req =
-  check_client t client;
-  let slab = Real_substrate.slab t.sub in
-  let i = alloc_slot t in
-  Slab.set_client slab i client;
-  t.req_codec.write slab i req;
-  let j = send_msg t ~client i in
-  let rep = t.rep_codec.read slab j in
-  Slab.release slab j;
-  rep
+  let sub = t.sub in
+  let r = Real_substrate.client_register sub client in
+  Real_substrate.set_register sub r ~client ~word:(encode t t.req_codec req);
+  let j = send_msg t ~client r in
+  decode t t.rep_codec (Real_substrate.register_word sub j)
 
 let call = send
 
+(* The [(client, payload)] of the request in register [i]. *)
+let received t i =
+  ( Real_substrate.register_client t.sub i,
+    decode t t.req_codec (Real_substrate.register_word t.sub i) )
+
 let receive ?(server = 0) t =
   check_server t server;
-  let slab = Real_substrate.slab t.sub in
-  let i = receive_msg t ~server in
-  let client = Slab.get_client slab i in
-  let req = t.req_codec.read slab i in
-  Slab.release slab i;
-  (client, req)
+  received t (receive_msg t ~server)
 
 let reply t ~client rep =
   check_client t client;
-  let slab = Real_substrate.slab t.sub in
-  let j = alloc_slot t in
-  t.rep_codec.write slab j rep;
-  reply_msg t ~client j
+  produce_pair t
+    (Real_substrate.reply_channel t.sub client)
+    ~target:Client ~client ~word:(encode t t.rep_codec rep);
+  bump_replies t 1
 
 let serve ?(server = 0) t f =
   check_server t server;
-  let slab = Real_substrate.slab t.sub in
+  let sub = t.sub in
   let i = receive_msg t ~server in
-  let client = Slab.get_client slab i in
-  let rep = f ~client (t.req_codec.read slab i) in
-  (* The request slot becomes the reply slot: the server owns it between
-     its dequeue and the reply enqueue, so refilling in place is safe and
-     saves the release/alloc pair — the whole server turn touches no
-     shared allocator state and no heap. *)
-  t.rep_codec.write slab i rep;
+  let client = Real_substrate.register_client sub i in
+  let rep =
+    f ~client (decode t t.req_codec (Real_substrate.register_word sub i))
+  in
+  (* The request's register becomes the reply's: it is the server's
+     own, and the reply enqueue copies it into the cell before the
+     server's next receive can land in it. *)
+  Real_substrate.set_register sub i ~client ~word:(encode t t.rep_codec rep);
   reply_msg t ~client i
 
 (* The asynchronous halves: the core's producer half, and exactly the
@@ -402,15 +461,9 @@ let post ?shard t ~client req =
   check_client t client;
   let sh = match shard with Some s -> s | None -> shard_of_client t client in
   check_server t sh;
-  let slab = Real_substrate.slab t.sub in
-  let i = alloc_slot t in
-  Slab.set_client slab i client;
-  t.req_codec.write slab i req;
-  ignore
-    (P.produce t.sub t.waiting
-       (Real_substrate.request_shard t.sub sh)
-       ~target:Server i
-      : bool)
+  produce_pair t
+    (Real_substrate.request_shard t.sub sh)
+    ~target:Server ~client ~word:(encode t t.req_codec req)
 
 let collect_msg t ~client =
   P.consume t.sub t.waiting
@@ -418,11 +471,8 @@ let collect_msg t ~client =
     ~side:Client ~budget:(client_budget t client)
 
 let collect t ~client =
-  let slab = Real_substrate.slab t.sub in
   let j = collect_msg t ~client in
-  let rep = t.rep_codec.read slab j in
-  Slab.release slab j;
-  rep
+  decode t t.rep_codec (Real_substrate.register_word t.sub j)
 
 (* ------------------------------------------------------------------ *)
 (* Batched & pipelined fast path.                                      *)
@@ -460,74 +510,59 @@ let rec push_batch t ch ~target buf ~pos ~len =
     end
   end
 
+(* Encode the head of [reqs] into the span [buf] until it holds [k]
+   messages; returns the rest of the list. *)
+let rec fill_span t ~client buf n k reqs =
+  match reqs with
+  | r :: rest when n < k ->
+    buf.(2 * n) <- client;
+    buf.((2 * n) + 1) <- encode t t.req_codec r;
+    fill_span t ~client buf (n + 1) k rest
+  | rest -> rest
+
 let post_batch t ~client reqs =
   check_client t client;
-  let slab = Real_substrate.slab t.sub in
   let buf = t.client_scratch.(client) in
-  let cap = Array.length buf in
+  let cap = Array.length buf / 2 in
   let request =
     Real_substrate.request_shard t.sub (shard_of_client t client)
   in
-  let rec chunks = function
-    | [] -> ()
-    | reqs ->
-      let rec fill n = function
-        | r :: rest when n < cap ->
-          let i = alloc_slot t in
-          Slab.set_client slab i client;
-          t.req_codec.write slab i r;
-          buf.(n) <- i;
-          fill (n + 1) rest
-        | rest -> (n, rest)
-      in
-      let n, rest = fill 0 reqs in
-      if n > 0 then push_batch t request ~target:Server buf ~pos:0 ~len:n;
-      chunks rest
+  let rec chunks left reqs =
+    if left > 0 then begin
+      let n = min cap left in
+      let rest = fill_span t ~client buf 0 n reqs in
+      push_batch t request ~target:Server buf ~pos:0 ~len:n;
+      chunks (left - n) rest
+    end
   in
-  chunks reqs
+  chunks (List.length reqs) reqs
+
+(* The [(client, payload)] of message [i] of a request span. *)
+let take_request t buf i =
+  (buf.(2 * i), decode t t.req_codec buf.((2 * i) + 1))
 
 let receive_batch ?(server = 0) t ~max =
   if max <= 0 then invalid_arg "Rpc.receive_batch: max must be positive";
   check_server t server;
-  let slab = Real_substrate.slab t.sub in
-  let st = t.servers.(server) in
-  let take i =
-    let client = Slab.get_client slab i in
-    let req = t.req_codec.read slab i in
-    Slab.release slab i;
-    (client, req)
-  in
-  let first = take (receive_msg t ~server) in
+  let sub = t.sub in
+  let first = received t (receive_msg t ~server) in
   if max = 1 then [ first ]
   else begin
+    let st = t.servers.(server) in
     let buf = st.scratch in
     (* Drain the stash before the ring: stolen-handoff leftovers are the
        oldest messages this server owns. *)
-    let n_stash = ref 0 in
-    let want = min (max - 1) (Array.length buf) in
-    while
-      !n_stash < want
-      &&
-      let m = pop_stash st in
-      if m != Real_substrate.no_msg then begin
-        buf.(!n_stash) <- m;
-        incr n_stash;
-        true
-      end
-      else false
-    do
-      ()
-    done;
+    let want = min (max - 1) (Array.length buf / 2) in
+    let n_stash = take_stash st buf ~pos:0 ~max:want in
     let k =
-      !n_stash
-      + Real_substrate.dequeue_many t.sub
-          (Real_substrate.request_shard t.sub server)
-          ~buf ~pos:!n_stash
-          ~max:(want - !n_stash)
+      n_stash
+      + Real_substrate.dequeue_many sub
+          (Real_substrate.request_shard sub server)
+          ~buf ~pos:n_stash ~max:(want - n_stash)
     in
     bump_receives t k;
     let rec build i acc =
-      if i < 0 then acc else build (i - 1) (take buf.(i) :: acc)
+      if i < 0 then acc else build (i - 1) (take_request t buf i :: acc)
     in
     first :: build (k - 1) []
   end
@@ -539,7 +574,7 @@ let wait_for_consumer t ch ~target =
   P.wait_for_room t.sub t.waiting
 
 (* Multipush flow control for a same-client reply run: [enqueue_local]
-   parks each index in the SPSC producer-private buffer — no shared
+   parks each message in the SPSC producer-private buffer — no shared
    store per message — and the end-of-run flush publishes the whole span
    with one head store, followed by one coalesced wake-up.  If buffer
    and ring both fill mid-run, only the consumer can make room, so the
@@ -547,11 +582,11 @@ let wait_for_consumer t ch ~target =
    no-deferred-wake rule as [push_batch]).  On pooled sessions the reply
    rings are MPSC and enqueue_local degrades to plain enqueue — correct,
    just without the private-buffer shortcut. *)
-let rec push_local t ch ~target m =
-  if not (Real_substrate.enqueue_local t.sub ch m) then begin
+let rec push_local t ch ~target ~client ~word =
+  if not (Real_substrate.enqueue_local t.sub ch ~client ~word) then begin
     ignore (Real_substrate.flush_local t.sub ch : bool);
     wait_for_consumer t ch ~target;
-    push_local t ch ~target m
+    push_local t ch ~target ~client ~word
   end
 
 let rec flush_run t ch ~target =
@@ -569,21 +604,18 @@ let reply_batch t reps =
      ring's multipush — one index publish and at most one wake-up per
      run — while per-client FIFO order is preserved whatever the
      interleaving of clients in [reps]. *)
-  let slab = Real_substrate.slab t.sub in
-  let encode r =
-    let j = alloc_slot t in
-    t.rep_codec.write slab j r;
-    j
+  let push ch client rep =
+    push_local t ch ~target:Client ~client ~word:(encode t t.rep_codec rep)
   in
   let rec runs = function
     | [] -> ()
     | (client, rep) :: rest ->
       check_client t client;
       let ch = Real_substrate.reply_channel t.sub client in
-      push_local t ch ~target:Client (encode rep);
+      push ch client rep;
       let rec run n = function
         | (c, r) :: rest when c = client ->
-          push_local t ch ~target:Client (encode r);
+          push ch client r;
           run (n + 1) rest
         | rest -> (n, rest)
       in
@@ -594,18 +626,21 @@ let reply_batch t reps =
   in
   runs reps
 
+(* Prepend the decoded replies of the first [k] messages of [buf] to
+   [acc], oldest deepest. *)
+let rec add_replies t buf k acc i =
+  if i >= k then acc
+  else
+    add_replies t buf k
+      (decode t t.rep_codec buf.((2 * i) + 1) :: acc)
+      (i + 1)
+
 let collect_batch t ~client ~n =
   if n < 0 then invalid_arg "Rpc.collect_batch: negative n";
   check_client t client;
-  let slab = Real_substrate.slab t.sub in
   let ch = Real_substrate.reply_channel t.sub client in
   let buf = t.client_scratch.(client) in
-  let cap = Array.length buf in
-  let decode j =
-    let r = t.rep_codec.read slab j in
-    Slab.release slab j;
-    r
-  in
+  let cap = Array.length buf / 2 in
   let rec go acc got =
     if got >= n then List.rev acc
     else begin
@@ -613,13 +648,8 @@ let collect_batch t ~client ~n =
         Real_substrate.dequeue_many t.sub ch ~buf ~pos:0
           ~max:(min (n - got) cap)
       in
-      if k = 0 then go (decode (collect_msg t ~client) :: acc) (got + 1)
-      else begin
-        let rec add acc i =
-          if i >= k then acc else add (decode buf.(i) :: acc) (i + 1)
-        in
-        go (add acc 0) (got + k)
-      end
+      if k = 0 then go (collect t ~client :: acc) (got + 1)
+      else go (add_replies t buf k acc 0) (got + k)
     end
   in
   go [] 0
@@ -627,52 +657,30 @@ let collect_batch t ~client ~n =
 let call_pipelined t ~client ~depth reqs =
   if depth <= 0 then invalid_arg "Rpc.call_pipelined: depth must be positive";
   check_client t client;
-  let slab = Real_substrate.slab t.sub in
   let ch = Real_substrate.reply_channel t.sub client in
   let buf = t.client_scratch.(client) in
-  let cap = Array.length buf in
+  let cap = Array.length buf / 2 in
   let request =
     Real_substrate.request_shard t.sub (shard_of_client t client)
   in
-  let decode j =
-    let r = t.rep_codec.read slab j in
-    Slab.release slab j;
-    r
-  in
   (* Sliding window: keep up to [depth] requests outstanding; post in
      span-claimed bursts, collect opportunistically in batches.  The
-     client's scratch array serves both directions — bursts and collects
+     client's scratch span serves both directions — bursts and collects
      never overlap within the owning domain. *)
   let rec go pending npending out acc =
     if npending = 0 && out = 0 then List.rev acc
     else if npending > 0 && out < depth then begin
       let k = min (min (depth - out) npending) cap in
-      let rec burst n pending =
-        if n >= k then pending
-        else
-          match pending with
-          | [] -> assert false (* npending counts the list *)
-          | r :: rest ->
-            let i = alloc_slot t in
-            Slab.set_client slab i client;
-            t.req_codec.write slab i r;
-            buf.(n) <- i;
-            burst (n + 1) rest
-      in
-      let pending = burst 0 pending in
+      let pending = fill_span t ~client buf 0 k pending in
       push_batch t request ~target:Server buf ~pos:0 ~len:k;
       go pending (npending - k) (out + k) acc
     end
     else begin
-      let k = Real_substrate.dequeue_many t.sub ch ~buf ~pos:0 ~max:(min out cap) in
-      if k = 0 then
-        go pending npending (out - 1) (decode (collect_msg t ~client) :: acc)
-      else begin
-        let rec add acc i =
-          if i >= k then acc else add (decode buf.(i) :: acc) (i + 1)
-        in
-        go pending npending (out - k) (add acc 0)
-      end
+      let k =
+        Real_substrate.dequeue_many t.sub ch ~buf ~pos:0 ~max:(min out cap)
+      in
+      if k = 0 then go pending npending (out - 1) (collect t ~client :: acc)
+      else go pending npending (out - k) (add_replies t buf k acc 0)
     end
   in
   let n = List.length reqs in

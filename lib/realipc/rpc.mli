@@ -17,19 +17,18 @@
     a steal token on the deepest loaded sibling, and that sibling — the
     only legal consumer of its MPSC ring — hands half its backlog over
     by draining and re-enqueueing a span onto the idle server's ring.
-    Messages are slab slot indices, so a steal moves ints between rings,
-    never payloads; no message is ever lost, duplicated, or consumed by
-    two servers (the token is consumed exactly once, and dequeued
-    overflow waits in the victim's private stash).
+    A message is two words, so a steal moves word pairs between rings;
+    no message is ever lost, duplicated, or consumed by two servers (the
+    token is consumed exactly once, and dequeued overflow waits in the
+    victim's private stash).
 
-    Requests and replies are arbitrary OCaml values, but they travel
-    zero-copy: the queues carry only {!Slab} slot indices, and a
-    {!type-codec} pair marshals each payload into a slot's flat fields.
-    The sender allocates and fills a slot, the queue transfer hands its
-    ownership over, the receiver reads and releases it.  With an
-    immediate-payload codec ({!int_codec}) a steady-state round-trip on
-    the ring transport allocates {e nothing} on the minor heap — at any
-    [nservers]. *)
+    Requests and replies are arbitrary OCaml values, but each travels as
+    one word in the ring cell next to the client number: a {!type-codec}
+    turns a payload into that word and back.  With the word codec
+    ({!int_codec}) a steady-state round-trip on the ring transport
+    allocates {e nothing} on the minor heap — at any [nservers] — and
+    touches no shared memory but the ring cells and the channel
+    semaphore words. *)
 
 type waiting = Ulipc.Protocol_core.waiting =
   | Spin  (** BSS: busy-wait with [Domain.cpu_relax], never block *)
@@ -52,31 +51,25 @@ type waiting = Ulipc.Protocol_core.waiting =
 
 (** {1 Codecs}
 
-    How a payload crosses the slot boundary: [write] marshals a value
-    into slot [i]'s flat fields, [read] recovers it.  Each direction of
-    a session uses exactly one codec, fixed at {!create} time — the
-    [('req, 'rep)] type parameters are what make the [Obj]-based default
-    safe, exactly as they did for the former dynamic [Univ] check. *)
+    How a payload becomes the message's one payload word and back.  Each
+    direction of a session uses exactly one codec, fixed at {!create}
+    time — the [('req, 'rep)] type parameters are what make the
+    [Obj]-based default safe, exactly as they did for the former dynamic
+    [Univ] check. *)
 
-type 'a codec = {
-  write : Slab.t -> int -> 'a -> unit;
-  read : Slab.t -> int -> 'a;
-}
+type 'a codec
 
 val boxed_codec : unit -> 'a codec
-(** The default: the value rides the slot's boxed escape hatch
-    ([Slab.set_box]/[get_box]).  Works for every type; payloads that are
-    themselves heap values keep their usual allocation cost, immediates
-    travel free. *)
+(** The default: the value is parked in the session's {!slab}, the boxed
+    side table, and its slot index travels as the word; decoding reads
+    it back and releases the slot.  Works for every type, at the cost of
+    a lock-free slot allocation and release per message.  Fails a sender
+    whose slab stays exhausted (see {!create}'s [slots]). *)
 
 val int_codec : int codec
-(** The slot's [data] field: fully unboxed, the zero-allocation
-    round-trip codec. *)
-
-val float_codec : float codec
-(** The slot's unboxed [arg] field.  (Reading through the codec seam
-    still boxes the returned float — use it to keep floats out of the
-    {e queues}, not to make a float round-trip allocation-free.) *)
+(** The identity: the int is the word.  Any int, negative ones
+    included.  The zero-allocation round-trip codec; it never touches
+    the slab. *)
 
 type ('req, 'rep) t
 
@@ -98,12 +91,13 @@ val create :
     see {!Real_substrate.transport}.  [trace] attaches a {!Trace_ring}
     sink recording timestamped enqueue/dequeue/block/wake/handoff events
     into per-domain bounded rings, drained after the run with
-    {!Trace_ring.events}.  [slots] sizes the payload slab (default:
-    derived from [(nclients, nservers, capacity)] so it can never
-    exhaust — see {!Real_substrate.create}; an explicit undersized
-    [slots] fails a sender with a clear [Failure] after bounded
+    {!Trace_ring.events}.  [slots] sizes the boxed codec's side table
+    (default [(nclients + nservers) * (capacity + 1)]: every channel
+    full plus one payload in flight per endpoint, so it can never
+    exhaust; an explicit undersized [slots] fails a boxed sender with a
+    clear [Failure] ["Rpc: payload slab exhausted ..."] after bounded
     back-off rather than hanging).  [req_codec] / [rep_codec] (default
-    {!boxed_codec}) marshal the two directions' payloads.
+    {!boxed_codec}) encode the two directions' payloads.
 
     [nservers] (default 1) shards the request plane: server domain [k]
     must pass [~server:k] to {!receive}/{!serve}/{!receive_batch}, and
@@ -132,17 +126,19 @@ val trace : ('req, 'rep) t -> Trace_ring.t option
 (** The event-trace sink given at {!create} time, if any. *)
 
 val slab : ('req, 'rep) t -> Slab.t
-(** The session's payload slab.  For tests: at quiescence every slot has
-    been released, so [Slab.in_use_count] is 0; [Slab.high_water] tells
-    how close the run came to the configured [slots]. *)
+(** The session's boxed side table.  At quiescence every slot has been
+    released, so [Slab.in_use_count] is 0; [Slab.high_water] tells how
+    close the run came to the configured [slots] — and stays 0 when
+    neither direction uses {!boxed_codec}. *)
 
 val send : ('req, 'rep) t -> client:int -> 'req -> 'rep
 (** Synchronous call from client [client] (0-based), via its home
-    shard.  Clients must not share a client number concurrently.
+    shard.  Clients must not share a client number concurrently: the
+    call passes through the client's own register.
     @raise Invalid_argument on a bad client number. *)
 
 val call : ('req, 'rep) t -> client:int -> 'req -> 'rep
-(** Alias of {!send} — one slot out, one slot back. *)
+(** Alias of {!send} — one message out, one message back. *)
 
 val receive : ?server:int -> ('req, 'rep) t -> int * 'req
 (** Server side: next request on shard [server] (default 0) as
@@ -154,18 +150,18 @@ val receive : ?server:int -> ('req, 'rep) t -> int * 'req
     @raise Invalid_argument on a bad server number. *)
 
 val reply : ('req, 'rep) t -> client:int -> 'rep -> unit
+(** Send a reply to client [client], from any domain. *)
 
 val serve : ?server:int -> ('req, 'rep) t -> (client:int -> 'req -> 'rep) -> unit
 (** One allocation-free server turn on shard [server] (default 0):
-    receive a request, apply [f], and send the reply {e in the request's
-    slot} — the server owns the slot between dequeue and reply-enqueue,
-    so it is refilled in place and no release/alloc pair (and no
-    [receive] tuple) is paid. *)
+    receive a request into the server's register, apply [f], and send
+    the reply {e from the same register}, rewritten in place — no
+    [receive] tuple is built. *)
 
 val post : ?shard:int -> ('req, 'rep) t -> client:int -> 'req -> unit
 (** Asynchronous send: enqueue on the client's home shard (or [shard]
     if given — shutdown fan-out uses this to target every server) and
-    wake that server, do not wait.
+    wake that server, do not wait.  May be called from any domain.
     @raise Invalid_argument on a bad client or shard number. *)
 
 val collect : ('req, 'rep) t -> client:int -> 'rep
@@ -177,8 +173,8 @@ val collect : ('req, 'rep) t -> client:int -> 'rep
     Built on the substrate's span-claim batch operations
     ({!Real_substrate.enqueue_many} / {!Real_substrate.dequeue_many})
     and, on the reply rings of single-server sessions, Torquati's
-    multipush ({!Real_substrate.enqueue_local}): [k] slot indices move
-    per atomic claim, spans live in preallocated scratch arrays, and the
+    multipush ({!Real_substrate.enqueue_local}): [k] messages move per
+    atomic claim, spans live in preallocated scratch arrays, and the
     wake-up side coalesces to at most one signal per batch
     ({!Rsem.v_n}). *)
 
@@ -204,9 +200,9 @@ val receive_batch : ?server:int -> ('req, 'rep) t -> max:int -> (int * 'req) lis
     @raise Invalid_argument if [max <= 0] or on a bad server number. *)
 
 val reply_batch : ('req, 'rep) t -> (int * 'rep) list -> unit
-(** Send every [(client, reply)] pair; consecutive same-client runs ride
-    the reply ring's producer-local multipush buffer — one index publish
-    and at most one wake-up per run.  Per-client FIFO order follows list
+(** Send every [(client, reply)] pair, from any domain; consecutive
+    same-client runs ride the reply ring's producer-local multipush
+    buffer — one index publish and at most one wake-up per run.  Per-client FIFO order follows list
     order.
     @raise Invalid_argument on a bad client number (earlier runs in the
     list will already have been sent). *)

@@ -1,18 +1,15 @@
-(* Preallocated message slab for the real backend's zero-copy message
-   plane: the free-pool idea of §2.1 ("fixed sized messages to permit
-   efficient free-pool management") built from one atomic word, usable
-   from any number of domains, allocation-free per operation.  Its
-   cross-process port is Ulipc_procipc.Pslab, the same design over
-   arena words.
+(* The boxed side table of the in-process message plane: the free-pool
+   idea of §2.1 ("fixed sized messages to permit efficient free-pool
+   management") built from one atomic word, usable from any number of
+   domains, allocation-free per operation.  Its cross-process port is
+   Ulipc_procipc.Pslab, the same design over arena words.
 
-   Layout.  A message is not a record but an index into parallel flat
-   arrays, one per payload field: four immediate ints (client, tag,
-   data, aux), one unboxed float (arg), and one Obj.t escape hatch (box)
-   for sessions that carry arbitrary boxed values.  Filling a slot
-   writes plain array cells; nothing is allocated, and — except for
-   [box] — nothing is a pointer, which is what a future MAP_SHARED
-   cross-process substrate needs (OCaml heap pointers cannot cross a
-   process boundary; slot indices can).
+   Messages themselves ride the ring cells as two immediate words (see
+   Ring_layout); a slot here holds only what cannot be a word: one
+   arbitrary boxed value ([box]), for sessions whose codec boxes their
+   payloads.  The sender allocates a slot, stores the value and sends
+   the slot index as the message word; the receiver reads the value
+   back and releases the slot.
 
    Free list.  A Treiber stack threaded through [next], with the head
    packed as (version, index) in one int: 24 low bits of index, the
@@ -44,11 +41,6 @@ type t = {
   hwm : int Atomic.t; (* high-water mark of [live], CAS-maxed *)
   next : int array; (* free-list links, encoded like the head's index *)
   in_use : bool array;
-  client : int array;
-  tag : int array;
-  data : int array;
-  aux : int array;
-  arg : float array;
   box : Obj.t array;
   n : int;
 }
@@ -63,11 +55,6 @@ let create ~slots () =
     hwm = Padding.copy_padded (Atomic.make 0);
     next = Array.init slots (fun i -> if i = slots - 1 then enc_nil else i + 1);
     in_use = Array.make slots false;
-    client = Array.make slots 0;
-    tag = Array.make slots 0;
-    data = Array.make slots 0;
-    aux = Array.make slots 0;
-    arg = Array.make slots 0.0;
     box = Array.make slots (Obj.repr 0);
     n = slots;
   }
@@ -125,20 +112,7 @@ let release t i =
 let in_use_count t = Atomic.get t.live
 let high_water t = Atomic.get t.hwm
 
-(* Payload accessors: plain bounds-checked array cells.  All immediate
-   (or unboxed-float) stores except [set_box], which pays one write
-   barrier and is the one accessor a cross-process substrate could not
-   offer. *)
-
-let get_client t i = t.client.(i)
-let set_client t i v = t.client.(i) <- v
-let get_tag t i = t.tag.(i)
-let set_tag t i v = t.tag.(i) <- v
-let get_data t i = t.data.(i)
-let set_data t i v = t.data.(i) <- v
-let get_aux t i = t.aux.(i)
-let set_aux t i v = t.aux.(i) <- v
-let get_arg t i = t.arg.(i)
-let set_arg t i (v : float) = t.arg.(i) <- v
+(* The payload: one bounds-checked array cell.  The store pays a write
+   barrier — the one thing a cross-process substrate could not offer. *)
 let get_box t i = t.box.(i)
 let set_box t i (v : Obj.t) = t.box.(i) <- v

@@ -1,26 +1,25 @@
-(** Preallocated, domain-safe message slab: fixed-size payload slots in
-    flat unboxed arrays, recycled through a lock-free Treiber free list.
+(** Preallocated, domain-safe side table for boxed payloads: one
+    [Obj.t] per slot, recycled through a lock-free Treiber free list.
 
-    The zero-copy message plane passes {e slot indices} through the
-    queues instead of boxed records: a producer allocates a slot, fills
-    its payload fields in place, and enqueues the index; the consumer
-    reads the fields and releases the slot.  No step allocates on the
-    OCaml heap, and no queue ever carries a heap pointer (unless the
-    session opts into the {!set_box} escape hatch) — the property the
-    MAP_SHARED cross-process substrate requires and [Ulipc_procipc.Pslab]
-    realises over arena words.
+    The in-process message plane carries every message as two
+    immediate words in its ring cell ({!Ring_layout}); a payload that is
+    not an immediate — the boxed codec of {!Rpc} — is parked here and
+    travels as its slot index: the sender allocates a slot and stores
+    the value, the receiver reads it back and releases the slot.  No
+    step allocates on the OCaml heap.  {!Ulipc_procipc.Pslab} is the
+    cross-process port of the same free list over arena words.
 
     Thread safety: {!try_alloc}/{!alloc}/{!release} are lock-free and
     safe from any number of domains (ABA-protected by a version-packed
-    head).  Payload accessors are unsynchronised plain loads/stores —
-    safe under the ownership discipline (exactly one domain owns a slot
-    between alloc and release; queue transfer hands ownership over with
-    release/acquire publication). *)
+    head).  {!get_box}/{!set_box} are unsynchronised plain array
+    accesses — safe under the ownership discipline (exactly one domain
+    owns a slot between alloc and release; queue transfer hands
+    ownership over with release/acquire publication). *)
 
 type t
 
 val create : slots:int -> unit -> t
-(** A slab of [slots] fixed-size payload slots, all initially free.
+(** A slab of [slots] payload slots, all initially free.
     @raise Invalid_argument if [slots <= 0] or [slots >= 2^24]. *)
 
 val slots : t -> int
@@ -53,28 +52,11 @@ val high_water : t -> int
     run came to exhaustion.  Reported in [Counters.slab_hwm] by the
     drivers so fleet-sized runs can verify their slab headroom. *)
 
-(** {1 Payload fields}
-
-    Parallel flat arrays indexed by slot: four immediate ints, one
-    unboxed float, one boxed escape hatch.  The message plane reserves
-    [client] for routing (the requesting client's number); codecs own
-    the rest.  All accessors are plain array loads/stores and raise
-    [Invalid_argument] on an out-of-range index. *)
-
-val get_client : t -> int -> int
-val set_client : t -> int -> int -> unit
-val get_tag : t -> int -> int
-val set_tag : t -> int -> int -> unit
-val get_data : t -> int -> int
-val set_data : t -> int -> int -> unit
-val get_aux : t -> int -> int
-val set_aux : t -> int -> int -> unit
-val get_arg : t -> int -> float
-val set_arg : t -> int -> float -> unit
+(** {1 Payload} *)
 
 val get_box : t -> int -> Obj.t
-(** The escape hatch for arbitrary boxed payloads (used by the default
-    {!Rpc} codec).  Cleared to an immediate on {!release} so the slab
-    never retains a retired payload. *)
+(** The slot's boxed payload.  Cleared to an immediate on {!release}
+    so the slab never retains a retired payload.
+    @raise Invalid_argument on an out-of-range index. *)
 
 val set_box : t -> int -> Obj.t -> unit

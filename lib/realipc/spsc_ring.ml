@@ -3,21 +3,23 @@
    (TR-10-20) shows matter on shared-cache multicores, under the
    one-shared-line rule of Ring_layout —
 
-   - each slot is a (seq, value) word pair; the consumer polls the cell
-     at [tail] for [seq = tail + 1] and never reads the producer's
-     [head] or writes the cell back (a stale cell holds an older lap's
-     seq and never reads as ready), so the slot line is the only line
-     a hop moves;
+   - each slot is a four-word cell (seq, client, word, spare) that
+     carries the message itself; the consumer polls the cell at [tail]
+     for [seq = tail + 1], copies both message words out, and never
+     reads the producer's [head] or writes the cell back (a stale cell
+     holds an older lap's seq and never reads as ready), so the slot
+     line is the only line a hop moves;
    - head and tail live in separate cache-line-padded atomics, and the
      producer keeps a private snapshot of the consumer's index
      ([cached_tail]), re-reading the shared [tail] only when the
      snapshot says the ring looks full;
-   - values are non-negative immediates (slab indices), so an enqueue
-     is two plain unboxed stores and a dequeue returns the value itself
-     with [-1] as the empty sentinel — no [Some] allocation, no write
-     barrier, no GC pressure;
+   - the message words are immediates, so an enqueue is three plain
+     unboxed stores and a dequeue copies two words into a
+     caller-owned array — no [Some] allocation, no write barrier, no GC
+     pressure; readiness rides on [seq] alone, so a word may be any
+     int;
    - multipush ([enqueue_local]/[flush]): the producer batches up to
-     [mp_k] values in a private buffer and publishes them as one span;
+     [mp_k] messages in a private buffer and publishes them as one span;
    - temporal slipping: [flush] writes the buffered span {e backward}
      (highest slot first), so the cell the consumer polls next is the
      last one made ready and the consumer walks a span the producer has
@@ -36,21 +38,21 @@
    Cell and index stores are plain — [fenceless_set] below is the
    x86-TSO plain store standing in for Torquati's compiler-only WMB —
    because [Atomic.set]'s full fence alone costs more than the rest of
-   the operation.  The ordering argument is Ring_layout's: value before
-   seq (store-store), seq before value on the consumer side (load-load),
-   value load before the tail publish (load-store); TSO reorders none,
-   and the amd64 backend schedules no instructions across them.
-   [Real_substrate.create] refuses to run on a weakly-ordered target
-   ([Ring_layout.require_tso]). *)
+   the operation.  The ordering argument is Ring_layout's: words before
+   seq (store-store), seq before words on the consumer side
+   (load-load), word loads before the tail publish (load-store); TSO
+   reorders none, and the amd64 backend schedules no instructions
+   across them.  [Real_substrate.create] refuses to run on a
+   weakly-ordered target ([Ring_layout.require_tso]). *)
 
 type t = {
-  cells : int array; (* 2 * ring words: (seq, value) per slot *)
+  cells : int array; (* 4 * ring words: (seq, client, word, spare) per slot *)
   mask : int;
   cap : int;
   head : int Atomic.t; (* next write index; written by the producer only *)
   tail : int Atomic.t; (* next read index; written by the consumer only *)
   cached_tail : int ref; (* producer-private snapshot of [tail] *)
-  mp_buf : int array; (* producer-private multipush buffer *)
+  mp_buf : int array; (* producer-private multipush buffer of pairs *)
   mp_n : int ref; (* producer-private, padded: it changes every
                      enqueue_local and must not share a line with the
                      record's shared fields *)
@@ -75,27 +77,28 @@ let create ~capacity () =
   let mp_k = min 8 capacity in
   {
     (* seq 0 is never ready: index [i] is ready at seq [i + 1] >= 1. *)
-    cells = Array.make (2 * ring) 0;
+    cells = Array.make (4 * ring) 0;
     mask;
     cap;
     head = Padding.copy_padded (Atomic.make 0);
     tail = Padding.copy_padded (Atomic.make 0);
     cached_tail = Padding.copy_padded (ref 0);
-    mp_buf = Array.make mp_k 0;
+    mp_buf = Array.make (2 * mp_k) 0;
     mp_n = Padding.copy_padded (ref 0);
     mp_k;
   }
 
 let capacity q = q.cap
 
-(* Fill the cell for index [idx]: value first, then the seq that makes
-   it ready (store-store under TSO). *)
-let fill q idx v =
-  let c = (idx land q.mask) lsl 1 in
-  Array.unsafe_set q.cells (c + 1) v;
+(* Fill the cell for index [idx]: the message words first, then the seq
+   that makes it ready (store-store under TSO). *)
+let fill q idx client word =
+  let c = (idx land q.mask) lsl 2 in
+  Array.unsafe_set q.cells (c + 1) client;
+  Array.unsafe_set q.cells (c + 2) word;
   Array.unsafe_set q.cells c (idx + 1)
 
-(* Room for [n] more values?  Reads the consumer's [tail] only when the
+(* Room for [n] more messages?  Reads the consumer's [tail] only when the
    private snapshot says no. *)
 let has_room q head n =
   head + n - !(q.cached_tail) <= q.cap
@@ -103,10 +106,10 @@ let has_room q head n =
   (q.cached_tail := fenceless_get q.tail;
    head + n - !(q.cached_tail) <= q.cap)
 
-let raw_enqueue q v =
+let raw_enqueue q client word =
   let head = fenceless_get q.head in
   if has_room q head 1 then begin
-    fill q head v;
+    fill q head client word;
     fenceless_set q.head (head + 1);
     true
   end
@@ -125,7 +128,9 @@ let flush q =
   has_room q head n
   && begin
        for i = n - 1 downto 0 do
-         fill q (head + i) (Array.unsafe_get q.mp_buf i)
+         fill q (head + i)
+           (Array.unsafe_get q.mp_buf (2 * i))
+           (Array.unsafe_get q.mp_buf ((2 * i) + 1))
        done;
        fenceless_set q.head (head + n);
        q.mp_n := 0;
@@ -134,20 +139,22 @@ let flush q =
 
 let pending_local q = !(q.mp_n)
 
-let enqueue_local q v =
-  if v < 0 then invalid_arg "Spsc_ring.enqueue_local: negative value";
+let buffer q n client word =
+  Array.unsafe_set q.mp_buf (2 * n) client;
+  Array.unsafe_set q.mp_buf ((2 * n) + 1) word;
+  q.mp_n := n + 1
+
+let enqueue_local q ~client ~word =
   let n = !(q.mp_n) in
   if n < q.mp_k then begin
-    Array.unsafe_set q.mp_buf n v;
-    q.mp_n := n + 1;
+    buffer q n client word;
     if n + 1 = q.mp_k then ignore (flush q : bool);
-    (* Even if that auto-flush found the ring full the value IS
+    (* Even if that auto-flush found the ring full the message IS
        buffered; a later flush retries. *)
     true
   end
   else if flush q then begin
-    Array.unsafe_set q.mp_buf 0 v;
-    q.mp_n := 1;
+    buffer q 0 client word;
     true
   end
   else false
@@ -158,8 +165,7 @@ let enqueue_local q v =
    out inline: without flambda a call to [raw_enqueue] is a real
    cross-function call, and at ~5 ns for the whole pair each call is a
    measurable fraction of the budget. *)
-let enqueue q v =
-  if v < 0 then invalid_arg "Spsc_ring.enqueue: negative value";
+let enqueue_pair q ~client ~word =
   if !(q.mp_n) = 0 then begin
     let head = fenceless_get q.head in
     let free =
@@ -169,42 +175,56 @@ let enqueue q v =
        head - !(q.cached_tail) < q.cap)
     in
     if free then begin
-      let c = (head land q.mask) lsl 1 in
-      Array.unsafe_set q.cells (c + 1) v;
+      let c = (head land q.mask) lsl 2 in
+      Array.unsafe_set q.cells (c + 1) client;
+      Array.unsafe_set q.cells (c + 2) word;
       Array.unsafe_set q.cells c (head + 1);
       fenceless_set q.head (head + 1);
       true
     end
     else false
   end
-  else flush q && raw_enqueue q v
+  else flush q && raw_enqueue q client word
 
-(* Consumer side: poll the cell, never [head].  The value load precedes
+(* Consumer side: poll the cell, never [head].  Both word loads precede
    the tail publish (load-store), and the cell is left as it is — the
    producer rewrites it only after observing the advanced tail. *)
+let dequeue_into q dst pos =
+  let tail = fenceless_get q.tail in
+  let c = (tail land q.mask) lsl 2 in
+  if Array.unsafe_get q.cells c = tail + 1 then begin
+    dst.(pos) <- Array.unsafe_get q.cells (c + 1);
+    dst.(pos + 1) <- Array.unsafe_get q.cells (c + 2);
+    fenceless_set q.tail (tail + 1);
+    true
+  end
+  else false
+
+(* The one-word pair, for callers with a single non-negative value per
+   message: the client word is 0, and [nil] can mark emptiness because
+   no accepted value is negative. *)
+let enqueue q v =
+  if v < 0 then invalid_arg "Spsc_ring.enqueue: negative value";
+  enqueue_pair q ~client:0 ~word:v
+
 let dequeue q =
   let tail = fenceless_get q.tail in
-  let c = (tail land q.mask) lsl 1 in
+  let c = (tail land q.mask) lsl 2 in
   if Array.unsafe_get q.cells c = tail + 1 then begin
-    let v = Array.unsafe_get q.cells (c + 1) in
+    let v = Array.unsafe_get q.cells (c + 2) in
     fenceless_set q.tail (tail + 1);
     v
   end
   else nil
 
 (* Batch operations: claim a whole span of slots per index store, over
-   caller-supplied arrays — O(1) span sizing (the list API this
-   replaced paid a List.length traversal before the fill, then
-   traversed again to fill).  Semantics are exactly n single ops: the
-   accepted prefix obeys the same capacity boundary, FIFO order is
-   preserved, and a batch never blocks. *)
+   caller-supplied arrays of (client, word) pairs — O(1) span sizing.
+   Semantics are exactly n single ops: the accepted prefix obeys the
+   same capacity boundary, FIFO order is preserved, and a batch never
+   blocks. *)
 
-let enqueue_batch q vs ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length vs then
-    invalid_arg "Spsc_ring.enqueue_batch: bad span";
-  for i = pos to pos + len - 1 do
-    if vs.(i) < 0 then invalid_arg "Spsc_ring.enqueue_batch: negative value"
-  done;
+let enqueue_batch q span ~pos ~len =
+  Ring_layout.check_span ~who:"Spsc_ring.enqueue_batch" span ~pos ~len;
   if len = 0 then 0
   else if !(q.mp_n) > 0 && not (flush q) then 0
   else begin
@@ -222,7 +242,9 @@ let enqueue_batch q vs ~pos ~len =
     else begin
       (* Backward fill, same temporal-slipping order as [flush]. *)
       for i = k - 1 downto 0 do
-        fill q (head + i) (Array.unsafe_get vs (pos + i))
+        let s = 2 * (pos + i) in
+        fill q (head + i) (Array.unsafe_get span s)
+          (Array.unsafe_get span (s + 1))
       done;
       fenceless_set q.head (head + k);
       k
@@ -237,9 +259,11 @@ let rec take_batch q buf ~pos ~max ~tail i =
   if i >= max then i
   else begin
     let idx = tail + i in
-    let c = (idx land q.mask) lsl 1 in
+    let c = (idx land q.mask) lsl 2 in
     if Array.unsafe_get q.cells c = idx + 1 then begin
-      Array.unsafe_set buf (pos + i) (Array.unsafe_get q.cells (c + 1));
+      let s = 2 * (pos + i) in
+      Array.unsafe_set buf s (Array.unsafe_get q.cells (c + 1));
+      Array.unsafe_set buf (s + 1) (Array.unsafe_get q.cells (c + 2));
       take_batch q buf ~pos ~max ~tail (i + 1)
     end
     else i
@@ -247,8 +271,7 @@ let rec take_batch q buf ~pos ~max ~tail i =
 
 let dequeue_batch q buf ~pos ~max =
   if max < 0 then invalid_arg "Spsc_ring.dequeue_batch: negative max";
-  if pos < 0 || pos + max > Array.length buf then
-    invalid_arg "Spsc_ring.dequeue_batch: bad span";
+  Ring_layout.check_span ~who:"Spsc_ring.dequeue_batch" buf ~pos ~len:max;
   let tail = fenceless_get q.tail in
   let k = take_batch q buf ~pos ~max ~tail 0 in
   if k > 0 then fenceless_set q.tail (tail + k);
@@ -264,7 +287,7 @@ let dequeue_batch q buf ~pos ~max =
    consumer can take a message and publish [tail] before the producer's
    [head] store is visible; the difference is then -1 while no
    unconsumed message is published, so [length] clamps at 0 and
-   [is_empty] correctly says empty.  Unflushed multipush values are
+   [is_empty] correctly says empty.  Unflushed multipush messages are
    invisible here by design — they are not yet published. *)
 let is_empty q =
   let tail = fenceless_get q.tail in

@@ -86,9 +86,9 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
     | None -> Ulipc_real.Trace_ring.create ~capacity:65536 ()
   in
   let t : (int, int) Ulipc_real.Rpc.t =
-    (* Immediate-int codecs: the echo payloads ride the slot's unboxed
-       data field, so the steady-state round-trip is the zero-allocation
-       path the probe below certifies. *)
+    (* Immediate-int codecs: each echo payload is its message's word in
+       the ring cell, so the steady-state round-trip is the
+       zero-allocation path the probe below certifies. *)
     Ulipc_real.Rpc.create ?transport ~trace ~req_codec:Ulipc_real.Rpc.int_codec
       ~rep_codec:Ulipc_real.Rpc.int_codec ~nservers ~nclients waiting
   in

@@ -141,29 +141,39 @@ let test_spsc_rejects_negative_value () =
     (Invalid_argument "Spsc_ring.enqueue: negative value") (fun () ->
       ignore (Spsc_ring.enqueue q (-3) : bool))
 
-(* The sentinel-returning dequeue against an option-returning model:
-   [nil] must appear exactly when the model is empty. *)
-let deq_matches_model dequeue nil q model =
-  let got = dequeue q in
-  match Queue.take_opt model with
-  | Some v -> got = v
-  | None -> got = nil
-
 (* Capacities 1..9 put the full check at both boundaries: [cap = ring]
    (1, 2, 4, 8) and [cap < ring] (3, 5, 6, 7, 9), where the producer's
    snapshot of the consumer's index must be refreshed to report room. *)
 let model_capacity = QCheck.int_range 1 9
 
-(* Multipush against a model with an explicit pending buffer: a value is
-   published (visible to [length]/[dequeue]) only by a flush that fits
-   as a whole; the buffer auto-flushes at [min 8 cap]; a plain enqueue
-   flushes first. *)
+(* A message is a (client, word) pair, and any int is a word: the
+   generator mixes small clients with words from the whole int range,
+   negative ones, [min_int] and [max_int] included. *)
+let msg_gen =
+  QCheck.(pair (int_bound 100) (oneof [ int; int_range (-3) 3 ]))
+
+(* [dequeue_into] against an option-returning model: a pair arrives
+   exactly when the model has one, and an empty ring leaves the
+   destination untouched. *)
+let deq_into_matches_model dequeue_into q model =
+  let dst = [| 7; 7; 7; 7 |] in
+  let got = dequeue_into q dst 1 in
+  dst.(0) = 7 && dst.(3) = 7
+  &&
+  match Queue.take_opt model with
+  | Some (c, w) -> got && dst.(1) = c && dst.(2) = w
+  | None -> (not got) && dst.(1) = 7 && dst.(2) = 7
+
+(* Multipush against a model with an explicit pending buffer: a message
+   is published (visible to [length]/[dequeue_into]) only by a flush
+   that fits as a whole; the buffer auto-flushes at [min 8 cap]; a plain
+   enqueue flushes first. *)
 let spsc_op =
   QCheck.(
     frequency
       [
-        (3, map (fun v -> `Enq v) (int_bound 100));
-        (2, map (fun v -> `Local v) (int_bound 100));
+        (3, map (fun m -> `Enq m) msg_gen);
+        (2, map (fun m -> `Local m) msg_gen);
         (1, always `Flush);
         (4, always `Deq);
       ])
@@ -182,8 +192,8 @@ let prop_spsc_model =
                true)
       in
       let step = function
-        | `Enq v ->
-          let accepted = Spsc_ring.enqueue q v in
+        | `Enq ((client, word) as v) ->
+          let accepted = Spsc_ring.enqueue_pair q ~client ~word in
           let model_accepts =
             flush_model ()
             && Queue.length model < cap
@@ -191,8 +201,8 @@ let prop_spsc_model =
                 true)
           in
           accepted = model_accepts
-        | `Local v ->
-          let accepted = Spsc_ring.enqueue_local q v in
+        | `Local ((client, word) as v) ->
+          let accepted = Spsc_ring.enqueue_local q ~client ~word in
           let model_accepts =
             if Queue.length pending < mp_k then begin
               Queue.add v pending;
@@ -206,7 +216,7 @@ let prop_spsc_model =
           in
           accepted = model_accepts
         | `Flush -> Spsc_ring.flush q = flush_model ()
-        | `Deq -> deq_matches_model Spsc_ring.dequeue Spsc_ring.nil q model
+        | `Deq -> deq_into_matches_model Spsc_ring.dequeue_into q model
       in
       List.for_all
         (fun op ->
@@ -253,12 +263,15 @@ let test_spsc_rejects_nonpositive () =
 
 (* Multipush (Torquati): locally buffered values are invisible until a
    flush publishes them, publication is all-or-nothing, and FIFO order
-   holds across mixed local/plain use. *)
+   holds across mixed local/plain use.  [local] buffers a one-word
+   message, as [Spsc_ring.enqueue] sends one. *)
+
+let local q v = Spsc_ring.enqueue_local q ~client:0 ~word:v
 
 let test_spsc_multipush_visibility () =
   let q = Spsc_ring.create ~capacity:16 () in
-  Alcotest.(check bool) "buffered" true (Spsc_ring.enqueue_local q 1);
-  Alcotest.(check bool) "buffered" true (Spsc_ring.enqueue_local q 2);
+  Alcotest.(check bool) "buffered" true (local q 1);
+  Alcotest.(check bool) "buffered" true (local q 2);
   Alcotest.(check int) "pending" 2 (Spsc_ring.pending_local q);
   Alcotest.(check bool) "invisible before flush" true (Spsc_ring.is_empty q);
   Alcotest.(check bool) "flush publishes" true (Spsc_ring.flush q);
@@ -272,7 +285,7 @@ let test_spsc_multipush_autoflush () =
      publish the whole span on its own. *)
   let q = Spsc_ring.create ~capacity:16 () in
   for v = 1 to 8 do
-    Alcotest.(check bool) "accepted" true (Spsc_ring.enqueue_local q v)
+    Alcotest.(check bool) "accepted" true (local q v)
   done;
   Alcotest.(check int) "auto-flushed" 0 (Spsc_ring.pending_local q);
   Alcotest.(check int) "published" 8 (Spsc_ring.length q);
@@ -283,8 +296,8 @@ let test_spsc_multipush_autoflush () =
 let test_spsc_multipush_mixed_fifo () =
   (* A plain enqueue must first flush leftovers so order is preserved. *)
   let q = Spsc_ring.create ~capacity:16 () in
-  ignore (Spsc_ring.enqueue_local q 1 : bool);
-  ignore (Spsc_ring.enqueue_local q 2 : bool);
+  ignore (local q 1 : bool);
+  ignore (local q 2 : bool);
   Alcotest.(check bool) "plain enqueue flushes first" true
     (Spsc_ring.enqueue q 3);
   (* bind in sequence: list literals evaluate right to left *)
@@ -298,8 +311,8 @@ let test_spsc_multipush_full () =
   let q = Spsc_ring.create ~capacity:3 () in
   ignore (Spsc_ring.enqueue q 10 : bool);
   ignore (Spsc_ring.enqueue q 11 : bool);
-  ignore (Spsc_ring.enqueue_local q 12 : bool);
-  ignore (Spsc_ring.enqueue_local q 13 : bool);
+  ignore (local q 12 : bool);
+  ignore (local q 13 : bool);
   Alcotest.(check bool) "span of 2 does not fit in 1 slot" false
     (Spsc_ring.flush q);
   Alcotest.(check int) "span stays buffered" 2 (Spsc_ring.pending_local q);
@@ -318,7 +331,7 @@ let test_spsc_multipush_concurrent_transfer () =
   let n = 20_000 in
   let producer () =
     for i = 1 to n do
-      while not (Spsc_ring.enqueue_local q i) do
+      while not (Spsc_ring.enqueue_local q ~client:(i land 0xff) ~word:(-i)) do
         ignore (Spsc_ring.flush q : bool);
         Domain.cpu_relax ()
       done
@@ -328,7 +341,7 @@ let test_spsc_multipush_concurrent_transfer () =
     done
   in
   let consumer () =
-    let buf = Array.make 8 0 in
+    let buf = Array.make 16 0 in
     let next = ref 1 in
     let ok = ref true in
     while !next <= n do
@@ -336,7 +349,8 @@ let test_spsc_multipush_concurrent_transfer () =
       if k = 0 then Domain.cpu_relax ()
       else
         for j = 0 to k - 1 do
-          if buf.(j) <> !next then ok := false;
+          if buf.(2 * j) <> !next land 0xff || buf.((2 * j) + 1) <> - !next
+          then ok := false;
           incr next
         done
     done;
@@ -354,19 +368,19 @@ let test_spsc_multipush_concurrent_transfer () =
 
 let prop_mpsc_model =
   QCheck.Test.make ~name:"Mpsc_ring matches a FIFO model" ~count:300
-    QCheck.(pair model_capacity (list (option (int_bound 100))))
+    QCheck.(pair model_capacity (list (option msg_gen)))
     (fun (cap, program) ->
       let q = Mpsc_ring.create ~capacity:cap () in
       let model = Queue.create () in
       List.for_all
         (fun op ->
           (match op with
-          | Some v ->
-            let accepted = Mpsc_ring.enqueue q v in
+          | Some ((client, word) as v) ->
+            let accepted = Mpsc_ring.enqueue_pair q ~client ~word in
             let model_accepts = Queue.length model < cap in
             if model_accepts then Queue.add v model;
             accepted = model_accepts
-          | None -> deq_matches_model Mpsc_ring.dequeue Mpsc_ring.nil q model)
+          | None -> deq_into_matches_model Mpsc_ring.dequeue_into q model)
           && Mpsc_ring.length q = Queue.length model)
         program)
 
@@ -486,7 +500,7 @@ let batch_program =
     list
       (oneof
          [
-           map (fun vs -> `Enq vs) (list (int_bound 100));
+           map (fun ms -> `Enq ms) (list msg_gen);
            map (fun n -> `Deq n) (int_bound 12);
          ]))
 
@@ -498,16 +512,16 @@ let prop_batch_model name create enqueue_batch dequeue_batch =
       let model = Queue.create () in
       List.for_all
         (function
-          | `Enq vs ->
-            let k = enqueue_batch q vs in
-            let expect = min (List.length vs) (cap - Queue.length model) in
+          | `Enq ms ->
+            let k = enqueue_batch q ms in
+            let expect = min (List.length ms) (cap - Queue.length model) in
             let rec add i = function
-              | v :: rest when i < expect ->
-                Queue.add v model;
+              | m :: rest when i < expect ->
+                Queue.add m model;
                 add (i + 1) rest
               | _ -> ()
             in
-            add 0 vs;
+            add 0 ms;
             k = expect
           | `Deq max ->
             let got = dequeue_batch q ~max in
@@ -519,17 +533,24 @@ let prop_batch_model name create enqueue_batch dequeue_batch =
             got = expect)
         program)
 
-(* The rings' batch seam is array spans; adapt it to the list shape the
-   generic model drives (and Tl_queue still exposes natively). *)
+(* The rings' batch seam is (client, word) pair spans; adapt it to the
+   list shape the generic model drives (and Tl_queue, carrying pairs,
+   still exposes natively).  The spans start at message 1 of their
+   arrays, so a span offset that is not doubled would show. *)
 let array_batch_ops enqueue_batch dequeue_batch =
-  let enq q vs =
-    let a = Array.of_list vs in
-    enqueue_batch q a ~pos:0 ~len:(Array.length a)
+  let enq q ms =
+    let span = Array.make (2 * (List.length ms + 1)) 0 in
+    List.iteri
+      (fun i (c, w) ->
+        span.(2 * (i + 1)) <- c;
+        span.((2 * (i + 1)) + 1) <- w)
+      ms;
+    enqueue_batch q span ~pos:1 ~len:(List.length ms)
   in
   let deq q ~max =
-    let buf = Array.make (Stdlib.max max 1) Slab.nil in
-    let k = dequeue_batch q buf ~pos:0 ~max in
-    Array.to_list (Array.sub buf 0 k)
+    let buf = Array.make (2 * (max + 1)) 0 in
+    let k = dequeue_batch q buf ~pos:1 ~max in
+    List.init k (fun i -> (buf.(2 * (i + 1)), buf.((2 * (i + 1)) + 1)))
   in
   (enq, deq)
 
@@ -549,7 +570,7 @@ let prop_mpsc_batch_model =
 
 let test_batch_validation () =
   let q = Spsc_ring.create ~capacity:4 () in
-  let buf = Array.make 10 0 in
+  let buf = Array.make 20 0 in
   Alcotest.(check int) "max 0" 0 (Spsc_ring.dequeue_batch q buf ~pos:0 ~max:0);
   Alcotest.check_raises "negative max"
     (Invalid_argument "Spsc_ring.dequeue_batch: negative max") (fun () ->
@@ -560,19 +581,22 @@ let test_batch_validation () =
   Alcotest.check_raises "bad enqueue span"
     (Invalid_argument "Spsc_ring.enqueue_batch: bad span") (fun () ->
       ignore (Spsc_ring.enqueue_batch q buf ~pos:8 ~len:5 : int));
-  Alcotest.check_raises "negative value in span"
-    (Invalid_argument "Spsc_ring.enqueue_batch: negative value") (fun () ->
-      ignore (Spsc_ring.enqueue_batch q [| 1; -2 |] ~pos:0 ~len:2 : int));
+  Alcotest.check_raises "half a message"
+    (Invalid_argument "Spsc_ring.enqueue_batch: bad span") (fun () ->
+      ignore (Spsc_ring.enqueue_batch q [| 1; 2; 3 |] ~pos:0 ~len:2 : int));
   Alcotest.(check int) "empty batch" 0 (Spsc_ring.enqueue_batch q [||] ~pos:0 ~len:0);
   (* Prefix semantics at the boundary: capacity 4, 2 occupied, a 5-batch
-     accepts exactly 2. *)
-  Alcotest.(check int) "fill 2" 2 (Spsc_ring.enqueue_batch q [| 1; 2 |] ~pos:0 ~len:2);
+     accepts exactly 2.  Words may be negative. *)
+  Alcotest.(check int) "fill 2" 2
+    (Spsc_ring.enqueue_batch q [| 0; -1; 0; -2 |] ~pos:0 ~len:2);
   Alcotest.(check int) "prefix at boundary" 2
-    (Spsc_ring.enqueue_batch q [| 3; 4; 5; 6; 7 |] ~pos:0 ~len:5);
+    (Spsc_ring.enqueue_batch q
+       [| 9; 9; 1; 3; 2; 4; 3; 5; 4; 6; 5; 7 |]
+       ~pos:1 ~len:5);
   Alcotest.(check int) "fifo across batches" 4
     (Spsc_ring.dequeue_batch q buf ~pos:0 ~max:10);
-  Alcotest.(check (list int)) "fifo contents" [ 1; 2; 3; 4 ]
-    (Array.to_list (Array.sub buf 0 4))
+  Alcotest.(check (list int)) "fifo contents" [ 0; -1; 0; -2; 1; 3; 2; 4 ]
+    (Array.to_list (Array.sub buf 0 8))
 
 (* Batch enqueues racing a concurrent consumer, on the MPSC ring: two
    producer domains each pushing batches of varying size, one consumer
@@ -584,28 +608,31 @@ let test_mpsc_batch_concurrent () =
   let nproducers = 2 in
   let per_producer = 3_000 in
   let producer p () =
-    let batch = Array.make 7 0 in
+    let batch = Array.make 14 0 in
     let sent = ref 0 in
     while !sent < per_producer do
       let k = min (1 + (!sent mod 7)) (per_producer - !sent) in
       for i = 0 to k - 1 do
-        batch.(i) <- (p * 1_000_000) + !sent + i + 1
+        batch.(2 * i) <- p;
+        batch.((2 * i) + 1) <- (p * 1_000_000) + !sent + i + 1
       done;
       let accepted = Mpsc_ring.enqueue_batch q batch ~pos:0 ~len:k in
       if accepted = 0 then Domain.cpu_relax ();
       sent := !sent + accepted
     done
   in
-  let received = ref [] in
+  let received = ref [] and torn = ref 0 in
   let consumer () =
-    let buf = Array.make 8 0 in
+    let buf = Array.make 16 0 in
     let remaining = ref (nproducers * per_producer) in
     while !remaining > 0 do
       match Mpsc_ring.dequeue_batch q buf ~pos:0 ~max:8 with
       | 0 -> Domain.cpu_relax ()
       | k ->
         for i = 0 to k - 1 do
-          received := buf.(i) :: !received
+          let w = buf.((2 * i) + 1) in
+          if buf.(2 * i) <> w / 1_000_000 then incr torn;
+          received := w :: !received
         done;
         remaining := !remaining - k
     done
@@ -617,6 +644,7 @@ let test_mpsc_batch_concurrent () =
   List.iter Domain.join producers;
   Domain.join dc;
   let received = List.rev !received in
+  Alcotest.(check int) "no torn message" 0 !torn;
   Alcotest.(check int) "no loss, no duplication"
     (nproducers * per_producer)
     (List.length (List.sort_uniq compare received));
@@ -628,8 +656,160 @@ let test_mpsc_batch_concurrent () =
     Alcotest.(check bool) (Printf.sprintf "producer %d fifo" p) true (ordered p)
   done
 
+(* Torn messages.  A cell carries two message words next to its seq, so
+   a consumer that releases the cell before it has loaded both words,
+   or a producer that publishes the seq before both words are stored,
+   lets a pair arrive with one word from another message.  Every word
+   here brands its client and that client's sequence number (negative,
+   so a sentinel-like word would show too), and the consumer checks
+   every pair that arrives against the next brand it expects from that
+   client: a torn pair, a lost, duplicated or reordered message each
+   fail.  Tiny capacities make the producers reuse each cell as soon as
+   the consumer's index passes it — the window the two orderings guard.
+   Singles and spans, on both sides, alternate.  A side that finds the
+   ring full or empty polls it tightly for a while — on a multiprocessor
+   that is what lands a producer's reuse inside the consumer's copy —
+   and then yields the CPU, so the cases stay quick pinned to one CPU,
+   where the timer still preempts the peers inside their claims and
+   copies. *)
+let brand client seq = lnot ((client lsl 32) lor seq)
+
+(* One wait after [misses] consecutive misses; returns the new count. *)
+let idle misses =
+  if misses < 64 then Domain.cpu_relax () else Backoff.sched_yield ();
+  misses + 1
+
+(* The consumer's check, and the verdict: [(bad pairs, all arrived)]. *)
+let torn_check ~nproducers ~per_producer =
+  let next = Array.make (nproducers + 1) 1 and bad = ref 0 in
+  let check client word =
+    if client < 1 || client > nproducers || word <> brand client next.(client)
+    then incr bad
+    else next.(client) <- next.(client) + 1
+  in
+  let result () =
+    ( !bad,
+      Array.for_all
+        (fun n -> n = per_producer + 1)
+        (Array.sub next 1 nproducers) )
+  in
+  (check, result)
+
+(* One producer's traffic: message [seq] is [(client, brand client seq)],
+   sent alone or in a span of up to 3 by [send_single]/[send_span], which
+   return how many were accepted.  Gives up once [stop] is set. *)
+let produce_branded ~stop ~client ~per_producer send_single send_span =
+  let span = Array.make 6 0 in
+  let seq = ref 1 and misses = ref 0 in
+  while !seq <= per_producer && not (Atomic.get stop) do
+    let k = min (1 + (!seq mod 3)) (per_producer - !seq + 1) in
+    let accepted =
+      if !seq land 1 = 0 then
+        if send_single ~client ~word:(brand client !seq) then 1 else 0
+      else begin
+        for i = 0 to k - 1 do
+          span.(2 * i) <- client;
+          span.((2 * i) + 1) <- brand client (!seq + i)
+        done;
+        send_span span k
+      end
+    in
+    misses := if accepted = 0 then idle !misses else 0;
+    seq := !seq + accepted
+  done
+
+(* The consumer side, three single dequeues to one span dequeue, until
+   [total] messages arrived or 20 s passed; then sets [stop]. *)
+let consume_branded ~stop ~total ~check dequeue_into dequeue_batch =
+  let reg = Array.make 2 0 and buf = Array.make 8 0 in
+  let got = ref 0 and turn = ref 0 and misses = ref 0 in
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  while !got < total && Unix.gettimeofday () < deadline do
+    incr turn;
+    let k =
+      if !turn land 3 <> 0 then
+        if dequeue_into reg 0 then begin
+          check reg.(0) reg.(1);
+          1
+        end
+        else 0
+      else begin
+        let k = dequeue_batch buf 4 in
+        for i = 0 to k - 1 do
+          check buf.(2 * i) buf.((2 * i) + 1)
+        done;
+        k
+      end
+    in
+    misses := if k = 0 then idle !misses else 0;
+    got := !got + k
+  done;
+  Atomic.set stop true
+
+let mpsc_torn ~capacity () =
+  let q = Mpsc_ring.create ~capacity () in
+  let nproducers = 2 and per_producer = 200_000 in
+  let check, result = torn_check ~nproducers ~per_producer in
+  let stop = Atomic.make false in
+  let producer client () =
+    produce_branded ~stop ~client ~per_producer
+      (fun ~client ~word -> Mpsc_ring.enqueue_pair q ~client ~word)
+      (fun span k -> Mpsc_ring.enqueue_batch q span ~pos:0 ~len:k)
+  in
+  let producers =
+    List.init nproducers (fun p -> Domain.spawn (producer (p + 1)))
+  in
+  consume_branded ~stop ~total:(nproducers * per_producer) ~check
+    (Mpsc_ring.dequeue_into q)
+    (fun buf max -> Mpsc_ring.dequeue_batch q buf ~pos:0 ~max);
+  List.iter Domain.join producers;
+  let bad, complete = result () in
+  Alcotest.(check int) "every pair arrived whole and in order" 0 bad;
+  Alcotest.(check bool) "every message arrived" true complete
+
+(* The SPSC ring's one producer alternates plain, multipush and span
+   sends. *)
+let spsc_torn ~capacity () =
+  let q = Spsc_ring.create ~capacity () in
+  let per_producer = 400_000 in
+  let check, result = torn_check ~nproducers:1 ~per_producer in
+  let stop = Atomic.make false in
+  let single ~client ~word =
+    if word land 2 = 0 then Spsc_ring.enqueue_pair q ~client ~word
+    else begin
+      (* Accepted once buffered; a flush that finds no room is retried
+         by the next send, which flushes first. *)
+      let ok = Spsc_ring.enqueue_local q ~client ~word in
+      ignore (Spsc_ring.flush q : bool);
+      ok
+    end
+  in
+  let producer =
+    Domain.spawn (fun () ->
+        produce_branded ~stop ~client:1 ~per_producer single (fun span k ->
+            Spsc_ring.enqueue_batch q span ~pos:0 ~len:k);
+        while not (Spsc_ring.flush q || Atomic.get stop) do
+          Backoff.sched_yield ()
+        done)
+  in
+  consume_branded ~stop ~total:per_producer ~check
+    (Spsc_ring.dequeue_into q)
+    (fun buf max -> Spsc_ring.dequeue_batch q buf ~pos:0 ~max);
+  Domain.join producer;
+  let bad, complete = result () in
+  Alcotest.(check int) "every pair arrived whole and in order" 0 bad;
+  Alcotest.(check bool) "every message arrived" true complete
+
+let torn_cases name case =
+  List.map
+    (fun capacity ->
+      Alcotest.test_case
+        (Printf.sprintf "%s torn messages at capacity %d" name capacity)
+        `Quick (case ~capacity))
+    [ 1; 2; 3; 4 ]
+
 (* ------------------------------------------------------------------ *)
-(* Slab: the lock-free free-list behind the zero-copy message plane. *)
+(* Slab: the lock-free free list behind the boxed codec's side table. *)
 
 (* Random alloc/release programs against a free-set model: try_alloc
    succeeds exactly while the model says slots remain, never hands out a
@@ -690,25 +870,12 @@ let test_slab_double_release_rejected () =
     (Invalid_argument "Slab.release: index out of range") (fun () ->
       Slab.release s Slab.nil)
 
-let test_slab_payload_roundtrip () =
-  let s = Slab.create ~slots:4 () in
-  let i = Slab.try_alloc s in
-  Slab.set_client s i 3;
-  Slab.set_tag s i 7;
-  Slab.set_data s i 123456;
-  Slab.set_aux s i (-9);
-  Slab.set_arg s i 2.5;
-  Alcotest.(check int) "client" 3 (Slab.get_client s i);
-  Alcotest.(check int) "tag" 7 (Slab.get_tag s i);
-  Alcotest.(check int) "data" 123456 (Slab.get_data s i);
-  Alcotest.(check int) "aux" (-9) (Slab.get_aux s i);
-  Alcotest.(check (float 0.0)) "arg" 2.5 (Slab.get_arg s i)
-
 (* 4-domain stress: each domain brands every slot it allocates with a
-   value unique to (domain, iteration), spins briefly, and verifies the
-   brand before releasing.  If the free list ever hands the same slot to
-   two domains (ABA or a lost CAS), a brand check fails; the final
-   in_use_count confirms nothing leaked. *)
+   boxed value unique to (domain, iteration), spins briefly, and
+   verifies the brand — by physical identity — before releasing.  If
+   the free list ever hands the same slot to two domains (ABA or a lost
+   CAS), a brand check fails; the final in_use_count confirms nothing
+   leaked, and a released slot holds no payload. *)
 let test_slab_no_aliasing_under_stress () =
   let s = Slab.create ~slots:8 () in
   let ndomains = 4 in
@@ -718,12 +885,10 @@ let test_slab_no_aliasing_under_stress () =
     for k = 1 to iters do
       let i = Slab.try_alloc s in
       if i <> Slab.nil then begin
-        let brand = (d * 100_000_000) + k in
-        Slab.set_data s i brand;
-        Slab.set_aux s i (lnot brand);
+        let brand = Obj.repr (ref ((d * 100_000_000) + k)) in
+        Slab.set_box s i brand;
         Domain.cpu_relax ();
-        if Slab.get_data s i <> brand || Slab.get_aux s i <> lnot brand then
-          ok := false;
+        if Slab.get_box s i != brand then ok := false;
         Slab.release s i
       end
       else Domain.cpu_relax ()
@@ -736,7 +901,11 @@ let test_slab_no_aliasing_under_stress () =
     (fun d ok ->
       Alcotest.(check bool) (Printf.sprintf "domain %d saw no aliasing" d) true ok)
     oks;
-  Alcotest.(check int) "no leaked slots" 0 (Slab.in_use_count s)
+  Alcotest.(check int) "no leaked slots" 0 (Slab.in_use_count s);
+  for i = 0 to Slab.slots s - 1 do
+    Alcotest.(check bool) "released slot cleared" true
+      (Obj.is_int (Slab.get_box s i))
+  done
 
 let test_slab_rejects_bad_sizes () =
   Alcotest.check_raises "zero slots"
@@ -1135,9 +1304,20 @@ let test_grace_one_cpu_returns_at_once () =
    returned — of the last burst; bursts repeat until [ok hits] or
    [timeout_s], for the same CPU-sharing reason as [handoff_bursts].  A
    round [await] gave up on takes its message with a plain dequeue.
-   Fails if any [await] cleared the flag or a message went astray. *)
+   Fails if any [await] cleared the flag or a message went astray.  The
+   poster sends from server 0's register; [ch] is client 0's reply
+   channel, so a message lands in client 0's register. *)
 let await_bursts sub ch ~delay_ns ~rounds ~timeout_s ok =
   let go = Atomic.make 0 and stop = Atomic.make false in
+  let tx = Real_substrate.server_register sub 0 in
+  let word m =
+    if m = Real_substrate.no_msg then m
+    else begin
+      if m <> Real_substrate.client_register sub 0 then
+        Alcotest.failf "message in register %d" m;
+      Real_substrate.register_word sub m
+    end
+  in
   let poster =
     Domain.spawn (fun () ->
         let next = ref 1 in
@@ -1148,13 +1328,14 @@ let await_bursts sub ch ~delay_ns ~rounds ~timeout_s ok =
             while Ulipc_observe.Clock.now_ns () - t0 < delay_ns do
               Domain.cpu_relax ()
             done;
-            ignore (Real_substrate.enqueue sub ch !next : bool);
+            Real_substrate.set_register sub tx ~client:0 ~word:!next;
+            ignore (Real_substrate.enqueue sub ch tx : bool);
             incr next
           end
         done)
   in
   let rec take () =
-    let m = Real_substrate.dequeue sub ch in
+    let m = word (Real_substrate.dequeue sub ch) in
     if m = Real_substrate.no_msg then begin
       Domain.cpu_relax ();
       take ()
@@ -1166,7 +1347,7 @@ let await_bursts sub ch ~delay_ns ~rounds ~timeout_s ok =
     let hits = ref 0 in
     for r = first to first + rounds - 1 do
       Atomic.set go r;
-      let m = Real_substrate.await sub ch in
+      let m = word (Real_substrate.await sub ch) in
       if m = r then incr hits
       else if m <> Real_substrate.no_msg || take () <> r then
         Alcotest.failf "round %d: wrong message" r;
@@ -1319,7 +1500,7 @@ let test_rpc_validation () =
   let t : (int, int) Rpc.t = Rpc.create ~nclients:2 Rpc.Block in
   Alcotest.(check int) "nclients" 2 (Rpc.nclients t);
   Alcotest.check_raises "bad client"
-    (Invalid_argument "Rpc.reply_channel: no channel 9") (fun () ->
+    (Invalid_argument "Real_substrate.reply_channel: no channel 9") (fun () ->
       ignore (Rpc.post t ~client:9 0));
   Alcotest.check_raises "bad nclients"
     (Invalid_argument "Rpc.create: nclients must be positive") (fun () ->
@@ -1347,23 +1528,30 @@ let test_rpc_no_stale_wakeups transport () =
 let test_rpc_zero_alloc_steady_state () =
   (* The tentpole property: with immediate-int codecs on the ring
      transport, a steady-state synchronous round-trip allocates nothing
-     on the client's minor heap — indices through flat rings, payloads
-     in flat slab fields.  minor_words is per-domain in OCaml 5, so the
-     server's allocations (its domain spawn, its own warm-up) cannot
-     contaminate the reading; the calibration pair subtracts what the
-     Gc.minor_words calls themselves charge. *)
+     on either side's minor heap — payload words through registers and
+     ring cells.  minor_words is per-domain in OCaml 5, so each side
+     reads its own: the client around the loop, the server between the
+     two marker calls (-2 opens its window, -3 closes it) into a float
+     array, which stores unboxed.  Each side's calibration pair
+     subtracts what the Gc.minor_words calls themselves charge. *)
   let t : (int, int) Rpc.t =
     Rpc.create ~transport:Real_substrate.Ring ~req_codec:Rpc.int_codec
       ~rep_codec:Rpc.int_codec ~nclients:1 Rpc.Block
   in
+  let server_words = Array.make 3 0.0 in
   let server =
     Domain.spawn (fun () ->
         (* Bind the handler once — a closure built inside the loop would
-           be allocated per serve turn (server-side, but keep the server
-           turn zero-allocation too). *)
+           be allocated per serve turn. *)
         let stop = ref false in
         let handler ~client:_ v =
-          if v = -1 then stop := true;
+          if v = -1 then stop := true
+          else if v = -2 then begin
+            server_words.(2) <- Gc.minor_words ();
+            server_words.(2) <- Gc.minor_words () -. server_words.(2);
+            server_words.(0) <- Gc.minor_words ()
+          end
+          else if v = -3 then server_words.(1) <- Gc.minor_words ();
           v + 1
         in
         while not !stop do
@@ -1380,19 +1568,29 @@ let test_rpc_zero_alloc_steady_state () =
     Gc.minor_words () -. a
   in
   let ops = 512 in
+  ignore (Rpc.call t ~client:0 (-2) : int);
   let w0 = Gc.minor_words () in
   for i = 1 to ops do
     ignore (Rpc.call t ~client:0 i : int)
   done;
   let w1 = Gc.minor_words () in
+  ignore (Rpc.call t ~client:0 (-3) : int);
   let per_op = (w1 -. w0 -. calib) /. float_of_int ops in
   ignore (Rpc.call t ~client:0 (-1) : int);
   Domain.join server;
+  let server_per_op =
+    (server_words.(1) -. server_words.(0) -. server_words.(2))
+    /. float_of_int ops
+  in
   Alcotest.(check (float 0.0))
-    (Printf.sprintf "0 minor words per round-trip (got %g)" per_op)
+    (Printf.sprintf "client: 0 minor words per round-trip (got %g)" per_op)
     0.0 per_op;
-  Alcotest.(check int) "no leaked slab slots" 0
-    (Slab.in_use_count (Rpc.slab t))
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "server: 0 minor words per round-trip (got %g)"
+       server_per_op)
+    0.0 server_per_op;
+  Alcotest.(check int) "an int session never touches the slab" 0
+    (Slab.high_water (Rpc.slab t))
 
 let test_rpc_counters () =
   let messages = 200 in
@@ -1519,7 +1717,8 @@ let suites =
           test_spsc_multipush_concurrent_transfer;
       ]
       @ stale_snapshot_cases "spsc" Spsc_ring.create Spsc_ring.enqueue
-          Spsc_ring.dequeue Spsc_ring.nil );
+          Spsc_ring.dequeue Spsc_ring.nil
+      @ torn_cases "spsc 1p/1c" spsc_torn );
     ( "realipc.slab",
       [
         QCheck_alcotest.to_alcotest prop_slab_model;
@@ -1527,8 +1726,6 @@ let suites =
           test_slab_exhaustion;
         Alcotest.test_case "double release rejected" `Quick
           test_slab_double_release_rejected;
-        Alcotest.test_case "payload field round-trip" `Quick
-          test_slab_payload_roundtrip;
         Alcotest.test_case "4-domain no-aliasing stress" `Quick
           test_slab_no_aliasing_under_stress;
         Alcotest.test_case "rejects bad sizes" `Quick
@@ -1552,7 +1749,8 @@ let suites =
           (mpsc_concurrent ~capacity:4 ~nproducers:2);
       ]
       @ stale_snapshot_cases "mpsc" Mpsc_ring.create Mpsc_ring.enqueue
-          Mpsc_ring.dequeue Mpsc_ring.nil );
+          Mpsc_ring.dequeue Mpsc_ring.nil
+      @ torn_cases "mpsc 2p/1c" mpsc_torn );
     ( "realipc.rsem",
       [
         Alcotest.test_case "counting" `Quick test_rsem_counting;

@@ -74,8 +74,32 @@ let spawn_server (t : (int, int) Rpc.t) ~k ~reply_of =
         end
       done)
 
-let spawn_pool (t : (int, int) Rpc.t) ~nservers ~reply_of =
-  Array.init nservers (fun k -> spawn_server t ~k ~reply_of)
+(* The same discipline on the batch path: [receive_batch], then one
+   [reply_batch] for the batch's requests.  A poison ends the server
+   after its batch is answered. *)
+let spawn_batch_server (t : (int, int) Rpc.t) ~k ~reply_of =
+  Domain.spawn (fun () ->
+      let live = ref true in
+      while !live do
+        let replies =
+          List.filter_map
+            (fun (client, v) ->
+              if v >= 0 then Some (client, reply_of v)
+              else begin
+                let target = -1 - v in
+                if target = k then live := false
+                else Rpc.post ~shard:target t ~client:0 v;
+                None
+              end)
+            (Rpc.receive_batch ~server:k t ~max:4)
+        in
+        Rpc.reply_batch t replies
+      done)
+
+let spawn_pool ?(batch = false) (t : (int, int) Rpc.t) ~nservers ~reply_of =
+  Array.init nservers (fun k ->
+      if batch then spawn_batch_server t ~k ~reply_of
+      else spawn_server t ~k ~reply_of)
 
 let poison_pool (t : (int, int) Rpc.t) ~nservers servers =
   for k = 0 to nservers - 1 do
@@ -89,11 +113,11 @@ let poison_pool (t : (int, int) Rpc.t) ~nservers servers =
    exceed queue capacity.  Returns each client's reply multiset, sorted.
    Stealing may reorder a client's in-flight requests, so the sorted
    list is the observable a pooled run must preserve. *)
-let pooled_echo ?shard_assign ?(window = 8) ~nservers ~nclients ~messages
-    ~reply_of () =
+let pooled_echo ?shard_assign ?(window = 8) ?(codec = Rpc.int_codec)
+    ~nservers ~nclients ~messages ~reply_of () =
   let t : (int, int) Rpc.t =
-    Rpc.create ?shard_assign ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec
-      ~nservers ~nclients Rpc.Block
+    Rpc.create ?shard_assign ~req_codec:codec ~rep_codec:codec ~nservers
+      ~nclients Rpc.Block
   in
   let servers = spawn_pool t ~nservers ~reply_of in
   let clients =
@@ -146,16 +170,17 @@ let prop_pool_differential =
    them claims the steal token), and start the victim last, so its very
    first receive finds the token with the backlog still deep and must
    hand a span over.  The handoffs must neither lose, duplicate nor
-   double-deliver a message (the multiset check), nor leak a slot. *)
-let test_forced_stealing () =
+   double-deliver a message (the multiset check), nor leak a slot.  Run
+   with the word codec and with the boxed one, whose slot indices ride
+   the stolen spans and the stash in place of the payloads. *)
+let test_forced_stealing codec () =
   let nservers = 4 and nclients = 4 and messages = 256 in
   let window = 8 in
   let reply_of v = v * 3 in
   let t : (int, int) Rpc.t =
     Rpc.create
       ~shard_assign:(fun _ -> 0)
-      ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nservers ~nclients
-      Rpc.Block
+      ~req_codec:codec ~rep_codec:codec ~nservers ~nclients Rpc.Block
   in
   (* First window for every client, posted before any server exists:
      shard 0 starts [nclients * window] deep. *)
@@ -208,6 +233,49 @@ let test_forced_stealing () =
     (c.Ulipc.Counters.steal_handoffs > 0 && c.Ulipc.Counters.steal_msgs > 0);
   Alcotest.(check bool) "stolen messages bounded by traffic" true
     (c.Ulipc.Counters.steal_msgs <= nclients * messages);
+  Alcotest.(check int) "no leaked slab slots" 0
+    (Slab.in_use_count (Rpc.slab t))
+
+(* Stealing into a loaded shard: shard 1 has clients of its own, and
+   with capacity 4 its ring often fills between the moment its idle
+   server posts a claim on shard 0 and the moment shard 0's server
+   honours it, so the handoff only partly fits and the victim keeps the
+   rest in its private stash (every run here stashes, tens to hundreds
+   of times, pinned to one CPU or not).  Stashed messages are pairs
+   that must come back out intact — through the victim's register on
+   the [receive] path, through its batch span on the [receive_batch]
+   path: every client's reply multiset must be exact, and a boxed
+   session must return every side-table slot. *)
+let test_stash_stress ~batch codec () =
+  let nservers = 2 and nclients = 8 and messages = 2000 and window = 4 in
+  let reply_of v = v + 5 in
+  let t : (int, int) Rpc.t =
+    Rpc.create ~capacity:4
+      ~shard_assign:(fun c -> if c < 6 then 0 else 1)
+      ~req_codec:codec ~rep_codec:codec ~nservers ~nclients Rpc.Block
+  in
+  let servers = spawn_pool ~batch t ~nservers ~reply_of in
+  let clients =
+    List.init nclients (fun c ->
+        Domain.spawn (fun () ->
+            let got = ref [] in
+            let sent = ref 0 in
+            while !sent < messages do
+              let k = min window (messages - !sent) in
+              for j = 1 to k do
+                Rpc.post t ~client:c ((c * 1_000_000) + !sent + j)
+              done;
+              for _ = 1 to k do
+                got := Rpc.collect t ~client:c :: !got
+              done;
+              sent := !sent + k
+            done;
+            List.sort compare !got))
+  in
+  let replies = List.map Domain.join clients in
+  poison_pool t ~nservers servers;
+  Alcotest.(check bool) "per-client reply multisets exact" true
+    (replies = expected_replies ~nclients ~messages ~reply_of);
   Alcotest.(check int) "no leaked slab slots" 0
     (Slab.in_use_count (Rpc.slab t))
 
@@ -288,13 +356,13 @@ let test_rpc_pool_validation () =
     (Invalid_argument "Real_substrate.request_shard: no shard 5") (fun () ->
       Rpc.post ~shard:5 t ~client:0 1)
 
-(* The slab is sized from (nclients, nservers, capacity) by default; an
-   explicitly undersized slab must fail the sender with a clear error
-   after bounded back-off, never hang. *)
+(* The boxed codec's side table is sized from (nclients, nservers,
+   capacity) by default; an explicitly undersized one must fail the
+   sender with a clear error after bounded back-off, never hang. *)
 let test_slab_exhaustion_error () =
   let t : (int, int) Rpc.t =
-    Rpc.create ~capacity:4 ~slots:1 ~req_codec:Rpc.int_codec
-      ~rep_codec:Rpc.int_codec ~nclients:1 Rpc.Block
+    Rpc.create ~capacity:4 ~slots:1 ~req_codec:(Rpc.boxed_codec ())
+      ~rep_codec:(Rpc.boxed_codec ()) ~nclients:1 Rpc.Block
   in
   Rpc.post t ~client:0 1;
   (* slot 1 of 1 is now in flight with no server to release it *)
@@ -308,19 +376,27 @@ let test_slab_exhaustion_error () =
       (String.length msg >= String.length prefix
       && String.sub msg 0 (String.length prefix) = prefix)
 
+(* The boxed codec's payloads are what the slab holds: their run records
+   a high-water mark within the slab, while the word codec's never
+   allocates a slot at all. *)
 let test_slab_high_water () =
   let reply_of v = v + 1 in
-  let t, replies =
-    pooled_echo ~nservers:2 ~nclients:3 ~messages:32 ~reply_of ()
+  let echo codec =
+    let t, replies =
+      pooled_echo ~codec ~nservers:2 ~nclients:3 ~messages:32 ~reply_of ()
+    in
+    Alcotest.(check bool) "echo correct" true
+      (replies = expected_replies ~nclients:3 ~messages:32 ~reply_of);
+    Rpc.slab t
   in
-  Alcotest.(check bool) "echo correct" true
-    (replies = expected_replies ~nclients:3 ~messages:32 ~reply_of);
-  let s = Rpc.slab t in
+  let s = echo (Rpc.boxed_codec ()) in
   Alcotest.(check int) "quiescent slab empty" 0 (Slab.in_use_count s);
   Alcotest.(check bool)
     (Printf.sprintf "high-water mark recorded (%d)" (Slab.high_water s))
     true
-    (Slab.high_water s > 0 && Slab.high_water s <= Slab.slots s)
+    (Slab.high_water s > 0 && Slab.high_water s <= Slab.slots s);
+  Alcotest.(check int) "an int session never touches the slab" 0
+    (Slab.high_water (echo Rpc.int_codec))
 
 (* ------------------------------------------------------------------ *)
 (* Rsem directed wake-ups *)
@@ -558,7 +634,7 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_pool_differential;
         Alcotest.test_case "forced stealing: no loss/dup" `Quick
-          test_forced_stealing;
+          (test_forced_stealing Rpc.int_codec);
         Alcotest.test_case "idle pool: tokens never deliver" `Quick
           test_steal_token_idle_pool;
         Alcotest.test_case "8-server trace invariants" `Quick
@@ -567,6 +643,15 @@ let suites =
         Alcotest.test_case "undersized slab fails clearly" `Quick
           test_slab_exhaustion_error;
         Alcotest.test_case "slab high-water mark" `Quick test_slab_high_water;
+        Alcotest.test_case "forced stealing, boxed codec: no loss/dup" `Quick
+          (test_forced_stealing (Rpc.boxed_codec ()));
+        Alcotest.test_case "stealing into a loaded shard: stashed leftovers"
+          `Quick
+          (test_stash_stress ~batch:false Rpc.int_codec);
+        Alcotest.test_case
+          "stealing into a loaded shard: stashed leftovers, boxed batches"
+          `Quick
+          (test_stash_stress ~batch:true (Rpc.boxed_codec ()));
       ] );
     ( "realipc.rsem_directed",
       [
