@@ -55,7 +55,7 @@ let counters t = S.counters t.sub
 let wake_residue t = S.wake_residue t.sub
 let harvest_sem_counters t = S.harvest_sem_counters t.sub
 
-(* Conservative occupancy of the one request ring (see Pring.Mpsc.length
+(* Conservative occupancy of the one request ring (see Mpsc_ring.length
    for the snapshot invariant) — the parent's telemetry gauge, readable
    across the fork boundary because it is all arena words. *)
 let request_depth t = S.queue_length t.sub (S.request t.sub)

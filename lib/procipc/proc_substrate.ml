@@ -11,8 +11,10 @@
 
    Mapping of the Substrate.S primitives:
 
-   - queue        -> {!Pring} flat rings on arena words (MPSC request
-                     ring, one SPSC reply ring per client);
+   - queue        -> the in-process flat rings, carved from the arena
+                     ({!Ulipc_real.Mpsc_ring} request ring, one
+                     {!Ulipc_real.Spsc_ring} reply ring per client),
+                     carrying one-word messages (client word 0);
    - awake flag   -> one arena word, 0/1, test-and-set via the stub's
                      atomic exchange;
    - semaphore    -> {!Fsem}: two userspace atomics uncontended,
@@ -44,6 +46,9 @@
    back over a pipe and merges, so the published totals cover every
    process without a single shared cache line of instrumentation. *)
 
+module Spsc_ring = Ulipc_real.Spsc_ring
+module Mpsc_ring = Ulipc_real.Mpsc_ring
+
 type channel = {
   queue : queue;
   awake_w : int; (* arena word: 0/1 consumer-awake flag *)
@@ -51,7 +56,7 @@ type channel = {
   chan_id : int; (* -1 = request channel, n >= 0 = reply channel n *)
 }
 
-and queue = Q_mpsc of Pring.Mpsc.t | Q_spsc of Pring.Spsc.t
+and queue = Q_mpsc of Mpsc_ring.t | Q_spsc of Spsc_ring.t
 
 type t = {
   arena : Parena.t;
@@ -87,24 +92,23 @@ let create ?trace ?slots ?(extra_words = 0) ~capacity ~nclients () =
      allocator cannot run dry mid-carve.  Every aligned allocation may
      first skip up to [line - 1] words of padding.
      - Per channel (the request channel and one reply channel per
-       client): the ring's span, [Pring.span_words] = two index lines
-       plus one (seq, value) pair per slot, [2 * ring + 16]; the awake
-       line (8); the Fsem's two lines (16); three allocations' padding.
+       client): the awake line (8), the Fsem's two lines (16) and two
+       allocations' padding; and its ring, whose [arena_words] includes
+       its own padding.
      - Per client, one more line for the caller: the fork driver
        carves each client's telemetry word after [create].
      - The slab: three counter lines and three [slots]-word arrays, six
        allocations' padding.
      - 1024 words of fixed headroom (the driver's barrier lines), plus
        whatever [extra_words] the caller asks for. *)
-  let ring = Ulipc_real.Ring_layout.ceil_pow2 capacity in
   let line = Parena.cache_line_words in
-  let channel_words =
-    Pring.span_words ~ring + line + (2 * line) + (3 * (line - 1))
-  in
+  let channel_words = line + (2 * line) + (2 * (line - 1)) in
   let slab_words = (3 * line) + (3 * slots) + (6 * (line - 1)) in
   let size_words =
     1024
     + ((nclients + 1) * channel_words)
+    + Mpsc_ring.arena_words ~capacity
+    + (nclients * Spsc_ring.arena_words ~capacity)
     + (nclients * line)
     + slab_words + extra_words
   in
@@ -115,11 +119,11 @@ let create ?trace ?slots ?(extra_words = 0) ~capacity ~nclients () =
   set_timerslack_ns 1;
   let request_ch =
     make_channel arena ~chan_id:(-1)
-      (Q_mpsc (Pring.Mpsc.create arena ~capacity))
+      (Q_mpsc (Mpsc_ring.carve arena ~capacity))
   in
   let replies =
     Array.init nclients (fun i ->
-        make_channel arena ~chan_id:i (Q_spsc (Pring.Spsc.create arena ~capacity)))
+        make_channel arena ~chan_id:i (Q_spsc (Spsc_ring.carve arena ~capacity)))
   in
   let slab = Pslab.create arena ~slots in
   {
@@ -169,8 +173,8 @@ let enqueue t ch m =
   let t_ns = pre_stamp t in
   let ok =
     match ch.queue with
-    | Q_mpsc q -> Pring.Mpsc.enqueue q m
-    | Q_spsc q -> Pring.Spsc.enqueue q m
+    | Q_mpsc q -> Mpsc_ring.enqueue q m
+    | Q_spsc q -> Spsc_ring.enqueue q m
   in
   if ok then begin
     progress t;
@@ -181,8 +185,8 @@ let enqueue t ch m =
 (* The ring's dequeue alone: what [await] polls. *)
 let raw_dequeue ch =
   match ch.queue with
-  | Q_mpsc q -> Pring.Mpsc.dequeue q
-  | Q_spsc q -> Pring.Spsc.dequeue q
+  | Q_mpsc q -> Mpsc_ring.dequeue q
+  | Q_spsc q -> Spsc_ring.dequeue q
 
 let dequeued t ch =
   progress t;
@@ -210,13 +214,13 @@ let await t ch =
 
 let queue_is_empty _ ch =
   match ch.queue with
-  | Q_mpsc q -> Pring.Mpsc.is_empty q
-  | Q_spsc q -> Pring.Spsc.is_empty q
+  | Q_mpsc q -> Mpsc_ring.is_empty q
+  | Q_spsc q -> Spsc_ring.is_empty q
 
 let queue_length _ ch =
   match ch.queue with
-  | Q_mpsc q -> Pring.Mpsc.length q
-  | Q_spsc q -> Pring.Spsc.length q
+  | Q_mpsc q -> Mpsc_ring.length q
+  | Q_spsc q -> Spsc_ring.length q
 
 (* Awake flag: one shared word, exchange for the producers' TAS.  The
    consumer's clear is an exchange too, not a release store: it must be

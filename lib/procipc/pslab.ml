@@ -78,14 +78,20 @@ let rec try_alloc t =
     else try_alloc t
   end
 
-let rec release t i =
+let rec push_free t i =
   let h = Parena.at_load t.a t.head_w in
   let m = t.nslots + 1 in
   Parena.set t.a (t.next0 + i) ((h mod m) - 1);
   let desired = (((h / m) + 1) * m) + i + 1 in
   if Parena.at_cas t.a t.head_w ~expected:h ~desired then
     ignore (Parena.at_fetch_add t.a t.in_use_w (-1) : int)
-  else release t i
+  else push_free t i
+
+(* The bound check keeps a bad index from writing a free-list link into
+   whatever arena word sits at [next0 + i] and from entering the list. *)
+let release t i =
+  if i < 0 || i >= t.nslots then invalid_arg "Pslab.release: index out of range";
+  push_free t i
 
 let in_use_count t = Parena.at_load t.a t.in_use_w
 let high_water t = Parena.at_load t.a t.hwm_w

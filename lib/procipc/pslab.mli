@@ -19,7 +19,9 @@ val try_alloc : t -> int
     process. *)
 
 val release : t -> int -> unit
-(** Return a slot to the free list.  Safe from any process. *)
+(** Return a slot to the free list.  Safe from any process.
+    @raise Invalid_argument if the index is negative or not below
+    {!slots}; the free list is left as it was. *)
 
 val in_use_count : t -> int
 val high_water : t -> int

@@ -1,13 +1,12 @@
-/* Atomic word operations and futex wait/wake over a shared-memory
-   Bigarray — the C floor of the cross-process substrate.
+/* Futex wait/wake over a shared-memory Bigarray — the kernel floor of
+   the cross-process substrate.
 
    The arena is an (int, int_elt, c_layout) Bigarray.Array1 mapped
    MAP_SHARED, so every word is an intnat at data + 8*index shared
    bit-for-bit between the forked processes.  Plain loads/stores go
-   through the normal Bigarray primitives (inlined to bare movs on the
-   native compiler); these stubs supply only what plain accesses cannot:
-   the atomic read-modify-writes that synchronise producers (exchange,
-   fetch-add, compare-and-swap) and the kernel sleep/wake pair.
+   through the normal Bigarray primitives and the atomic
+   read-modify-writes through word_stubs.c in lib/realipc; these stubs
+   supply only the kernel sleep/wake pair.
 
    Futexes address 32-bit words.  The semaphore value is maintained with
    64-bit atomics like every other arena word, and the futex syscalls
@@ -16,12 +15,11 @@
    the value (little-endian) for the small non-negative counts a channel
    semaphore holds, so FUTEX_WAIT's atomic value-recheck observes
    exactly what the OCaml side published.  x86-64 is also what the
-   arena rings' plain-store publishes need (x86-TSO); Parena.create
-   fails on a build for any other architecture (tso_stubs.c in
-   lib/realipc).  FUTEX_PRIVATE_FLAG is
-   deliberately NOT used: private futexes key the wait queue by
-   (mm, address) and never match across address spaces — the whole
-   point here is that they must.
+   rings' plain-store publishes need (x86-TSO); Word_arena.create fails
+   on a build for any other architecture (tso_stubs.c in lib/realipc).
+   FUTEX_PRIVATE_FLAG is deliberately NOT used: private futexes key the
+   wait queue by (mm, address) and never match across address spaces —
+   the whole point here is that they must.
 
    Non-Linux fallback: futex_wait degrades to a bounded nanosleep and
    reports a spurious wake-up (the caller's P loop re-checks the count,
@@ -41,38 +39,6 @@
 #endif
 
 #define WORD_PTR(ba, i) (((intnat *)Caml_ba_data_val(ba)) + Long_val(i))
-
-CAMLprim value ulipc_shm_at_load(value ba, value i)
-{
-  return Val_long(__atomic_load_n(WORD_PTR(ba, i), __ATOMIC_ACQUIRE));
-}
-
-CAMLprim value ulipc_shm_at_store(value ba, value i, value v)
-{
-  __atomic_store_n(WORD_PTR(ba, i), Long_val(v), __ATOMIC_RELEASE);
-  return Val_unit;
-}
-
-CAMLprim value ulipc_shm_at_xchg(value ba, value i, value v)
-{
-  return Val_long(
-      __atomic_exchange_n(WORD_PTR(ba, i), Long_val(v), __ATOMIC_ACQ_REL));
-}
-
-CAMLprim value ulipc_shm_at_fetch_add(value ba, value i, value d)
-{
-  return Val_long(
-      __atomic_fetch_add(WORD_PTR(ba, i), Long_val(d), __ATOMIC_ACQ_REL));
-}
-
-CAMLprim value ulipc_shm_at_cas(value ba, value i, value expected, value desired)
-{
-  intnat exp = Long_val(expected);
-  return Val_bool(__atomic_compare_exchange_n(WORD_PTR(ba, i), &exp,
-                                              Long_val(desired), 0,
-                                              __ATOMIC_ACQ_REL,
-                                              __ATOMIC_ACQUIRE));
-}
 
 /* Park on word [i] while its low 32 bits still equal [expected].
    [timeout_ns] < 0 waits forever.  Returns 0 = woken (or a spurious or

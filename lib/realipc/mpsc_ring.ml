@@ -1,4 +1,4 @@
-(* Bounded multi-producer/single-consumer ring over one flat array,
+(* Bounded multi-producer/single-consumer ring over shared arena words,
    under the one-shared-line rule of Ring_layout.  Producers claim a
    slot by CAS-ing the tail ticket; each slot carries a sequence word
    that says whether it holds the message for the current lap, so a
@@ -19,43 +19,48 @@
    have to commit it before anything the consumer writes after it (the
    server's reply) becomes visible.
 
-   Flow control.  Producers check room against [head_snap], a padded
-   snapshot of [head] that they share, and re-read [head] only when the
-   snapshot says the ring is full; only then do they take the ticket
-   CAS.  [head] is monotonic and the snapshot only ever holds a value
-   [head] once had, so a stale (or racing producers' out-of-order)
-   snapshot can only under-count free room, and a claim that passes the
-   check against it is a claim that passes against the true [head]:
-   never more than [cap] messages in flight, for [cap = ring] and
+   Flow control.  Producers check room against [head_snap], a snapshot
+   of [head] that they share, and re-read [head] only when the snapshot
+   says the ring is full; only then do they take the ticket CAS.
+   [head] is monotonic and the snapshot only ever holds a value [head]
+   once had, so a stale (or racing producers' out-of-order) snapshot
+   can only under-count free room, and a claim that passes the check
+   against it is a claim that passes against the true [head]: never
+   more than [cap] messages in flight, for [cap = ring] and
    [cap < ring] alike.  The same bound is what makes the cell free: a
-   ticket [t] is claimed only after [head] passed [t - ring], i.e. after
-   the consumer has loaded that lap's words (Ring_layout's ordering
-   argument).  Under concurrency [enqueue] may transiently report full
-   while a consumer is mid-dequeue — callers retry
+   ticket [t] is claimed only after [head] passed [t - ring], i.e.
+   after the consumer has loaded that lap's words (Ring_layout's
+   ordering argument).  Under concurrency [enqueue] may transiently
+   report full while a consumer is mid-dequeue — callers retry
    (flow_enqueue/spin_enqueue), exactly as they already do for a
    genuinely full queue.
 
-   Cell layout: slot [i] is the four words [cells.(4i .. 4i+3)]: its
-   sequence, then the message itself — the client word and the payload
-   word — then a spare word.  A message's sequence and payload share
-   one cell, so a hop moves one line between producer and consumer, not
-   a line of a separate sequence array plus a line of a payload slab.
-   OCaml array data starts one word after the block header, so on the
-   common (line-aligned header) layout one cell in two straddles a line
-   boundary.  Padding each cell to its own line was measured and
-   rejected for the two-word cell: 0 of 6 alternating pairs won on
-   sync-domains (round trip 1.09 -> 1.25 us, EXPERIMENTS.md "One shared
-   line per hop").  No ['a option] box, no per-slot Atomic block, no
-   write barrier, no allocation.  Readiness is the sequence's alone, so
-   a payload word may be any int.
+   Layout.  Every index, the snapshot and every cell is a word of a
+   Word_arena, so producers may be domains or fork'd processes alike:
+   the record holds only the mapping and word offsets.  From a
+   line-aligned base:
 
-   Sequence loads and stores are plain, under x86-TSO (Ring_layout's
-   argument): a producer stores the message words, then the sequence
-   (store-store); the consumer loads the sequence, then the words
-   (load-load), then stores [head] (load-store).  The producers' ticket
-   CAS stays a real CAS: it is the synchronisation.
-   [Real_substrate.create] refuses to run on a weakly-ordered target
-   ([Ring_layout.require_tso]).
+     line 0       [tail] (the ticket), [head_snap]   the producers' line
+     line 1       [head]                             the consumer's line
+     line 2 on    the cells: (seq, client, word, spare), four words each
+
+   A message's sequence and payload share one cell, so a hop moves one
+   line between producer and consumer, not a line of a separate
+   sequence array plus a line of a payload slab; with the cells
+   line-aligned, two fill a line exactly and none straddles two.  The
+   snapshot shares the ticket's line: a producer reads both on every
+   claim and writes the snapshot only just before its CAS writes that
+   line anyway.  No ['a option] box, no write barrier, no allocation.
+   Readiness is the sequence's alone, so a payload word may be any int.
+
+   Every access but the ticket claim is a plain Bigarray load or store,
+   under x86-TSO (Ring_layout's argument): a producer stores the
+   message words, then the sequence (store-store); the consumer loads
+   the sequence, then the words (load-load), then stores [head]
+   (load-store).  Producers read [tail] with a plain load too; only the
+   ticket CAS is a locked instruction ([Word_arena.cas], a [@@noalloc]
+   stub): it is the synchronisation.  [Word_arena.create] refuses to
+   run on a weakly-ordered target ([Ring_layout.require_tso]).
 
    A producer that is descheduled between winning the CAS and publishing
    its sequence leaves a "hole": the consumer cannot pass it, so later
@@ -63,37 +68,47 @@
    every producer issues its wake-up only after its own enqueue completes,
    so the hole's owner is the one that wakes the consumer it stalled. *)
 
+module A1 = Bigarray.Array1
+
 type t = {
-  cells : int array; (* 4 * ring words: (seq, client, word, spare) per slot *)
+  w : Word_arena.words;
+  tail : int; (* producers' ticket counter (CAS) *)
+  head_snap : int; (* producers' shared snapshot of [head] *)
+  head : int; (* next read index; written by the consumer only *)
+  cells : int; (* 4 * ring words: (seq, client, word, spare) per slot *)
   mask : int;
   cap : int;
-  tail : int Atomic.t; (* producers' ticket counter (CAS) *)
-  head : int Atomic.t; (* next read index; written by the consumer only *)
-  head_snap : int ref; (* producers' shared snapshot of [head], padded *)
 }
 
 let nil = -1
+let line = Word_arena.cache_line_words
+let head_off = line
+let cells_off = 2 * line
+let span_words ~ring = cells_off + (4 * ring)
 
-(* Plain store/load into an atomic's cell — the x86-TSO spelling of
-   spsc_ring.ml, for the consumer's [head].  Same-unit so they inline to
-   the bare mov.  On a weakly-ordered target revert to
-   [Atomic.set]/[Atomic.get]. *)
-let fenceless_set (r : int Atomic.t) (v : int) = (Obj.magic r : int ref) := v
-let fenceless_get (r : int Atomic.t) : int = !(Obj.magic r : int ref)
+let arena_words ~capacity =
+  span_words ~ring:(Ring_layout.ceil_pow2 capacity) + line - 1
 
-let create ~capacity () =
+let carve a ~capacity =
   let ring, mask, cap =
-    Ring_layout.geometry ~who:"Mpsc_ring.create" ~capacity
+    Ring_layout.geometry ~who:"Mpsc_ring.carve" ~capacity
   in
+  (* The arena is zero-filled, and seq 0 is never ready: ticket [i] is
+     ready at seq [i + 1] >= 1. *)
+  let base = Word_arena.alloc_line a ~words:(span_words ~ring) in
   {
-    (* seq 0 is never ready: ticket [i] is ready at seq [i + 1] >= 1. *)
-    cells = Array.make (4 * ring) 0;
+    w = Word_arena.words a;
+    tail = base;
+    head_snap = base + 1;
+    head = base + head_off;
+    cells = base + cells_off;
     mask;
     cap;
-    tail = Padding.copy_padded (Atomic.make 0);
-    head = Padding.copy_padded (Atomic.make 0);
-    head_snap = Padding.copy_padded (ref 0);
   }
+
+let create ~capacity () =
+  Ring_layout.check_capacity ~who:"Mpsc_ring.create" capacity;
+  carve (Word_arena.create ~size_words:(arena_words ~capacity) ()) ~capacity
 
 let capacity q = q.cap
 
@@ -102,22 +117,24 @@ let capacity q = q.cap
    forward, so producers retrying against a genuinely full ring do not
    bounce its line between them. *)
 let refreshed_room q tail =
-  let head = fenceless_get q.head in
-  if head > !(q.head_snap) then q.head_snap := head;
+  let head = A1.unsafe_get q.w q.head in
+  if head > A1.unsafe_get q.w q.head_snap then
+    A1.unsafe_set q.w q.head_snap head;
   q.cap - (tail - head)
 
 (* Fill the cell for ticket [idx], which the caller has claimed: the
    message words first, then the sequence that publishes them. *)
 let fill q idx client word =
-  let c = (idx land q.mask) lsl 2 in
-  Array.unsafe_set q.cells (c + 1) client;
-  Array.unsafe_set q.cells (c + 2) word;
-  Array.unsafe_set q.cells c (idx + 1)
+  let c = q.cells + ((idx land q.mask) lsl 2) in
+  A1.unsafe_set q.w (c + 1) client;
+  A1.unsafe_set q.w (c + 2) word;
+  A1.unsafe_set q.w c (idx + 1)
 
 let rec enqueue_pair q ~client ~word =
-  let tail = Atomic.get q.tail in
-  if tail - !(q.head_snap) >= q.cap && refreshed_room q tail <= 0 then false
-  else if Atomic.compare_and_set q.tail tail (tail + 1) then begin
+  let tail = A1.unsafe_get q.w q.tail in
+  if tail - A1.unsafe_get q.w q.head_snap >= q.cap && refreshed_room q tail <= 0
+  then false
+  else if Word_arena.cas q.w q.tail tail (tail + 1) then begin
     (* Ticket won: the slot is ours alone. *)
     fill q tail client word;
     true
@@ -127,12 +144,13 @@ let rec enqueue_pair q ~client ~word =
 (* Single consumer: poll the cell, copy the message out, publish
    [head].  The cell is not written back. *)
 let dequeue_into q dst pos =
-  let head = fenceless_get q.head in
-  let c = (head land q.mask) lsl 2 in
-  if Array.unsafe_get q.cells c = head + 1 then begin
-    dst.(pos) <- Array.unsafe_get q.cells (c + 1);
-    dst.(pos + 1) <- Array.unsafe_get q.cells (c + 2);
-    fenceless_set q.head (head + 1);
+  let w = q.w in
+  let head = A1.unsafe_get w q.head in
+  let c = q.cells + ((head land q.mask) lsl 2) in
+  if A1.unsafe_get w c = head + 1 then begin
+    dst.(pos) <- A1.unsafe_get w (c + 1);
+    dst.(pos + 1) <- A1.unsafe_get w (c + 2);
+    A1.unsafe_set w q.head (head + 1);
     true
   end
   else false
@@ -144,11 +162,12 @@ let enqueue q v =
   enqueue_pair q ~client:0 ~word:v
 
 let dequeue q =
-  let head = fenceless_get q.head in
-  let c = (head land q.mask) lsl 2 in
-  if Array.unsafe_get q.cells c = head + 1 then begin
-    let v = Array.unsafe_get q.cells (c + 2) in
-    fenceless_set q.head (head + 1);
+  let w = q.w in
+  let head = A1.unsafe_get w q.head in
+  let c = q.cells + ((head land q.mask) lsl 2) in
+  if A1.unsafe_get w c = head + 1 then begin
+    let v = A1.unsafe_get w (c + 2) in
+    A1.unsafe_set w q.head (head + 1);
     v
   end
   else nil
@@ -169,11 +188,11 @@ let dequeue q =
 let rec claim_batch q span ~pos ~len =
   if len = 0 then 0
   else begin
-    let tail = Atomic.get q.tail in
-    let f = q.cap - (tail - !(q.head_snap)) in
+    let tail = A1.unsafe_get q.w q.tail in
+    let f = q.cap - (tail - A1.unsafe_get q.w q.head_snap) in
     let k = min len (if f >= len then f else refreshed_room q tail) in
     if k <= 0 then 0
-    else if Atomic.compare_and_set q.tail tail (tail + k) then begin
+    else if Word_arena.cas q.w q.tail tail (tail + k) then begin
       for i = 0 to k - 1 do
         let s = 2 * (pos + i) in
         fill q (tail + i) (Array.unsafe_get span s)
@@ -195,11 +214,11 @@ let rec take_batch q buf ~pos ~max ~head i =
   if i >= max then i
   else begin
     let idx = head + i in
-    let c = (idx land q.mask) lsl 2 in
-    if Array.unsafe_get q.cells c = idx + 1 then begin
+    let c = q.cells + ((idx land q.mask) lsl 2) in
+    if A1.unsafe_get q.w c = idx + 1 then begin
       let s = 2 * (pos + i) in
-      Array.unsafe_set buf s (Array.unsafe_get q.cells (c + 1));
-      Array.unsafe_set buf (s + 1) (Array.unsafe_get q.cells (c + 2));
+      Array.unsafe_set buf s (A1.unsafe_get q.w (c + 1));
+      Array.unsafe_set buf (s + 1) (A1.unsafe_get q.w (c + 2));
       take_batch q buf ~pos ~max ~head (i + 1)
     end
     else i
@@ -208,9 +227,9 @@ let rec take_batch q buf ~pos ~max ~head i =
 let dequeue_batch q buf ~pos ~max =
   if max < 0 then invalid_arg "Mpsc_ring.dequeue_batch: negative max";
   Ring_layout.check_span ~who:"Mpsc_ring.dequeue_batch" buf ~pos ~len:max;
-  let head = fenceless_get q.head in
+  let head = A1.unsafe_get q.w q.head in
   let k = take_batch q buf ~pos ~max ~head 0 in
-  if k > 0 then fenceless_set q.head (head + k);
+  if k > 0 then A1.unsafe_set q.w q.head (head + k);
   k
 
 (* Same snapshot ordering invariant as Spsc_ring, with the roles
@@ -219,9 +238,9 @@ let dequeue_batch q buf ~pos ~max =
    under-count consumption and a later tail can only have grown, keeping
    the difference a conservative, never-negative occupancy. *)
 let is_empty q =
-  let head = Atomic.get q.head in
-  Atomic.get q.tail - head <= 0
+  let head = A1.unsafe_get q.w q.head in
+  A1.unsafe_get q.w q.tail - head <= 0
 
 let length q =
-  let head = Atomic.get q.head in
-  Atomic.get q.tail - head
+  let head = A1.unsafe_get q.w q.head in
+  A1.unsafe_get q.w q.tail - head

@@ -1,27 +1,29 @@
-(** Bounded lock-free multi-producer/single-consumer ring over one flat
-    array.
+(** Bounded lock-free multi-producer/single-consumer ring over shared
+    arena words.
 
     Vyukov's bounded queue specialised to one consumer: producers claim
     slots by CAS on a tail ticket, a per-slot sequence number says
     whether a slot holds the current lap's message, and the single
     consumer advances head with plain stores and never writes a cell
-    back — no lock, no per-message node.  Tail and head tickets live on
-    separate cache-line-padded atomics ({!Padding}).
+    back — no lock, no per-message node.  Tail and head tickets sit on
+    separate cache lines.
 
-    Each slot is a four-word cell of one flat [int array] — its
-    sequence, then the two-word message [(client, word)], then a spare
-    word — so a message moves one cache line from producer to consumer,
-    payload included: no ['a option] box, no per-slot [Atomic.t], no
-    write barrier, zero heap allocation per operation.  Both message
-    words are immediates and any int is valid: readiness is the
-    sequence number's alone.  Producers check room against a shared
-    padded snapshot of the consumer's index and re-read the index only
-    when the snapshot says the ring is full ({!Ring_layout}'s
-    one-shared-line rule).
+    Each slot is a four-word cell — its sequence, then the two-word
+    message [(client, word)], then a spare word — so a message moves
+    one cache line from producer to consumer, payload included: no
+    ['a option] box, no write barrier, zero heap allocation per
+    operation.  Both message words are immediates and any int is valid:
+    readiness is the sequence number's alone.  Producers check room
+    against a shared snapshot of the consumer's index and re-read the
+    index only when the snapshot says the ring is full ({!Ring_layout}'s
+    one-shared-line rule).  Every index, the snapshot and every cell is
+    a word of a {!Word_arena}, so producers and the consumer may be
+    domains or fork'd processes alike.
 
     This is the transport for the session's shared request queue: every
     client (and {!Rpc.post}) produces, only the server consumes.
-    Behaviour is undefined if two domains consume concurrently.
+    Behaviour is undefined if two domains or processes consume
+    concurrently.
 
     Same observable semantics as {!Tl_queue} when quiescent: FIFO per
     producer, an enqueue returns [false] exactly when [capacity]
@@ -34,9 +36,21 @@
 type t
 
 val create : capacity:int -> unit -> t
-(** The slot array is the capacity rounded up to a power of two, but the
-    flow-control boundary is checked against [capacity] exactly.
-    @raise Invalid_argument if [capacity <= 0]. *)
+(** A ring in an arena of its own.  The slot count is the capacity
+    rounded up to a power of two, but the flow-control boundary is
+    checked against [capacity] exactly.
+    @raise Invalid_argument if [capacity <= 0].
+    @raise Failure if the arena cannot be mapped (see
+    {!Word_arena.create}). *)
+
+val carve : Word_arena.t -> capacity:int -> t
+(** {!create}, but carved out of a session's arena, before any peer
+    starts.
+    @raise Invalid_argument if [capacity <= 0] or the arena is full. *)
+
+val arena_words : capacity:int -> int
+(** An upper bound on the arena words {!carve} takes, alignment
+    included: for sizing a session's arena. *)
 
 val capacity : t -> int
 
@@ -89,7 +103,7 @@ val dequeue_batch : t -> int array -> pos:int -> max:int -> int
     @raise Invalid_argument on a negative [max] or a bad span. *)
 
 val is_empty : t -> bool
-(** Lock-free hint, as used by polling loops: two atomic loads, [head]
+(** Lock-free hint, as used by polling loops: two index loads, [head]
     before [tail] so a concurrent dequeue can never make an occupied ring
     look empty.  Counts claimed-but-unfilled slots as present. *)
 

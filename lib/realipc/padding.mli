@@ -1,10 +1,10 @@
 (** Cache-line isolation for hot shared words.
 
-    The ring transports keep their head and tail indices in dedicated
-    [Atomic.t] boxes.  Two one-word boxes allocated back to back share a
-    64-byte cache line, so a producer bumping one index would invalidate
-    the line the consumer's index lives on — the classic false-sharing
-    ping-pong.  {!copy_padded} re-allocates such a box with enough
+    Hot shared words such as a semaphore's count or a slab's free-list
+    head live in dedicated [Atomic.t] boxes.  Two one-word boxes
+    allocated back to back share a 64-byte cache line, so a writer of
+    one would invalidate the line the other lives on — the classic
+    false-sharing ping-pong.  {!copy_padded} re-allocates such a box with enough
     trailing padding words that it occupies (at least) a full line on its
     own.  OCaml 5.2's [Atomic.make_contended] subsumes this; until then
     this is the portable spelling. *)

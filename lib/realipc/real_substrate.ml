@@ -58,8 +58,8 @@
    server), so replies ride {!Spsc_ring}; with a server *pool* any
    server may answer a stolen request, so reply channels switch to
    {!Mpsc_ring} (still single-consumer).  All rings are lock-free,
-   allocation-free per message and keep their indices on padded cache
-   lines.
+   allocation-free per message, and carved from one {!Word_arena} per
+   session, the same words the fork'd backend's rings live in.
 
    Instrumentation lives here, on the substrate side of the signature's
    counters seam, so the protocol core stays untouched: an optional
@@ -121,14 +121,27 @@ let create ?(transport = Ring) ?trace ?(nservers = 1) ?shard_assign ~capacity
     ~nclients () =
   if nservers <= 0 then
     invalid_arg "Real_substrate.create: nservers must be positive";
-  Ring_layout.require_tso ~who:"Real_substrate.create";
   let shard_map =
     Shard_map.create ?assign:shard_assign ~nclients ~nshards:nservers ()
+  in
+  (* Every ring is carved from the session's one arena, as on the fork'd
+     backend.  The arena is mapped whatever the transport, so a session
+     refuses to start off x86-64 either way ([Word_arena.create]). *)
+  let reply_words =
+    if nservers = 1 then Spsc_ring.arena_words ~capacity
+    else Mpsc_ring.arena_words ~capacity
+  in
+  let arena =
+    Word_arena.create
+      ~size_words:
+        ((nservers * Mpsc_ring.arena_words ~capacity)
+        + (nclients * reply_words))
+      ()
   in
   let request_queue () =
     match transport with
     | Two_lock -> Q_two_lock (Tl_queue.create ~capacity ())
-    | Ring -> Q_mpsc (Mpsc_ring.create ~capacity ())
+    | Ring -> Q_mpsc (Mpsc_ring.carve arena ~capacity)
   in
   (* A lone server is the unique producer of every reply channel, so the
      SPSC ring applies; a pool is not — a stolen request is answered by
@@ -138,8 +151,8 @@ let create ?(transport = Ring) ?trace ?(nservers = 1) ?shard_assign ~capacity
     match transport with
     | Two_lock -> Q_two_lock (Tl_queue.create ~capacity ())
     | Ring ->
-      if nservers = 1 then Q_spsc (Spsc_ring.create ~capacity ())
-      else Q_mpsc (Mpsc_ring.create ~capacity ())
+      if nservers = 1 then Q_spsc (Spsc_ring.carve arena ~capacity)
+      else Q_mpsc (Mpsc_ring.carve arena ~capacity)
   in
   (* One register per client (0 .. nclients-1), then one per server. *)
   let regs = Array.make (reg_pos (nclients + nservers)) 0 in

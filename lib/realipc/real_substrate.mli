@@ -80,9 +80,10 @@ val create :
     [Substrate.S] seam, like the counters, so the protocol core is
     untouched.  Shard [k]'s channel id is [-(k+1)] (shard 0 keeps the
     historical [-1]); reply channel [n] keeps id [n].
-    @raise Failure on a build for any architecture but x86-64: the rings
-    publish with plain stores, which are releases only under x86-TSO
-    (see {!Ring_layout.require_tso}). *)
+    Every ring is carved from one {!Word_arena} mapped here.
+    @raise Failure if the arena cannot be mapped, or on a build for any
+    architecture but x86-64: the rings publish with plain stores, which
+    are releases only under x86-TSO (see {!Ring_layout.require_tso}). *)
 
 val transport : t -> transport
 

@@ -1,21 +1,19 @@
 (* Shared geometry and access rule for the flat bounded rings.
 
-   Every ring in the message plane — the in-process Spsc_ring/Mpsc_ring
-   over OCaml arrays and the cross-process Ulipc_procipc.Pring over
-   mmap'd arena words — uses the same layout discipline: a power-of-two
-   slot count masked into indices that grow without wrapping, an exact
-   logical capacity that may be smaller than the slot count, occupancy
-   read as the difference of two monotonically increasing indices, and
-   one flat cell per slot: a seq word, then the message words.  This
-   module is that discipline's one home, so the two backends cannot
-   drift.
-
-   A cell carries the whole message.  The in-process rings' cells are
-   four words, (seq, client, word, spare): the message is the client
-   number and one payload word, copied in by the producer and out by
-   the consumer, so no payload lives anywhere else.  Pring's cells are
-   still (seq, value) pairs carrying one word — a Pslab slot index —
-   until the fork'd backend moves to the same word plane.
+   The message plane has one ring implementation, Spsc_ring and
+   Mpsc_ring, and both real backends use it: the domains backend and the
+   fork'd backend carve their rings from a session's Word_arena, whose
+   words are the same whether the peer is a domain or a process.  The
+   layout discipline is this module's: a power-of-two slot count masked
+   into indices that grow without wrapping, an exact logical capacity
+   that may be smaller than the slot count, occupancy read as the
+   difference of two monotonically increasing indices, and one flat
+   four-word cell per slot, (seq, client, word, spare).  A cell carries
+   the whole message — the client number and one payload word, copied in
+   by the producer and out by the consumer — so no payload lives
+   anywhere else.  Callers with one value per message (the fork'd
+   backend's Pslab slot indices, the layer ladder) send it as the word
+   with client 0.
 
    One-shared-line rule.  A cell is the only line both sides write, the
    consumer writes only its own index, and a producer reads the
@@ -44,10 +42,11 @@
    ready seq sees that lap's words — all of them — and a reused cell's
    new words can never reach a consumer load of the old message: a
    message can neither arrive torn between two laps nor half-written.
-   Readiness is the seq alone, so a message word may hold any value.  Every ring publishes with plain
-   stores, a release only under TSO: [require_tso] enforces it, and the
-   session constructors of both backends call it.  Only the MPSC
-   producers' ticket claim is a real CAS.
+   Readiness is the seq alone, so a message word may hold any value.
+   Every ring publishes with plain stores, a release only under TSO:
+   [require_tso] enforces it, and [Word_arena.create], which maps every
+   ring's words, calls it.  Only the MPSC producers' ticket claim is a
+   real CAS.
 
    Snapshot ordering rule for occupancy: [tail - head] read by a
    non-owner must load the index the PEER advances first — a stale

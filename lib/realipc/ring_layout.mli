@@ -1,13 +1,11 @@
-(** Shared geometry for the flat bounded rings — in-process
-    ([Spsc_ring]/[Mpsc_ring]) and cross-process ([Ulipc_procipc.Pring])
-    alike: power-of-two slot counts, exact logical capacity, occupancy
-    as a difference of unwrapped indices, one flat cell per slot — a
-    seq word, then the message words.  The in-process rings' cells are
-    [(seq, client, word, spare)] and carry the whole message;
-    [Ulipc_procipc.Pring]'s are still [(seq, value)] pairs carrying one
-    word.
+(** Shared geometry for the flat bounded rings, [Spsc_ring] and
+    [Mpsc_ring] — the one ring implementation both real backends carve
+    from a [Word_arena]: power-of-two slot counts, exact logical
+    capacity, occupancy as a difference of unwrapped indices, one flat
+    four-word cell per slot, [(seq, client, word, spare)], carrying the
+    whole message.
 
-    All four rings follow one rule: a cell is the only line both sides
+    Both rings follow one rule: a cell is the only line both sides
     write, the consumer copies every message word out before it writes
     its own index (and writes nothing else), and a producer reads the
     consumer's index only when its snapshot says the ring is full.
@@ -18,7 +16,7 @@
 val require_tso : who:string -> unit
 (** Returns only on a build for x86-64.  The rings publish their index
     and sequence words with plain stores, a release only under x86-TSO.
-    Called by [Real_substrate.create] and [Ulipc_procipc.Parena.create].
+    Called by [Word_arena.create], which maps every ring's words.
     @raise Failure naming [who] and the requirement on any other
     architecture. *)
 

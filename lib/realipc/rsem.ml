@@ -251,7 +251,6 @@ let flag_clear t = ignore (flag_write t 0 : bool)
 let flag_get t = Atomic.get t.word land 1 = 1
 let value t = max 0 (Atomic.get t.word asr 1)
 let parked t = Atomic.get t.parked
-let waiters t = parked t
 let parks t = Atomic.get t.p_ticket
 let grants t = Atomic.get t.v_ticket
 let array_size t = Array.length t.slots

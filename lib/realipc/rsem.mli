@@ -110,9 +110,6 @@ val parked : t -> int
     the value is never a torn read — it is exact at quiescence and at
     any instant a consistent count of committed waiters. *)
 
-val waiters : t -> int
-(** Alias for {!parked}, kept for the PR-7 directed-wake call sites. *)
-
 val parks : t -> int
 (** Cumulative slow-path entries: how many P's ever claimed a park
     ticket (monotone).  With {!grants} this exposes the waiting-array

@@ -1,4 +1,4 @@
-(* Bounded single-producer/single-consumer ring over a flat int array:
+(* Bounded single-producer/single-consumer ring over shared arena words:
    the Lamport ring reshaped by the refinements Torquati's SPSC study
    (TR-10-20) shows matter on shared-cache multicores, under the
    one-shared-line rule of Ring_layout —
@@ -9,21 +9,31 @@
      reads the producer's [head] or writes the cell back (a stale cell
      holds an older lap's seq and never reads as ready), so the slot
      line is the only line a hop moves;
-   - head and tail live in separate cache-line-padded atomics, and the
-     producer keeps a private snapshot of the consumer's index
-     ([cached_tail]), re-reading the shared [tail] only when the
-     snapshot says the ring looks full;
+   - head and tail sit on separate cache lines, and the producer keeps
+     a snapshot of the consumer's index ([cached_tail], on the line of
+     its [head]), re-reading the shared [tail] only when the snapshot
+     says the ring looks full;
    - the message words are immediates, so an enqueue is three plain
-     unboxed stores and a dequeue copies two words into a
-     caller-owned array — no [Some] allocation, no write barrier, no GC
-     pressure; readiness rides on [seq] alone, so a word may be any
-     int;
+     word stores and a dequeue copies two words into a caller-owned
+     array — no [Some] allocation, no write barrier, no GC pressure;
+     readiness rides on [seq] alone, so a word may be any int;
    - multipush ([enqueue_local]/[flush]): the producer batches up to
      [mp_k] messages in a private buffer and publishes them as one span;
    - temporal slipping: [flush] writes the buffered span {e backward}
      (highest slot first), so the cell the consumer polls next is the
      last one made ready and the consumer walks a span the producer has
      already finished with (TR-10-20's mpush ordering).
+
+   Every index, snapshot, buffer and cell is a word of a Word_arena, so
+   the ring works unchanged between domains and between fork'd
+   processes: the record holds only the mapping and word offsets, and
+   nothing a peer must see lives in the OCaml heap.  Span layout, from
+   a line-aligned base:
+
+     line 0       [head], [cached_tail], [mp_n]   producer-owned
+     line 1       [tail]                          consumer-owned
+     lines 2-3    the multipush buffer            producer-owned
+     line 4 on    the cells, four words each
 
    [head] is still published (last, after the cell) so [is_empty] and
    [length] — BSLS's polling hint and the telemetry gauge — can read
@@ -32,88 +42,84 @@
    Indices increase monotonically and are reduced modulo the (power of
    two) slot count; at 2^63 operations wraparound is unreachable.  The
    logical capacity is the one requested, checked exactly, so a ring of
-   capacity 3 rejects the 4th enqueue even though its array has 4 slots —
-   the same flow-control boundary as Tl_queue.
+   capacity 3 rejects the 4th enqueue even though it has 4 slots — the
+   same flow-control boundary as Tl_queue.
 
-   Cell and index stores are plain — [fenceless_set] below is the
-   x86-TSO plain store standing in for Torquati's compiler-only WMB —
-   because [Atomic.set]'s full fence alone costs more than the rest of
-   the operation.  The ordering argument is Ring_layout's: words before
-   seq (store-store), seq before words on the consumer side
-   (load-load), word loads before the tail publish (load-store); TSO
-   reorders none, and the amd64 backend schedules no instructions
-   across them.  [Real_substrate.create] refuses to run on a
+   Every access is a plain Bigarray load or store (a bare mov natively),
+   standing in for Torquati's compiler-only WMB: a fenced store alone
+   costs more than the rest of the operation.  The ordering argument is
+   Ring_layout's: words before seq (store-store), seq before words on
+   the consumer side (load-load), word loads before the tail publish
+   (load-store); TSO reorders none, and the amd64 backend schedules no
+   instructions across them.  [Word_arena.create] refuses to run on a
    weakly-ordered target ([Ring_layout.require_tso]). *)
 
+module A1 = Bigarray.Array1
+
 type t = {
-  cells : int array; (* 4 * ring words: (seq, client, word, spare) per slot *)
+  w : Word_arena.words;
+  head : int; (* next write index; written by the producer only *)
+  cached_tail : int; (* the producer's snapshot of [tail] *)
+  mp_n : int; (* messages in the multipush buffer *)
+  tail : int; (* next read index; written by the consumer only *)
+  mp_buf : int; (* 2 * mp_k words: buffered (client, word) pairs *)
+  cells : int; (* 4 * ring words: (seq, client, word, spare) per slot *)
   mask : int;
   cap : int;
-  head : int Atomic.t; (* next write index; written by the producer only *)
-  tail : int Atomic.t; (* next read index; written by the consumer only *)
-  cached_tail : int ref; (* producer-private snapshot of [tail] *)
-  mp_buf : int array; (* producer-private multipush buffer of pairs *)
-  mp_n : int ref; (* producer-private, padded: it changes every
-                     enqueue_local and must not share a line with the
-                     record's shared fields *)
   mp_k : int;
 }
 
 let nil = -1
+let line = Word_arena.cache_line_words
+let tail_off = line
+let mp_buf_off = 2 * line (* two lines: at most 8 pairs *)
+let cells_off = 4 * line
+let span_words ~ring = cells_off + (4 * ring)
 
-(* An [int Atomic.t] is a one-field mutable block at runtime, so the
-   cast yields the plain immediate store/load.  Defined here rather
-   than in a shared module on purpose: same-unit they are inlined to
-   the bare mov, cross-module each one is a real call that costs more
-   than the store it wraps (no flambda). *)
-let fenceless_set (r : int Atomic.t) (v : int) = (Obj.magic r : int ref) := v
-let fenceless_get (r : int Atomic.t) : int = !(Obj.magic r : int ref)
+let arena_words ~capacity =
+  span_words ~ring:(Ring_layout.ceil_pow2 capacity) + line - 1
 
-
-let create ~capacity () =
+let carve a ~capacity =
   let ring, mask, cap =
-    Ring_layout.geometry ~who:"Spsc_ring.create" ~capacity
+    Ring_layout.geometry ~who:"Spsc_ring.carve" ~capacity
   in
-  let mp_k = min 8 capacity in
+  (* The arena is zero-filled, and seq 0 is never ready: index [i] is
+     ready at seq [i + 1] >= 1. *)
+  let base = Word_arena.alloc_line a ~words:(span_words ~ring) in
   {
-    (* seq 0 is never ready: index [i] is ready at seq [i + 1] >= 1. *)
-    cells = Array.make (4 * ring) 0;
+    w = Word_arena.words a;
+    head = base;
+    cached_tail = base + 1;
+    mp_n = base + 2;
+    tail = base + tail_off;
+    mp_buf = base + mp_buf_off;
+    cells = base + cells_off;
     mask;
     cap;
-    head = Padding.copy_padded (Atomic.make 0);
-    tail = Padding.copy_padded (Atomic.make 0);
-    cached_tail = Padding.copy_padded (ref 0);
-    mp_buf = Array.make (2 * mp_k) 0;
-    mp_n = Padding.copy_padded (ref 0);
-    mp_k;
+    mp_k = min 8 capacity;
   }
+
+let create ~capacity () =
+  Ring_layout.check_capacity ~who:"Spsc_ring.create" capacity;
+  carve (Word_arena.create ~size_words:(arena_words ~capacity) ()) ~capacity
 
 let capacity q = q.cap
 
 (* Fill the cell for index [idx]: the message words first, then the seq
    that makes it ready (store-store under TSO). *)
 let fill q idx client word =
-  let c = (idx land q.mask) lsl 2 in
-  Array.unsafe_set q.cells (c + 1) client;
-  Array.unsafe_set q.cells (c + 2) word;
-  Array.unsafe_set q.cells c (idx + 1)
+  let c = q.cells + ((idx land q.mask) lsl 2) in
+  A1.unsafe_set q.w (c + 1) client;
+  A1.unsafe_set q.w (c + 2) word;
+  A1.unsafe_set q.w c (idx + 1)
 
 (* Room for [n] more messages?  Reads the consumer's [tail] only when the
-   private snapshot says no. *)
+   snapshot says no. *)
 let has_room q head n =
-  head + n - !(q.cached_tail) <= q.cap
+  head + n - A1.unsafe_get q.w q.cached_tail <= q.cap
   ||
-  (q.cached_tail := fenceless_get q.tail;
-   head + n - !(q.cached_tail) <= q.cap)
-
-let raw_enqueue q client word =
-  let head = fenceless_get q.head in
-  if has_room q head 1 then begin
-    fill q head client word;
-    fenceless_set q.head (head + 1);
-    true
-  end
-  else false
+  (A1.unsafe_set q.w q.cached_tail (A1.unsafe_get q.w q.tail);
+   head + n - A1.unsafe_get q.w q.cached_tail <= q.cap)
 
 (* Multipush (TR-10-20): write the whole private buffer backward —
    highest index first — so the cell the consumer is polling becomes
@@ -121,31 +127,31 @@ let raw_enqueue q client word =
    (temporal slipping).  All or nothing: a span that does not fit stays
    buffered, [mp_k <= cap] guarantees it can always fit eventually. *)
 let flush q =
-  let n = !(q.mp_n) in
+  let n = A1.unsafe_get q.w q.mp_n in
   n = 0
   ||
-  let head = fenceless_get q.head in
+  let head = A1.unsafe_get q.w q.head in
   has_room q head n
   && begin
        for i = n - 1 downto 0 do
-         fill q (head + i)
-           (Array.unsafe_get q.mp_buf (2 * i))
-           (Array.unsafe_get q.mp_buf ((2 * i) + 1))
+         let s = q.mp_buf + (2 * i) in
+         fill q (head + i) (A1.unsafe_get q.w s) (A1.unsafe_get q.w (s + 1))
        done;
-       fenceless_set q.head (head + n);
-       q.mp_n := 0;
+       A1.unsafe_set q.w q.head (head + n);
+       A1.unsafe_set q.w q.mp_n 0;
        true
      end
 
-let pending_local q = !(q.mp_n)
+let pending_local q = A1.unsafe_get q.w q.mp_n
 
 let buffer q n client word =
-  Array.unsafe_set q.mp_buf (2 * n) client;
-  Array.unsafe_set q.mp_buf ((2 * n) + 1) word;
-  q.mp_n := n + 1
+  let s = q.mp_buf + (2 * n) in
+  A1.unsafe_set q.w s client;
+  A1.unsafe_set q.w (s + 1) word;
+  A1.unsafe_set q.w q.mp_n (n + 1)
 
 let enqueue_local q ~client ~word =
-  let n = !(q.mp_n) in
+  let n = A1.unsafe_get q.w q.mp_n in
   if n < q.mp_k then begin
     buffer q n client word;
     if n + 1 = q.mp_k then ignore (flush q : bool);
@@ -160,42 +166,44 @@ let enqueue_local q ~client ~word =
   else false
 
 (* A plain enqueue first flushes any multipush leftovers so FIFO order
-   holds across mixed use; with an empty buffer (the common case — the
-   branch reads a producer-private word) it is the bare path, written
-   out inline: without flambda a call to [raw_enqueue] is a real
-   cross-function call, and at ~5 ns for the whole pair each call is a
-   measurable fraction of the budget. *)
-let enqueue_pair q ~client ~word =
-  if !(q.mp_n) = 0 then begin
-    let head = fenceless_get q.head in
+   holds across mixed use, then retries with the buffer empty; with an
+   empty buffer (the common case — the branch reads a producer-owned
+   word) it is the bare path, written out inline: without flambda a call
+   to [fill] is a real cross-function call, and at ~5 ns for the whole
+   pair each call is a measurable fraction of the budget. *)
+let rec enqueue_pair q ~client ~word =
+  let w = q.w in
+  if A1.unsafe_get w q.mp_n = 0 then begin
+    let head = A1.unsafe_get w q.head in
     let free =
-      head - !(q.cached_tail) < q.cap
+      head - A1.unsafe_get w q.cached_tail < q.cap
       ||
-      (q.cached_tail := fenceless_get q.tail;
-       head - !(q.cached_tail) < q.cap)
+      (A1.unsafe_set w q.cached_tail (A1.unsafe_get w q.tail);
+       head - A1.unsafe_get w q.cached_tail < q.cap)
     in
     if free then begin
-      let c = (head land q.mask) lsl 2 in
-      Array.unsafe_set q.cells (c + 1) client;
-      Array.unsafe_set q.cells (c + 2) word;
-      Array.unsafe_set q.cells c (head + 1);
-      fenceless_set q.head (head + 1);
+      let c = q.cells + ((head land q.mask) lsl 2) in
+      A1.unsafe_set w (c + 1) client;
+      A1.unsafe_set w (c + 2) word;
+      A1.unsafe_set w c (head + 1);
+      A1.unsafe_set w q.head (head + 1);
       true
     end
     else false
   end
-  else flush q && raw_enqueue q client word
+  else flush q && enqueue_pair q ~client ~word
 
 (* Consumer side: poll the cell, never [head].  Both word loads precede
    the tail publish (load-store), and the cell is left as it is — the
    producer rewrites it only after observing the advanced tail. *)
 let dequeue_into q dst pos =
-  let tail = fenceless_get q.tail in
-  let c = (tail land q.mask) lsl 2 in
-  if Array.unsafe_get q.cells c = tail + 1 then begin
-    dst.(pos) <- Array.unsafe_get q.cells (c + 1);
-    dst.(pos + 1) <- Array.unsafe_get q.cells (c + 2);
-    fenceless_set q.tail (tail + 1);
+  let w = q.w in
+  let tail = A1.unsafe_get w q.tail in
+  let c = q.cells + ((tail land q.mask) lsl 2) in
+  if A1.unsafe_get w c = tail + 1 then begin
+    dst.(pos) <- A1.unsafe_get w (c + 1);
+    dst.(pos + 1) <- A1.unsafe_get w (c + 2);
+    A1.unsafe_set w q.tail (tail + 1);
     true
   end
   else false
@@ -208,11 +216,12 @@ let enqueue q v =
   enqueue_pair q ~client:0 ~word:v
 
 let dequeue q =
-  let tail = fenceless_get q.tail in
-  let c = (tail land q.mask) lsl 2 in
-  if Array.unsafe_get q.cells c = tail + 1 then begin
-    let v = Array.unsafe_get q.cells (c + 2) in
-    fenceless_set q.tail (tail + 1);
+  let w = q.w in
+  let tail = A1.unsafe_get w q.tail in
+  let c = q.cells + ((tail land q.mask) lsl 2) in
+  if A1.unsafe_get w c = tail + 1 then begin
+    let v = A1.unsafe_get w (c + 2) in
+    A1.unsafe_set w q.tail (tail + 1);
     v
   end
   else nil
@@ -226,15 +235,15 @@ let dequeue q =
 let enqueue_batch q span ~pos ~len =
   Ring_layout.check_span ~who:"Spsc_ring.enqueue_batch" span ~pos ~len;
   if len = 0 then 0
-  else if !(q.mp_n) > 0 && not (flush q) then 0
+  else if A1.unsafe_get q.w q.mp_n > 0 && not (flush q) then 0
   else begin
-    let head = fenceless_get q.head in
+    let head = A1.unsafe_get q.w q.head in
     let free =
-      let f = q.cap - (head - !(q.cached_tail)) in
+      let f = q.cap - (head - A1.unsafe_get q.w q.cached_tail) in
       if f >= len then f
       else begin
-        q.cached_tail := fenceless_get q.tail;
-        q.cap - (head - !(q.cached_tail))
+        A1.unsafe_set q.w q.cached_tail (A1.unsafe_get q.w q.tail);
+        q.cap - (head - A1.unsafe_get q.w q.cached_tail)
       end
     in
     let k = min len free in
@@ -246,7 +255,7 @@ let enqueue_batch q span ~pos ~len =
         fill q (head + i) (Array.unsafe_get span s)
           (Array.unsafe_get span (s + 1))
       done;
-      fenceless_set q.head (head + k);
+      A1.unsafe_set q.w q.head (head + k);
       k
     end
   end
@@ -259,11 +268,11 @@ let rec take_batch q buf ~pos ~max ~tail i =
   if i >= max then i
   else begin
     let idx = tail + i in
-    let c = (idx land q.mask) lsl 2 in
-    if Array.unsafe_get q.cells c = idx + 1 then begin
+    let c = q.cells + ((idx land q.mask) lsl 2) in
+    if A1.unsafe_get q.w c = idx + 1 then begin
       let s = 2 * (pos + i) in
-      Array.unsafe_set buf s (Array.unsafe_get q.cells (c + 1));
-      Array.unsafe_set buf (s + 1) (Array.unsafe_get q.cells (c + 2));
+      Array.unsafe_set buf s (A1.unsafe_get q.w (c + 1));
+      Array.unsafe_set buf (s + 1) (A1.unsafe_get q.w (c + 2));
       take_batch q buf ~pos ~max ~tail (i + 1)
     end
     else i
@@ -272,9 +281,9 @@ let rec take_batch q buf ~pos ~max ~tail i =
 let dequeue_batch q buf ~pos ~max =
   if max < 0 then invalid_arg "Spsc_ring.dequeue_batch: negative max";
   Ring_layout.check_span ~who:"Spsc_ring.dequeue_batch" buf ~pos ~len:max;
-  let tail = fenceless_get q.tail in
+  let tail = A1.unsafe_get q.w q.tail in
   let k = take_batch q buf ~pos ~max ~tail 0 in
-  if k > 0 then fenceless_set q.tail (tail + k);
+  if k > 0 then A1.unsafe_set q.w q.tail (tail + k);
   k
 
 (* Snapshot ordering invariant: read [tail] BEFORE [head].  Only the
@@ -290,10 +299,10 @@ let dequeue_batch q buf ~pos ~max =
    [is_empty] correctly says empty.  Unflushed multipush messages are
    invisible here by design — they are not yet published. *)
 let is_empty q =
-  let tail = fenceless_get q.tail in
-  fenceless_get q.head - tail <= 0
+  let tail = A1.unsafe_get q.w q.tail in
+  A1.unsafe_get q.w q.head - tail <= 0
 
 let length q =
-  let tail = fenceless_get q.tail in
-  let n = fenceless_get q.head - tail in
+  let tail = A1.unsafe_get q.w q.tail in
+  let n = A1.unsafe_get q.w q.head - tail in
   if n > 0 then n else 0

@@ -1,15 +1,17 @@
-(** Bounded lock-free single-producer/single-consumer ring over a flat
-    int array.
+(** Bounded lock-free single-producer/single-consumer ring over shared
+    arena words.
 
-    A preallocated [int array] of four-word cells — a sequence number
-    and a two-word message [(client, word)] — with monotonically
-    increasing head/tail indices on separate cache-line-padded atomics
-    ({!Padding}), under {!Ring_layout}'s one-shared-line rule: the
-    consumer polls the cell at its index for a ready sequence number,
-    copies the message out and publishes only its own index, never
-    reading [head]; the producer re-reads the consumer's index only when
-    its private snapshot says the ring looks full.  A steady-state hop
-    moves the cell's line and nothing else: the message rides in it.
+    Four-word cells — a sequence number and a two-word message
+    [(client, word)] — and monotonically increasing head/tail indices on
+    separate cache lines, all of them words of a {!Word_arena}, under
+    {!Ring_layout}'s one-shared-line rule: the consumer polls the cell
+    at its index for a ready sequence number, copies the message out and
+    publishes only its own index, never reading [head]; the producer
+    re-reads the consumer's index only when its snapshot says the ring
+    looks full.  A steady-state hop moves the cell's line and nothing
+    else: the message rides in it.  Since no state a peer must see lives
+    in the OCaml heap, the same ring serves two domains or two fork'd
+    processes.
 
     Both message words are {e immediate ints}, and any int is a valid
     word — readiness is the sequence number's alone, so no word acts as
@@ -41,9 +43,22 @@
 type t
 
 val create : capacity:int -> unit -> t
-(** The slot array is the capacity rounded up to a power of two, but the
-    flow-control boundary is checked against [capacity] exactly.
-    @raise Invalid_argument if [capacity <= 0]. *)
+(** A ring in an arena of its own.  The slot count is the capacity
+    rounded up to a power of two, but the flow-control boundary is
+    checked against [capacity] exactly.
+    @raise Invalid_argument if [capacity <= 0].
+    @raise Failure if the arena cannot be mapped (see
+    {!Word_arena.create}). *)
+
+val carve : Word_arena.t -> capacity:int -> t
+(** {!create}, but carved out of a session's arena, before any peer
+    starts (a fork'd session carves pre-fork; children inherit word
+    offsets, not pointers).
+    @raise Invalid_argument if [capacity <= 0] or the arena is full. *)
+
+val arena_words : capacity:int -> int
+(** An upper bound on the arena words {!carve} takes, alignment
+    included: for sizing a session's arena. *)
 
 val capacity : t -> int
 

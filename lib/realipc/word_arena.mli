@@ -1,0 +1,78 @@
+(** A shared word arena: an mmap'd ([MAP_SHARED]) region of intnat
+    words behind a Bigarray, carved up by a bump allocator.  Every flat
+    ring ({!Spsc_ring}, {!Mpsc_ring}) lives in one, on the domains
+    backend and the fork'd backend alike, and the fork'd backend keeps
+    its semaphore and payload words there too
+    ([Ulipc_procipc.Parena] is this module plus the futex calls).
+
+    Structures carved here are {e word offsets}, never OCaml pointers:
+    a fork'd session maps and carves the arena, then forks — children
+    inherit the mapping (same pages, same address), and their copies of
+    the OCaml records that name offsets into it keep working unchanged.
+    The backing file lives in [/dev/shm] when present and is unlinked
+    as soon as it is mapped.
+
+    Allocation is single-owner (before any peer starts).  The shared
+    {e words} are the concurrent part: plain {!get}/{!set} (or inlined
+    [Bigarray.Array1.unsafe_get/set] over {!words}) for the
+    single-writer publishes of {!Ring_layout}, and the atomics below for
+    everything that synchronises. *)
+
+type words =
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type t
+
+val cache_line_words : int
+(** 8: allocation pitch that defeats false sharing between neighbours. *)
+
+val create : size_words:int -> unit -> t
+(** Map a fresh zero-filled shared region of [size_words] words (every
+    page faulted in, so no peer pays first-touch faults).
+    @raise Invalid_argument if [size_words <= 0].
+    @raise Failure if the region cannot be mapped, or on a build for any
+    architecture but x86-64, whose TSO ordering the plain publishes rely
+    on ({!Ring_layout.require_tso}). *)
+
+val words : t -> words
+(** The raw mapped words, for modules that inline their own unsafe
+    accesses over a carved-out span. *)
+
+val size_words : t -> int
+val used_words : t -> int
+
+val alloc : t -> words:int -> align:int -> int
+(** Bump-allocate [words] words aligned to [align] (a power of two);
+    returns the word offset.  No free — sessions carve once, up front.
+    @raise Invalid_argument on exhaustion or a non-power-of-two align. *)
+
+val alloc_line : t -> words:int -> int
+(** {!alloc} at cache-line alignment. *)
+
+val get : t -> int -> int
+(** Plain (fenceless) word load. *)
+
+val set : t -> int -> int -> unit
+(** Plain (fenceless) word store. *)
+
+(** {1 Atomic word operations} (C stubs over the mapped words) *)
+
+external cas : words -> int -> int -> int -> bool = "ulipc_word_cas"
+[@@noalloc]
+(** [cas w i expected desired]: the raw compare-and-swap on word [i],
+    for the rings' ticket claim — declared [external] here so callers
+    in other modules call the stub directly. *)
+
+val at_load : t -> int -> int
+(** Acquire load. *)
+
+val at_store : t -> int -> int -> unit
+(** Release store. *)
+
+val at_xchg : t -> int -> int -> int
+(** Atomic exchange; returns the previous value. *)
+
+val at_fetch_add : t -> int -> int -> int
+(** Atomic fetch-and-add; returns the previous value. *)
+
+val at_cas : t -> int -> expected:int -> desired:int -> bool

@@ -1,0 +1,322 @@
+(* The flat rings' cases that run both in one process and across fork:
+   the FIFO model properties, the stale-snapshot cases and the
+   torn-message cases.  The rings keep every index, snapshot, buffer and
+   cell in arena words, so the same cases hold whether the producer is
+   the test's own thread, a domain or a fork'd process.  Each case takes
+   the producer side as a parameter:
+
+   - [~producer f] runs one producer-side operation [f] and returns its
+     result: [in_process] calls it, the fork'd suites run it in a fresh
+     child, so a ring that kept its producer index or multipush buffer
+     in the OCaml heap (copied at fork, lost with the child) fails the
+     model there;
+   - [~start] launches the torn cases' producers (domains, or fork'd
+     processes) and returns the function that stops and reaps them.
+
+   This module is linked into both test binaries, so it spawns neither
+   domains nor processes itself. *)
+
+open Ulipc_real
+
+let in_process f = f ()
+
+(* ------------------------------------------------------------------ *)
+(* FIFO models *)
+
+(* Capacities 1..9 put the full check at both boundaries: [cap = ring]
+   (1, 2, 4, 8) and [cap < ring] (3, 5, 6, 7, 9), where the producer's
+   snapshot of the consumer's index must be refreshed to report room. *)
+let model_capacity = QCheck.int_range 1 9
+
+(* A message is a (client, word) pair, and any int is a word: the
+   generator mixes small clients with words from the whole int range,
+   negative ones, [min_int] and [max_int] included. *)
+let msg_gen =
+  QCheck.(pair (int_bound 100) (oneof [ int; int_range (-3) 3 ]))
+
+(* [dequeue_into] against an option-returning model: a pair arrives
+   exactly when the model has one, and an empty ring leaves the
+   destination untouched. *)
+let deq_into_matches_model dequeue_into q model =
+  let dst = [| 7; 7; 7; 7 |] in
+  let got = dequeue_into q dst 1 in
+  dst.(0) = 7 && dst.(3) = 7
+  &&
+  match Queue.take_opt model with
+  | Some (c, w) -> got && dst.(1) = c && dst.(2) = w
+  | None -> (not got) && dst.(1) = 7 && dst.(2) = 7
+
+(* Multipush against a model with an explicit pending buffer: a message
+   is published (visible to [length]/[dequeue_into]) only by a flush
+   that fits as a whole; the buffer auto-flushes at [min 8 cap]; a plain
+   enqueue flushes first. *)
+let spsc_op =
+  QCheck.(
+    frequency
+      [
+        (3, map (fun m -> `Enq m) msg_gen);
+        (2, map (fun m -> `Local m) msg_gen);
+        (1, always `Flush);
+        (4, always `Deq);
+      ])
+
+(* [program op] is the list of ops a trial runs: the in-process suites
+   take QCheck's default lengths, the fork'd ones (a fork per producer
+   op) short lists. *)
+let prop_spsc_model ?(count = 300) ?(producer = in_process)
+    ?(program = QCheck.list) ~name create =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair model_capacity (program spsc_op))
+    (fun (cap, program) ->
+      let q = create ~capacity:cap in
+      let model = Queue.create () and pending = Queue.create () in
+      let mp_k = min 8 cap in
+      let flush_model () =
+        Queue.is_empty pending
+        || Queue.length model + Queue.length pending <= cap
+           && (Queue.transfer pending model;
+               true)
+      in
+      let step = function
+        | `Enq ((client, word) as v) ->
+          let accepted =
+            producer (fun () -> Spsc_ring.enqueue_pair q ~client ~word)
+          in
+          let model_accepts =
+            flush_model ()
+            && Queue.length model < cap
+            && (Queue.add v model;
+                true)
+          in
+          accepted = model_accepts
+        | `Local ((client, word) as v) ->
+          let accepted =
+            producer (fun () -> Spsc_ring.enqueue_local q ~client ~word)
+          in
+          let model_accepts =
+            if Queue.length pending < mp_k then begin
+              Queue.add v pending;
+              if Queue.length pending = mp_k then ignore (flush_model () : bool);
+              true
+            end
+            else
+              flush_model ()
+              && (Queue.add v pending;
+                  true)
+          in
+          accepted = model_accepts
+        | `Flush -> producer (fun () -> Spsc_ring.flush q) = flush_model ()
+        | `Deq -> deq_into_matches_model Spsc_ring.dequeue_into q model
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Spsc_ring.pending_local q = Queue.length pending
+          && Spsc_ring.length q = Queue.length model)
+        program)
+
+let prop_mpsc_model ?(count = 300) ?(producer = in_process)
+    ?(program = QCheck.list) ~name create =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair model_capacity (program (option msg_gen)))
+    (fun (cap, program) ->
+      let q = create ~capacity:cap in
+      let model = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some ((client, word) as v) ->
+            let accepted =
+              producer (fun () -> Mpsc_ring.enqueue_pair q ~client ~word)
+            in
+            let model_accepts = Queue.length model < cap in
+            if model_accepts then Queue.add v model;
+            accepted = model_accepts
+          | None -> deq_into_matches_model Mpsc_ring.dequeue_into q model)
+          && Mpsc_ring.length q = Queue.length model)
+        program)
+
+(* ------------------------------------------------------------------ *)
+(* Stale snapshots *)
+
+(* The producer's snapshot of the consumer's index goes stale the moment
+   the consumer moves: filled to [capacity] and drained by one, the ring
+   has exactly one free slot, which only a refreshed snapshot can see.
+   Run at [cap = ring] and [cap < ring]. *)
+let stale_snapshot_case ?(producer = in_process) ~capacity create enqueue
+    dequeue nil () =
+  let q = create ~capacity in
+  let enq v = producer (fun () -> enqueue q v) in
+  for i = 1 to capacity do
+    Alcotest.(check bool) "fill" true (enq i)
+  done;
+  Alcotest.(check int) "drain one" 1 (dequeue q);
+  Alcotest.(check bool) "the freed slot is seen" true (enq 100);
+  Alcotest.(check bool) "and then the ring is full" false (enq 101);
+  for i = 2 to capacity do
+    Alcotest.(check int) "fifo" i (dequeue q)
+  done;
+  Alcotest.(check int) "last" 100 (dequeue q);
+  Alcotest.(check int) "empty" nil (dequeue q)
+
+let stale_snapshot_cases ?producer name create enqueue dequeue nil =
+  List.map
+    (fun capacity ->
+      Alcotest.test_case
+        (Printf.sprintf "%s stale snapshot at capacity %d" name capacity)
+        `Quick
+        (stale_snapshot_case ?producer ~capacity create enqueue dequeue nil))
+    [ 4; 3 ]
+
+(* ------------------------------------------------------------------ *)
+(* Torn messages.  A cell carries two message words next to its seq, so
+   a consumer that releases the cell before it has loaded both words,
+   or a producer that publishes the seq before both words are stored,
+   lets a pair arrive with one word from another message.  Every word
+   here brands its client and that client's sequence number (negative,
+   so a sentinel-like word would show too), and the consumer checks
+   every pair that arrives against the next brand it expects from that
+   client: a torn pair, a lost, duplicated or reordered message each
+   fail.  Tiny capacities make the producers reuse each cell as soon as
+   the consumer's index passes it — the window the two orderings guard.
+   Singles and spans, on both sides, alternate.  A side that finds the
+   ring full or empty polls it tightly for a while — on a multiprocessor
+   that is what lands a producer's reuse inside the consumer's copy —
+   and then yields the CPU, so the cases stay quick pinned to one CPU,
+   where the timer still preempts the peers inside their claims and
+   copies. *)
+let brand client seq = lnot ((client lsl 32) lor seq)
+
+(* One wait after [misses] consecutive misses; returns the new count. *)
+let idle misses =
+  if misses < 64 then Domain.cpu_relax () else Backoff.sched_yield ();
+  misses + 1
+
+(* The consumer's check, and the verdict: [(bad pairs, all arrived)]. *)
+let torn_check ~nproducers ~per_producer =
+  let next = Array.make (nproducers + 1) 1 and bad = ref 0 in
+  let check client word =
+    if client < 1 || client > nproducers || word <> brand client next.(client)
+    then incr bad
+    else next.(client) <- next.(client) + 1
+  in
+  let result () =
+    ( !bad,
+      Array.for_all
+        (fun n -> n = per_producer + 1)
+        (Array.sub next 1 nproducers) )
+  in
+  (check, result)
+
+(* One producer's traffic: message [seq] is [(client, brand client seq)],
+   sent alone or in a span of up to 3 by [send_single]/[send_span], which
+   return how many were accepted.  Then [drain] until it holds.  Gives up
+   once [stopped ()]. *)
+let produce_branded ~stopped ~client ~per_producer (send_single, send_span, drain)
+    =
+  let span = Array.make 6 0 in
+  let seq = ref 1 and misses = ref 0 in
+  while !seq <= per_producer && not (stopped ()) do
+    let k = min (1 + (!seq mod 3)) (per_producer - !seq + 1) in
+    let accepted =
+      if !seq land 1 = 0 then
+        if send_single ~client ~word:(brand client !seq) then 1 else 0
+      else begin
+        for i = 0 to k - 1 do
+          span.(2 * i) <- client;
+          span.((2 * i) + 1) <- brand client (!seq + i)
+        done;
+        send_span span k
+      end
+    in
+    misses := if accepted = 0 then idle !misses else 0;
+    seq := !seq + accepted
+  done;
+  while not (drain () || stopped ()) do
+    Backoff.sched_yield ()
+  done
+
+(* The consumer side, three single dequeues to one span dequeue, until
+   [total] messages arrived or 20 s passed. *)
+let consume_branded ~total ~check dequeue_into dequeue_batch =
+  let reg = Array.make 2 0 and buf = Array.make 8 0 in
+  let got = ref 0 and turn = ref 0 and misses = ref 0 in
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  while !got < total && Unix.gettimeofday () < deadline do
+    incr turn;
+    let k =
+      if !turn land 3 <> 0 then
+        if dequeue_into reg 0 then begin
+          check reg.(0) reg.(1);
+          1
+        end
+        else 0
+      else begin
+        let k = dequeue_batch buf 4 in
+        for i = 0 to k - 1 do
+          check buf.(2 * i) buf.((2 * i) + 1)
+        done;
+        k
+      end
+    in
+    misses := if k = 0 then idle !misses else 0;
+    got := !got + k
+  done
+
+(* [start ~nproducers produce] runs [produce ~client ~stopped] for
+   clients 1..nproducers on peers of its choice and returns the function
+   that stops and reaps them once the consumer is done. *)
+let torn_case ~start ~nproducers ~per_producer ~senders dequeue_into
+    dequeue_batch =
+  let check, result = torn_check ~nproducers ~per_producer in
+  let finish =
+    start ~nproducers (fun ~client ~stopped ->
+        produce_branded ~stopped ~client ~per_producer senders)
+  in
+  consume_branded ~total:(nproducers * per_producer) ~check dequeue_into
+    dequeue_batch;
+  finish ();
+  let bad, complete = result () in
+  Alcotest.(check int) "every pair arrived whole and in order" 0 bad;
+  Alcotest.(check bool) "every message arrived" true complete
+
+let mpsc_torn ?(per_producer = 200_000) ~start ~capacity () =
+  let q = Mpsc_ring.create ~capacity () in
+  torn_case ~start ~nproducers:2 ~per_producer
+    ~senders:
+      ( (fun ~client ~word -> Mpsc_ring.enqueue_pair q ~client ~word),
+        (fun span k -> Mpsc_ring.enqueue_batch q span ~pos:0 ~len:k),
+        fun () -> true )
+    (Mpsc_ring.dequeue_into q)
+    (fun buf max -> Mpsc_ring.dequeue_batch q buf ~pos:0 ~max)
+
+(* The SPSC ring's one producer alternates plain, multipush and span
+   sends, and flushes what multipush left buffered at the end. *)
+let spsc_torn ?(per_producer = 400_000) ~start ~capacity () =
+  let q = Spsc_ring.create ~capacity () in
+  let single ~client ~word =
+    if word land 2 = 0 then Spsc_ring.enqueue_pair q ~client ~word
+    else begin
+      (* Accepted once buffered; a flush that finds no room is retried
+         by the next send, which flushes first. *)
+      let ok = Spsc_ring.enqueue_local q ~client ~word in
+      ignore (Spsc_ring.flush q : bool);
+      ok
+    end
+  in
+  torn_case ~start ~nproducers:1 ~per_producer
+    ~senders:
+      ( single,
+        (fun span k -> Spsc_ring.enqueue_batch q span ~pos:0 ~len:k),
+        fun () -> Spsc_ring.flush q )
+    (Spsc_ring.dequeue_into q)
+    (fun buf max -> Spsc_ring.dequeue_batch q buf ~pos:0 ~max)
+
+let torn_cases ?per_producer ~start name case =
+  List.map
+    (fun capacity ->
+      Alcotest.test_case
+        (Printf.sprintf "%s torn messages at capacity %d" name capacity)
+        `Quick
+        (case ?per_producer ~start ~capacity))
+    [ 1; 2; 3; 4 ]

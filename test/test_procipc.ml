@@ -21,7 +21,8 @@
 
 module Parena = Ulipc_procipc.Parena
 module Fsem = Ulipc_procipc.Fsem
-module Pring = Ulipc_procipc.Pring
+module Spsc = Ulipc_real.Spsc_ring
+module Mpsc = Ulipc_real.Mpsc_ring
 module Pslab = Ulipc_procipc.Pslab
 module Proc_rpc = Ulipc_procipc.Proc_rpc
 module Proc_substrate = Ulipc_procipc.Proc_substrate
@@ -116,8 +117,22 @@ let prop_arena_alloc_invariants =
 let test_arena_exhaustion_raises () =
   let a = Parena.create ~size_words:32 () in
   Alcotest.check_raises "over-allocation rejected"
-    (Invalid_argument "Parena.alloc: arena exhausted (0 + 4096 > 32 words)")
+    (Invalid_argument "Word_arena.alloc: arena exhausted (0 + 4096 > 32 words)")
     (fun () -> ignore (Parena.alloc a ~words:4096 ~align:1 : int))
+
+(* A region no address space can hold: the mapping fails, and the
+   failure is a [Failure] naming the arena and the size, not a bare
+   [Unix_error] from inside the mapping. *)
+let test_arena_mapping_failure () =
+  let size_words = 1 lsl 47 in
+  match Parena.create ~size_words () with
+  | _ -> Alcotest.fail "a 2^50-byte arena was mapped"
+  | exception Failure msg ->
+    let prefix =
+      Printf.sprintf "Word_arena.create: cannot map %d words" size_words
+    in
+    Alcotest.(check string) "clear failure" prefix
+      (String.sub msg 0 (min (String.length msg) (String.length prefix)))
 
 (* ------------------------------------------------------------------ *)
 (* Fsem: the futex semaphore *)
@@ -183,39 +198,39 @@ let test_fsem_p_timed_woken_by_child () =
     ignore (Unix.waitpid [] pid)
 
 (* ------------------------------------------------------------------ *)
-(* Pring: the arena rings *)
+(* The flat rings carved from an arena, across fork *)
 
 let test_spsc_fifo_and_capacity () =
   let a = Parena.create ~size_words:1024 () in
-  let q = Pring.Spsc.create a ~capacity:8 in
-  let cap = Pring.Spsc.capacity q in
-  Alcotest.(check bool) "empty" true (Pring.Spsc.is_empty q);
+  let q = Spsc.carve a ~capacity:8 in
+  let cap = Spsc.capacity q in
+  Alcotest.(check bool) "empty" true (Spsc.is_empty q);
   let pushed = ref 0 in
-  while Pring.Spsc.enqueue q (100 + !pushed) do
+  while Spsc.enqueue q (100 + !pushed) do
     incr pushed
   done;
   Alcotest.(check int) "fills to capacity" cap !pushed;
   for i = 0 to cap - 1 do
-    Alcotest.(check int) "FIFO order" (100 + i) (Pring.Spsc.dequeue q)
+    Alcotest.(check int) "FIFO order" (100 + i) (Spsc.dequeue q)
   done;
-  Alcotest.(check int) "empty again" Pring.nil (Pring.Spsc.dequeue q)
+  Alcotest.(check int) "empty again" Spsc.nil (Spsc.dequeue q)
 
 let test_mpsc_fifo_and_capacity () =
   let a = Parena.create ~size_words:1024 () in
-  let q = Pring.Mpsc.create a ~capacity:8 in
-  let cap = Pring.Mpsc.capacity q in
+  let q = Mpsc.carve a ~capacity:8 in
+  let cap = Mpsc.capacity q in
   let pushed = ref 0 in
-  while Pring.Mpsc.enqueue q (200 + !pushed) do
+  while Mpsc.enqueue q (200 + !pushed) do
     incr pushed
   done;
   Alcotest.(check int) "fills to capacity" cap !pushed;
   for i = 0 to cap - 1 do
-    Alcotest.(check int) "FIFO order" (200 + i) (Pring.Mpsc.dequeue q)
+    Alcotest.(check int) "FIFO order" (200 + i) (Mpsc.dequeue q)
   done;
-  Alcotest.(check int) "empty again" Pring.nil (Pring.Mpsc.dequeue q);
+  Alcotest.(check int) "empty again" Mpsc.nil (Mpsc.dequeue q);
   (* A drained ring is reusable: seq words were recycled, not burnt. *)
-  Alcotest.(check bool) "reusable after drain" true (Pring.Mpsc.enqueue q 7);
-  Alcotest.(check int) "value survives" 7 (Pring.Mpsc.dequeue q)
+  Alcotest.(check bool) "reusable after drain" true (Mpsc.enqueue q 7);
+  Alcotest.(check int) "value survives" 7 (Mpsc.dequeue q)
 
 (* length/is_empty: exact when quiescent (the only writer is the
    caller), conservative under a race.  The sequential leg pins the
@@ -226,7 +241,7 @@ let test_mpsc_fifo_and_capacity () =
 module type RING = sig
   type t
 
-  val create : Parena.t -> capacity:int -> t
+  val carve : Parena.t -> capacity:int -> t
   val capacity : t -> int
   val enqueue : t -> int -> bool
   val dequeue : t -> int
@@ -236,7 +251,7 @@ end
 
 let length_fill_drain ~name (module R : RING) =
   let a = Parena.create ~size_words:1024 () in
-  let q = R.create a ~capacity:8 in
+  let q = R.carve a ~capacity:8 in
   let cap = R.capacity q in
   Alcotest.(check int) (name ^ " empty length") 0 (R.length q);
   Alcotest.(check bool) (name ^ " empty") true (R.is_empty q);
@@ -252,19 +267,19 @@ let length_fill_drain ~name (module R : RING) =
   Alcotest.(check bool) (name ^ " empty after drain") true (R.is_empty q)
 
 let test_spsc_length_exact_quiescent () =
-  length_fill_drain ~name:"spsc" (module Pring.Spsc)
+  length_fill_drain ~name:"spsc" (module Spsc)
 
 let test_mpsc_length_exact_quiescent () =
-  length_fill_drain ~name:"mpsc" (module Pring.Mpsc)
+  length_fill_drain ~name:"mpsc" (module Mpsc)
 
 let test_spsc_length_conservative_under_race () =
   let a = Parena.create ~size_words:1024 () in
-  let q = Pring.Spsc.create a ~capacity:16 in
+  let q = Spsc.carve a ~capacity:16 in
   let n = 2000 in
   match Unix.fork () with
   | 0 ->
     for v = 0 to n - 1 do
-      while not (Pring.Spsc.enqueue q v) do
+      while not (Spsc.enqueue q v) do
         Parena.sched_yield ()
       done
     done;
@@ -276,10 +291,10 @@ let test_spsc_length_conservative_under_race () =
          and the next one the snapshots race only against the producer:
          length may over-report arrivals but must never go negative,
          and a non-empty verdict can only become MORE true. *)
-      if Pring.Spsc.length q < 0 then ok := false;
+      if Spsc.length q < 0 then ok := false;
       let rec next () =
-        let v = Pring.Spsc.dequeue q in
-        if v = Pring.nil then (
+        let v = Spsc.dequeue q in
+        if v = Spsc.nil then (
           Parena.sched_yield ();
           next ())
         else v
@@ -289,8 +304,8 @@ let test_spsc_length_conservative_under_race () =
     ignore (Unix.waitpid [] pid);
     Alcotest.(check bool) "length never negative under race, FIFO kept" true
       !ok;
-    Alcotest.(check int) "drained exactly" 0 (Pring.Spsc.length q);
-    Alcotest.(check bool) "empty at quiescence" true (Pring.Spsc.is_empty q)
+    Alcotest.(check int) "drained exactly" 0 (Spsc.length q);
+    Alcotest.(check bool) "empty at quiescence" true (Spsc.is_empty q)
 
 (* One producer process, one consumer process, 5000 values in order
    through a 16-slot ring: the fenceless single-writer publishes must
@@ -310,7 +325,7 @@ let cross_fork_transfer enqueue dequeue q =
     for expect = 0 to n - 1 do
       let rec next () =
         let v = dequeue q in
-        if v = Pring.nil then (
+        if v = Spsc.nil then (
           Parena.sched_yield ();
           next ())
         else v
@@ -322,67 +337,50 @@ let cross_fork_transfer enqueue dequeue q =
 
 let test_spsc_cross_fork () =
   let a = Parena.create ~size_words:1024 () in
-  let q = Pring.Spsc.create a ~capacity:16 in
+  let q = Spsc.carve a ~capacity:16 in
   Alcotest.(check bool) "in-order across fork" true
-    (cross_fork_transfer Pring.Spsc.enqueue Pring.Spsc.dequeue q)
+    (cross_fork_transfer Spsc.enqueue Spsc.dequeue q)
 
 let test_mpsc_cross_fork () =
   let a = Parena.create ~size_words:1024 () in
-  let q = Pring.Mpsc.create a ~capacity:16 in
+  let q = Mpsc.carve a ~capacity:16 in
   Alcotest.(check bool) "in-order across fork" true
-    (cross_fork_transfer Pring.Mpsc.enqueue Pring.Mpsc.dequeue q)
+    (cross_fork_transfer Mpsc.enqueue Mpsc.dequeue q)
 
-(* Sequential models at both capacity boundaries — [cap = ring] (1, 2,
-   4, 8) and [cap < ring] (3, 5, 6, 7, 9) — so a producer's stale
-   snapshot of the consumer's index is refreshed on both paths.  Each
-   trial carves its ring from a fresh arena. *)
-let prop_pring_model name (module R : RING) =
-  QCheck.Test.make ~name ~count:200
-    QCheck.(pair (int_range 1 9) (list (option (int_bound 100))))
-    (fun (cap, program) ->
-      let q = R.create (Parena.create ~size_words:256 ()) ~capacity:cap in
-      let model = Queue.create () in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Some v ->
-            let accepted = R.enqueue q v in
-            let model_accepts = Queue.length model < cap in
-            if model_accepts then Queue.add v model;
-            accepted = model_accepts
-          | None -> (
-            let got = R.dequeue q in
-            match Queue.take_opt model with
-            | Some v -> got = v
-            | None -> got = Pring.nil))
-          && R.length q = Queue.length model)
-        program)
+(* Ring_cases across fork: every producer-side operation runs in a
+   fresh child, so each model step and each stale snapshot is taken by a
+   producer process that has never run before — producer state the ring
+   kept in the OCaml heap instead of the arena (its index, the multipush
+   buffer) would be lost between steps — and the torn-message cases run
+   their producers as processes. *)
+let fork_program op = QCheck.list_of_size QCheck.Gen.(0 -- 40) op
 
-(* Filled to capacity and drained by one, the ring has exactly one free
-   slot, which the producer process sees only by refreshing its stale
-   snapshot of the consumer's index. *)
-let stale_snapshot_case (module R : RING) ~capacity () =
-  let q = R.create (Parena.create ~size_words:256 ()) ~capacity in
-  for i = 1 to capacity do
-    Alcotest.(check bool) "fill" true (R.enqueue q i)
-  done;
-  Alcotest.(check int) "drain one" 1 (R.dequeue q);
-  Alcotest.(check bool) "the freed slot is seen" true (R.enqueue q 100);
-  Alcotest.(check bool) "and then the ring is full" false (R.enqueue q 101);
-  for i = 2 to capacity do
-    Alcotest.(check int) "fifo" i (R.dequeue q)
-  done;
-  Alcotest.(check int) "last" 100 (R.dequeue q);
-  Alcotest.(check int) "empty" Pring.nil (R.dequeue q)
+(* Fresh children start on the parent's CPU and take a while to
+   migrate, so on a multiprocessor the cross-fork torn cases send more
+   messages per producer than the in-process ones for the same chance of
+   a reuse landing inside the consumer's copy: a consumer publishing its
+   index before its word loads failed 3 of 10 runs at 200k, and every
+   run at 1M.  On one CPU, where every hop of a tiny ring is a context
+   switch, the in-process counts keep the cases inside their deadline. *)
+let fork_torn_messages =
+  if Domain.recommended_domain_count () > 1 then Some 1_000_000 else None
 
-let stale_snapshot_cases name ring =
-  List.map
-    (fun capacity ->
-      Alcotest.test_case
-        (Printf.sprintf "%s stale snapshot at capacity %d" name capacity)
-        `Quick
-        (stale_snapshot_case ring ~capacity))
-    [ 4; 3 ]
+let in_processes ~nproducers produce =
+  let pids =
+    List.init nproducers (fun p ->
+        match Unix.fork () with
+        | 0 ->
+          (try produce ~client:(p + 1) ~stopped:(fun () -> false)
+           with _ -> Unix._exit 1);
+          Unix._exit 0
+        | pid -> pid)
+  in
+  fun () ->
+    List.iter
+      (fun pid ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid))
+      pids
 
 (* Session arena sizing: every ring of a large session, request and
    reply alike, is driven through its last cell, and the rings are all
@@ -451,6 +449,22 @@ let test_pslab_cross_fork_handoff () =
   Alcotest.(check int) "slot accounted in-use" 1 (Pslab.in_use_count slab);
   Pslab.release slab i;
   Alcotest.(check int) "parent released it" 0 (Pslab.in_use_count slab)
+
+(* A release outside [0, slots) is rejected before it writes a link or
+   touches the free list: the slab still hands out exactly its slots. *)
+let test_pslab_release_rejects_bad_index () =
+  let a = Parena.create ~size_words:4096 () in
+  let slab = Pslab.create a ~slots:4 in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "release %d" i)
+        (Invalid_argument "Pslab.release: index out of range")
+        (fun () -> Pslab.release slab i))
+    [ -1; 4; 1000 ];
+  let got = List.init 5 (fun _ -> Pslab.try_alloc slab) in
+  Alcotest.(check (list int)) "free list intact" [ 0; 1; 2; 3; Pslab.nil ] got;
+  Alcotest.(check int) "in use" 4 (Pslab.in_use_count slab)
 
 (* ------------------------------------------------------------------ *)
 (* Proc_substrate.await across fork: a message a child enqueues ~4 us
@@ -775,13 +789,13 @@ let within_deadline ~timeout_s what f =
 let test_mpsc_two_producers_cross_fork () =
   within_deadline ~timeout_s:20.0 "2-producer mpsc transfer" (fun () ->
       let a = Parena.create ~size_words:1024 () in
-      let q = Pring.Mpsc.create a ~capacity:4 in
+      let q = Mpsc.carve a ~capacity:4 in
       let per_producer = 5000 in
       let producer p =
         match Unix.fork () with
         | 0 ->
           for i = 1 to per_producer do
-            while not (Pring.Mpsc.enqueue q ((p * 1_000_000) + i)) do
+            while not (Mpsc.enqueue q ((p * 1_000_000) + i)) do
               Parena.sched_yield ()
             done
           done;
@@ -792,8 +806,8 @@ let test_mpsc_two_producers_cross_fork () =
       let next = [| 0; 1; 1 |] in
       for _ = 1 to 2 * per_producer do
         let rec take () =
-          let v = Pring.Mpsc.dequeue q in
-          if v = Pring.nil then (
+          let v = Mpsc.dequeue q in
+          if v = Spsc.nil then (
             Parena.sched_yield ();
             take ())
           else v
@@ -806,7 +820,7 @@ let test_mpsc_two_producers_cross_fork () =
         next.(p) <- i + 1
       done;
       List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-      if Pring.Mpsc.dequeue q <> Pring.nil then failwith "extra value")
+      if Mpsc.dequeue q <> Spsc.nil then failwith "extra value")
 
 (* Thousands of synchronous round trips through the blocking protocols,
    where every call parks one side or the other: each call is a chance
@@ -903,6 +917,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_arena_alloc_invariants;
         Alcotest.test_case "exhaustion raises" `Quick
           test_arena_exhaustion_raises;
+        Alcotest.test_case "a mapping that fails raises Failure" `Quick
+          test_arena_mapping_failure;
       ] );
     ( "procipc.fsem",
       [
@@ -930,22 +946,36 @@ let suites =
         Alcotest.test_case "mpsc cross-fork transfer" `Quick
           test_mpsc_cross_fork;
         QCheck_alcotest.to_alcotest
-          (prop_pring_model "Pring.Spsc matches a FIFO model"
-             (module Pring.Spsc));
+          (Ring_cases.prop_spsc_model ~count:100 ~producer:in_child
+             ~program:fork_program
+             ~name:"Spsc_ring matches a FIFO model across fork"
+             (fun ~capacity -> Spsc.create ~capacity ()));
         QCheck_alcotest.to_alcotest
-          (prop_pring_model "Pring.Mpsc matches a FIFO model"
-             (module Pring.Mpsc));
+          (Ring_cases.prop_mpsc_model ~count:100 ~producer:in_child
+             ~program:fork_program
+             ~name:"Mpsc_ring matches a FIFO model across fork"
+             (fun ~capacity -> Mpsc.create ~capacity ()));
         Alcotest.test_case "mpsc 2-producer cross-fork transfer" `Quick
           test_mpsc_two_producers_cross_fork;
         Alcotest.test_case "session arena fits every ring's last cell" `Quick
           test_session_arena_sizing;
         Alcotest.test_case "slab cross-fork handoff" `Quick
           test_pslab_cross_fork_handoff;
+        Alcotest.test_case "slab release rejects a bad index" `Quick
+          test_pslab_release_rejects_bad_index;
         Alcotest.test_case "await catches a message a few us late" `Quick
           test_await_across_fork;
       ]
-      @ stale_snapshot_cases "spsc" (module Pring.Spsc)
-      @ stale_snapshot_cases "mpsc" (module Pring.Mpsc) );
+      @ Ring_cases.stale_snapshot_cases ~producer:in_child "spsc"
+          (fun ~capacity -> Spsc.create ~capacity ())
+          Spsc.enqueue Spsc.dequeue Spsc.nil
+      @ Ring_cases.stale_snapshot_cases ~producer:in_child "mpsc"
+          (fun ~capacity -> Mpsc.create ~capacity ())
+          Mpsc.enqueue Mpsc.dequeue Mpsc.nil
+      @ Ring_cases.torn_cases ?per_producer:fork_torn_messages
+          ~start:in_processes "spsc 1p/1c across fork" Ring_cases.spsc_torn
+      @ Ring_cases.torn_cases ?per_producer:fork_torn_messages
+          ~start:in_processes "mpsc 2p/1c across fork" Ring_cases.mpsc_torn );
     ( "procipc.differential",
       [
         QCheck_alcotest.to_alcotest

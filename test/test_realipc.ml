@@ -141,90 +141,6 @@ let test_spsc_rejects_negative_value () =
     (Invalid_argument "Spsc_ring.enqueue: negative value") (fun () ->
       ignore (Spsc_ring.enqueue q (-3) : bool))
 
-(* Capacities 1..9 put the full check at both boundaries: [cap = ring]
-   (1, 2, 4, 8) and [cap < ring] (3, 5, 6, 7, 9), where the producer's
-   snapshot of the consumer's index must be refreshed to report room. *)
-let model_capacity = QCheck.int_range 1 9
-
-(* A message is a (client, word) pair, and any int is a word: the
-   generator mixes small clients with words from the whole int range,
-   negative ones, [min_int] and [max_int] included. *)
-let msg_gen =
-  QCheck.(pair (int_bound 100) (oneof [ int; int_range (-3) 3 ]))
-
-(* [dequeue_into] against an option-returning model: a pair arrives
-   exactly when the model has one, and an empty ring leaves the
-   destination untouched. *)
-let deq_into_matches_model dequeue_into q model =
-  let dst = [| 7; 7; 7; 7 |] in
-  let got = dequeue_into q dst 1 in
-  dst.(0) = 7 && dst.(3) = 7
-  &&
-  match Queue.take_opt model with
-  | Some (c, w) -> got && dst.(1) = c && dst.(2) = w
-  | None -> (not got) && dst.(1) = 7 && dst.(2) = 7
-
-(* Multipush against a model with an explicit pending buffer: a message
-   is published (visible to [length]/[dequeue_into]) only by a flush
-   that fits as a whole; the buffer auto-flushes at [min 8 cap]; a plain
-   enqueue flushes first. *)
-let spsc_op =
-  QCheck.(
-    frequency
-      [
-        (3, map (fun m -> `Enq m) msg_gen);
-        (2, map (fun m -> `Local m) msg_gen);
-        (1, always `Flush);
-        (4, always `Deq);
-      ])
-
-let prop_spsc_model =
-  QCheck.Test.make ~name:"Spsc_ring matches a FIFO model" ~count:300
-    QCheck.(pair model_capacity (list spsc_op))
-    (fun (cap, program) ->
-      let q = Spsc_ring.create ~capacity:cap () in
-      let model = Queue.create () and pending = Queue.create () in
-      let mp_k = min 8 cap in
-      let flush_model () =
-        Queue.is_empty pending
-        || Queue.length model + Queue.length pending <= cap
-           && (Queue.transfer pending model;
-               true)
-      in
-      let step = function
-        | `Enq ((client, word) as v) ->
-          let accepted = Spsc_ring.enqueue_pair q ~client ~word in
-          let model_accepts =
-            flush_model ()
-            && Queue.length model < cap
-            && (Queue.add v model;
-                true)
-          in
-          accepted = model_accepts
-        | `Local ((client, word) as v) ->
-          let accepted = Spsc_ring.enqueue_local q ~client ~word in
-          let model_accepts =
-            if Queue.length pending < mp_k then begin
-              Queue.add v pending;
-              if Queue.length pending = mp_k then ignore (flush_model () : bool);
-              true
-            end
-            else
-              flush_model ()
-              && (Queue.add v pending;
-                  true)
-          in
-          accepted = model_accepts
-        | `Flush -> Spsc_ring.flush q = flush_model ()
-        | `Deq -> deq_into_matches_model Spsc_ring.dequeue_into q model
-      in
-      List.for_all
-        (fun op ->
-          step op
-          && Spsc_ring.pending_local q = Queue.length pending
-          && Spsc_ring.length q = Queue.length model)
-        program)
-
 let test_spsc_concurrent_transfer () =
   (* One producer domain, one consumer domain, a ring much smaller than
      the traffic: the consumer must see exactly 1..n in order. *)
@@ -366,51 +282,6 @@ let test_spsc_multipush_concurrent_transfer () =
 (* Mpsc_ring: Tl_queue semantics sequentially, and no loss, duplication
    or per-producer reordering under concurrent producers. *)
 
-let prop_mpsc_model =
-  QCheck.Test.make ~name:"Mpsc_ring matches a FIFO model" ~count:300
-    QCheck.(pair model_capacity (list (option msg_gen)))
-    (fun (cap, program) ->
-      let q = Mpsc_ring.create ~capacity:cap () in
-      let model = Queue.create () in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Some ((client, word) as v) ->
-            let accepted = Mpsc_ring.enqueue_pair q ~client ~word in
-            let model_accepts = Queue.length model < cap in
-            if model_accepts then Queue.add v model;
-            accepted = model_accepts
-          | None -> deq_into_matches_model Mpsc_ring.dequeue_into q model)
-          && Mpsc_ring.length q = Queue.length model)
-        program)
-
-(* The producer's snapshot of the consumer's index goes stale the moment
-   the consumer moves: filled to [capacity] and drained by one, the ring
-   has exactly one free slot, which only a refreshed snapshot can see.
-   Run at [cap = ring] and [cap < ring]. *)
-let stale_snapshot_case ~capacity create enqueue dequeue nil () =
-  let q = create ~capacity () in
-  for i = 1 to capacity do
-    Alcotest.(check bool) "fill" true (enqueue q i)
-  done;
-  Alcotest.(check int) "drain one" 1 (dequeue q);
-  Alcotest.(check bool) "the freed slot is seen" true (enqueue q 100);
-  Alcotest.(check bool) "and then the ring is full" false (enqueue q 101);
-  for i = 2 to capacity do
-    Alcotest.(check int) "fifo" i (dequeue q)
-  done;
-  Alcotest.(check int) "last" 100 (dequeue q);
-  Alcotest.(check int) "empty" nil (dequeue q)
-
-let stale_snapshot_cases name create enqueue dequeue nil =
-  List.map
-    (fun capacity ->
-      Alcotest.test_case
-        (Printf.sprintf "%s stale snapshot at capacity %d" name capacity)
-        `Quick
-        (stale_snapshot_case ~capacity create enqueue dequeue nil))
-    [ 4; 3 ]
-
 let test_mpsc_capacity () =
   (* Capacity 3 on a 4-slot array: boundary at the logical bound, across
      wraps. *)
@@ -500,13 +371,13 @@ let batch_program =
     list
       (oneof
          [
-           map (fun ms -> `Enq ms) (list msg_gen);
+           map (fun ms -> `Enq ms) (list Ring_cases.msg_gen);
            map (fun n -> `Deq n) (int_bound 12);
          ]))
 
 let prop_batch_model name create enqueue_batch dequeue_batch =
   QCheck.Test.make ~name ~count:300
-    QCheck.(pair model_capacity batch_program)
+    QCheck.(pair Ring_cases.model_capacity batch_program)
     (fun (cap, program) ->
       let q = create ~capacity:cap () in
       let model = Queue.create () in
@@ -656,157 +527,17 @@ let test_mpsc_batch_concurrent () =
     Alcotest.(check bool) (Printf.sprintf "producer %d fifo" p) true (ordered p)
   done
 
-(* Torn messages.  A cell carries two message words next to its seq, so
-   a consumer that releases the cell before it has loaded both words,
-   or a producer that publishes the seq before both words are stored,
-   lets a pair arrive with one word from another message.  Every word
-   here brands its client and that client's sequence number (negative,
-   so a sentinel-like word would show too), and the consumer checks
-   every pair that arrives against the next brand it expects from that
-   client: a torn pair, a lost, duplicated or reordered message each
-   fail.  Tiny capacities make the producers reuse each cell as soon as
-   the consumer's index passes it — the window the two orderings guard.
-   Singles and spans, on both sides, alternate.  A side that finds the
-   ring full or empty polls it tightly for a while — on a multiprocessor
-   that is what lands a producer's reuse inside the consumer's copy —
-   and then yields the CPU, so the cases stay quick pinned to one CPU,
-   where the timer still preempts the peers inside their claims and
-   copies. *)
-let brand client seq = lnot ((client lsl 32) lor seq)
-
-(* One wait after [misses] consecutive misses; returns the new count. *)
-let idle misses =
-  if misses < 64 then Domain.cpu_relax () else Backoff.sched_yield ();
-  misses + 1
-
-(* The consumer's check, and the verdict: [(bad pairs, all arrived)]. *)
-let torn_check ~nproducers ~per_producer =
-  let next = Array.make (nproducers + 1) 1 and bad = ref 0 in
-  let check client word =
-    if client < 1 || client > nproducers || word <> brand client next.(client)
-    then incr bad
-    else next.(client) <- next.(client) + 1
-  in
-  let result () =
-    ( !bad,
-      Array.for_all
-        (fun n -> n = per_producer + 1)
-        (Array.sub next 1 nproducers) )
-  in
-  (check, result)
-
-(* One producer's traffic: message [seq] is [(client, brand client seq)],
-   sent alone or in a span of up to 3 by [send_single]/[send_span], which
-   return how many were accepted.  Gives up once [stop] is set. *)
-let produce_branded ~stop ~client ~per_producer send_single send_span =
-  let span = Array.make 6 0 in
-  let seq = ref 1 and misses = ref 0 in
-  while !seq <= per_producer && not (Atomic.get stop) do
-    let k = min (1 + (!seq mod 3)) (per_producer - !seq + 1) in
-    let accepted =
-      if !seq land 1 = 0 then
-        if send_single ~client ~word:(brand client !seq) then 1 else 0
-      else begin
-        for i = 0 to k - 1 do
-          span.(2 * i) <- client;
-          span.((2 * i) + 1) <- brand client (!seq + i)
-        done;
-        send_span span k
-      end
-    in
-    misses := if accepted = 0 then idle !misses else 0;
-    seq := !seq + accepted
-  done
-
-(* The consumer side, three single dequeues to one span dequeue, until
-   [total] messages arrived or 20 s passed; then sets [stop]. *)
-let consume_branded ~stop ~total ~check dequeue_into dequeue_batch =
-  let reg = Array.make 2 0 and buf = Array.make 8 0 in
-  let got = ref 0 and turn = ref 0 and misses = ref 0 in
-  let deadline = Unix.gettimeofday () +. 20.0 in
-  while !got < total && Unix.gettimeofday () < deadline do
-    incr turn;
-    let k =
-      if !turn land 3 <> 0 then
-        if dequeue_into reg 0 then begin
-          check reg.(0) reg.(1);
-          1
-        end
-        else 0
-      else begin
-        let k = dequeue_batch buf 4 in
-        for i = 0 to k - 1 do
-          check buf.(2 * i) buf.((2 * i) + 1)
-        done;
-        k
-      end
-    in
-    misses := if k = 0 then idle !misses else 0;
-    got := !got + k
-  done;
-  Atomic.set stop true
-
-let mpsc_torn ~capacity () =
-  let q = Mpsc_ring.create ~capacity () in
-  let nproducers = 2 and per_producer = 200_000 in
-  let check, result = torn_check ~nproducers ~per_producer in
+(* The torn-message cases (Ring_cases) with their producers on domains. *)
+let in_domains ~nproducers produce =
   let stop = Atomic.make false in
-  let producer client () =
-    produce_branded ~stop ~client ~per_producer
-      (fun ~client ~word -> Mpsc_ring.enqueue_pair q ~client ~word)
-      (fun span k -> Mpsc_ring.enqueue_batch q span ~pos:0 ~len:k)
-  in
   let producers =
-    List.init nproducers (fun p -> Domain.spawn (producer (p + 1)))
+    List.init nproducers (fun p ->
+        Domain.spawn (fun () ->
+            produce ~client:(p + 1) ~stopped:(fun () -> Atomic.get stop)))
   in
-  consume_branded ~stop ~total:(nproducers * per_producer) ~check
-    (Mpsc_ring.dequeue_into q)
-    (fun buf max -> Mpsc_ring.dequeue_batch q buf ~pos:0 ~max);
-  List.iter Domain.join producers;
-  let bad, complete = result () in
-  Alcotest.(check int) "every pair arrived whole and in order" 0 bad;
-  Alcotest.(check bool) "every message arrived" true complete
-
-(* The SPSC ring's one producer alternates plain, multipush and span
-   sends. *)
-let spsc_torn ~capacity () =
-  let q = Spsc_ring.create ~capacity () in
-  let per_producer = 400_000 in
-  let check, result = torn_check ~nproducers:1 ~per_producer in
-  let stop = Atomic.make false in
-  let single ~client ~word =
-    if word land 2 = 0 then Spsc_ring.enqueue_pair q ~client ~word
-    else begin
-      (* Accepted once buffered; a flush that finds no room is retried
-         by the next send, which flushes first. *)
-      let ok = Spsc_ring.enqueue_local q ~client ~word in
-      ignore (Spsc_ring.flush q : bool);
-      ok
-    end
-  in
-  let producer =
-    Domain.spawn (fun () ->
-        produce_branded ~stop ~client:1 ~per_producer single (fun span k ->
-            Spsc_ring.enqueue_batch q span ~pos:0 ~len:k);
-        while not (Spsc_ring.flush q || Atomic.get stop) do
-          Backoff.sched_yield ()
-        done)
-  in
-  consume_branded ~stop ~total:per_producer ~check
-    (Spsc_ring.dequeue_into q)
-    (fun buf max -> Spsc_ring.dequeue_batch q buf ~pos:0 ~max);
-  Domain.join producer;
-  let bad, complete = result () in
-  Alcotest.(check int) "every pair arrived whole and in order" 0 bad;
-  Alcotest.(check bool) "every message arrived" true complete
-
-let torn_cases name case =
-  List.map
-    (fun capacity ->
-      Alcotest.test_case
-        (Printf.sprintf "%s torn messages at capacity %d" name capacity)
-        `Quick (case ~capacity))
-    [ 1; 2; 3; 4 ]
+  fun () ->
+    Atomic.set stop true;
+    List.iter Domain.join producers
 
 (* ------------------------------------------------------------------ *)
 (* Slab: the lock-free free list behind the boxed codec's side table. *)
@@ -1701,7 +1432,9 @@ let suites =
           test_spsc_concurrent_transfer;
         Alcotest.test_case "rejects non-positive capacity" `Quick
           test_spsc_rejects_nonpositive;
-        QCheck_alcotest.to_alcotest prop_spsc_model;
+        QCheck_alcotest.to_alcotest
+          (Ring_cases.prop_spsc_model ~name:"Spsc_ring matches a FIFO model"
+             (fun ~capacity -> Spsc_ring.create ~capacity ()));
         QCheck_alcotest.to_alcotest prop_spsc_batch_model;
         Alcotest.test_case "batch validation + prefix boundary" `Quick
           test_batch_validation;
@@ -1716,9 +1449,11 @@ let suites =
         Alcotest.test_case "multipush concurrent 1p/1c transfer" `Quick
           test_spsc_multipush_concurrent_transfer;
       ]
-      @ stale_snapshot_cases "spsc" Spsc_ring.create Spsc_ring.enqueue
-          Spsc_ring.dequeue Spsc_ring.nil
-      @ torn_cases "spsc 1p/1c" spsc_torn );
+      @ Ring_cases.stale_snapshot_cases "spsc"
+          (fun ~capacity -> Spsc_ring.create ~capacity ())
+          Spsc_ring.enqueue Spsc_ring.dequeue Spsc_ring.nil
+      @ Ring_cases.torn_cases ~start:in_domains "spsc 1p/1c"
+          Ring_cases.spsc_torn );
     ( "realipc.slab",
       [
         QCheck_alcotest.to_alcotest prop_slab_model;
@@ -1739,7 +1474,9 @@ let suites =
           (mpsc_concurrent ~capacity:32 ~nproducers:4);
         Alcotest.test_case "rejects non-positive capacity" `Quick
           test_mpsc_rejects_nonpositive;
-        QCheck_alcotest.to_alcotest prop_mpsc_model;
+        QCheck_alcotest.to_alcotest
+          (Ring_cases.prop_mpsc_model ~name:"Mpsc_ring matches a FIFO model"
+             (fun ~capacity -> Mpsc_ring.create ~capacity ()));
         QCheck_alcotest.to_alcotest prop_mpsc_batch_model;
         Alcotest.test_case "concurrent batch 2p/1c, no loss/dup" `Quick
           test_mpsc_batch_concurrent;
@@ -1748,9 +1485,11 @@ let suites =
         Alcotest.test_case "concurrent 2p/1c at capacity 4 (ring 4)" `Quick
           (mpsc_concurrent ~capacity:4 ~nproducers:2);
       ]
-      @ stale_snapshot_cases "mpsc" Mpsc_ring.create Mpsc_ring.enqueue
-          Mpsc_ring.dequeue Mpsc_ring.nil
-      @ torn_cases "mpsc 2p/1c" mpsc_torn );
+      @ Ring_cases.stale_snapshot_cases "mpsc"
+          (fun ~capacity -> Mpsc_ring.create ~capacity ())
+          Mpsc_ring.enqueue Mpsc_ring.dequeue Mpsc_ring.nil
+      @ Ring_cases.torn_cases ~start:in_domains "mpsc 2p/1c"
+          Ring_cases.mpsc_torn );
     ( "realipc.rsem",
       [
         Alcotest.test_case "counting" `Quick test_rsem_counting;

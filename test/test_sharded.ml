@@ -414,18 +414,18 @@ let test_rsem_directed_wake () =
             Rsem.p s;
             Atomic.incr completed))
   in
-  await "all waiters parked" (fun () -> Rsem.waiters s = n);
+  await "all waiters parked" (fun () -> Rsem.parked s = n);
   Rsem.v_n s 3;
   await "3 directed wake-ups" (fun () -> Atomic.get completed = 3);
   (* The remaining 5 must still be asleep: give a stray broadcast time
      to surface before checking. *)
   Unix.sleepf 0.05;
   Alcotest.(check int) "exactly 3 released" 3 (Atomic.get completed);
-  Alcotest.(check int) "5 still parked" (n - 3) (Rsem.waiters s);
+  Alcotest.(check int) "5 still parked" (n - 3) (Rsem.parked s);
   Rsem.v_n s (n - 3);
   List.iter Domain.join waiters;
   Alcotest.(check int) "all released" n (Atomic.get completed);
-  Alcotest.(check int) "no waiters left" 0 (Rsem.waiters s);
+  Alcotest.(check int) "no waiters left" 0 (Rsem.parked s);
   Alcotest.(check int) "no credit left" 0 (Rsem.value s)
 
 (* Wake-latency microtest, 2 → 64 parked waiters: emit the Figure 5
