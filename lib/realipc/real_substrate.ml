@@ -321,37 +321,11 @@ let await t ch =
     m
   end
 
-(* Multipush seam (Torquati): [enqueue_local] parks the message in the
-   SPSC ring's producer-private buffer — invisible to the consumer and
-   free of any shared write — and [flush_local] publishes every parked
-   message with one head store.  Callers must flush before waking the
-   consumer, or the wake-up races a message it cannot yet see.  On the
-   other queue kinds the pair degrades to plain enqueue / no-op, so the
-   batched plane in Rpc is transport-oblivious (pooled sessions, whose
-   reply channels are MPSC, simply lose the multipush shortcut). *)
-
-let enqueue_local t ch ~client ~word =
-  match ch.queue with
-  | Q_spsc q ->
-    let t_ns = pre_stamp t in
-    let ok = Spsc_ring.enqueue_local q ~client ~word in
-    if ok then begin
-      Backoff.progress (Backoff.get ());
-      emit_at t ch Ulipc_observe.Event.Enqueue ~t_ns
-    end
-    else Backoff.note_role (Backoff.get ()) ~server_side:false;
-    ok
-  | Q_two_lock _ | Q_mpsc _ -> enqueue_pair t ch ~client ~word
-
-let flush_local _ ch =
-  match ch.queue with
-  | Q_spsc q -> Spsc_ring.flush q
-  | Q_two_lock _ | Q_mpsc _ -> true
-
-(* Batch variants: one span claim on the queue, one trace event per
-   message, one backoff progress per batch.  Spans are (client, word)
-   pair arrays in caller-owned scratch buffers (the rings' span
-   layout), so a batch round-trip builds no lists. *)
+(* Batch variants: one span claim on the queue, one backoff progress
+   per batch, and one trace event per message — behind a single test of
+   the sink per span, so an untraced span makes no per-message call.
+   Spans are (client, word) pair arrays in caller-owned scratch buffers
+   (the rings' span layout), so a batch round-trip builds no lists. *)
 
 let enqueue_many t ch span ~pos ~len =
   let t_ns = pre_stamp t in
@@ -369,9 +343,13 @@ let enqueue_many t ch span ~pos ~len =
   in
   if k > 0 then begin
     Backoff.progress (Backoff.get ());
-    for _ = 1 to k do
-      emit_at t ch Ulipc_observe.Event.Enqueue ~t_ns
-    done
+    match t.trace with
+    | None -> ()
+    | Some sink ->
+      for _ = 1 to k do
+        Trace_ring.record_at sink Ulipc_observe.Event.Enqueue ~t_ns
+          ~chan:ch.chan_id
+      done
   end
   else if len > 0 then Backoff.note_role (Backoff.get ()) ~server_side:false;
   k
@@ -394,9 +372,12 @@ let dequeue_many t ch ~buf ~pos ~max =
   in
   if k > 0 then begin
     Backoff.progress (Backoff.get ());
-    for _ = 1 to k do
-      emit t ch Ulipc_observe.Event.Dequeue
-    done
+    match t.trace with
+    | None -> ()
+    | Some sink ->
+      for _ = 1 to k do
+        Trace_ring.record sink Ulipc_observe.Event.Dequeue ~chan:ch.chan_id
+      done
   end
   else if max > 0 then
     Backoff.note_role (Backoff.get ()) ~server_side:(ch.chan_id < 0);
@@ -432,14 +413,6 @@ let sem_try_p t ch =
 let sem_v t ch =
   emit t ch Ulipc_observe.Event.Wake;
   Rsem.v ch.sem
-
-let sem_v_n t ch n =
-  (* One trace event per credit, keeping the analysis' credit algebra
-     exact (the coalesced wake-up still issues at most one signal). *)
-  for _ = 1 to n do
-    emit t ch Ulipc_observe.Event.Wake
-  done;
-  Rsem.v_n ch.sem n
 
 (* Domains are genuinely parallel OS threads, so the waiting/scheduling
    hints are the paper's multiprocessor busy-wait — but a pure pause-hint

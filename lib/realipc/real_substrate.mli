@@ -176,7 +176,7 @@ val steal_pending : t -> shard:int -> int
 
     Outside the [Substrate.S] seam (the protocol core stays untouched):
     the pipelined fast path in {!Rpc} uses these to move [k] messages
-    per atomic span claim and coalesce [k] wake-ups into one.  Spans are
+    per atomic span claim, followed by one wake-up.  Spans are
     caller-owned [(client, word)] pair arrays in the rings' layout
     ({!Spsc_ring.enqueue_batch}), so a batched round-trip builds no
     lists and touches no register. *)
@@ -185,28 +185,12 @@ val enqueue_many : t -> channel -> int array -> pos:int -> len:int -> int
 (** Enqueue a prefix of the [len] messages of the span at [pos] with one
     span claim on the transport ({!Spsc_ring.enqueue_batch} /
     {!Mpsc_ring.enqueue_batch} / {!Tl_queue.enqueue_batch}); returns how
-    many were accepted.  One trace event per message. *)
+    many were accepted.  One trace event per message when a sink is
+    attached; without one, the sink is tested once per span. *)
 
 val dequeue_many : t -> channel -> buf:int array -> pos:int -> max:int -> int
 (** Dequeue up to [max] messages into the span of [buf] at [pos] with
     one span claim; returns how many were taken (FIFO, possibly 0). *)
-
-val enqueue_local : t -> channel -> client:int -> word:int -> bool
-(** Torquati multipush: park the message in the SPSC producer-private
-    buffer — no shared write, invisible to the consumer until
-    {!flush_local}.  On non-SPSC channels this is plain
-    {!enqueue_pair}.  Callers must flush before waking the consumer. *)
-
-val flush_local : t -> channel -> bool
-(** Publish every parked message with one head store; [false] when the
-    ring lacks room (the messages stay parked).  [true] and a no-op on
-    non-SPSC channels. *)
-
-val sem_v_n : t -> channel -> int -> unit
-(** Publish [n] semaphore credits with at most one wake-up
-    ({!Rsem.v_n}): the wake-coalescing half of a batched send.  Records
-    one trace event per credit so the analysis' credit algebra stays
-    exact. *)
 
 include
   Ulipc.Substrate.S

@@ -478,20 +478,15 @@ let collect t ~client =
 (* Batched & pipelined fast path.                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Wake the channel's consumer once for a whole batch: the tas guard is
-   the same as wake_consumer's, but the credit is published through the
-   coalescing [sem_v_n] — at most one signal per batch no matter how
-   many messages just landed. *)
-let wake_batch t ch ~target =
-  if not (Real_substrate.awake_test_and_set t.sub ch) then begin
-    let c = ctrs t in
-    (match target with
-    | Ulipc.Protocol_core.Client ->
-      c.Ulipc.Counters.client_wakeups <- c.Ulipc.Counters.client_wakeups + 1
-    | Ulipc.Protocol_core.Server ->
-      c.Ulipc.Counters.server_wakeups <- c.Ulipc.Counters.server_wakeups + 1);
-    Real_substrate.sem_v_n t.sub ch 1
-  end
+(* Each hop of a burst is one span claim and at most one wake-up: the
+   producer encodes the burst into a span it owns and pushes it with
+   [enqueue_many]; the consumer waits for the first message through the
+   ordinary consumer sequence and sweeps the rest with one
+   [dequeue_many].  Every loop below is top-level recursion: a local
+   [let rec] would capture its environment in a closure allocated per
+   call (no flambda), and the result lists are built front to back in
+   destination-passing style ([@tail_mod_cons]), so the only words a
+   batch call allocates are the list it returns. *)
 
 (* Enqueue the whole span with span claims, waking the consumer after
    every non-empty claim (not only at the end: if the queue fills while
@@ -501,7 +496,10 @@ let rec push_batch t ch ~target buf ~pos ~len =
   if len > 0 then begin
     let k = Real_substrate.enqueue_many t.sub ch buf ~pos ~len in
     if k > 0 then begin
-      if Ulipc.Protocol_core.blocks t.waiting then wake_batch t ch ~target;
+      ignore
+        (Ulipc.Protocol_core.blocks t.waiting
+         && P.Prims.wake_consumer t.sub ch ~target
+          : bool);
       push_batch t ch ~target buf ~pos:(pos + k) ~len:(len - k)
     end
     else begin
@@ -520,26 +518,27 @@ let rec fill_span t ~client buf n k reqs =
     fill_span t ~client buf (n + 1) k rest
   | rest -> rest
 
+(* Post [left] requests from the head of [reqs] in span-sized chunks. *)
+let rec post_chunks t ~client request buf left reqs =
+  if left > 0 then begin
+    let n = Int.min (Array.length buf / 2) left in
+    let rest = fill_span t ~client buf 0 n reqs in
+    push_batch t request ~target:Server buf ~pos:0 ~len:n;
+    post_chunks t ~client request buf (left - n) rest
+  end
+
 let post_batch t ~client reqs =
   check_client t client;
-  let buf = t.client_scratch.(client) in
-  let cap = Array.length buf / 2 in
-  let request =
-    Real_substrate.request_shard t.sub (shard_of_client t client)
-  in
-  let rec chunks left reqs =
-    if left > 0 then begin
-      let n = min cap left in
-      let rest = fill_span t ~client buf 0 n reqs in
-      push_batch t request ~target:Server buf ~pos:0 ~len:n;
-      chunks (left - n) rest
-    end
-  in
-  chunks (List.length reqs) reqs
+  post_chunks t ~client
+    (Real_substrate.request_shard t.sub (shard_of_client t client))
+    t.client_scratch.(client) (List.length reqs) reqs
 
-(* The [(client, payload)] of message [i] of a request span. *)
-let take_request t buf i =
-  (buf.(2 * i), decode t t.req_codec buf.((2 * i) + 1))
+(* The [(client, payload)]s of messages [i .. k-1] of a request span. *)
+let[@tail_mod_cons] rec take_requests t buf i k =
+  if i >= k then []
+  else
+    let r = (buf.(2 * i), decode t t.req_codec buf.((2 * i) + 1)) in
+    r :: take_requests t buf (i + 1) k
 
 let receive_batch ?(server = 0) t ~max =
   if max <= 0 then invalid_arg "Rpc.receive_batch: max must be positive";
@@ -552,7 +551,7 @@ let receive_batch ?(server = 0) t ~max =
     let buf = st.scratch in
     (* Drain the stash before the ring: stolen-handoff leftovers are the
        oldest messages this server owns. *)
-    let want = min (max - 1) (Array.length buf / 2) in
+    let want = Int.min (max - 1) (Array.length buf / 2) in
     let n_stash = take_stash st buf ~pos:0 ~max:want in
     let k =
       n_stash
@@ -561,128 +560,92 @@ let receive_batch ?(server = 0) t ~max =
           ~buf ~pos:n_stash ~max:(want - n_stash)
     in
     bump_receives t k;
-    let rec build i acc =
-      if i < 0 then acc else build (i - 1) (take_request t buf i :: acc)
+    first :: take_requests t buf 0 k
+  end
+
+(* The reply span of the calling domain.  [reply_batch] may run on any
+   domain — every server of a pool, or a caller with no server number
+   at all — so the span cannot live in the session; one per domain
+   costs one DLS lookup per call.  Runs longer than the span go out in
+   span-sized chunks. *)
+let reply_span_msgs = 64
+
+let reply_span =
+  Domain.DLS.new_key (fun () -> Array.make (2 * reply_span_msgs) 0)
+
+(* [reply_runs] starts a run at the head of [reps]; [reply_run] encodes
+   the run's replies to [client] into [span] (holding [n] so far) and,
+   at the end of the run or of the span, pushes them with one span
+   claim and one wake-up.  A run is never empty, so every push is. *)
+let rec reply_runs t span = function
+  | [] -> ()
+  | (client, _) :: _ as reps ->
+    reply_run t span (Real_substrate.reply_channel t.sub client) client 0 reps
+
+and reply_run t span ch client n reps =
+  match reps with
+  | (c, rep) :: rest when c = client && n < reply_span_msgs ->
+    span.(2 * n) <- client;
+    span.((2 * n) + 1) <- encode t t.rep_codec rep;
+    reply_run t span ch client (n + 1) rest
+  | rest ->
+    push_batch t ch ~target:Client span ~pos:0 ~len:n;
+    bump_replies t n;
+    reply_runs t span rest
+
+let reply_batch t reps = reply_runs t (Domain.DLS.get reply_span) reps
+
+(* The pipelined client loop over its reply channel [ch]: post from
+   [pending] ([npending] left) in span-claimed bursts while fewer than
+   [depth] requests are out, otherwise wait for the oldest reply through
+   [collect] — its C.1 is the same dequeue a sweep would make — and
+   sweep whatever else has landed with one [dequeue_many].  The client's
+   scratch span serves both directions: a burst is pushed before the
+   sweep that reuses it, and a sweep's replies are decoded before the
+   next burst is encoded. *)
+let[@tail_mod_cons] rec pipelined t ~client ~depth ch request buf pending
+    npending out =
+  if npending > 0 && out < depth then begin
+    let k = Int.min (Int.min (depth - out) npending) (Array.length buf / 2) in
+    let pending = fill_span t ~client buf 0 k pending in
+    push_batch t request ~target:Server buf ~pos:0 ~len:k;
+    pipelined t ~client ~depth ch request buf pending (npending - k) (out + k)
+  end
+  else if out = 0 then []
+  else begin
+    let first = collect t ~client in
+    let k =
+      if out = 1 then 0
+      else
+        Real_substrate.dequeue_many t.sub ch ~buf ~pos:0
+          ~max:(Int.min (out - 1) (Array.length buf / 2))
     in
-    first :: build (k - 1) []
+    first
+    :: swept t ~client ~depth ch request buf pending npending (out - 1 - k) k 0
   end
 
-(* A full span: only the consumer can make room, so wake it before
-   backing off — the same no-deferred-wake rule as [push_batch]. *)
-let wait_for_consumer t ch ~target =
-  if Ulipc.Protocol_core.blocks t.waiting then wake_batch t ch ~target;
-  P.wait_for_room t.sub t.waiting
-
-(* Multipush flow control for a same-client reply run: [enqueue_local]
-   parks each message in the SPSC producer-private buffer — no shared
-   store per message — and the end-of-run flush publishes the whole span
-   with one head store, followed by one coalesced wake-up.  If buffer
-   and ring both fill mid-run, only the consumer can make room, so the
-   producer publishes what it can, wakes, and backs off (the same
-   no-deferred-wake rule as [push_batch]).  On pooled sessions the reply
-   rings are MPSC and enqueue_local degrades to plain enqueue — correct,
-   just without the private-buffer shortcut. *)
-let rec push_local t ch ~target ~client ~word =
-  if not (Real_substrate.enqueue_local t.sub ch ~client ~word) then begin
-    ignore (Real_substrate.flush_local t.sub ch : bool);
-    wait_for_consumer t ch ~target;
-    push_local t ch ~target ~client ~word
-  end
-
-let rec flush_run t ch ~target =
-  if not (Real_substrate.flush_local t.sub ch) then begin
-    wait_for_consumer t ch ~target;
-    flush_run t ch ~target
-  end
-
-let finish_run t ch ~target =
-  flush_run t ch ~target;
-  if Ulipc.Protocol_core.blocks t.waiting then wake_batch t ch ~target
-
-let reply_batch t reps =
-  (* Group consecutive same-client replies so each run rides the reply
-     ring's multipush — one index publish and at most one wake-up per
-     run — while per-client FIFO order is preserved whatever the
-     interleaving of clients in [reps]. *)
-  let push ch client rep =
-    push_local t ch ~target:Client ~client ~word:(encode t t.rep_codec rep)
-  in
-  let rec runs = function
-    | [] -> ()
-    | (client, rep) :: rest ->
-      check_client t client;
-      let ch = Real_substrate.reply_channel t.sub client in
-      push ch client rep;
-      let rec run n = function
-        | (c, r) :: rest when c = client ->
-          push ch client r;
-          run (n + 1) rest
-        | rest -> (n, rest)
-      in
-      let n, rest = run 1 rest in
-      finish_run t ch ~target:Client;
-      bump_replies t n;
-      runs rest
-  in
-  runs reps
-
-(* Prepend the decoded replies of the first [k] messages of [buf] to
-   [acc], oldest deepest. *)
-let rec add_replies t buf k acc i =
-  if i >= k then acc
+(* The decoded replies of the sweep's [k] messages from [i], then the
+   rest of the loop. *)
+and[@tail_mod_cons] swept t ~client ~depth ch request buf pending npending
+    out k i =
+  if i >= k then pipelined t ~client ~depth ch request buf pending npending out
   else
-    add_replies t buf k
-      (decode t t.rep_codec buf.((2 * i) + 1) :: acc)
-      (i + 1)
+    let r = decode t t.rep_codec buf.((2 * i) + 1) in
+    r :: swept t ~client ~depth ch request buf pending npending out k (i + 1)
 
 let collect_batch t ~client ~n =
   if n < 0 then invalid_arg "Rpc.collect_batch: negative n";
-  check_client t client;
   let ch = Real_substrate.reply_channel t.sub client in
-  let buf = t.client_scratch.(client) in
-  let cap = Array.length buf / 2 in
-  let rec go acc got =
-    if got >= n then List.rev acc
-    else begin
-      let k =
-        Real_substrate.dequeue_many t.sub ch ~buf ~pos:0
-          ~max:(min (n - got) cap)
-      in
-      if k = 0 then go (collect t ~client :: acc) (got + 1)
-      else go (add_replies t buf k acc 0) (got + k)
-    end
-  in
-  go [] 0
+  (* [n] replies out, nothing left to post. *)
+  pipelined t ~client ~depth:1 ch
+    (Real_substrate.request_shard t.sub (shard_of_client t client))
+    t.client_scratch.(client) [] 0 n
 
 let call_pipelined t ~client ~depth reqs =
   if depth <= 0 then invalid_arg "Rpc.call_pipelined: depth must be positive";
-  check_client t client;
   let ch = Real_substrate.reply_channel t.sub client in
-  let buf = t.client_scratch.(client) in
-  let cap = Array.length buf / 2 in
-  let request =
-    Real_substrate.request_shard t.sub (shard_of_client t client)
-  in
-  (* Sliding window: keep up to [depth] requests outstanding; post in
-     span-claimed bursts, collect opportunistically in batches.  The
-     client's scratch span serves both directions — bursts and collects
-     never overlap within the owning domain. *)
-  let rec go pending npending out acc =
-    if npending = 0 && out = 0 then List.rev acc
-    else if npending > 0 && out < depth then begin
-      let k = min (min (depth - out) npending) cap in
-      let pending = fill_span t ~client buf 0 k pending in
-      push_batch t request ~target:Server buf ~pos:0 ~len:k;
-      go pending (npending - k) (out + k) acc
-    end
-    else begin
-      let k =
-        Real_substrate.dequeue_many t.sub ch ~buf ~pos:0 ~max:(min out cap)
-      in
-      if k = 0 then go pending npending (out - 1) (collect t ~client :: acc)
-      else go pending npending (out - k) (add_replies t buf k acc 0)
-    end
-  in
   let n = List.length reqs in
   bump_sends t n;
-  go reqs n 0 []
+  pipelined t ~client ~depth ch
+    (Real_substrate.request_shard t.sub (shard_of_client t client))
+    t.client_scratch.(client) reqs n 0

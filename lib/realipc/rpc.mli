@@ -171,12 +171,14 @@ val collect : ('req, 'rep) t -> client:int -> 'rep
 (** {1 Batched & pipelined fast path}
 
     Built on the substrate's span-claim batch operations
-    ({!Real_substrate.enqueue_many} / {!Real_substrate.dequeue_many})
-    and, on the reply rings of single-server sessions, Torquati's
-    multipush ({!Real_substrate.enqueue_local}): [k] messages move per
-    atomic claim, spans live in preallocated scratch arrays, and the
-    wake-up side coalesces to at most one signal per batch
-    ({!Rsem.v_n}). *)
+    ({!Real_substrate.enqueue_many} / {!Real_substrate.dequeue_many}):
+    each hop of a burst is one span claim and at most one wake-up, with
+    no per-message substrate call.  Producers encode into preallocated
+    spans (a client's own, a server's, or — for {!reply_batch} — one
+    per calling domain) and wake the consumer after every non-empty
+    claim; consumers wait for the first message through the ordinary
+    consumer sequence and sweep the rest with one claim.  With
+    {!int_codec} a batch call allocates only the list it returns. *)
 
 val post_batch : ('req, 'rep) t -> client:int -> 'req list -> unit
 (** Enqueue the whole list on the client's home shard (blocking on flow
@@ -186,9 +188,9 @@ val post_batch : ('req, 'rep) t -> client:int -> 'req list -> unit
     @raise Invalid_argument on a bad client number. *)
 
 val collect_batch : ('req, 'rep) t -> client:int -> n:int -> 'rep list
-(** Exactly [n] replies for this client, in order, draining every
-    already-available reply with one span claim and waiting per the
-    session's mode only when the channel runs dry.
+(** Exactly [n] replies for this client, in order: wait for the next
+    one as {!collect} does, then take every reply already behind it
+    with one span claim, until [n] have arrived.
     @raise Invalid_argument if [n < 0] or on a bad client number. *)
 
 val receive_batch : ?server:int -> ('req, 'rep) t -> max:int -> (int * 'req) list
@@ -200,10 +202,11 @@ val receive_batch : ?server:int -> ('req, 'rep) t -> max:int -> (int * 'req) lis
     @raise Invalid_argument if [max <= 0] or on a bad server number. *)
 
 val reply_batch : ('req, 'rep) t -> (int * 'rep) list -> unit
-(** Send every [(client, reply)] pair, from any domain; consecutive
-    same-client runs ride the reply ring's producer-local multipush
-    buffer — one index publish and at most one wake-up per run.  Per-client FIFO order follows list
-    order.
+(** Send every [(client, reply)] pair, from any domain; each run of
+    consecutive same-client replies is encoded into the calling
+    domain's reply span and pushed with one span claim and at most one
+    wake-up (runs longer than the span go out in span-sized chunks).
+    Per-client FIFO order follows list order.
     @raise Invalid_argument on a bad client number (earlier runs in the
     list will already have been sent). *)
 

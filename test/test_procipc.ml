@@ -869,6 +869,63 @@ let test_real_echo_no_hang what ?depth ~nclients waiting () =
         failwith "message count";
       if !residue <> 0 then failwith "wake residue")
 
+(* The pooled batch path under the same deadline: 2 servers answering
+   with [receive_batch]/[reply_batch], 6 clients posting in windows of
+   4 and checking every reply.  Capacity 4, with 4 clients homed on
+   shard 0 and 2 on shard 1, so the idle server steals and the victim
+   stashes what the thief's ring cannot take, while both servers reply
+   concurrently, often to the same client.  A reply lost or garbled on
+   that path fails the reply check or hangs a client, which the
+   deadline turns into a failure. *)
+let test_pooled_batch_echo_no_hang () =
+  let module Rpc = Ulipc_real.Rpc in
+  let nservers = 2 and nclients = 6 and messages = 2000 and window = 4 in
+  within_deadline ~timeout_s:20.0 "pooled batch domains echo" (fun () ->
+      let t : (int, int) Rpc.t =
+        Rpc.create ~capacity:4
+          ~shard_assign:(fun c -> if c < 4 then 0 else 1)
+          ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nservers
+          ~nclients Rpc.Block
+      in
+      (* A negative request poisons shard [-1 - v]: its server stops
+         after answering its batch, any other server forwards it. *)
+      let server k =
+        Domain.spawn (fun () ->
+            let live = ref true in
+            while !live do
+              Rpc.reply_batch t
+                (List.filter_map
+                   (fun (client, v) ->
+                     if v >= 0 then Some (client, v + 3)
+                     else begin
+                       if -1 - v = k then live := false
+                       else Rpc.post ~shard:(-1 - v) t ~client:0 v;
+                       None
+                     end)
+                   (Rpc.receive_batch ~server:k t ~max:4))
+            done)
+      in
+      let servers = List.init nservers server in
+      let client c =
+        Domain.spawn (fun () ->
+            let sent = ref 0 in
+            while !sent < messages do
+              let k = min window (messages - !sent) in
+              let reqs = List.init k (fun j -> (c * 1_000_000) + !sent + j) in
+              List.iter (fun v -> Rpc.post t ~client:c v) reqs;
+              (* Stealing may reorder a window: compare it as a set. *)
+              let got = List.init k (fun _ -> Rpc.collect t ~client:c) in
+              if List.sort compare got <> List.map (fun v -> v + 3) reqs then
+                failwith (Printf.sprintf "client %d: wrong replies" c);
+              sent := !sent + k
+            done)
+      in
+      List.iter Domain.join (List.init nclients client);
+      for k = 0 to nservers - 1 do
+        Rpc.post ~shard:k t ~client:0 (-1 - k)
+      done;
+      List.iter Domain.join servers)
+
 (* [Limited_spin 0] skips the poll loop across processes too. *)
 let test_bsls0_never_falls_through () =
   within_deadline ~timeout_s:20.0 "BSLS(0) proc echo" (fun () ->
@@ -1025,5 +1082,7 @@ let suites =
         Alcotest.test_case "BSW depth-8 echo never hangs" `Quick
           (test_real_echo_no_hang "BSW depth-8" ~depth:8 ~nclients:1
              Ulipc_real.Rpc.Block);
+        Alcotest.test_case "BSW pooled batch echo never hangs" `Quick
+          test_pooled_batch_echo_no_hang;
       ] );
   ]

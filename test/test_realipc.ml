@@ -1323,6 +1323,83 @@ let test_rpc_zero_alloc_steady_state () =
   Alcotest.(check int) "an int session never touches the slab" 0
     (Slab.high_water (Rpc.slab t))
 
+let test_rpc_batch_alloc_pins () =
+  (* The batch plane's allocation, pinned word-exactly with int codecs
+     after warm-up, per burst of 8: the server's [reply_batch]
+     allocates nothing, [receive_batch ~max:8] exactly its result (a
+     cons cell and a pair per request, 6 words each), and
+     [call_pipelined ~depth:8] exactly its 24-word reply list.  Every
+     window sits between two Gc.minor_words reads into a float array
+     (unboxed stores) in the domain that allocates; the server measures
+     every batch between the markers -2 and -3, which the client sends
+     as plain calls. *)
+  let t : (int, int) Rpc.t =
+    Rpc.create ~transport:Real_substrate.Ring ~req_codec:Rpc.int_codec
+      ~rep_codec:Rpc.int_codec ~nclients:1 Rpc.Block
+  in
+  let recv_words = ref 0 and recv_msgs = ref 0 and reply_words = ref 0 in
+  let server =
+    Domain.spawn (fun () ->
+        let w = Array.make 5 0.0 in
+        w.(0) <- Gc.minor_words ();
+        w.(4) <- Gc.minor_words () -. w.(0);
+        let stop = ref false and measuring = ref false in
+        while not !stop do
+          w.(0) <- Gc.minor_words ();
+          let batch = Rpc.receive_batch t ~max:8 in
+          w.(1) <- Gc.minor_words ();
+          let reps = List.map (fun (c, v) -> (c, v + 1)) batch in
+          w.(2) <- Gc.minor_words ();
+          Rpc.reply_batch t reps;
+          w.(3) <- Gc.minor_words ();
+          if !measuring then begin
+            recv_words :=
+              !recv_words + int_of_float (w.(1) -. w.(0) -. w.(4));
+            recv_msgs := !recv_msgs + List.length batch;
+            reply_words :=
+              !reply_words + int_of_float (w.(3) -. w.(2) -. w.(4))
+          end;
+          List.iter
+            (fun (_, v) ->
+              if v = -1 then stop := true
+              else if v = -2 then measuring := true
+              else if v = -3 then measuring := false)
+            batch
+        done)
+  in
+  let reqs = List.init 8 (fun i -> i) in
+  let expect = List.map (fun v -> v + 1) reqs in
+  for _ = 1 to 64 do
+    if Rpc.call_pipelined t ~client:0 ~depth:8 reqs <> expect then
+      Alcotest.fail "echo mismatch"
+  done;
+  let w = Array.make 3 0.0 in
+  w.(0) <- Gc.minor_words ();
+  w.(2) <- Gc.minor_words () -. w.(0);
+  let bursts = 256 in
+  ignore (Rpc.call t ~client:0 (-2) : int);
+  w.(0) <- Gc.minor_words ();
+  for _ = 1 to bursts do
+    ignore (Rpc.call_pipelined t ~client:0 ~depth:8 reqs : int list)
+  done;
+  w.(1) <- Gc.minor_words ();
+  ignore (Rpc.call t ~client:0 (-3) : int);
+  ignore (Rpc.call t ~client:0 (-1) : int);
+  Domain.join server;
+  let client_per_burst = (w.(1) -. w.(0) -. w.(2)) /. float_of_int bursts in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "call_pipelined ~depth:8: its 24-word list (got %g)"
+       client_per_burst)
+    24.0 client_per_burst;
+  (* The -3 marker's batch is measured too: one more request. *)
+  Alcotest.(check int) "every measured request was received"
+    ((8 * bursts) + 1) !recv_msgs;
+  Alcotest.(check int)
+    (Printf.sprintf "receive_batch: 6 words per request (%d words, %d requests)"
+       !recv_words !recv_msgs)
+    (6 * !recv_msgs) !recv_words;
+  Alcotest.(check int) "reply_batch: 0 words" 0 !reply_words
+
 let test_rpc_counters () =
   let messages = 200 in
   let nclients = 2 in
@@ -1395,6 +1472,35 @@ let test_rpc_pipelined_differential () =
   Domain.join server;
   let expect = List.map (fun v -> v + 7) reqs in
   Alcotest.(check (list int)) "depth-8 = sequential sends" expect got
+
+(* Every batch call in one domain, against queues deep enough never to
+   block: runs longer than the 64-message reply span go out in chunks,
+   interleaved clients keep their own FIFO order, and the consumers
+   return the messages in order. *)
+let test_rpc_batch_one_domain () =
+  let t : (int, int) Rpc.t =
+    Rpc.create ~capacity:128 ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec
+      ~nclients:2 Rpc.Block
+  in
+  let ints n = List.init n (fun i -> i) in
+  Rpc.post_batch t ~client:1 (ints 100);
+  Alcotest.(check (list (pair int int)))
+    "receive_batch: the whole burst, in order"
+    (List.map (fun v -> (1, v)) (ints 100))
+    (Rpc.receive_batch t ~max:100);
+  Rpc.reply_batch t
+    ((0, -1) :: List.map (fun v -> (1, v)) (ints 100)
+    @ List.map (fun v -> (0, v)) (ints 90));
+  Alcotest.(check (list int)) "client 1: a 100-reply run, in order" (ints 100)
+    (Rpc.collect_batch t ~client:1 ~n:100);
+  Alcotest.(check (list int)) "client 0: both of its runs, in order"
+    (-1 :: ints 90)
+    (Rpc.collect_batch t ~client:0 ~n:91);
+  Alcotest.(check (list int)) "collect_batch ~n:0" []
+    (Rpc.collect_batch t ~client:0 ~n:0);
+  Alcotest.check_raises "negative n"
+    (Invalid_argument "Rpc.collect_batch: negative n") (fun () ->
+      ignore (Rpc.collect_batch t ~client:0 ~n:(-1)))
 
 let test_rpc_pipelined_validation () =
   let t : (int, int) Rpc.t = Rpc.create ~nclients:1 Rpc.Block in
@@ -1565,5 +1671,9 @@ let suites =
           test_rpc_pipelined_validation;
         Alcotest.test_case "zero-alloc steady-state round-trip" `Quick
           test_rpc_zero_alloc_steady_state;
+        Alcotest.test_case "batch plane allocation pins, int codec" `Quick
+          test_rpc_batch_alloc_pins;
+        Alcotest.test_case "batch calls in one domain: chunks and order"
+          `Quick test_rpc_batch_one_domain;
       ] );
   ]
