@@ -56,24 +56,28 @@ module Make (S : Substrate.S) = struct
   (* What a producer does when there is no room — a full queue, or on the
      real backends an exhausted payload slab: BSS busy-waits; every
      blocking protocol sleeps, counted, because a full queue means the
-     consumer is saturated (the paper sleeps one second). *)
-  let wait_for_room s = function
-    | Spin -> S.busy_wait s
+     consumer is saturated (the paper sleeps one second).  [n] is the
+     retry loop's count of failed waits (see Substrate.S.busy_wait):
+     every wait loop here carries its own, from 0, and a loop that
+     exits has made progress, so the next one starts at 0 again. *)
+  let wait_for_room s waiting n =
+    match waiting with
+    | Spin -> S.busy_wait s ~short:false n
     | Block | Block_yield | Limited_spin _ | Handoff | Adaptive _ ->
       let c = S.counters s in
       c.Counters.queue_full_sleeps <- c.Counters.queue_full_sleeps + 1;
-      S.flow_sleep s
+      S.flow_sleep s n
 
-  let rec enqueue s waiting ch msg =
+  let rec enqueue s waiting ch msg n =
     if not (S.enqueue s ch msg) then begin
-      wait_for_room s waiting;
-      enqueue s waiting ch msg
+      wait_for_room s waiting n;
+      enqueue s waiting ch msg (n + 1)
     end
 
   module Prims = struct
     type nonrec side = side = Client | Server
 
-    let flow_enqueue s ch msg = enqueue s Block ch msg
+    let flow_enqueue s ch msg = enqueue s Block ch msg 0
 
     let wake_consumer s ch ~target =
       if not (S.awake_test_and_set s ch) then begin
@@ -98,13 +102,17 @@ module Make (S : Substrate.S) = struct
        closure allocated on every call (this project does not assume
        flambda), and these loops ARE the per-message consumer path of
        the zero-allocation message plane. *)
-    let rec spinning_dequeue s ch =
+    let rec spinning_dequeue s ch ~side n =
       let m = S.dequeue s ch in
       if m != S.no_msg then m
       else begin
-        S.busy_wait s;
-        spinning_dequeue s ch
+        let short = match side with Server -> true | Client -> false in
+        S.busy_wait s ~short n;
+        spinning_dequeue s ch ~side (n + 1)
       end
+
+    (* A one-shot §2.1 hint: wait number 0, never a park. *)
+    let hint s = S.busy_wait s ~short:false 0
 
     let count_block s = function
       | Client ->
@@ -120,14 +128,19 @@ module Make (S : Substrate.S) = struct
        consume, or wake-ups would accumulate and fire the *next* block
        sequence spuriously.  The drain is a non-blocking P (Figure 5),
        retried through the tiny window between the producer's test-and-set
-       and its V, so no stale V is ever left behind. *)
+       and its V, so no stale V is ever left behind.  That V is imminent,
+       so the retries park short. *)
+    let rec take_credit s ch n =
+      if not (S.sem_try_p s ch) then begin
+        S.busy_wait s ~short:true n;
+        take_credit s ch (n + 1)
+      end
+
     let drain_raced_wakeup s ch =
       if S.awake_test_and_set s ch then begin
         let c = S.counters s in
         c.Counters.race_fix_p <- c.Counters.race_fix_p + 1;
-        while not (S.sem_try_p s ch) do
-          S.busy_wait s
-        done
+        take_credit s ch 0
       end
 
     (* What to do between a failed first dequeue (C.1) and the substrate's
@@ -153,7 +166,7 @@ module Make (S : Substrate.S) = struct
       else begin
         (match on_empty with
         | No_hint -> ()
-        | Hint_busy_wait -> S.busy_wait s
+        | Hint_busy_wait -> hint s
         | Hint_handoff_server -> S.handoff_server s);
         let m = S.await s ch in
         if m != S.no_msg then m
@@ -214,7 +227,7 @@ module Make (S : Substrate.S) = struct
      blocking protocol the flow-controlled enqueue (P.1) and the
      tas-guarded conditional wake-up (P.2–P.3). *)
   let produce s waiting ch ~target msg =
-    enqueue s waiting ch msg;
+    enqueue s waiting ch msg 0;
     blocks waiting && wake_consumer s ch ~target
 
   (* Adaptive BSLS: the BSLS code path with a per-channel MAX_SPIN that
@@ -296,7 +309,7 @@ module Make (S : Substrate.S) = struct
      copy). *)
   let consume s waiting ch ~side ~budget =
     match (waiting, side) with
-    | Spin, _ -> spinning_dequeue s ch
+    | Spin, _ -> spinning_dequeue s ch ~side 0
     | Block, _ -> blocking_dequeue s ch ~side No_hint
     | Block_yield, Client -> blocking_dequeue s ch ~side Hint_busy_wait
     | Handoff, Client -> blocking_dequeue s ch ~side Hint_handoff_server
@@ -318,7 +331,7 @@ module Make (S : Substrate.S) = struct
       (* We really did wake the server: let it run (Figure 7), or hand
          it the CPU outright (§6). *)
       match waiting with
-      | Block_yield -> S.busy_wait s
+      | Block_yield -> hint s
       | Handoff -> S.handoff_server s
       | Spin | Block | Limited_spin _ | Adaptive _ -> ()
     end;

@@ -81,6 +81,12 @@ module Make (S : Substrate.S) : sig
         BSLS), or the §6 hand-off.  An enumeration, not a closure, so
         hinted consumers stay allocation-free. *)
 
+    val take_credit : S.t -> S.channel -> int -> unit
+    (** [take_credit s ch 0]: a non-blocking P retried, with short
+        back-off waits, until it takes a credit — for a consumer that
+        knows a producer's V is imminent (it saw the producer's
+        test-and-set).  The count argument is the loop's failed waits. *)
+
     val drain_raced_wakeup : S.t -> S.channel -> unit
     (** The Interleaving-3 fix-up: restore the awake flag and absorb the
         semaphore credit of a producer that signalled between C.2 and
@@ -91,10 +97,11 @@ module Make (S : Substrate.S) : sig
     val blocking_dequeue : S.t -> S.channel -> side:side -> empty_hint -> S.msg
   end
 
-  val wait_for_room : S.t -> waiting -> unit
+  val wait_for_room : S.t -> waiting -> int -> unit
   (** One back-off of a producer that found no room (full queue, or an
       exhausted payload slab): [busy_wait] for [Spin], otherwise a
-      counted [flow_sleep]. *)
+      counted [flow_sleep].  The int is the caller's retry loop's count
+      of failed waits so far, from 0 (see {!Substrate.S.busy_wait}). *)
 
   val produce : S.t -> waiting -> S.channel -> target:side -> S.msg -> bool
   (** The producer half: enqueue on the channel (backing off per

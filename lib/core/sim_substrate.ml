@@ -91,7 +91,7 @@ let sem_try_p (s : t) ch =
   end
   else false
 
-let busy_wait (s : t) =
+let busy_wait (s : t) ~short:_ _ =
   if s.Session.multiprocessor then Usys.work s.Session.costs.Costs.spin_delay
   else Usys.yield ()
 
@@ -126,7 +126,7 @@ let handoff_any (s : t) =
   emit s s.Session.request Ulipc_observe.Event.Handoff;
   Usys.handoff Syscall.To_any
 
-let flow_sleep (_ : t) = Usys.sleep (Sim_time.sec 1)
+let flow_sleep (_ : t) _ = Usys.sleep (Sim_time.sec 1)
 
 let note_spin_exhausted (s : t) ch =
   emit s ch Ulipc_observe.Event.Spin_exhaust

@@ -104,9 +104,15 @@ module type S = sig
 
   (** {2 Scheduling hints} *)
 
-  val busy_wait : t -> unit
+  val busy_wait : t -> short:bool -> int -> unit
   (** §2.1: a [yield] on a uniprocessor, a delay loop on a
-      multiprocessor. *)
+      multiprocessor.  [busy_wait s ~short n] is wait number [n] of the
+      calling retry loop (its count of failed waits so far, from 0; a
+      one-shot hint passes 0): the real backends escalate on it from
+      pauses to yields to bounded parks, short ones when [short] (the
+      consumer of a request channel), so an oversubscribed spinner
+      gives its CPU to the peer it waits for.  The simulator ignores
+      both. *)
 
   val poll : t -> channel -> unit
   (** One BSLS poll (Figure 9): like {!busy_wait} but, on a
@@ -122,9 +128,11 @@ module type S = sig
   val handoff_any : t -> unit
   (** §6: "I have no useful work, run whoever is best". *)
 
-  val flow_sleep : t -> unit
-  (** What a producer does on a full queue before retrying — the paper
-      sleeps one second (a full queue means the consumer is saturated). *)
+  val flow_sleep : t -> int -> unit
+  (** What a producer does on a full queue before retrying, given its
+      retry loop's count of failed waits — the paper sleeps one second
+      (a full queue means the consumer is saturated); the real backends
+      climb the same ladder as {!busy_wait}, with long parks. *)
 
   (** {2 Instrumentation} *)
 

@@ -38,7 +38,7 @@
    [try_p] a few times before the kernel wait — pause hints when the
    peer can run concurrently, [sched_yield]s when it cannot — the
    adaptive-semaphore discipline (glibc's spin-then-park mutexes), and
-   the cross-process analogue of the in-process Backoff's pause budget.
+   the bottom two rungs of the Grace back-off ladder.
    The bound (a handful of attempts) keeps a truly idle consumer's path
    to the kernel short.  The long wait of a synchronous pair happens
    before this, above the semaphore: Proc_substrate.await polls the

@@ -25,4 +25,4 @@ let futex_wait t i ~expected ~timeout_ns =
 
 let futex_wake t i ~count = futex_wake_ (words t) i count
 
-let sched_yield = Ulipc_real.Backoff.sched_yield
+let sched_yield = Ulipc_real.Grace.sched_yield

@@ -85,7 +85,7 @@ let rec alloc_slot_retry t retries =
           that default"
          (Pslab.in_use_count slab) (Pslab.slots slab))
   else begin
-    P.wait_for_room t.sub t.waiting;
+    P.wait_for_room t.sub t.waiting retries;
     alloc_slot_retry t (retries + 1)
   end
 
@@ -237,9 +237,7 @@ let receive_opt t ~timeout_ns =
         end
         else if S.awake_test_and_set sub ch then begin
           (* Producer raced the timeout: its credit is in flight. *)
-          while not (S.sem_try_p sub ch) do
-            S.busy_wait sub
-          done;
+          P.Prims.take_credit sub ch 0;
           loop ()
         end
         else None (* clean timeout; awake flag restored by the TAS *)

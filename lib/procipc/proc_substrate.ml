@@ -5,8 +5,8 @@
 
    The OCaml records below are carved by the parent BEFORE forking and
    inherited copy-on-write: they hold word OFFSETS into the arena (plus
-   process-private scratch like the backoff streak), so each child's
-   private copy addresses the same shared words.  Nothing here is valid
+   process-private counters and trace), so each child's private copy
+   addresses the same shared words.  Nothing here is valid
    to create post-fork.
 
    Mapping of the Substrate.S primitives:
@@ -33,13 +33,11 @@
    no V; Fsem is reached only by a consumer whose peer really is idle.
 
    The scheduling hints differ from Real_substrate in one deliberate
-   way: the peer is a separate PROCESS, so on a machine where the peers
-   outnumber the CPUs a pause-hint spin burns the whole timeslice the
-   peer needs (nothing preempts a spinning process early).  [busy_wait]
-   therefore escalates cpu_relax -> sched_yield -> bounded nanosleep on
-   a per-process failure streak, reset on every successful queue
-   operation; on a multiprocessor the first rungs are pure userspace
-   and the blocking protocols still park in the futex, untouched.
+   way: the peer is a separate PROCESS, and nothing preempts a spinning
+   process early, so [yield] and the hand-offs are sched_yield, and so
+   is the BSLS [poll] on a uniprocessor.  [busy_wait] and
+   [flow_sleep] climb the same {!Ulipc_real.Grace} back-off ladder as
+   in-process, on the calling loop's own count of failed waits.
 
    Counters and trace events are PROCESS-LOCAL (each process accumulates
    into its own copy-on-write record); the fork driver marshals them
@@ -65,16 +63,11 @@ type t = {
   slab : Pslab.t;
   counters : Ulipc.Counters.t; (* process-local; merged by the driver *)
   trace : Ulipc_real.Trace_ring.t option; (* process-local too *)
-  multicore : bool;
-  mutable streak : int; (* consecutive fruitless waits, process-local *)
 }
 
 type msg = int
 
 let no_msg = Pslab.nil
-
-external nanosleep_ns : int -> unit = "ulipc_nanosleep_ns"
-external set_timerslack_ns : int -> unit = "ulipc_set_timerslack_ns"
 
 let make_channel a ~chan_id queue =
   let awake_w = Parena.alloc_line a ~words:Parena.cache_line_words in
@@ -113,10 +106,6 @@ let create ?trace ?slots ?(extra_words = 0) ~capacity ~nclients () =
     + slab_words + extra_words
   in
   let arena = Parena.create ~size_words () in
-  (* Tight timerslack before forking: PR_SET_TIMERSLACK is inherited
-     across fork, so one call here covers every child's nanosleep
-     parks (see Backoff for the in-process rationale). *)
-  set_timerslack_ns 1;
   let request_ch =
     make_channel arena ~chan_id:(-1)
       (Q_mpsc (Mpsc_ring.carve arena ~capacity))
@@ -133,15 +122,12 @@ let create ?trace ?slots ?(extra_words = 0) ~capacity ~nclients () =
     slab;
     counters = Ulipc.Counters.create ();
     trace;
-    multicore = Domain.recommended_domain_count () > 1;
-    streak = 0;
   }
 
 let arena t = t.arena
 let slab t = t.slab
 let trace t = t.trace
 let nclients t = Array.length t.replies
-let multicore t = t.multicore
 let request t = t.request_ch
 
 let reply_channel t n =
@@ -167,8 +153,6 @@ let emit_at t ch kind ~t_ns =
 let pre_stamp t =
   match t.trace with None -> 0 | Some _ -> Ulipc_observe.Clock.now_ns ()
 
-let progress t = t.streak <- 0
-
 let enqueue t ch m =
   let t_ns = pre_stamp t in
   let ok =
@@ -176,10 +160,7 @@ let enqueue t ch m =
     | Q_mpsc q -> Mpsc_ring.enqueue q m
     | Q_spsc q -> Spsc_ring.enqueue q m
   in
-  if ok then begin
-    progress t;
-    emit_at t ch Ulipc_observe.Event.Enqueue ~t_ns
-  end;
+  if ok then emit_at t ch Ulipc_observe.Event.Enqueue ~t_ns;
   ok
 
 (* The ring's dequeue alone: what [await] polls. *)
@@ -188,9 +169,7 @@ let raw_dequeue ch =
   | Q_mpsc q -> Mpsc_ring.dequeue q
   | Q_spsc q -> Spsc_ring.dequeue q
 
-let dequeued t ch =
-  progress t;
-  emit t ch Ulipc_observe.Event.Dequeue
+let dequeued t ch = emit t ch Ulipc_observe.Event.Dequeue
 
 let dequeue t ch =
   let m = raw_dequeue ch in
@@ -260,28 +239,15 @@ let slept t =
   let c = t.counters in
   c.Ulipc.Counters.backoff_sleeps <- c.Ulipc.Counters.backoff_sleeps + 1
 
-(* Escalating cross-process wait (see header).  The rungs:
-     1..64     pause hint       (multicore only — on a uniprocessor a
-                                 pause never lets the peer run)
-     ..256     sched_yield      (hands the quantum to the runnable peer)
-     beyond    nanosleep 1us -> 2us -> ... capped at 50us
-   The streak is process-local and reset by any successful queue
-   operation, so a healthy session keeps re-earning the cheap rungs. *)
-let busy_wait t =
-  let n = t.streak + 1 in
-  t.streak <- n;
-  if t.multicore && n <= 64 then Domain.cpu_relax ()
-  else if n <= 256 then Parena.sched_yield ()
-  else begin
-    let shift = min 6 ((n - 257) / 64) in
-    nanosleep_ns (min 50_000 (1_000 lsl shift));
-    slept t
-  end
+let busy_wait t ~short n = if Ulipc_real.Grace.backoff ~short n then slept t
 
 (* One BSLS poll slice: a pause hint keeps arrival latency minimal on a
    multiprocessor; on a uniprocessor only a yield can make the producer
    runnable at all. *)
-let poll t _ = if t.multicore then Domain.cpu_relax () else Parena.sched_yield ()
+let poll _ _ =
+  if Ulipc_real.Grace.multicore then Domain.cpu_relax ()
+  else Parena.sched_yield ()
+
 let yield _ = Parena.sched_yield ()
 
 (* No directed-handoff syscall exists for sibling processes either; the
@@ -294,12 +260,10 @@ let handoff_any t =
   emit t t.request_ch Ulipc_observe.Event.Handoff;
   Parena.sched_yield ()
 
-(* Full queue: the consumer process is saturated — sleep long enough
-   that it actually runs (a yield alone can starve it behind other
+(* Full queue: the consumer process is saturated — the ladder's long
+   parks let it actually run (yields alone can starve it behind other
    producers on a loaded box). *)
-let flow_sleep t =
-  nanosleep_ns 20_000;
-  slept t
+let flow_sleep t n = if Ulipc_real.Grace.backoff ~short:false n then slept t
 
 let counters t = t.counters
 

@@ -6,7 +6,8 @@
     it over their channel's ring before the consumer clears its awake
     flag; {!Rsem.p} runs it over the count before parking.  See grace.ml
     for why the bound is wall time and how the spin gives way to a peer
-    sharing its CPU. *)
+    sharing its CPU.  Also the back-off ladder both backends' retry
+    loops climb, and the scheduling stubs under both. *)
 
 val grace_ns : int
 (** The grace on a multiprocessor: 20 µs, about twice the slowest
@@ -38,3 +39,46 @@ val run : grace:int -> ('a -> 'b) -> 'a -> miss:'b -> 'b
     every 2 µs it yields the CPU once.  [~grace:0] returns [miss] at
     once without polling.  Allocates nothing when [poll] is a top-level
     function and its results are immediates. *)
+
+external sched_yield : unit -> unit = "ulipc_sched_yield"
+(** [sched_yield(2)] with the OCaml runtime lock released: hands the CPU
+    to a runnable thread or process that shares it, and returns at once
+    when there is none.  Allocation-free. *)
+
+(** {1 The back-off ladder}
+
+    What one failed wait of a retry loop does (the BSS busy-wait, a
+    producer facing a full queue, a credit drain), given the loop's own
+    count of failed waits so far, from 0.  See grace.ml for the
+    rationale. *)
+
+type rung =
+  | Pause  (** one [Domain.cpu_relax] *)
+  | Yield  (** one {!sched_yield} *)
+  | Sleep  (** one nanosleep of {!park_ns} *)
+
+val pause_waits : int
+(** Failed waits that pause on a multiprocessor: 64.  On a
+    uniprocessor only wait 0 (a one-shot hint's) pauses. *)
+
+val sleep_after : int
+(** Failed waits before the first park: 256.  The ones between
+    {!pause_waits} (or 1, on a uniprocessor) and this yield. *)
+
+val rung : multicore:bool -> int -> rung
+(** The rung of a loop's wait number [n] (its count of failed waits
+    before this one). *)
+
+val park_ns : short:bool -> int -> int
+(** The park length of wait number [n >= sleep_after]: doubling per
+    wait from 1 µs to a 10 µs cap when [short] (the consumer of a
+    request shard), from 20 µs to a 50 µs cap otherwise. *)
+
+val multicore : bool
+(** [default > 0]: the host has more than one CPU. *)
+
+val backoff : short:bool -> int -> bool
+(** Take wait number [n]'s rung on this host; [true] when it parked.
+    Allocates nothing.  A thread's first park sets its Linux timer
+    slack to 1 ns, so parks wake at hrtimer precision rather than on
+    the 50 µs default slack. *)

@@ -14,8 +14,9 @@ val words : int
 
 val copy_padded : 'a -> 'a
 (** [copy_padded v] returns a copy of the heap block [v] padded to span a
-    cache line.  [v] must be a uniform scannable block whose primitives
-    only address field 0 — e.g. an ['a Atomic.t] or an ['a ref] — and
-    must not yet be shared with another domain.  Use at structure
+    cache line.  [v] must be a uniform scannable block read and written
+    only through fixed field offsets — e.g. an ['a Atomic.t], an
+    ['a ref] or a record — and must not yet be shared with another
+    domain.  Use at structure
     creation time only. *)
 

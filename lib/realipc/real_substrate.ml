@@ -1,10 +1,11 @@
 (* The real-OCaml-5-domains instantiation of Ulipc.Substrate.S: a
    selectable queue transport, an {!Rsem} counting semaphore (atomic
    fast path, waiting-array park) whose count word also carries the
-   consumer's awake flag as its low bit, and pause-hint delay loops for
-   every scheduling hint.  Folding the flag into the semaphore word puts
-   a wake-up's four locked operations (producer test-and-set and V,
-   consumer P and flag set) on one cache line.
+   consumer's awake flag as its low bit, and the {!Grace} back-off
+   ladder or a pause hint for every scheduling hint.  Folding the flag
+   into the semaphore word puts a wake-up's four locked operations
+   (producer test-and-set and V, consumer P and flag set) on one cache
+   line.
 
    A consumer rarely pays them.  Its [await] polls the queue for up to
    the {!Grace} spin before C.2, with its flag still set: a producer's
@@ -168,7 +169,13 @@ let create ?(transport = Ring) ?trace ?(nservers = 1) ?shard_assign ~capacity
     steal = Array.init nservers (fun _ -> Atomic.make (-1));
     regs;
     transport;
-    counters = Ulipc.Counters.create ();
+    (* Both domains write the counters on every call.  Their field
+       order keeps the client's fields off the server's lines; the
+       padding keeps the record's last line off the next heap block.
+       Without it the sync round trip swung ~20% with the heap's
+       alignment (EXPERIMENTS.md, "The wait loop keeps its own spin
+       count"). *)
+    counters = Padding.copy_padded (Ulipc.Counters.create ());
     trace;
   }
 
@@ -252,14 +259,6 @@ let emit_at t ch kind ~t_ns =
 let pre_stamp t =
   match t.trace with None -> 0 | Some _ -> Ulipc_observe.Clock.now_ns ()
 
-(* Every queue operation reports to the calling domain's backoff state:
-   success ends the waiting episode, failure tags the wait's role (a
-   request channel's consumer spins long, everyone else escalates to
-   sleeping quickly — see Backoff).  Request shards are exactly the
-   negative chan_ids.  The tag is what lets the stateless [busy_wait]
-   hint pick the right spin budget without widening the Substrate.S
-   seam. *)
-
 let enqueue_pair t ch ~client ~word =
   let t_ns = pre_stamp t in
   let ok =
@@ -268,11 +267,7 @@ let enqueue_pair t ch ~client ~word =
     | Q_spsc q -> Spsc_ring.enqueue_pair q ~client ~word
     | Q_mpsc q -> Mpsc_ring.enqueue_pair q ~client ~word
   in
-  if ok then begin
-    Backoff.progress (Backoff.get ());
-    emit_at t ch Ulipc_observe.Event.Enqueue ~t_ns
-  end
-  else Backoff.note_role (Backoff.get ()) ~server_side:false;
+  if ok then emit_at t ch Ulipc_observe.Event.Enqueue ~t_ns;
   ok
 
 (* Copy register [m] into the cell. *)
@@ -298,14 +293,11 @@ let raw_dequeue ch =
   in
   if ok then ch.rx else no_msg
 
-let dequeued t ch =
-  Backoff.progress (Backoff.get ());
-  emit t ch Ulipc_observe.Event.Dequeue
+let dequeued t ch = emit t ch Ulipc_observe.Event.Dequeue
 
 let dequeue t ch =
   let m = raw_dequeue ch in
-  if m != no_msg then dequeued t ch
-  else Backoff.note_role (Backoff.get ()) ~server_side:(ch.chan_id < 0);
+  if m != no_msg then dequeued t ch;
   m
 
 let note_spin_exhausted t ch = emit t ch Ulipc_observe.Event.Spin_exhaust
@@ -321,9 +313,9 @@ let await t ch =
     m
   end
 
-(* Batch variants: one span claim on the queue, one backoff progress
-   per batch, and one trace event per message — behind a single test of
-   the sink per span, so an untraced span makes no per-message call.
+(* Batch variants: one span claim on the queue and one trace event per
+   message — behind a single test of the sink per span, so an untraced
+   span makes no per-message call.
    Spans are (client, word) pair arrays in caller-owned scratch buffers
    (the rings' span layout), so a batch round-trip builds no lists. *)
 
@@ -341,17 +333,13 @@ let enqueue_many t ch span ~pos ~len =
     | Q_spsc q -> Spsc_ring.enqueue_batch q span ~pos ~len
     | Q_mpsc q -> Mpsc_ring.enqueue_batch q span ~pos ~len
   in
-  if k > 0 then begin
-    Backoff.progress (Backoff.get ());
-    match t.trace with
-    | None -> ()
-    | Some sink ->
-      for _ = 1 to k do
-        Trace_ring.record_at sink Ulipc_observe.Event.Enqueue ~t_ns
-          ~chan:ch.chan_id
-      done
-  end
-  else if len > 0 then Backoff.note_role (Backoff.get ()) ~server_side:false;
+  (match t.trace with
+  | None -> ()
+  | Some sink ->
+    for _ = 1 to k do
+      Trace_ring.record_at sink Ulipc_observe.Event.Enqueue ~t_ns
+        ~chan:ch.chan_id
+    done);
   k
 
 let dequeue_many t ch ~buf ~pos ~max =
@@ -370,17 +358,12 @@ let dequeue_many t ch ~buf ~pos ~max =
     | Q_spsc q -> Spsc_ring.dequeue_batch q buf ~pos ~max
     | Q_mpsc q -> Mpsc_ring.dequeue_batch q buf ~pos ~max
   in
-  if k > 0 then begin
-    Backoff.progress (Backoff.get ());
-    match t.trace with
-    | None -> ()
-    | Some sink ->
-      for _ = 1 to k do
-        Trace_ring.record sink Ulipc_observe.Event.Dequeue ~chan:ch.chan_id
-      done
-  end
-  else if max > 0 then
-    Backoff.note_role (Backoff.get ()) ~server_side:(ch.chan_id < 0);
+  (match t.trace with
+  | None -> ()
+  | Some sink ->
+    for _ = 1 to k do
+      Trace_ring.record sink Ulipc_observe.Event.Dequeue ~chan:ch.chan_id
+    done);
   k
 
 let queue_is_empty _ ch =
@@ -418,16 +401,17 @@ let sem_v t ch =
    hints are the paper's multiprocessor busy-wait — but a pure pause-hint
    spin is pathological whenever domains outnumber CPUs (the BSS consumer
    burns its whole timeslice while the producer holds the only core).
-   [busy_wait] and [flow_sleep] therefore delegate to the per-domain
-   {!Backoff} state: a role-sized pause-hint budget first, then bounded
-   exponential nanosleep so the peer actually gets the core.  Each
-   completed sleep is recorded in the substrate counters.  [poll] stays a
-   single pause hint — BSLS accounts its own bounded spin. *)
+   [busy_wait] and [flow_sleep] therefore take the rung of the {!Grace}
+   back-off ladder that the calling loop's count of failed waits has
+   reached: pauses, then yields, then bounded parks so the peer actually
+   gets the core.  Each park is recorded in the substrate counters.
+   [poll] stays a single pause hint — BSLS accounts its own bounded
+   spin. *)
 let slept t =
   let c = t.counters in
   c.Ulipc.Counters.backoff_sleeps <- c.Ulipc.Counters.backoff_sleeps + 1
 
-let busy_wait t = if Backoff.wait (Backoff.get ()) then slept t
+let busy_wait t ~short n = if Grace.backoff ~short n then slept t
 let poll _ _ = Domain.cpu_relax ()
 let yield _ = Domain.cpu_relax ()
 
@@ -439,7 +423,7 @@ let handoff_any t =
   emit t t.requests.(0) Ulipc_observe.Event.Handoff;
   Domain.cpu_relax ()
 
-let flow_sleep t = if Backoff.wait (Backoff.get ()) then slept t
+let flow_sleep t n = if Grace.backoff ~short:false n then slept t
 let counters t = t.counters
 
 let wake_residue t =

@@ -198,7 +198,7 @@ let rec alloc_slot_retry t retries =
           (capacity + 1), or omit ~slots for that default"
          (Slab.in_use_count slab) (Slab.slots slab) retries)
   else begin
-    P.wait_for_room t.sub t.waiting;
+    P.wait_for_room t.sub t.waiting retries;
     alloc_slot_retry t (retries + 1)
   end
 
@@ -402,16 +402,17 @@ let reply_msg t ~client m =
    register: the message goes in by its words.  [post] may come from
    any domain (shutdown fan-out does), and [reply] from whichever
    server received the request — in a pool two servers can be replying
-   to one client at once — so neither may borrow a register. *)
-let rec produce_pair t ch ~target ~client ~word =
+   to one client at once — so neither may borrow a register.  [n]
+   counts the failed waits for room. *)
+let rec produce_pair t ch ~target ~client ~word n =
   if Real_substrate.enqueue_pair t.sub ch ~client ~word then
     ignore
       (Ulipc.Protocol_core.blocks t.waiting
        && P.Prims.wake_consumer t.sub ch ~target
         : bool)
   else begin
-    P.wait_for_room t.sub t.waiting;
-    produce_pair t ch ~target ~client ~word
+    P.wait_for_room t.sub t.waiting n;
+    produce_pair t ch ~target ~client ~word (n + 1)
   end
 
 let send t ~client req =
@@ -436,7 +437,7 @@ let reply t ~client rep =
   check_client t client;
   produce_pair t
     (Real_substrate.reply_channel t.sub client)
-    ~target:Client ~client ~word:(encode t t.rep_codec rep);
+    ~target:Client ~client ~word:(encode t t.rep_codec rep) 0;
   bump_replies t 1
 
 let serve ?(server = 0) t f =
@@ -463,7 +464,7 @@ let post ?shard t ~client req =
   check_server t sh;
   produce_pair t
     (Real_substrate.request_shard t.sub sh)
-    ~target:Server ~client ~word:(encode t t.req_codec req)
+    ~target:Server ~client ~word:(encode t t.req_codec req) 0
 
 let collect_msg t ~client =
   P.consume t.sub t.waiting
@@ -491,8 +492,9 @@ let collect t ~client =
 (* Enqueue the whole span with span claims, waking the consumer after
    every non-empty claim (not only at the end: if the queue fills while
    the consumer sleeps, only a wake-up can make room — deferring the
-   wake to the end of the batch would deadlock). *)
-let rec push_batch t ch ~target buf ~pos ~len =
+   wake to the end of the batch would deadlock).  [n] counts the failed
+   waits for room since the last claim that took something. *)
+let rec push_batch t ch ~target buf ~pos ~len n =
   if len > 0 then begin
     let k = Real_substrate.enqueue_many t.sub ch buf ~pos ~len in
     if k > 0 then begin
@@ -500,11 +502,11 @@ let rec push_batch t ch ~target buf ~pos ~len =
         (Ulipc.Protocol_core.blocks t.waiting
          && P.Prims.wake_consumer t.sub ch ~target
           : bool);
-      push_batch t ch ~target buf ~pos:(pos + k) ~len:(len - k)
+      push_batch t ch ~target buf ~pos:(pos + k) ~len:(len - k) 0
     end
     else begin
-      P.wait_for_room t.sub t.waiting;
-      push_batch t ch ~target buf ~pos ~len
+      P.wait_for_room t.sub t.waiting n;
+      push_batch t ch ~target buf ~pos ~len (n + 1)
     end
   end
 
@@ -523,7 +525,7 @@ let rec post_chunks t ~client request buf left reqs =
   if left > 0 then begin
     let n = Int.min (Array.length buf / 2) left in
     let rest = fill_span t ~client buf 0 n reqs in
-    push_batch t request ~target:Server buf ~pos:0 ~len:n;
+    push_batch t request ~target:Server buf ~pos:0 ~len:n 0;
     post_chunks t ~client request buf (left - n) rest
   end
 
@@ -589,7 +591,7 @@ and reply_run t span ch client n reps =
     span.((2 * n) + 1) <- encode t t.rep_codec rep;
     reply_run t span ch client (n + 1) rest
   | rest ->
-    push_batch t ch ~target:Client span ~pos:0 ~len:n;
+    push_batch t ch ~target:Client span ~pos:0 ~len:n 0;
     bump_replies t n;
     reply_runs t span rest
 
@@ -608,7 +610,7 @@ let[@tail_mod_cons] rec pipelined t ~client ~depth ch request buf pending
   if npending > 0 && out < depth then begin
     let k = Int.min (Int.min (depth - out) npending) (Array.length buf / 2) in
     let pending = fill_span t ~client buf 0 k pending in
-    push_batch t request ~target:Server buf ~pos:0 ~len:k;
+    push_batch t request ~target:Server buf ~pos:0 ~len:k 0;
     pipelined t ~client ~depth ch request buf pending (npending - k) (out + k)
   end
   else if out = 0 then []

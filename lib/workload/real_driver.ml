@@ -126,7 +126,7 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
         (Ulipc.Counters.snapshot (Ulipc_real.Rpc.counters t)));
   (* Allocation probe: before the barrier releases the timed phase, the
      domain hosting client 0 runs a short warm-up (faulting in its
-     domain-local backoff and trace state) and then [probe_ops] bare
+     lazily initialised trace state) and then [probe_ops] bare
      sends between two [Gc.minor_words] readings.  minor_words is
      per-domain in OCaml 5, so the delta is exactly the issuing client's
      allocation; the calibration pair subtracts what the readings

@@ -8,7 +8,7 @@
 
 val probe_warmup : int
 (** Round-trips client 0 performs before the allocation probe to fault in
-    domain-local state (backoff, trace buffers).  Probe traffic runs
+    lazily initialised state (trace buffers).  Probe traffic runs
     before the start barrier, so it is outside the measured interval but
     {e inside} an attached trace — a sink sees
     [2 * (probe_warmup + probe_ops)] extra enqueue/dequeue pairs at

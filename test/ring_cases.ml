@@ -189,7 +189,7 @@ let brand client seq = lnot ((client lsl 32) lor seq)
 
 (* One wait after [misses] consecutive misses; returns the new count. *)
 let idle misses =
-  if misses < 64 then Domain.cpu_relax () else Backoff.sched_yield ();
+  if misses < 64 then Domain.cpu_relax () else Grace.sched_yield ();
   misses + 1
 
 (* The consumer's check, and the verdict: [(bad pairs, all arrived)]. *)
@@ -233,7 +233,7 @@ let produce_branded ~stopped ~client ~per_producer (send_single, send_span, drai
     seq := !seq + accepted
   done;
   while not (drain () || stopped ()) do
-    Backoff.sched_yield ()
+    Grace.sched_yield ()
   done
 
 (* The consumer side, three single dequeues to one span dequeue, until

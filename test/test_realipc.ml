@@ -1143,6 +1143,52 @@ let test_await_empty_gives_up () =
     (if Grace.default = 0 then 0 else 1)
     exhausts
 
+(* The back-off ladder as a pure function: every rung boundary on a
+   multiprocessor and a uniprocessor, and both park lengths, capped
+   however long the loop has waited. *)
+let rung_t =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (match r with
+        | Grace.Pause -> "Pause"
+        | Grace.Yield -> "Yield"
+        | Grace.Sleep -> "Sleep"))
+    ( = )
+
+let test_ladder_rungs () =
+  let p = Grace.pause_waits and s = Grace.sleep_after in
+  let check name expect ~multicore n =
+    Alcotest.check rung_t name expect (Grace.rung ~multicore n)
+  in
+  check "multicore: the first wait pauses" Grace.Pause ~multicore:true 0;
+  check "multicore: the last pause" Grace.Pause ~multicore:true (p - 1);
+  check "multicore: then yields" Grace.Yield ~multicore:true p;
+  check "multicore: the last yield" Grace.Yield ~multicore:true (s - 1);
+  check "multicore: then parks" Grace.Sleep ~multicore:true s;
+  check "one CPU: a one-shot hint pauses" Grace.Pause ~multicore:false 0;
+  check "one CPU: then yields" Grace.Yield ~multicore:false 1;
+  check "one CPU: the last yield" Grace.Yield ~multicore:false (s - 1);
+  check "one CPU: then parks" Grace.Sleep ~multicore:false s;
+  check "a long wait stays parked" Grace.Sleep ~multicore:true max_int;
+  Alcotest.(check bool) "pauses come before parks" true (0 < p && p < s);
+  let park name expect ~short n =
+    Alcotest.(check int) name expect (Grace.park_ns ~short n)
+  in
+  park "request consumer: first park 1 us" 1_000 ~short:true s;
+  park "request consumer: doubles" 2_000 ~short:true (s + 1);
+  park "request consumer: 8 us" 8_000 ~short:true (s + 3);
+  park "request consumer: capped at 10 us" 10_000 ~short:true (s + 4);
+  park "request consumer: cap holds" 10_000 ~short:true max_int;
+  park "other waiter: first park 20 us" 20_000 ~short:false s;
+  park "other waiter: doubles" 40_000 ~short:false (s + 1);
+  park "other waiter: capped at 50 us" 50_000 ~short:false (s + 2);
+  park "other waiter: cap holds" 50_000 ~short:false max_int;
+  for n = s to s + 100 do
+    if Grace.park_ns ~short:true n > Grace.park_ns ~short:false n then
+      Alcotest.failf "wait %d: a request consumer parks longer" n
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Rpc protocols on real domains *)
 
@@ -1289,8 +1335,7 @@ let test_rpc_zero_alloc_steady_state () =
           Rpc.serve t handler
         done)
   in
-  (* Warm-up faults in the domain-local backoff state and any lazy
-     initialisation on both sides. *)
+  (* Warm-up runs any lazy initialisation on both sides. *)
   for i = 1 to 64 do
     if Rpc.call t ~client:0 i <> i + 1 then Alcotest.fail "echo mismatch"
   done;
@@ -1399,6 +1444,69 @@ let test_rpc_batch_alloc_pins () =
        !recv_words !recv_msgs)
     (6 * !recv_msgs) !recv_words;
   Alcotest.(check int) "reply_batch: 0 words" 0 !reply_words
+
+(* The back-off count lives in the loop that waits, so it restarts with
+   every wait.  A BSS server left idle on an empty shard climbs the
+   ladder to its park rung; once calls resume, each wait starts again
+   at the bottom and a server answering within a few µs never parks.
+   A count that carried over from the idle spell would park on every
+   wait of the burst. *)
+let test_rpc_ladder_restarts () =
+  let t : (int, int) Rpc.t =
+    Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nclients:1
+      Rpc.Spin
+  in
+  let server =
+    Domain.spawn (fun () ->
+        let stop = ref false in
+        let handler ~client:_ v =
+          if v < 0 then stop := true;
+          v + 1
+        in
+        while not !stop do
+          Rpc.serve t handler
+        done)
+  in
+  ignore (Rpc.call t ~client:0 0 : int);
+  let c = Rpc.counters t in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while c.Ulipc.Counters.backoff_sleeps = 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let idle_parks = c.Ulipc.Counters.backoff_sleeps in
+  let rounds = 2_000 in
+  for i = 1 to rounds do
+    if Rpc.call t ~client:0 i <> i + 1 then Alcotest.fail "echo mismatch"
+  done;
+  let parks = c.Ulipc.Counters.backoff_sleeps - idle_parks in
+  ignore (Rpc.call t ~client:0 (-1) : int);
+  Domain.join server;
+  Alcotest.(check bool)
+    (Printf.sprintf "the idle server reached the park rung (%d parks)"
+       idle_parks)
+    true (idle_parks > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "then its waits restarted low: %d parks in %d calls" parks
+       rounds)
+    true
+    (parks < rounds / 4)
+
+(* The guard against BSS's pathology on an oversubscribed host, where a
+   spinner that never gives its CPU away costs the peer a whole
+   scheduler quantum per round trip (7.48 ms before any back-off).
+   Meant for a run pinned to one CPU; each protocol's 500 round trips
+   must finish within 2 s, ~100x what they take there. *)
+let test_rpc_one_cpu_guard () =
+  List.iter
+    (fun (name, waiting) ->
+      let t : (int, int) Rpc.t = Rpc.create ~nclients:1 waiting in
+      let t0 = Unix.gettimeofday () in
+      echo_through t ~messages:500;
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 500 round trips in %.3f s, under 2 s" name dt)
+        true (dt < 2.0))
+    [ ("BSS", Rpc.Spin); ("BSWY", Rpc.Block_yield) ]
 
 let test_rpc_counters () =
   let messages = 200 in
@@ -1629,12 +1737,12 @@ let suites =
           test_await_catches_late_message;
         Alcotest.test_case "await on an empty channel gives up" `Quick
           test_await_empty_gives_up;
+        Alcotest.test_case "back-off ladder rungs" `Quick test_ladder_rungs;
       ] );
     ( "realipc.rpc",
       [
-        (* Spinning on an oversubscribed host costs an OS quantum per
-           round-trip; keep the spin runs short.  The default transport is
-           the ring; the two-lock variants pin the classic backend. *)
+        (* The default transport is the ring; the two-lock variants pin
+           the classic backend. *)
         Alcotest.test_case "echo, spin (BSS)" `Quick
           (echo_exchange ~messages:50 Rpc.Spin);
         Alcotest.test_case "echo, spin (BSS, two-lock)" `Quick
@@ -1675,5 +1783,9 @@ let suites =
           test_rpc_batch_alloc_pins;
         Alcotest.test_case "batch calls in one domain: chunks and order"
           `Quick test_rpc_batch_one_domain;
+        Alcotest.test_case "BSS back-off restarts after an idle spell" `Quick
+          test_rpc_ladder_restarts;
+        Alcotest.test_case "BSS and BSWY 500 round trips under 2 s" `Quick
+          test_rpc_one_cpu_guard;
       ] );
   ]
