@@ -199,19 +199,8 @@ let print_noise () =
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the real-domains primitives *)
 
-let transports = Ulipc_real.Real_substrate.[ Two_lock; Ring ]
-let transport_name = Ulipc_real.Real_substrate.transport_name
-
 let micro_tests () =
   let open Bechamel in
-  let queue_pair =
-    Test.make_with_resource ~name:"tl_queue enqueue+dequeue" Test.uniq
-      ~allocate:(fun () -> Ulipc_real.Tl_queue.create ~capacity:64 ())
-      ~free:ignore
-      (Staged.stage (fun q ->
-           ignore (Ulipc_real.Tl_queue.enqueue q 1 : bool);
-           ignore (Ulipc_real.Tl_queue.dequeue q : int option)))
-  in
   let spsc_pair =
     Test.make_with_resource ~name:"spsc_ring enqueue+dequeue" Test.uniq
       ~allocate:(fun () -> Ulipc_real.Spsc_ring.create ~capacity:64 ())
@@ -235,25 +224,15 @@ let micro_tests () =
       (Staged.stage (fun s ->
            Ulipc_real.Slab.release s (Ulipc_real.Slab.try_alloc s)))
   in
-  (* Batch rows push 8 messages per span claim (the ring rows through
-     flat (client, word) pair spans, a shared scratch is fine
+  (* Batch rows push 8 messages per span claim through flat
+     (client, word) pair spans (a shared scratch is fine
      single-threaded); ns/op is divided by 8 after analysis (micro_rows)
      so the row reads per message, directly comparable with the
      single-op row above it. *)
-  let eight_list = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   let eight =
     Array.init 16 (fun i -> if i land 1 = 0 then 0 else (i / 2) + 1)
   in
   let scratch8 = Array.make 16 0 in
-  let queue_batch =
-    Test.make_with_resource ~name:"tl_queue batch-8 enqueue+dequeue"
-      Test.uniq
-      ~allocate:(fun () -> Ulipc_real.Tl_queue.create ~capacity:64 ())
-      ~free:ignore
-      (Staged.stage (fun q ->
-           ignore (Ulipc_real.Tl_queue.enqueue_batch q eight_list : int);
-           ignore (Ulipc_real.Tl_queue.dequeue_batch q ~max:8 : int list)))
-  in
   let spsc_batch =
     Test.make_with_resource ~name:"spsc_ring batch-8 enqueue+dequeue"
       Test.uniq
@@ -261,22 +240,6 @@ let micro_tests () =
       ~free:ignore
       (Staged.stage (fun q ->
            ignore (Ulipc_real.Spsc_ring.enqueue_batch q eight ~pos:0 ~len:8 : int);
-           ignore
-             (Ulipc_real.Spsc_ring.dequeue_batch q scratch8 ~pos:0 ~max:8 : int)))
-  in
-  (* Torquati multipush: eight producer-local appends, one index
-     publish (the eighth append auto-flushes at the buffer bound). *)
-  let spsc_multipush =
-    Test.make_with_resource ~name:"spsc_ring multipush-8 local+flush+dequeue"
-      Test.uniq
-      ~allocate:(fun () -> Ulipc_real.Spsc_ring.create ~capacity:64 ())
-      ~free:ignore
-      (Staged.stage (fun q ->
-           for v = 1 to 8 do
-             ignore
-               (Ulipc_real.Spsc_ring.enqueue_local q ~client:0 ~word:v : bool)
-           done;
-           ignore (Ulipc_real.Spsc_ring.flush q : bool);
            ignore
              (Ulipc_real.Spsc_ring.dequeue_batch q scratch8 ~pos:0 ~max:8 : int)))
   in
@@ -298,32 +261,23 @@ let micro_tests () =
            Ulipc_real.Rsem.v s;
            Ulipc_real.Rsem.p s))
   in
-  let sem_vn =
-    Test.make_with_resource ~name:"rsem batch-8 v_n+P" Test.uniq
-      ~allocate:(fun () -> Ulipc_real.Rsem.create 0)
-      ~free:ignore
-      (Staged.stage (fun s ->
-           Ulipc_real.Rsem.v_n s 8;
-           for _ = 1 to 8 do
-             Ulipc_real.Rsem.p s
-           done))
-  in
   let tas =
     Test.make_with_resource ~name:"atomic exchange (tas)" Test.uniq
       ~allocate:(fun () -> Atomic.make false)
       ~free:ignore
       (Staged.stage (fun f -> ignore (Atomic.exchange f true : bool)))
   in
-  let round_trip name transport waiting =
+  let round_trip name waiting =
     (* Resource: a live echo server domain on the in-place [serve] path
        (the zero-allocation server turn); -1 asks it to exit.  Immediate
        int codecs make the payload the message word itself, so the
        measured round-trip is the register-to-cell hot path. *)
-    let name = Printf.sprintf "%s [%s]" name (transport_name transport) in
+    (* The suffix keeps the row names of the committed baselines. *)
+    let name = name ^ " [ring]" in
     Test.make_with_resource ~name Test.uniq
       ~allocate:(fun () ->
         let t : (int, int) Ulipc_real.Rpc.t =
-          Ulipc_real.Rpc.create ~transport ~req_codec:Ulipc_real.Rpc.int_codec
+          Ulipc_real.Rpc.create ~req_codec:Ulipc_real.Rpc.int_codec
             ~rep_codec:Ulipc_real.Rpc.int_codec ~nclients:1 waiting
         in
         let d =
@@ -347,23 +301,21 @@ let micro_tests () =
            ignore (Ulipc_real.Rpc.send t ~client:0 42 : int)))
   in
   [
-    queue_pair; queue_batch; spsc_pair; spsc_batch; spsc_multipush; mpsc_pair;
-    mpsc_batch; slab_pair; sem_pair; sem_vn; tas;
+    spsc_pair;
+    spsc_batch;
+    mpsc_pair;
+    mpsc_batch;
+    slab_pair;
+    sem_pair;
+    tas;
+    round_trip "round-trip, spin (BSS)" Ulipc_real.Rpc.Spin;
+    round_trip "round-trip, block (BSW)" Ulipc_real.Rpc.Block;
+    round_trip "round-trip, block+yield (BSWY)" Ulipc_real.Rpc.Block_yield;
+    round_trip "round-trip, limited spin (BSLS)"
+      (Ulipc_real.Rpc.Limited_spin 500);
+    round_trip "round-trip, adaptive (ADAPT)" (Ulipc_real.Rpc.Adaptive 4096);
+    round_trip "round-trip, handoff" Ulipc_real.Rpc.Handoff;
   ]
-  @ List.concat_map
-      (fun transport ->
-        [
-          round_trip "round-trip, spin (BSS)" transport Ulipc_real.Rpc.Spin;
-          round_trip "round-trip, block (BSW)" transport Ulipc_real.Rpc.Block;
-          round_trip "round-trip, block+yield (BSWY)" transport
-            Ulipc_real.Rpc.Block_yield;
-          round_trip "round-trip, limited spin (BSLS)" transport
-            (Ulipc_real.Rpc.Limited_spin 500);
-          round_trip "round-trip, adaptive (ADAPT)" transport
-            (Ulipc_real.Rpc.Adaptive 4096);
-          round_trip "round-trip, handoff" transport Ulipc_real.Rpc.Handoff;
-        ])
-      transports
 
 (* [(bechamel name, ns/op)] rows, sorted by name.  In quick mode the
    quota drops from 500 ms to 50 ms per test and GC stabilisation is
@@ -390,43 +342,33 @@ let micro_rows ~quick () =
         | Some [] | None -> acc)
       results []
   in
-  (* Batch and multipush tests move 8 messages per run: report them per
-     message. *)
+  (* Batch tests move 8 messages per run: report them per message. *)
   let per_message (name, ns) =
     let contains sub =
       let n = String.length name and k = String.length sub in
       let rec scan i = i + k <= n && (String.sub name i k = sub || scan (i + 1)) in
       scan 0
     in
-    if contains "batch-8" || contains "multipush-8" then (name, ns /. 8.0)
-    else (name, ns)
+    if contains "batch-8" then (name, ns /. 8.0) else (name, ns)
   in
   List.sort compare (List.map per_message rows)
 
 (* The same protocol-event counters the simulator reports, now measured on
-   the real backend — over both transports, so every run records the
-   two-lock-vs-ring comparison.  [(transport, metrics)] rows. *)
+   the real backend. *)
 let real_rows ~quick () =
   let messages = if quick then 300 else 2_000 in
-  List.concat_map
-    (fun transport ->
-      let row ?depth waiting =
-        ( transport,
-          Real_driver.run
-            ~machine:(transport_name transport)
-            ~transport ?depth ~nclients:2 ~messages waiting )
-      in
-      List.map row
-        Ulipc_real.Rpc.[ Block; Block_yield; Limited_spin 50; Handoff;
-                         Adaptive 4096 ]
-      (* The pipelined fast path: same protocols, depth-8 windows over
-         the batched enqueue/dequeue/wake operations. *)
-      @ List.map (row ~depth:8)
-          Ulipc_real.Rpc.[ Block; Adaptive 4096 ])
-    transports
+  let row ?depth waiting =
+    Real_driver.run ~machine:"ring" ?depth ~nclients:2 ~messages waiting
+  in
+  List.map row
+    Ulipc_real.Rpc.[ Block; Block_yield; Limited_spin 50; Handoff;
+                     Adaptive 4096 ]
+  (* The pipelined fast path: same protocols, depth-8 windows over the
+     batched enqueue/dequeue/wake operations. *)
+  @ List.map (row ~depth:8) Ulipc_real.Rpc.[ Block; Adaptive 4096 ]
 
-(* The F2/F11-scale client-count sweep on the sharded server fleet (ring
-   transport): per-client throughput of the blocking protocols should
+(* The F2/F11-scale client-count sweep on the sharded server fleet:
+   per-client throughput of the blocking protocols should
    stay near-flat as the population grows — the paper's Figure 2 shape —
    while limited spinning collapses once spinners outnumber processors,
    the Figure 11 cliff (EXPERIMENTS.md records the observed collapse
@@ -449,10 +391,8 @@ let sweep_rows ~quick () =
           let messages = max 4 (budget / nclients) in
           List.map
             (fun waiting ->
-              ( Ulipc_real.Real_substrate.Ring,
-                Real_driver.run
-                  ~machine:(transport_name Ulipc_real.Real_substrate.Ring)
-                  ~nservers ~nclients ~messages waiting ))
+              Real_driver.run ~machine:"ring" ~nservers ~nclients ~messages
+                waiting)
             protocols)
         nclients_list)
     nservers_list
@@ -551,7 +491,7 @@ let print_micro ~quick ~json () =
      ---@.";
   let real = real_rows ~quick () in
   List.iter
-    (fun (_, m) ->
+    (fun m ->
       Format.printf "%a@.%a@.@." Metrics.pp_row m Ulipc.Counters.pp
         m.Metrics.counters)
     real;
@@ -559,7 +499,7 @@ let print_micro ~quick ~json () =
     "--- client-count sweep on the sharded fleet (F2/F11 scale) ---@.";
   let sweep = sweep_rows ~quick () in
   List.iter
-    (fun (_, m) ->
+    (fun m ->
       let per_client =
         m.Metrics.throughput_msg_per_ms /. float_of_int m.Metrics.nclients
       in
@@ -569,9 +509,7 @@ let print_micro ~quick ~json () =
         (100.0 *. m.Metrics.utilization_max))
     sweep;
   Format.printf "@.";
-  let inproc =
-    List.map (fun (tr, m) -> ("inproc", transport_name tr, m)) (real @ sweep)
-  in
+  let inproc = List.map (fun m -> ("inproc", "ring", m)) (real @ sweep) in
   match json with
   | None -> ()
   | Some path ->

@@ -93,15 +93,15 @@ let print_metrics ~verbose m =
   if verbose then Format.printf "%a@." Metrics.pp m
   else Format.printf "%a@." Metrics.pp_row m;
   match m.Metrics.latency_us with
-  | Some hist when Ulipc.Histogram.count hist > 0 ->
+  | Some hist when Ulipc_observe.Histogram.count hist > 0 ->
     Format.printf
       "  latency: mean %.1f us  p50 %.1f  p90 %.1f  p99 %.1f  max %.1f@."
-      (Ulipc.Histogram.mean hist)
-      (Ulipc.Histogram.percentile hist 50.0)
-      (Ulipc.Histogram.percentile hist 90.0)
-      (Ulipc.Histogram.percentile hist 99.0)
-      (Ulipc.Histogram.max_value hist);
-    if verbose then Format.printf "%a" Ulipc.Histogram.pp_buckets hist
+      (Ulipc_observe.Histogram.mean hist)
+      (Ulipc_observe.Histogram.percentile hist 50.0)
+      (Ulipc_observe.Histogram.percentile hist 90.0)
+      (Ulipc_observe.Histogram.percentile hist 99.0)
+      (Ulipc_observe.Histogram.max_value hist);
+    if verbose then Format.printf "%a" Ulipc_observe.Histogram.pp_buckets hist
   | Some _ | None -> ()
 
 let run_cmd =

@@ -199,8 +199,8 @@ let dump_series frames =
         (opt (p "slab_in_use")))
     frames
 
-let run_dashboard backend kind nclients messages depth nservers transport
-    interval_ms once dump prometheus =
+let run_dashboard backend kind nclients messages depth nservers interval_ms
+    once dump prometheus =
   match Ulipc.Protocol_kind.to_waiting kind with
   | None ->
     `Error
@@ -237,8 +237,8 @@ let run_dashboard backend kind nclients messages depth nservers transport
             (fun () ->
               match backend with
               | Real ->
-                Real_driver.run ~transport ~telemetry:tel ~depth ~nservers
-                  ~nclients ~messages waiting
+                Real_driver.run ~telemetry:tel ~depth ~nservers ~nclients
+                  ~messages waiting
               | Proc ->
                 Proc_driver.run ~telemetry:tel ~depth ~nclients ~messages
                   waiting)
@@ -319,25 +319,6 @@ let nservers_t =
     value & opt int 1
     & info [ "nservers" ] ~docv:"N" ~doc:"Server pool size (real backend).")
 
-let transport_conv =
-  let parse = function
-    | "ring" -> Ok Ulipc_real.Real_substrate.Ring
-    | "two-lock" -> Ok Ulipc_real.Real_substrate.Two_lock
-    | s ->
-      Error (`Msg (Printf.sprintf "unknown transport %S (ring, two-lock)" s))
-  in
-  let print ppf t =
-    Format.pp_print_string ppf (Ulipc_real.Real_substrate.transport_name t)
-  in
-  Arg.conv (parse, print)
-
-let transport_t =
-  Arg.(
-    value
-    & opt transport_conv Ulipc_real.Real_substrate.Ring
-    & info [ "transport" ] ~docv:"T"
-        ~doc:"Queue transport for the real backend: ring or two-lock.")
-
 let interval_t =
   Arg.(
     value & opt float 10.0
@@ -372,7 +353,7 @@ let () =
     Term.(
       ret
         (const run_dashboard $ backend_t $ protocol_t $ nclients_t
-       $ messages_t $ depth_t $ nservers_t $ transport_t $ interval_t
-       $ once_t $ dump_t $ prometheus_t))
+       $ messages_t $ depth_t $ nservers_t $ interval_t $ once_t $ dump_t
+       $ prometheus_t))
   in
   exit (Cmd.eval (Cmd.v info term))

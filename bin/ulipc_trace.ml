@@ -68,18 +68,6 @@ let machine_conv =
   let print ppf m = Format.pp_print_string ppf m.Ulipc_machines.Machine.name in
   Arg.conv (parse, print)
 
-let transport_conv =
-  let parse = function
-    | "ring" -> Ok Ulipc_real.Real_substrate.Ring
-    | "two-lock" -> Ok Ulipc_real.Real_substrate.Two_lock
-    | s ->
-      Error (`Msg (Printf.sprintf "unknown transport %S (ring, two-lock)" s))
-  in
-  let print ppf t =
-    Format.pp_print_string ppf (Ulipc_real.Real_substrate.transport_name t)
-  in
-  Arg.conv (parse, print)
-
 (* The summary line mirrors the BENCH_real.json conventions: every float
    through Bench_json.json_float, so nan (e.g. wake latency of a
    protocol that never blocked) prints as null.  [dropped] is the ring
@@ -128,32 +116,23 @@ let validate_json path =
     | None -> failwith (path ^ ": no traceEvents field"))
   | Error msg -> failwith (path ^ ": emitted JSON does not parse: " ^ msg)
 
-let run_real ~kind ~transport ~nclients ~messages ~depth ~out =
+let run_real ~kind ~nclients ~messages ~depth ~out =
   match Ulipc.Protocol_kind.to_waiting kind with
   | None -> no_real_backend kind
   | Some waiting ->
     let sink = Ulipc_real.Trace_ring.create ~capacity:(1 lsl 18) () in
-    let m =
-      Real_driver.run ~transport ~trace:sink ~depth ~nclients ~messages
-        waiting
-    in
+    let m = Real_driver.run ~trace:sink ~depth ~nclients ~messages waiting in
     let events = Ulipc_real.Trace_ring.events sink in
     let r =
       A.analyse ~complete:(Ulipc_real.Trace_ring.dropped sink = 0) events
     in
     let process_name =
-      Printf.sprintf "ulipc real %s %s"
-        (Ulipc_real.Real_substrate.transport_name transport)
-        (Ulipc.Protocol_kind.name kind)
+      Printf.sprintf "ulipc real ring %s" (Ulipc.Protocol_kind.name kind)
     in
     Ulipc_observe.Perfetto.write ~process_name ~report:r ~path:out events;
     validate_json out;
     Format.printf "%a@." A.pp r;
-    let label =
-      Printf.sprintf "\"transport\": \"%s\""
-        (Ulipc_real.Real_substrate.transport_name transport)
-    in
-    summary_json ~backend:"real" ~label ~kind ~out
+    summary_json ~backend:"real" ~label:"\"transport\": \"ring\"" ~kind ~out
       ~dropped:(Ulipc_real.Trace_ring.dropped sink)
       m r;
     r
@@ -206,11 +185,11 @@ let run_sim ~kind ~machine ~nclients ~messages ~out =
     ~dropped:(Ulipc_observe.Sink.dropped sink) m r;
   r
 
-let main backend kind machine transport nclients messages depth out =
+let main backend kind machine nclients messages depth out =
   try
     let r =
       match backend with
-      | Real -> run_real ~kind ~transport ~nclients ~messages ~depth ~out
+      | Real -> run_real ~kind ~nclients ~messages ~depth ~out
       | Sim -> run_sim ~kind ~machine ~nclients ~messages ~out
       | Proc -> run_proc ~kind ~nclients ~messages ~depth ~out
     in
@@ -252,13 +231,6 @@ let machine_arg =
     & info [ "m"; "machine" ] ~docv:"MACHINE"
         ~doc:"Machine model (sim backend only).")
 
-let transport_arg =
-  Arg.(
-    value
-    & opt transport_conv Ulipc_real.Real_substrate.Ring
-    & info [ "t"; "transport" ] ~docv:"TRANSPORT"
-        ~doc:"Queue transport (real backend only): ring or two-lock.")
-
 let clients_arg =
   Arg.(
     value & opt int 2
@@ -290,7 +262,7 @@ let () =
   let term =
     Term.(
       ret
-        (const main $ backend_arg $ protocol_arg $ machine_arg $ transport_arg
-        $ clients_arg $ messages_arg $ depth_arg $ out_arg))
+        (const main $ backend_arg $ protocol_arg $ machine_arg $ clients_arg
+        $ messages_arg $ depth_arg $ out_arg))
   in
   exit (Cmd.eval (Cmd.v info term))

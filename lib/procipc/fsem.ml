@@ -81,18 +81,13 @@ let create ?(initial = 0) a =
 
 let value t = Parena.at_load t.a t.value_w
 
-let v_n t n =
-  if n < 0 then invalid_arg "Fsem.v_n: negative count";
-  if n > 0 then begin
-    ignore (Parena.at_fetch_add t.a t.value_w n : int);
-    (* The fetch-add above is a full RMW, so this load is ordered after
-       it: a waiter that advertised before our add either sees the
-       credit at its re-check or is observed here and woken. *)
-    if Parena.at_load t.a t.waiters_w > 0 then
-      t.grants <- t.grants + Parena.futex_wake t.a t.value_w ~count:n
-  end
-
-let v t = v_n t 1
+let v t =
+  ignore (Parena.at_fetch_add t.a t.value_w 1 : int);
+  (* The fetch-add above is a full RMW, so this load is ordered after
+     it: a waiter that advertised before our add either sees the credit
+     at its re-check or is observed here and woken. *)
+  if Parena.at_load t.a t.waiters_w > 0 then
+    t.grants <- t.grants + Parena.futex_wake t.a t.value_w ~count:1
 
 let rec try_p t =
   let v = Parena.at_load t.a t.value_w in
@@ -104,7 +99,7 @@ let rec try_p t =
    yield can make the expected V-issuer runnable, and two attempts
    cover the common hand-off; concurrent peers get a longer pause-hint
    budget since each attempt is only a few nanoseconds. *)
-let unicore = Domain.recommended_domain_count () <= 1
+let unicore = not Ulipc_real.Grace.multicore
 let grace_attempts = if unicore then 2 else 64
 
 let rec p_grace t k =

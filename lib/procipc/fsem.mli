@@ -36,10 +36,6 @@ val v : t -> unit
 (** Up: fetch-add plus a waiter-census load; issues [FUTEX_WAKE] only
     when somebody is actually parked. *)
 
-val v_n : t -> int -> unit
-(** [n] credits, one fetch-add, at most one wake syscall (for up to [n]
-    waiters).  @raise Invalid_argument if [n < 0]. *)
-
 val value : t -> int
 (** Current count — the wake-residue probe. *)
 

@@ -171,8 +171,8 @@ let collect t ~client =
 
 (* Sliding-window pipelining: keep [depth] requests in flight, collect
    one before posting the next — the same window the in-process
-   call_pipelined maintains, minus the multipush shortcut (the arena
-   SPSC ring has no producer-private buffer). *)
+   call_pipelined maintains, minus its span claims: each request is
+   one post and each reply one collect. *)
 let call_pipelined t ~client ~depth reqs =
   if depth <= 0 then invalid_arg "Proc_rpc.call_pipelined: depth must be > 0";
   let n = Array.length reqs in

@@ -25,9 +25,9 @@
     Behaviour is undefined if two domains or processes consume
     concurrently.
 
-    Same observable semantics as {!Tl_queue} when quiescent: FIFO per
-    producer, an enqueue returns [false] exactly when [capacity]
-    messages are in flight, a dequeue reports an empty ring.  Under
+    When quiescent: FIFO per producer, an enqueue returns [false]
+    exactly when [capacity] messages are in flight, a dequeue reports an
+    empty ring.  Under
     concurrency, an enqueue may transiently report full (while the
     consumer is mid-dequeue) and a dequeue may transiently report empty
     (while a producer is mid-enqueue); callers retry, as all the

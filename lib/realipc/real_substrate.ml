@@ -1,5 +1,5 @@
-(* The real-OCaml-5-domains instantiation of Ulipc.Substrate.S: a
-   selectable queue transport, an {!Rsem} counting semaphore (atomic
+(* The real-OCaml-5-domains instantiation of Ulipc.Substrate.S: word
+   rings for the queues, an {!Rsem} counting semaphore (atomic
    fast path, waiting-array park) whose count word also carries the
    consumer's awake flag as its low bit, and the {!Grace} back-off
    ladder or a pause hint for every scheduling hint.  Folding the flag
@@ -30,9 +30,9 @@
    locked free-list operation per message.  Queue emptiness is the
    [no_msg] sentinel (-1), never an option — so the steady-state data
    path touches no heap: no message records, no option boxing, no
-   queue nodes (on the ring transport).  Paths whose caller is not an
-   endpoint (a post, a reply from [receive]'s caller, the batch and
-   steal spans) pass [(client, word)] pairs directly.
+   queue nodes.  Paths whose caller is not an endpoint (a post, a reply
+   from [receive]'s caller, the batch and steal spans) pass
+   [(client, word)] pairs directly.
 
    The request plane is SHARDED: [nservers] request channels, each the
    inbox of one server domain, with clients mapped to a home shard by a
@@ -49,18 +49,15 @@
    ring.  The token is the whole substrate-side mechanism (three
    operations below); the orchestration lives in {!Rpc}.
 
-   Two transports implement the queue primitives.  [Two_lock] is the
-   paper's Michael & Scott two-lock queue (Tl_queue) of pairs: safe for
-   any mix of producers and consumers, but each operation pays a mutex
-   pair, a shared count and heap nodes.  [Ring] exploits the session shape:
-   each request shard has many producers and exactly one consumer
-   (Mpsc_ring), and each reply channel has one consumer — the owning
-   client.  At [nservers = 1] the reply producer is unique too (the
-   server), so replies ride {!Spsc_ring}; with a server *pool* any
-   server may answer a stolen request, so reply channels switch to
-   {!Mpsc_ring} (still single-consumer).  All rings are lock-free,
-   allocation-free per message, and carved from one {!Word_arena} per
-   session, the same words the fork'd backend's rings live in.
+   The queues exploit the session shape: each request shard has many
+   producers and exactly one consumer (Mpsc_ring), and each reply
+   channel has one consumer — the owning client.  At [nservers = 1] the
+   reply producer is unique too (the server), so replies ride
+   {!Spsc_ring}; with a server *pool* any server may answer a stolen
+   request, so reply channels switch to {!Mpsc_ring} (still
+   single-consumer).  All rings are lock-free, allocation-free per
+   message, and carved from one {!Word_arena} per session, the same
+   words the fork'd backend's rings live in.
 
    Instrumentation lives here, on the substrate side of the signature's
    counters seam, so the protocol core stays untouched: an optional
@@ -69,14 +66,7 @@
    CLOCK_MONOTONIC timestamps into per-domain flat bounded rings.  With
    no sink attached the hot path pays one option match per operation. *)
 
-type transport = Two_lock | Ring
-
-let transport_name = function Two_lock -> "two-lock" | Ring -> "ring"
-
-type queue =
-  | Q_two_lock of (int * int) Tl_queue.t
-  | Q_spsc of Spsc_ring.t
-  | Q_mpsc of Mpsc_ring.t
+type queue = Q_spsc of Spsc_ring.t | Q_mpsc of Mpsc_ring.t
 
 type channel = {
   queue : queue;
@@ -96,7 +86,6 @@ type t = {
   regs : int array;
       (* the register file: register [m]'s (client, word) at
          [reg_pos m], [reg_pos (m + 1)] *)
-  transport : transport;
   counters : Ulipc.Counters.t;
   trace : Trace_ring.t option;
 }
@@ -118,16 +107,15 @@ let make_channel ~chan_id ~regs ~rx queue =
   Rsem.flag_set sem;
   { queue; sem; chan_id; regs; rx }
 
-let create ?(transport = Ring) ?trace ?(nservers = 1) ?shard_assign ~capacity
-    ~nclients () =
+let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
   if nservers <= 0 then
     invalid_arg "Real_substrate.create: nservers must be positive";
   let shard_map =
     Shard_map.create ?assign:shard_assign ~nclients ~nshards:nservers ()
   in
   (* Every ring is carved from the session's one arena, as on the fork'd
-     backend.  The arena is mapped whatever the transport, so a session
-     refuses to start off x86-64 either way ([Word_arena.create]). *)
+     backend.  Mapping it refuses to start off x86-64
+     ([Word_arena.create]). *)
   let reply_words =
     if nservers = 1 then Spsc_ring.arena_words ~capacity
     else Mpsc_ring.arena_words ~capacity
@@ -139,21 +127,14 @@ let create ?(transport = Ring) ?trace ?(nservers = 1) ?shard_assign ~capacity
         + (nclients * reply_words))
       ()
   in
-  let request_queue () =
-    match transport with
-    | Two_lock -> Q_two_lock (Tl_queue.create ~capacity ())
-    | Ring -> Q_mpsc (Mpsc_ring.carve arena ~capacity)
-  in
+  let request_queue () = Q_mpsc (Mpsc_ring.carve arena ~capacity) in
   (* A lone server is the unique producer of every reply channel, so the
      SPSC ring applies; a pool is not — a stolen request is answered by
      the thief, so reply channels get a second (… nth) producer and must
      ride the MPSC ring.  Still one consumer: the owning client. *)
   let reply_queue () =
-    match transport with
-    | Two_lock -> Q_two_lock (Tl_queue.create ~capacity ())
-    | Ring ->
-      if nservers = 1 then Q_spsc (Spsc_ring.carve arena ~capacity)
-      else Q_mpsc (Mpsc_ring.carve arena ~capacity)
+    if nservers = 1 then Q_spsc (Spsc_ring.carve arena ~capacity)
+    else Q_mpsc (Mpsc_ring.carve arena ~capacity)
   in
   (* One register per client (0 .. nclients-1), then one per server. *)
   let regs = Array.make (reg_pos (nclients + nservers)) 0 in
@@ -168,7 +149,6 @@ let create ?(transport = Ring) ?trace ?(nservers = 1) ?shard_assign ~capacity
     shard_map;
     steal = Array.init nservers (fun _ -> Atomic.make (-1));
     regs;
-    transport;
     (* Both domains write the counters on every call.  Their field
        order keeps the client's fields off the server's lines; the
        padding keeps the record's last line off the next heap block.
@@ -179,7 +159,6 @@ let create ?(transport = Ring) ?trace ?(nservers = 1) ?shard_assign ~capacity
     trace;
   }
 
-let transport t = t.transport
 let trace t = t.trace
 
 (* Substrate.S names a single request channel, shard 0.  The protocol
@@ -215,7 +194,6 @@ let set_register t m ~client ~word =
   t.regs.(p + 1) <- word
 
 let queue_length = function
-  | Q_two_lock q -> Tl_queue.length q
   | Q_spsc q -> Spsc_ring.length q
   | Q_mpsc q -> Mpsc_ring.length q
 
@@ -263,7 +241,6 @@ let enqueue_pair t ch ~client ~word =
   let t_ns = pre_stamp t in
   let ok =
     match ch.queue with
-    | Q_two_lock q -> Tl_queue.enqueue q (client, word)
     | Q_spsc q -> Spsc_ring.enqueue_pair q ~client ~word
     | Q_mpsc q -> Mpsc_ring.enqueue_pair q ~client ~word
   in
@@ -275,19 +252,12 @@ let enqueue t ch m =
   let p = reg_pos m in
   enqueue_pair t ch ~client:t.regs.(p) ~word:t.regs.(p + 1)
 
-(* The transport's dequeue alone, into the consumer's register: what
-   [await] polls. *)
+(* The ring's dequeue alone, into the consumer's register: what [await]
+   polls. *)
 let raw_dequeue ch =
   let p = reg_pos ch.rx in
   let ok =
     match ch.queue with
-    | Q_two_lock q -> (
-      match Tl_queue.dequeue q with
-      | Some (client, word) ->
-        ch.regs.(p) <- client;
-        ch.regs.(p + 1) <- word;
-        true
-      | None -> false)
     | Q_spsc q -> Spsc_ring.dequeue_into q ch.regs p
     | Q_mpsc q -> Mpsc_ring.dequeue_into q ch.regs p
   in
@@ -303,8 +273,8 @@ let dequeue t ch =
 let note_spin_exhausted t ch = emit t ch Ulipc_observe.Event.Spin_exhaust
 
 (* Wait on the message with the awake flag still set (see the header).
-   Polls the transport only, never the flag or the semaphore, so a
-   grace that runs out leaves C.2–C.5 exactly as the paper has them. *)
+   Polls the ring only, never the flag or the semaphore, so a grace
+   that runs out leaves C.2–C.5 exactly as the paper has them. *)
 let await t ch =
   if Grace.default = 0 then no_msg
   else begin
@@ -323,13 +293,6 @@ let enqueue_many t ch span ~pos ~len =
   let t_ns = pre_stamp t in
   let k =
     match ch.queue with
-    | Q_two_lock q ->
-      Ring_layout.check_span ~who:"Real_substrate.enqueue_many" span ~pos ~len;
-      let rec to_list i acc =
-        if i < pos then acc
-        else to_list (i - 1) ((span.(2 * i), span.((2 * i) + 1)) :: acc)
-      in
-      Tl_queue.enqueue_batch q (to_list (pos + len - 1) [])
     | Q_spsc q -> Spsc_ring.enqueue_batch q span ~pos ~len
     | Q_mpsc q -> Mpsc_ring.enqueue_batch q span ~pos ~len
   in
@@ -345,16 +308,6 @@ let enqueue_many t ch span ~pos ~len =
 let dequeue_many t ch ~buf ~pos ~max =
   let k =
     match ch.queue with
-    | Q_two_lock q ->
-      Ring_layout.check_span ~who:"Real_substrate.dequeue_many" buf ~pos
-        ~len:max;
-      let ms = Tl_queue.dequeue_batch q ~max in
-      List.iteri
-        (fun i (client, word) ->
-          buf.(2 * (pos + i)) <- client;
-          buf.((2 * (pos + i)) + 1) <- word)
-        ms;
-      List.length ms
     | Q_spsc q -> Spsc_ring.dequeue_batch q buf ~pos ~max
     | Q_mpsc q -> Mpsc_ring.dequeue_batch q buf ~pos ~max
   in
@@ -368,7 +321,6 @@ let dequeue_many t ch ~buf ~pos ~max =
 
 let queue_is_empty _ ch =
   match ch.queue with
-  | Q_two_lock q -> Tl_queue.is_empty q
   | Q_spsc q -> Spsc_ring.is_empty q
   | Q_mpsc q -> Mpsc_ring.is_empty q
 

@@ -1,9 +1,17 @@
 (** Real-OCaml-5-domains substrate for the protocol core.
 
-    A selectable queue transport for the data path, {!Rsem} for the
-    counting semaphores — each channel's awake flag is the flag bit of
-    its semaphore's count word, so a wake-up touches one contended cache
+    Lock-free word rings for the data path, {!Rsem} for the counting
+    semaphores — each channel's awake flag is the flag bit of its
+    semaphore's count word, so a wake-up touches one contended cache
     line — and [Domain.cpu_relax] delay hints for every busy-wait.
+
+    The rings are shaped to the session: {!Mpsc_ring} for each request
+    shard (many clients, one server) and for the reply channels of a
+    pooled session (any server may answer a stolen request; the owning
+    client is still the only consumer), {!Spsc_ring} for reply channels
+    when [nservers = 1] (the lone server is then the unique producer).
+    No locks, no per-message allocation, and one {!Word_arena} per
+    session.
 
     A blocking consumer first waits on the message: [await] polls the
     channel's queue for up to the {!Grace} spin with its awake flag
@@ -34,23 +42,6 @@
     orchestration (when to claim, how a victim hands a span over) lives
     in {!Rpc}. *)
 
-type transport =
-  | Two_lock
-      (** {!Tl_queue} everywhere: the paper's Michael & Scott two-lock
-          queue.  Safe for any producer/consumer mix; each operation pays
-          a mutex pair and a heap node. *)
-  | Ring
-      (** Lock-free rings shaped to the session: {!Mpsc_ring} for each
-          request shard (many clients, one server) and for the reply
-          channels of a pooled session (any server may answer a stolen
-          request; the owning client is still the only consumer);
-          {!Spsc_ring} for reply channels when [nservers = 1] (the lone
-          server is then the unique producer).  The default: no locks,
-          no per-message allocation, padded index cache lines. *)
-
-val transport_name : transport -> string
-(** ["two-lock"] / ["ring"], for report rows and JSON. *)
-
 type t
 type channel
 
@@ -59,7 +50,6 @@ type msg = int
     is [-1]. *)
 
 val create :
-  ?transport:transport ->
   ?trace:Trace_ring.t ->
   ?nservers:int ->
   ?shard_assign:(int -> int) ->
@@ -72,8 +62,7 @@ val create :
     [nclients + nservers] registers, and a fresh {!Ulipc.Counters}
     sink.  [shard_assign] overrides
     the round-robin client→shard map (see {!Shard_map.create}).
-    [transport] (default {!Ring}) selects the queue implementation under
-    every channel.  [trace] attaches an event-trace sink: every
+    [trace] attaches an event-trace sink: every
     successful enqueue/dequeue, every semaphore block/wake and every
     handoff hint is recorded with a timestamp into the calling domain's
     bounded ring — instrumentation on the substrate side of the
@@ -84,8 +73,6 @@ val create :
     @raise Failure if the arena cannot be mapped, or on a build for any
     architecture but x86-64: the rings publish with plain stores, which
     are releases only under x86-TSO (see {!Ring_layout.require_tso}). *)
-
-val transport : t -> transport
 
 val trace : t -> Trace_ring.t option
 (** The sink given at {!create} time, for post-run draining. *)
@@ -183,8 +170,8 @@ val steal_pending : t -> shard:int -> int
 
 val enqueue_many : t -> channel -> int array -> pos:int -> len:int -> int
 (** Enqueue a prefix of the [len] messages of the span at [pos] with one
-    span claim on the transport ({!Spsc_ring.enqueue_batch} /
-    {!Mpsc_ring.enqueue_batch} / {!Tl_queue.enqueue_batch}); returns how
+    span claim on the ring ({!Spsc_ring.enqueue_batch} /
+    {!Mpsc_ring.enqueue_batch}); returns how
     many were accepted.  One trace event per message when a sink is
     attached; without one, the sink is tested once per span. *)
 

@@ -35,8 +35,8 @@
    rewrites that register in place for the reply.  Every other producer
    — [post], [reply], the batch and steal paths — hands the substrate
    [(client, word)] pairs directly, because it is not necessarily the
-   register's owner.  With the word codec a steady-state round-trip on
-   the ring transport allocates nothing on the minor heap and makes no
+   register's owner.  With the word codec a steady-state round-trip
+   allocates nothing on the minor heap and makes no
    locked operation outside the ring ticket and the awake-flag CAS — no
    message records, no options, no closures, no queue nodes, no slab
    free list. *)
@@ -98,7 +98,7 @@ type ('req, 'rep) t = {
          owned by the client domain of that number *)
 }
 
-let create ?(capacity = 64) ?transport ?trace ?slots ?req_codec ?rep_codec
+let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
     ?(nservers = 1) ?shard_assign ~nclients waiting =
   if nclients <= 0 then invalid_arg "Rpc.create: nclients must be positive";
   if capacity <= 0 then invalid_arg "Rpc.create: capacity must be positive";
@@ -125,7 +125,7 @@ let create ?(capacity = 64) ?transport ?trace ?slots ?req_codec ?rep_codec
   {
     waiting;
     sub =
-      Real_substrate.create ?transport ?trace ~nservers ?shard_assign ~capacity
+      Real_substrate.create ?trace ~nservers ?shard_assign ~capacity
         ~nclients ();
     adapt = Array.init (nservers + nclients) (fun _ -> Atomic.make 0);
     req_codec;
@@ -146,7 +146,6 @@ let create ?(capacity = 64) ?transport ?trace ?slots ?req_codec ?rep_codec
 
 let nclients t = Real_substrate.nclients t.sub
 let nservers t = Real_substrate.nshards t.sub
-let transport t = Real_substrate.transport t.sub
 let trace t = Real_substrate.trace t.sub
 let slab t = t.slab
 let counters t = Real_substrate.counters t.sub

@@ -25,8 +25,8 @@
     Requests and replies are arbitrary OCaml values, but each travels as
     one word in the ring cell next to the client number: a {!type-codec}
     turns a payload into that word and back.  With the word codec
-    ({!int_codec}) a steady-state round-trip on the ring transport
-    allocates {e nothing} on the minor heap — at any [nservers] — and
+    ({!int_codec}) a steady-state round-trip allocates {e nothing} on
+    the minor heap — at any [nservers] — and
     touches no shared memory but the ring cells and the channel
     semaphore words. *)
 
@@ -75,7 +75,6 @@ type ('req, 'rep) t
 
 val create :
   ?capacity:int ->
-  ?transport:Real_substrate.transport ->
   ?trace:Trace_ring.t ->
   ?slots:int ->
   ?req_codec:'req codec ->
@@ -85,18 +84,16 @@ val create :
   nclients:int ->
   waiting ->
   ('req, 'rep) t
-(** [capacity] (default 64) bounds every queue.  [transport] (default
-    {!Real_substrate.Ring}) selects the queue implementation on the data
-    path: lock-free SPSC/MPSC rings, or the paper's two-lock queue —
-    see {!Real_substrate.transport}.  [trace] attaches a {!Trace_ring}
-    sink recording timestamped enqueue/dequeue/block/wake/handoff events
-    into per-domain bounded rings, drained after the run with
-    {!Trace_ring.events}.  [slots] sizes the boxed codec's side table
-    (default [(nclients + nservers) * (capacity + 1)]: every channel
-    full plus one payload in flight per endpoint, so it can never
-    exhaust; an explicit undersized [slots] fails a boxed sender with a
-    clear [Failure] ["Rpc: payload slab exhausted ..."] after bounded
-    back-off rather than hanging).  [req_codec] / [rep_codec] (default
+(** [capacity] (default 64) bounds every queue.  [trace] attaches a
+    {!Trace_ring} sink recording timestamped
+    enqueue/dequeue/block/wake/handoff events into per-domain bounded
+    rings, drained after the run with {!Trace_ring.events}.  [slots]
+    sizes the boxed codec's side table (default
+    [(nclients + nservers) * (capacity + 1)]: every channel full plus
+    one payload in flight per endpoint, so it can never exhaust; an
+    explicit undersized [slots] fails a boxed sender with a clear
+    [Failure] ["Rpc: payload slab exhausted ..."] after bounded back-off
+    rather than hanging).  [req_codec] / [rep_codec] (default
     {!boxed_codec}) encode the two directions' payloads.
 
     [nservers] (default 1) shards the request plane: server domain [k]
@@ -119,8 +116,6 @@ val nservers : ('req, 'rep) t -> int
 
 val shard_of_client : ('req, 'rep) t -> int -> int
 (** The home shard of a client's requests (one array load). *)
-
-val transport : ('req, 'rep) t -> Real_substrate.transport
 
 val trace : ('req, 'rep) t -> Trace_ring.t option
 (** The event-trace sink given at {!create} time, if any. *)

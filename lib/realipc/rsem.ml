@@ -63,10 +63,6 @@
      served in the exact order they committed to park (the
      claim/release shape of Chalmers & Pedersen's fair protocol).
 
-   [v_n] still publishes n credits with ONE atomic add on [word] and
-   one on [v_ticket]; the n slot deliveries each take only their own
-   slot's lock — the wake-coalescing entry point for batched replies.
-
    Before parking, a P that finds no credit may spin for a TIME-BOUNDED
    grace, polling [try_p] through {!Grace.run}: 20 µs on a
    multiprocessor by default, cut short when the spinning domain is
@@ -215,27 +211,13 @@ let rec p t =
   end
   else if not (Grace.run ~grace:t.grace try_p t ~miss:false) then commit t
 
-(* Wake [wake] parked waiters: claim a contiguous run of grant tickets
-   with one fetch-and-add, then deliver each credit into its slot.
-   Ticket arithmetic is the whole fairness argument — grant [g] can
-   only release park ticket [g], the oldest committed waiter not yet
-   served. *)
-let wake_parked t wake =
-  let base = Atomic.fetch_and_add t.v_ticket wake in
-  for i = 0 to wake - 1 do
-    grant t (base + i)
-  done
-
+(* A V that finds a waiter claims the next grant ticket and delivers
+   the credit into its slot.  Ticket arithmetic is the whole fairness
+   argument — grant [g] can only release park ticket [g], the oldest
+   committed waiter not yet served. *)
 let v t =
   let old = Atomic.fetch_and_add t.word credit asr 1 in
-  if old < 0 then wake_parked t 1
-
-let v_n t n =
-  if n < 0 then invalid_arg "Rsem.v_n: negative credit count";
-  if n > 0 then begin
-    let old = Atomic.fetch_and_add t.word (credit * n) asr 1 in
-    if old < 0 then wake_parked t (min n (-old))
-  end
+  if old < 0 then grant t (Atomic.fetch_and_add t.v_ticket 1)
 
 (* The flag writes: a CAS that always writes, even when the bit is
    unchanged, so each stays a full barrier (see the header).  Returns

@@ -74,13 +74,6 @@ val v : t -> unit
     shared).  Uncontended (no waiter): one atomic add, no lock, no
     signal. *)
 
-val v_n : t -> int -> unit
-(** [v_n t n] publishes [n] credits with one atomic add and at most
-    [min n waiters] directed per-slot wakes — the wake-coalescing
-    primitive batched replies use, where [n] separate {!v} calls would
-    pay [n] count updates.  [v_n t 1] is {!v}; [v_n t 0] is a no-op.
-    @raise Invalid_argument on a negative [n]. *)
-
 val value : t -> int
 (** Racy snapshot of the credit count (0 while waiters are parked), for
     tests and residue accounting.  Never shows the flag. *)

@@ -17,23 +17,20 @@
      word stores and a dequeue copies two words into a caller-owned
      array — no [Some] allocation, no write barrier, no GC pressure;
      readiness rides on [seq] alone, so a word may be any int;
-   - multipush ([enqueue_local]/[flush]): the producer batches up to
-     [mp_k] messages in a private buffer and publishes them as one span;
-   - temporal slipping: [flush] writes the buffered span {e backward}
+   - temporal slipping: [enqueue_batch] writes a span {e backward}
      (highest slot first), so the cell the consumer polls next is the
      last one made ready and the consumer walks a span the producer has
      already finished with (TR-10-20's mpush ordering).
 
-   Every index, snapshot, buffer and cell is a word of a Word_arena, so
-   the ring works unchanged between domains and between fork'd
-   processes: the record holds only the mapping and word offsets, and
-   nothing a peer must see lives in the OCaml heap.  Span layout, from
-   a line-aligned base:
+   Every index, snapshot and cell is a word of a Word_arena, so the
+   ring works unchanged between domains and between fork'd processes:
+   the record holds only the mapping and word offsets, and nothing a
+   peer must see lives in the OCaml heap.  Span layout, from a
+   line-aligned base:
 
-     line 0       [head], [cached_tail], [mp_n]   producer-owned
-     line 1       [tail]                          consumer-owned
-     lines 2-3    the multipush buffer            producer-owned
-     line 4 on    the cells, four words each
+     line 0       [head], [cached_tail]   producer-owned
+     line 1       [tail]                  consumer-owned
+     line 2 on    the cells, four words each
 
    [head] is still published (last, after the cell) so [is_empty] and
    [length] — BSLS's polling hint and the telemetry gauge — can read
@@ -43,7 +40,7 @@
    two) slot count; at 2^63 operations wraparound is unreachable.  The
    logical capacity is the one requested, checked exactly, so a ring of
    capacity 3 rejects the 4th enqueue even though it has 4 slots — the
-   same flow-control boundary as Tl_queue.
+   same flow-control boundary as Mpsc_ring.
 
    Every access is a plain Bigarray load or store (a bare mov natively),
    standing in for Torquati's compiler-only WMB: a fenced store alone
@@ -60,20 +57,16 @@ type t = {
   w : Word_arena.words;
   head : int; (* next write index; written by the producer only *)
   cached_tail : int; (* the producer's snapshot of [tail] *)
-  mp_n : int; (* messages in the multipush buffer *)
   tail : int; (* next read index; written by the consumer only *)
-  mp_buf : int; (* 2 * mp_k words: buffered (client, word) pairs *)
   cells : int; (* 4 * ring words: (seq, client, word, spare) per slot *)
   mask : int;
   cap : int;
-  mp_k : int;
 }
 
 let nil = -1
 let line = Word_arena.cache_line_words
 let tail_off = line
-let mp_buf_off = 2 * line (* two lines: at most 8 pairs *)
-let cells_off = 4 * line
+let cells_off = 2 * line
 let span_words ~ring = cells_off + (4 * ring)
 
 let arena_words ~capacity =
@@ -90,13 +83,10 @@ let carve a ~capacity =
     w = Word_arena.words a;
     head = base;
     cached_tail = base + 1;
-    mp_n = base + 2;
     tail = base + tail_off;
-    mp_buf = base + mp_buf_off;
     cells = base + cells_off;
     mask;
     cap;
-    mp_k = min 8 capacity;
   }
 
 let create ~capacity () =
@@ -113,85 +103,27 @@ let fill q idx client word =
   A1.unsafe_set q.w (c + 2) word;
   A1.unsafe_set q.w c (idx + 1)
 
-(* Room for [n] more messages?  Reads the consumer's [tail] only when the
-   snapshot says no. *)
-let has_room q head n =
-  head + n - A1.unsafe_get q.w q.cached_tail <= q.cap
-  ||
-  (A1.unsafe_set q.w q.cached_tail (A1.unsafe_get q.w q.tail);
-   head + n - A1.unsafe_get q.w q.cached_tail <= q.cap)
-
-(* Multipush (TR-10-20): write the whole private buffer backward —
-   highest index first — so the cell the consumer is polling becomes
-   ready last and the rest of the span is already filled when it does
-   (temporal slipping).  All or nothing: a span that does not fit stays
-   buffered, [mp_k <= cap] guarantees it can always fit eventually. *)
-let flush q =
-  let n = A1.unsafe_get q.w q.mp_n in
-  n = 0
-  ||
-  let head = A1.unsafe_get q.w q.head in
-  has_room q head n
-  && begin
-       for i = n - 1 downto 0 do
-         let s = q.mp_buf + (2 * i) in
-         fill q (head + i) (A1.unsafe_get q.w s) (A1.unsafe_get q.w (s + 1))
-       done;
-       A1.unsafe_set q.w q.head (head + n);
-       A1.unsafe_set q.w q.mp_n 0;
-       true
-     end
-
-let pending_local q = A1.unsafe_get q.w q.mp_n
-
-let buffer q n client word =
-  let s = q.mp_buf + (2 * n) in
-  A1.unsafe_set q.w s client;
-  A1.unsafe_set q.w (s + 1) word;
-  A1.unsafe_set q.w q.mp_n (n + 1)
-
-let enqueue_local q ~client ~word =
-  let n = A1.unsafe_get q.w q.mp_n in
-  if n < q.mp_k then begin
-    buffer q n client word;
-    if n + 1 = q.mp_k then ignore (flush q : bool);
-    (* Even if that auto-flush found the ring full the message IS
-       buffered; a later flush retries. *)
-    true
-  end
-  else if flush q then begin
-    buffer q 0 client word;
+(* The bare path written out inline: without flambda a call to [fill]
+   is a real cross-function call, and at ~5 ns for the whole pair each
+   call is a measurable fraction of the budget. *)
+let enqueue_pair q ~client ~word =
+  let w = q.w in
+  let head = A1.unsafe_get w q.head in
+  let free =
+    head - A1.unsafe_get w q.cached_tail < q.cap
+    ||
+    (A1.unsafe_set w q.cached_tail (A1.unsafe_get w q.tail);
+     head - A1.unsafe_get w q.cached_tail < q.cap)
+  in
+  if free then begin
+    let c = q.cells + ((head land q.mask) lsl 2) in
+    A1.unsafe_set w (c + 1) client;
+    A1.unsafe_set w (c + 2) word;
+    A1.unsafe_set w c (head + 1);
+    A1.unsafe_set w q.head (head + 1);
     true
   end
   else false
-
-(* A plain enqueue first flushes any multipush leftovers so FIFO order
-   holds across mixed use, then retries with the buffer empty; with an
-   empty buffer (the common case — the branch reads a producer-owned
-   word) it is the bare path, written out inline: without flambda a call
-   to [fill] is a real cross-function call, and at ~5 ns for the whole
-   pair each call is a measurable fraction of the budget. *)
-let rec enqueue_pair q ~client ~word =
-  let w = q.w in
-  if A1.unsafe_get w q.mp_n = 0 then begin
-    let head = A1.unsafe_get w q.head in
-    let free =
-      head - A1.unsafe_get w q.cached_tail < q.cap
-      ||
-      (A1.unsafe_set w q.cached_tail (A1.unsafe_get w q.tail);
-       head - A1.unsafe_get w q.cached_tail < q.cap)
-    in
-    if free then begin
-      let c = q.cells + ((head land q.mask) lsl 2) in
-      A1.unsafe_set w (c + 1) client;
-      A1.unsafe_set w (c + 2) word;
-      A1.unsafe_set w c (head + 1);
-      A1.unsafe_set w q.head (head + 1);
-      true
-    end
-    else false
-  end
-  else flush q && enqueue_pair q ~client ~word
 
 (* Consumer side: poll the cell, never [head].  Both word loads precede
    the tail publish (load-store), and the cell is left as it is — the
@@ -235,7 +167,6 @@ let dequeue q =
 let enqueue_batch q span ~pos ~len =
   Ring_layout.check_span ~who:"Spsc_ring.enqueue_batch" span ~pos ~len;
   if len = 0 then 0
-  else if A1.unsafe_get q.w q.mp_n > 0 && not (flush q) then 0
   else begin
     let head = A1.unsafe_get q.w q.head in
     let free =
@@ -249,7 +180,8 @@ let enqueue_batch q span ~pos ~len =
     let k = min len free in
     if k <= 0 then 0
     else begin
-      (* Backward fill, same temporal-slipping order as [flush]. *)
+      (* Backward fill (temporal slipping): the cell the consumer polls
+         next becomes ready last. *)
       for i = k - 1 downto 0 do
         let s = 2 * (pos + i) in
         fill q (head + i) (Array.unsafe_get span s)
@@ -296,8 +228,7 @@ let dequeue_batch q buf ~pos ~max =
    consumer can take a message and publish [tail] before the producer's
    [head] store is visible; the difference is then -1 while no
    unconsumed message is published, so [length] clamps at 0 and
-   [is_empty] correctly says empty.  Unflushed multipush messages are
-   invisible here by design — they are not yet published. *)
+   [is_empty] correctly says empty. *)
 let is_empty q =
   let tail = A1.unsafe_get q.w q.tail in
   A1.unsafe_get q.w q.head - tail <= 0

@@ -19,26 +19,19 @@
     stores: no mutex, no per-message node, no ['a option] box, no write
     barrier, zero heap allocation.
 
-    Two further Torquati (TR-10-20) refinements:
-
-    - {e multipush}: {!enqueue_local} accumulates messages in a
-      producer-private buffer (at most [min 8 capacity]) and {!flush}
-      publishes the whole span at once — batch-grade traffic without a
-      caller-assembled batch;
-    - {e temporal slipping}: flushed spans are written backward
-      (highest slot first), so the cell the consumer polls is made
-      ready last and the producer is done with the span's cache lines
-      before the consumer walks them.
+    A further Torquati (TR-10-20) refinement, {e temporal slipping}:
+    {!enqueue_batch} writes its span backward (highest slot first), so
+    the cell the consumer polls is made ready last and the producer is
+    done with the span's cache lines before the consumer walks them.
 
     The session's reply channels are SPSC {e by construction} (the
     server is the only producer, the owning client the only consumer),
     which is what makes this the right transport for them.  Behaviour
     is undefined if two domains produce, or two consume, concurrently —
-    use {!Mpsc_ring} or {!Tl_queue} there.
+    use {!Mpsc_ring} there.
 
-    Same observable semantics as {!Tl_queue}: FIFO, an enqueue returns
-    [false] exactly when [capacity] messages are in flight, a dequeue
-    reports an empty ring. *)
+    FIFO; an enqueue returns [false] exactly when [capacity] messages
+    are in flight, and a dequeue reports an empty ring. *)
 
 type t
 
@@ -63,10 +56,7 @@ val arena_words : capacity:int -> int
 val capacity : t -> int
 
 val enqueue_pair : t -> client:int -> word:int -> bool
-(** [false] when the queue is full.  Producer side only.  Flushes any
-    {!enqueue_local} leftovers first, so FIFO order holds across mixed
-    use ([false] then means the flush itself found no room and nothing
-    was accepted). *)
+(** [false] when the queue is full.  Producer side only. *)
 
 val dequeue_into : t -> int array -> int -> bool
 (** [dequeue_into q dst pos] copies the oldest message into
@@ -90,25 +80,6 @@ val dequeue : t -> int
 (** The oldest message's word, or {!nil} when the ring is empty.
     Consumer side only.  Allocation-free. *)
 
-(** {1 Multipush} *)
-
-val enqueue_local : t -> client:int -> word:int -> bool
-(** Append to the producer-private buffer, auto-flushing when it holds
-    [min 8 capacity] messages.  [true] means the message is accepted
-    (buffered or published — buffered messages are invisible to the
-    consumer until a {!flush} succeeds, so publish before waking);
-    [false] means buffer and ring are both full: flush later and retry.
-    Producer side only. *)
-
-val flush : t -> bool
-(** Publish every buffered message with one index store, writing the
-    span backward (temporal slipping).  All or nothing: [false]
-    when the ring lacks room for the whole span, which stays buffered.
-    [true] when the buffer is (now) empty.  Producer side only. *)
-
-val pending_local : t -> int
-(** Buffered-but-unpublished message count.  Producer side only. *)
-
 (** {1 Batch operations}
 
     A span is a run of messages in a flat [int array] of pairs: message
@@ -121,8 +92,7 @@ val enqueue_batch : t -> int array -> pos:int -> len:int -> int
     once, and returns how many were accepted — observationally n single
     {!enqueue_pair}s (same FIFO order, same exact capacity boundary) at
     one shared-index store per batch.  Never blocks; [0] when the ring
-    is full (or when multipush leftovers could not be flushed first).
-    Producer side only.
+    is full.  Producer side only.
     @raise Invalid_argument on a bad span. *)
 
 val dequeue_batch : t -> int array -> pos:int -> max:int -> int
@@ -138,8 +108,7 @@ val is_empty : t -> bool
     before [head] so a concurrent dequeue can never make an occupied ring
     look empty.  [head] is published after the cell, so a message whose
     cell is ready but whose [head] store is still in flight may read as
-    absent for that instant.  Unflushed multipush messages are not
-    counted (they are not yet published). *)
+    absent for that instant. *)
 
 val length : t -> int
 (** Racy but conservative snapshot of the element count: may over-report

@@ -24,9 +24,9 @@ val write :
     row per waiter population from {!Sem_bench.wake_latency}), and the
     real-driver echo rows as [(backend, transport, metrics)] triples —
     [backend] is ["inproc"] for OCaml-domain rows and ["proc"] for the
-    fork'd cross-process rows, [transport] ["ring"]/["two-lock"] in
-    process and ["shm"]/["pipe"]/["socket"] across processes — with
-    a [depth] pipelining column, a measured [utilization],
+    fork'd cross-process rows, [transport] ["ring"] in process and
+    ["shm"]/["pipe"]/["socket"] across processes — with a [depth]
+    pipelining column, a measured [utilization],
     [latency_p50_us]/[latency_p99_us]/[latency_max_us] fields from the
     round-trip histogram ([null] when latency was not collected), and
     [wake_latency_p50_us]/[wake_latency_p99_us] recovered from the run's

@@ -123,7 +123,8 @@ let client_body cfg session ~client ~latency () =
         let before = Usys.time () in
         let ans = send msg in
         let after = Usys.time () in
-        Ulipc.Histogram.record hist (Sim_time.to_us (Sim_time.sub after before));
+        Ulipc_observe.Histogram.record hist
+          (Sim_time.to_us (Sim_time.sub after before));
         ans
     in
     (* Integrity: the reply must carry our argument and sequence number. *)
@@ -167,7 +168,7 @@ let run_outcome cfg =
   let echoed = ref 0 in
   let latency =
     if cfg.collect_latency then
-      Some (Ulipc.Histogram.create "round-trip (us)")
+      Some (Ulipc_observe.Histogram.create "round-trip (us)")
     else None
   in
   let stop_noise = ref false in

@@ -6,7 +6,7 @@ type t = {
   messages : int;
   elapsed : Ulipc_engine.Sim_time.t;
   throughput_msg_per_ms : float;
-  latency_us : Ulipc.Histogram.t option;
+  latency_us : Ulipc_observe.Histogram.t option;
   counters : Ulipc.Counters.t;
   server_usage : Ulipc_os.Syscall.usage;
   client_usage : Ulipc_os.Syscall.usage list;
@@ -78,14 +78,14 @@ let round_trip_us t =
 
 let latency_percentile t p =
   match t.latency_us with
-  | Some h when Ulipc.Histogram.count h > 0 ->
-    Some (Ulipc.Histogram.percentile h p)
+  | Some h when Ulipc_observe.Histogram.count h > 0 ->
+    Some (Ulipc_observe.Histogram.percentile h p)
   | Some _ | None -> None
 
 let latency_max t =
   match t.latency_us with
-  | Some h when Ulipc.Histogram.count h > 0 ->
-    Some (Ulipc.Histogram.max_value h)
+  | Some h when Ulipc_observe.Histogram.count h > 0 ->
+    Some (Ulipc_observe.Histogram.max_value h)
   | Some _ | None -> None
 
 let yields_per_message t =
@@ -113,9 +113,9 @@ let pp_row ppf t =
     (Ulipc.Protocol_kind.name t.protocol)
     t.nclients t.nservers t.depth t.throughput_msg_per_ms (round_trip_us t);
   match t.latency_us with
-  | Some h when Ulipc.Histogram.count h > 0 ->
+  | Some h when Ulipc_observe.Histogram.count h > 0 ->
     Format.fprintf ppf "  p50 %8.1f  p99 %8.1f  max %8.1f us"
-      (Ulipc.Histogram.percentile h 50.0)
-      (Ulipc.Histogram.percentile h 99.0)
-      (Ulipc.Histogram.max_value h)
+      (Ulipc_observe.Histogram.percentile h 50.0)
+      (Ulipc_observe.Histogram.percentile h 99.0)
+      (Ulipc_observe.Histogram.max_value h)
   | Some _ | None -> ()

@@ -12,9 +12,9 @@ type t = {
       (** §2.2's measurement window: from the barrier release (first
           request) until the last client's disconnect is processed *)
   throughput_msg_per_ms : float;
-  latency_us : Ulipc.Histogram.t option;
+  latency_us : Ulipc_observe.Histogram.t option;
       (** per-send round-trip latency in µs, when collection was enabled:
-          a log-bucketed {!Ulipc.Histogram}, the one report format both
+          a log-bucketed {!Ulipc_observe.Histogram}, the one report format both
           the simulator and the real-domains driver fill *)
   counters : Ulipc.Counters.t;
   server_usage : Ulipc_os.Syscall.usage;
@@ -57,7 +57,7 @@ type t = {
 }
 
 val of_real :
-  ?latency:Ulipc.Histogram.t ->
+  ?latency:Ulipc_observe.Histogram.t ->
   ?utilization:float ->
   ?utilization_max:float ->
   ?depth:int ->

@@ -34,7 +34,7 @@ let probe_ops = 512
 
 type child_report = {
   r_counters : Ulipc.Counters.t;
-  r_hist : Ulipc.Histogram.t option; (* clients only *)
+  r_hist : Ulipc_observe.Histogram.t option; (* clients only *)
   r_waiting_s : float; (* server only *)
   r_finish_us : float;
   r_minor_words : float; (* client 0's probe; nan elsewhere *)
@@ -185,7 +185,7 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
       ~counters:(Ulipc_procipc.Proc_rpc.counters t) ~trace ()
   in
   let client_role c () =
-    let hist = Ulipc.Histogram.create "round-trip (us)" in
+    let hist = Ulipc_observe.Histogram.create "round-trip (us)" in
     let minor_words = ref nan in
     if c = 0 && probe_total > 0 then begin
       for i = 1 to probe_warmup do
@@ -214,7 +214,7 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
         let ans = Ulipc_procipc.Proc_rpc.send t ~client:c i in
         let after = Ulipc_observe.Clock.now_us () in
         if ans <> i + 1 then failwith "Proc_driver.run: echo mismatch";
-        Ulipc.Histogram.record hist (after -. before);
+        Ulipc_observe.Histogram.record hist (after -. before);
         Ulipc_procipc.Parena.set arena msgs_w.(c) i
       done
     else begin
@@ -232,7 +232,7 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
           answers;
         let per_msg_us = (after -. before) /. float_of_int k in
         for _ = 1 to k do
-          Ulipc.Histogram.record hist per_msg_us
+          Ulipc_observe.Histogram.record hist per_msg_us
         done;
         sent := !sent + k;
         Ulipc_procipc.Parena.set arena msgs_w.(c) !sent
@@ -292,14 +292,14 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
       Float.max 0.0
         (Float.min 1.0 (1.0 -. (server_report.r_waiting_s /. elapsed_s)))
   in
-  let latency = Ulipc.Histogram.create "round-trip (us)" in
+  let latency = Ulipc_observe.Histogram.create "round-trip (us)" in
   let counters = Ulipc.Counters.create () in
   let minor_words_per_op = ref nan in
   let all_events = ref [] and all_dropped = ref 0 in
   let absorb r =
     Ulipc.Counters.add counters r.r_counters;
     (match r.r_hist with
-    | Some h -> Ulipc.Histogram.merge_into ~dst:latency h
+    | Some h -> Ulipc_observe.Histogram.merge_into ~dst:latency h
     | None -> ());
     if Float.is_nan r.r_minor_words |> not then
       minor_words_per_op := r.r_minor_words;
@@ -463,7 +463,7 @@ let run_fd ?(machine = "proc") ~transport ~nclients ~messages () =
       pairs;
     let rd, wr = snd pairs.(c) in
     let buf = Bytes.create payload_bytes in
-    let hist = Ulipc.Histogram.create "round-trip (us)" in
+    let hist = Ulipc_observe.Histogram.create "round-trip (us)" in
     write_all ready_w buf 0 1;
     Unix.close ready_w;
     let go_r = fst go_pipes.(c) in
@@ -477,7 +477,7 @@ let run_fd ?(machine = "proc") ~transport ~nclients ~messages () =
       let after = Ulipc_observe.Clock.now_us () in
       if get_payload buf <> i + 1 then
         failwith "Proc_driver.run_fd: echo mismatch";
-      Ulipc.Histogram.record hist (after -. before)
+      Ulipc_observe.Histogram.record hist (after -. before)
     done;
     let counters = Ulipc.Counters.create () in
     counters.Ulipc.Counters.sends <- messages;
@@ -520,13 +520,13 @@ let run_fd ?(machine = "proc") ~transport ~nclients ~messages () =
       Float.max 0.0
         (Float.min 1.0 (1.0 -. (server_report.r_waiting_s /. elapsed_s)))
   in
-  let latency = Ulipc.Histogram.create "round-trip (us)" in
+  let latency = Ulipc_observe.Histogram.create "round-trip (us)" in
   let counters = Ulipc.Counters.create () in
   List.iter
     (fun r ->
       Ulipc.Counters.add counters r.r_counters;
       match r.r_hist with
-      | Some h -> Ulipc.Histogram.merge_into ~dst:latency h
+      | Some h -> Ulipc_observe.Histogram.merge_into ~dst:latency h
       | None -> ())
     client_reports;
   Ulipc.Counters.add counters server_report.r_counters;

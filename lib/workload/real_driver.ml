@@ -35,7 +35,7 @@
    messaging phase: last reply received, not last domain torn down.
 
    Each client also times every individual send with gettimeofday and
-   records it into its own Ulipc.Histogram (per-domain, unsynchronised);
+   records it into its own Ulipc_observe.Histogram (per-domain, unsynchronised);
    the rings are merged after the joins, so real runs report the same
    p50/p99/max percentiles the simulator does.  gettimeofday granularity
    is ~1 µs on most hosts: sub-µs round-trips quantise to 0/1 µs ticks,
@@ -69,8 +69,8 @@ let probe_ops = 512
    headroom for whatever the process is already running. *)
 let max_client_domains nservers = max 1 (min 96 (120 - nservers))
 
-let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
-    ?(nservers = 1) ?wake_residue_out ~nclients ~messages waiting =
+let run ?(machine = "domains") ?trace ?telemetry ?(depth = 1) ?(nservers = 1)
+    ?wake_residue_out ~nclients ~messages waiting =
   if depth <= 0 then invalid_arg "Real_driver.run: depth must be positive";
   if depth > 1 && nservers > 1 then
     invalid_arg
@@ -89,7 +89,7 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
     (* Immediate-int codecs: each echo payload is its message's word in
        the ring cell, so the steady-state round-trip is the
        zero-allocation path the probe below certifies. *)
-    Ulipc_real.Rpc.create ?transport ~trace ~req_codec:Ulipc_real.Rpc.int_codec
+    Ulipc_real.Rpc.create ~trace ~req_codec:Ulipc_real.Rpc.int_codec
       ~rep_codec:Ulipc_real.Rpc.int_codec ~nservers ~nclients waiting
   in
   (* Telemetry plane: every run is sampled into a Series ring (a
@@ -193,7 +193,7 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
     List.init ndomains (fun d ->
         Domain.spawn (fun () ->
             let lo, hi = block d in
-            let hist = Ulipc.Histogram.create "round-trip (us)" in
+            let hist = Ulipc_observe.Histogram.create "round-trip (us)" in
             if lo = 0 && probe_total > 0 then begin
               for i = 1 to probe_warmup do
                 if Ulipc_real.Rpc.send t ~client:0 i <> i + 1 then
@@ -224,7 +224,7 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
                   if ans <> i + 1 then
                     failwith "Real_driver.run: echo mismatch";
                   let rt_us = (after -. before) *. 1.0e6 in
-                  Ulipc.Histogram.record hist rt_us;
+                  Ulipc_observe.Histogram.record hist rt_us;
                   Ulipc_observe.Telemetry.record lat_w rt_us;
                   Ulipc_observe.Telemetry.incr msgs_c
                 done
@@ -240,7 +240,7 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
                   done;
                   let per_msg_us = (Unix.gettimeofday () -. before) *. 1.0e6 in
                   for _ = lo to hi - 1 do
-                    Ulipc.Histogram.record hist per_msg_us;
+                    Ulipc_observe.Histogram.record hist per_msg_us;
                     Ulipc_observe.Telemetry.record lat_w per_msg_us
                   done;
                   Ulipc_observe.Telemetry.add msgs_c (hi - lo)
@@ -264,7 +264,7 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
                   (after -. before) *. 1.0e6 /. float_of_int k
                 in
                 for _ = 1 to k do
-                  Ulipc.Histogram.record hist per_msg_us;
+                  Ulipc_observe.Histogram.record hist per_msg_us;
                   Ulipc_observe.Telemetry.record lat_w per_msg_us
                 done;
                 Ulipc_observe.Telemetry.add msgs_c k;
@@ -303,8 +303,8 @@ let run ?(machine = "domains") ?transport ?trace ?telemetry ?(depth = 1)
       (!sum /. float_of_int nservers, !umax)
     end
   in
-  let latency = Ulipc.Histogram.create "round-trip (us)" in
-  List.iter (fun h -> Ulipc.Histogram.merge_into ~dst:latency h) hists;
+  let latency = Ulipc_observe.Histogram.create "round-trip (us)" in
+  List.iter (fun h -> Ulipc_observe.Histogram.merge_into ~dst:latency h) hists;
   let counters = Ulipc_real.Rpc.counters t in
   counters.Ulipc.Counters.slab_hwm <-
     Ulipc_real.Slab.high_water (Ulipc_real.Rpc.slab t);

@@ -20,7 +20,6 @@ val probe_ops : int
 
 val run :
   ?machine:string ->
-  ?transport:Ulipc_real.Real_substrate.transport ->
   ?trace:Ulipc_real.Trace_ring.t ->
   ?telemetry:Ulipc_observe.Telemetry.t ->
   ?depth:int ->
@@ -34,8 +33,7 @@ val run :
     domains (default 1) behind the sharded request plane and [nclients]
     logical clients, each performing [messages] echo calls; returns the
     wall-clock metrics.  [machine] labels the row (default ["domains"]);
-    [transport] selects the queue transport (default ring — see
-    {!Ulipc_real.Real_substrate.transport}); [trace] attaches a
+    [trace] attaches a
     per-domain event-trace sink to the session (drained by the caller
     after the run).  When [trace] is omitted the driver attaches its own
     sink; either way the trace is analysed after the joins

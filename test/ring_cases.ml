@@ -1,15 +1,15 @@
 (* The flat rings' cases that run both in one process and across fork:
    the FIFO model properties, the stale-snapshot cases and the
-   torn-message cases.  The rings keep every index, snapshot, buffer and
-   cell in arena words, so the same cases hold whether the producer is
-   the test's own thread, a domain or a fork'd process.  Each case takes
-   the producer side as a parameter:
+   torn-message cases.  The rings keep every index, snapshot and cell in
+   arena words, so the same cases hold whether the producer is the
+   test's own thread, a domain or a fork'd process.  Each case takes the
+   producer side as a parameter:
 
    - [~producer f] runs one producer-side operation [f] and returns its
      result: [in_process] calls it, the fork'd suites run it in a fresh
-     child, so a ring that kept its producer index or multipush buffer
-     in the OCaml heap (copied at fork, lost with the child) fails the
-     model there;
+     child, so a ring that kept its producer index or snapshot in the
+     OCaml heap (copied at fork, lost with the child) fails the model
+     there;
    - [~start] launches the torn cases' producers (domains, or fork'd
      processes) and returns the function that stops and reaps them.
 
@@ -46,79 +46,14 @@ let deq_into_matches_model dequeue_into q model =
   | Some (c, w) -> got && dst.(1) = c && dst.(2) = w
   | None -> (not got) && dst.(1) = 7 && dst.(2) = 7
 
-(* Multipush against a model with an explicit pending buffer: a message
-   is published (visible to [length]/[dequeue_into]) only by a flush
-   that fits as a whole; the buffer auto-flushes at [min 8 cap]; a plain
-   enqueue flushes first. *)
-let spsc_op =
-  QCheck.(
-    frequency
-      [
-        (3, map (fun m -> `Enq m) msg_gen);
-        (2, map (fun m -> `Local m) msg_gen);
-        (1, always `Flush);
-        (4, always `Deq);
-      ])
-
-(* [program op] is the list of ops a trial runs: the in-process suites
-   take QCheck's default lengths, the fork'd ones (a fork per producer
-   op) short lists. *)
-let prop_spsc_model ?(count = 300) ?(producer = in_process)
-    ?(program = QCheck.list) ~name create =
+(* Both rings against a FIFO model: [Some m] enqueues [m] on the
+   producer side, [None] dequeues.  [program op] is the list of ops a
+   trial runs: the in-process suites take QCheck's default lengths, the
+   fork'd ones (a fork per producer op) short lists. *)
+let prop_model ~count ~producer ~program ~name ~op create enqueue_pair
+    dequeue_into length =
   QCheck.Test.make ~name ~count
-    QCheck.(pair model_capacity (program spsc_op))
-    (fun (cap, program) ->
-      let q = create ~capacity:cap in
-      let model = Queue.create () and pending = Queue.create () in
-      let mp_k = min 8 cap in
-      let flush_model () =
-        Queue.is_empty pending
-        || Queue.length model + Queue.length pending <= cap
-           && (Queue.transfer pending model;
-               true)
-      in
-      let step = function
-        | `Enq ((client, word) as v) ->
-          let accepted =
-            producer (fun () -> Spsc_ring.enqueue_pair q ~client ~word)
-          in
-          let model_accepts =
-            flush_model ()
-            && Queue.length model < cap
-            && (Queue.add v model;
-                true)
-          in
-          accepted = model_accepts
-        | `Local ((client, word) as v) ->
-          let accepted =
-            producer (fun () -> Spsc_ring.enqueue_local q ~client ~word)
-          in
-          let model_accepts =
-            if Queue.length pending < mp_k then begin
-              Queue.add v pending;
-              if Queue.length pending = mp_k then ignore (flush_model () : bool);
-              true
-            end
-            else
-              flush_model ()
-              && (Queue.add v pending;
-                  true)
-          in
-          accepted = model_accepts
-        | `Flush -> producer (fun () -> Spsc_ring.flush q) = flush_model ()
-        | `Deq -> deq_into_matches_model Spsc_ring.dequeue_into q model
-      in
-      List.for_all
-        (fun op ->
-          step op
-          && Spsc_ring.pending_local q = Queue.length pending
-          && Spsc_ring.length q = Queue.length model)
-        program)
-
-let prop_mpsc_model ?(count = 300) ?(producer = in_process)
-    ?(program = QCheck.list) ~name create =
-  QCheck.Test.make ~name ~count
-    QCheck.(pair model_capacity (program (option msg_gen)))
+    QCheck.(pair model_capacity (program op))
     (fun (cap, program) ->
       let q = create ~capacity:cap in
       let model = Queue.create () in
@@ -126,15 +61,28 @@ let prop_mpsc_model ?(count = 300) ?(producer = in_process)
         (fun op ->
           (match op with
           | Some ((client, word) as v) ->
-            let accepted =
-              producer (fun () -> Mpsc_ring.enqueue_pair q ~client ~word)
-            in
+            let accepted = producer (fun () -> enqueue_pair q ~client ~word) in
             let model_accepts = Queue.length model < cap in
             if model_accepts then Queue.add v model;
             accepted = model_accepts
-          | None -> deq_into_matches_model Mpsc_ring.dequeue_into q model)
-          && Mpsc_ring.length q = Queue.length model)
+          | None -> deq_into_matches_model dequeue_into q model)
+          && length q = Queue.length model)
         program)
+
+(* The SPSC program leans towards dequeues, so runs drain to empty as
+   often as they fill. *)
+let spsc_op =
+  QCheck.(frequency [ (3, map Option.some msg_gen); (4, always None) ])
+
+let prop_spsc_model ?(count = 300) ?(producer = in_process)
+    ?(program = QCheck.list) ~name create =
+  prop_model ~count ~producer ~program ~name ~op:spsc_op create
+    Spsc_ring.enqueue_pair Spsc_ring.dequeue_into Spsc_ring.length
+
+let prop_mpsc_model ?(count = 300) ?(producer = in_process)
+    ?(program = QCheck.list) ~name create =
+  prop_model ~count ~producer ~program ~name ~op:(QCheck.option msg_gen)
+    create Mpsc_ring.enqueue_pair Mpsc_ring.dequeue_into Mpsc_ring.length
 
 (* ------------------------------------------------------------------ *)
 (* Stale snapshots *)
@@ -210,10 +158,8 @@ let torn_check ~nproducers ~per_producer =
 
 (* One producer's traffic: message [seq] is [(client, brand client seq)],
    sent alone or in a span of up to 3 by [send_single]/[send_span], which
-   return how many were accepted.  Then [drain] until it holds.  Gives up
-   once [stopped ()]. *)
-let produce_branded ~stopped ~client ~per_producer (send_single, send_span, drain)
-    =
+   return how many were accepted.  Gives up once [stopped ()]. *)
+let produce_branded ~stopped ~client ~per_producer (send_single, send_span) =
   let span = Array.make 6 0 in
   let seq = ref 1 and misses = ref 0 in
   while !seq <= per_producer && not (stopped ()) do
@@ -231,9 +177,6 @@ let produce_branded ~stopped ~client ~per_producer (send_single, send_span, drai
     in
     misses := if accepted = 0 then idle !misses else 0;
     seq := !seq + accepted
-  done;
-  while not (drain () || stopped ()) do
-    Grace.sched_yield ()
   done
 
 (* The consumer side, three single dequeues to one span dequeue, until
@@ -285,30 +228,17 @@ let mpsc_torn ?(per_producer = 200_000) ~start ~capacity () =
   torn_case ~start ~nproducers:2 ~per_producer
     ~senders:
       ( (fun ~client ~word -> Mpsc_ring.enqueue_pair q ~client ~word),
-        (fun span k -> Mpsc_ring.enqueue_batch q span ~pos:0 ~len:k),
-        fun () -> true )
+        fun span k -> Mpsc_ring.enqueue_batch q span ~pos:0 ~len:k )
     (Mpsc_ring.dequeue_into q)
     (fun buf max -> Mpsc_ring.dequeue_batch q buf ~pos:0 ~max)
 
-(* The SPSC ring's one producer alternates plain, multipush and span
-   sends, and flushes what multipush left buffered at the end. *)
+(* The SPSC ring's one producer alternates plain and span sends. *)
 let spsc_torn ?(per_producer = 400_000) ~start ~capacity () =
   let q = Spsc_ring.create ~capacity () in
-  let single ~client ~word =
-    if word land 2 = 0 then Spsc_ring.enqueue_pair q ~client ~word
-    else begin
-      (* Accepted once buffered; a flush that finds no room is retried
-         by the next send, which flushes first. *)
-      let ok = Spsc_ring.enqueue_local q ~client ~word in
-      ignore (Spsc_ring.flush q : bool);
-      ok
-    end
-  in
   torn_case ~start ~nproducers:1 ~per_producer
     ~senders:
-      ( single,
-        (fun span k -> Spsc_ring.enqueue_batch q span ~pos:0 ~len:k),
-        fun () -> Spsc_ring.flush q )
+      ( (fun ~client ~word -> Spsc_ring.enqueue_pair q ~client ~word),
+        fun span k -> Spsc_ring.enqueue_batch q span ~pos:0 ~len:k )
     (Spsc_ring.dequeue_into q)
     (fun buf max -> Spsc_ring.dequeue_batch q buf ~pos:0 ~max)
 

@@ -1,10 +1,9 @@
 (* Differential tests: the protocol core is one body of code instantiated
-   over two substrates — the simulator and real OCaml 5 domains — and the
-   real substrate further offers two queue transports (the two-lock queue
-   and the lock-free rings).  For any protocol and any trace of requests,
-   all backends must compute identical per-client reply sequences, and
-   none may deadlock or leak wake-ups: each property runs the simulator
-   once and replays the same trace on real domains over BOTH transports.
+   over two substrates — the simulator and real OCaml 5 domains.  For any
+   protocol and any trace of requests, both must compute identical
+   per-client reply sequences, and neither may deadlock or leak
+   wake-ups: each property runs the simulator once and replays the same
+   trace on real domains.
 
    Server transform: reply = 2 * v + client — client-dependent, so a reply
    delivered to the wrong channel or out of order is caught, not masked. *)
@@ -68,10 +67,10 @@ let run_sim waiting (traces : int list array) =
 (* ------------------------------------------------------------------ *)
 (* The same trace on real domains *)
 
-let run_real ~transport waiting (traces : int list array) =
+let run_real waiting (traces : int list array) =
   let nclients = Array.length traces in
   let t : (int, int) Ulipc_real.Rpc.t =
-    Ulipc_real.Rpc.create ~capacity:8 ~transport ~nclients waiting
+    Ulipc_real.Rpc.create ~capacity:8 ~nclients waiting
   in
   let total = Array.fold_left (fun acc l -> acc + List.length l) 0 traces in
   let server =
@@ -115,20 +114,13 @@ let prop_backends_agree name waiting =
     traces_arb
     (fun traces ->
       let sim = run_sim waiting traces in
-      List.iter
-        (fun transport ->
-          let real, residue = run_real ~transport waiting traces in
-          if sim <> real then
-            QCheck.Test.fail_reportf "reply sequences differ for %s over %s"
-              name
-              (Ulipc_real.Real_substrate.transport_name transport);
-          (* Spin leaves no wake-ups by construction; the blocking
-             protocols must have drained every raced V. *)
-          if residue <> 0 then
-            QCheck.Test.fail_reportf "wake residue %d after quiescence (%s)"
-              residue
-              (Ulipc_real.Real_substrate.transport_name transport))
-        Ulipc_real.Real_substrate.[ Two_lock; Ring ];
+      let real, residue = run_real waiting traces in
+      if sim <> real then
+        QCheck.Test.fail_reportf "reply sequences differ for %s" name;
+      (* Spin leaves no wake-ups by construction; the blocking protocols
+         must have drained every raced V. *)
+      if residue <> 0 then
+        QCheck.Test.fail_reportf "wake residue %d after quiescence" residue;
       (* The same checks hold against the oracle directly: every client's
          reply list is its trace, transformed, in order. *)
       Array.iteri
@@ -146,14 +138,13 @@ let prop_backends_agree name waiting =
    the totals are exact (Domain.join orders the final reads).  A spin
    fall-through implies the full max_spin poll iterations were spent in
    that invocation, so iterations >= fallthroughs * max_spin; and neither
-   side can fall through more often than it waited. *)
+   side can fall through more often than it waited.  Run at 7 and at 1,
+   the smallest budget that still polls. *)
 
-let test_limited_spin_counters transport () =
-  let max_spin = 7 in
+let test_limited_spin_counters max_spin () =
   let messages = 3_000 in
   let t : (int, int) Ulipc_real.Rpc.t =
-    Ulipc_real.Rpc.create ~transport ~nclients:1
-      (Ulipc_real.Rpc.Limited_spin max_spin)
+    Ulipc_real.Rpc.create ~nclients:1 (Ulipc_real.Rpc.Limited_spin max_spin)
   in
   let server =
     Domain.spawn (fun () ->
@@ -271,10 +262,10 @@ let suites =
           (prop_backends_agree "handoff" Ulipc_real.Rpc.Handoff);
         Alcotest.test_case "BSLS counters under stress (real domains, ring)"
           `Slow
-          (test_limited_spin_counters Ulipc_real.Real_substrate.Ring);
+          (test_limited_spin_counters 7);
         Alcotest.test_case
-          "BSLS counters under stress (real domains, two-lock)" `Slow
-          (test_limited_spin_counters Ulipc_real.Real_substrate.Two_lock);
+          "BSLS counters under stress (real domains, max_spin 1)" `Slow
+          (test_limited_spin_counters 1);
         Alcotest.test_case "BSLS(0) never falls through (real domains)" `Quick
           test_bsls0_never_falls_through;
         Alcotest.test_case "collect polls like send (real domains)" `Quick

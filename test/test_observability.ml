@@ -1,5 +1,5 @@
 (* Tests for the real-backend observability layer: the log-bucketed
-   Ulipc.Histogram (vs the exact Stat accumulator), the per-domain
+   Ulipc_observe.Histogram (vs the exact Stat accumulator), the per-domain
    Trace_ring event sink, per-call latency in Real_driver, and the
    Bench_json writer parsed back as actual JSON. *)
 
@@ -10,52 +10,60 @@ open Ulipc_workload
 (* Histogram *)
 
 let test_histogram_basics () =
-  let h = Ulipc.Histogram.create "t" in
-  Alcotest.(check int) "empty" 0 (Ulipc.Histogram.count h);
-  List.iter (Ulipc.Histogram.record h) [ 1.0; 2.0; 4.0; 8.0 ];
-  Alcotest.(check int) "count" 4 (Ulipc.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "total" 15.0 (Ulipc.Histogram.total h);
-  Alcotest.(check (float 1e-9)) "mean" 3.75 (Ulipc.Histogram.mean h);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Ulipc.Histogram.min_value h);
-  Alcotest.(check (float 1e-9)) "max" 8.0 (Ulipc.Histogram.max_value h);
+  let h = Ulipc_observe.Histogram.create "t" in
+  Alcotest.(check int) "empty" 0 (Ulipc_observe.Histogram.count h);
+  List.iter (Ulipc_observe.Histogram.record h) [ 1.0; 2.0; 4.0; 8.0 ];
+  Alcotest.(check int) "count" 4 (Ulipc_observe.Histogram.count h);
+  Alcotest.(check (float 1e-9)) "total" 15.0 (Ulipc_observe.Histogram.total h);
+  Alcotest.(check (float 1e-9)) "mean" 3.75 (Ulipc_observe.Histogram.mean h);
+  Alcotest.(check (float 1e-9)) "min" 1.0 (Ulipc_observe.Histogram.min_value h);
+  Alcotest.(check (float 1e-9)) "max" 8.0 (Ulipc_observe.Histogram.max_value h);
   (* p0/p100 are exact: clamped to the recorded extremes. *)
-  Alcotest.(check (float 1e-9)) "p0" 1.0 (Ulipc.Histogram.percentile h 0.0);
-  Alcotest.(check (float 1e-9)) "p100" 8.0 (Ulipc.Histogram.percentile h 100.0)
+  Alcotest.(check (float 1e-9))
+    "p0" 1.0
+    (Ulipc_observe.Histogram.percentile h 0.0);
+  Alcotest.(check (float 1e-9))
+    "p100" 8.0
+    (Ulipc_observe.Histogram.percentile h 100.0)
 
 let test_histogram_guards () =
   Alcotest.check_raises "empty percentile"
     (Invalid_argument "Histogram.percentile: no samples") (fun () ->
-      ignore (Ulipc.Histogram.percentile (Ulipc.Histogram.create "t") 50.0));
-  let h = Ulipc.Histogram.create "t" in
-  Ulipc.Histogram.record h 1.0;
+      ignore
+        (Ulipc_observe.Histogram.percentile
+           (Ulipc_observe.Histogram.create "t")
+           50.0));
+  let h = Ulipc_observe.Histogram.create "t" in
+  Ulipc_observe.Histogram.record h 1.0;
   Alcotest.check_raises "p out of range"
     (Invalid_argument "Histogram.percentile: p out of range") (fun () ->
-      ignore (Ulipc.Histogram.percentile h 101.0));
+      ignore (Ulipc_observe.Histogram.percentile h 101.0));
   Alcotest.check_raises "bad lo"
     (Invalid_argument "Histogram.create: lo must be positive") (fun () ->
-      ignore (Ulipc.Histogram.create ~lo:0.0 "t"));
+      ignore (Ulipc_observe.Histogram.create ~lo:0.0 "t"));
   Alcotest.check_raises "geometry mismatch"
     (Invalid_argument "Histogram.merge_into: bucket geometries differ")
     (fun () ->
-      Ulipc.Histogram.merge_into
-        ~dst:(Ulipc.Histogram.create "dst")
-        (Ulipc.Histogram.create ~buckets_per_decade:8 "src"))
+      Ulipc_observe.Histogram.merge_into
+        ~dst:(Ulipc_observe.Histogram.create "dst")
+        (Ulipc_observe.Histogram.create ~buckets_per_decade:8 "src"))
 
 let test_histogram_out_of_range () =
   (* Values outside the regular bucket range (and non-finite ones) land
      in the under/overflow buckets but stay inside min/max. *)
-  let h = Ulipc.Histogram.create ~lo:1.0 ~decades:2 "t" in
-  List.iter (Ulipc.Histogram.record h) [ 1e-9; 5.0; 1e6 ];
-  Alcotest.(check int) "count" 3 (Ulipc.Histogram.count h);
+  let h = Ulipc_observe.Histogram.create ~lo:1.0 ~decades:2 "t" in
+  List.iter (Ulipc_observe.Histogram.record h) [ 1e-9; 5.0; 1e6 ];
+  Alcotest.(check int) "count" 3 (Ulipc_observe.Histogram.count h);
   Alcotest.(check (float 1e-12)) "p0 is the underflow value" 1e-9
-    (Ulipc.Histogram.percentile h 0.0);
+    (Ulipc_observe.Histogram.percentile h 0.0);
   Alcotest.(check (float 1e-3)) "p100 is the overflow value" 1e6
-    (Ulipc.Histogram.percentile h 100.0);
-  let mid = Ulipc.Histogram.percentile h 50.0 in
+    (Ulipc_observe.Histogram.percentile h 100.0);
+  let mid = Ulipc_observe.Histogram.percentile h 50.0 in
   Alcotest.(check bool)
     (Printf.sprintf "p50 %.3f within one bucket of 5.0" mid)
     true
-    (Float.abs (mid -. 5.0) /. 5.0 < Ulipc.Histogram.bucket_ratio h -. 1.0)
+    (Float.abs (mid -. 5.0) /. 5.0
+    < Ulipc_observe.Histogram.bucket_ratio h -. 1.0)
 
 (* The tentpole accuracy contract: histogram percentiles agree with the
    exact sample percentiles of Stat ~keep_samples:true within one
@@ -68,18 +76,18 @@ let prop_histogram_matches_stat =
         (list_of_size Gen.(1 -- 300) (float_range 0.01 100_000.0)))
     (fun (x, xs) ->
       let samples = x :: xs in
-      let h = Ulipc.Histogram.create "h" in
+      let h = Ulipc_observe.Histogram.create "h" in
       let s = Stat.create ~keep_samples:true "s" in
       List.iter
         (fun v ->
-          Ulipc.Histogram.record h v;
+          Ulipc_observe.Histogram.record h v;
           Stat.add s v)
         samples;
-      let tol = Ulipc.Histogram.bucket_ratio h -. 1.0 in
+      let tol = Ulipc_observe.Histogram.bucket_ratio h -. 1.0 in
       List.for_all
         (fun p ->
           let exact = Stat.percentile s p in
-          let approx = Ulipc.Histogram.percentile h p in
+          let approx = Ulipc_observe.Histogram.percentile h p in
           Float.abs (approx -. exact) <= (tol *. Float.abs exact) +. 1e-9)
         [ 0.0; 10.0; 25.0; 50.0; 75.0; 90.0; 99.0; 100.0 ])
 
@@ -92,17 +100,17 @@ let test_histogram_merge_across_domains () =
   let domains =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
-            let h = Ulipc.Histogram.create "h" in
+            let h = Ulipc_observe.Histogram.create "h" in
             for i = 1 to per_domain do
-              Ulipc.Histogram.record h (value d i)
+              Ulipc_observe.Histogram.record h (value d i)
             done;
             h))
   in
   let hists = List.map Domain.join domains in
-  let merged = Ulipc.Histogram.create "h" in
-  List.iter (fun h -> Ulipc.Histogram.merge_into ~dst:merged h) hists;
+  let merged = Ulipc_observe.Histogram.create "h" in
+  List.iter (fun h -> Ulipc_observe.Histogram.merge_into ~dst:merged h) hists;
   Alcotest.(check int) "no lost samples" (4 * per_domain)
-    (Ulipc.Histogram.count merged);
+    (Ulipc_observe.Histogram.count merged);
   let s = Stat.create ~keep_samples:true "s" in
   List.init 4 (fun d -> d)
   |> List.iter (fun d ->
@@ -111,16 +119,16 @@ let test_histogram_merge_across_domains () =
          done);
   Alcotest.(check (float 1e-6))
     "totals add up" (Stat.total s)
-    (Ulipc.Histogram.total merged);
+    (Ulipc_observe.Histogram.total merged);
   Alcotest.(check (float 1e-9)) "min" (Stat.min_value s)
-    (Ulipc.Histogram.min_value merged);
+    (Ulipc_observe.Histogram.min_value merged);
   Alcotest.(check (float 1e-9)) "max" (Stat.max_value s)
-    (Ulipc.Histogram.max_value merged);
-  let tol = Ulipc.Histogram.bucket_ratio merged -. 1.0 in
+    (Ulipc_observe.Histogram.max_value merged);
+  let tol = Ulipc_observe.Histogram.bucket_ratio merged -. 1.0 in
   List.iter
     (fun p ->
       let exact = Stat.percentile s p in
-      let approx = Ulipc.Histogram.percentile merged p in
+      let approx = Ulipc_observe.Histogram.percentile merged p in
       Alcotest.(check bool)
         (Printf.sprintf "merged p%.0f %.1f ~ exact %.1f" p approx exact)
         true
@@ -217,28 +225,26 @@ let test_trace_through_real_run () =
 (* ------------------------------------------------------------------ *)
 (* Real_driver latency *)
 
-let test_real_driver_latency transport () =
+let test_real_driver_latency ?nservers () =
   let nclients = 2 and messages = 50 in
-  let m =
-    Real_driver.run ~transport ~nclients ~messages Ulipc_real.Rpc.Block
-  in
+  let m = Real_driver.run ?nservers ~nclients ~messages Ulipc_real.Rpc.Block in
   Alcotest.(check int) "messages" (nclients * messages) m.Metrics.messages;
   match m.Metrics.latency_us with
   | None -> Alcotest.fail "real run did not collect latency"
   | Some hist ->
     Alcotest.(check int)
       "one sample per message" (nclients * messages)
-      (Ulipc.Histogram.count hist);
-    let p50 = Ulipc.Histogram.percentile hist 50.0 in
-    let p99 = Ulipc.Histogram.percentile hist 99.0 in
-    let maxv = Ulipc.Histogram.max_value hist in
+      (Ulipc_observe.Histogram.count hist);
+    let p50 = Ulipc_observe.Histogram.percentile hist 50.0 in
+    let p99 = Ulipc_observe.Histogram.percentile hist 99.0 in
+    let maxv = Ulipc_observe.Histogram.max_value hist in
     Alcotest.(check bool)
       (Printf.sprintf "percentiles ordered (p50 %.1f <= p99 %.1f <= max %.1f)"
          p50 p99 maxv)
       true
       (p50 <= p99 && p99 <= maxv *. 1.0000001);
     Alcotest.(check bool) "latencies are non-negative" true
-      (Ulipc.Histogram.min_value hist >= 0.0);
+      (Ulipc_observe.Histogram.min_value hist >= 0.0);
     (match Metrics.latency_percentile m 50.0 with
     | Some _ -> ()
     | None -> Alcotest.fail "latency_percentile empty for a real row")
@@ -269,15 +275,12 @@ let test_json_float_non_finite () =
   Alcotest.(check string) "finite" "1.500" (Bench_json.json_float 1.5)
 
 let test_bench_json_roundtrip () =
-  let transports = Ulipc_real.Real_substrate.[ Two_lock; Ring ] in
+  let protocols = Ulipc_real.Rpc.[ Block; Block_yield ] in
   let real =
     List.map
-      (fun transport ->
-        ( "inproc",
-          Ulipc_real.Real_substrate.transport_name transport,
-          Real_driver.run ~transport ~nclients:2 ~messages:50
-            Ulipc_real.Rpc.Block ))
-      transports
+      (fun waiting ->
+        ("inproc", "ring", Real_driver.run ~nclients:2 ~messages:50 waiting))
+      protocols
   in
   (* Non-finite micro rows exercise the null path end to end. *)
   let micro =
@@ -320,7 +323,7 @@ let test_bench_json_roundtrip () =
   | _ -> Alcotest.fail "micro_ns_per_op not an array");
   match member "real_driver" j with
   | J.Arr rows ->
-    Alcotest.(check int) "one row per transport" (List.length transports)
+    Alcotest.(check int) "one row per protocol" (List.length protocols)
       (List.length rows);
     List.iter
       (fun row ->
@@ -434,9 +437,9 @@ let suites =
     ( "workload.real_driver",
       [
         Alcotest.test_case "latency histogram (ring)" `Quick
-          (test_real_driver_latency Ulipc_real.Real_substrate.Ring);
-        Alcotest.test_case "latency histogram (two-lock)" `Quick
-          (test_real_driver_latency Ulipc_real.Real_substrate.Two_lock);
+          (test_real_driver_latency ?nservers:None);
+        Alcotest.test_case "latency histogram (ring, 2 servers)" `Quick
+          (test_real_driver_latency ~nservers:2);
       ] );
     ( "workload.bench_json",
       [

@@ -350,9 +350,9 @@ let test_mpsc_cross_fork () =
 (* Ring_cases across fork: every producer-side operation runs in a
    fresh child, so each model step and each stale snapshot is taken by a
    producer process that has never run before — producer state the ring
-   kept in the OCaml heap instead of the arena (its index, the multipush
-   buffer) would be lost between steps — and the torn-message cases run
-   their producers as processes. *)
+   kept in the OCaml heap instead of the arena (its index, its snapshot
+   of the consumer's) would be lost between steps — and the
+   torn-message cases run their producers as processes. *)
 let fork_program op = QCheck.list_of_size QCheck.Gen.(0 -- 40) op
 
 (* Fresh children start on the parent's CPU and take a while to
@@ -610,8 +610,7 @@ let run_proc waiting (traces : int list array) =
 let run_domains waiting (traces : int list array) =
   let nclients = Array.length traces in
   let t : (int, int) Ulipc_real.Rpc.t =
-    Ulipc_real.Rpc.create ~capacity:8
-      ~transport:Ulipc_real.Real_substrate.Ring ~nclients waiting
+    Ulipc_real.Rpc.create ~capacity:8 ~nclients waiting
   in
   let total = Array.fold_left (fun acc l -> acc + List.length l) 0 traces in
   let server =

@@ -1,98 +1,13 @@
-(* Tests for the real OCaml-5-domains implementation: the two-lock queue,
-   the lock-free SPSC/MPSC ring transports, the Mutex/Condition semaphore,
-   and the Send/Receive/Reply protocols over both transports. *)
+(* Tests for the real OCaml-5-domains implementation: the lock-free
+   SPSC/MPSC rings, the waiting-array semaphore, and the
+   Send/Receive/Reply protocols over them. *)
 
 open Ulipc_real
 
 (* ------------------------------------------------------------------ *)
-(* Tl_queue *)
-
-let test_tlq_fifo () =
-  let q = Tl_queue.create ~capacity:8 () in
-  List.iter (fun v -> ignore (Tl_queue.enqueue q v : bool)) [ 1; 2; 3 ];
-  (* bind in sequence: list literals evaluate right to left *)
-  let a = Tl_queue.dequeue q in
-  let b = Tl_queue.dequeue q in
-  let c = Tl_queue.dequeue q in
-  let d = Tl_queue.dequeue q in
-  Alcotest.(check (list (option int)))
-    "fifo then empty"
-    [ Some 1; Some 2; Some 3; None ]
-    [ a; b; c; d ]
-
-let test_tlq_capacity () =
-  let q = Tl_queue.create ~capacity:2 () in
-  Alcotest.(check bool) "1st" true (Tl_queue.enqueue q 1);
-  Alcotest.(check bool) "2nd" true (Tl_queue.enqueue q 2);
-  Alcotest.(check bool) "3rd rejected" false (Tl_queue.enqueue q 3);
-  ignore (Tl_queue.dequeue q : int option);
-  Alcotest.(check bool) "room again" true (Tl_queue.enqueue q 4);
-  Alcotest.(check int) "length" 2 (Tl_queue.length q)
-
-let test_tlq_is_empty () =
-  let q = Tl_queue.create ~capacity:4 () in
-  Alcotest.(check bool) "empty" true (Tl_queue.is_empty q);
-  ignore (Tl_queue.enqueue q 1 : bool);
-  Alcotest.(check bool) "non-empty" false (Tl_queue.is_empty q)
-
-let test_tlq_concurrent_transfer () =
-  let q = Tl_queue.create ~capacity:32 () in
-  let per_producer = 2_000 in
-  let producer p () =
-    for i = 1 to per_producer do
-      while not (Tl_queue.enqueue q ((p * 1_000_000) + i)) do
-        Domain.cpu_relax ()
-      done
-    done
-  in
-  let received = ref [] in
-  let consumer () =
-    let remaining = ref (2 * per_producer) in
-    while !remaining > 0 do
-      match Tl_queue.dequeue q with
-      | Some v ->
-        received := v :: !received;
-        decr remaining
-      | None -> Domain.cpu_relax ()
-    done
-  in
-  let d1 = Domain.spawn (producer 1) in
-  let d2 = Domain.spawn (producer 2) in
-  let dc = Domain.spawn consumer in
-  Domain.join d1;
-  Domain.join d2;
-  Domain.join dc;
-  let received = List.rev !received in
-  Alcotest.(check int) "no loss, no duplication" (2 * per_producer)
-    (List.length (List.sort_uniq compare received));
-  let ordered p =
-    let mine = List.filter (fun v -> v / 1_000_000 = p) received in
-    mine = List.sort compare mine
-  in
-  Alcotest.(check bool) "producer 1 fifo" true (ordered 1);
-  Alcotest.(check bool) "producer 2 fifo" true (ordered 2)
-
-let prop_tlq_model =
-  QCheck.Test.make ~name:"Tl_queue matches a FIFO model" ~count:200
-    QCheck.(list (option (int_bound 100)))
-    (fun program ->
-      let q = Tl_queue.create ~capacity:8 () in
-      let model = Queue.create () in
-      List.for_all
-        (function
-          | Some v ->
-            let accepted = Tl_queue.enqueue q v in
-            let model_accepts = Queue.length model < 8 in
-            if model_accepts then Queue.add v model;
-            accepted = model_accepts
-          | None -> Tl_queue.dequeue q = Queue.take_opt model)
-        program)
-
-(* ------------------------------------------------------------------ *)
-(* Spsc_ring: must be observationally identical to Tl_queue under one
-   producer and one consumer — FIFO, exact capacity boundary, the nil
-   sentinel when empty — including at non-power-of-two capacities, where
-   the slot array is bigger than the logical bound. *)
+(* Spsc_ring under one producer and one consumer: FIFO, exact capacity
+   boundary, the nil sentinel when empty — including at non-power-of-two
+   capacities, where the slot array is bigger than the logical bound. *)
 
 let test_spsc_fifo () =
   let q = Spsc_ring.create ~capacity:8 () in
@@ -177,109 +92,8 @@ let test_spsc_rejects_nonpositive () =
     (Invalid_argument "Spsc_ring.create: capacity must be positive") (fun () ->
       ignore (Spsc_ring.create ~capacity:0 () : Spsc_ring.t))
 
-(* Multipush (Torquati): locally buffered values are invisible until a
-   flush publishes them, publication is all-or-nothing, and FIFO order
-   holds across mixed local/plain use.  [local] buffers a one-word
-   message, as [Spsc_ring.enqueue] sends one. *)
-
-let local q v = Spsc_ring.enqueue_local q ~client:0 ~word:v
-
-let test_spsc_multipush_visibility () =
-  let q = Spsc_ring.create ~capacity:16 () in
-  Alcotest.(check bool) "buffered" true (local q 1);
-  Alcotest.(check bool) "buffered" true (local q 2);
-  Alcotest.(check int) "pending" 2 (Spsc_ring.pending_local q);
-  Alcotest.(check bool) "invisible before flush" true (Spsc_ring.is_empty q);
-  Alcotest.(check bool) "flush publishes" true (Spsc_ring.flush q);
-  Alcotest.(check int) "pending drained" 0 (Spsc_ring.pending_local q);
-  Alcotest.(check int) "first" 1 (Spsc_ring.dequeue q);
-  Alcotest.(check int) "second" 2 (Spsc_ring.dequeue q);
-  Alcotest.(check int) "empty" Spsc_ring.nil (Spsc_ring.dequeue q)
-
-let test_spsc_multipush_autoflush () =
-  (* The local buffer holds at most min 8 capacity: the 8th append must
-     publish the whole span on its own. *)
-  let q = Spsc_ring.create ~capacity:16 () in
-  for v = 1 to 8 do
-    Alcotest.(check bool) "accepted" true (local q v)
-  done;
-  Alcotest.(check int) "auto-flushed" 0 (Spsc_ring.pending_local q);
-  Alcotest.(check int) "published" 8 (Spsc_ring.length q);
-  for v = 1 to 8 do
-    Alcotest.(check int) "fifo" v (Spsc_ring.dequeue q)
-  done
-
-let test_spsc_multipush_mixed_fifo () =
-  (* A plain enqueue must first flush leftovers so order is preserved. *)
-  let q = Spsc_ring.create ~capacity:16 () in
-  ignore (local q 1 : bool);
-  ignore (local q 2 : bool);
-  Alcotest.(check bool) "plain enqueue flushes first" true
-    (Spsc_ring.enqueue q 3);
-  (* bind in sequence: list literals evaluate right to left *)
-  let a = Spsc_ring.dequeue q in
-  let b = Spsc_ring.dequeue q in
-  let c = Spsc_ring.dequeue q in
-  Alcotest.(check (list int)) "fifo across mixed use" [ 1; 2; 3 ] [ a; b; c ]
-
-let test_spsc_multipush_full () =
-  (* All-or-nothing publication at the flow-control boundary. *)
-  let q = Spsc_ring.create ~capacity:3 () in
-  ignore (Spsc_ring.enqueue q 10 : bool);
-  ignore (Spsc_ring.enqueue q 11 : bool);
-  ignore (local q 12 : bool);
-  ignore (local q 13 : bool);
-  Alcotest.(check bool) "span of 2 does not fit in 1 slot" false
-    (Spsc_ring.flush q);
-  Alcotest.(check int) "span stays buffered" 2 (Spsc_ring.pending_local q);
-  Alcotest.(check int) "room appears" 10 (Spsc_ring.dequeue q);
-  Alcotest.(check bool) "now it fits" true (Spsc_ring.flush q);
-  (* bind in sequence: list literals evaluate right to left *)
-  let a = Spsc_ring.dequeue q in
-  let b = Spsc_ring.dequeue q in
-  let c = Spsc_ring.dequeue q in
-  Alcotest.(check (list int)) "fifo preserved" [ 11; 12; 13 ] [ a; b; c ]
-
-let test_spsc_multipush_concurrent_transfer () =
-  (* The multipush producer against a batch consumer: same exact-FIFO
-     guarantee as the plain transfer test. *)
-  let q = Spsc_ring.create ~capacity:16 () in
-  let n = 20_000 in
-  let producer () =
-    for i = 1 to n do
-      while not (Spsc_ring.enqueue_local q ~client:(i land 0xff) ~word:(-i)) do
-        ignore (Spsc_ring.flush q : bool);
-        Domain.cpu_relax ()
-      done
-    done;
-    while not (Spsc_ring.flush q) do
-      Domain.cpu_relax ()
-    done
-  in
-  let consumer () =
-    let buf = Array.make 16 0 in
-    let next = ref 1 in
-    let ok = ref true in
-    while !next <= n do
-      let k = Spsc_ring.dequeue_batch q buf ~pos:0 ~max:8 in
-      if k = 0 then Domain.cpu_relax ()
-      else
-        for j = 0 to k - 1 do
-          if buf.(2 * j) <> !next land 0xff || buf.((2 * j) + 1) <> - !next
-          then ok := false;
-          incr next
-        done
-    done;
-    !ok
-  in
-  let dp = Domain.spawn producer in
-  let dc = Domain.spawn consumer in
-  Domain.join dp;
-  Alcotest.(check bool) "exact fifo sequence" true (Domain.join dc);
-  Alcotest.(check bool) "drained" true (Spsc_ring.is_empty q)
-
 (* ------------------------------------------------------------------ *)
-(* Mpsc_ring: Tl_queue semantics sequentially, and no loss, duplication
+(* Mpsc_ring: the same semantics sequentially, and no loss, duplication
    or per-producer reordering under concurrent producers. *)
 
 let test_mpsc_capacity () =
@@ -360,8 +174,162 @@ let test_mpsc_rejects_nonpositive () =
     (Invalid_argument "Mpsc_ring.create: capacity must be positive") (fun () ->
       ignore (Mpsc_ring.create ~capacity:0 () : Mpsc_ring.t))
 
+let test_mpsc_fifo () =
+  let q = Mpsc_ring.create ~capacity:8 () in
+  List.iter (fun v -> ignore (Mpsc_ring.enqueue q v : bool)) [ 1; 2; 3 ];
+  let a = Mpsc_ring.dequeue q in
+  let b = Mpsc_ring.dequeue q in
+  let c = Mpsc_ring.dequeue q in
+  let d = Mpsc_ring.dequeue q in
+  Alcotest.(check (list int))
+    "fifo then nil"
+    [ 1; 2; 3; Mpsc_ring.nil ]
+    [ a; b; c; d ]
+
+let test_mpsc_rejects_negative_value () =
+  let q = Mpsc_ring.create ~capacity:4 () in
+  Alcotest.check_raises "negative value"
+    (Invalid_argument "Mpsc_ring.enqueue: negative value") (fun () ->
+      ignore (Mpsc_ring.enqueue q (-3) : bool));
+  Alcotest.(check bool) "nothing enqueued" true (Mpsc_ring.is_empty q)
+
+(* Spans both ways between two domains: the producer sends spans of 1
+   to 7 messages with [enqueue_batch], the consumer takes up to 8 at a
+   time with [dequeue_batch]; it must see exactly 1..n in order, each
+   message with its own client word. *)
+let test_spsc_batch_concurrent () =
+  let q = Spsc_ring.create ~capacity:16 () in
+  let n = 20_000 in
+  let producer () =
+    let span = Array.make 14 0 in
+    let sent = ref 0 in
+    while !sent < n do
+      let k = min (1 + (!sent mod 7)) (n - !sent) in
+      for i = 0 to k - 1 do
+        let m = !sent + i + 1 in
+        span.(2 * i) <- m land 0xff;
+        span.((2 * i) + 1) <- -m
+      done;
+      let accepted = Spsc_ring.enqueue_batch q span ~pos:0 ~len:k in
+      if accepted = 0 then Domain.cpu_relax ();
+      sent := !sent + accepted
+    done
+  in
+  let consumer () =
+    let buf = Array.make 16 0 in
+    let next = ref 1 in
+    let ok = ref true in
+    while !next <= n do
+      let k = Spsc_ring.dequeue_batch q buf ~pos:0 ~max:8 in
+      if k = 0 then Domain.cpu_relax ()
+      else
+        for j = 0 to k - 1 do
+          if buf.(2 * j) <> !next land 0xff || buf.((2 * j) + 1) <> - !next
+          then ok := false;
+          incr next
+        done
+    done;
+    !ok
+  in
+  let dp = Domain.spawn producer in
+  let dc = Domain.spawn consumer in
+  Domain.join dp;
+  Alcotest.(check bool) "exact fifo sequence" true (Domain.join dc);
+  Alcotest.(check bool) "drained" true (Spsc_ring.is_empty q)
+
+(* One-word messages are pairs with client 0: both kinds share one FIFO,
+   and either dequeue takes either kind. *)
+let test_spsc_mixed_words () =
+  let q = Spsc_ring.create ~capacity:4 () in
+  Alcotest.(check bool) "word" true (Spsc_ring.enqueue q 5);
+  Alcotest.(check bool) "pair" true
+    (Spsc_ring.enqueue_pair q ~client:3 ~word:max_int);
+  Alcotest.(check bool) "word" true (Spsc_ring.enqueue q 0);
+  Alcotest.(check bool) "pair" true
+    (Spsc_ring.enqueue_pair q ~client:(-2) ~word:min_int);
+  let dst = [| 9; 9 |] in
+  Alcotest.(check bool) "word as pair" true (Spsc_ring.dequeue_into q dst 0);
+  Alcotest.(check (pair int int)) "client 0" (0, 5) (dst.(0), dst.(1));
+  Alcotest.(check int) "pair as word" max_int (Spsc_ring.dequeue q);
+  Alcotest.(check int) "word" 0 (Spsc_ring.dequeue q);
+  Alcotest.(check bool) "pair" true (Spsc_ring.dequeue_into q dst 0);
+  Alcotest.(check (pair int int)) "both words" (-2, min_int) (dst.(0), dst.(1));
+  Alcotest.(check bool) "empty" false (Spsc_ring.dequeue_into q dst 0);
+  Alcotest.(check (pair int int)) "untouched" (-2, min_int) (dst.(0), dst.(1))
+
+(* Both rings: [is_empty] and [length] follow every enqueue and dequeue
+   exactly when nothing races them — a refused enqueue included — across
+   laps that wrap a capacity-5 ring's 8 slots. *)
+let occupancy_case create enqueue dequeue is_empty length () =
+  let q = create ~capacity:5 () in
+  Alcotest.(check bool) "fresh ring is empty" true (is_empty q);
+  Alcotest.(check int) "fresh length" 0 (length q);
+  for _lap = 1 to 3 do
+    for i = 1 to 5 do
+      Alcotest.(check bool) "accepted" true (enqueue q i);
+      Alcotest.(check bool) "occupied" false (is_empty q);
+      Alcotest.(check int) "length after enqueue" i (length q)
+    done;
+    Alcotest.(check bool) "6th refused" false (enqueue q 6);
+    Alcotest.(check int) "a refused enqueue adds nothing" 5 (length q);
+    for i = 4 downto 0 do
+      ignore (dequeue q : int);
+      Alcotest.(check int) "length after dequeue" i (length q)
+    done;
+    Alcotest.(check bool) "drained ring is empty" true (is_empty q)
+  done
+
+(* Both rings: two rings carved from one arena share no word — each
+   fills to its own bound while the other stays empty, and drains its
+   own messages in order. *)
+let carved_apart_case arena_words carve enqueue dequeue nil () =
+  let a = Word_arena.create ~size_words:(2 * arena_words ~capacity:4) () in
+  let q1 = carve a ~capacity:4 in
+  let q2 = carve a ~capacity:4 in
+  for lap = 0 to 9 do
+    for i = 1 to 4 do
+      Alcotest.(check bool) "first fills" true (enqueue q1 ((100 * lap) + i))
+    done;
+    Alcotest.(check bool) "first is full" false (enqueue q1 0);
+    Alcotest.(check int) "second still empty" nil (dequeue q2);
+    for i = 1 to 3 do
+      Alcotest.(check bool) "second fills" true
+        (enqueue q2 (10_000 + (100 * lap) + i))
+    done;
+    for i = 1 to 4 do
+      Alcotest.(check int) "first's own" ((100 * lap) + i) (dequeue q1)
+    done;
+    Alcotest.(check int) "first drained" nil (dequeue q1);
+    for i = 1 to 3 do
+      Alcotest.(check int) "second's own" (10_000 + (100 * lap) + i) (dequeue q2)
+    done;
+    Alcotest.(check int) "second drained" nil (dequeue q2)
+  done
+
+(* Both rings: [arena_words ~capacity] words take one carve from any
+   offset, the worst alignment included — one word into a fresh line,
+   where the carve skips the other seven — and the ring fills to its
+   bound; there is no room left for a second. *)
+let arena_words_case arena_words carve enqueue dequeue () =
+  List.iter
+    (fun capacity ->
+      let a = Word_arena.create ~size_words:(1 + arena_words ~capacity) () in
+      ignore (Word_arena.alloc a ~words:1 ~align:1 : int);
+      let q = carve a ~capacity in
+      for i = 1 to capacity do
+        Alcotest.(check bool) "fills" true (enqueue q i)
+      done;
+      Alcotest.(check bool) "to its bound" false (enqueue q 0);
+      for i = 1 to capacity do
+        Alcotest.(check int) "fifo" i (dequeue q)
+      done;
+      match carve a ~capacity with
+      | _ -> Alcotest.failf "a second capacity-%d carve fit" capacity
+      | exception Invalid_argument _ -> ())
+    [ 1; 3; 8; 13 ]
+
 (* ------------------------------------------------------------------ *)
-(* Batch operations: on every transport, a batch must be observationally
+(* Batch operations: on both rings, a batch must be observationally
    identical to n single ops — FIFO, no loss/duplication, exact capacity
    boundary (the accepted count is the model's free space, even when the
    batch straddles it). *)
@@ -405,8 +373,7 @@ let prop_batch_model name create enqueue_batch dequeue_batch =
         program)
 
 (* The rings' batch seam is (client, word) pair spans; adapt it to the
-   list shape the generic model drives (and Tl_queue, carrying pairs,
-   still exposes natively).  The spans start at message 1 of their
+   list shape the generic model drives.  The spans start at message 1 of their
    arrays, so a span offset that is not doubled would show. *)
 let array_batch_ops enqueue_batch dequeue_batch =
   let enq q ms =
@@ -424,10 +391,6 @@ let array_batch_ops enqueue_batch dequeue_batch =
     List.init k (fun i -> (buf.(2 * (i + 1)), buf.((2 * (i + 1)) + 1)))
   in
   (enq, deq)
-
-let prop_tlq_batch_model =
-  prop_batch_model "Tl_queue batch ops match n single ops" Tl_queue.create
-    Tl_queue.enqueue_batch Tl_queue.dequeue_batch
 
 let prop_spsc_batch_model =
   let enq, deq = array_batch_ops Spsc_ring.enqueue_batch Spsc_ring.dequeue_batch in
@@ -701,25 +664,11 @@ let test_rsem_try_p_never_blocks () =
   done;
   Alcotest.(check int) "still zero" 0 (Rsem.value s)
 
-let test_rsem_v_n_counting () =
-  let s = Rsem.create 0 in
-  Rsem.v_n s 0;
-  Alcotest.(check int) "v_n 0 is a no-op" 0 (Rsem.value s);
-  Rsem.v_n s 5;
-  Alcotest.(check int) "batched credits" 5 (Rsem.value s);
-  for _ = 1 to 5 do
-    Rsem.p s
-  done;
-  Alcotest.(check int) "all consumable" 0 (Rsem.value s);
-  Alcotest.check_raises "negative n"
-    (Invalid_argument "Rsem.v_n: negative credit count") (fun () ->
-      Rsem.v_n s (-1))
-
-let test_rsem_v_n_no_lost_wakeup () =
-  (* 4-domain stress: 2 producers publish credits in batches of 1..7 via
-     v_n, 2 consumers take them one P at a time.  Every credit must be
-     consumed exactly once — a lost wake-up hangs a consumer (and the
-     join), an invented one leaves value <> 0. *)
+let test_rsem_v_burst_no_lost_wakeup () =
+  (* 4-domain stress: 2 producers post credits in bursts of 1..7
+     back-to-back Vs, 2 consumers take them one P at a time.  Every
+     credit must be consumed exactly once — a lost wake-up hangs a
+     consumer (and the join), an invented one leaves value <> 0. *)
   let s = Rsem.create 0 in
   let per_side = 3_000 in
   let producer seed () =
@@ -727,7 +676,9 @@ let test_rsem_v_n_no_lost_wakeup () =
     let k = ref seed in
     while !sent < per_side do
       let n = min (1 + (!k mod 7)) (per_side - !sent) in
-      Rsem.v_n s n;
+      for _ = 1 to n do
+        Rsem.v s
+      done;
       sent := !sent + n;
       k := !k + 3
     done
@@ -747,6 +698,36 @@ let test_rsem_v_n_no_lost_wakeup () =
   in
   List.iter Domain.join domains;
   Alcotest.(check int) "all credits consumed exactly once" 0 (Rsem.value s)
+
+let test_rsem_try_p_races_p () =
+  (* Credits taken two ways at once: one domain takes its share with P,
+     another polls for its share with try_p, while a third posts every
+     credit.  Each credit must go to exactly one taker — a credit lost
+     between them hangs a taker (and the join), one handed out twice
+     leaves value <> 0. *)
+  let s = Rsem.create 0 in
+  let share = 3_000 in
+  let poster () =
+    for _ = 1 to 2 * share do
+      Rsem.v s
+    done
+  in
+  let taker () =
+    for _ = 1 to share do
+      Rsem.p s
+    done
+  in
+  let poller () =
+    let got = ref 0 in
+    while !got < share do
+      if Rsem.try_p s then incr got else Grace.sched_yield ()
+    done
+  in
+  let domains =
+    [ Domain.spawn taker; Domain.spawn poller; Domain.spawn poster ]
+  in
+  List.iter Domain.join domains;
+  Alcotest.(check int) "every credit taken once" 0 (Rsem.value s)
 
 (* Cross-domain handoffs in bursts of [rounds]: each round the poster
    domain sees the go signal, waits [delay_ns], then posts [v ()] while
@@ -859,7 +840,6 @@ let test_channel_sem_parks_at_once () =
    would wait for a V nobody posts. *)
 type rsem_op =
   | V
-  | V_n of int
   | Try_p
   | P
   | Flag_tas
@@ -869,7 +849,6 @@ type rsem_op =
 
 let rsem_op_name = function
   | V -> "v"
-  | V_n n -> Printf.sprintf "v_n %d" n
   | Try_p -> "try_p"
   | P -> "p"
   | Flag_tas -> "flag_test_and_set"
@@ -882,8 +861,7 @@ let prop_rsem_flag_model =
     QCheck.Gen.(
       frequency
         [
-          (3, return V);
-          (2, map (fun n -> V_n n) (int_bound 4));
+          (5, return V);
           (3, return Try_p);
           (3, return P);
           (2, return Flag_tas);
@@ -907,10 +885,6 @@ let prop_rsem_flag_model =
         | V ->
           Rsem.v s;
           incr count;
-          true
-        | V_n n ->
-          Rsem.v_n s n;
-          count := !count + n;
           true
         | Try_p ->
           let expect = !count > 0 in
@@ -1218,9 +1192,8 @@ let echo_through (t : (int, int) Rpc.t) ~messages =
   List.iter Domain.join clients;
   Domain.join server
 
-let echo_exchange ?(messages = 500) ?transport waiting () =
-  let nclients = 2 in
-  let t : (int, int) Rpc.t = Rpc.create ?transport ~nclients waiting in
+let echo_exchange ?(messages = 500) ?(nclients = 2) waiting () =
+  let t : (int, int) Rpc.t = Rpc.create ~nclients waiting in
   let server =
     Domain.spawn (fun () ->
         let remaining = ref (nclients * messages) in
@@ -1242,7 +1215,10 @@ let echo_exchange ?(messages = 500) ?transport waiting () =
   let clients = List.init nclients client in
   let bads = List.map Domain.join clients in
   Domain.join server;
-  Alcotest.(check (list int)) "all echoes correct" [ 0; 0 ] bads;
+  Alcotest.(check (list int))
+    "all echoes correct"
+    (List.init nclients (fun _ -> 0))
+    bads;
   Alcotest.(check bool)
     (Printf.sprintf "wake residue bounded (%d)" (Rpc.wake_residue t))
     true
@@ -1289,22 +1265,22 @@ let test_rpc_validation () =
     (Invalid_argument "Rpc.create: max_spin must be non-negative") (fun () ->
       ignore (Rpc.create ~nclients:1 (Rpc.Limited_spin (-1)) : (int, int) Rpc.t))
 
-let test_rpc_no_stale_wakeups transport () =
+let test_rpc_no_stale_wakeups waiting () =
   (* The C.4 drain (Rsem.try_p after a successful second dequeue) must
      absorb every wake-up raced against a non-sleeping consumer: after a
-     blocking exchange fully quiesces, no semaphore may hold residue —
-     on either transport.  Quiescence must also return every payload
+     blocking exchange fully quiesces, no semaphore may hold residue.
+     Quiescence must also return every payload
      slot: a slab leak means a send/receive/reply path dropped a slot
      without releasing it. *)
-  let t : (int, int) Rpc.t = Rpc.create ~transport ~nclients:2 Rpc.Block in
+  let t : (int, int) Rpc.t = Rpc.create ~nclients:2 waiting in
   echo_through t ~messages:300;
   Alcotest.(check int) "no stale V residue" 0 (Rpc.wake_residue t);
   Alcotest.(check int) "no leaked slab slots" 0
     (Slab.in_use_count (Rpc.slab t))
 
 let test_rpc_zero_alloc_steady_state () =
-  (* The tentpole property: with immediate-int codecs on the ring
-     transport, a steady-state synchronous round-trip allocates nothing
+  (* The tentpole property: with immediate-int codecs, a steady-state
+     synchronous round-trip allocates nothing
      on either side's minor heap — payload words through registers and
      ring cells.  minor_words is per-domain in OCaml 5, so each side
      reads its own: the client around the loop, the server between the
@@ -1312,8 +1288,8 @@ let test_rpc_zero_alloc_steady_state () =
      array, which stores unboxed.  Each side's calibration pair
      subtracts what the Gc.minor_words calls themselves charge. *)
   let t : (int, int) Rpc.t =
-    Rpc.create ~transport:Real_substrate.Ring ~req_codec:Rpc.int_codec
-      ~rep_codec:Rpc.int_codec ~nclients:1 Rpc.Block
+    Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nclients:1
+      Rpc.Block
   in
   let server_words = Array.make 3 0.0 in
   let server =
@@ -1379,8 +1355,8 @@ let test_rpc_batch_alloc_pins () =
      every batch between the markers -2 and -3, which the client sends
      as plain calls. *)
   let t : (int, int) Rpc.t =
-    Rpc.create ~transport:Real_substrate.Ring ~req_codec:Rpc.int_codec
-      ~rep_codec:Rpc.int_codec ~nclients:1 Rpc.Block
+    Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nclients:1
+      Rpc.Block
   in
   let recv_words = ref 0 and recv_msgs = ref 0 and reply_words = ref 0 in
   let server =
@@ -1529,12 +1505,9 @@ let test_rpc_counters () =
 
 (* Batched server loop: receive_batch + reply_batch must be
    observationally identical to the one-at-a-time loop. *)
-let test_rpc_batched_server transport () =
-  let nclients = 2 in
+let test_rpc_batched_server ?(nclients = 2) waiting () =
   let messages = 300 in
-  let t : (int, int) Rpc.t =
-    Rpc.create ~transport ~nclients (Rpc.Adaptive 4096)
-  in
+  let t : (int, int) Rpc.t = Rpc.create ~nclients waiting in
   let server =
     Domain.spawn (fun () ->
         let remaining = ref (nclients * messages) in
@@ -1556,7 +1529,9 @@ let test_rpc_batched_server transport () =
   in
   let bads = List.map Domain.join clients in
   Domain.join server;
-  Alcotest.(check (list int)) "all echoes correct" [ 0; 0 ] bads
+  Alcotest.(check (list int)) "all echoes correct"
+    (List.init nclients (fun _ -> 0))
+    bads
 
 (* Differential: depth-k pipelining must produce exactly the replies of k
    sequential sends, in request order. *)
@@ -1624,16 +1599,6 @@ let test_rpc_pipelined_validation () =
 
 let suites =
   [
-    ( "realipc.tl_queue",
-      [
-        Alcotest.test_case "fifo" `Quick test_tlq_fifo;
-        Alcotest.test_case "capacity" `Quick test_tlq_capacity;
-        Alcotest.test_case "is_empty" `Quick test_tlq_is_empty;
-        Alcotest.test_case "concurrent transfer" `Quick
-          test_tlq_concurrent_transfer;
-        QCheck_alcotest.to_alcotest prop_tlq_model;
-        QCheck_alcotest.to_alcotest prop_tlq_batch_model;
-      ] );
     ( "realipc.spsc_ring",
       [
         Alcotest.test_case "fifo" `Quick test_spsc_fifo;
@@ -1652,16 +1617,20 @@ let suites =
         QCheck_alcotest.to_alcotest prop_spsc_batch_model;
         Alcotest.test_case "batch validation + prefix boundary" `Quick
           test_batch_validation;
-        Alcotest.test_case "multipush invisible until flush" `Quick
-          test_spsc_multipush_visibility;
-        Alcotest.test_case "multipush auto-flush at 8" `Quick
-          test_spsc_multipush_autoflush;
-        Alcotest.test_case "multipush mixed-use fifo" `Quick
-          test_spsc_multipush_mixed_fifo;
-        Alcotest.test_case "multipush all-or-nothing at full" `Quick
-          test_spsc_multipush_full;
-        Alcotest.test_case "multipush concurrent 1p/1c transfer" `Quick
-          test_spsc_multipush_concurrent_transfer;
+        Alcotest.test_case "batch concurrent 1p/1c transfer" `Quick
+          test_spsc_batch_concurrent;
+        Alcotest.test_case "one-word and pair messages share one fifo" `Quick
+          test_spsc_mixed_words;
+        Alcotest.test_case "is_empty and length track occupancy" `Quick
+          (occupancy_case Spsc_ring.create Spsc_ring.enqueue Spsc_ring.dequeue
+             Spsc_ring.is_empty Spsc_ring.length);
+        Alcotest.test_case "two rings carved from one arena stay apart"
+          `Quick
+          (carved_apart_case Spsc_ring.arena_words Spsc_ring.carve
+             Spsc_ring.enqueue Spsc_ring.dequeue Spsc_ring.nil);
+        Alcotest.test_case "arena_words covers a carve at any offset" `Quick
+          (arena_words_case Spsc_ring.arena_words Spsc_ring.carve
+             Spsc_ring.enqueue Spsc_ring.dequeue);
       ]
       @ Ring_cases.stale_snapshot_cases "spsc"
           (fun ~capacity -> Spsc_ring.create ~capacity ())
@@ -1698,6 +1667,21 @@ let suites =
           (mpsc_concurrent ~capacity:3 ~nproducers:2);
         Alcotest.test_case "concurrent 2p/1c at capacity 4 (ring 4)" `Quick
           (mpsc_concurrent ~capacity:4 ~nproducers:2);
+        Alcotest.test_case "fifo" `Quick test_mpsc_fifo;
+        Alcotest.test_case "rejects negative values" `Quick
+          test_mpsc_rejects_negative_value;
+        Alcotest.test_case "concurrent 1p/1c transfer" `Quick
+          (mpsc_concurrent ~capacity:16 ~nproducers:1);
+        Alcotest.test_case "is_empty and length track occupancy" `Quick
+          (occupancy_case Mpsc_ring.create Mpsc_ring.enqueue Mpsc_ring.dequeue
+             Mpsc_ring.is_empty Mpsc_ring.length);
+        Alcotest.test_case "two rings carved from one arena stay apart"
+          `Quick
+          (carved_apart_case Mpsc_ring.arena_words Mpsc_ring.carve
+             Mpsc_ring.enqueue Mpsc_ring.dequeue Mpsc_ring.nil);
+        Alcotest.test_case "arena_words covers a carve at any offset" `Quick
+          (arena_words_case Mpsc_ring.arena_words Mpsc_ring.carve
+             Mpsc_ring.enqueue Mpsc_ring.dequeue);
       ]
       @ Ring_cases.stale_snapshot_cases "mpsc"
           (fun ~capacity -> Mpsc_ring.create ~capacity ())
@@ -1714,10 +1698,10 @@ let suites =
         Alcotest.test_case "try_p counting" `Quick test_rsem_try_p;
         Alcotest.test_case "try_p never blocks" `Quick
           test_rsem_try_p_never_blocks;
-        Alcotest.test_case "v_n counting + validation" `Quick
-          test_rsem_v_n_counting;
-        Alcotest.test_case "v_n 4-domain no-lost-wakeup stress" `Quick
-          test_rsem_v_n_no_lost_wakeup;
+        Alcotest.test_case "V bursts 4-domain no-lost-wakeup stress" `Quick
+          test_rsem_v_burst_no_lost_wakeup;
+        Alcotest.test_case "try_p races P across domains" `Quick
+          test_rsem_try_p_races_p;
         Alcotest.test_case "channel semaphores park at once" `Quick
           test_channel_sem_parks_at_once;
         Alcotest.test_case "grace catches a V a few us late" `Quick
@@ -1741,16 +1725,13 @@ let suites =
       ] );
     ( "realipc.rpc",
       [
-        (* The default transport is the ring; the two-lock variants pin
-           the classic backend. *)
         Alcotest.test_case "echo, spin (BSS)" `Quick
           (echo_exchange ~messages:50 Rpc.Spin);
-        Alcotest.test_case "echo, spin (BSS, two-lock)" `Quick
-          (echo_exchange ~messages:50 ~transport:Real_substrate.Two_lock
-             Rpc.Spin);
+        Alcotest.test_case "echo, spin (BSS, one client)" `Quick
+          (echo_exchange ~messages:50 ~nclients:1 Rpc.Spin);
         Alcotest.test_case "echo, block (BSW)" `Quick (echo_exchange Rpc.Block);
-        Alcotest.test_case "echo, block (BSW, two-lock)" `Quick
-          (echo_exchange ~transport:Real_substrate.Two_lock Rpc.Block);
+        Alcotest.test_case "echo, block (BSW, 4 clients)" `Quick
+          (echo_exchange ~nclients:4 Rpc.Block);
         Alcotest.test_case "echo, block+yield (BSWY)" `Quick
           (echo_exchange Rpc.Block_yield);
         Alcotest.test_case "echo, limited spin (BSLS)" `Quick
@@ -1758,21 +1739,21 @@ let suites =
         Alcotest.test_case "echo, handoff" `Quick (echo_exchange Rpc.Handoff);
         Alcotest.test_case "echo, adaptive (ADAPT)" `Quick
           (echo_exchange (Rpc.Adaptive 4096));
-        Alcotest.test_case "echo, adaptive (ADAPT, two-lock)" `Quick
-          (echo_exchange ~transport:Real_substrate.Two_lock (Rpc.Adaptive 4096));
+        Alcotest.test_case "echo, adaptive (ADAPT, 4 clients)" `Quick
+          (echo_exchange ~messages:200 ~nclients:4 (Rpc.Adaptive 4096));
         Alcotest.test_case "async post/collect" `Quick test_rpc_async;
         Alcotest.test_case "validation" `Quick test_rpc_validation;
         Alcotest.test_case "no stale wake-ups (try_p drain, ring)" `Quick
-          (test_rpc_no_stale_wakeups Real_substrate.Ring);
-        Alcotest.test_case "no stale wake-ups (try_p drain, two-lock)" `Quick
-          (test_rpc_no_stale_wakeups Real_substrate.Two_lock);
+          (test_rpc_no_stale_wakeups Rpc.Block);
+        Alcotest.test_case "no stale wake-ups (try_p drain, BSWY)" `Quick
+          (test_rpc_no_stale_wakeups Rpc.Block_yield);
         Alcotest.test_case "counters" `Quick test_rpc_counters;
         Alcotest.test_case "batched server (receive_batch/reply_batch, ring)"
           `Quick
-          (test_rpc_batched_server Real_substrate.Ring);
+          (test_rpc_batched_server (Rpc.Adaptive 4096));
         Alcotest.test_case
-          "batched server (receive_batch/reply_batch, two-lock)" `Quick
-          (test_rpc_batched_server Real_substrate.Two_lock);
+          "batched server (receive_batch/reply_batch, BSW, 4 clients)" `Quick
+          (test_rpc_batched_server ~nclients:4 Rpc.Block);
         Alcotest.test_case "pipelined depth-8 = sequential (differential)"
           `Quick test_rpc_pipelined_differential;
         Alcotest.test_case "pipelined validation" `Quick

@@ -401,9 +401,15 @@ let test_slab_high_water () =
 (* ------------------------------------------------------------------ *)
 (* Rsem directed wake-ups *)
 
-(* v_n with fewer credits than sleepers must release exactly that many
-   waiters — a broadcast here would wake the whole herd and the surplus
-   would show up as extra completions. *)
+(* [n] credits, one V each. *)
+let post_credits s n =
+  for _ = 1 to n do
+    Rsem.v s
+  done
+
+(* Fewer credits than sleepers must release exactly that many waiters —
+   a broadcast here would wake the whole herd and the surplus would
+   show up as extra completions. *)
 let test_rsem_directed_wake () =
   let n = 8 in
   let s = Rsem.create 0 in
@@ -415,14 +421,14 @@ let test_rsem_directed_wake () =
             Atomic.incr completed))
   in
   await "all waiters parked" (fun () -> Rsem.parked s = n);
-  Rsem.v_n s 3;
+  post_credits s 3;
   await "3 directed wake-ups" (fun () -> Atomic.get completed = 3);
   (* The remaining 5 must still be asleep: give a stray broadcast time
      to surface before checking. *)
   Unix.sleepf 0.05;
   Alcotest.(check int) "exactly 3 released" 3 (Atomic.get completed);
   Alcotest.(check int) "5 still parked" (n - 3) (Rsem.parked s);
-  Rsem.v_n s (n - 3);
+  post_credits s (n - 3);
   List.iter Domain.join waiters;
   Alcotest.(check int) "all released" n (Atomic.get completed);
   Alcotest.(check int) "no waiters left" 0 (Rsem.parked s);
@@ -458,7 +464,8 @@ let test_rsem_wake_latency n () =
             Trace_ring.record trace Ulipc_observe.Event.Dequeue ~chan))
   in
   await "all waiters parked" (fun () -> Rsem.parked s = n);
-  (* Half the credits one V at a time, the rest as one directed v_n. *)
+  (* Half the credits one V at a time, the rest stamped first and then
+     posted as one run of Vs. *)
   let half = n / 2 in
   for _ = 1 to half do
     Trace_ring.record trace Ulipc_observe.Event.Enqueue ~chan;
@@ -469,7 +476,7 @@ let test_rsem_wake_latency n () =
     Trace_ring.record trace Ulipc_observe.Event.Enqueue ~chan;
     Trace_ring.record trace Ulipc_observe.Event.Wake ~chan
   done;
-  Rsem.v_n s (n - half);
+  post_credits s (n - half);
   List.iter Domain.join waiters;
   let report =
     Ulipc_observe.Trace_analysis.analyse
@@ -529,7 +536,7 @@ let test_rsem_observability () =
   await "all waiters parked" (fun () -> Rsem.parked s = n);
   Alcotest.(check int) "parks counts committed tickets" n (Rsem.parks s);
   Alcotest.(check int) "no grants yet" 0 (Rsem.grants s);
-  Rsem.v_n s n;
+  post_credits s n;
   List.iter Domain.join waiters;
   Alcotest.(check int) "all grants dispensed" n (Rsem.grants s);
   Alcotest.(check int) "nobody left parked" 0 (Rsem.parked s);
@@ -566,7 +573,7 @@ let test_rsem_shared_slot () =
   Alcotest.(check int) "waits all on slot 0" n (Rsem.slot_waits s).(0);
   Alcotest.(check int) "no credit left" 0 (Rsem.value s)
 
-(* Fairness / starvation-freedom property: under paced v_n bursts, the
+(* Fairness / starvation-freedom property: under paced bursts of Vs, the
    FIFO ticket dispenser must spread wakes evenly — no waiter's tally
    may exceed 3x the median, and every posted credit must release
    exactly one park (a lost wake-up times out the pacing await; a
@@ -580,7 +587,7 @@ let total_of_rounds n rounds =
   !t
 
 let prop_rsem_fairness =
-  QCheck.Test.make ~name:"waiting array is fair under v_n coalescing"
+  QCheck.Test.make ~name:"waiting array is fair under V bursts"
     ~count:15
     QCheck.(pair (int_range 2 4) (int_range 8 30))
     (fun (n, rounds) ->
@@ -605,16 +612,16 @@ let prop_rsem_fairness =
       for round = 1 to rounds do
         await "all waiters parked" (fun () -> Rsem.parked s = n);
         let burst = 1 + (round mod n) in
-        Rsem.v_n s burst;
+        post_credits s burst;
         (* Pacing: every credit of the burst consumed and its takers
            re-parked before the next burst — this is where a lost
-           wake-up under coalescing would hang (and fail the await). *)
+           wake-up would hang (and fail the await). *)
         await "burst fully consumed" (fun () ->
             tally () = total_of_rounds n round && Rsem.parked s = n)
       done;
       let total = tally () in
       Atomic.set stop true;
-      Rsem.v_n s n;
+      post_credits s n;
       List.iter Domain.join waiters;
       let sorted = Array.map Atomic.get counts in
       Array.sort compare sorted;
@@ -655,7 +662,7 @@ let suites =
       ] );
     ( "realipc.rsem_directed",
       [
-        Alcotest.test_case "v_n wakes exactly n" `Quick
+        Alcotest.test_case "n Vs wake exactly n" `Quick
           test_rsem_directed_wake;
         Alcotest.test_case "wake latency, 2 waiters" `Quick
           (test_rsem_wake_latency 2);

@@ -165,10 +165,11 @@ let test_truncated_trace_suppresses_end_checks () =
 (* ------------------------------------------------------------------ *)
 (* End to end: both backends come back violation-free *)
 
-let test_real_run_clean (waiting, name) transport () =
+let test_real_run_clean ?depth ?nservers (waiting, name) () =
   let sink = Ulipc_real.Trace_ring.create ~capacity:65536 () in
   let m =
-    Real_driver.run ~transport ~trace:sink ~nclients:2 ~messages:100 waiting
+    Real_driver.run ?depth ?nservers ~trace:sink ~nclients:2 ~messages:100
+      waiting
   in
   Alcotest.(check int) "all messages echoed" 200 m.Metrics.messages;
   Alcotest.(check int) "nothing dropped" 0
@@ -327,22 +328,22 @@ let suites =
           test_truncated_trace_suppresses_end_checks;
       ] );
     ( "observe.end_to_end",
-      List.concat_map
+      List.map
         (fun (waiting, name) ->
-          [
-            Alcotest.test_case
-              (Printf.sprintf "%s clean (ring)" name)
-              `Quick
-              (test_real_run_clean (waiting, name)
-                 Ulipc_real.Real_substrate.Ring);
-            Alcotest.test_case
-              (Printf.sprintf "%s clean (two-lock)" name)
-              `Quick
-              (test_real_run_clean (waiting, name)
-                 Ulipc_real.Real_substrate.Two_lock);
-          ])
+          Alcotest.test_case
+            (Printf.sprintf "%s clean (ring)" name)
+            `Quick
+            (test_real_run_clean (waiting, name)))
         real_protocols
       @ [
+          Alcotest.test_case "handoff clean (ring)" `Quick
+            (test_real_run_clean (Ulipc_real.Rpc.Handoff, "handoff"));
+          Alcotest.test_case "BSLS 0 clean (ring)" `Quick
+            (test_real_run_clean (Ulipc_real.Rpc.Limited_spin 0, "BSLS 0"));
+          Alcotest.test_case "BSW clean (ring, 2 servers)" `Quick
+            (test_real_run_clean ~nservers:2 (Ulipc_real.Rpc.Block, "BSW"));
+          Alcotest.test_case "BSW clean (ring, depth 4)" `Quick
+            (test_real_run_clean ~depth:4 (Ulipc_real.Rpc.Block, "BSW"));
           Alcotest.test_case "simulated BSW clean (uniprocessor)" `Quick
             (test_sim_run_clean Ulipc_machines.Sgi_indy.machine);
           Alcotest.test_case "simulated BSW clean (multiprocessor)" `Quick

@@ -62,8 +62,8 @@ let test_latency_collection () =
   | Some hist ->
     Alcotest.(check int)
       "one sample per message" 300
-      (Ulipc.Histogram.count hist);
-    let mean = Ulipc.Histogram.mean hist in
+      (Ulipc_observe.Histogram.count hist);
+    let mean = Ulipc_observe.Histogram.mean hist in
     let rt = Metrics.round_trip_us m in
     Alcotest.(check bool)
       (Printf.sprintf "latency mean %.1f ~ round-trip %.1f" mean rt)
@@ -72,8 +72,8 @@ let test_latency_collection () =
     (* Percentiles are available and ordered. *)
     Alcotest.(check bool)
       "p99 >= p50" true
-      (Ulipc.Histogram.percentile hist 99.0
-      >= Ulipc.Histogram.percentile hist 50.0)
+      (Ulipc_observe.Histogram.percentile hist 99.0
+      >= Ulipc_observe.Histogram.percentile hist 50.0)
 
 let test_server_work_slows_throughput () =
   let run work =
