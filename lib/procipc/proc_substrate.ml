@@ -1,7 +1,7 @@
 (* The cross-PROCESS instantiation of Ulipc.Substrate.S: every word the
-   peers synchronise on — ring indices and slots, awake flags, futex
-   semaphore counts, payload slots — lives in one mmap'd MAP_SHARED
-   arena ({!Parena}), and the peers are fork'd processes, not domains.
+   peers synchronise on — ring indices and cells, semaphore counts and
+   waiting arrays, payload slots — lives in one mmap'd MAP_SHARED arena
+   ({!Parena}), and the peers are fork'd processes, not domains.
 
    The OCaml records below are carved by the parent BEFORE forking and
    inherited copy-on-write: they hold word OFFSETS into the arena (plus
@@ -15,22 +15,22 @@
                      ({!Ulipc_real.Mpsc_ring} request ring, one
                      {!Ulipc_real.Spsc_ring} reply ring per client),
                      carrying one-word messages (client word 0);
-   - awake flag   -> one arena word, 0/1, test-and-set via the stub's
-                     atomic exchange;
-   - semaphore    -> {!Fsem}: two userspace atomics uncontended,
-                     FUTEX_WAIT/FUTEX_WAKE contended — the kernel
-                     sleep/wake-up the paper's blocking protocols need,
-                     without a kernel queue object;
+   - semaphore    -> the in-process {!Ulipc_real.Rsem}, carved from
+                     the arena with [~spin:0]: one userspace atomic
+                     uncontended, FUTEX_WAIT/FUTEX_WAKE on a waiting-
+                     array slot contended — the kernel sleep/wake-up
+                     the paper's blocking protocols need, without a
+                     kernel queue object;
+   - awake flag   -> the flag bit of that semaphore's count word, with
+                     the same always-writing CASes as in-process;
    - await        -> the in-process {!Ulipc_real.Grace} spin over the
                      ring's dequeue, with the awake flag still set;
    - messages     -> {!Pslab} slot indices, no_msg = -1, as in-process.
 
-   [await] is what keeps a synchronous pair out of the parking regime.
-   Fsem's own grace is a short spin (64 pauses, ~1.5 µs) that cannot
-   outlast a peer's futex wake, so before [await] a pair that parked
-   once kept parking on most calls.  [await] waits on the message for
-   up to 20 µs while producers still see the consumer awake and issue
-   no V; Fsem is reached only by a consumer whose peer really is idle.
+   [await] is what keeps a synchronous pair out of the parking regime:
+   it waits on the message for up to 20 µs while producers still see
+   the consumer awake and issue no V, so the semaphore is reached only
+   by a consumer whose peer really is idle.
 
    The scheduling hints differ from Real_substrate in one deliberate
    way: the peer is a separate PROCESS, and nothing preempts a spinning
@@ -42,16 +42,21 @@
    Counters and trace events are PROCESS-LOCAL (each process accumulates
    into its own copy-on-write record); the fork driver marshals them
    back over a pipe and merges, so the published totals cover every
-   process without a single shared cache line of instrumentation. *)
+   process without a single shared cache line of instrumentation.  The
+   semaphores' park and grant totals are shared words instead, so each
+   channel's are harvested by one process only: its consumer. *)
 
 module Spsc_ring = Ulipc_real.Spsc_ring
 module Mpsc_ring = Ulipc_real.Mpsc_ring
+module Rsem = Ulipc_real.Rsem
 
 type channel = {
   queue : queue;
-  awake_w : int; (* arena word: 0/1 consumer-awake flag *)
-  sem : Fsem.t;
+  sem : Rsem.t; (* its flag bit is the consumer's awake flag *)
   chan_id : int; (* -1 = request channel, n >= 0 = reply channel n *)
+  mutable consumer : bool;
+      (* process-local: this process has called [sem_p] here, so it is
+         the channel's consumer and harvests its semaphore *)
 }
 
 and queue = Q_mpsc of Mpsc_ring.t | Q_spsc of Spsc_ring.t
@@ -69,10 +74,11 @@ type msg = int
 
 let no_msg = Pslab.nil
 
+(* Consumers start awake, as in-process. *)
 let make_channel a ~chan_id queue =
-  let awake_w = Parena.alloc_line a ~words:Parena.cache_line_words in
-  Parena.set a awake_w 1 (* consumers start awake, as in-process *);
-  { queue; awake_w; sem = Fsem.create a; chan_id }
+  let sem = Rsem.carve ~spin:0 a 0 in
+  Rsem.flag_set sem;
+  { queue; sem; chan_id; consumer = false }
 
 let create ?trace ?slots ?(extra_words = 0) ~capacity ~nclients () =
   if nclients <= 0 then
@@ -85,9 +91,8 @@ let create ?trace ?slots ?(extra_words = 0) ~capacity ~nclients () =
      allocator cannot run dry mid-carve.  Every aligned allocation may
      first skip up to [line - 1] words of padding.
      - Per channel (the request channel and one reply channel per
-       client): the awake line (8), the Fsem's two lines (16) and two
-       allocations' padding; and its ring, whose [arena_words] includes
-       its own padding.
+       client): its semaphore and its ring, whose [arena_words] each
+       include their own padding.
      - Per client, one more line for the caller: the fork driver
        carves each client's telemetry word after [create].
      - The slab: three counter lines and three [slots]-word arrays, six
@@ -95,7 +100,7 @@ let create ?trace ?slots ?(extra_words = 0) ~capacity ~nclients () =
      - 1024 words of fixed headroom (the driver's barrier lines), plus
        whatever [extra_words] the caller asks for. *)
   let line = Parena.cache_line_words in
-  let channel_words = line + (2 * line) + (2 * (line - 1)) in
+  let channel_words = Rsem.arena_words () in
   let slab_words = (3 * line) + (3 * slots) + (6 * (line - 1)) in
   let size_words =
     1024
@@ -201,25 +206,20 @@ let queue_length _ ch =
   | Q_mpsc q -> Mpsc_ring.length q
   | Q_spsc q -> Spsc_ring.length q
 
-(* Awake flag: one shared word, exchange for the producers' TAS.  The
-   consumer's clear is an exchange too, not a release store: it must be
-   a full barrier, or the C.3 dequeue load that follows can pass it
-   (x86 TSO lets a load overtake an earlier store to another word).  A
-   producer would then still see the consumer awake and skip its V
-   while the consumer, having seen the queue empty, sleeps for good.
-   The domains backend's clear is an always-writing CAS for the same
-   reason. *)
-let awake_test_and_set t ch = Parena.at_xchg t.arena ch.awake_w 1 <> 0
-let awake_clear t ch = ignore (Parena.at_xchg t.arena ch.awake_w 0 : int)
-let awake_set t ch = Parena.at_store t.arena ch.awake_w 1
-let awake_read t ch = Parena.at_load t.arena ch.awake_w <> 0
+(* The awake flag is the channel semaphore's flag bit, written with the
+   same full-barrier CASes as in-process (see Rsem). *)
+let awake_test_and_set _ ch = Rsem.flag_test_and_set ch.sem
+let awake_clear _ ch = Rsem.flag_clear ch.sem
+let awake_set _ ch = Rsem.flag_set ch.sem
+let awake_read _ ch = Rsem.flag_get ch.sem
 
 let sem_p t ch =
   emit t ch Ulipc_observe.Event.Block;
-  Fsem.p ch.sem
+  ch.consumer <- true;
+  Rsem.p ch.sem
 
 let sem_try_p t ch =
-  let ok = Fsem.try_p ch.sem in
+  let ok = Rsem.try_p ch.sem in
   (* Successful non-blocking P = the C.3' drain of a raced wake-up;
      recorded so the credit algebra balances (see Real_substrate). *)
   if ok then emit t ch Ulipc_observe.Event.Wake_drain;
@@ -227,13 +227,13 @@ let sem_try_p t ch =
 
 let sem_v t ch =
   emit t ch Ulipc_observe.Event.Wake;
-  Fsem.v ch.sem
+  Rsem.v ch.sem
 
 (* Timed P for dead-peer detection: NO Block event on purpose — a timed
    wait that expires would leave an unmatched Block in the credit
    algebra, and the timed path is a liveness probe outside the traced
    protocol (the trace runs use the untimed receive). *)
-let sem_p_timed _ ch ~timeout_ns = Fsem.p_timed ch.sem ~timeout_ns
+let sem_p_timed _ ch ~timeout_ns = Rsem.p_timed ch.sem ~timeout_ns
 
 let slept t =
   let c = t.counters in
@@ -268,17 +268,21 @@ let flow_sleep t n = if Ulipc_real.Grace.backoff ~short:false n then slept t
 let counters t = t.counters
 
 let wake_residue t =
-  let req = Fsem.value t.request_ch.sem in
-  Array.fold_left (fun acc ch -> acc + Fsem.value ch.sem) req t.replies
+  let req = Rsem.value t.request_ch.sem in
+  Array.fold_left (fun acc ch -> acc + Rsem.value ch.sem) req t.replies
 
-(* Process-local harvest: parks/grants tallies live in the per-process
-   copies of the Fsem records, so each process harvests its OWN traffic
-   into its OWN counters before marshalling them home. *)
+(* The park and grant totals are shared words that every process sees,
+   and the driver adds up the processes' counters.  Only a channel's
+   consumer parks on its semaphore, and it marks the channel before its
+   first P, so each process harvests the channels it consumes: every
+   channel's totals land in exactly one process's counters. *)
 let harvest_sem_counters t =
   let parks = ref 0 and grants = ref 0 in
   let tally ch =
-    parks := !parks + Fsem.parks ch.sem;
-    grants := !grants + Fsem.grants ch.sem
+    if ch.consumer then begin
+      parks := !parks + Rsem.parks ch.sem;
+      grants := !grants + Rsem.grants ch.sem
+    end
   in
   tally t.request_ch;
   Array.iter tally t.replies;

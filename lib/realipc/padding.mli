@@ -1,7 +1,7 @@
 (** Cache-line isolation for hot shared words.
 
-    Hot shared words such as a semaphore's count or a slab's free-list
-    head live in dedicated [Atomic.t] boxes.  Two one-word boxes
+    Hot shared words such as a slab's free-list head live in dedicated
+    [Atomic.t] boxes.  Two one-word boxes
     allocated back to back share a 64-byte cache line, so a writer of
     one would invalidate the line the other lives on — the classic
     false-sharing ping-pong.  {!copy_padded} re-allocates such a box with enough

@@ -1,8 +1,10 @@
 (* The real-OCaml-5-domains instantiation of Ulipc.Substrate.S: word
-   rings for the queues, an {!Rsem} counting semaphore (atomic
-   fast path, waiting-array park) whose count word also carries the
-   consumer's awake flag as its low bit, and the {!Grace} back-off
-   ladder or a pause hint for every scheduling hint.  Folding the flag
+   rings for the queues, an {!Rsem} counting semaphore (atomic fast
+   path, futex park on a waiting-array slot) whose count word also
+   carries the consumer's awake flag as its low bit, and the {!Grace}
+   back-off ladder or a pause hint for every scheduling hint.  Rings and
+   semaphores are carved from one {!Word_arena} per session, the same
+   words and the same code as on the fork'd backend.  Folding the flag
    into the semaphore word puts a wake-up's four locked operations
    (producer test-and-set and V, consumer P and flag set) on one cache
    line.
@@ -102,8 +104,8 @@ let reg_pos m = (m lsl 4) + 8
 
 (* Consumers start awake.  No grace in the semaphore: [await] has spent
    it on the queue before the consumer gets to P. *)
-let make_channel ~chan_id ~regs ~rx queue =
-  let sem = Rsem.create ~spin:0 0 in
+let make_channel arena ~chan_id ~regs ~rx queue =
+  let sem = Rsem.carve ~spin:0 arena 0 in
   Rsem.flag_set sem;
   { queue; sem; chan_id; regs; rx }
 
@@ -113,8 +115,8 @@ let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
   let shard_map =
     Shard_map.create ?assign:shard_assign ~nclients ~nshards:nservers ()
   in
-  (* Every ring is carved from the session's one arena, as on the fork'd
-     backend.  Mapping it refuses to start off x86-64
+  (* Every ring and semaphore is carved from the session's one arena, as
+     on the fork'd backend.  Mapping it refuses to start off x86-64
      ([Word_arena.create]). *)
   let reply_words =
     if nservers = 1 then Spsc_ring.arena_words ~capacity
@@ -124,7 +126,8 @@ let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
     Word_arena.create
       ~size_words:
         ((nservers * Mpsc_ring.arena_words ~capacity)
-        + (nclients * reply_words))
+        + (nclients * reply_words)
+        + ((nservers + nclients) * Rsem.arena_words ()))
       ()
   in
   let request_queue () = Q_mpsc (Mpsc_ring.carve arena ~capacity) in
@@ -141,11 +144,11 @@ let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
   {
     requests =
       Array.init nservers (fun k ->
-          make_channel ~chan_id:(-(k + 1)) ~regs ~rx:(nclients + k)
+          make_channel arena ~chan_id:(-(k + 1)) ~regs ~rx:(nclients + k)
             (request_queue ()));
     replies =
       Array.init nclients (fun i ->
-          make_channel ~chan_id:i ~regs ~rx:i (reply_queue ()));
+          make_channel arena ~chan_id:i ~regs ~rx:i (reply_queue ()));
     shard_map;
     steal = Array.init nservers (fun _ -> Atomic.make (-1));
     regs;

@@ -11,13 +11,13 @@
     client is still the only consumer), {!Spsc_ring} for reply channels
     when [nservers = 1] (the lone server is then the unique producer).
     No locks, no per-message allocation, and one {!Word_arena} per
-    session.
+    session, which holds the channel semaphores' words too.
 
     A blocking consumer first waits on the message: [await] polls the
     channel's queue for up to the {!Grace} spin with its awake flag
     still set, so a producer that finds the flag set issues no V.  Only
     when that grace runs out does the consumer clear its flag; the
-    channel semaphores are created with [~spin:0] and park at once.
+    channel semaphores are carved with [~spin:0] and park at once.
 
     The ring cell carries the message: two immediate words, the client
     number and one payload word.  A {!msg} is the index of a {e register}

@@ -1,7 +1,7 @@
 (* One mmap(MAP_SHARED) region of intnat words, viewed through a
    Bigarray and carved up by a bump allocator: the storage of every flat
-   ring, on both real backends, and of the fork'd backend's semaphore
-   and payload words.
+   ring and every channel semaphore, on both real backends, and of the
+   fork'd backend's payload words.
 
    This is the real-path realisation of the layout the sim-only
    [Ulipc_shm.Arena] models (offset-addressed allocations carved out of
@@ -53,12 +53,21 @@ let map ~size_words =
       Bigarray.array1_of_genarray
         (Unix.map_file fd Bigarray.int Bigarray.c_layout true [| size_words |]))
 
+(* This process's fork count, stamped into each arena so the atomics
+   can tell whether a fork may have shared it (see word_stubs.c). *)
+external fork_generation : unit -> int = "ulipc_word_fork_generation"
+[@@noalloc]
+
 let create ~size_words () =
   if size_words <= 0 then
     invalid_arg "Word_arena.create: size_words must be positive";
   Ring_layout.require_tso ~who:"Word_arena.create";
+  (* The stamp takes the last word of one extra line past the rounded-up
+     size, so it shares no line with a carved word. *)
+  let line = cache_line_words in
+  let mapped = ((size_words + line - 1) land lnot (line - 1)) + line in
   let words =
-    try map ~size_words with
+    try map ~size_words:mapped with
     | Unix.Unix_error (e, fn, _) ->
       failwith
         (Printf.sprintf "Word_arena.create: cannot map %d words (%s: %s)"
@@ -72,6 +81,7 @@ let create ~size_words () =
      page in up front, so no peer pays first-touch faults inside a
      measured interval. *)
   Bigarray.Array1.fill words 0;
+  Bigarray.Array1.set words (mapped - 1) (fork_generation ());
   { words; size_words; next = 0 }
 
 let words t = t.words
@@ -100,9 +110,14 @@ let set t i v = Bigarray.Array1.set t.words i v
 
 external load : words -> int -> int = "ulipc_word_load" [@@noalloc]
 external store : words -> int -> int -> unit = "ulipc_word_store" [@@noalloc]
-external xchg : words -> int -> int -> int = "ulipc_word_xchg" [@@noalloc]
 
 external fetch_add : words -> int -> int -> int = "ulipc_word_fetch_add"
+[@@noalloc]
+
+external futex_wait_ : words -> int -> int -> int -> int
+  = "ulipc_word_futex_wait"
+
+external futex_wake_ : words -> int -> int -> int = "ulipc_word_futex_wake"
 [@@noalloc]
 
 external cas : words -> int -> int -> int -> bool = "ulipc_word_cas"
@@ -110,6 +125,17 @@ external cas : words -> int -> int -> int -> bool = "ulipc_word_cas"
 
 let at_load t i = load t.words i
 let at_store t i v = store t.words i v
-let at_xchg t i v = xchg t.words i v
 let at_fetch_add t i d = fetch_add t.words i d
 let at_cas t i ~expected ~desired = cas t.words i expected desired
+
+(* Kernel sleep/wake on a word (see word_stubs.c for the 32-bit futex
+   word and why the futex is not process-private). *)
+type wait_result = Woken | Value_changed | Timed_out
+
+let futex_wait t i ~expected ~timeout_ns =
+  match futex_wait_ t.words i expected timeout_ns with
+  | 1 -> Value_changed
+  | 2 -> Timed_out
+  | _ -> Woken
+
+let futex_wake t i ~count = futex_wake_ t.words i count

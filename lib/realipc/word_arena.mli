@@ -1,9 +1,9 @@
 (** A shared word arena: an mmap'd ([MAP_SHARED]) region of intnat
     words behind a Bigarray, carved up by a bump allocator.  Every flat
-    ring ({!Spsc_ring}, {!Mpsc_ring}) lives in one, on the domains
-    backend and the fork'd backend alike, and the fork'd backend keeps
-    its semaphore and payload words there too
-    ([Ulipc_procipc.Parena] is this module plus the futex calls).
+    ring ({!Spsc_ring}, {!Mpsc_ring}) and every channel semaphore
+    ({!Rsem}) lives in one, on the domains backend and the fork'd
+    backend alike, and the fork'd backend keeps its payload words there
+    too ([Ulipc_procipc.Parena] is this module plus a yield).
 
     Structures carved here are {e word offsets}, never OCaml pointers:
     a fork'd session maps and carves the arena, then forks — children
@@ -36,7 +36,8 @@ val create : size_words:int -> unit -> t
 
 val words : t -> words
 (** The raw mapped words, for modules that inline their own unsafe
-    accesses over a carved-out span. *)
+    accesses over a carved-out span.  One line longer than the rounded-up
+    {!size_words}: its last word is the fork stamp the atomics read. *)
 
 val size_words : t -> int
 val used_words : t -> int
@@ -55,13 +56,24 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 (** Plain (fenceless) word store. *)
 
-(** {1 Atomic word operations} (C stubs over the mapped words) *)
+(** {1 Atomic word operations} (C stubs over the mapped words)
+
+    Like OCaml's own [Atomic], the read-modify-writes skip the lock
+    while the process runs one domain and has not forked since it
+    mapped the arena: then no other thread or process can reach the
+    word between the load and the store. *)
 
 external cas : words -> int -> int -> int -> bool = "ulipc_word_cas"
 [@@noalloc]
 (** [cas w i expected desired]: the raw compare-and-swap on word [i],
-    for the rings' ticket claim — declared [external] here so callers
-    in other modules call the stub directly. *)
+    for the rings' ticket claim and the semaphore's count word —
+    declared [external] here so callers in other modules call the stub
+    directly. *)
+
+external fetch_add : words -> int -> int -> int = "ulipc_word_fetch_add"
+[@@noalloc]
+(** [fetch_add w i d]: the raw fetch-and-add on word [i], returning the
+    previous value (the semaphore's V, P commit and tickets). *)
 
 val at_load : t -> int -> int
 (** Acquire load. *)
@@ -69,10 +81,25 @@ val at_load : t -> int -> int
 val at_store : t -> int -> int -> unit
 (** Release store. *)
 
-val at_xchg : t -> int -> int -> int
-(** Atomic exchange; returns the previous value. *)
-
 val at_fetch_add : t -> int -> int -> int
 (** Atomic fetch-and-add; returns the previous value. *)
 
 val at_cas : t -> int -> expected:int -> desired:int -> bool
+
+(** {1 Kernel sleep/wake on a word}
+
+    Shared (not process-private) futexes, so a wake reaches a waiter in
+    another domain and in a fork'd process alike.  Linux only; elsewhere
+    a wait is a 50 µs sleep that reports {!Woken}. *)
+
+type wait_result = Woken | Value_changed | Timed_out
+
+val futex_wait : t -> int -> expected:int -> timeout_ns:int -> wait_result
+(** Park until word [i]'s low 32 bits differ from [expected] or a wake
+    arrives; [timeout_ns < 0] waits forever.  [Woken] covers genuine,
+    spurious and signal-interrupted wake-ups — callers re-check their
+    predicate.  Releases the runtime lock while parked. *)
+
+val futex_wake : t -> int -> count:int -> int
+(** Wake up to [count] waiters parked on word [i] ([max_int]: all of
+    them); returns the number woken. *)

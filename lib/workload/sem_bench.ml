@@ -9,8 +9,9 @@
    core-count scale (the sharded driver already stops at 96 client
    domains), while the 512-waiter point of the sweep needs five hundred
    concurrently parked entities.  Threads park and wake through the
-   same Mutex/Condition slots — what the sweep measures is the
-   semaphore's wake discipline, not domain parallelism.
+   same futex slot words as domains and fork'd processes — what the
+   sweep measures is the semaphore's wake discipline, not domain
+   parallelism.
 
    Events are assembled from per-waiter stamp arrays rather than
    recorded through {!Ulipc_real.Trace_ring}: the ring is per-domain

@@ -1,11 +1,12 @@
 (* Tests for the cross-process substrate (lib/procipc): arena carving,
-   the futex semaphore, the arena rings, and the protocols end to end
-   across fork(2) — including the differential property that fork'd
-   processes over the shm arena compute exactly the reply sequences the
-   in-process domains backend computes, and the dead-peer guard that
-   keeps a server from hanging when its client is killed mid-run.  The
-   deadline-bounded liveness runs of the domains backend live here too:
-   only a forked child can be killed when a lost wake-up hangs it.
+   the semaphore and the arena rings with fork'd peers, and the
+   protocols end to end across fork(2) — including the differential
+   property that fork'd processes over the shm arena compute exactly
+   the reply sequences the in-process domains backend computes, and the
+   dead-peer guard that keeps a server from hanging when its client is
+   killed mid-run.  The deadline-bounded liveness runs of the domains
+   backend live here too: only a forked child can be killed when a lost
+   wake-up hangs it.
 
    These suites live in their own binary (main_proc.ml), NOT in the
    aggregate main.ml: OCaml 5's [Unix.fork] refuses to run once any
@@ -20,7 +21,6 @@
    buffered-output replay) — and parents always reap with waitpid. *)
 
 module Parena = Ulipc_procipc.Parena
-module Fsem = Ulipc_procipc.Fsem
 module Spsc = Ulipc_real.Spsc_ring
 module Mpsc = Ulipc_real.Mpsc_ring
 module Pslab = Ulipc_procipc.Pslab
@@ -69,6 +69,41 @@ let test_arena_shared_across_fork () =
   in
   Alcotest.(check int) "child wrote through the mapping" 42 seen;
   Alcotest.(check int) "parent reads the child's store" 42 (Parena.get a off)
+
+(* The word atomics skip the lock in a one-domain process that has not
+   forked since it mapped the arena (word_stubs.c), and this binary
+   never spawns a domain: only the arena's fork stamp puts the lock back
+   between processes.  A parent and a child that add to the same words
+   at once, by fetch-and-add and by a CAS loop, must lose no update. *)
+let test_arena_atomics_across_fork () =
+  let n = 1_000_000 in
+  let a = Parena.create ~size_words:32 () in
+  let w = Parena.words a in
+  let faa = Parena.alloc_line a ~words:1 in
+  let cas = Parena.alloc_line a ~words:1 in
+  let rec cas_incr () =
+    let v = Parena.get a cas in
+    if not (Parena.cas w cas v (v + 1)) then cas_incr ()
+  in
+  let work () =
+    for _ = 1 to n do
+      ignore (Parena.fetch_add w faa 1 : int);
+      cas_incr ()
+    done
+  in
+  let pid =
+    match Unix.fork () with
+    | 0 ->
+      (try work () with _ -> Unix._exit 1);
+      Unix._exit 0
+    | pid -> pid
+  in
+  work ();
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "child did not exit cleanly");
+  Alcotest.(check int) "fetch-and-add total" (2 * n) (Parena.get a faa);
+  Alcotest.(check int) "CAS total" (2 * n) (Parena.get a cas)
 
 (* Random allocation programs: every block is aligned as requested,
    in bounds, disjoint from every other block, and the offsets are
@@ -133,69 +168,6 @@ let test_arena_mapping_failure () =
     in
     Alcotest.(check string) "clear failure" prefix
       (String.sub msg 0 (min (String.length msg) (String.length prefix)))
-
-(* ------------------------------------------------------------------ *)
-(* Fsem: the futex semaphore *)
-
-let test_fsem_uncontended () =
-  let a = Parena.create ~size_words:64 () in
-  let s = Fsem.create a in
-  Alcotest.(check bool) "P on empty fails" false (Fsem.try_p s);
-  Fsem.v s;
-  Fsem.v s;
-  Alcotest.(check int) "two credits" 2 (Fsem.value s);
-  Alcotest.(check bool) "P succeeds" true (Fsem.try_p s);
-  Fsem.p s;
-  Alcotest.(check int) "drained" 0 (Fsem.value s)
-
-let test_fsem_cross_process_wake () =
-  let a = Parena.create ~size_words:64 () in
-  let s = Fsem.create a in
-  let n = 50 in
-  match Unix.fork () with
-  | 0 ->
-    for _ = 1 to n do
-      Fsem.v s
-    done;
-    Unix._exit 0
-  | pid ->
-    (* The child's Vs must wake every blocking P the parent issues —
-       across the process boundary, through the kernel when the grace
-       period misses. *)
-    for _ = 1 to n do
-      Fsem.p s
-    done;
-    Alcotest.(check int) "all credits consumed" 0 (Fsem.value s);
-    ignore (Unix.waitpid [] pid)
-
-let test_fsem_p_timed_expires () =
-  let a = Parena.create ~size_words:64 () in
-  let s = Fsem.create a in
-  let t0 = Ulipc_observe.Clock.now_ns () in
-  let got = Fsem.p_timed s ~timeout_ns:20_000_000 in
-  let elapsed = Ulipc_observe.Clock.now_ns () - t0 in
-  Alcotest.(check bool) "timed out without credit" false got;
-  Alcotest.(check bool)
-    (Printf.sprintf "waited at least ~20ms (%dns)" elapsed)
-    true
-    (elapsed >= 15_000_000);
-  (* And with a credit available it returns immediately. *)
-  Fsem.v s;
-  Alcotest.(check bool) "credit claims instantly" true
-    (Fsem.p_timed s ~timeout_ns:20_000_000)
-
-let test_fsem_p_timed_woken_by_child () =
-  let a = Parena.create ~size_words:64 () in
-  let s = Fsem.create a in
-  match Unix.fork () with
-  | 0 ->
-    Unix.sleepf 0.02;
-    Fsem.v s;
-    Unix._exit 0
-  | pid ->
-    Alcotest.(check bool) "woken well before the 5s timeout" true
-      (Fsem.p_timed s ~timeout_ns:5_000_000_000);
-    ignore (Unix.waitpid [] pid)
 
 (* ------------------------------------------------------------------ *)
 (* The flat rings carved from an arena, across fork *)
@@ -756,12 +728,15 @@ let test_driver_trace_invariants () =
    the test, killing the whole group, unless it exits cleanly within
    [timeout_s].  A lost wake-up leaves every process of a session parked
    in FUTEX_WAIT for good; the parent-side deadline turns that hang into
-   a failure. *)
+   a failure.  An exception [f] raises is printed to stderr first. *)
 let within_deadline ~timeout_s what f =
   match Unix.fork () with
   | 0 ->
     ignore (Unix.setsid () : int);
-    (try f () with _ -> Unix._exit 1);
+    (try f ()
+     with e ->
+       prerr_endline (Printexc.to_string e);
+       Unix._exit 1);
     Unix._exit 0
   | pid ->
     let deadline = Unix.gettimeofday () +. timeout_s in
@@ -779,6 +754,73 @@ let within_deadline ~timeout_s what f =
       | _, _ -> Alcotest.failf "%s: session failed" what
     in
     wait ()
+
+(* ------------------------------------------------------------------ *)
+(* The semaphore across fork: Sem_cases with fork'd peers, and the
+   harvest of a fork'd session's shared park and grant totals. *)
+
+(* A fork'd peer running [f]; the returned join fails the case unless
+   the peer exited cleanly. *)
+let in_peer f =
+  match Unix.fork () with
+  | 0 ->
+    (try f () with _ -> Unix._exit 1);
+    Unix._exit 0
+  | pid -> (
+    fun () ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "peer process failed")
+
+(* A BSW session whose server idles 2 ms between calls, far past its
+   grace, so it parks on the request semaphore.  The park and grant
+   totals are shared arena words, and the benchmark adds the client's
+   and the server's harvested counters, so the two harvests must split
+   the totals, not both report them. *)
+let test_harvest_splits_shared_totals () =
+  let calls = 40 in
+  let out = Parena.create ~size_words:64 () in
+  within_deadline ~timeout_s:20.0 "BSW session with an idle server"
+    (fun () ->
+      let t = Proc_rpc.create ~nclients:1 Proc_rpc.Block in
+      let harvested () =
+        Proc_rpc.harvest_sem_counters t;
+        let c = Proc_rpc.counters t in
+        (c.Ulipc.Counters.sem_parks, c.Ulipc.Counters.sem_grants)
+      in
+      let server =
+        in_peer (fun () ->
+            for _ = 1 to calls do
+              Proc_rpc.serve t (fun ~client:_ v -> v + 1)
+            done;
+            let parks, grants = harvested () in
+            Parena.at_store out 0 parks;
+            Parena.at_store out 8 grants)
+      in
+      for i = 1 to calls do
+        Unix.sleepf 0.002;
+        if Proc_rpc.send t ~client:0 i <> i + 1 then failwith "wrong reply"
+      done;
+      server ();
+      let parks, grants = harvested () in
+      Parena.at_store out 16 parks;
+      Parena.at_store out 24 grants;
+      let sub = t.Proc_rpc.sub in
+      let total f =
+        f (Proc_substrate.request sub).Proc_substrate.sem
+        + f (Proc_substrate.reply_channel sub 0).Proc_substrate.sem
+      in
+      Parena.at_store out 32 (total Ulipc_real.Rsem.parks);
+      Parena.at_store out 40 (total Ulipc_real.Rsem.grants));
+  let w i = Parena.at_load out (8 * i) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the idle server parked (%d parks)" (w 0))
+    true
+    (w 0 > 0);
+  Alcotest.(check int) "server + client parks = shared total" (w 4)
+    (w 0 + w 2);
+  Alcotest.(check int) "server + client grants = shared total" (w 5)
+    (w 1 + w 3)
 
 (* Two producer processes into one consumer through a 4-slot Pring.Mpsc
    ([cap = ring], so every lap reuses cells through the snapshot
@@ -970,21 +1012,22 @@ let suites =
       [
         Alcotest.test_case "shared across fork" `Quick
           test_arena_shared_across_fork;
+        Alcotest.test_case "atomics stay atomic across fork" `Quick
+          test_arena_atomics_across_fork;
         QCheck_alcotest.to_alcotest prop_arena_alloc_invariants;
         Alcotest.test_case "exhaustion raises" `Quick
           test_arena_exhaustion_raises;
         Alcotest.test_case "a mapping that fails raises Failure" `Quick
           test_arena_mapping_failure;
       ] );
-    ( "procipc.fsem",
-      [
-        Alcotest.test_case "uncontended V/P" `Quick test_fsem_uncontended;
-        Alcotest.test_case "cross-process wake" `Quick
-          test_fsem_cross_process_wake;
-        Alcotest.test_case "p_timed expires" `Quick test_fsem_p_timed_expires;
-        Alcotest.test_case "p_timed woken by child" `Quick
-          test_fsem_p_timed_woken_by_child;
-      ] );
+    ( "procipc.rsem",
+      Sem_cases.cases ~model_count:100 ~run:in_child
+        ~program:QCheck.Gen.(list_size (int_bound 12))
+        ~spawn:in_peer ~within:within_deadline ()
+      @ [
+          Alcotest.test_case "harvests split the shared totals" `Quick
+            test_harvest_splits_shared_totals;
+        ] );
     ( "procipc.ring",
       [
         Alcotest.test_case "spsc fifo+capacity" `Quick

@@ -609,51 +609,33 @@ let test_slab_rejects_bad_sizes () =
 (* ------------------------------------------------------------------ *)
 (* Rsem *)
 
-let test_rsem_counting () =
-  let s = Rsem.create 2 in
-  Rsem.p s;
-  Rsem.p s;
-  Alcotest.(check int) "drained" 0 (Rsem.value s);
-  Rsem.v s;
-  Rsem.v s;
-  Rsem.v s;
-  Alcotest.(check int) "accumulates" 3 (Rsem.value s)
+(* Sem_cases' peers in this binary: domains.  A case that overruns its
+   deadline fails and leaves its domain behind, parked. *)
+let in_domain f =
+  let d = Domain.spawn f in
+  fun () -> Domain.join d
 
-let test_rsem_pending_v_prevents_block () =
-  (* Interleaving 1 of the paper: a V posted before the P must remain
-     pending.  If it did not, this test would hang. *)
-  let s = Rsem.create 0 in
-  Rsem.v s;
-  Rsem.p s;
-  Alcotest.(check int) "consumed" 0 (Rsem.value s)
-
-let test_rsem_blocks_until_v () =
-  let s = Rsem.create 0 in
-  let woke = Atomic.make false in
-  let waiter =
+let within_domain ~timeout_s what f =
+  let result = Atomic.make None in
+  let _ : unit Domain.t =
     Domain.spawn (fun () ->
-        Rsem.p s;
-        Atomic.set woke true)
+        Atomic.set result
+          (Some (match f () with () -> Ok () | exception e -> Error e)))
   in
-  (* Give the waiter a chance to block, then wake it. *)
-  Unix.sleepf 0.02;
-  Alcotest.(check bool) "still blocked" false (Atomic.get woke);
-  Rsem.v s;
-  Domain.join waiter;
-  Alcotest.(check bool) "woke after V" true (Atomic.get woke)
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  match Atomic.get result with
+  | Some (Ok ()) -> ()
+  | Some (Error e) -> raise e
+  | None ->
+    Alcotest.failf "%s: still running after %.0f s (lost wake-up)" what
+      timeout_s
 
 let test_rsem_rejects_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Rsem.create: negative initial count")
     (fun () -> ignore (Rsem.create (-1)))
-
-let test_rsem_try_p () =
-  let s = Rsem.create 2 in
-  Alcotest.(check bool) "takes 1st" true (Rsem.try_p s);
-  Alcotest.(check bool) "takes 2nd" true (Rsem.try_p s);
-  Alcotest.(check bool) "refuses on zero" false (Rsem.try_p s);
-  Alcotest.(check int) "count untouched by refusal" 0 (Rsem.value s);
-  Rsem.v s;
-  Alcotest.(check bool) "takes after V" true (Rsem.try_p s)
 
 let test_rsem_try_p_never_blocks () =
   (* try_p on an empty semaphore must return, not wait: run it on this
@@ -832,129 +814,6 @@ let test_channel_sem_parks_at_once () =
     true
     (parks >= rounds * 3 / 4);
   Alcotest.(check int) "no credit" 0 (Real_substrate.wake_residue sub)
-
-(* The folded word ([2*count + flag]) against a [(count, flag)] model:
-   each operation's own result must match, and after every step [value]
-   is the model count — never showing the flag — and [flag_get] the
-   model flag.  A [P] runs only on a positive model count; on zero it
-   would wait for a V nobody posts. *)
-type rsem_op =
-  | V
-  | Try_p
-  | P
-  | Flag_tas
-  | Flag_clear
-  | Flag_set
-  | Flag_get
-
-let rsem_op_name = function
-  | V -> "v"
-  | Try_p -> "try_p"
-  | P -> "p"
-  | Flag_tas -> "flag_test_and_set"
-  | Flag_clear -> "flag_clear"
-  | Flag_set -> "flag_set"
-  | Flag_get -> "flag_get"
-
-let prop_rsem_flag_model =
-  let op =
-    QCheck.Gen.(
-      frequency
-        [
-          (5, return V);
-          (3, return Try_p);
-          (3, return P);
-          (2, return Flag_tas);
-          (2, return Flag_clear);
-          (1, return Flag_set);
-          (1, return Flag_get);
-        ])
-  in
-  let arb =
-    QCheck.make
-      QCheck.Gen.(pair (int_bound 3) (list op))
-      ~print:(fun (init, ops) ->
-        Printf.sprintf "create %d; %s" init
-          (String.concat "; " (List.map rsem_op_name ops)))
-  in
-  QCheck.Test.make ~name:"Rsem count and flag bit match a (count, flag) model"
-    ~count:300 arb (fun (init, ops) ->
-      let s = Rsem.create init in
-      let count = ref init and flag = ref false in
-      let step = function
-        | V ->
-          Rsem.v s;
-          incr count;
-          true
-        | Try_p ->
-          let expect = !count > 0 in
-          if expect then decr count;
-          Rsem.try_p s = expect
-        | P ->
-          if !count > 0 then begin
-            Rsem.p s;
-            decr count
-          end;
-          true
-        | Flag_tas ->
-          let was = !flag in
-          flag := true;
-          Rsem.flag_test_and_set s = was
-        | Flag_clear ->
-          Rsem.flag_clear s;
-          flag := false;
-          true
-        | Flag_set ->
-          Rsem.flag_set s;
-          flag := true;
-          true
-        | Flag_get -> Rsem.flag_get s = !flag
-      in
-      List.for_all
-        (fun op -> step op && Rsem.value s = !count && Rsem.flag_get s = !flag)
-        ops)
-
-(* Two domains on one word: the toggler writes the flag (test-and-set,
-   clear, set in turn) and posts one credit after each write; the taker
-   takes each credit with a P and, every fourth round, runs a V/try_p
-   pair of its own.  [~spin:0] makes every P that finds no credit commit
-   at once, so flag CASes also land while the count is negative and the
-   taker is parked.  No flag write may add or eat a credit and no V or
-   P may change the flag: at quiescence the count is 0, every park was
-   granted, and the flag is the toggler's last write. *)
-let test_rsem_flag_vs_credits () =
-  let s = Rsem.create ~spin:0 0 in
-  let rounds = 20_000 in
-  let toggler =
-    Domain.spawn (fun () ->
-        for i = 1 to rounds do
-          (match i mod 3 with
-          | 0 -> ignore (Rsem.flag_test_and_set s : bool)
-          | 1 -> Rsem.flag_clear s
-          | _ -> Rsem.flag_set s);
-          Rsem.v s
-        done)
-  in
-  let taker =
-    Domain.spawn (fun () ->
-        let missed = ref 0 in
-        for i = 1 to rounds do
-          Rsem.p s;
-          if i mod 4 = 0 then begin
-            Rsem.v s;
-            if not (Rsem.try_p s) then incr missed
-          end
-        done;
-        !missed)
-  in
-  Domain.join toggler;
-  let missed = Domain.join taker in
-  Alcotest.(check int) "own V always taken back by try_p" 0 missed;
-  Alcotest.(check int) "credits balance" 0 (Rsem.value s);
-  Alcotest.(check int) "nobody parked" 0 (Rsem.parked s);
-  Alcotest.(check int) "every park granted" (Rsem.parks s) (Rsem.grants s);
-  Alcotest.(check bool) "flag is the last write" (rounds mod 3 <> 1)
-    (Rsem.flag_get s)
 
 (* ------------------------------------------------------------------ *)
 (* Grace, and the substrate's await over it *)
@@ -1689,13 +1548,9 @@ let suites =
       @ Ring_cases.torn_cases ~start:in_domains "mpsc 2p/1c"
           Ring_cases.mpsc_torn );
     ( "realipc.rsem",
-      [
-        Alcotest.test_case "counting" `Quick test_rsem_counting;
-        Alcotest.test_case "pending V (Interleaving 1)" `Quick
-          test_rsem_pending_v_prevents_block;
-        Alcotest.test_case "blocks until V" `Quick test_rsem_blocks_until_v;
+      Sem_cases.cases ~spawn:in_domain ~within:within_domain ()
+      @ [
         Alcotest.test_case "rejects negative" `Quick test_rsem_rejects_negative;
-        Alcotest.test_case "try_p counting" `Quick test_rsem_try_p;
         Alcotest.test_case "try_p never blocks" `Quick
           test_rsem_try_p_never_blocks;
         Alcotest.test_case "V bursts 4-domain no-lost-wakeup stress" `Quick
@@ -1707,9 +1562,6 @@ let suites =
         Alcotest.test_case "grace catches a V a few us late" `Quick
           test_rsem_grace_catches_late_v;
         Alcotest.test_case "spin 0 parks at once" `Quick test_rsem_spin0_parks;
-        QCheck_alcotest.to_alcotest prop_rsem_flag_model;
-        Alcotest.test_case "flag writes race V/P, 2 domains" `Quick
-          test_rsem_flag_vs_credits;
       ] );
     ( "realipc.grace",
       [
