@@ -398,7 +398,7 @@ let sweep_rows ~quick () =
     nservers_list
 
 (* Cross-process rows: the paper's protocols over the mmap'd arena
-   (fork'd processes, futex-backed semaphores — lib/procipc), raced
+   (fork'd processes, futex-backed semaphores — Proc_driver), raced
    against the kernel-IPC baselines on the same machine: a pipe pair
    and a Unix-domain socketpair, the FreeBSD-ladder comparison of
    arXiv:2008.02145.  All rows are 1 client / 1 server so round-trip

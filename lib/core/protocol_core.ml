@@ -1,7 +1,8 @@
 (* The substrate-parametric protocol core: every sleep/wake-up protocol of
    the paper, written once against the Substrate.S primitives and
-   instantiated over the simulator (Sim_protocols), real OCaml 5 domains
-   (Ulipc_real.Rpc) and fork'd processes (Ulipc_procipc.Proc_rpc).
+   instantiated over the simulator (Sim_protocols) and real hardware,
+   where the peers are OCaml 5 domains or fork'd processes
+   (Ulipc_real.Rpc).
    Nothing in this file knows whether time is simulated or real.
 
    The six protocols are one algorithm.  They share the producer steps

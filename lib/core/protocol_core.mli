@@ -10,9 +10,9 @@
     explicit argument of every operation.  Each substrate composes its
     calls from the same {!Make.produce}/{!Make.consume} halves on the
     channels its session shape dictates: {!Dispatch} and {!Async} over
-    the simulated session ({!Sim_protocols}), [Ulipc_real.Rpc] over a
-    sharded request plane on OCaml 5 domains, [Ulipc_procipc.Proc_rpc]
-    over fork'd processes.  A new backend only has to provide a
+    the simulated session ({!Sim_protocols}), and [Ulipc_real.Rpc] over
+    a sharded request plane whose peers are OCaml 5 domains or fork'd
+    processes.  A new backend only has to provide a
     substrate, and differential testing across substrates is meaningful
     because there is nothing else to differ.
 

@@ -1,4 +1,4 @@
-(* The fork'd backend's name for the one semaphore (see fsem.mli). *)
+(* The layer ladder's name for the one semaphore (see fsem.mli). *)
 
 include Ulipc_real.Rsem
 

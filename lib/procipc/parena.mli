@@ -1,9 +1,9 @@
-(** The cross-process shared-memory arena: {!Ulipc_real.Word_arena}
-    (an mmap'd [MAP_SHARED] region of words, a bump allocator, atomic
-    word operations and the futex sleep/wake on a word) plus a yield
-    that releases the runtime lock.  A {!Proc_substrate} session maps
-    and carves one before forking; see {!Ulipc_real.Word_arena} for the
-    layout rules. *)
+(** The layer ladder's name for {!Ulipc_real.Word_arena} (an mmap'd
+    [MAP_SHARED] region of words, a bump allocator, atomic word
+    operations and the futex sleep/wake on a word) plus a yield that
+    releases the runtime lock: the arena its [pring_*], [pslab_*] and
+    [fsem_*] rungs carve from.  Every session maps its own; see
+    {!Ulipc_real.Word_arena} for the layout rules. *)
 
 include module type of struct
   include Ulipc_real.Word_arena

@@ -1,6 +1,6 @@
 (* The arena-ring names the layer ladder measures, kept as adapters: the
    rings themselves are Ulipc_real.Spsc_ring and Mpsc_ring, which live on
-   arena words and serve the fork'd backend unchanged. *)
+   arena words and serve every session, fork'd or not. *)
 
 module Spsc = struct
   type t = Ulipc_real.Spsc_ring.t

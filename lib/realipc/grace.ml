@@ -3,8 +3,8 @@
    as the bound.  It polls a caller-supplied function until the poll
    returns something other than [miss], or until the grace is over.
 
-   Two callers use it.  [Real_substrate.await] and [Proc_substrate.await]
-   poll their channel's ring with the awake flag still set, before the
+   Two callers use it.  [Real_substrate.await] polls its channel's ring
+   with the awake flag still set, before the
    consumer's C.2 — the waiting a synchronous pair does on nearly every
    hop.  [Rsem.p]'s standalone default polls the count before parking,
    for semaphores used outside the protocol core.  The count-driven

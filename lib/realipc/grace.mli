@@ -2,9 +2,9 @@
     backends: poll until something arrives, the grace runs out, or the
     spinning thread turns out to have been descheduled.
 
-    [Real_substrate.await] and [Ulipc_procipc.Proc_substrate.await] run
-    it over their channel's ring before the consumer clears its awake
-    flag; {!Rsem.p} runs it over the count before parking.  See grace.ml
+    [Real_substrate.await] runs it over its channel's ring before the
+    consumer clears its awake flag; {!Rsem.p} runs it over the count
+    before parking.  See grace.ml
     for why the bound is wall time and how the spin gives way to a peer
     sharing its CPU.  Also the back-off ladder both backends' retry
     loops climb, and the scheduling stubs under both. *)

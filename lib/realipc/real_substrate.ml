@@ -1,13 +1,17 @@
-(* The real-OCaml-5-domains instantiation of Ulipc.Substrate.S: word
-   rings for the queues, an {!Rsem} counting semaphore (atomic fast
-   path, futex park on a waiting-array slot) whose count word also
-   carries the consumer's awake flag as its low bit, and the {!Grace}
-   back-off ladder or a pause hint for every scheduling hint.  Rings and
-   semaphores are carved from one {!Word_arena} per session, the same
-   words and the same code as on the fork'd backend.  Folding the flag
-   into the semaphore word puts a wake-up's four locked operations
-   (producer test-and-set and V, consumer P and flag set) on one cache
-   line.
+(* The real-hardware instantiation of Ulipc.Substrate.S, for peers
+   that are OCaml 5 domains or fork'd processes alike: word rings for
+   the queues, an {!Rsem} counting semaphore (atomic fast path, futex
+   park on a waiting-array slot) whose count word also carries the
+   consumer's awake flag as its low bit, and the {!Grace} back-off
+   ladder or a one-shot pause or yield for every scheduling hint.  Every
+   word the peers
+   share — rings, semaphores, steal tokens, the slab's free list — is
+   carved from one {!Word_arena} per session, a MAP_SHARED mapping, so
+   a session created before a fork works between the processes exactly
+   as between domains: the fork'd peers' copies of the records below
+   hold offsets into the same words.  Folding the flag into the
+   semaphore word puts a wake-up's four locked operations (producer
+   test-and-set and V, consumer P and flag set) on one cache line.
 
    A consumer rarely pays them.  Its [await] polls the queue for up to
    the {!Grace} spin before C.2, with its flag still set: a producer's
@@ -28,8 +32,9 @@
    register is only ever written by its endpoint's own domain — the
    consumer side always, the producer side on the paths whose caller is
    the endpoint (a client's send, a server's in-place reply) — so it
-   needs no synchronisation and, unlike the shared slab it replaces, no
-   locked free-list operation per message.  Queue emptiness is the
+   needs no synchronisation, no locked free-list operation per message,
+   and no sharing at all: a fork'd endpoint's copy-on-write copy of the
+   register file is exactly the state it needs.  Queue emptiness is the
    [no_msg] sentinel (-1), never an option — so the steady-state data
    path touches no heap: no message records, no option boxing, no
    queue nodes.  Paths whose caller is not an endpoint (a post, a reply
@@ -44,12 +49,13 @@
    keeps the old [-1], and every consumer-side role test is just
    [chan_id < 0]); reply channels keep their client number.
 
-   Cross-shard rebalancing hangs off the per-shard STEAL TOKENS: an
-   idle server CAS-claims the token of a loaded sibling, and that
-   sibling — the only consumer its Mpsc_ring permits — hands a span of
-   its backlog over by draining and re-enqueueing onto the thief's
-   ring.  The token is the whole substrate-side mechanism (three
-   operations below); the orchestration lives in {!Rpc}.
+   Cross-shard rebalancing hangs off the per-shard STEAL TOKENS, one
+   arena word each: an idle server CAS-claims the token of a loaded
+   sibling, and that sibling — the only consumer its Mpsc_ring permits
+   — hands a span of its backlog over by draining and re-enqueueing
+   onto the thief's ring.  The token is the whole substrate-side
+   mechanism (the operations below); the orchestration lives in
+   {!Rpc}.
 
    The queues exploit the session shape: each request shard has many
    producers and exactly one consumer (Mpsc_ring), and each reply
@@ -57,16 +63,20 @@
    reply producer is unique too (the server), so replies ride
    {!Spsc_ring}; with a server *pool* any server may answer a stolen
    request, so reply channels switch to {!Mpsc_ring} (still
-   single-consumer).  All rings are lock-free, allocation-free per
-   message, and carved from one {!Word_arena} per session, the same
-   words the fork'd backend's rings live in.
+   single-consumer).  All rings are lock-free and allocation-free per
+   message.
 
    Instrumentation lives here, on the substrate side of the signature's
    counters seam, so the protocol core stays untouched: an optional
    Trace_ring sink records the unified Ulipc_observe.Event schema
    (enqueue/dequeue/block/wake/drain/handoff/spin-exhaust) with
    CLOCK_MONOTONIC timestamps into per-domain flat bounded rings.  With
-   no sink attached the hot path pays one option match per operation. *)
+   no sink attached the hot path pays one option match per operation.
+   The counters and the trace rings are heap records, so fork'd peers
+   each fill their own copy and a driver adds them up; the semaphores'
+   park and grant totals are shared words instead, which is why
+   [harvest_sem_counters] reports only the channels this process has
+   consumed. *)
 
 type queue = Q_spsc of Spsc_ring.t | Q_mpsc of Mpsc_ring.t
 
@@ -76,15 +86,22 @@ type channel = {
   chan_id : int; (* -(k+1) = request shard k, n >= 0 = reply channel n *)
   regs : int array; (* the session's register file *)
   rx : int; (* the consumer's register: where a dequeue lands *)
+  mutable consumer : bool;
+      (* this process has P'd here, so it harvests the semaphore's
+         totals: shared by domains, private to each fork'd process *)
 }
 
 type t = {
+  arena : Word_arena.t;
+  words : Word_arena.words; (* the arena's, for the token externals *)
   requests : channel array; (* one per server shard *)
   replies : channel array;
   shard_map : Shard_map.t;
-  steal : int Atomic.t array;
-      (* per-shard steal token: -1 = free, else the shard id of the idle
-         server asking this shard's owner for a span of its backlog *)
+  steal : int;
+      (* arena offset of shard 0's steal token; shard [k]'s is [k] lines
+         on.  -1 = free, else the shard id of the idle server asking
+         this shard's owner for a span of its backlog *)
+  slab : Slab.t; (* the boxed codec's side table *)
   regs : int array;
       (* the register file: register [m]'s (client, word) at
          [reg_pos m], [reg_pos (m + 1)] *)
@@ -107,16 +124,26 @@ let reg_pos m = (m lsl 4) + 8
 let make_channel arena ~chan_id ~regs ~rx queue =
   let sem = Rsem.carve ~spin:0 arena 0 in
   Rsem.flag_set sem;
-  { queue; sem; chan_id; regs; rx }
+  { queue; sem; chan_id; regs; rx; consumer = false }
 
-let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
+let line = Word_arena.cache_line_words
+
+let create ?trace ?(nservers = 1) ?shard_assign ?slots ~capacity ~nclients ()
+    =
   if nservers <= 0 then
     invalid_arg "Real_substrate.create: nservers must be positive";
   let shard_map =
     Shard_map.create ?assign:shard_assign ~nclients ~nshards:nservers ()
   in
-  (* Every ring and semaphore is carved from the session's one arena, as
-     on the fork'd backend.  Mapping it refuses to start off x86-64
+  (* Default side-table sizing: every channel full of boxed payloads
+     plus one in flight per endpoint can never exhaust it. *)
+  let slots =
+    match slots with
+    | Some n -> n
+    | None -> (nclients + nservers) * (capacity + 1)
+  in
+  (* Every ring, semaphore, steal token and slab word is carved from the
+     session's one arena.  Mapping it refuses to start off x86-64
      ([Word_arena.create]). *)
   let reply_words =
     if nservers = 1 then Spsc_ring.arena_words ~capacity
@@ -127,7 +154,9 @@ let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
       ~size_words:
         ((nservers * Mpsc_ring.arena_words ~capacity)
         + (nclients * reply_words)
-        + ((nservers + nclients) * Rsem.arena_words ()))
+        + ((nservers + nclients) * Rsem.arena_words ())
+        + (nservers * line) + line - 1
+        + Slab.arena_words ~slots)
       ()
   in
   let request_queue () = Q_mpsc (Mpsc_ring.carve arena ~capacity) in
@@ -141,7 +170,13 @@ let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
   in
   (* One register per client (0 .. nclients-1), then one per server. *)
   let regs = Array.make (reg_pos (nclients + nservers)) 0 in
+  let steal = Word_arena.alloc_line arena ~words:(nservers * line) in
+  for k = 0 to nservers - 1 do
+    Word_arena.set arena (steal + (k * line)) (-1)
+  done;
   {
+    arena;
+    words = Word_arena.words arena;
     requests =
       Array.init nservers (fun k ->
           make_channel arena ~chan_id:(-(k + 1)) ~regs ~rx:(nclients + k)
@@ -150,7 +185,8 @@ let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
       Array.init nclients (fun i ->
           make_channel arena ~chan_id:i ~regs ~rx:i (reply_queue ()));
     shard_map;
-    steal = Array.init nservers (fun _ -> Atomic.make (-1));
+    steal;
+    slab = Slab.carve arena ~slots;
     regs;
     (* Both domains write the counters on every call.  Their field
        order keeps the client's fields off the server's lines; the
@@ -163,6 +199,7 @@ let create ?trace ?(nservers = 1) ?shard_assign ~capacity ~nclients () =
   }
 
 let trace t = t.trace
+let slab t = t.slab
 
 (* Substrate.S names a single request channel, shard 0.  The protocol
    core never calls [S.request]: Rpc hands it each shard channel
@@ -208,19 +245,27 @@ let request_depth t k = queue_length t.requests.(k).queue
    servicing it, so a token is honoured at most once); [steal_retract]
    lets a thief withdraw a request its own ring has since made moot —
    CAS, not set, because the victim may be taking it concurrently.
-   Either CAS failing is benign: the token was already consumed. *)
+   Either CAS failing is benign: the token was already consumed.  The
+   tokens are arena words, so fork'd servers share them; they go through
+   Word_arena's [external]s, which compile inline, because a pooled
+   server reads its token on every receive. *)
+let token t k =
+  if k < 0 || k >= Array.length t.requests then
+    invalid_arg (Printf.sprintf "Real_substrate: no shard %d" k);
+  t.steal + (k * line)
+
 let steal_claim t ~victim ~thief =
-  Atomic.compare_and_set t.steal.(victim) (-1) thief
+  Word_arena.cas t.words (token t victim) (-1) thief
 
 let steal_take t ~shard =
-  let tok = t.steal.(shard) in
-  let thief = Atomic.get tok in
-  if thief >= 0 && Atomic.compare_and_set tok thief (-1) then thief else -1
+  let tok = token t shard in
+  let thief = Word_arena.get_word t.words tok in
+  if thief >= 0 && Word_arena.cas t.words tok thief (-1) then thief else -1
 
 let steal_retract t ~victim ~thief =
-  ignore (Atomic.compare_and_set t.steal.(victim) thief (-1) : bool)
+  ignore (Word_arena.cas t.words (token t victim) thief (-1) : bool)
 
-let steal_pending t ~shard = Atomic.get t.steal.(shard)
+let steal_pending t ~shard = Word_arena.get_word t.words (token t shard)
 
 let emit t ch kind =
   match t.trace with
@@ -336,8 +381,11 @@ let awake_clear _ ch = Rsem.flag_clear ch.sem
 let awake_set _ ch = Rsem.flag_set ch.sem
 let awake_read _ ch = Rsem.flag_get ch.sem
 
+(* The consumer mark is written once, so later P's leave the record's
+   line alone. *)
 let sem_p t ch =
   emit t ch Ulipc_observe.Event.Block;
+  if not ch.consumer then ch.consumer <- true;
   Rsem.p ch.sem
 
 let sem_try_p t ch =
@@ -352,31 +400,55 @@ let sem_v t ch =
   emit t ch Ulipc_observe.Event.Wake;
   Rsem.v ch.sem
 
-(* Domains are genuinely parallel OS threads, so the waiting/scheduling
-   hints are the paper's multiprocessor busy-wait — but a pure pause-hint
-   spin is pathological whenever domains outnumber CPUs (the BSS consumer
-   burns its whole timeslice while the producer holds the only core).
-   [busy_wait] and [flow_sleep] therefore take the rung of the {!Grace}
-   back-off ladder that the calling loop's count of failed waits has
-   reached: pauses, then yields, then bounded parks so the peer actually
-   gets the core.  Each park is recorded in the substrate counters.
-   [poll] stays a single pause hint — BSLS accounts its own bounded
-   spin. *)
+(* Timed P for dead-peer detection: NO Block event on purpose — a timed
+   wait that expires would leave an unmatched Block in the credit
+   algebra, and the timed path is a liveness probe outside the traced
+   protocol (the trace runs use the untimed receive).  It never parks,
+   so it needs no consumer mark. *)
+let sem_p_timed _ ch ~timeout_ns = Rsem.p_timed ch.sem ~timeout_ns
+
+(* Domains and fork'd processes are both kernel threads running in
+   parallel, so the waiting/scheduling hints are the paper's
+   multiprocessor busy-wait — but a pure pause-hint spin is pathological
+   whenever peers outnumber CPUs (the BSS consumer burns its whole
+   timeslice while the producer holds the only core).  [busy_wait] and
+   [flow_sleep] therefore take the rung of the {!Grace} back-off ladder
+   that the calling loop's count of failed waits has reached: pauses,
+   then yields, then bounded parks so the peer actually gets the core.
+   Each park is recorded in the substrate counters.
+
+   The one-shot hints — [yield] and the hand-offs — depend on who the
+   peers are, which the session learns from its arena's fork stamp
+   ({!Word_arena.outlived_fork}).  Between domains they are a pause: a
+   sched_yield there made the BSWY and HANDOFF round trips slower
+   (EXPERIMENTS.md, "One real backend").  Once the session has outlived
+   a fork its peers are processes, and they are a sched_yield: nothing
+   preempts a spinning process early, so only a yield lets a peer
+   sharing this CPU run.  No directed hand-off syscall exists between
+   domains or processes; the hint is the §6 approximation.  A BSLS
+   [poll] slice is a pause on a multiprocessor, where it keeps arrival
+   latency minimal, and otherwise the one-shot hint, since between
+   processes on a uniprocessor only a yield can make the producer
+   runnable at all; BSLS accounts its own bounded spin. *)
 let slept t =
   let c = t.counters in
   c.Ulipc.Counters.backoff_sleeps <- c.Ulipc.Counters.backoff_sleeps + 1
 
 let busy_wait t ~short n = if Grace.backoff ~short n then slept t
-let poll _ _ = Domain.cpu_relax ()
-let yield _ = Domain.cpu_relax ()
+
+let yield t =
+  if Word_arena.outlived_fork t.arena then Grace.sched_yield ()
+  else Domain.cpu_relax ()
+
+let poll t _ = if Grace.multicore then Domain.cpu_relax () else yield t
 
 let handoff_server t =
   emit t t.requests.(0) Ulipc_observe.Event.Handoff;
-  Domain.cpu_relax ()
+  yield t
 
 let handoff_any t =
   emit t t.requests.(0) Ulipc_observe.Event.Handoff;
-  Domain.cpu_relax ()
+  yield t
 
 let flow_sleep t n = if Grace.backoff ~short:false n then slept t
 let counters t = t.counters
@@ -388,14 +460,22 @@ let wake_residue t =
   Array.fold_left (fun acc ch -> acc + Rsem.value ch.sem) req t.replies
 
 (* Post-run harvest (the slab high-water pattern): total the
-   waiting-array traffic of every channel semaphore into the session
-   counters.  Parks and grants are monotone per semaphore, so summing
-   at quiescence is exact. *)
+   waiting-array traffic of the channel semaphores this process consumes
+   into the session counters.  Parks and grants are monotone per
+   semaphore, so summing at quiescence is exact.  Only a channel's
+   consumer parks on its semaphore, and it marks the channel before its
+   first P, so an unmarked channel has no parks and no grants: between
+   domains, where the marks are shared, this is the sum over every
+   channel.  Between fork'd processes each harvests the channels it
+   consumes, so the totals, which are shared words, land in exactly one
+   process's counters when a driver adds them up. *)
 let harvest_sem_counters t =
   let parks = ref 0 and grants = ref 0 in
   let tally ch =
-    parks := !parks + Rsem.parks ch.sem;
-    grants := !grants + Rsem.grants ch.sem
+    if ch.consumer then begin
+      parks := !parks + Rsem.parks ch.sem;
+      grants := !grants + Rsem.grants ch.sem
+    end
   in
   Array.iter tally t.requests;
   Array.iter tally t.replies;

@@ -1,9 +1,19 @@
-(** Real-OCaml-5-domains substrate for the protocol core.
+(** Real-hardware substrate for the protocol core, whose peers are
+    OCaml 5 domains or fork'd processes.
 
     Lock-free word rings for the data path, {!Rsem} for the counting
     semaphores — each channel's awake flag is the flag bit of its
     semaphore's count word, so a wake-up touches one contended cache
-    line — and [Domain.cpu_relax] delay hints for every busy-wait.
+    line — and the {!Grace} back-off ladder or a one-shot pause or
+    yield for every scheduling hint.
+
+    Every word the peers share (rings, semaphores, steal tokens, the
+    slab's free list) is carved from one {!Word_arena} per session, a
+    [MAP_SHARED] mapping.  A session created before [fork] therefore
+    works between the fork'd processes exactly as between domains; what
+    stays on the heap is either written by one endpoint only (the
+    register file), immutable (the shard map), or per-process on
+    purpose (counters, trace rings, consumer marks).
 
     The rings are shaped to the session: {!Mpsc_ring} for each request
     shard (many clients, one server) and for the reply channels of a
@@ -26,7 +36,8 @@
     register into the claimed cell; {!dequeue} copies a ready cell into
     the channel consumer's own register and returns it.  Only the
     endpoint's own domain may write its register, so the steady-state
-    data path allocates nothing and takes no lock.  Producers that are
+    data path allocates nothing and takes no lock; a fork'd endpoint's
+    copy of the register file is all it needs.  Producers that are
     not the endpoint ({!Rpc.post}, {!Rpc.reply}, the batch and steal
     paths) pass [(client, word)] pairs directly ({!enqueue_pair},
     {!enqueue_many}).  The single
@@ -53,14 +64,16 @@ val create :
   ?trace:Trace_ring.t ->
   ?nservers:int ->
   ?shard_assign:(int -> int) ->
+  ?slots:int ->
   capacity:int ->
   nclients:int ->
   unit ->
   t
 (** [nservers] request shard channels (default 1) plus [nclients] reply
     channels, each bounded by [capacity], a register file of
-    [nclients + nservers] registers, and a fresh {!Ulipc.Counters}
-    sink.  [shard_assign] overrides
+    [nclients + nservers] registers, a {!Slab} of [slots] boxed-payload
+    slots (default [(nclients + nservers) * (capacity + 1)]), and a
+    fresh {!Ulipc.Counters} sink.  [shard_assign] overrides
     the round-robin client→shard map (see {!Shard_map.create}).
     [trace] attaches an event-trace sink: every
     successful enqueue/dequeue, every semaphore block/wake and every
@@ -69,13 +82,17 @@ val create :
     [Substrate.S] seam, like the counters, so the protocol core is
     untouched.  Shard [k]'s channel id is [-(k+1)] (shard 0 keeps the
     historical [-1]); reply channel [n] keeps id [n].
-    Every ring is carved from one {!Word_arena} mapped here.
+    Every shared word is carved from one {!Word_arena} mapped here;
+    create the session before forking its peers.
     @raise Failure if the arena cannot be mapped, or on a build for any
     architecture but x86-64: the rings publish with plain stores, which
     are releases only under x86-TSO (see {!Ring_layout.require_tso}). *)
 
 val trace : t -> Trace_ring.t option
 (** The sink given at {!create} time, for post-run draining. *)
+
+val slab : t -> Slab.t
+(** The boxed codec's side table, carved from the session arena. *)
 
 val nclients : t -> int
 
@@ -85,10 +102,17 @@ val wake_residue : t -> int
     at quiescence. *)
 
 val harvest_sem_counters : t -> unit
-(** Total every channel semaphore's waiting-array traffic (cumulative
-    parks and directed grants) into the session counters' [sem_parks]
-    and [sem_grants] — call at quiescence, the slab high-water
-    pattern. *)
+(** Total the waiting-array traffic (cumulative parks and directed
+    grants) of every channel semaphore this process has P'd on into the
+    session counters' [sem_parks] and [sem_grants] — call at
+    quiescence, the slab high-water pattern.  Between domains that is
+    every channel that has any traffic; between fork'd processes each
+    process reports the channels it consumes, so adding the processes'
+    counters counts each shared total once. *)
+
+val sem_p_timed : t -> channel -> timeout_ns:int -> bool
+(** {!Rsem.p_timed} on the channel's semaphore: the dead-peer guard of
+    {!Rpc.receive_opt}.  Records no trace event. *)
 
 (** {1 Register file}
 
@@ -133,7 +157,7 @@ val request_depth : t -> int -> int
 
 (** {2 Steal tokens}
 
-    One CAS word per shard, [-1] when free.  A server with nothing to do
+    One arena word per shard, on a line of its own, [-1] when free.  A server with nothing to do
     posts its shard id on a loaded sibling ({!steal_claim}); the
     sibling — its ring's only legal consumer — consumes the token
     ({!steal_take}), drains a span of its backlog and re-enqueues it on

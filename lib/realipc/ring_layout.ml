@@ -11,9 +11,8 @@
    four-word cell per slot, (seq, client, word, spare).  A cell carries
    the whole message — the client number and one payload word, copied in
    by the producer and out by the consumer — so no payload lives
-   anywhere else.  Callers with one value per message (the fork'd
-   backend's Pslab slot indices, the layer ladder) send it as the word
-   with client 0.
+   anywhere else.  Callers with one value per message (the layer
+   ladder, the ring tests) send it as the word with client 0.
 
    One-shared-line rule.  A cell is the only line both sides write, the
    consumer writes only its own index, and a producer reads the

@@ -1,8 +1,9 @@
-(* Send/Receive/Reply on real OCaml 5 domains.
+(* Send/Receive/Reply on real hardware, between OCaml 5 domains or
+   between fork'd processes.
 
    This module contains NO protocol logic of its own: it instantiates the
    substrate-parametric core (Ulipc.Protocol_core.Make) over the
-   real-domains substrate and makes every call one core operation —
+   real substrate and makes every call one core operation —
    send, receive, reply, produce, consume — on an explicit channel: the
    producer steps P.1–P.3, the consumer sequence C.1–C.5, the raced-
    wake-up drain, the poll loops and the ADAPT controller are the very
@@ -10,6 +11,14 @@
    request plane be SHARDED without widening the Substrate.S seam: a
    client's send targets its home shard's channel, a server's receive
    drains its own shard's channel.
+
+   The peers may be domains or processes: every word they share lives
+   in the substrate's session arena, and the heap state below is either
+   owned by one endpoint (each server's scratch spans and stash, each
+   client's span, each channel's ADAPT budget) or per-process by
+   design (the counters).  A session created before [fork] therefore
+   serves fork'd peers unchanged, with int codecs: a boxed payload is
+   a heap pointer, which the slab refuses to hand across fork.
 
    Cross-shard rebalancing is handoff-based stealing.  Mpsc_ring has
    exactly one legal consumer, so an idle server cannot dequeue from a
@@ -54,7 +63,10 @@ type waiting = Ulipc.Protocol_core.waiting =
 (* A codec is how a payload becomes the message's word.  [Word] is the
    identity.  [Boxed] parks an arbitrary value in the session's slab,
    the boxed side table, and sends its slot index; decoding releases
-   the slot.  The dynamic check Univ used to do per message is replaced
+   the slot.  The slab's box column is heap, so a boxed encode or
+   decode in a process where the session has outlived a fork raises
+   (Slab.set_box/get_box) instead of reading another address space's
+   pointer.  The dynamic check Univ used to do per message is replaced
    by the session invariant that each channel direction only ever
    carries its own codec's encoding — enforced by the ('req, 'rep)
    phantom on [t], not at runtime. *)
@@ -91,7 +103,6 @@ type ('req, 'rep) t = {
          Atomic for cross-domain publication, never contended. *)
   req_codec : 'req codec;
   rep_codec : 'rep codec;
-  slab : Slab.t; (* the boxed codec's side table *)
   servers : server_state array;
   client_scratch : int array array;
       (* span buffer per client, for its bursts and batch collects;
@@ -110,27 +121,15 @@ let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
   let rep_codec =
     match rep_codec with Some c -> c | None -> boxed_codec ()
   in
-  (* Default side-table sizing: every channel full of boxed payloads
-     plus one in flight per endpoint (client or server) can never
-     exhaust it, so the protocols' flow control (the bounded queues) is
-     what callers observe, not slab pressure.  The channel count grows
-     with the fleet — [nservers] request shards plus [nclients] reply
-     channels — hence the dependence on both. *)
-  let slots =
-    match slots with
-    | Some n -> n
-    | None -> (nclients + nservers) * (capacity + 1)
-  in
   let span () = Array.make (2 * capacity) 0 in
   {
     waiting;
     sub =
-      Real_substrate.create ?trace ~nservers ?shard_assign ~capacity
+      Real_substrate.create ?trace ~nservers ?shard_assign ?slots ~capacity
         ~nclients ();
     adapt = Array.init (nservers + nclients) (fun _ -> Atomic.make 0);
     req_codec;
     rep_codec;
-    slab = Slab.create ~slots ();
     servers =
       Array.init nservers (fun _ ->
           {
@@ -147,7 +146,7 @@ let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
 let nclients t = Real_substrate.nclients t.sub
 let nservers t = Real_substrate.nshards t.sub
 let trace t = Real_substrate.trace t.sub
-let slab t = t.slab
+let slab t = Real_substrate.slab t.sub
 let counters t = Real_substrate.counters t.sub
 let request_depth t k = Real_substrate.request_depth t.sub k
 let wake_residue t = Real_substrate.wake_residue t.sub
@@ -185,7 +184,7 @@ let bump_replies t k =
 let alloc_retry_limit = 10_000
 
 let rec alloc_slot_retry t retries =
-  let slab = t.slab in
+  let slab = slab t in
   let i = Slab.try_alloc slab in
   if i >= 0 then i
   else if retries >= alloc_retry_limit then
@@ -207,7 +206,7 @@ let encode : type a req rep. (req, rep) t -> a codec -> a -> int =
   | Word -> v
   | Boxed ->
     let i = alloc_slot_retry t 0 in
-    Slab.set_box t.slab i (Obj.repr v);
+    Slab.set_box (slab t) i (Obj.repr v);
     i
 
 let decode : type a req rep. (req, rep) t -> a codec -> int -> a =
@@ -215,8 +214,9 @@ let decode : type a req rep. (req, rep) t -> a codec -> int -> a =
   match codec with
   | Word -> w
   | Boxed ->
-    let v = Obj.obj (Slab.get_box t.slab w) in
-    Slab.release t.slab w;
+    let s = slab t in
+    let v = Obj.obj (Slab.get_box s w) in
+    Slab.release s w;
     v
 
 (* ------------------------------------------------------------------ *)
@@ -452,6 +452,74 @@ let serve ?(server = 0) t f =
      server's next receive can land in it. *)
   Real_substrate.set_register sub i ~client ~word:(encode t t.rep_codec rep);
   reply_msg t ~client i
+
+(* Timed server receive — the dead-peer detection path: the blocking
+   sequence (Figure 4's C.1..C.5) on the server's own shard with the
+   kernel wait bounded.  When the timed P expires we must decide
+   whether the timeout LOST A RACE with a producer.  The producers'
+   protocol makes that decidable: a producer that saw awake = false has
+   either already issued its V or is about to, so one more test-and-set
+   of the awake flag tells the two cases apart —
+
+   - awake was still false: no producer signalled since we cleared it;
+     the flag is now restored to true (the TAS set it), the queue was
+     empty at C.3 and nothing arrived, so this is a clean timeout.
+     Any LATER producer sees awake = true and skips its V: no credit
+     leaks.
+
+   - awake was already true: a producer raced the timeout, its message
+     is (or is about to be) in the queue and its credit is (or is about
+     to be) in the semaphore.  Drain that credit — it may lag the flag
+     by an instant, hence the bounded wait — and go collect the
+     message.
+
+   Returns the message's register, or [no_msg] on a clean timeout. *)
+let rec receive_until t ch ~deadline =
+  let sub = t.sub in
+  let m = Real_substrate.dequeue sub ch in
+  if m != Real_substrate.no_msg then m
+  else begin
+    Real_substrate.awake_clear sub ch;
+    let m = Real_substrate.dequeue sub ch in
+    if m != Real_substrate.no_msg then begin
+      P.Prims.drain_raced_wakeup sub ch;
+      m
+    end
+    else begin
+      let remaining = deadline - Ulipc_observe.Clock.now_ns () in
+      if
+        remaining > 0
+        && Real_substrate.sem_p_timed sub ch ~timeout_ns:remaining
+      then begin
+        Real_substrate.awake_set sub ch;
+        receive_until t ch ~deadline
+      end
+      else if Real_substrate.awake_test_and_set sub ch then begin
+        (* A producer raced the timeout: its credit is in flight. *)
+        P.Prims.take_credit sub ch 0;
+        receive_until t ch ~deadline
+      end
+      else Real_substrate.no_msg
+    end
+  end
+
+(* Stash first, as in [receive_msg]: stolen-handoff leftovers are the
+   oldest messages this server owns. *)
+let receive_opt ?(server = 0) t ~timeout_ns =
+  check_server t server;
+  let m = pop_stash t ~server in
+  let m =
+    if m != Real_substrate.no_msg then m
+    else
+      receive_until t
+        (Real_substrate.request_shard t.sub server)
+        ~deadline:(Ulipc_observe.Clock.now_ns () + timeout_ns)
+  in
+  if m == Real_substrate.no_msg then None
+  else begin
+    bump_receives t 1;
+    Some (received t m)
+  end
 
 (* The asynchronous halves: the core's producer half, and exactly the
    client consumer half of [send] (cf. Ulipc.Async on the simulator

@@ -1,9 +1,9 @@
-(** The paper's Send/Receive/Reply protocols on real OCaml 5 domains.
+(** The paper's Send/Receive/Reply protocols on real hardware, between
+    OCaml 5 domains or between fork'd processes.
 
-    Domains within one process stand in for processes sharing a memory
-    segment: the queue structure, the awake-flag discipline and the race
-    repairs are {e literally} the simulated protocols — this module is
-    [Ulipc.Protocol_core.Make] applied to the real-domains substrate
+    The queue structure, the awake-flag discipline and the race repairs
+    are {e literally} the simulated protocols — this module is
+    [Ulipc.Protocol_core.Make] applied to the real substrate
     ({!Real_substrate}), with every entry point one core operation on the
     shard's or the client's channel, so the waiting-mode dispatch, the
     producer steps P.1–P.3 and the consumer sequence C.1–C.5 exist in the
@@ -28,20 +28,29 @@
     ({!int_codec}) a steady-state round-trip allocates {e nothing} on
     the minor heap — at any [nservers] — and
     touches no shared memory but the ring cells and the channel
-    semaphore words. *)
+    semaphore words.
+
+    Every word the peers share lives in the session's
+    {!Word_arena}, so a session created before [fork] serves fork'd
+    peers exactly as it serves domains: one process per client and per
+    server, each passing its own [~client] or [~server] number.  Only
+    {!int_codec} crosses fork; a {!boxed_codec} payload is a heap
+    pointer, and encoding or decoding one in a process where the
+    session has outlived a fork raises [Invalid_argument].  Each
+    process keeps its own {!counters}; add them up after the run. *)
 
 type waiting = Ulipc.Protocol_core.waiting =
   | Spin  (** BSS: busy-wait with [Domain.cpu_relax], never block *)
   | Block  (** BSW: awake flag + counting semaphore, the Figure 5 sequence *)
   | Block_yield
-      (** BSWY: BSW with a scheduling hint before blocking.  Between
-          domains the hint degenerates to [Domain.cpu_relax]. *)
+      (** BSWY: BSW with a scheduling hint before blocking: a pause
+          between domains, a [sched_yield] between fork'd processes. *)
   | Limited_spin of int
       (** BSLS: poll up to MAX_SPIN times, then run the Figure 5 sequence *)
   | Handoff
       (** §6 handoff variant: the waiting hint names the likely next
-          runner.  Between genuinely parallel domains this too degenerates
-          to [Domain.cpu_relax]. *)
+          runner.  No directed hand-off exists between domains or
+          processes, so the hint is BSWY's. *)
   | Adaptive of int
       (** Adaptive BSLS: per-channel MAX_SPIN, adjusted from the observed
           spin-success rate and capped by the argument (see
@@ -153,6 +162,17 @@ val serve : ?server:int -> ('req, 'rep) t -> (client:int -> 'req -> 'rep) -> uni
     the reply {e from the same register}, rewritten in place — no
     [receive] tuple is built. *)
 
+val receive_opt :
+  ?server:int -> ('req, 'rep) t -> timeout_ns:int -> (int * 'req) option
+(** {!receive} with the kernel wait bounded: [None] if no request
+    arrives on shard [server] (default 0) within [timeout_ns] — the
+    dead-peer guard of a server whose clients may die.  Takes stashed
+    handoff leftovers first, then waits on the shard's own ring with the
+    blocking sequence whatever the session's waiting mode; services no
+    steal token.  Its wait polls ({!Rsem.p_timed}), so an arrival is
+    noticed up to 50 µs late.
+    @raise Invalid_argument on a bad server number. *)
+
 val post : ?shard:int -> ('req, 'rep) t -> client:int -> 'req -> unit
 (** Asynchronous send: enqueue on the client's home shard (or [shard]
     if given — shutdown fan-out uses this to target every server) and
@@ -232,7 +252,8 @@ val counters : ('req, 'rep) t -> Ulipc.Counters.t
     ([steal_posts]/[steal_handoffs]/[steal_msgs]).  Incremented without
     atomicity from several domains: totals are exact only for fields
     written by a single domain (e.g. per-victim handoff counts),
-    otherwise lower bounds. *)
+    otherwise lower bounds.  A fork'd process counts into its own
+    copy. *)
 
 val wake_residue : ('req, 'rep) t -> int
 (** Sum of all channel semaphore counts; surplus wake-ups left pending.
@@ -240,7 +261,10 @@ val wake_residue : ('req, 'rep) t -> int
     traffic has quiesced. *)
 
 val harvest_sem_counters : ('req, 'rep) t -> unit
-(** Fold every channel semaphore's cumulative waiting-array parks and
-    directed grants into {!counters} ([sem_parks]/[sem_grants]).  Call
-    at quiescence (all domains joined), like the slab high-water
-    harvest. *)
+(** Fold the cumulative waiting-array parks and directed grants of
+    every channel semaphore this process consumes into {!counters}
+    ([sem_parks]/[sem_grants]); see
+    {!Real_substrate.harvest_sem_counters}.  Call at quiescence (all
+    peers done), like the slab high-water harvest.  Fork'd peers each
+    harvest their own channels, so their counters add up to the
+    session's totals. *)

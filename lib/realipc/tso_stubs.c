@@ -1,6 +1,6 @@
 /* The memory-model guard of the flat rings.
 
-   Spsc_ring, Mpsc_ring and the arena rings of lib/procipc publish their
+   Spsc_ring and Mpsc_ring, on both real backends, publish their
    indices and sequence words with plain stores and read them with plain
    loads.  That is a correct release/acquire pair only under x86-TSO,
    which orders store->store and load->store; a weakly ordered target

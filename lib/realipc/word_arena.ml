@@ -1,7 +1,7 @@
 (* One mmap(MAP_SHARED) region of intnat words, viewed through a
    Bigarray and carved up by a bump allocator: the storage of every flat
-   ring and every channel semaphore, on both real backends, and of the
-   fork'd backend's payload words.
+   ring, channel semaphore, steal token and slab free list, on both real
+   backends.
 
    This is the real-path realisation of the layout the sim-only
    [Ulipc_shm.Arena] models (offset-addressed allocations carved out of
@@ -84,6 +84,10 @@ let create ~size_words () =
   Bigarray.Array1.set words (mapped - 1) (fork_generation ());
   { words; size_words; next = 0 }
 
+let outlived_fork t =
+  let w = t.words in
+  Bigarray.Array1.get w (Bigarray.Array1.dim w - 1) <> fork_generation ()
+
 let words t = t.words
 let size_words t = t.size_words
 let used_words t = t.next
@@ -107,6 +111,9 @@ let alloc_line t ~words = alloc t ~words ~align:cache_line_words
    publishes of Ring_layout's TSO argument. *)
 let get t i = Bigarray.Array1.get t.words i
 let set t i v = Bigarray.Array1.set t.words i v
+
+external get_word : words -> int -> int = "%caml_ba_ref_1"
+external set_word : words -> int -> int -> unit = "%caml_ba_set_1"
 
 external load : words -> int -> int = "ulipc_word_load" [@@noalloc]
 external store : words -> int -> int -> unit = "ulipc_word_store" [@@noalloc]

@@ -1,9 +1,9 @@
 (** A shared word arena: an mmap'd ([MAP_SHARED]) region of intnat
     words behind a Bigarray, carved up by a bump allocator.  Every flat
-    ring ({!Spsc_ring}, {!Mpsc_ring}) and every channel semaphore
-    ({!Rsem}) lives in one, on the domains backend and the fork'd
-    backend alike, and the fork'd backend keeps its payload words there
-    too ([Ulipc_procipc.Parena] is this module plus a yield).
+    ring ({!Spsc_ring}, {!Mpsc_ring}), channel semaphore ({!Rsem}),
+    steal token and slab free list ({!Slab}) lives in one, whether a
+    session's peers are domains or fork'd processes
+    ([Ulipc_procipc.Parena] is this module plus a yield).
 
     Structures carved here are {e word offsets}, never OCaml pointers:
     a fork'd session maps and carves the arena, then forks — children
@@ -34,6 +34,12 @@ val create : size_words:int -> unit -> t
     architecture but x86-64, whose TSO ordering the plain publishes rely
     on ({!Ring_layout.require_tso}). *)
 
+val outlived_fork : t -> bool
+(** [true] once this process has forked, or was forked, since [t] was
+    mapped: the arena's words may then be shared with another address
+    space, where no OCaml heap pointer means anything.  Read from the
+    fork stamp the atomics use (word_stubs.c). *)
+
 val words : t -> words
 (** The raw mapped words, for modules that inline their own unsafe
     accesses over a carved-out span.  One line longer than the rounded-up
@@ -55,6 +61,15 @@ val get : t -> int -> int
 
 val set : t -> int -> int -> unit
 (** Plain (fenceless) word store. *)
+
+external get_word : words -> int -> int = "%caml_ba_ref_1"
+(** [get_word w i]: {!get} on the raw words, declared [external] so that
+    callers in other modules compile it inline — a [val] is an unknown
+    call once modules are compiled [-opaque], as dune's default profile
+    does.  For the shared words of a hot path ({!Slab}'s free list). *)
+
+external set_word : words -> int -> int -> unit = "%caml_ba_set_1"
+(** {!set} on the raw words, inline as {!get_word} is. *)
 
 (** {1 Atomic word operations} (C stubs over the mapped words)
 

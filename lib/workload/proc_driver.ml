@@ -1,19 +1,20 @@
 (* The §2.2 echo workload across PROCESSES: one fork'd server and
-   [nclients] fork'd clients over the shared-memory arena
-   (Ulipc_procipc), plus the pipe and Unix-domain-socket baselines the
-   shm rows race against — the same-machine IPC ladder of the FreeBSD
-   study (arXiv:2008.02145), with the paper's protocols on the shm
-   rung.
+   [nclients] fork'd clients over one {!Ulipc_real.Rpc} session with
+   int codecs (its every shared word lives in the session's MAP_SHARED
+   arena), plus the pipe and Unix-domain-socket baselines the shm rows
+   race against — the same-machine IPC ladder of the FreeBSD study
+   (arXiv:2008.02145), with the paper's protocols on the shm rung.
 
-   Fork discipline: the whole session — arena, rings, semaphores, slab,
-   the barrier words below — is carved by the parent BEFORE any fork,
-   so children inherit the mapping and the offset-holding records.
+   Fork discipline: the session and a small control arena of its own
+   (the barrier and telemetry words below) are created by the parent
+   BEFORE any fork, so children inherit the mappings and the
+   offset-holding records.
    Children never return into driver code: each runs its role, marshals
    a report up its pipe and [Unix._exit]s (no atexit, no double-flushed
    stdio; the parent flushes std streams before forking so no buffered
    bytes are duplicated into the children).
 
-   Timing discipline mirrors Real_driver: a start barrier (two arena
+   Timing discipline mirrors Real_driver: a start barrier (two control
    words) keeps fork+exec cost out of the measured interval.  [t0] is
    read by the parent once every client has checked in; each client
    stamps its own finish time and [t1] is the latest of them — valid
@@ -28,6 +29,9 @@
    in-process driver uses, so cross-process runs report wake-latency
    percentiles (and can be checked against the full invariant suite by
    bin/ulipc_trace). *)
+
+module Rpc = Ulipc_real.Rpc
+module Word_arena = Ulipc_real.Word_arena
 
 let probe_warmup = 32
 let probe_ops = 512
@@ -135,61 +139,59 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
     if traced then Some (Ulipc_real.Trace_ring.create ~capacity:65536 ())
     else None
   in
-  let t = Ulipc_procipc.Proc_rpc.create ~capacity ?trace ~nclients waiting in
-  let arena = Ulipc_procipc.Proc_rpc.arena t in
-  (* Barrier words: READY counts checked-in clients, GO releases them. *)
-  let ready_w = Ulipc_procipc.Parena.alloc_line arena ~words:Ulipc_procipc.Parena.cache_line_words in
-  let go_w = Ulipc_procipc.Parena.alloc_line arena ~words:Ulipc_procipc.Parena.cache_line_words in
-  (* Telemetry across the fork boundary: each client owns one arena
-     cache line and plain-stores its measured-message count there after
-     every send (single writer per word — the same TSO publish the rings
-     rely on), so the PARENT can sample children live.  The parent never
-     spawns a domain (fork discipline): it samples inline with
-     [Telemetry.tick] from the report-collection select loop below. *)
+  let t : (int, int) Rpc.t =
+    Rpc.create ~capacity ?trace ~req_codec:Rpc.int_codec
+      ~rep_codec:Rpc.int_codec ~nclients waiting
+  in
+  (* The control arena, one line per word: READY counts checked-in
+     clients, GO releases them, and client [c]'s measured-message count
+     is word [2 + c] — its telemetry across the fork boundary.  Each
+     client plain-stores its count after every send (single writer per
+     word — the same TSO publish the rings rely on), so the PARENT can
+     sample children live.  The parent never spawns a domain (fork
+     discipline): it samples inline with [Telemetry.tick] from the
+     report-collection select loop below. *)
+  let line = Word_arena.cache_line_words in
+  let ctl = Word_arena.create ~size_words:((2 + nclients) * line) () in
+  let ready_w = 0 and go_w = line in
+  let msgs_w c = (2 + c) * line in
   let tel =
     match telemetry with
     | Some tel -> tel
     | None -> Ulipc_observe.Telemetry.create ()
   in
-  let msgs_w =
-    Array.init nclients (fun _ ->
-        Ulipc_procipc.Parena.alloc_line arena
-          ~words:Ulipc_procipc.Parena.cache_line_words)
-  in
   Ulipc_observe.Telemetry.ext_counters tel (fun () ->
-      let total =
-        Array.fold_left
-          (fun acc w -> acc + Ulipc_procipc.Parena.get arena w)
-          0 msgs_w
-      in
-      [ ("messages", total) ]);
+      let total = ref 0 in
+      for c = 0 to nclients - 1 do
+        total := !total + Word_arena.get ctl (msgs_w c)
+      done;
+      [ ("messages", !total) ]);
   Ulipc_observe.Telemetry.gauge tel "ring_depth_0" (fun () ->
-      float_of_int (Ulipc_procipc.Proc_rpc.request_depth t));
+      float_of_int (Rpc.request_depth t 0));
   Ulipc_observe.Telemetry.gauge tel "slab_in_use" (fun () ->
-      float_of_int
-        (Ulipc_procipc.Pslab.in_use_count (Ulipc_procipc.Proc_rpc.slab t)));
+      float_of_int (Ulipc_real.Slab.in_use_count (Rpc.slab t)));
   let probe_total = if depth = 1 then probe_warmup + probe_ops else 0 in
   let server_role () =
     let remaining = ref ((nclients * messages) + probe_total) in
     let waiting_s = ref 0.0 in
     while !remaining > 0 do
       let before = Ulipc_observe.Clock.now_us () in
-      Ulipc_procipc.Proc_rpc.serve t (fun ~client:_ v ->
+      Rpc.serve t (fun ~client:_ v ->
           waiting_s := !waiting_s +. ((Ulipc_observe.Clock.now_us () -. before) /. 1.0e6);
           v + 1);
       decr remaining
     done;
-    Ulipc_procipc.Proc_rpc.harvest_sem_counters t;
+    Rpc.harvest_sem_counters t;
     child_report ~waiting_s:!waiting_s
       ~finish_us:(Ulipc_observe.Clock.now_us ())
-      ~counters:(Ulipc_procipc.Proc_rpc.counters t) ~trace ()
+      ~counters:(Rpc.counters t) ~trace ()
   in
   let client_role c () =
     let hist = Ulipc_observe.Histogram.create "round-trip (us)" in
     let minor_words = ref nan in
     if c = 0 && probe_total > 0 then begin
       for i = 1 to probe_warmup do
-        if Ulipc_procipc.Proc_rpc.send t ~client:0 i <> i + 1 then
+        if Rpc.send t ~client:0 i <> i + 1 then
           failwith "Proc_driver.run: echo mismatch"
       done;
       let calib =
@@ -198,59 +200,58 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
       in
       let w0 = Gc.minor_words () in
       for i = 1 to probe_ops do
-        ignore (Ulipc_procipc.Proc_rpc.send t ~client:0 i : int)
+        ignore (Rpc.send t ~client:0 i : int)
       done;
       let w1 = Gc.minor_words () in
       minor_words :=
         Float.max 0.0 ((w1 -. w0 -. calib) /. float_of_int probe_ops)
     end;
-    ignore (Ulipc_procipc.Parena.at_fetch_add arena ready_w 1 : int);
-    while Ulipc_procipc.Parena.at_load arena go_w = 0 do
-      Ulipc_procipc.Parena.sched_yield ()
+    ignore (Word_arena.at_fetch_add ctl ready_w 1 : int);
+    while Word_arena.at_load ctl go_w = 0 do
+      Ulipc_real.Grace.sched_yield ()
     done;
     if depth = 1 then
       for i = 1 to messages do
         let before = Ulipc_observe.Clock.now_us () in
-        let ans = Ulipc_procipc.Proc_rpc.send t ~client:c i in
+        let ans = Rpc.send t ~client:c i in
         let after = Ulipc_observe.Clock.now_us () in
         if ans <> i + 1 then failwith "Proc_driver.run: echo mismatch";
         Ulipc_observe.Histogram.record hist (after -. before);
-        Ulipc_procipc.Parena.set arena msgs_w.(c) i
+        Word_arena.set ctl (msgs_w c) i
       done
     else begin
       let sent = ref 0 in
       while !sent < messages do
         let k = min depth (messages - !sent) in
-        let burst = Array.init k (fun j -> !sent + j + 1) in
+        let burst = List.init k (fun j -> !sent + j + 1) in
         let before = Ulipc_observe.Clock.now_us () in
-        let answers = Ulipc_procipc.Proc_rpc.call_pipelined t ~client:c ~depth burst in
+        let answers = Rpc.call_pipelined t ~client:c ~depth burst in
         let after = Ulipc_observe.Clock.now_us () in
-        Array.iteri
-          (fun j ans ->
-            if ans <> burst.(j) + 1 then
-              failwith "Proc_driver.run: echo mismatch")
-          answers;
+        List.iter2
+          (fun v ans ->
+            if ans <> v + 1 then failwith "Proc_driver.run: echo mismatch")
+          burst answers;
         let per_msg_us = (after -. before) /. float_of_int k in
         for _ = 1 to k do
           Ulipc_observe.Histogram.record hist per_msg_us
         done;
         sent := !sent + k;
-        Ulipc_procipc.Parena.set arena msgs_w.(c) !sent
+        Word_arena.set ctl (msgs_w c) !sent
       done
     end;
     let finish_us = Ulipc_observe.Clock.now_us () in
-    Ulipc_procipc.Proc_rpc.harvest_sem_counters t;
+    Rpc.harvest_sem_counters t;
     child_report ~hist ~minor_words:!minor_words ~finish_us
-      ~counters:(Ulipc_procipc.Proc_rpc.counters t) ~trace ()
+      ~counters:(Rpc.counters t) ~trace ()
   in
   let server = fork_child server_role in
   let clients = List.init nclients (fun c -> fork_child (client_role c)) in
   (* Parent: wait for every client to check in, release them together. *)
-  while Ulipc_procipc.Parena.at_load arena ready_w < nclients do
-    Ulipc_procipc.Parena.sched_yield ()
+  while Word_arena.at_load ctl ready_w < nclients do
+    Ulipc_real.Grace.sched_yield ()
   done;
   let t0_us = Ulipc_observe.Clock.now_us () in
-  Ulipc_procipc.Parena.at_store arena go_w 1;
+  Word_arena.at_store ctl go_w 1;
   (* Open the measured window at t0 (this frame's deltas cover only the
      pre-barrier setup, all zeros), then sample inline while waiting for
      the children's reports: select with the sampling interval as the
@@ -308,7 +309,7 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
   in
   List.iter absorb client_reports;
   absorb server_report;
-  counters.Ulipc.Counters.slab_hwm <- Ulipc_procipc.Pslab.high_water (Ulipc_procipc.Proc_rpc.slab t);
+  counters.Ulipc.Counters.slab_hwm <- Ulipc_real.Slab.high_water (Rpc.slab t);
   (* Close the window: the final frame's message delta makes the summed
      per-window deltas equal the row's messages exactly. *)
   ignore (Ulipc_observe.Telemetry.tick tel : Ulipc_observe.Series.frame);
@@ -317,7 +318,7 @@ let run ?(machine = "proc") ?(capacity = 64) ?(depth = 1) ?(traced = false)
   (match events_out with Some r -> r := events | None -> ());
   (match dropped_out with Some r -> r := !all_dropped | None -> ());
   (match wake_residue_out with
-  | Some r -> r := Ulipc_procipc.Proc_rpc.wake_residue t
+  | Some r -> r := Rpc.wake_residue t
   | None -> ());
   let wake_latency_p50_us, wake_latency_p99_us =
     if not traced then (nan, nan)

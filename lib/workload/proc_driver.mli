@@ -1,5 +1,6 @@
 (** The echo workload across fork'd PROCESSES: the paper's protocols
-    over the shared-memory arena ([Ulipc_procipc]), raced against pipe
+    over one {!Ulipc_real.Rpc} session created before the fork, raced
+    against pipe
     and Unix-domain-socket baselines on the same machine.  See
     proc_driver.ml for the fork/barrier/report discipline. *)
 
@@ -14,7 +15,7 @@ val run :
   ?wake_residue_out:int ref ->
   nclients:int ->
   messages:int ->
-  Ulipc_procipc.Proc_rpc.waiting ->
+  Ulipc_real.Rpc.waiting ->
   Metrics.t
 (** Fork one server and [nclients] clients over a fresh arena session;
     each client issues [messages] echo calls ([depth] > 1 pipelines
@@ -25,12 +26,13 @@ val run :
     process, sorted — the cross-process feed for [bin/ulipc_trace].
     [dropped_out] receives the total ring-overflow drop count, the
     [~complete] input of {!Ulipc_observe.Trace_analysis.analyse}.
-    [wake_residue_out] receives {!Ulipc_procipc.Proc_rpc.wake_residue}
+    [wake_residue_out] receives {!Ulipc_real.Rpc.wake_residue}
     once every child has reported: credits posted but never consumed.
     [machine] defaults to ["proc"].
 
     Shm runs are live-sampled across the fork boundary: every client
-    publishes its message count in an arena word it alone writes, and
+    publishes its message count in a word of the driver's control arena
+    that it alone writes, and
     the parent — which must not spawn a sampler domain before its
     children have been reaped (OCaml forbids fork after domain spawn) —
     samples inline with [Telemetry.tick] from its report-collection

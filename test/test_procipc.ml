@@ -1,12 +1,10 @@
-(* Tests for the cross-process substrate (lib/procipc): arena carving,
-   the semaphore and the arena rings with fork'd peers, and the
-   protocols end to end across fork(2) — including the differential
-   property that fork'd processes over the shm arena compute exactly
-   the reply sequences the in-process domains backend computes, and the
-   dead-peer guard that keeps a server from hanging when its client is
-   killed mid-run.  The deadline-bounded liveness runs of the domains
-   backend live here too: only a forked child can be killed when a lost
-   wake-up hangs it.
+(* Tests for the real backend with fork'd peers: arena carving, the
+   rings, the slab, the semaphore and the RPC cases (Ring_cases,
+   Sem_cases, Rpc_cases) across fork(2), and the protocols end to end —
+   including the differential property that fork'd processes over a
+   session's shm arena compute exactly the reply sequences the
+   in-process domains backend computes, and the dead-peer guard that
+   keeps a server from hanging when its client is killed mid-run.
 
    These suites live in their own binary (main_proc.ml), NOT in the
    aggregate main.ml: OCaml 5's [Unix.fork] refuses to run once any
@@ -25,7 +23,14 @@ module Spsc = Ulipc_real.Spsc_ring
 module Mpsc = Ulipc_real.Mpsc_ring
 module Pslab = Ulipc_procipc.Pslab
 module Proc_rpc = Ulipc_procipc.Proc_rpc
-module Proc_substrate = Ulipc_procipc.Proc_substrate
+module Rpc = Ulipc_real.Rpc
+module Real_substrate = Ulipc_real.Real_substrate
+module Slab = Ulipc_real.Slab
+
+(* A session fork'd peers can share: int codecs both ways. *)
+let int_session ?capacity ~nclients waiting : (int, int) Rpc.t =
+  Rpc.create ?capacity ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec
+    ~nclients waiting
 
 (* ------------------------------------------------------------------ *)
 (* Fork plumbing: run [f] in a child, marshal its result back. *)
@@ -357,24 +362,27 @@ let in_processes ~nproducers produce =
 (* Session arena sizing: every ring of a large session, request and
    reply alike, is driven through its last cell, and the rings are all
    full at once before any is drained, so a span that overlapped its
-   neighbour would corrupt values.  After [create] the arena still holds
-   the lines the fork driver carves (two barrier lines and one line per
-   client). *)
+   neighbour would corrupt values.  Pooled sessions are sized too: their
+   reply rings are MPSC and they carve a steal token per shard.  Then
+   every slot of the session's slab is allocated, so the slab's words
+   fit after the rings'. *)
 let test_session_arena_sizing () =
   List.iter
-    (fun (nclients, capacity) ->
-      let sub = Proc_substrate.create ~capacity ~nclients () in
-      let a = Proc_substrate.arena sub in
+    (fun (nservers, nclients, capacity) ->
+      let sub = Real_substrate.create ~nservers ~capacity ~nclients () in
       let ring = Ulipc_real.Ring_layout.ceil_pow2 capacity in
       let chans =
-        Proc_substrate.request sub
-        :: List.init nclients (Proc_substrate.reply_channel sub)
+        List.init nservers (Real_substrate.request_shard sub)
+        @ List.init nclients (Real_substrate.reply_channel sub)
       in
       let enq ch v =
-        Alcotest.(check bool) "enqueue" true (Proc_substrate.enqueue sub ch v)
+        Alcotest.(check bool) "enqueue" true
+          (Real_substrate.enqueue_pair sub ch ~client:0 ~word:v)
       in
       let deq ch v =
-        Alcotest.(check int) "dequeue" v (Proc_substrate.dequeue sub ch)
+        let m = Real_substrate.dequeue sub ch in
+        Alcotest.(check bool) "dequeue" true (m <> Real_substrate.no_msg);
+        Alcotest.(check int) "dequeue" v (Real_substrate.register_word sub m)
       in
       (* Advance each ring so a full one ends on its last cell. *)
       List.iter
@@ -396,50 +404,66 @@ let test_session_arena_sizing () =
             deq ch ((k * 1_000_000) + i)
           done)
         chans;
-      for _ = 1 to nclients + 2 do
-        ignore (Parena.alloc_line a ~words:Parena.cache_line_words : int)
+      let slab = Real_substrate.slab sub in
+      for _ = 1 to Slab.slots slab do
+        Alcotest.(check bool) "slot" true (Slab.try_alloc slab <> Slab.nil)
       done)
-    [ (1, 1); (3, 3); (64, 1000) ]
+    [ (1, 1, 1); (1, 3, 3); (1, 64, 1000); (3, 5, 7) ]
 
 (* ------------------------------------------------------------------ *)
-(* Pslab across fork: slots allocated in the child are visible and
-   releasable in the parent — index-passing ownership transfer. *)
+(* The slab across fork: a slot allocated in the child is in use in the
+   parent, which may release it once and only once — its free list and
+   in-use marks are shared words. *)
 
-let test_pslab_cross_fork_handoff () =
-  let a = Parena.create ~size_words:4096 () in
-  let slab = Pslab.create a ~slots:8 in
-  let i =
-    in_child (fun () ->
-        let i = Pslab.try_alloc slab in
-        Pslab.set_client slab i 3;
-        Pslab.set_data slab i 777;
-        i)
-  in
-  Alcotest.(check bool) "child allocated" true (i <> Pslab.nil);
-  Alcotest.(check int) "payload crosses the fork" 777 (Pslab.get_data slab i);
-  Alcotest.(check int) "client field crosses" 3 (Pslab.get_client slab i);
-  Alcotest.(check int) "slot accounted in-use" 1 (Pslab.in_use_count slab);
-  Pslab.release slab i;
-  Alcotest.(check int) "parent released it" 0 (Pslab.in_use_count slab)
+let test_slab_cross_fork_handoff () =
+  let slab = Slab.create ~slots:8 () in
+  let i = in_child (fun () -> Slab.try_alloc slab) in
+  Alcotest.(check bool) "child allocated" true (i <> Slab.nil);
+  Alcotest.(check int) "slot accounted in-use" 1 (Slab.in_use_count slab);
+  Alcotest.(check int) "high-water mark" 1 (Slab.high_water slab);
+  Slab.release slab i;
+  Alcotest.(check int) "parent released it" 0 (Slab.in_use_count slab);
+  Alcotest.check_raises "a second release"
+    (Invalid_argument "Slab.release: slot is not allocated") (fun () ->
+      Slab.release slab i);
+  let again = in_child (fun () -> Slab.try_alloc slab) in
+  Alcotest.(check int) "the child pops the slot the parent pushed" i again
 
 (* A release outside [0, slots) is rejected before it writes a link or
    touches the free list: the slab still hands out exactly its slots. *)
-let test_pslab_release_rejects_bad_index () =
+let test_slab_release_rejects_bad_index () =
   let a = Parena.create ~size_words:4096 () in
   let slab = Pslab.create a ~slots:4 in
   List.iter
     (fun i ->
       Alcotest.check_raises
         (Printf.sprintf "release %d" i)
-        (Invalid_argument "Pslab.release: index out of range")
+        (Invalid_argument "Slab.release: index out of range")
         (fun () -> Pslab.release slab i))
     [ -1; 4; 1000 ];
   let got = List.init 5 (fun _ -> Pslab.try_alloc slab) in
   Alcotest.(check (list int)) "free list intact" [ 0; 1; 2; 3; Pslab.nil ] got;
   Alcotest.(check int) "in use" 4 (Pslab.in_use_count slab)
 
+(* A boxed payload is a pointer into one process's heap: once a session
+   has outlived a fork, a boxed encode or decode raises in the child and
+   in the parent alike, and the int codec keeps working. *)
+let test_boxed_codec_refuses_fork () =
+  let boxed : (string, string) Rpc.t = Rpc.create ~nclients:1 Rpc.Block in
+  let refused () =
+    match Rpc.post boxed ~client:0 "ping" with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "refused in the child" true (in_child refused);
+  Alcotest.(check bool) "refused in the parent" true (refused ());
+  let ints = int_session ~nclients:1 Rpc.Block in
+  Rpc.post ints ~client:0 41;
+  Alcotest.(check (pair int int)) "int codec unaffected" (0, 41)
+    (Rpc.receive ints)
+
 (* ------------------------------------------------------------------ *)
-(* Proc_substrate.await across fork: a message a child enqueues ~4 us
+(* Real_substrate.await across fork: a message a child enqueues ~4 us
    after the parent starts waiting is returned by [await] with the
    parent's awake flag still set, and the semaphore is never touched.
    Rounds repeat in bursts until 3 in 4 are caught, because a fresh
@@ -448,13 +472,13 @@ let test_pslab_release_rejects_bad_index () =
 
 let test_await_across_fork () =
   if Ulipc_real.Grace.default = 0 then Alcotest.skip ();
-  let sub =
-    Proc_substrate.create ~extra_words:Parena.cache_line_words ~capacity:4
-      ~nclients:1 ()
+  let sub = Real_substrate.create ~capacity:4 ~nclients:1 () in
+  let a = Parena.create ~size_words:Parena.cache_line_words () in
+  let go = 0 in
+  let ch = Real_substrate.reply_channel sub 0 in
+  let word m =
+    if m = Real_substrate.no_msg then m else Real_substrate.register_word sub m
   in
-  let a = Proc_substrate.arena sub in
-  let go = Parena.alloc_line a ~words:1 in
-  let ch = Proc_substrate.reply_channel sub 0 in
   let delay_ns = 4_000 in
   match Unix.fork () with
   | 0 ->
@@ -472,7 +496,7 @@ let test_await_across_fork () =
         while Ulipc_observe.Clock.now_ns () - t0 < delay_ns do
           Domain.cpu_relax ()
         done;
-        ignore (Proc_substrate.enqueue sub ch next : bool);
+        ignore (Real_substrate.enqueue_pair sub ch ~client:0 ~word:next : bool);
         post (next + 1)
       end
     in
@@ -482,8 +506,8 @@ let test_await_across_fork () =
     let deadline = Unix.gettimeofday () +. 5.0 in
     (* -2: the child never posted (it died), which fails the round. *)
     let rec take () =
-      let m = Proc_substrate.dequeue sub ch in
-      if m <> Proc_substrate.no_msg then m
+      let m = word (Real_substrate.dequeue sub ch) in
+      if m <> Real_substrate.no_msg then m
       else if Unix.gettimeofday () > deadline +. 5.0 then -2
       else begin
         Domain.cpu_relax ();
@@ -496,11 +520,11 @@ let test_await_across_fork () =
       let hits = ref 0 in
       for r = first to first + rounds - 1 do
         Parena.at_store a go r;
-        let m = Proc_substrate.await sub ch in
+        let m = word (Real_substrate.await sub ch) in
         if m = r then incr hits
-        else if m <> Proc_substrate.no_msg || take () <> r then
+        else if m <> Real_substrate.no_msg || take () <> r then
           failure := Some (Printf.sprintf "round %d: wrong or lost message" r);
-        if not (Proc_substrate.awake_read sub ch) then
+        if not (Real_substrate.awake_read sub ch) then
           failure := Some (Printf.sprintf "round %d: await cleared the flag" r)
       done;
       if
@@ -520,25 +544,25 @@ let test_await_across_fork () =
       (Printf.sprintf "at least 3 in 4 rounds caught (%d of %d)" hits rounds)
       true
       (hits >= rounds * 3 / 4);
-    Proc_substrate.harvest_sem_counters sub;
-    let c = Proc_substrate.counters sub in
+    Real_substrate.harvest_sem_counters sub;
+    let c = Real_substrate.counters sub in
     Alcotest.(check int) "no parks" 0 c.Ulipc.Counters.sem_parks;
-    Alcotest.(check int) "no credit" 0 (Proc_substrate.wake_residue sub)
+    Alcotest.(check int) "no credit" 0 (Real_substrate.wake_residue sub)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: fork'd shm processes vs in-process domains.
 
    The same client-dependent transform and the same seeded traces as
    test_differential.ml, so a reply delivered to the wrong channel, out
-   of order, or dropped across the process boundary is caught.  The
-   domains side reuses Ulipc_real.Rpc; the proc side forks one child
-   per client and serves from the parent. *)
+   of order, or dropped across the process boundary is caught.  Both
+   sides are Ulipc_real.Rpc sessions: the proc side forks one child per
+   client and serves from the parent. *)
 
 let transform ~client v = (2 * v) + client
 
 let run_proc waiting (traces : int list array) =
   let nclients = Array.length traces in
-  let t = Proc_rpc.create ~capacity:8 ~nclients waiting in
+  let t = int_session ~capacity:8 ~nclients waiting in
   let total = Array.fold_left (fun acc l -> acc + List.length l) 0 traces in
   let children =
     Array.to_list
@@ -550,7 +574,7 @@ let run_proc waiting (traces : int list array) =
              Unix.close rd;
              (try
                 let replies =
-                  List.map (fun v -> Proc_rpc.call t ~client:c v) trace
+                  List.map (fun v -> Rpc.call t ~client:c v) trace
                 in
                 let oc = Unix.out_channel_of_descr wr in
                 Marshal.to_channel oc (replies : int list) [];
@@ -563,7 +587,7 @@ let run_proc waiting (traces : int list array) =
          traces)
   in
   for _ = 1 to total do
-    Proc_rpc.serve t transform
+    Rpc.serve t transform
   done;
   let replies =
     List.map
@@ -644,7 +668,7 @@ let prop_proc_matches_domains name waiting =
    receive instead of parking forever in the futex. *)
 
 let test_dead_peer_detected () =
-  let t = Proc_rpc.create ~capacity:8 ~nclients:1 Proc_rpc.Block in
+  let t = int_session ~capacity:8 ~nclients:1 Rpc.Block in
   match Unix.fork () with
   | 0 ->
     (* Client: call forever; the parent kills us mid-run. *)
@@ -652,7 +676,7 @@ let test_dead_peer_detected () =
        let i = ref 0 in
        while true do
          incr i;
-         ignore (Proc_rpc.call t ~client:0 !i : int)
+         ignore (Rpc.call t ~client:0 !i : int)
        done
      with _ -> ());
     Unix._exit 0
@@ -660,7 +684,7 @@ let test_dead_peer_detected () =
     (* Serve a handful of requests so the kill lands mid-conversation,
        not before it starts. *)
     for _ = 1 to 5 do
-      Proc_rpc.serve t (fun ~client:_ v -> v + 1)
+      Rpc.serve t (fun ~client:_ v -> v + 1)
     done;
     Unix.kill pid Sys.sigkill;
     ignore (Unix.waitpid [] pid);
@@ -669,9 +693,9 @@ let test_dead_peer_detected () =
        receive bounds the whole loop well under the test timeout. *)
     let t0 = Ulipc_observe.Clock.now_ns () in
     let rec drain n =
-      match Proc_rpc.receive_opt t ~timeout_ns:100_000_000 with
+      match Rpc.receive_opt t ~timeout_ns:100_000_000 with
       | Some (client, v) ->
-        Proc_rpc.reply t ~client (v + 1);
+        Rpc.reply t ~client (v + 1);
         if n > 3 then Alcotest.fail "dead client keeps sending"
         else drain (n + 1)
       | None -> ()
@@ -686,27 +710,34 @@ let test_dead_peer_detected () =
 
 (* ------------------------------------------------------------------ *)
 (* End to end through the fork driver: counters balance, echoes check
-   out (the driver fails internally on a wrong echo), and the merged
-   pid-namespaced trace passes the causal invariant checker. *)
+   out (the driver fails internally on a wrong echo), on the
+   synchronous and the pipelined path, and the merged pid-namespaced
+   trace passes the causal invariant checker. *)
 
 let test_driver_counters_balance () =
-  let m =
-    Ulipc_workload.Proc_driver.run ~nclients:2 ~messages:100 Proc_rpc.Block
-  in
-  let c = m.Ulipc_workload.Metrics.counters in
-  let open Ulipc.Counters in
-  Alcotest.(check int) "driver reports all messages" 200
-    m.Ulipc_workload.Metrics.messages;
-  Alcotest.(check bool) "sends cover the workload" true (c.sends >= 200);
-  Alcotest.(check int) "replies match sends" c.sends c.replies;
-  Alcotest.(check bool) "throughput is finite" true
-    (Float.is_finite m.Ulipc_workload.Metrics.throughput_msg_per_ms)
+  List.iter
+    (fun depth ->
+      let residue = ref (-1) in
+      let m =
+        Ulipc_workload.Proc_driver.run ~depth ~wake_residue_out:residue
+          ~nclients:2 ~messages:100 Rpc.Block
+      in
+      let c = m.Ulipc_workload.Metrics.counters in
+      let open Ulipc.Counters in
+      Alcotest.(check int) "driver reports all messages" 200
+        m.Ulipc_workload.Metrics.messages;
+      Alcotest.(check bool) "sends cover the workload" true (c.sends >= 200);
+      Alcotest.(check int) "replies match sends" c.sends c.replies;
+      Alcotest.(check bool) "throughput is finite" true
+        (Float.is_finite m.Ulipc_workload.Metrics.throughput_msg_per_ms);
+      Alcotest.(check int) "no wake residue" 0 !residue)
+    [ 1; 8 ]
 
 let test_driver_trace_invariants () =
   let events_out = ref [] and dropped_out = ref 0 in
   let _m =
     Ulipc_workload.Proc_driver.run ~nclients:2 ~messages:150 ~events_out
-      ~dropped_out Proc_rpc.Block
+      ~dropped_out Rpc.Block
   in
   let events = !events_out in
   Alcotest.(check bool) "trace non-empty" true (events <> []);
@@ -772,46 +803,52 @@ let in_peer f =
       | _, Unix.WEXITED 0 -> ()
       | _ -> Alcotest.fail "peer process failed")
 
-(* A BSW session whose server idles 2 ms between calls, far past its
-   grace, so it parks on the request semaphore.  The park and grant
-   totals are shared arena words, and the benchmark adds the client's
-   and the server's harvested counters, so the two harvests must split
-   the totals, not both report them. *)
+(* A channel pair whose consumers are two processes: the server Ps on
+   the request channel and Vs the reply channel, and the client the
+   other way round, 2 ms late each time, so the server parks on every
+   P.  The park and grant totals are shared arena words, and the
+   benchmark adds the client's and the server's harvested counters, so
+   the two harvests must split the totals, not both report them.  The
+   totals themselves are what a process that has consumed both channels
+   harvests: the client marks the request channel too with a P that
+   takes its own V's credit, which parks nothing and grants nothing. *)
 let test_harvest_splits_shared_totals () =
   let calls = 40 in
   let out = Parena.create ~size_words:64 () in
-  within_deadline ~timeout_s:20.0 "BSW session with an idle server"
+  within_deadline ~timeout_s:20.0 "channel pair with an idle server"
     (fun () ->
-      let t = Proc_rpc.create ~nclients:1 Proc_rpc.Block in
+      let sub = Real_substrate.create ~capacity:4 ~nclients:1 () in
+      let req = Real_substrate.request sub
+      and rep = Real_substrate.reply_channel sub 0 in
       let harvested () =
-        Proc_rpc.harvest_sem_counters t;
-        let c = Proc_rpc.counters t in
+        Real_substrate.harvest_sem_counters sub;
+        let c = Real_substrate.counters sub in
         (c.Ulipc.Counters.sem_parks, c.Ulipc.Counters.sem_grants)
       in
       let server =
         in_peer (fun () ->
             for _ = 1 to calls do
-              Proc_rpc.serve t (fun ~client:_ v -> v + 1)
+              Real_substrate.sem_p sub req;
+              Real_substrate.sem_v sub rep
             done;
             let parks, grants = harvested () in
             Parena.at_store out 0 parks;
             Parena.at_store out 8 grants)
       in
-      for i = 1 to calls do
+      for _ = 1 to calls do
         Unix.sleepf 0.002;
-        if Proc_rpc.send t ~client:0 i <> i + 1 then failwith "wrong reply"
+        Real_substrate.sem_v sub req;
+        Real_substrate.sem_p sub rep
       done;
       server ();
       let parks, grants = harvested () in
       Parena.at_store out 16 parks;
       Parena.at_store out 24 grants;
-      let sub = t.Proc_rpc.sub in
-      let total f =
-        f (Proc_substrate.request sub).Proc_substrate.sem
-        + f (Proc_substrate.reply_channel sub 0).Proc_substrate.sem
-      in
-      Parena.at_store out 32 (total Ulipc_real.Rsem.parks);
-      Parena.at_store out 40 (total Ulipc_real.Rsem.grants));
+      Real_substrate.sem_v sub req;
+      Real_substrate.sem_p sub req;
+      let parks, grants = harvested () in
+      Parena.at_store out 32 parks;
+      Parena.at_store out 40 grants);
   let w i = Parena.at_load out (8 * i) in
   Alcotest.(check bool)
     (Printf.sprintf "the idle server parked (%d parks)" (w 0))
@@ -863,116 +900,12 @@ let test_mpsc_two_producers_cross_fork () =
       List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
       if Mpsc.dequeue q <> Spsc.nil then failwith "extra value")
 
-(* Thousands of synchronous round trips through the blocking protocols,
-   where every call parks one side or the other: each call is a chance
-   for the consumer's awake-flag clear to be reordered after its queue
-   check, which loses the wake-up and hangs the pair.  Once the session
-   quiesces no semaphore may hold a credit: every V a consumer raced
-   with its own second dequeue (or its await) must have been drained. *)
-let test_blocking_echo_no_hang (name, waiting) () =
-  let messages = 20_000 in
-  within_deadline ~timeout_s:20.0 (name ^ " proc echo") (fun () ->
-      let residue = ref (-1) in
-      let m =
-        Ulipc_workload.Proc_driver.run ~wake_residue_out:residue ~nclients:1
-          ~messages waiting
-      in
-      if m.Ulipc_workload.Metrics.messages <> messages then
-        failwith "message count";
-      if !residue <> 0 then failwith "wake residue")
-
-(* The pipelined path — Proc_rpc.post/collect/call_pipelined — with
-   eight calls in flight per client. *)
-let test_pipelined_echo_no_hang (name, waiting) () =
-  let messages = 2_000 in
-  within_deadline ~timeout_s:20.0 (name ^ " depth-8 proc echo") (fun () ->
-      let m =
-        Ulipc_workload.Proc_driver.run ~nclients:2 ~messages ~depth:8 waiting
-      in
-      if m.Ulipc_workload.Metrics.messages <> 2 * messages then
-        failwith "message count")
-
-(* The same deadline over the in-process domains backend.  Its awake
-   flag is the low bit of the channel semaphore's word, so every
-   producer test-and-set and consumer clear races a V or P on that
-   word; a lost wake-up there would hang [dune runtest] in-process.
-   The Real_driver session runs in the deadline's child, which is also
-   what keeps this process domain-free for the next fork. *)
-let test_real_echo_no_hang what ?depth ~nclients waiting () =
-  let messages = 20_000 in
-  within_deadline ~timeout_s:20.0 (what ^ " domains echo") (fun () ->
-      let residue = ref (-1) in
-      let m =
-        Ulipc_workload.Real_driver.run ?depth ~wake_residue_out:residue
-          ~nclients ~messages waiting
-      in
-      if m.Ulipc_workload.Metrics.messages <> nclients * messages then
-        failwith "message count";
-      if !residue <> 0 then failwith "wake residue")
-
-(* The pooled batch path under the same deadline: 2 servers answering
-   with [receive_batch]/[reply_batch], 6 clients posting in windows of
-   4 and checking every reply.  Capacity 4, with 4 clients homed on
-   shard 0 and 2 on shard 1, so the idle server steals and the victim
-   stashes what the thief's ring cannot take, while both servers reply
-   concurrently, often to the same client.  A reply lost or garbled on
-   that path fails the reply check or hangs a client, which the
-   deadline turns into a failure. *)
-let test_pooled_batch_echo_no_hang () =
-  let module Rpc = Ulipc_real.Rpc in
-  let nservers = 2 and nclients = 6 and messages = 2000 and window = 4 in
-  within_deadline ~timeout_s:20.0 "pooled batch domains echo" (fun () ->
-      let t : (int, int) Rpc.t =
-        Rpc.create ~capacity:4
-          ~shard_assign:(fun c -> if c < 4 then 0 else 1)
-          ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nservers
-          ~nclients Rpc.Block
-      in
-      (* A negative request poisons shard [-1 - v]: its server stops
-         after answering its batch, any other server forwards it. *)
-      let server k =
-        Domain.spawn (fun () ->
-            let live = ref true in
-            while !live do
-              Rpc.reply_batch t
-                (List.filter_map
-                   (fun (client, v) ->
-                     if v >= 0 then Some (client, v + 3)
-                     else begin
-                       if -1 - v = k then live := false
-                       else Rpc.post ~shard:(-1 - v) t ~client:0 v;
-                       None
-                     end)
-                   (Rpc.receive_batch ~server:k t ~max:4))
-            done)
-      in
-      let servers = List.init nservers server in
-      let client c =
-        Domain.spawn (fun () ->
-            let sent = ref 0 in
-            while !sent < messages do
-              let k = min window (messages - !sent) in
-              let reqs = List.init k (fun j -> (c * 1_000_000) + !sent + j) in
-              List.iter (fun v -> Rpc.post t ~client:c v) reqs;
-              (* Stealing may reorder a window: compare it as a set. *)
-              let got = List.init k (fun _ -> Rpc.collect t ~client:c) in
-              if List.sort compare got <> List.map (fun v -> v + 3) reqs then
-                failwith (Printf.sprintf "client %d: wrong replies" c);
-              sent := !sent + k
-            done)
-      in
-      List.iter Domain.join (List.init nclients client);
-      for k = 0 to nservers - 1 do
-        Rpc.post ~shard:k t ~client:0 (-1 - k)
-      done;
-      List.iter Domain.join servers)
-
 (* [Limited_spin 0] skips the poll loop across processes too. *)
 let test_bsls0_never_falls_through () =
   within_deadline ~timeout_s:20.0 "BSLS(0) proc echo" (fun () ->
       let m =
         Ulipc_workload.Proc_driver.run ~nclients:1 ~messages:500
-          (Proc_rpc.Limited_spin 0)
+          (Rpc.Limited_spin 0)
       in
       let c = m.Ulipc_workload.Metrics.counters in
       if
@@ -982,12 +915,11 @@ let test_bsls0_never_falls_through () =
 
 let test_create_rejects_negative_budgets () =
   Alcotest.check_raises "bad max_spin"
-    (Invalid_argument "Proc_rpc.create: max_spin must be non-negative")
-    (fun () ->
-      ignore (Proc_rpc.create ~nclients:1 (Proc_rpc.Limited_spin (-1))));
+    (Invalid_argument "Rpc.create: max_spin must be non-negative")
+    (fun () -> ignore (Proc_rpc.create ~nclients:1 (Rpc.Limited_spin (-1))));
   Alcotest.check_raises "bad adaptive cap"
-    (Invalid_argument "Proc_rpc.create: adaptive spin cap must be non-negative")
-    (fun () -> ignore (Proc_rpc.create ~nclients:1 (Proc_rpc.Adaptive (-1))))
+    (Invalid_argument "Rpc.create: adaptive spin cap must be non-negative")
+    (fun () -> ignore (Proc_rpc.create ~nclients:1 (Rpc.Adaptive (-1))))
 
 let test_fd_baseline_echoes () =
   (* The pipe baseline the bench rows race: run it small, here, so a
@@ -1059,9 +991,9 @@ let suites =
         Alcotest.test_case "session arena fits every ring's last cell" `Quick
           test_session_arena_sizing;
         Alcotest.test_case "slab cross-fork handoff" `Quick
-          test_pslab_cross_fork_handoff;
+          test_slab_cross_fork_handoff;
         Alcotest.test_case "slab release rejects a bad index" `Quick
-          test_pslab_release_rejects_bad_index;
+          test_slab_release_rejects_bad_index;
         Alcotest.test_case "await catches a message a few us late" `Quick
           test_await_across_fork;
       ]
@@ -1078,18 +1010,24 @@ let suites =
     ( "procipc.differential",
       [
         QCheck_alcotest.to_alcotest
-          (prop_proc_matches_domains "BSW" Proc_rpc.Block);
+          (prop_proc_matches_domains "BSW" Rpc.Block);
         QCheck_alcotest.to_alcotest
-          (prop_proc_matches_domains "BSWY" Proc_rpc.Block_yield);
+          (prop_proc_matches_domains "BSWY" Rpc.Block_yield);
         QCheck_alcotest.to_alcotest
-          (prop_proc_matches_domains "ADAPT" (Proc_rpc.Adaptive 4096));
+          (prop_proc_matches_domains "ADAPT" (Rpc.Adaptive 4096));
         QCheck_alcotest.to_alcotest
-          (prop_proc_matches_domains "BSS" Proc_rpc.Spin);
+          (prop_proc_matches_domains "BSS" Rpc.Spin);
         QCheck_alcotest.to_alcotest
-          (prop_proc_matches_domains "BSLS(3)" (Proc_rpc.Limited_spin 3));
+          (prop_proc_matches_domains "BSLS(3)" (Rpc.Limited_spin 3));
         QCheck_alcotest.to_alcotest
-          (prop_proc_matches_domains "HANDOFF" Proc_rpc.Handoff);
+          (prop_proc_matches_domains "HANDOFF" Rpc.Handoff);
       ] );
+    ( "procipc.rpc",
+      Rpc_cases.cases ~spawn:in_peer ~within:within_deadline ()
+      @ [
+          Alcotest.test_case "a boxed codec refuses to cross fork" `Quick
+            test_boxed_codec_refuses_fork;
+        ] );
     ( "procipc.liveness",
       [
         Alcotest.test_case "dead peer detected" `Quick test_dead_peer_detected;
@@ -1098,33 +1036,9 @@ let suites =
         Alcotest.test_case "driver trace invariants" `Quick
           test_driver_trace_invariants;
         Alcotest.test_case "fd baselines echo" `Quick test_fd_baseline_echoes;
-        Alcotest.test_case "BSW echo never hangs" `Quick
-          (test_blocking_echo_no_hang ("BSW", Proc_rpc.Block));
-        Alcotest.test_case "BSLS(50) echo never hangs" `Quick
-          (test_blocking_echo_no_hang ("BSLS(50)", Proc_rpc.Limited_spin 50));
-        Alcotest.test_case "BSW depth-8 echo never hangs" `Quick
-          (test_pipelined_echo_no_hang ("BSW", Proc_rpc.Block));
-        Alcotest.test_case "HANDOFF depth-8 echo never hangs" `Quick
-          (test_pipelined_echo_no_hang ("HANDOFF", Proc_rpc.Handoff));
         Alcotest.test_case "BSLS(0) never falls through" `Quick
           test_bsls0_never_falls_through;
         Alcotest.test_case "create rejects negative budgets" `Quick
           test_create_rejects_negative_budgets;
-      ] );
-    ( "realipc.liveness",
-      [
-        Alcotest.test_case "BSW echo never hangs" `Quick
-          (test_real_echo_no_hang "BSW" ~nclients:1 Ulipc_real.Rpc.Block);
-        Alcotest.test_case "BSLS(50) echo never hangs" `Quick
-          (test_real_echo_no_hang "BSLS(50)" ~nclients:1
-             (Ulipc_real.Rpc.Limited_spin 50));
-        Alcotest.test_case "BSW 2-client fan-in never hangs" `Quick
-          (test_real_echo_no_hang "BSW fan-in" ~nclients:2
-             Ulipc_real.Rpc.Block);
-        Alcotest.test_case "BSW depth-8 echo never hangs" `Quick
-          (test_real_echo_no_hang "BSW depth-8" ~depth:8 ~nclients:1
-             Ulipc_real.Rpc.Block);
-        Alcotest.test_case "BSW pooled batch echo never hangs" `Quick
-          test_pooled_batch_echo_no_hang;
       ] );
   ]

@@ -1620,5 +1620,6 @@ let suites =
           test_rpc_ladder_restarts;
         Alcotest.test_case "BSS and BSWY 500 round trips under 2 s" `Quick
           test_rpc_one_cpu_guard;
-      ] );
+      ]
+      @ Rpc_cases.cases ~spawn:in_domain ~within:within_domain () );
   ]
