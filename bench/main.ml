@@ -358,7 +358,8 @@ let micro_rows ~quick () =
 let real_rows ~quick () =
   let messages = if quick then 300 else 2_000 in
   let row ?depth waiting =
-    Real_driver.run ~machine:"ring" ?depth ~nclients:2 ~messages waiting
+    Real_driver.run ~peers:Domains ~machine:"ring" ?depth ~nclients:2
+      ~messages waiting
   in
   List.map row
     Ulipc_real.Rpc.[ Block; Block_yield; Limited_spin 50; Handoff;
@@ -391,41 +392,44 @@ let sweep_rows ~quick () =
           let messages = max 4 (budget / nclients) in
           List.map
             (fun waiting ->
-              Real_driver.run ~machine:"ring" ~nservers ~nclients ~messages
-                waiting)
+              Real_driver.run ~peers:Domains ~machine:"ring" ~nservers
+                ~nclients ~messages waiting)
             protocols)
         nclients_list)
     nservers_list
 
 (* Cross-process rows: the paper's protocols over the mmap'd arena
-   (fork'd processes, futex-backed semaphores — Proc_driver), raced
-   against the kernel-IPC baselines on the same machine: a pipe pair
-   and a Unix-domain socketpair, the FreeBSD-ladder comparison of
+   (the echo driver with fork'd processes as peers), raced against the
+   kernel-IPC baselines on the same machine: a pipe pair and a
+   Unix-domain socketpair, the FreeBSD-ladder comparison of
    arXiv:2008.02145.  All rows are 1 client / 1 server so round-trip
    latency is the honest head-to-head; the depth-8 row shows the
-   pipelining win when the protocol overlaps requests.  The fd
-   baselines block in read/select — the kernel's own sleep/wake-up —
-   so shm beating pipe is user-level wake-up beating kernel wake-up on
-   identical semantics, the paper's thesis measured cross-process. *)
+   pipelining win when the protocol overlaps requests.  The shm rows run
+   untraced: the fd baselines cannot be traced, and the trace's cost
+   per event would be charged to shm alone.  The fd baselines block in
+   read/select — the kernel's own sleep/wake-up — so shm beating pipe is
+   user-level wake-up beating kernel wake-up on identical semantics,
+   the paper's thesis measured cross-process. *)
 let proc_rows ~quick () =
   let messages = if quick then 400 else 4_000 in
   let shm ?depth waiting =
     ( "proc",
       "shm",
-      Proc_driver.run ~machine:"shm" ?depth ~nclients:1 ~messages waiting )
+      Real_driver.run ~peers:Processes ~traced:false ~machine:"shm" ?depth
+        ~nclients:1 ~messages waiting )
   in
   let fd transport =
-    let name = Proc_driver.fd_transport_name transport in
+    let name = Real_driver.fd_transport_name transport in
     ( "proc",
       name,
-      Proc_driver.run_fd ~machine:name ~transport ~nclients:1 ~messages () )
+      Real_driver.run_fd ~machine:name ~transport ~nclients:1 ~messages () )
   in
   List.map
     (fun w -> shm w)
     Ulipc_real.Rpc.[ Spin; Block; Block_yield; Limited_spin 50; Adaptive 4096;
                      Handoff ]
   @ [ shm ~depth:8 Ulipc_real.Rpc.Block ]
-  @ [ fd Proc_driver.Fd_pipe; fd Proc_driver.Fd_socket ]
+  @ [ fd Real_driver.Fd_pipe; fd Real_driver.Fd_socket ]
 
 (* Directed-wake-latency sweep for the waiting-array semaphore: the
    population grows 2 -> 512 (2 -> 64 in quick mode: CI hosts schedule

@@ -82,9 +82,10 @@ let starts_with ~prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 (* One frame -> the status lines, appended to [buf].  Every line is
-   driven by point lookups so the same renderer serves both backends:
-   the proc plane has no latency histogram or steal counters and those
-   lines simply shrink. *)
+   driven by point lookups so the same renderer serves both backends.
+   Fork'd peers' latency samples and protocol counters reach the parent
+   only with their reports, so on the proc backend those windows are
+   empty until the run ends: a line with nothing in it is left out. *)
 let render_frame buf ~header hist (f : S.frame) =
   let p name = S.point f name in
   let window_ms = f.S.window_us /. 1000.0 in
@@ -98,11 +99,15 @@ let render_frame buf ~header hist (f : S.frame) =
   Printf.bprintf buf "%s\n" header;
   Printf.bprintf buf " tput %-*s %9.1f msg/ms\n" spark_width (sparkline hist)
     tput;
-  (match (p "latency_us_p50", p "latency_us_p99", p "latency_us_max") with
-  | Some p50, Some p99, Some mx ->
+  (match
+     ( p "latency_us_p50",
+       p "latency_us_p99",
+       p "latency_us_max",
+       p "latency_us_count" )
+   with
+  | Some p50, Some p99, Some mx, Some n when n > 0.0 ->
     Printf.bprintf buf " lat  p50 %s   p99 %s   max %s   (window n=%.0f)\n"
-      (fmt_us p50) (fmt_us p99) (fmt_us mx)
-      (Option.value ~default:0.0 (p "latency_us_count"))
+      (fmt_us p50) (fmt_us p99) (fmt_us mx) n
   | _ -> ());
   let depths =
     List.filter
@@ -121,9 +126,6 @@ let render_frame buf ~header hist (f : S.frame) =
     (match p "slab_in_use" with
     | Some v -> Printf.bprintf buf "   slab=%.0f" v
     | None -> ());
-    (match p "trace_dropped" with
-    | Some v when v > 0.0 -> Printf.bprintf buf "   trace_dropped=%.0f" v
-    | _ -> ());
     Printf.bprintf buf "\n"
   end;
   let sum_rates names =
@@ -144,7 +146,7 @@ let render_frame buf ~header hist (f : S.frame) =
     ]
   in
   let shown = List.filter (fun (_, r) -> r <> None) labelled in
-  if shown <> [] then begin
+  if List.exists (fun (_, r) -> r <> Some 0.0) shown then begin
     Printf.bprintf buf " rate";
     List.iter
       (fun (name, r) ->
@@ -208,80 +210,75 @@ let run_dashboard backend kind nclients messages depth nservers interval_ms
         Printf.sprintf "protocol %s has no real implementation"
           (Ulipc.Protocol_kind.name kind) )
   | Some waiting -> (
-    if backend = Proc && nservers > 1 then
-      `Error (false, "--nservers applies to the real backend only")
-    else
-      try
-        let header =
-          Printf.sprintf
-            "ulipc_top — %s %s  nclients=%d depth=%d%s  interval=%.1fms"
-            (match backend with Real -> "real" | Proc -> "proc")
-            (Ulipc.Protocol_kind.name kind)
-            nclients depth
-            (if backend = Real then Printf.sprintf " nservers=%d" nservers
-             else "")
-            interval_ms
-        in
-        let hist = { cells = Array.make spark_width nan; n = 0 } in
-        let on_frame =
-          if once then None else Some (paint_live ~header hist)
-        in
-        let tel = T.create ~interval_ms ?on_frame () in
-        if not once then print_string "\027[?25l\027[2J";
-        let m =
-          Fun.protect
-            ~finally:(fun () ->
-              if not once then (
-                print_string "\027[?25h";
-                flush stdout))
-            (fun () ->
+    try
+      let header =
+        Printf.sprintf
+          "ulipc_top — %s %s  nclients=%d depth=%d nservers=%d  \
+           interval=%.1fms"
+          (match backend with Real -> "real" | Proc -> "proc")
+          (Ulipc.Protocol_kind.name kind)
+          nclients depth nservers interval_ms
+      in
+      let hist = { cells = Array.make spark_width nan; n = 0 } in
+      let on_frame =
+        if once then None else Some (paint_live ~header hist)
+      in
+      let tel = T.create ~interval_ms ?on_frame () in
+      if not once then print_string "\027[?25l\027[2J";
+      let m =
+        Fun.protect
+          ~finally:(fun () ->
+            if not once then (
+              print_string "\027[?25h";
+              flush stdout))
+          (fun () ->
+            let peers =
               match backend with
-              | Real ->
-                Real_driver.run ~telemetry:tel ~depth ~nservers ~nclients
-                  ~messages waiting
-              | Proc ->
-                Proc_driver.run ~telemetry:tel ~depth ~nclients ~messages
-                  waiting)
-        in
-        (if once then
-           (* The closing tick's window is post-run (all zeros); show the
-              busiest sampled window instead.  The sparkline still needs
-              the full history, so fold every frame through the renderer
-              and print only the peak frame's paint. *)
-           let peak =
-             List.fold_left
-               (fun acc f ->
-                 let msgs =
-                   Option.value ~default:0.0 (S.point f "messages")
-                 in
-                 match acc with
-                 | Some (best, _) when best >= msgs -> acc
-                 | _ -> Some (msgs, f))
-               None (T.frames tel)
-           in
-           match peak with
-           | Some (_, f) ->
-             List.iter
-               (fun fr ->
-                 hist_push hist
-                   (if fr.S.window_us > 0.0 then
-                      Option.value ~default:0.0 (S.point fr "messages")
-                      /. (fr.S.window_us /. 1000.0)
-                    else 0.0))
-               (T.frames tel);
-             let buf = Buffer.create 512 in
-             render_frame buf ~header hist f;
-             print_string (Buffer.contents buf)
-           | None -> ());
-        if dump then dump_series (T.frames tel);
-        Printf.printf
-          "ulipc_top: %d frames sampled; run total %.1f msg/ms, p99 %.1f us\n"
-          (List.length (T.frames tel))
-          m.Metrics.throughput_msg_per_ms
-          (Option.value ~default:nan (Metrics.latency_percentile m 99.0));
-        if prometheus then print_string (T.to_prometheus tel);
-        `Ok ()
-      with Failure msg -> `Error (false, msg))
+              | Real -> Real_driver.Domains
+              | Proc -> Real_driver.Processes
+            in
+            Real_driver.run ~peers ~traced:false ~telemetry:tel ~depth
+              ~nservers ~nclients ~messages waiting)
+      in
+      (if once then
+         (* The closing tick's window is post-run (all zeros); show the
+            busiest sampled window instead.  The sparkline still needs
+            the full history, so fold every frame through the renderer
+            and print only the peak frame's paint. *)
+         let peak =
+           List.fold_left
+             (fun acc f ->
+               let msgs =
+                 Option.value ~default:0.0 (S.point f "messages")
+               in
+               match acc with
+               | Some (best, _) when best >= msgs -> acc
+               | _ -> Some (msgs, f))
+             None (T.frames tel)
+         in
+         match peak with
+         | Some (_, f) ->
+           List.iter
+             (fun fr ->
+               hist_push hist
+                 (if fr.S.window_us > 0.0 then
+                    Option.value ~default:0.0 (S.point fr "messages")
+                    /. (fr.S.window_us /. 1000.0)
+                  else 0.0))
+             (T.frames tel);
+           let buf = Buffer.create 512 in
+           render_frame buf ~header hist f;
+           print_string (Buffer.contents buf)
+         | None -> ());
+      if dump then dump_series (T.frames tel);
+      Printf.printf
+        "ulipc_top: %d frames sampled; run total %.1f msg/ms, p99 %.1f us\n"
+        (List.length (T.frames tel))
+        m.Metrics.throughput_msg_per_ms
+        (Option.value ~default:nan (Metrics.latency_percentile m 99.0));
+      if prometheus then print_string (T.to_prometheus tel);
+      `Ok ()
+    with Failure msg -> `Error (false, msg))
 
 (* ------------------------------------------------------------------ *)
 (* Command line.                                                       *)
@@ -317,7 +314,7 @@ let depth_t =
 let nservers_t =
   Arg.(
     value & opt int 1
-    & info [ "nservers" ] ~docv:"N" ~doc:"Server pool size (real backend).")
+    & info [ "nservers" ] ~docv:"N" ~doc:"Server pool size.")
 
 let interval_t =
   Arg.(

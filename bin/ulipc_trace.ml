@@ -82,7 +82,7 @@ let summary_json ~backend ~label ~kind ~out ~dropped (m : Metrics.t) (r : A.t)
     Printf.eprintf
       "ulipc_trace: WARNING: trace truncated — %d event(s) dropped by a full \
        ring; wake-latency percentiles cover the surviving events only \
-       (raise the sink capacity or lower --messages for a complete trace)\n\
+       (lower --messages for a complete trace)\n\
        %!"
       dropped;
   let f = Bench_json.json_float in
@@ -116,49 +116,36 @@ let validate_json path =
     | None -> failwith (path ^ ": no traceEvents field"))
   | Error msg -> failwith (path ^ ": emitted JSON does not parse: " ^ msg)
 
-let run_real ~kind ~nclients ~messages ~depth ~out =
-  match Ulipc.Protocol_kind.to_waiting kind with
-  | None -> no_real_backend kind
-  | Some waiting ->
-    let sink = Ulipc_real.Trace_ring.create ~capacity:(1 lsl 18) () in
-    let m = Real_driver.run ~trace:sink ~depth ~nclients ~messages waiting in
-    let events = Ulipc_real.Trace_ring.events sink in
-    let r =
-      A.analyse ~complete:(Ulipc_real.Trace_ring.dropped sink = 0) events
-    in
-    let process_name =
-      Printf.sprintf "ulipc real ring %s" (Ulipc.Protocol_kind.name kind)
-    in
-    Ulipc_observe.Perfetto.write ~process_name ~report:r ~path:out events;
-    validate_json out;
-    Format.printf "%a@." A.pp r;
-    summary_json ~backend:"real" ~label:"\"transport\": \"ring\"" ~kind ~out
-      ~dropped:(Ulipc_real.Trace_ring.dropped sink)
-      m r;
-    r
-
-(* Cross-process backend: fork'd processes over the shm arena, events
-   pid-namespaced and merged by the driver (CLOCK_MONOTONIC is
-   system-wide, so the merged order is causal across processes). *)
-let run_proc ~kind ~nclients ~messages ~depth ~out =
+(* Both real backends: the echo driver with domains or fork'd processes
+   as peers.  Fork'd peers' events arrive pid-namespaced and merged by
+   the driver (CLOCK_MONOTONIC is system-wide, so the merged order is
+   causal across processes). *)
+let run_real ~peers ~kind ~nclients ~messages ~depth ~out =
   match Ulipc.Protocol_kind.to_waiting kind with
   | None -> no_real_backend kind
   | Some waiting ->
     let events_out = ref [] and dropped_out = ref 0 in
     let m =
-      Proc_driver.run ~depth ~nclients ~messages ~events_out ~dropped_out
-        waiting
+      Real_driver.run ~peers ~depth ~nclients ~messages ~events_out
+        ~dropped_out waiting
     in
     let events = !events_out in
     let r = A.analyse ~complete:(!dropped_out = 0) events in
+    let backend, transport =
+      match peers with
+      | Real_driver.Domains -> ("real", "ring")
+      | Real_driver.Processes -> ("proc", "shm")
+    in
     let process_name =
-      Printf.sprintf "ulipc proc shm %s" (Ulipc.Protocol_kind.name kind)
+      Printf.sprintf "ulipc %s %s %s" backend transport
+        (Ulipc.Protocol_kind.name kind)
     in
     Ulipc_observe.Perfetto.write ~process_name ~report:r ~path:out events;
     validate_json out;
     Format.printf "%a@." A.pp r;
-    summary_json ~backend:"proc" ~label:"\"transport\": \"shm\"" ~kind ~out
-      ~dropped:!dropped_out m r;
+    summary_json ~backend
+      ~label:(Printf.sprintf "\"transport\": \"%s\"" transport)
+      ~kind ~out ~dropped:!dropped_out m r;
     r
 
 let run_sim ~kind ~machine ~nclients ~messages ~out =
@@ -189,9 +176,10 @@ let main backend kind machine nclients messages depth out =
   try
     let r =
       match backend with
-      | Real -> run_real ~kind ~nclients ~messages ~depth ~out
+      | Real -> run_real ~peers:Domains ~kind ~nclients ~messages ~depth ~out
       | Sim -> run_sim ~kind ~machine ~nclients ~messages ~out
-      | Proc -> run_proc ~kind ~nclients ~messages ~depth ~out
+      | Proc ->
+        run_real ~peers:Processes ~kind ~nclients ~messages ~depth ~out
     in
     if r.A.violations <> [] then begin
       Printf.eprintf "ulipc_trace: trace invariants violated (%d)\n"
@@ -245,7 +233,7 @@ let depth_arg =
   Arg.(
     value & opt int 1
     & info [ "d"; "depth" ] ~docv:"N"
-        ~doc:"Pipelining depth (real backend only).")
+        ~doc:"Pipelining depth (real and proc backends).")
 
 let out_arg =
   Arg.(

@@ -1,5 +1,5 @@
-(* Registry of live instruments plus the sampler that turns them into
-   Series frames.
+(* Registry of live instruments plus the [tick] that samples them into
+   Series frames; whoever calls [tick] is "the sampler" below.
 
    Hot-path contract: [add]/[incr] on a counter is one
    [Atomic.fetch_and_add]; [record] on a windowed histogram is one DLS
@@ -54,8 +54,6 @@ type t = {
   lock : Mutex.t; (* guards [instruments] *)
   mutable instruments : instrument list; (* reverse registration order *)
   mutable last_t : float;
-  mutable sampler : unit Domain.t option;
-  stop : bool Atomic.t;
 }
 
 let create ?(interval_ms = 10.0) ?capacity ?on_frame () =
@@ -68,8 +66,6 @@ let create ?(interval_ms = 10.0) ?capacity ?on_frame () =
     lock = Mutex.create ();
     instruments = [];
     last_t = Clock.now_us ();
-    sampler = None;
-    stop = Atomic.make false;
   }
 
 let interval_ms t = t.interval_ms
@@ -187,30 +183,6 @@ let tick t =
   Series.push t.series frame;
   (match t.on_frame with Some f -> f frame | None -> ());
   frame
-
-let start_sampler t =
-  if t.sampler <> None then
-    invalid_arg "Telemetry.start_sampler: sampler already running";
-  Atomic.set t.stop false;
-  t.last_t <- Clock.now_us ();
-  t.sampler <-
-    Some
-      (Domain.spawn (fun () ->
-           while not (Atomic.get t.stop) do
-             Unix.sleepf (t.interval_ms /. 1000.0);
-             ignore (tick t)
-           done))
-
-let stop_sampler t =
-  match t.sampler with
-  | None -> ()
-  | Some d ->
-      Atomic.set t.stop true;
-      Domain.join d;
-      t.sampler <- None;
-      (* Close out the partial window so summed per-window deltas equal
-         the instruments' totals exactly. *)
-      ignore (tick t)
 
 (* Prometheus text exposition.  Counters become [_total] counters from
    their live cumulative value, gauges are read at dump time, windowed

@@ -7,7 +7,7 @@
       with one [Atomic.fetch_and_add]; each frame carries the per-window
       delta under the counter's name.
     - {b Gauges} ({!gauge}): point-in-time callbacks (ring depth, slab
-      occupancy, trace drops) read at frame time; a raising gauge reads
+      occupancy) read at frame time; a raising gauge reads
       as [nan] rather than killing the sampler.
     - {b External counter batches} ({!ext_counters}): a callback
       returning monotonic [(name, total)] pairs — e.g. a
@@ -28,12 +28,11 @@
       or slide one window — window counts are conservative, totals
       drift by at most [writers] samples per flip.
 
-    Sampling runs either on a background domain
-    ({!start_sampler}/{!stop_sampler}) or inline via {!tick} — the
-    cross-process driver uses the latter from its fork'd-children
-    select loop, where spawning a domain is forbidden.  {!stop_sampler}
-    takes a final sample, so summed per-window deltas equal the
-    instruments' totals exactly.
+    Sampling is {!tick}, called by the driver that owns the run — the
+    echo driver ticks inline while it waits for its peers, since a
+    process that forks them must not have spawned a sampler domain.  A
+    last tick after the run closes the partial window, so summed
+    per-window deltas equal the instruments' totals exactly.
 
     Registration is mutex-guarded and may happen at any time, but
     {!tick} must only ever have one caller at a time (the sampler). *)
@@ -47,9 +46,9 @@ val create :
   unit ->
   t
 (** [create ()] is an empty registry.  [interval_ms] (default 10.0) is
-    the background sampler's period; [capacity] bounds the frame ring
+    the sampling period its driver ticks at; [capacity] bounds the frame ring
     (see {!Series.create}); [on_frame] is invoked after each frame is
-    pushed — from the sampler domain — which is how [ulipc_top] renders
+    pushed — from {!tick}'s caller — which is how [ulipc_top] renders
     live.  @raise Invalid_argument on non-positive [interval_ms]. *)
 
 val interval_ms : t -> float
@@ -79,24 +78,14 @@ val record : whist -> float -> unit
 
 val whist_cumulative : whist -> Histogram.t
 (** Merge of every window sampled so far (records still sitting in the
-    active buffer are not yet included; {!stop_sampler}'s final tick
-    folds them in). *)
+    active buffer are not yet included; the next {!tick} folds them
+    in). *)
 
 (** {2 Sampling} *)
 
 val tick : t -> Series.frame
 (** Take one sample now: flip windowed histograms, diff counters, read
     gauges, push (and return) the frame.  Single-caller only. *)
-
-val start_sampler : t -> unit
-(** Spawn the background sampler domain ([tick] every [interval_ms]).
-    Do not use in the cross-process driver's parent before forking —
-    OCaml forbids fork after domain spawn; use {!tick} inline instead.
-    @raise Invalid_argument if already running. *)
-
-val stop_sampler : t -> unit
-(** Stop and join the sampler, then take one final sample closing the
-    partial window.  No-op when no sampler is running. *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition: counters as [ulipc_<name>_total],

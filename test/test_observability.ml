@@ -165,14 +165,15 @@ let test_trace_ring_bounds () =
 let test_trace_through_real_run () =
   let open Ulipc_real in
   let nclients = 2 and messages = 100 in
-  let sink = Trace_ring.create () in
-  let m = Real_driver.run ~trace:sink ~nclients ~messages Rpc.Block in
+  let events_out = ref [] and dropped_out = ref (-1) in
+  let m =
+    Real_driver.run ~peers:Domains ~events_out ~dropped_out ~nclients
+      ~messages Rpc.Block
+  in
   Alcotest.(check int) "all messages echoed" (nclients * messages)
     m.Metrics.messages;
-  let events = Trace_ring.events sink in
-  Alcotest.(check int) "nothing dropped" 0 (Trace_ring.dropped sink);
-  Alcotest.(check int) "drained = recorded" (Trace_ring.recorded sink)
-    (List.length events);
+  let events = !events_out in
+  Alcotest.(check int) "nothing dropped" 0 !dropped_out;
   let count k =
     List.length
       (List.filter (fun e -> e.Ulipc_observe.Event.kind = k) events)
@@ -212,9 +213,7 @@ let test_trace_through_real_run () =
   (* The unified analysis over a real run: the invariant checker must
      come back clean and every block must have recovered a wake pair. *)
   let report =
-    Ulipc_observe.Trace_analysis.analyse
-      ~complete:(Trace_ring.dropped sink = 0)
-      events
+    Ulipc_observe.Trace_analysis.analyse ~complete:true events
   in
   Alcotest.(check (list string))
     "no invariant violations" []
@@ -227,7 +226,10 @@ let test_trace_through_real_run () =
 
 let test_real_driver_latency ?nservers () =
   let nclients = 2 and messages = 50 in
-  let m = Real_driver.run ?nservers ~nclients ~messages Ulipc_real.Rpc.Block in
+  let m =
+    Real_driver.run ~peers:Domains ?nservers ~nclients ~messages
+      Ulipc_real.Rpc.Block
+  in
   Alcotest.(check int) "messages" (nclients * messages) m.Metrics.messages;
   match m.Metrics.latency_us with
   | None -> Alcotest.fail "real run did not collect latency"
@@ -279,7 +281,9 @@ let test_bench_json_roundtrip () =
   let real =
     List.map
       (fun waiting ->
-        ("inproc", "ring", Real_driver.run ~nclients:2 ~messages:50 waiting))
+        ( "inproc",
+          "ring",
+          Real_driver.run ~peers:Domains ~nclients:2 ~messages:50 waiting ))
       protocols
   in
   (* Non-finite micro rows exercise the null path end to end. *)
@@ -440,6 +444,13 @@ let suites =
           (test_real_driver_latency ?nservers:None);
         Alcotest.test_case "latency histogram (ring, 2 servers)" `Quick
           (test_real_driver_latency ~nservers:2);
+        Alcotest.test_case "driver counters balance" `Quick
+          (Driver_cases.counters_balance ~peers:Domains);
+        Alcotest.test_case "driver trace invariants" `Quick
+          (Driver_cases.trace_invariants ~peers:Domains);
+        Alcotest.test_case "BSLS(0) never falls through" `Quick
+          (Driver_cases.bsls0_never_falls_through ~peers:Domains
+             ~within:Test_realipc.within_domain);
       ] );
     ( "workload.bench_json",
       [

@@ -708,53 +708,6 @@ let test_dead_peer_detected () =
       (Printf.sprintf "detected dead peer promptly (%dms)" elapsed_ms)
       true (elapsed_ms < 2_000)
 
-(* ------------------------------------------------------------------ *)
-(* End to end through the fork driver: counters balance, echoes check
-   out (the driver fails internally on a wrong echo), on the
-   synchronous and the pipelined path, and the merged pid-namespaced
-   trace passes the causal invariant checker. *)
-
-let test_driver_counters_balance () =
-  List.iter
-    (fun depth ->
-      let residue = ref (-1) in
-      let m =
-        Ulipc_workload.Proc_driver.run ~depth ~wake_residue_out:residue
-          ~nclients:2 ~messages:100 Rpc.Block
-      in
-      let c = m.Ulipc_workload.Metrics.counters in
-      let open Ulipc.Counters in
-      Alcotest.(check int) "driver reports all messages" 200
-        m.Ulipc_workload.Metrics.messages;
-      Alcotest.(check bool) "sends cover the workload" true (c.sends >= 200);
-      Alcotest.(check int) "replies match sends" c.sends c.replies;
-      Alcotest.(check bool) "throughput is finite" true
-        (Float.is_finite m.Ulipc_workload.Metrics.throughput_msg_per_ms);
-      Alcotest.(check int) "no wake residue" 0 !residue)
-    [ 1; 8 ]
-
-let test_driver_trace_invariants () =
-  let events_out = ref [] and dropped_out = ref 0 in
-  let _m =
-    Ulipc_workload.Proc_driver.run ~nclients:2 ~messages:150 ~events_out
-      ~dropped_out Rpc.Block
-  in
-  let events = !events_out in
-  Alcotest.(check bool) "trace non-empty" true (events <> []);
-  (* Actors must be pid-namespaced: three processes, three actors. *)
-  let actors =
-    List.sort_uniq compare
-      (List.map (fun e -> e.Ulipc_observe.Event.actor) events)
-  in
-  Alcotest.(check int) "one actor per process" 3 (List.length actors);
-  let r =
-    Ulipc_observe.Trace_analysis.analyse ~complete:(!dropped_out = 0) events
-  in
-  Alcotest.(check int) "no causal violations" 0
-    (List.length r.Ulipc_observe.Trace_analysis.violations);
-  Alcotest.(check bool) "blocks were observed" true
-    (r.Ulipc_observe.Trace_analysis.blocks > 0)
-
 (* Run [f] in a forked child that leads its own process group, and fail
    the test, killing the whole group, unless it exits cleanly within
    [timeout_s].  A lost wake-up leaves every process of a session parked
@@ -900,18 +853,26 @@ let test_mpsc_two_producers_cross_fork () =
       List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
       if Mpsc.dequeue q <> Spsc.nil then failwith "extra value")
 
-(* [Limited_spin 0] skips the poll loop across processes too. *)
-let test_bsls0_never_falls_through () =
-  within_deadline ~timeout_s:20.0 "BSLS(0) proc echo" (fun () ->
+(* End to end through the echo driver with fork'd peers: a pool of two
+   server processes behind four client processes.  The driver checks
+   every echo, stops the servers with poison posted from the parent
+   across the fork, and fails unless every child exits cleanly. *)
+let test_driver_server_pool () =
+  within_deadline ~timeout_s:30.0 "2-server pool, 4 clients" (fun () ->
+      let nclients = 4 and messages = 200 in
       let m =
-        Ulipc_workload.Proc_driver.run ~nclients:1 ~messages:500
-          (Rpc.Limited_spin 0)
+        Ulipc_workload.Real_driver.run ~peers:Processes ~nservers:2 ~nclients
+          ~messages Rpc.Block
       in
       let c = m.Ulipc_workload.Metrics.counters in
-      if
-        c.Ulipc.Counters.spin_fallthroughs <> 0
-        || c.Ulipc.Counters.server_spin_fallthroughs <> 0
-      then failwith "BSLS(0) charged a spin fall-through")
+      if m.Ulipc_workload.Metrics.messages <> nclients * messages then
+        failwith "driver lost messages";
+      if c.Ulipc.Counters.replies <> c.Ulipc.Counters.sends then
+        failwith
+          (Printf.sprintf "%d replies for %d sends" c.Ulipc.Counters.replies
+             c.Ulipc.Counters.sends);
+      if not (Float.is_finite m.Ulipc_workload.Metrics.utilization_max) then
+        failwith "no utilization_max")
 
 let test_create_rejects_negative_budgets () =
   Alcotest.check_raises "bad max_spin"
@@ -928,13 +889,13 @@ let test_fd_baseline_echoes () =
   List.iter
     (fun transport ->
       let m =
-        Ulipc_workload.Proc_driver.run_fd ~transport ~nclients:2 ~messages:50
+        Ulipc_workload.Real_driver.run_fd ~transport ~nclients:2 ~messages:50
           ()
       in
       Alcotest.(check int)
-        (Ulipc_workload.Proc_driver.fd_transport_name transport ^ " messages")
+        (Ulipc_workload.Real_driver.fd_transport_name transport ^ " messages")
         100 m.Ulipc_workload.Metrics.messages)
-    Ulipc_workload.Proc_driver.[ Fd_pipe; Fd_socket ]
+    Ulipc_workload.Real_driver.[ Fd_pipe; Fd_socket ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1032,13 +993,16 @@ let suites =
       [
         Alcotest.test_case "dead peer detected" `Quick test_dead_peer_detected;
         Alcotest.test_case "driver counters balance" `Quick
-          test_driver_counters_balance;
+          (Driver_cases.counters_balance ~peers:Processes);
         Alcotest.test_case "driver trace invariants" `Quick
-          test_driver_trace_invariants;
+          (Driver_cases.trace_invariants ~peers:Processes);
         Alcotest.test_case "fd baselines echo" `Quick test_fd_baseline_echoes;
         Alcotest.test_case "BSLS(0) never falls through" `Quick
-          test_bsls0_never_falls_through;
+          (Driver_cases.bsls0_never_falls_through ~peers:Processes
+             ~within:within_deadline);
         Alcotest.test_case "create rejects negative budgets" `Quick
           test_create_rejects_negative_budgets;
+        Alcotest.test_case "driver server pool across fork" `Quick
+          test_driver_server_pool;
       ] );
   ]

@@ -154,40 +154,6 @@ let test_whist_record_during_flip () =
      p >= 1.0 && p <= H.max_value (T.whist_cumulative w) *. 1.0000001)
 
 (* ------------------------------------------------------------------ *)
-(* Sampler thread: frames accumulate without an explicit tick and the
-   series stays monotonic; double-start is rejected. *)
-
-let test_sampler_lifecycle () =
-  let t = T.create ~interval_ms:2.0 () in
-  let c = T.counter t "beats" in
-  T.start_sampler t;
-  Alcotest.check_raises "double start"
-    (Invalid_argument "Telemetry.start_sampler: sampler already running")
-    (fun () -> T.start_sampler t);
-  for _ = 1 to 5 do
-    T.incr c;
-    Unix.sleepf 0.004
-  done;
-  T.stop_sampler t;
-  T.stop_sampler t (* idempotent *);
-  let frames = T.frames t in
-  Alcotest.(check bool)
-    (Printf.sprintf "sampled >= 2 frames (%d)" (List.length frames))
-    true
-    (List.length frames >= 2);
-  let rec monotonic = function
-    | a :: (b :: _ as rest) -> a.S.t_us < b.S.t_us && monotonic rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "t_us strictly increasing" true (monotonic frames);
-  let summed =
-    List.fold_left
-      (fun acc f -> acc +. Option.value ~default:0.0 (S.point f "beats"))
-      0.0 frames
-  in
-  Alcotest.(check (float 0.0)) "deltas sum to total" 5.0 summed
-
-(* ------------------------------------------------------------------ *)
 (* Prometheus exposition. *)
 
 let contains ~needle hay =
@@ -305,7 +271,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_whist_flip_merge;
         Alcotest.test_case "record during flip (multi-domain)" `Quick
           test_whist_record_during_flip;
-        Alcotest.test_case "sampler lifecycle" `Quick test_sampler_lifecycle;
         Alcotest.test_case "prometheus exposition" `Quick test_prometheus;
       ] );
     ( "core.counters",

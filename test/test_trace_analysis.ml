@@ -166,15 +166,14 @@ let test_truncated_trace_suppresses_end_checks () =
 (* End to end: both backends come back violation-free *)
 
 let test_real_run_clean ?depth ?nservers (waiting, name) () =
-  let sink = Ulipc_real.Trace_ring.create ~capacity:65536 () in
+  let events_out = ref [] and dropped_out = ref (-1) in
   let m =
-    Real_driver.run ?depth ?nservers ~trace:sink ~nclients:2 ~messages:100
-      waiting
+    Real_driver.run ~peers:Domains ?depth ?nservers ~events_out ~dropped_out
+      ~nclients:2 ~messages:100 waiting
   in
   Alcotest.(check int) "all messages echoed" 200 m.Metrics.messages;
-  Alcotest.(check int) "nothing dropped" 0
-    (Ulipc_real.Trace_ring.dropped sink);
-  let r = A.analyse ~complete:true (Ulipc_real.Trace_ring.events sink) in
+  Alcotest.(check int) "nothing dropped" 0 !dropped_out;
+  let r = A.analyse ~complete:true !events_out in
   check_clean name r;
   Alcotest.(check bool) "trace is non-trivial" true (r.A.events > 0)
 
