@@ -550,11 +550,20 @@ let collect t ~client =
    producer encodes the burst into a span it owns and pushes it with
    [enqueue_many]; the consumer waits for the first message through the
    ordinary consumer sequence and sweeps the rest with one
-   [dequeue_many].  Every loop below is top-level recursion: a local
-   [let rec] would capture its environment in a closure allocated per
-   call (no flambda), and the result lists are built front to back in
-   destination-passing style ([@tail_mod_cons]), so the only words a
-   batch call allocates are the list it returns. *)
+   [dequeue_many].  Per message, the rest is a word copy and a cons:
+   spans are filled and lists built by loops picked with one codec
+   match per span ([Word] copies the words, [Boxed] goes through
+   [encode]/[decode] and the slab), and a list that ends the call is
+   consed back to front from the span, about half the cost of building
+   it front to back.  Only a sweep that leaves replies outstanding, a
+   rare one, is still built front to back in destination-passing style
+   ([@tail_mod_cons]), with a [decode] per message, because the rest of
+   the loop follows it.  The word loops' spans are annotated
+   [int array]: left polymorphic, a copy loop stores through
+   [caml_modify] and reads through the float-array check.  Every loop
+   is top-level recursion: a local [let rec] would capture its
+   environment in a closure allocated per call (no flambda), so the
+   only words a batch call allocates are the list it returns. *)
 
 (* Enqueue the whole span with span claims, waking the consumer after
    every non-empty claim (not only at the end: if the queue fills while
@@ -577,21 +586,36 @@ let rec push_batch t ch ~target buf ~pos ~len n =
     end
   end
 
-(* Encode the head of [reqs] into the span [buf] until it holds [k]
-   messages; returns the rest of the list. *)
-let rec fill_span t ~client buf n k reqs =
+(* Copy or encode the head of [reqs] into the span [buf] until it holds
+   [k] messages; return the rest of the list. *)
+let rec fill_words ~client (buf : int array) n k reqs =
   match reqs with
   | r :: rest when n < k ->
     buf.(2 * n) <- client;
-    buf.((2 * n) + 1) <- encode t t.req_codec r;
-    fill_span t ~client buf (n + 1) k rest
+    buf.((2 * n) + 1) <- r;
+    fill_words ~client buf (n + 1) k rest
   | rest -> rest
+
+let rec fill_boxed t ~client (buf : int array) n k reqs =
+  match reqs with
+  | r :: rest when n < k ->
+    buf.(2 * n) <- client;
+    buf.((2 * n) + 1) <- encode t Boxed r;
+    fill_boxed t ~client buf (n + 1) k rest
+  | rest -> rest
+
+let fill_span : type req rep.
+    (req, rep) t -> client:int -> int array -> int -> req list -> req list =
+ fun t ~client buf k reqs ->
+  match t.req_codec with
+  | Word -> fill_words ~client buf 0 k reqs
+  | Boxed -> fill_boxed t ~client buf 0 k reqs
 
 (* Post [left] requests from the head of [reqs] in span-sized chunks. *)
 let rec post_chunks t ~client request buf left reqs =
   if left > 0 then begin
     let n = Int.min (Array.length buf / 2) left in
-    let rest = fill_span t ~client buf 0 n reqs in
+    let rest = fill_span t ~client buf n reqs in
     push_batch t request ~target:Server buf ~pos:0 ~len:n 0;
     post_chunks t ~client request buf (left - n) rest
   end
@@ -602,12 +626,39 @@ let post_batch t ~client reqs =
     (Real_substrate.request_shard t.sub (shard_of_client t client))
     t.client_scratch.(client) (List.length reqs) reqs
 
-(* The [(client, payload)]s of messages [i .. k-1] of a request span. *)
-let[@tail_mod_cons] rec take_requests t buf i k =
-  if i >= k then []
+(* Messages [0 .. i] of a span, consed onto [acc] from message [i]
+   down: as [(client, payload)] requests, or as bare reply payloads. *)
+let rec word_requests (buf : int array) i acc =
+  if i < 0 then acc
+  else word_requests buf (i - 1) ((buf.(2 * i), buf.((2 * i) + 1)) :: acc)
+
+let rec boxed_requests t (buf : int array) i acc =
+  if i < 0 then acc
   else
-    let r = (buf.(2 * i), decode t t.req_codec buf.((2 * i) + 1)) in
-    r :: take_requests t buf (i + 1) k
+    boxed_requests t buf (i - 1)
+      ((buf.(2 * i), decode t Boxed buf.((2 * i) + 1)) :: acc)
+
+let rec word_replies (buf : int array) i acc =
+  if i < 0 then acc else word_replies buf (i - 1) (buf.((2 * i) + 1) :: acc)
+
+let rec boxed_replies t (buf : int array) i acc =
+  if i < 0 then acc
+  else boxed_replies t buf (i - 1) (decode t Boxed buf.((2 * i) + 1) :: acc)
+
+(* Span messages [0 .. k-1] as a list consed back to front, by the
+   loop for the direction's codec. *)
+let requests : type req rep.
+    (req, rep) t -> int array -> int -> (int * req) list =
+ fun t buf k ->
+  match t.req_codec with
+  | Word -> word_requests buf (k - 1) []
+  | Boxed -> boxed_requests t buf (k - 1) []
+
+let replies : type req rep. (req, rep) t -> int array -> int -> rep list =
+ fun t buf k ->
+  match t.rep_codec with
+  | Word -> word_replies buf (k - 1) []
+  | Boxed -> boxed_replies t buf (k - 1) []
 
 let receive_batch ?(server = 0) t ~max =
   if max <= 0 then invalid_arg "Rpc.receive_batch: max must be positive";
@@ -629,7 +680,7 @@ let receive_batch ?(server = 0) t ~max =
           ~buf ~pos:n_stash ~max:(want - n_stash)
     in
     bump_receives t k;
-    first :: take_requests t buf 0 k
+    first :: requests t buf k
   end
 
 (* The reply span of the calling domain.  [reply_batch] may run on any
@@ -642,25 +693,46 @@ let reply_span_msgs = 64
 let reply_span =
   Domain.DLS.new_key (fun () -> Array.make (2 * reply_span_msgs) 0)
 
-(* [reply_runs] starts a run at the head of [reps]; [reply_run] encodes
-   the run's replies to [client] into [span] (holding [n] so far) and,
-   at the end of the run or of the span, pushes them with one span
-   claim and one wake-up.  A run is never empty, so every push is. *)
-let rec reply_runs t span = function
-  | [] -> ()
-  | (client, _) :: _ as reps ->
-    reply_run t span (Real_substrate.reply_channel t.sub client) client 0 reps
+(* Copy or encode a run of [reps] into [span]: the run holds [n]
+   replies to [client] so far, and ends at the first reply to another
+   client or when the span is full.  It then goes out on [ch] with one
+   span claim and one wake-up, and the rest of [reps] comes back.  A
+   run is never empty, so every push is. *)
+let push_run t span ch n =
+  push_batch t ch ~target:Client span ~pos:0 ~len:n 0;
+  bump_replies t n
 
-and reply_run t span ch client n reps =
+let rec word_run t (span : int array) ch client n reps =
   match reps with
   | (c, rep) :: rest when c = client && n < reply_span_msgs ->
     span.(2 * n) <- client;
-    span.((2 * n) + 1) <- encode t t.rep_codec rep;
-    reply_run t span ch client (n + 1) rest
+    span.((2 * n) + 1) <- rep;
+    word_run t span ch client (n + 1) rest
   | rest ->
-    push_batch t ch ~target:Client span ~pos:0 ~len:n 0;
-    bump_replies t n;
-    reply_runs t span rest
+    push_run t span ch n;
+    rest
+
+let rec boxed_run t (span : int array) ch client n reps =
+  match reps with
+  | (c, rep) :: rest when c = client && n < reply_span_msgs ->
+    span.(2 * n) <- client;
+    span.((2 * n) + 1) <- encode t Boxed rep;
+    boxed_run t span ch client (n + 1) rest
+  | rest ->
+    push_run t span ch n;
+    rest
+
+let rec reply_runs : type req rep.
+    (req, rep) t -> int array -> (int * rep) list -> unit =
+ fun t span reps ->
+  match reps with
+  | [] -> ()
+  | (client, _) :: _ ->
+    let ch = Real_substrate.reply_channel t.sub client in
+    reply_runs t span
+      (match t.rep_codec with
+      | Word -> word_run t span ch client 0 reps
+      | Boxed -> boxed_run t span ch client 0 reps)
 
 let reply_batch t reps = reply_runs t (Domain.DLS.get reply_span) reps
 
@@ -668,15 +740,18 @@ let reply_batch t reps = reply_runs t (Domain.DLS.get reply_span) reps
    [pending] ([npending] left) in span-claimed bursts while fewer than
    [depth] requests are out, otherwise wait for the oldest reply through
    [collect] — its C.1 is the same dequeue a sweep would make — and
-   sweep whatever else has landed with one [dequeue_many].  The client's
-   scratch span serves both directions: a burst is pushed before the
-   sweep that reuses it, and a sweep's replies are decoded before the
-   next burst is encoded. *)
+   sweep whatever else has landed with one [dequeue_many].  The sweep
+   that completes the call is consed back to front.  One that leaves
+   replies out (under 0.2% of the sweeps of a depth-8 echo) is built
+   front to back by [swept], and the rest of the loop after it.  The
+   client's scratch span serves both directions: a burst is pushed
+   before the sweep that reuses it, and a sweep's replies are decoded
+   before the next burst is encoded. *)
 let[@tail_mod_cons] rec pipelined t ~client ~depth ch request buf pending
     npending out =
   if npending > 0 && out < depth then begin
     let k = Int.min (Int.min (depth - out) npending) (Array.length buf / 2) in
-    let pending = fill_span t ~client buf 0 k pending in
+    let pending = fill_span t ~client buf k pending in
     push_batch t request ~target:Server buf ~pos:0 ~len:k 0;
     pipelined t ~client ~depth ch request buf pending (npending - k) (out + k)
   end
@@ -689,8 +764,9 @@ let[@tail_mod_cons] rec pipelined t ~client ~depth ch request buf pending
         Real_substrate.dequeue_many t.sub ch ~buf ~pos:0
           ~max:(Int.min (out - 1) (Array.length buf / 2))
     in
-    first
-    :: swept t ~client ~depth ch request buf pending npending (out - 1 - k) k 0
+    let out = out - 1 - k in
+    if npending = 0 && out = 0 then first :: replies t buf k
+    else first :: swept t ~client ~depth ch request buf pending npending out k 0
   end
 
 (* The decoded replies of the sweep's [k] messages from [i], then the

@@ -172,6 +172,34 @@ let fork_child role =
     Unix.close wr;
     (pid, rd)
 
+(* OCaml numbers every signal it knows with a negative id of its own
+   ([Sys.sigkill] is -7), all of them named here; any other signal
+   keeps its POSIX number. *)
+let signal_names =
+  Sys.
+    [
+      (sigabrt, "SIGABRT"); (sigalrm, "SIGALRM"); (sigbus, "SIGBUS");
+      (sigchld, "SIGCHLD"); (sigcont, "SIGCONT"); (sigfpe, "SIGFPE");
+      (sighup, "SIGHUP"); (sigill, "SIGILL"); (sigint, "SIGINT");
+      (sigkill, "SIGKILL"); (sigpipe, "SIGPIPE"); (sigpoll, "SIGPOLL");
+      (sigprof, "SIGPROF"); (sigquit, "SIGQUIT"); (sigsegv, "SIGSEGV");
+      (sigstop, "SIGSTOP"); (sigsys, "SIGSYS"); (sigterm, "SIGTERM");
+      (sigtrap, "SIGTRAP"); (sigtstp, "SIGTSTP"); (sigttin, "SIGTTIN");
+      (sigttou, "SIGTTOU"); (sigurg, "SIGURG"); (sigusr1, "SIGUSR1");
+      (sigusr2, "SIGUSR2"); (sigvtalrm, "SIGVTALRM"); (sigxcpu, "SIGXCPU");
+      (sigxfsz, "SIGXFSZ");
+    ]
+
+let signal_name s =
+  match List.assoc_opt s signal_names with
+  | Some name -> name
+  | None -> Printf.sprintf "signal %d" s
+
+let status_text = function
+  | Unix.WEXITED n -> Printf.sprintf "exited with %d" n
+  | Unix.WSIGNALED s -> "killed by " ^ signal_name s
+  | Unix.WSTOPPED s -> "stopped by " ^ signal_name s
+
 let read_report (pid, rd) =
   let ic = Unix.in_channel_of_descr rd in
   let shipped =
@@ -185,12 +213,7 @@ let read_report (pid, rd) =
   | Some r, Unix.WEXITED 0 -> r
   | None, Unix.WEXITED 0 ->
     failwith (Printf.sprintf "child %d sent no report" pid)
-  | _, Unix.WEXITED n ->
-    failwith (Printf.sprintf "child %d exited with %d" pid n)
-  | _, Unix.WSIGNALED s ->
-    failwith (Printf.sprintf "child %d killed by signal %d" pid s)
-  | _, Unix.WSTOPPED s ->
-    failwith (Printf.sprintf "child %d stopped by signal %d" pid s)
+  | _, status -> failwith (Printf.sprintf "child %d %s" pid (status_text status))
 
 (* A running peer: [fd] turns readable once it has finished, normally
    or not, and [join] then collects what it shipped (re-raising its

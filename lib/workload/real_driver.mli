@@ -119,6 +119,11 @@ val run :
     @raise Invalid_argument if [depth <= 0], [messages <= 0], or
     [depth > 1] with [nservers > 1]. *)
 
+val status_text : Unix.process_status -> string
+(** How a failed fork'd peer ended, as [run]'s failure names it:
+    ["exited with 2"], ["killed by SIGKILL"]; a signal OCaml has no
+    name for keeps its POSIX number (["killed by signal 34"]). *)
+
 type fd_transport = Fd_pipe | Fd_socket
 
 val fd_transport_name : fd_transport -> string

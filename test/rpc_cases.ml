@@ -194,6 +194,62 @@ let fleet_steals ~spawn () =
     (Printf.sprintf "the victim handed spans over (%d handoffs)" handoffs)
     true (handoffs > 0)
 
+(* Both batch list builders, on random shapes: [nclients] clients each
+   send [n] requests through [call_pipelined ~depth], then [n] more
+   with [post_batch] and [collect_batch ~n], to a batch server that
+   answers with [receive_batch ~max]/[reply_batch].  A [max] below the
+   depth makes the server's sweeps short, so a client's sweep often
+   leaves replies outstanding; [n > depth] takes several windows.
+   Replies must be the echo of the requests, in order, and the server
+   checks that it sees each client's requests in post order.  Every
+   boxed payload must be back in the slab afterwards. *)
+let batch_lists ~codec ~spawn () =
+  let nclients = 2 in
+  let request c j = (c * 1000) + j and echo v = (2 * v) + 1 in
+  let trial (n, depth, max) =
+    let t : (int, int) Rpc.t =
+      Rpc.create ~req_codec:codec ~rep_codec:codec ~nclients Rpc.Block
+    in
+    let server =
+      spawn (fun () ->
+          let next = Array.make nclients 0 and left = ref (2 * n * nclients) in
+          while !left > 0 do
+            let batch = Rpc.receive_batch t ~max in
+            if List.length batch > max then failwith "batch longer than max";
+            List.iter
+              (fun (c, v) ->
+                if v <> request c next.(c) then
+                  failwith
+                    (Printf.sprintf "client %d: request %d where %d was due" c
+                       v (request c next.(c)));
+                next.(c) <- next.(c) + 1)
+              batch;
+            left := !left - List.length batch;
+            Rpc.reply_batch t (List.map (fun (c, v) -> (c, echo v)) batch)
+          done)
+    in
+    let client c () =
+      let reqs = List.init n (request c) in
+      if Rpc.call_pipelined t ~client:c ~depth reqs <> List.map echo reqs then
+        failwith (Printf.sprintf "client %d: call_pipelined replies" c);
+      let reqs = List.init n (fun j -> request c (n + j)) in
+      Rpc.post_batch t ~client:c reqs;
+      if Rpc.collect_batch t ~client:c ~n <> List.map echo reqs then
+        failwith (Printf.sprintf "client %d: collect_batch replies" c)
+    in
+    join_all (List.init nclients (fun c -> spawn (client c)));
+    server ();
+    Slab.in_use_count (Rpc.slab t) = 0
+  in
+  (* Unshrunk: QCheck's integer shrinker leaves the drawn ranges. *)
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:100 ~name:"batch lists echo in order"
+       (QCheck.make
+          ~print:(fun (n, depth, max) ->
+            Printf.sprintf "n = %d, depth = %d, max = %d" n depth max)
+          QCheck.Gen.(triple (int_range 0 40) (int_range 1 10) (int_range 1 10)))
+       trial)
+
 (* The timed receive: on an idle shard it ends in a clean timeout, not a
    park; then it returns a request a peer sends, and the session is left
    without a stray credit. *)
@@ -234,4 +290,6 @@ let cases ~spawn ~within () =
     bounded "fleet: the idle server steals from a pinned shard" fleet_steals;
     bounded "receive_opt: clean timeout, then a peer's request"
       timed_receive;
+    bounded "batch lists: echo in order, requests in post order"
+      (batch_lists ~codec:Rpc.int_codec);
   ]

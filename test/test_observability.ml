@@ -224,6 +224,20 @@ let test_trace_through_real_run () =
 (* ------------------------------------------------------------------ *)
 (* Real_driver latency *)
 
+(* A failed fork'd peer is named by how it ended: the signals by their
+   POSIX names, not by OCaml's negative ids (SIGKILL is -7). *)
+let test_status_text () =
+  let text = Ulipc_workload.Real_driver.status_text in
+  Alcotest.(check string) "SIGKILL" "killed by SIGKILL"
+    (text (Unix.WSIGNALED Sys.sigkill));
+  Alcotest.(check string) "SIGSEGV" "killed by SIGSEGV"
+    (text (Unix.WSIGNALED Sys.sigsegv));
+  Alcotest.(check string) "a signal OCaml does not name" "killed by signal 34"
+    (text (Unix.WSIGNALED 34));
+  Alcotest.(check string) "stopped" "stopped by SIGSTOP"
+    (text (Unix.WSTOPPED Sys.sigstop));
+  Alcotest.(check string) "exit code" "exited with 2" (text (Unix.WEXITED 2))
+
 let test_real_driver_latency ?nservers () =
   let nclients = 2 and messages = 50 in
   let m =
@@ -451,6 +465,8 @@ let suites =
         Alcotest.test_case "BSLS(0) never falls through" `Quick
           (Driver_cases.bsls0_never_falls_through ~peers:Domains
              ~within:Test_realipc.within_domain);
+        Alcotest.test_case "a peer's exit status names its signal" `Quick
+          test_status_text;
       ] );
     ( "workload.bench_json",
       [

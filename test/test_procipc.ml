@@ -712,7 +712,9 @@ let test_dead_peer_detected () =
    the test, killing the whole group, unless it exits cleanly within
    [timeout_s].  A lost wake-up leaves every process of a session parked
    in FUTEX_WAIT for good; the parent-side deadline turns that hang into
-   a failure.  An exception [f] raises is printed to stderr first. *)
+   a failure.  An exception [f] raises is printed to stderr first, and
+   the group is killed then too: a failed case may leave peers parked
+   on replies that never come. *)
 let within_deadline ~timeout_s what f =
   match Unix.fork () with
   | 0 ->
@@ -735,7 +737,9 @@ let within_deadline ~timeout_s what f =
         Alcotest.failf "%s: still running after %.0f s (lost wake-up)" what
           timeout_s
       | _, Unix.WEXITED 0 -> ()
-      | _, _ -> Alcotest.failf "%s: session failed" what
+      | _, _ ->
+        (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
+        Alcotest.failf "%s: session failed" what
     in
     wait ()
 
@@ -874,6 +878,18 @@ let test_driver_server_pool () =
       if not (Float.is_finite m.Ulipc_workload.Metrics.utilization_max) then
         failwith "no utilization_max")
 
+(* A fork'd child that SIGKILLs itself: the status waitpid returns is
+   named SIGKILL, as the driver reports a peer that died that way. *)
+let test_killed_child_named () =
+  match Unix.fork () with
+  | 0 ->
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+    Unix._exit 0
+  | pid ->
+    let _, status = Unix.waitpid [] pid in
+    Alcotest.(check string) "status" "killed by SIGKILL"
+      (Ulipc_workload.Real_driver.status_text status)
+
 let test_create_rejects_negative_budgets () =
   Alcotest.check_raises "bad max_spin"
     (Invalid_argument "Rpc.create: max_spin must be non-negative")
@@ -1004,5 +1020,7 @@ let suites =
           test_create_rejects_negative_budgets;
         Alcotest.test_case "driver server pool across fork" `Quick
           test_driver_server_pool;
+        Alcotest.test_case "a SIGKILLed child is named SIGKILL" `Quick
+          test_killed_child_named;
       ] );
   ]

@@ -1208,7 +1208,8 @@ let test_rpc_batch_alloc_pins () =
      after warm-up, per burst of 8: the server's [reply_batch]
      allocates nothing, [receive_batch ~max:8] exactly its result (a
      cons cell and a pair per request, 6 words each), and
-     [call_pipelined ~depth:8] exactly its 24-word reply list.  Every
+     [call_pipelined ~depth:8] and [collect_batch ~n:8] (after a
+     [post_batch] of 8) exactly their 24-word reply lists.  Every
      window sits between two Gc.minor_words reads into a float array
      (unboxed stores) in the domain that allocates; the server measures
      every batch between the markers -2 and -3, which the client sends
@@ -1253,7 +1254,7 @@ let test_rpc_batch_alloc_pins () =
     if Rpc.call_pipelined t ~client:0 ~depth:8 reqs <> expect then
       Alcotest.fail "echo mismatch"
   done;
-  let w = Array.make 3 0.0 in
+  let w = Array.make 4 0.0 in
   w.(0) <- Gc.minor_words ();
   w.(2) <- Gc.minor_words () -. w.(0);
   let bursts = 256 in
@@ -1263,17 +1264,29 @@ let test_rpc_batch_alloc_pins () =
     ignore (Rpc.call_pipelined t ~client:0 ~depth:8 reqs : int list)
   done;
   w.(1) <- Gc.minor_words ();
+  let client_per_burst = (w.(1) -. w.(0) -. w.(2)) /. float_of_int bursts in
+  for _ = 1 to bursts do
+    Rpc.post_batch t ~client:0 reqs;
+    w.(0) <- Gc.minor_words ();
+    ignore (Rpc.collect_batch t ~client:0 ~n:8 : int list);
+    w.(1) <- Gc.minor_words ();
+    w.(3) <- w.(3) +. (w.(1) -. w.(0) -. w.(2))
+  done;
+  let collect_per_burst = w.(3) /. float_of_int bursts in
   ignore (Rpc.call t ~client:0 (-3) : int);
   ignore (Rpc.call t ~client:0 (-1) : int);
   Domain.join server;
-  let client_per_burst = (w.(1) -. w.(0) -. w.(2)) /. float_of_int bursts in
   Alcotest.(check (float 0.0))
     (Printf.sprintf "call_pipelined ~depth:8: its 24-word list (got %g)"
        client_per_burst)
     24.0 client_per_burst;
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "collect_batch ~n:8: its 24-word list (got %g)"
+       collect_per_burst)
+    24.0 collect_per_burst;
   (* The -3 marker's batch is measured too: one more request. *)
   Alcotest.(check int) "every measured request was received"
-    ((8 * bursts) + 1) !recv_msgs;
+    ((2 * 8 * bursts) + 1) !recv_msgs;
   Alcotest.(check int)
     (Printf.sprintf "receive_batch: 6 words per request (%d words, %d requests)"
        !recv_words !recv_msgs)
@@ -1621,5 +1634,11 @@ let suites =
         Alcotest.test_case "BSS and BSWY 500 round trips under 2 s" `Quick
           test_rpc_one_cpu_guard;
       ]
-      @ Rpc_cases.cases ~spawn:in_domain ~within:within_domain () );
+      @ Rpc_cases.cases ~spawn:in_domain ~within:within_domain ()
+      @ [
+          Alcotest.test_case "batch lists, boxed codec" `Quick (fun () ->
+              within_domain ~timeout_s:20.0 "batch lists, boxed codec"
+                (Rpc_cases.batch_lists ~codec:(Rpc.boxed_codec ())
+                   ~spawn:in_domain));
+        ] );
   ]
