@@ -22,32 +22,9 @@ let guarded f =
   | Driver.Hung r ->
     `Error (false, Format.asprintf "run did not complete: %a" Ulipc_os.Kernel.pp_result r)
 
-let machines =
-  [
-    Ulipc_machines.Sgi_indy.machine;
-    Ulipc_machines.Ibm_p4.machine;
-    Ulipc_machines.Sgi_challenge.machine;
-    Ulipc_machines.Linux486.stock;
-    Ulipc_machines.Linux486.modified_yield;
-  ]
-
 let machine_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun m -> String.equal m.Ulipc_machines.Machine.name s)
-        machines
-    with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown machine %S (try: %s)" s
-             (String.concat ", "
-                (List.map (fun m -> m.Ulipc_machines.Machine.name) machines))))
-  in
   let print ppf m = Format.pp_print_string ppf m.Ulipc_machines.Machine.name in
-  Arg.conv (parse, print)
+  Arg.conv (Ulipc_machines.Catalog.find, print)
 
 let protocol_conv =
   Arg.conv (Ulipc.Protocol_kind.of_string, Ulipc.Protocol_kind.pp)
@@ -276,29 +253,38 @@ let load_cmd =
 let trace_cmd =
   let run machine kind clients messages entries =
     guarded @@ fun () ->
-    let tr = Ulipc_engine.Trace.create ~capacity:(max entries 16) ~enabled:true () in
+    let ring = Ulipc_observe.Trace_ring.create ~capacity:65536 () in
     let cfg =
-      Driver.config ~trace:tr ~machine ~kind ~nclients:clients
+      Driver.config ~events:ring ~machine ~kind ~nclients:clients
         ~messages_per_client:messages ()
     in
-    let (_ : Metrics.t) = Driver.run cfg in
-    let shown = ref 0 in
-    List.iter
-      (fun (e : Ulipc_engine.Trace.entry) ->
-        if !shown < entries then begin
-          incr shown;
-          Format.printf "[%a] %-8s %s@." Ulipc_engine.Sim_time.pp
-            e.Ulipc_engine.Trace.at e.Ulipc_engine.Trace.tag
-            e.Ulipc_engine.Trace.detail
-        end)
-      (Ulipc_engine.Trace.entries tr);
-    Format.printf "(%d events recorded in total)@."
-      (Ulipc_engine.Trace.total_recorded tr)
+    let procs = Ulipc_os.Kernel.procs (Driver.run_outcome cfg).Driver.kernel in
+    let actor_name = function
+      | 0 -> "kernel"
+      | pid -> (
+        match List.find_opt (fun p -> p.Ulipc_os.Proc.pid = pid) procs with
+        | Some p -> Printf.sprintf "pid %d %s" pid p.Ulipc_os.Proc.name
+        | None -> Printf.sprintf "pid %d" pid)
+    in
+    let events = Ulipc_observe.Trace_ring.events ring in
+    let skip = max 0 (List.length events - entries) in
+    List.iteri
+      (fun i e ->
+        if i >= skip then
+          Format.printf "%a@."
+            (Ulipc_observe.Event.pp ~actor_name
+               ~syscall_name:Ulipc_os.Syscall.name_of_code)
+            e)
+      events;
+    Format.printf "(%d events recorded in total, %d dropped)@."
+      (Ulipc_observe.Trace_ring.recorded ring)
+      (Ulipc_observe.Trace_ring.dropped ring)
   in
   let entries =
     Arg.(
       value & opt int 80
-      & info [ "e"; "entries" ] ~docv:"N" ~doc:"Trace entries to print.")
+      & info [ "e"; "entries" ] ~docv:"N"
+          ~doc:"Trace entries to print (the last N).")
   in
   let messages =
     Arg.(
@@ -308,8 +294,10 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run a tiny workload with kernel tracing and print the event log \
-          (spawns, context switches, system calls, blocks).")
+         "Run a tiny workload with the event ring attached and print the \
+          merged log at simulated time: the protocol's queue operations, \
+          blocks and wake-ups beside the kernel's spawns, context \
+          switches, system calls and sleeps.")
     Term.(
       ret (const run $ machine_arg $ protocol_arg $ clients_arg $ messages $ entries))
 
@@ -326,7 +314,7 @@ let list_cmd =
     Format.printf "machines:@.";
     List.iter
       (fun m -> Format.printf "  %a@." Ulipc_machines.Machine.pp m)
-      machines;
+      Ulipc_machines.Catalog.all;
     Format.printf "protocols: %s@." Ulipc.Protocol_kind.spellings;
     Format.printf "figures: %s@."
       (String.concat ", " (List.map fst (figure_builders 0)))

@@ -41,32 +41,9 @@ let no_real_backend kind =
     (Printf.sprintf "protocol %s has no real-domains implementation"
        (Ulipc.Protocol_kind.name kind))
 
-let machines =
-  [
-    Ulipc_machines.Sgi_indy.machine;
-    Ulipc_machines.Ibm_p4.machine;
-    Ulipc_machines.Sgi_challenge.machine;
-    Ulipc_machines.Linux486.stock;
-    Ulipc_machines.Linux486.modified_yield;
-  ]
-
 let machine_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun m -> String.equal m.Ulipc_machines.Machine.name s)
-        machines
-    with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown machine %S (try: %s)" s
-             (String.concat ", "
-                (List.map (fun m -> m.Ulipc_machines.Machine.name) machines))))
-  in
   let print ppf m = Format.pp_print_string ppf m.Ulipc_machines.Machine.name in
-  Arg.conv (parse, print)
+  Arg.conv (Ulipc_machines.Catalog.find, print)
 
 (* The summary line mirrors the BENCH_real.json conventions: every float
    through Bench_json.json_float, so nan (e.g. wake latency of a
@@ -149,14 +126,23 @@ let run_real ~peers ~kind ~nclients ~messages ~depth ~out =
     r
 
 let run_sim ~kind ~machine ~nclients ~messages ~out =
-  let sink = Ulipc_observe.Sink.create ~capacity:(1 lsl 18) () in
+  (* Under a blocking protocol each actor records well under 32 kernel
+     and protocol events per message, so its ring holds the whole run; a
+     run that polls by yielding records every yield and switch, and may
+     overflow (reported as dropped). *)
+  let ring =
+    Ulipc_observe.Trace_ring.create
+      ~capacity:(min (1 lsl 18) (32 * ((nclients * messages) + 64)))
+      ()
+  in
   let m =
     Driver.run
-      (Driver.config ~events:sink ~machine ~kind ~nclients
+      (Driver.config ~events:ring ~machine ~kind ~nclients
          ~messages_per_client:messages ())
   in
-  let events = Ulipc_observe.Sink.events sink in
-  let r = A.analyse ~complete:(Ulipc_observe.Sink.dropped sink = 0) events in
+  let events = Ulipc_observe.Trace_ring.events ring in
+  let dropped = Ulipc_observe.Trace_ring.dropped ring in
+  let r = A.analyse ~complete:(dropped = 0) events in
   let process_name =
     Printf.sprintf "ulipc sim %s %s" machine.Ulipc_machines.Machine.name
       (Ulipc.Protocol_kind.name kind)
@@ -168,8 +154,7 @@ let run_sim ~kind ~machine ~nclients ~messages ~out =
     Printf.sprintf "\"machine\": \"%s\""
       (Bench_json.json_escape machine.Ulipc_machines.Machine.name)
   in
-  summary_json ~backend:"sim" ~label ~kind ~out
-    ~dropped:(Ulipc_observe.Sink.dropped sink) m r;
+  summary_json ~backend:"sim" ~label ~kind ~out ~dropped m r;
   r
 
 let main backend kind machine nclients messages depth out =

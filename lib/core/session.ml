@@ -11,10 +11,9 @@ type t = {
   project : Ulipc_engine.Univ.t -> Message.t option;
   mutable server_pid : Ulipc_os.Syscall.pid;
   counters : Counters.t;
-  events : Ulipc_observe.Sink.t option;
 }
 
-let create ?events ~kernel ~costs ~multiprocessor ~kind ~nclients ~capacity () =
+let create ~kernel ~costs ~multiprocessor ~kind ~nclients ~capacity () =
   if nclients <= 0 then invalid_arg "Session.create: nclients must be positive";
   if capacity <= 0 then invalid_arg "Session.create: capacity must be positive";
   (* The budget check every session constructor shares.  No single-core
@@ -41,7 +40,6 @@ let create ?events ~kernel ~costs ~multiprocessor ~kind ~nclients ~capacity () =
     project;
     server_pid = 0;
     counters = Counters.create ();
-    events;
   }
 
 let register_server t pid = t.server_pid <- pid

@@ -23,16 +23,9 @@ type t = {
       (** pid the HANDOFF protocol hands off to; 0 until the server
           process registers with {!register_server} *)
   counters : Counters.t;
-  events : Ulipc_observe.Sink.t option;
-      (** unified trace-event sink ({!Ulipc_observe.Event}): when
-          present, {!Sim_substrate} records every queue transfer,
-          semaphore block/wake and scheduling hint with simulated-time
-          stamps and proc-id actors — uncharged instrumentation that
-          never perturbs the run *)
 }
 
 val create :
-  ?events:Ulipc_observe.Sink.t ->
   kernel:Ulipc_os.Kernel.t ->
   costs:Ulipc_os.Costs.t ->
   multiprocessor:bool ->

@@ -4,9 +4,10 @@
    is exactly the substrate-specific half of what lib/core's protocols did
    before the functorization.
 
-   Event emission reads the kernel's clock and current pid directly —
+   Events go into the kernel's event ring, beside the kernel's own, and
+   their emission reads the kernel's clock and current pid directly —
    uncharged instrumentation reads, not [Usys] syscalls — so attaching a
-   sink changes nothing about the simulated run.  Timestamps follow the
+   ring changes nothing about the simulated run.  Timestamps follow the
    causal discipline shared with the real backend: producer-side events
    (Enqueue, Wake, Block) are stamped before the operation and Dequeue
    after it, so a merged cross-proc stream never shows an effect before
@@ -26,32 +27,26 @@ type msg = Message.t
    so [==] can only be true for the sentinel itself. *)
 let no_msg : msg = Message.make ~opcode:(Custom (-1)) ~reply_chan:(-1) nan
 
-let now_us (s : Session.t) = Sim_time.to_us (Kernel.now s.Session.kernel)
+let now (s : Session.t) = Kernel.now s.Session.kernel
 
-let emit_at (s : Session.t) (ch : channel) kind ~t_us =
-  match s.Session.events with
+let emit_at (s : Session.t) (ch : channel) kind ~t_ns =
+  match Kernel.events s.Session.kernel with
   | None -> ()
-  | Some sink ->
-    Ulipc_observe.Sink.record sink kind ~t_us
+  | Some ring ->
+    Ulipc_observe.Trace_ring.record_as ring kind
       ~actor:(Kernel.current_pid s.Session.kernel)
-      ~chan:ch.Channel.id
+      ~t_ns ~chan:ch.Channel.id
 
-let emit (s : Session.t) (ch : channel) kind =
-  match s.Session.events with
-  | None -> ()
-  | Some _ -> emit_at s ch kind ~t_us:(now_us s)
+let emit (s : Session.t) (ch : channel) kind = emit_at s ch kind ~t_ns:(now s)
 
 let request (s : Session.t) = s.Session.request
 let reply_channel = Session.reply_channel
 
 let enqueue (s : t) (ch : channel) m =
-  match s.Session.events with
-  | None -> Ms_queue.enqueue ch.Channel.queue m
-  | Some _ ->
-    let t_us = now_us s in
-    let ok = Ms_queue.enqueue ch.Channel.queue m in
-    if ok then emit_at s ch Ulipc_observe.Event.Enqueue ~t_us;
-    ok
+  let t_ns = now s in
+  let ok = Ms_queue.enqueue ch.Channel.queue m in
+  if ok then emit_at s ch Ulipc_observe.Event.Enqueue ~t_ns;
+  ok
 
 let dequeue (s : t) (ch : channel) =
   match Ms_queue.dequeue ch.Channel.queue with

@@ -4,6 +4,10 @@
     transfers (enqueue/dequeue), the scheduler interactions the paper's
     protocols are built from (block = semaphore P, wake = semaphore V,
     raced-wake drain), and the §5/§6 hints (spin exhaustion, handoff).
+    On the simulator the same stream also carries the simulated
+    kernel's events (spawns, exits, switches, preemptions, idle CPUs,
+    system calls, sleeps and message-queue deliveries), so a trace
+    shows what each protocol step cost in kernel work.
     The simulator substrate stamps events with simulated time and proc
     ids; the real backend stamps CLOCK_MONOTONIC and domain ids.  Both
     attach a per-actor sequence number so merged cross-actor streams
@@ -22,6 +26,23 @@ type kind =
   | Spin_exhaust
       (** a §5 limited spin burned its full budget and fell through to
           the blocking path *)
+  (* The simulated kernel's own events, recorded beside the protocol's
+     when the simulator runs with an event ring. *)
+  | Spawn  (** a proc was created *)
+  | Exit  (** a proc finished *)
+  | Switch  (** a CPU switched to the actor; [chan] is the CPU *)
+  | Preempt  (** the actor was preempted; [chan] is the CPU *)
+  | Idle  (** a CPU found nothing to run (actor 0); [chan] is the CPU *)
+  | Syscall  (** the actor entered a system call; [chan] is its code *)
+  | Sleep
+      (** the kernel blocked the actor inside a system call; [chan] is
+          that call's code *)
+  | Msgq_deliver
+      (** the actor's message-queue call handed a message to a blocked
+          receiver; [chan] is the receiver *)
+
+val is_protocol : kind -> bool
+(** The seven protocol kinds, as opposed to the simulated kernel's. *)
 
 val kind_name : kind -> string
 
@@ -42,7 +63,9 @@ type t = {
       (** recording actor: [Domain.self] on the real backend, the
           simulated proc's pid on the simulator *)
   seq : int;  (** per-actor sequence number, starting at 0 *)
-  chan : int;  (** -1 = shared request channel, n = reply channel n *)
+  chan : int;
+      (** protocol kinds: -1 = shared request channel, n = reply
+          channel n; kernel kinds: see {!kind} *)
   kind : kind;
 }
 
@@ -58,4 +81,13 @@ val namespace_actor : pid:int -> t -> t
     so stamps taken in different processes are directly comparable
     (see {!Clock.now_us}). *)
 
-val pp : Format.formatter -> t -> unit
+val pp :
+  ?actor_name:(int -> string) ->
+  ?syscall_name:(int -> string) ->
+  Format.formatter ->
+  t ->
+  unit
+(** One line: time, actor, sequence number, kind and its argument.
+    [actor_name] (default ["actor N"]) names actors, the receiver of a
+    {!Msgq_deliver} included; [syscall_name] (default the code) names
+    the call of a {!Syscall} or {!Sleep}. *)

@@ -175,12 +175,19 @@ let take_waiting st actor =
   go [] st.waiting_wakes
 
 let analyse ?(complete = true) events =
-  let sorted = List.stable_sort causal_compare events in
+  let sorted =
+    List.stable_sort causal_compare
+      (List.filter (fun e -> Event.is_protocol e.Event.kind) events)
+  in
   let violations = ref [] in
   let violate v = violations := v :: !violations in
-  (* Per-actor integrity: in program order (by seq) the timestamps must
-     be non-decreasing, and — rings drop oldest-first, so truncation
-     keeps per-actor sequences contiguous — the sequences gap-free. *)
+  (* Per-actor integrity, over every event: a ring numbers all of an
+     actor's events, kernel ones included, and drops oldest-first, so
+     truncation keeps per-actor sequences contiguous — the sequences
+     must be gap-free.  In program order (by seq) the timestamps must be
+     non-decreasing within each class: a protocol event is stamped when
+     its operation began, which can precede a preemption the kernel
+     recorded while the operation was in flight. *)
   let by_actor = Hashtbl.create 16 in
   List.iter
     (fun ev ->
@@ -200,14 +207,21 @@ let analyse ?(complete = true) events =
       let evs =
         List.sort (fun a b -> Int.compare a.Event.seq b.Event.seq) !l
       in
-      let prev = ref None in
+      let prev_seq = ref None in
+      let prev_protocol = ref None and prev_kernel = ref None in
       List.iter
         (fun ev ->
+          (match !prev_seq with
+          | Some seq when ev.Event.seq <> seq + 1 ->
+            violate (Seq_gap { actor; expected = seq + 1; got = ev.Event.seq })
+          | Some _ | None -> ());
+          prev_seq := Some ev.Event.seq;
+          let prev =
+            if Event.is_protocol ev.Event.kind then prev_protocol
+            else prev_kernel
+          in
           (match !prev with
           | Some p ->
-            if ev.Event.seq <> p.Event.seq + 1 then
-              violate
-                (Seq_gap { actor; expected = p.Event.seq + 1; got = ev.Event.seq });
             if ev.Event.t_us < p.Event.t_us then
               violate
                 (Non_monotonic_actor
@@ -301,7 +315,10 @@ let analyse ?(complete = true) events =
           if complete then
             violate (Drain_without_wake { chan; t_us = ev.t_us }))
       | Event.Handoff -> st.st_handoffs <- st.st_handoffs + 1
-      | Event.Spin_exhaust -> st.st_spin_exhausts <- st.st_spin_exhausts + 1)
+      | Event.Spin_exhaust -> st.st_spin_exhausts <- st.st_spin_exhausts + 1
+      | Event.Spawn | Event.Exit | Event.Switch | Event.Preempt | Event.Idle
+      | Event.Syscall | Event.Sleep | Event.Msgq_deliver ->
+        ())
     sorted;
   if complete then
     Hashtbl.iter

@@ -8,6 +8,8 @@
     issued).  Alongside the pairings it checks trace-level invariants —
     no queue underflow, no orphan Block, no lost Wake, per-actor
     sequence integrity — making a trace usable as a race detector.
+    The simulated kernel's events ({!Event.is_protocol} false) take part
+    in the per-actor sequence and clock checks only.
 
     Pairing rules (per channel, events in time order; ties broken so
     Enqueue precedes Wake precedes everything else at one instant):

@@ -1,4 +1,5 @@
 open Ulipc_engine
+module Event = Ulipc_observe.Event
 
 exception Proc_failure of string * exn
 
@@ -34,7 +35,7 @@ type run_result =
 type t = {
   costs : Costs.t;
   policy : Policy.t;
-  tr : Trace.t;
+  events : Ulipc_observe.Trace_ring.t option;
   heap : event Event_heap.t;
   cpus : cpu array;
   mutable now : Sim_time.t;
@@ -51,15 +52,12 @@ type t = {
   mutable cur_pid : int; (* pid being stepped, 0 between steps *)
 }
 
-let create ?trace ?(max_steps = 200_000_000) ~ncpus ~policy ~costs () =
+let create ?events ?(max_steps = 200_000_000) ~ncpus ~policy ~costs () =
   if ncpus <= 0 then invalid_arg "Kernel.create: ncpus must be positive";
-  let tr =
-    match trace with Some tr -> tr | None -> Trace.create ~enabled:false ()
-  in
   {
     costs;
     policy;
-    tr;
+    events;
     heap = Event_heap.create ();
     cpus =
       Array.init ncpus (fun idx -> { idx; current = None; idle = true; busy = Sim_time.zero });
@@ -79,7 +77,15 @@ let create ?trace ?(max_steps = 200_000_000) ~ncpus ~policy ~costs () =
 
 let now t = t.now
 let current_pid t = t.cur_pid
-let trace t = t.tr
+let events t = t.events
+
+(* One kernel event into the ring, if there is one: uncharged
+   instrumentation, stamped in simulated nanoseconds. *)
+let record t kind ~actor ~at ~chan =
+  match t.events with
+  | None -> ()
+  | Some r -> Ulipc_observe.Trace_ring.record_as r kind ~actor ~t_ns:at ~chan
+
 let procs t = List.rev t.all_procs
 let live_count t = t.live
 let steps_executed t = t.steps
@@ -140,7 +146,7 @@ let spawn t ~name body =
   proc.Proc.usage_stamp <- t.now;
   t.all_procs <- proc :: t.all_procs;
   t.live <- t.live + 1;
-  Trace.recordf t.tr ~at:t.now ~tag:"spawn" "%s (pid %d)" name pid;
+  record t Event.Spawn ~actor:pid ~at:t.now ~chan:0;
   t.policy.Policy.enqueue proc Policy.New ~now:t.now;
   kick t ~at:t.now;
   proc
@@ -155,12 +161,12 @@ let ctx_switch_cost t =
   Sim_time.add t.costs.Costs.ctx_switch
     (t.costs.Costs.ctx_switch_per_ready * t.policy.Policy.ready_count ())
 
-(* Mark the process blocked.  Blocking is always voluntary. *)
-let block t p ~why =
+(* Mark the process blocked in system call [req].  Blocking is always
+   voluntary. *)
+let block t p req ~why =
   p.Proc.state <- Proc.Blocked why;
   p.Proc.vcsw <- p.Proc.vcsw + 1;
-  Trace.recordf t.tr ~at:t.now ~tag:"block" "pid %d %s: %s" p.Proc.pid
-    p.Proc.name why
+  record t Event.Sleep ~actor:p.Proc.pid ~at:t.now ~chan:(Syscall.code req)
 
 (* Move messages around after a send or a receive changed the queue state:
    deliver queued items to matching blocked receivers, then admit blocked
@@ -185,8 +191,7 @@ let rec msq_settle t q ~at =
       q.rcv_waiters <- rest;
       w.deliver item.payload;
       make_ready t w.rproc ~at ~reason:Policy.Woken;
-      Trace.recordf t.tr ~at ~tag:"msgq" "deliver type %d to pid %d" item.mtype
-        w.rproc.Proc.pid;
+      record t Event.Msgq_deliver ~actor:t.cur_pid ~at ~chan:w.rproc.Proc.pid;
       progress := true));
   (* Admit the longest-waiting sender if there is room. *)
   (match q.snd_waiters with
@@ -206,9 +211,7 @@ let handle_call (type a) t cpu p (req : a Syscall.t)
     (k : (a, Proc.step) Effect.Deep.continuation) ~now_ : unit =
   let c = t.costs in
   let entry = c.Costs.syscall_entry in
-  if Trace.enabled t.tr then
-    Trace.recordf t.tr ~at:now_ ~tag:"syscall" "pid %d %s: %a" p.Proc.pid
-      p.Proc.name Syscall.pp_request req;
+  record t Event.Syscall ~actor:p.Proc.pid ~at:now_ ~chan:(Syscall.code req);
   let finish_at cost =
     let fin = Sim_time.add now_ cost in
     charge t p cost ~now_end:fin;
@@ -261,7 +264,7 @@ let handle_call (type a) t cpu p (req : a Syscall.t)
           (Sim_time.add entry (Sim_time.add c.Costs.sem_op c.Costs.block_extra))
       in
       Proc.set_resume p k ();
-      block t p ~why:(Printf.sprintf "sem %d" id);
+      block t p req ~why:(Printf.sprintf "sem %d" id);
       Queue.add p sem.sem_waiters;
       schedule t ~at:fin (Dispatch cpu.idx)
     end
@@ -300,7 +303,7 @@ let handle_call (type a) t cpu p (req : a Syscall.t)
       schedule t ~at:fin (Dispatch cpu.idx)
     end
     else begin
-      block t p ~why:(Printf.sprintf "msgsnd %d" id);
+      block t p req ~why:(Printf.sprintf "msgsnd %d" id);
       q.snd_waiters <-
         q.snd_waiters
         @ [
@@ -338,7 +341,7 @@ let handle_call (type a) t cpu p (req : a Syscall.t)
         finish_at
           (Sim_time.add entry (Sim_time.add c.Costs.msg_op c.Costs.block_extra))
       in
-      block t p ~why:(Printf.sprintf "msgrcv %d" id);
+      block t p req ~why:(Printf.sprintf "msgrcv %d" id);
       q.rcv_waiters <-
         q.rcv_waiters
         @ [ { rproc = p; sel; deliver = (fun v -> Proc.set_resume p k v) } ];
@@ -350,7 +353,7 @@ let handle_call (type a) t cpu p (req : a Syscall.t)
            (Sim_time.add c.Costs.sleep_setup c.Costs.block_extra))
     in
     Proc.set_resume p k ();
-    block t p ~why:"sleep";
+    block t p req ~why:"sleep";
     schedule t ~at:(Sim_time.add fin d) (Wake p);
     schedule t ~at:fin (Dispatch cpu.idx)
   | Syscall.Get_time ->
@@ -386,7 +389,7 @@ let run_step t cpu p ~now_ =
     p.Proc.state <- Proc.Dead;
     t.live <- t.live - 1;
     t.policy.Policy.remove p;
-    Trace.recordf t.tr ~at:now_ ~tag:"exit" "pid %d %s" p.Proc.pid p.Proc.name;
+    record t Event.Exit ~actor:p.Proc.pid ~at:now_ ~chan:0;
     schedule t ~at:now_ (Dispatch cpu.idx)
   | Proc.Failed e -> t.failure <- Some (p.Proc.name, e)
 
@@ -396,7 +399,7 @@ let pick_and_run t cpu ~now_ =
   match t.policy.Policy.pick ~now:now_ with
   | None ->
     cpu.idle <- true;
-    Trace.recordf t.tr ~at:now_ ~tag:"idle" "cpu %d" cpu.idx
+    record t Event.Idle ~actor:0 ~at:now_ ~chan:cpu.idx
   | Some q ->
     let same = match cpu.current with Some c -> c == q | None -> false in
     q.Proc.state <- Proc.Running cpu.idx;
@@ -419,8 +422,7 @@ let pick_and_run t cpu ~now_ =
         | Proc.Blocked _ | Proc.Dead | Proc.Running _ -> ())
       | Some _ | None -> ());
       cpu.current <- Some q;
-      Trace.recordf t.tr ~at:now_ ~tag:"switch" "cpu %d -> pid %d %s" cpu.idx
-        q.Proc.pid q.Proc.name;
+      record t Event.Switch ~actor:q.Proc.pid ~at:now_ ~chan:cpu.idx;
       let cs = ctx_switch_cost t in
       cpu.busy <- Sim_time.add cpu.busy cs;
       schedule t ~at:(Sim_time.add now_ cs) (Dispatch cpu.idx)
@@ -437,8 +439,7 @@ let dispatch t cpu ~now_ =
       p.Proc.preempted <- true;
       p.Proc.state <- Proc.Ready;
       t.policy.Policy.enqueue p Policy.Preempted ~now:now_;
-      Trace.recordf t.tr ~at:now_ ~tag:"preempt" "pid %d %s" p.Proc.pid
-        p.Proc.name;
+      record t Event.Preempt ~actor:p.Proc.pid ~at:now_ ~chan:cpu.idx;
       pick_and_run t cpu ~now_
     end
     else run_step t cpu p ~now_

@@ -21,7 +21,7 @@ type run_result =
   | Step_limit  (** the safety cap on executed steps was reached *)
 
 val create :
-  ?trace:Ulipc_engine.Trace.t ->
+  ?events:Ulipc_observe.Trace_ring.t ->
   ?max_steps:int ->
   ncpus:int ->
   policy:Policy.t ->
@@ -29,7 +29,11 @@ val create :
   unit ->
   t
 (** A fresh kernel.  [max_steps] (default 200 million) bounds total process
-    steps as a runaway-spin safety net. *)
+    steps as a runaway-spin safety net.  With [events], the kernel records
+    its spawns, exits, switches, preemptions, idle CPUs, system calls,
+    sleeps and message deliveries ({!Ulipc_observe.Event}) with the pid
+    as actor (0 for an idle CPU) and simulated nanoseconds as time —
+    uncharged, so the run is the same with or without it. *)
 
 val spawn : t -> name:string -> (unit -> unit) -> Proc.t
 (** Create a ready process.  May be called before or during [run] (from
@@ -53,7 +57,9 @@ val current_pid : t -> int
     syscall effect, so observers can attribute events to the running
     process without perturbing the simulation. *)
 
-val trace : t -> Ulipc_engine.Trace.t
+val events : t -> Ulipc_observe.Trace_ring.t option
+(** The ring given at {!create}, which the substrate records into too. *)
+
 val procs : t -> Proc.t list
 (** All processes ever spawned, in spawn order. *)
 

@@ -25,19 +25,31 @@ type _ t =
   | Set_fixed_priority : bool -> bool t
   | Get_pid : pid t
 
-let pp_request (type a) ppf (req : a t) =
+(* Dense codes, so an event ring can store which call was made in an
+   int; the arguments are not recorded.  The names are in code order, a
+   list so that they are static data. *)
+let names =
+  [
+    "yield"; "handoff"; "sem_p"; "sem_v"; "sem_value"; "msgsnd"; "msgrcv";
+    "sleep"; "gettime"; "getrusage"; "setfixedprio"; "getpid";
+  ]
+
+let code (type a) (req : a t) =
   match req with
-  | Yield -> Format.pp_print_string ppf "yield"
-  | Handoff (To_pid p) -> Format.fprintf ppf "handoff(pid %d)" p
-  | Handoff To_self -> Format.pp_print_string ppf "handoff(self)"
-  | Handoff To_any -> Format.pp_print_string ppf "handoff(any)"
-  | Sem_p s -> Format.fprintf ppf "P(sem %d)" s
-  | Sem_v s -> Format.fprintf ppf "V(sem %d)" s
-  | Sem_value s -> Format.fprintf ppf "semvalue(sem %d)" s
-  | Msg_snd (q, ty, _) -> Format.fprintf ppf "msgsnd(q %d, type %d)" q ty
-  | Msg_rcv (q, ty) -> Format.fprintf ppf "msgrcv(q %d, type %d)" q ty
-  | Sleep d -> Format.fprintf ppf "sleep(%a)" Ulipc_engine.Sim_time.pp d
-  | Get_time -> Format.pp_print_string ppf "gettime"
-  | Get_usage -> Format.pp_print_string ppf "getrusage"
-  | Set_fixed_priority b -> Format.fprintf ppf "setfixedprio(%b)" b
-  | Get_pid -> Format.pp_print_string ppf "getpid"
+  | Yield -> 0
+  | Handoff _ -> 1
+  | Sem_p _ -> 2
+  | Sem_v _ -> 3
+  | Sem_value _ -> 4
+  | Msg_snd _ -> 5
+  | Msg_rcv _ -> 6
+  | Sleep _ -> 7
+  | Get_time -> 8
+  | Get_usage -> 9
+  | Set_fixed_priority _ -> 10
+  | Get_pid -> 11
+
+let name_of_code c =
+  match if c < 0 then None else List.nth_opt names c with
+  | Some name -> name
+  | None -> Printf.sprintf "syscall %d" c

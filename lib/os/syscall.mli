@@ -43,5 +43,9 @@ type _ t =
           running policy supports it *)
   | Get_pid : pid t
 
-val pp_request : Format.formatter -> 'a t -> unit
-(** One-line description, for traces. *)
+val code : 'a t -> int
+(** Dense int code of the call (its arguments dropped), for event
+    rings. *)
+
+val name_of_code : int -> string
+(** The call's name (["sem_p"], ["msgrcv"], ...) for a {!code}. *)

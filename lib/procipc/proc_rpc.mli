@@ -5,7 +5,7 @@
     each client process.  Everything else is {!Ulipc_real.Rpc}'s. *)
 
 val create :
-  ?trace:Ulipc_real.Trace_ring.t ->
+  ?trace:Ulipc_observe.Trace_ring.t ->
   nclients:int ->
   Ulipc_real.Rpc.waiting ->
   (int, int) Ulipc_real.Rpc.t

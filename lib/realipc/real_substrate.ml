@@ -78,6 +78,8 @@
    [harvest_sem_counters] reports only the channels this process has
    consumed. *)
 
+module Trace_ring = Ulipc_observe.Trace_ring
+
 type queue = Q_spsc of Spsc_ring.t | Q_mpsc of Mpsc_ring.t
 
 type channel = {

@@ -61,7 +61,7 @@ type msg = int
     is [-1]. *)
 
 val create :
-  ?trace:Trace_ring.t ->
+  ?trace:Ulipc_observe.Trace_ring.t ->
   ?nservers:int ->
   ?shard_assign:(int -> int) ->
   ?slots:int ->
@@ -88,7 +88,7 @@ val create :
     architecture but x86-64: the rings publish with plain stores, which
     are releases only under x86-TSO (see {!Ring_layout.require_tso}). *)
 
-val trace : t -> Trace_ring.t option
+val trace : t -> Ulipc_observe.Trace_ring.t option
 (** The sink given at {!create} time, for post-run draining. *)
 
 val slab : t -> Slab.t

@@ -84,7 +84,7 @@ type ('req, 'rep) t
 
 val create :
   ?capacity:int ->
-  ?trace:Trace_ring.t ->
+  ?trace:Ulipc_observe.Trace_ring.t ->
   ?slots:int ->
   ?req_codec:'req codec ->
   ?rep_codec:'rep codec ->
@@ -94,9 +94,9 @@ val create :
   waiting ->
   ('req, 'rep) t
 (** [capacity] (default 64) bounds every queue.  [trace] attaches a
-    {!Trace_ring} sink recording timestamped
+    {!Ulipc_observe.Trace_ring} sink recording timestamped
     enqueue/dequeue/block/wake/handoff events into per-domain bounded
-    rings, drained after the run with {!Trace_ring.events}.  [slots]
+    rings, drained after the run with {!Ulipc_observe.Trace_ring.events}.  [slots]
     sizes the boxed codec's side table (default
     [(nclients + nservers) * (capacity + 1)]: every channel full plus
     one payload in flight per endpoint, so it can never exhaust; an
@@ -126,7 +126,7 @@ val nservers : ('req, 'rep) t -> int
 val shard_of_client : ('req, 'rep) t -> int -> int
 (** The home shard of a client's requests (one array load). *)
 
-val trace : ('req, 'rep) t -> Trace_ring.t option
+val trace : ('req, 'rep) t -> Ulipc_observe.Trace_ring.t option
 (** The event-trace sink given at {!create} time, if any. *)
 
 val slab : ('req, 'rep) t -> Slab.t

@@ -11,8 +11,7 @@ type config = {
   server_work : Sim_time.t;
   client_think : Sim_time.t;
   collect_latency : bool;
-  trace : Trace.t option;
-  events : Ulipc_observe.Sink.t option;
+  events : Ulipc_observe.Trace_ring.t option;
   time_limit : Sim_time.t option;
   iface : Ulipc.Iface.t option;
   noise : Noise.config option;
@@ -20,7 +19,7 @@ type config = {
 
 let config ?(capacity = 64) ?(fixed_priority = false)
     ?(server_work = Sim_time.zero) ?(client_think = Sim_time.zero)
-    ?(collect_latency = false) ?trace ?events ?time_limit ?iface ?noise
+    ?(collect_latency = false) ?events ?time_limit ?iface ?noise
     ~machine ~kind ~nclients ~messages_per_client () =
   {
     machine;
@@ -32,7 +31,6 @@ let config ?(capacity = 64) ?(fixed_priority = false)
     server_work;
     client_think;
     collect_latency;
-    trace;
     events;
     time_limit;
     iface;
@@ -152,14 +150,13 @@ let run_outcome cfg =
          cfg.machine.Ulipc_machines.Machine.name);
   let machine = cfg.machine in
   let kernel =
-    Kernel.create
-      ?trace:cfg.trace
+    Kernel.create ?events:cfg.events
       ~ncpus:machine.Ulipc_machines.Machine.ncpus
       ~policy:(machine.Ulipc_machines.Machine.policy ())
       ~costs:machine.Ulipc_machines.Machine.costs ()
   in
   let session =
-    Ulipc.Session.create ?events:cfg.events ~kernel
+    Ulipc.Session.create ~kernel
       ~costs:machine.Ulipc_machines.Machine.costs
       ~multiprocessor:machine.Ulipc_machines.Machine.multiprocessor
       ~kind:cfg.kind ~nclients:cfg.nclients ~capacity:cfg.capacity ()
@@ -209,11 +206,11 @@ let run_outcome cfg =
   let wake_latency_p50_us, wake_latency_p99_us =
     match cfg.events with
     | None -> (nan, nan)
-    | Some sink ->
+    | Some ring ->
       let report =
         Ulipc_observe.Trace_analysis.analyse
-          ~complete:(Ulipc_observe.Sink.dropped sink = 0)
-          (Ulipc_observe.Sink.events sink)
+          ~complete:(Ulipc_observe.Trace_ring.dropped ring = 0)
+          (Ulipc_observe.Trace_ring.events ring)
       in
       let d = report.Ulipc_observe.Trace_analysis.wake_latency in
       ( d.Ulipc_observe.Trace_analysis.p50_us,

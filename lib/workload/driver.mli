@@ -23,11 +23,11 @@ type config = {
   collect_latency : bool;
       (** measure per-send round-trips with clock reads (perturbs the run
           slightly, like real gettimeofday pairs would) *)
-  trace : Ulipc_engine.Trace.t option;
-  events : Ulipc_observe.Sink.t option;
-      (** unified trace-event sink handed to the session: the substrate
-          records every queue transfer and semaphore interaction with
-          uncharged simulated-time stamps, and the driver fills the
+  events : Ulipc_observe.Trace_ring.t option;
+      (** event ring handed to the kernel: the kernel records its
+          switches, system calls and sleeps, and the substrate every
+          queue transfer and semaphore interaction, with uncharged
+          simulated-time stamps and pid actors; the driver fills the
           wake-latency percentiles of {!Metrics} from its analysis *)
   time_limit : Ulipc_engine.Sim_time.t option;
       (** abort horizon for deliberately broken protocol variants *)
@@ -45,8 +45,7 @@ val config :
   ?server_work:Ulipc_engine.Sim_time.t ->
   ?client_think:Ulipc_engine.Sim_time.t ->
   ?collect_latency:bool ->
-  ?trace:Ulipc_engine.Trace.t ->
-  ?events:Ulipc_observe.Sink.t ->
+  ?events:Ulipc_observe.Trace_ring.t ->
   ?time_limit:Ulipc_engine.Sim_time.t ->
   ?iface:Ulipc.Iface.t ->
   ?noise:Noise.config ->
@@ -57,7 +56,7 @@ val config :
   unit ->
   config
 (** Defaults: capacity 64, no fixed priority, no extra work or think time,
-    no latency collection, no trace, no event sink, no time limit. *)
+    no latency collection, no event ring, no time limit. *)
 
 exception Hung of Ulipc_os.Kernel.run_result
 (** Raised when the run does not complete (deadlock, time or step limit) —

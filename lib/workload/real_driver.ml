@@ -98,7 +98,12 @@
    or by an exception; a process writes its report or dies, and either
    way its write end closes.  So a client that fails still ends the
    parent's wait; the parent then stops the servers as usual and raises
-   naming the failed peer. *)
+   naming the failed peer.  The parent watches the servers' pipes too:
+   a server ends only on its poison, posted once every client is done,
+   so one that ends earlier has died and stranded the clients it
+   served.  The parent then SIGKILLs and reaps every fork'd peer still
+   running and raises naming the server (client domains stay parked:
+   a domain cannot be killed). *)
 
 module Rpc = Ulipc_real.Rpc
 module Word_arena = Ulipc_real.Word_arena
@@ -215,10 +220,20 @@ let read_report (pid, rd) =
     failwith (Printf.sprintf "child %d sent no report" pid)
   | _, status -> failwith (Printf.sprintf "child %d %s" pid (status_text status))
 
+let kill_child (pid, rd) =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  ignore (Unix.waitpid [] pid : int * Unix.process_status);
+  Unix.close rd
+
 (* A running peer: [fd] turns readable once it has finished, normally
    or not, and [join] then collects what it shipped (re-raising its
-   failure). *)
-type peer = { fd : Unix.file_descr; join : unit -> shipped }
+   failure).  [kill] stops and reaps an unjoined process; a domain
+   cannot be stopped. *)
+type peer = {
+  fd : Unix.file_descr;
+  join : unit -> shipped;
+  kill : unit -> unit;
+}
 
 (* The only code that depends on the kind of peer (see the header). *)
 let start peers t role =
@@ -235,7 +250,7 @@ let start peers t role =
       let counters = Ulipc.Counters.create () in
       { report; counters; events = []; dropped = 0 }
     in
-    { fd = rd; join }
+    { fd = rd; join; kill = ignore }
   | Processes ->
     let child =
       fork_child (fun () ->
@@ -253,7 +268,11 @@ let start peers t role =
           in
           { report; counters = Rpc.counters t; events; dropped })
     in
-    { fd = snd child; join = (fun () -> read_report child) }
+    {
+      fd = snd child;
+      join = (fun () -> read_report child);
+      kill = (fun () -> kill_child child);
+    }
 
 (* Join [peer], keeping a failure as the message that names it. *)
 let join_named what i peer =
@@ -267,18 +286,33 @@ let join_named what i peer =
    over the unfinished peers' report pipes with the sampling interval as
    the timeout, one tick per wake-up, and join each peer as soon as its
    pipe turns readable (a fork'd peer is then writing its report, which
-   must be drained for it to exit). *)
-let await_clients tel clients =
+   must be drained for it to exit).  A server's pipe turning readable
+   fails the run (see the header). *)
+let await_clients tel ~servers clients =
   let interval_s = Telemetry.interval_ms tel /. 1000.0 in
   let results = Array.make (Array.length clients) (Error "not joined") in
   let pending = ref (List.init (Array.length clients) Fun.id) in
+  let server_fds = Array.to_list (Array.map (fun s -> s.fd) servers) in
   while !pending <> [] do
-    let fds = List.map (fun i -> clients.(i).fd) !pending in
+    let fds = List.map (fun i -> clients.(i).fd) !pending @ server_fds in
     let readable, _, _ =
       try Unix.select fds [] [] interval_s
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     ignore (Telemetry.tick tel : Ulipc_observe.Series.frame);
+    Array.iteri
+      (fun k server ->
+        if List.memq server.fd readable then begin
+          let msg =
+            match join_named "server" k server with
+            | Error msg -> msg
+            | Ok _ -> Printf.sprintf "server peer %d ended before its clients" k
+          in
+          List.iter (fun i -> clients.(i).kill ()) !pending;
+          Array.iteri (fun j s -> if j <> k then s.kill ()) servers;
+          failwith ("Real_driver.run: " ^ msg)
+        end)
+      servers;
     let finished, rest =
       List.partition (fun i -> List.memq clients.(i).fd readable) !pending
     in
@@ -503,7 +537,7 @@ let run ?machine ?(traced = true) ?telemetry ?(depth = 1) ?(nservers = 1)
   (* Open the measured window at t0: this frame's deltas cover only the
      pre-barrier setup. *)
   ignore (Telemetry.tick tel : Ulipc_observe.Series.frame);
-  let client_results = await_clients tel clients in
+  let client_results = await_clients tel ~servers clients in
   for k = 0 to nservers - 1 do
     Rpc.post ~shard:k t ~client:0 (-1 - k)
   done;

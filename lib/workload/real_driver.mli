@@ -115,7 +115,10 @@ val run :
 
     A client peer that fails (a wrong echo, an exception, a fork'd
     child that dies) still ends the parent's wait; the servers are
-    stopped as usual and [run] raises [Failure] naming the peer.
+    stopped as usual and [run] raises [Failure] naming the peer.  A
+    server peer that ends while clients are still running (it can only
+    have died) fails the run at once with ["server peer K failed: ..."],
+    after every fork'd peer still running is SIGKILLed and reaped.
     @raise Invalid_argument if [depth <= 0], [messages <= 0], or
     [depth > 1] with [nservers > 1]. *)
 

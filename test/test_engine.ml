@@ -188,35 +188,6 @@ let prop_stat_welford_matches_naive =
       && Float.abs (Stat.variance s -. var) < 1e-6 *. (1.0 +. var))
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_disabled_is_noop () =
-  let tr = Trace.create ~enabled:false () in
-  Trace.record tr ~at:0 ~tag:"x" "hello";
-  Trace.recordf tr ~at:0 ~tag:"x" "%d" 42;
-  Alcotest.(check int) "nothing recorded" 0 (Trace.total_recorded tr);
-  Alcotest.(check (list string)) "no entries" []
-    (List.map (fun e -> e.Trace.detail) (Trace.entries tr))
-
-let test_trace_ring_overwrite () =
-  let tr = Trace.create ~capacity:3 ~enabled:true () in
-  List.iter (fun i -> Trace.recordf tr ~at:i ~tag:"t" "%d" i) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "total" 5 (Trace.total_recorded tr);
-  Alcotest.(check (list string))
-    "keeps the most recent, oldest first"
-    [ "3"; "4"; "5" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.entries tr))
-
-let test_trace_find_count () =
-  let tr = Trace.create ~enabled:true () in
-  Trace.record tr ~at:1 ~tag:"a" "one";
-  Trace.record tr ~at:2 ~tag:"b" "two";
-  Trace.record tr ~at:3 ~tag:"a" "three";
-  Alcotest.(check int) "count a" 2 (Trace.count tr ~tag:"a");
-  Alcotest.(check (list string)) "find a" [ "one"; "three" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.find tr ~tag:"a"))
-
-(* ------------------------------------------------------------------ *)
 (* Univ *)
 
 let test_univ_roundtrip () =
@@ -264,12 +235,6 @@ let suites =
           test_stat_percentile_requires_samples;
         Alcotest.test_case "merge" `Quick test_stat_merge;
         q prop_stat_welford_matches_naive;
-      ] );
-    ( "engine.trace",
-      [
-        Alcotest.test_case "disabled no-op" `Quick test_trace_disabled_is_noop;
-        Alcotest.test_case "ring overwrite" `Quick test_trace_ring_overwrite;
-        Alcotest.test_case "find and count" `Quick test_trace_find_count;
       ] );
     ( "engine.univ",
       [

@@ -139,13 +139,13 @@ let test_histogram_merge_across_domains () =
 (* Trace ring *)
 
 let test_trace_ring_bounds () =
-  let sink = Ulipc_real.Trace_ring.create ~capacity:8 () in
+  let sink = Ulipc_observe.Trace_ring.create ~capacity:8 () in
   for i = 1 to 20 do
-    Ulipc_real.Trace_ring.record sink Ulipc_observe.Event.Enqueue ~chan:i
+    Ulipc_observe.Trace_ring.record sink Ulipc_observe.Event.Enqueue ~chan:i
   done;
-  Alcotest.(check int) "recorded" 20 (Ulipc_real.Trace_ring.recorded sink);
-  Alcotest.(check int) "dropped" 12 (Ulipc_real.Trace_ring.dropped sink);
-  let events = Ulipc_real.Trace_ring.events sink in
+  Alcotest.(check int) "recorded" 20 (Ulipc_observe.Trace_ring.recorded sink);
+  Alcotest.(check int) "dropped" 12 (Ulipc_observe.Trace_ring.dropped sink);
+  let events = Ulipc_observe.Trace_ring.events sink in
   Alcotest.(check int) "retains the last capacity events" 8
     (List.length events);
   Alcotest.(check (list int))
@@ -160,7 +160,57 @@ let test_trace_ring_bounds () =
     (List.map (fun e -> e.Ulipc_observe.Event.seq) events);
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Trace_ring.create: capacity must be positive")
-    (fun () -> ignore (Ulipc_real.Trace_ring.create ~capacity:0 ()))
+    (fun () -> ignore (Ulipc_observe.Trace_ring.create ~capacity:0 ()))
+
+(* [record_as]: one writer, many explicit actors — each actor's ring
+   numbers its own events from 0 and drops its own oldest. *)
+let test_trace_ring_record_as () =
+  let module R = Ulipc_observe.Trace_ring in
+  let module Event = Ulipc_observe.Event in
+  let sink = R.create ~capacity:4 () in
+  for i = 0 to 5 do
+    R.record_as sink Event.Syscall ~actor:7 ~t_ns:(1000 * i) ~chan:i;
+    if i < 3 then R.record_as sink Event.Switch ~actor:3 ~t_ns:(1000 * i) ~chan:0
+  done;
+  Alcotest.(check int) "recorded" 9 (R.recorded sink);
+  Alcotest.(check int) "actor 7's ring drops its 2 oldest" 2 (R.dropped sink);
+  let of_actor a =
+    List.filter (fun e -> e.Event.actor = a) (R.events sink)
+  in
+  Alcotest.(check (list int)) "actor 3: seq from 0" [ 0; 1; 2 ]
+    (List.map (fun e -> e.Event.seq) (of_actor 3));
+  Alcotest.(check (list int)) "actor 7: its last 4, contiguous" [ 2; 3; 4; 5 ]
+    (List.map (fun e -> e.Event.seq) (of_actor 7));
+  Alcotest.(check (list int)) "actor 7: payloads follow" [ 2; 3; 4; 5 ]
+    (List.map (fun e -> e.Event.chan) (of_actor 7));
+  Alcotest.(check (list (float 0.0))) "stamps in us" [ 2.0; 3.0; 4.0; 5.0 ]
+    (List.map (fun e -> e.Event.t_us) (of_actor 7));
+  let r = Ulipc_observe.Trace_analysis.analyse ~complete:false (R.events sink) in
+  Alcotest.(check int) "no sequence gaps" 0
+    (List.length r.Ulipc_observe.Trace_analysis.violations)
+
+let all_kinds =
+  Ulipc_observe.Event.
+    [
+      Enqueue; Dequeue; Block; Wake; Wake_drain; Handoff; Spin_exhaust; Spawn;
+      Exit; Switch; Preempt; Idle; Syscall; Sleep; Msgq_deliver;
+    ]
+
+let test_kind_tags_round_trip () =
+  let module Event = Ulipc_observe.Event in
+  List.iter
+    (fun k ->
+      Alcotest.(check string) (Event.kind_name k) (Event.kind_name k)
+        (Event.kind_name (Event.kind_of_tag (Event.kind_tag k)));
+      Alcotest.(check bool) (Event.kind_name k ^ " round-trips") true
+        (Event.kind_of_tag (Event.kind_tag k) = k))
+    all_kinds;
+  Alcotest.(check (list int)) "dense codes"
+    (List.init (List.length all_kinds) Fun.id)
+    (List.sort compare (List.map Event.kind_tag all_kinds));
+  Alcotest.check_raises "unknown code"
+    (Invalid_argument "Event.kind_of_tag: 15") (fun () ->
+      ignore (Event.kind_of_tag 15 : Event.kind))
 
 let test_trace_through_real_run () =
   let open Ulipc_real in
@@ -451,6 +501,10 @@ let suites =
           test_trace_ring_bounds;
         Alcotest.test_case "events through a real run" `Quick
           test_trace_through_real_run;
+        Alcotest.test_case "record_as: per-actor seq and drops" `Quick
+          test_trace_ring_record_as;
+        Alcotest.test_case "every kind's tag round-trips" `Quick
+          test_kind_tags_round_trip;
       ] );
     ( "workload.real_driver",
       [

@@ -628,21 +628,53 @@ let test_determinism () =
   let t1 = run_ping_pong 0 and t2 = run_ping_pong 0 in
   Alcotest.(check int) "identical final times" t1 t2
 
+(* The kernel's events land in the event ring with the pid as actor
+   and simulated time as stamp, and recording them costs nothing: the
+   run ends at the same instant with and without a ring. *)
 let test_trace_records_switches () =
-  let tr = Trace.create ~enabled:true () in
-  let policy = Sched_fixed.create Sched_fixed.default_params in
-  let k = Kernel.create ~trace:tr ~ncpus:1 ~policy ~costs:Costs.default () in
-  let body () =
-    Usys.work (us 1);
-    Usys.yield ();
-    Usys.work (us 1)
+  let module Event = Ulipc_observe.Event in
+  let run events =
+    let policy = Sched_fixed.create Sched_fixed.default_params in
+    let k = Kernel.create ?events ~ncpus:1 ~policy ~costs:Costs.default () in
+    let body () =
+      Usys.work (us 1);
+      Usys.yield ();
+      Usys.sem_v 0;
+      Usys.work (us 1)
+    in
+    ignore (Kernel.new_sem k ~init:0 : Syscall.sem_id);
+    let a = Kernel.spawn k ~name:"a" body in
+    let b = Kernel.spawn k ~name:"b" body in
+    check_completed (Kernel.run k);
+    (Kernel.now k, a.Proc.pid, b.Proc.pid)
   in
-  let _a = Kernel.spawn k ~name:"a" body in
-  let _b = Kernel.spawn k ~name:"b" body in
-  check_completed (Kernel.run k);
-  Alcotest.(check bool) "switch events" true (Trace.count tr ~tag:"switch" >= 2);
-  Alcotest.(check bool) "syscalls traced" true (Trace.count tr ~tag:"syscall" >= 2);
-  Alcotest.(check int) "spawns" 2 (Trace.count tr ~tag:"spawn")
+  let ring = Ulipc_observe.Trace_ring.create () in
+  let traced_end, a, b = run (Some ring) in
+  let untraced_end, _, _ = run None in
+  Alcotest.(check int) "recording is uncharged" untraced_end traced_end;
+  let events = Ulipc_observe.Trace_ring.events ring in
+  let count kind =
+    List.length (List.filter (fun e -> e.Event.kind = kind) events)
+  in
+  Alcotest.(check bool) "switch events" true (count Event.Switch >= 2);
+  Alcotest.(check int) "two yields and two Vs" 4 (count Event.Syscall);
+  Alcotest.(check int) "spawns" 2 (count Event.Spawn);
+  Alcotest.(check int) "exits" 2 (count Event.Exit);
+  Alcotest.(check (list string)) "a's calls, in order"
+    [ "yield"; "sem_v" ]
+    (List.filter_map
+       (fun e ->
+         if e.Event.actor = a && e.Event.kind = Event.Syscall then
+           Some (Syscall.name_of_code e.Event.chan)
+         else None)
+       events);
+  Alcotest.(check bool) "only procs and the idle kernel record" true
+    (List.for_all
+       (fun e -> List.mem e.Event.actor [ 0; a; b ])
+       events);
+  let r = Ulipc_observe.Trace_analysis.analyse events in
+  Alcotest.(check int) "per-actor sequences and clocks clean" 0
+    (List.length r.Ulipc_observe.Trace_analysis.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Ready_set *)

@@ -890,6 +890,71 @@ let test_killed_child_named () =
     Alcotest.(check string) "status" "killed by SIGKILL"
       (Ulipc_workload.Real_driver.status_text status)
 
+(* The oldest live child of [parent], from /proc: the smallest
+   (start time, pid). *)
+let oldest_child parent =
+  let stat pid =
+    match
+      In_channel.with_open_text
+        (Printf.sprintf "/proc/%d/stat" pid)
+        In_channel.input_all
+    with
+    | exception Sys_error _ -> None
+    | line -> (
+      (* Fields after the parenthesised command name: state, ppid, and
+         the start time 18 fields on. *)
+      let after = String.rindex line ')' + 2 in
+      match
+        String.split_on_char ' '
+          (String.sub line after (String.length line - after))
+      with
+      | _ :: ppid :: rest when int_of_string ppid = parent ->
+        Some (int_of_string (List.nth rest 17), pid)
+      | _ -> None)
+  in
+  Sys.readdir "/proc" |> Array.to_list
+  |> List.filter_map (fun d -> Option.bind (int_of_string_opt d) stat)
+  |> List.sort compare
+  |> function
+  | (_, pid) :: _ -> Some pid
+  | [] -> None
+
+(* A fork'd server that dies mid-run fails the run, naming the server,
+   instead of leaving the parent waiting on clients parked for replies
+   that never come; the stranded client is killed and reaped.  The
+   driver forks its server first, so the server is the oldest child of
+   the process running the driver; the telemetry hook, which the driver
+   calls while it waits, SIGKILLs it a few frames into the run. *)
+let test_dead_server_named () =
+  within_deadline ~timeout_s:20.0 "a run whose server dies" (fun () ->
+      let me = Unix.getpid () and frames = ref 0 in
+      let on_frame _ =
+        incr frames;
+        if !frames = 3 then
+          match oldest_child me with
+          | Some pid -> Unix.kill pid Sys.sigkill
+          | None -> failwith "no child to kill"
+      in
+      let telemetry = Ulipc_observe.Telemetry.create ~on_frame () in
+      let named msg =
+        let want = "server peer 0 failed" in
+        let n = String.length want in
+        let rec at i =
+          i + n <= String.length msg && (String.sub msg i n = want || at (i + 1))
+        in
+        at 0
+      in
+      match
+        Ulipc_workload.Real_driver.run ~peers:Processes ~traced:false
+          ~telemetry ~nclients:1 ~messages:100_000_000 Rpc.Block
+      with
+      | _ -> failwith "the run outlived its server"
+      | exception Failure msg when named msg -> (
+        prerr_endline msg;
+        match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+        | _ -> failwith "a peer was left unreaped"))
+
 let test_create_rejects_negative_budgets () =
   Alcotest.check_raises "bad max_spin"
     (Invalid_argument "Rpc.create: max_spin must be non-negative")
@@ -1022,5 +1087,7 @@ let suites =
           test_driver_server_pool;
         Alcotest.test_case "a SIGKILLed child is named SIGKILL" `Quick
           test_killed_child_named;
+        Alcotest.test_case "a dead server fails the run, named" `Quick
+          test_dead_server_named;
       ] );
   ]

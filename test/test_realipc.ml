@@ -3,6 +3,7 @@
    Send/Receive/Reply protocols over them. *)
 
 open Ulipc_real
+module Trace_ring = Ulipc_observe.Trace_ring
 
 (* ------------------------------------------------------------------ *)
 (* Spsc_ring under one producer and one consumer: FIFO, exact capacity
@@ -1626,9 +1627,13 @@ let suites =
         Alcotest.test_case "zero-alloc steady-state round-trip" `Quick
           test_rpc_zero_alloc_steady_state;
         Alcotest.test_case "batch plane allocation pins, int codec" `Quick
-          test_rpc_batch_alloc_pins;
+          (fun () ->
+            within_domain ~timeout_s:20.0 "batch plane allocation pins"
+              test_rpc_batch_alloc_pins);
         Alcotest.test_case "batch calls in one domain: chunks and order"
-          `Quick test_rpc_batch_one_domain;
+          `Quick (fun () ->
+            within_domain ~timeout_s:20.0 "batch calls in one domain"
+              test_rpc_batch_one_domain);
         Alcotest.test_case "BSS back-off restarts after an idle spell" `Quick
           test_rpc_ladder_restarts;
         Alcotest.test_case "BSS and BSWY 500 round trips under 2 s" `Quick

@@ -4,6 +4,7 @@
    fleet leans on.  Everything here runs on real domains. *)
 
 open Ulipc_real
+module Trace_ring = Ulipc_observe.Trace_ring
 
 (* ------------------------------------------------------------------ *)
 (* Shard_map *)

@@ -147,6 +147,54 @@ let test_violation_detection () =
       ev ~t:1.0 ~actor:1 ~seq:2 ~chan:0 Event.Dequeue;
     ]
 
+(* A simulated trace: one planted episode whose actors' sequences also
+   number kernel events.  The kernel events fill the sequence (dropping
+   them first would open gaps), stay out of the pairing, may carry a
+   stamp later than a protocol event recorded after them (a preemption
+   inside an enqueue that was stamped when it began), and do not break
+   a handoff's adjacency to the dequeue it bought. *)
+let test_kernel_events_integrity_only () =
+  let consumer = 1 and producer = 2 in
+  let events =
+    [
+      ev ~t:0.0 ~actor:consumer ~seq:0 ~chan:0 Event.Block;
+      ev ~t:0.0 ~actor:consumer ~seq:1 ~chan:2 Event.Syscall;
+      ev ~t:0.0 ~actor:consumer ~seq:2 ~chan:2 Event.Sleep;
+      ev ~t:1.0 ~actor:producer ~seq:0 ~chan:0 Event.Switch;
+      ev ~t:7.0 ~actor:producer ~seq:1 ~chan:0 Event.Preempt;
+      ev ~t:9.0 ~actor:producer ~seq:2 ~chan:0 Event.Switch;
+      ev ~t:5.0 ~actor:producer ~seq:3 ~chan:0 Event.Enqueue;
+      ev ~t:10.0 ~actor:producer ~seq:4 ~chan:0 Event.Wake;
+      ev ~t:10.0 ~actor:producer ~seq:5 ~chan:3 Event.Syscall;
+      ev ~t:11.0 ~actor:producer ~seq:6 ~chan:(-1) Event.Handoff;
+      ev ~t:11.0 ~actor:producer ~seq:7 ~chan:1 Event.Syscall;
+      ev ~t:12.0 ~actor:consumer ~seq:3 ~chan:0 Event.Switch;
+      ev ~t:14.0 ~actor:consumer ~seq:4 ~chan:0 Event.Dequeue;
+      ev ~t:15.0 ~actor:producer ~seq:8 ~chan:0 Event.Switch;
+      ev ~t:16.0 ~actor:producer ~seq:9 ~chan:(-1) Event.Dequeue;
+      ev ~t:16.0 ~actor:0 ~seq:0 ~chan:0 Event.Idle;
+    ]
+  in
+  (* The producer's dequeue on the request channel needs an enqueue. *)
+  let events =
+    ev ~t:0.5 ~actor:3 ~seq:0 ~chan:(-1) Event.Enqueue :: events
+  in
+  let r = A.analyse ~complete:true events in
+  check_clean "kernel events beside the protocol's" r;
+  Alcotest.(check int) "every event counted" 17 r.A.events;
+  Alcotest.(check (list int)) "protocol channels only" [ -1; 0 ]
+    (List.map (fun (c : A.channel_report) -> c.A.chan) r.A.channels);
+  Alcotest.(check (float 1e-9)) "wake latency" 4.0 r.A.wake_latency.A.p50_us;
+  Alcotest.(check (float 1e-9)) "block duration" 10.0
+    r.A.block_duration.A.p50_us;
+  Alcotest.(check int) "the handoff was taken" 1 r.A.handoffs_taken;
+  check_kinds "a kernel event's clock still must not run backwards"
+    [ "non-monotonic" ]
+    [
+      ev ~t:5.0 ~actor:1 ~seq:0 ~chan:0 Event.Switch;
+      ev ~t:4.0 ~actor:1 ~seq:1 ~chan:0 Event.Switch;
+    ]
+
 let test_truncated_trace_suppresses_end_checks () =
   (* A truncated ring legitimately loses the closing events; with
      [complete:false] the end-state checks (and underflow/drain, whose
@@ -234,22 +282,40 @@ let test_await_exhaust_before_block () =
   Alcotest.(check int) "every block follows a spin-exhaust" 0
     (unannounced None mine)
 
-let test_sim_run_clean machine () =
-  let sink = Ulipc_observe.Sink.create ~capacity:65536 () in
+(* [p50]/[p99] are the wake latencies this run reported before the
+   kernel recorded into the same ring: its events join the per-actor
+   sequences but not the causal pairing, so the figures hold. *)
+let test_sim_run_clean machine ~p50 ~p99 () =
+  let ring = Ulipc_observe.Trace_ring.create ~capacity:65536 () in
   let m =
     Driver.run
-      (Driver.config ~events:sink ~machine ~kind:Ulipc.Protocol_kind.BSW
+      (Driver.config ~events:ring ~machine ~kind:Ulipc.Protocol_kind.BSW
          ~nclients:3 ~messages_per_client:50 ())
   in
   Alcotest.(check int) "all messages echoed" 150 m.Metrics.messages;
-  Alcotest.(check int) "nothing dropped" 0 (Ulipc_observe.Sink.dropped sink);
-  let r = A.analyse ~complete:true (Ulipc_observe.Sink.events sink) in
+  Alcotest.(check int) "nothing dropped" 0
+    (Ulipc_observe.Trace_ring.dropped ring);
+  let r = A.analyse ~complete:true (Ulipc_observe.Trace_ring.events ring) in
   check_clean (machine.Ulipc_machines.Machine.name ^ " BSW") r;
   Alcotest.(check bool) "simulated run blocked at least once" true
     (r.A.blocks > 0);
   (* The driver distils the same trace into the metrics row. *)
-  Alcotest.(check bool) "wake-latency percentile flows into Metrics" true
-    (Float.is_finite m.Metrics.wake_latency_p50_us)
+  Alcotest.(check (float 1e-6)) "wake p50 (us)" p50 m.Metrics.wake_latency_p50_us;
+  Alcotest.(check (float 1e-6)) "wake p99 (us)" p99 m.Metrics.wake_latency_p99_us;
+  Alcotest.(check (float 1e-6)) "analysis p50 = Metrics p50"
+    m.Metrics.wake_latency_p50_us r.A.wake_latency.A.p50_us;
+  let kernel_events =
+    List.filter
+      (fun e -> not (Event.is_protocol e.Event.kind))
+      (Ulipc_observe.Trace_ring.events ring)
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool)
+        (Event.kind_name kind ^ " events in the ring")
+        true
+        (List.exists (fun e -> e.Event.kind = kind) kernel_events))
+    Event.[ Spawn; Switch; Syscall; Sleep; Exit ]
 
 (* ------------------------------------------------------------------ *)
 (* Perfetto export parses as real JSON *)
@@ -325,6 +391,8 @@ let suites =
           test_violation_detection;
         Alcotest.test_case "truncated trace suppresses end checks" `Quick
           test_truncated_trace_suppresses_end_checks;
+        Alcotest.test_case "kernel events: integrity checks only" `Quick
+          test_kernel_events_integrity_only;
       ] );
     ( "observe.end_to_end",
       List.map
@@ -344,9 +412,11 @@ let suites =
           Alcotest.test_case "BSW clean (ring, depth 4)" `Quick
             (test_real_run_clean ~depth:4 (Ulipc_real.Rpc.Block, "BSW"));
           Alcotest.test_case "simulated BSW clean (uniprocessor)" `Quick
-            (test_sim_run_clean Ulipc_machines.Sgi_indy.machine);
+            (test_sim_run_clean Ulipc_machines.Sgi_indy.machine ~p50:55.65
+               ~p99:249.8);
           Alcotest.test_case "simulated BSW clean (multiprocessor)" `Quick
-            (test_sim_run_clean Ulipc_machines.Sgi_challenge.machine);
+            (test_sim_run_clean Ulipc_machines.Sgi_challenge.machine
+               ~p50:37.65 ~p99:51.65);
           Alcotest.test_case "BSW slow server: spin-exhaust before block"
             `Quick test_await_exhaust_before_block;
         ] );

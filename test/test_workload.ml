@@ -168,15 +168,6 @@ let figure_cases =
 (* Machine definitions *)
 
 let test_machine_invariants () =
-  let machines =
-    [
-      Ulipc_machines.Sgi_indy.machine;
-      Ulipc_machines.Ibm_p4.machine;
-      Ulipc_machines.Sgi_challenge.machine;
-      Ulipc_machines.Linux486.stock;
-      Ulipc_machines.Linux486.modified_yield;
-    ]
-  in
   List.iter
     (fun (m : Ulipc_machines.Machine.t) ->
       Alcotest.(check bool)
@@ -192,7 +183,28 @@ let test_machine_invariants () =
         (m.Ulipc_machines.Machine.name ^ " fresh policy state")
         0
         (p2.Ulipc_os.Policy.ready_count ()))
-    machines
+    Ulipc_machines.Catalog.all;
+  List.iter
+    (fun (m : Ulipc_machines.Machine.t) ->
+      match Ulipc_machines.Catalog.find m.Ulipc_machines.Machine.name with
+      | Ok found ->
+        Alcotest.(check bool) (m.Ulipc_machines.Machine.name ^ " found") true
+          (found == m)
+      | Error (`Msg e) -> Alcotest.fail e)
+    Ulipc_machines.Catalog.all;
+  match Ulipc_machines.Catalog.find "pdp-11" with
+  | Ok _ -> Alcotest.fail "found an unknown machine"
+  | Error (`Msg e) ->
+    Alcotest.(check bool) "the error lists the machines" true
+      (List.for_all
+         (fun m ->
+           let name = m.Ulipc_machines.Machine.name in
+           let rec has i =
+             i + String.length name <= String.length e
+             && (String.sub e i (String.length name) = name || has (i + 1))
+           in
+           has 0)
+         Ulipc_machines.Catalog.all)
 
 let test_fixed_priority_starvation () =
   (* The deadlock the paper warns super-users about: one fixed-priority
