@@ -33,7 +33,8 @@
    span buffers.  Whatever the thief's ring cannot accept stays in the
    victim's private stash, consumed before its own ring — a message
    leaves its home ring at most once and can never be lost or
-   duplicated.
+   duplicated.  A lone server has no sibling, so it does none of this
+   pool work: one test per receive skips the stash and the tokens.
 
    What this module also owns is how a typed payload becomes a message.
    A message is two words in a ring cell, the client number and one
@@ -79,7 +80,9 @@ let int_codec = Word
    (the scratch buffers and the stash are single-writer by the same
    convention that makes the Mpsc_ring consumer unique). *)
 type server_state = {
-  scratch : int array; (* (client, word) span buffer for batch drains *)
+  scratch : int array;
+      (* (client, word) span buffer for batch drains: the first message
+         and up to a ring's worth behind it *)
   steal_buf : int array; (* span buffer for honouring a steal token *)
   stash : int array;
       (* handoff leftovers the thief's ring could not accept, as a span:
@@ -107,6 +110,12 @@ type ('req, 'rep) t = {
   client_scratch : int array array;
       (* span buffer per client, for its bursts and batch collects;
          owned by the client domain of that number *)
+  lone : bool;
+      (* one request shard: no sibling to steal from or for, so a
+         receive skips the stash and the steal tokens *)
+  requests : Real_substrate.channel array; (* shard [k]'s channel *)
+  homes : Real_substrate.channel array; (* client [i]'s home shard's *)
+  replies : Real_substrate.channel array; (* client [i]'s reply channel *)
 }
 
 let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
@@ -122,18 +131,21 @@ let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
     match rep_codec with Some c -> c | None -> boxed_codec ()
   in
   let span () = Array.make (2 * capacity) 0 in
+  let sub =
+    Real_substrate.create ?trace ~nservers ?shard_assign ?slots ~capacity
+      ~nclients ()
+  in
+  let requests = Array.init nservers (Real_substrate.request_shard sub) in
   {
     waiting;
-    sub =
-      Real_substrate.create ?trace ~nservers ?shard_assign ?slots ~capacity
-        ~nclients ();
+    sub;
     adapt = Array.init (nservers + nclients) (fun _ -> Atomic.make 0);
     req_codec;
     rep_codec;
     servers =
       Array.init nservers (fun _ ->
           {
-            scratch = span ();
+            scratch = Array.make (2 * (capacity + 1)) 0;
             steal_buf = span ();
             stash = span ();
             stash_pos = 0;
@@ -141,6 +153,12 @@ let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
             posted_on = -1;
           });
     client_scratch = Array.init nclients (fun _ -> span ());
+    lone = nservers = 1;
+    requests;
+    homes =
+      Array.init nclients (fun c ->
+          requests.(Real_substrate.shard_of_client sub c));
+    replies = Array.init nclients (Real_substrate.reply_channel sub);
   }
 
 let nclients t = Real_substrate.nclients t.sub
@@ -367,28 +385,31 @@ let send_msg t ~client m =
     ~reply:(Real_substrate.reply_channel sub client)
     ~budget:(client_budget t client) m
 
-(* Server receive on its own shard: stash first (stolen-handoff
-   leftovers are the oldest messages this server owns), then one
-   token-service pass, then the waiting-mode consumer sequence on the
-   own ring — in a pool, posting a steal claim on the deepest sibling
-   first whenever the own ring is already empty (the claim costs one
-   CAS and is retracted after the next successful receive).  A lone
-   server skips the emptiness probe: its only use is the claim.  Either
-   way the message lands in the server's register. *)
+(* Server receive on its own shard: the waiting-mode consumer sequence
+   on the own ring, and the message lands in the server's register.  A
+   lone server does nothing else.  A pool server first takes its stash
+   (stolen-handoff leftovers are the oldest messages it owns), then
+   makes one token-service pass, and posts a steal claim on the deepest
+   sibling whenever its own ring is already empty (the claim costs one
+   CAS and is retracted after the next successful receive). *)
 let receive_msg t ~server =
-  let m = pop_stash t ~server in
-  if m != Real_substrate.no_msg then begin
-    bump_receives t 1;
-    m
-  end
+  if t.lone then
+    P.receive t.sub t.waiting t.requests.(server) ~budget:t.adapt.(server)
   else begin
-    service_steal t ~server;
-    let sub = t.sub in
-    try_post_steal t ~server;
-    let ch = Real_substrate.request_shard sub server in
-    let m = P.receive sub t.waiting ch ~budget:t.adapt.(server) in
-    retract_steal t ~server;
-    m
+    let m = pop_stash t ~server in
+    if m != Real_substrate.no_msg then begin
+      bump_receives t 1;
+      m
+    end
+    else begin
+      service_steal t ~server;
+      try_post_steal t ~server;
+      let m =
+        P.receive t.sub t.waiting t.requests.(server) ~budget:t.adapt.(server)
+      in
+      retract_steal t ~server;
+      m
+    end
   end
 
 (* Any server may reply to any client — after a steal the thief answers
@@ -555,15 +576,19 @@ let collect t ~client =
    match per span ([Word] copies the words, [Boxed] goes through
    [encode]/[decode] and the slab), and a list that ends the call is
    consed back to front from the span, about half the cost of building
-   it front to back.  Only a sweep that leaves replies outstanding, a
-   rare one, is still built front to back in destination-passing style
-   ([@tail_mod_cons]), with a [decode] per message, because the rest of
-   the loop follows it.  The word loops' spans are annotated
-   [int array]: left polymorphic, a copy loop stores through
-   [caml_modify] and reads through the float-array check.  Every loop
-   is top-level recursion: a local [let rec] would capture its
-   environment in a closure allocated per call (no flambda), so the
-   only words a batch call allocates are the list it returns. *)
+   it front to back.  The message a consumer waited for lands in the
+   span beside the ones swept behind it, so a batch receive, and a
+   pipelined call or batch collect whose replies fit the span, build
+   their whole list in that one pass.  Only a longer call's sweep that
+   leaves replies outstanding is still built front to back in
+   destination-passing style ([@tail_mod_cons]), with a [decode] per
+   message, because the rest of the loop follows it.  The word loops'
+   spans are annotated [int array]: left polymorphic, a copy loop
+   stores through [caml_modify] and reads through the float-array
+   check.  Every loop is top-level recursion: a local [let rec] would
+   capture its environment in a closure allocated per call (no
+   flambda), so the only words a batch call allocates are the list it
+   returns. *)
 
 (* Enqueue the whole span with span claims, waking the consumer after
    every non-empty claim (not only at the end: if the queue fills while
@@ -621,10 +646,8 @@ let rec post_chunks t ~client request buf left reqs =
   end
 
 let post_batch t ~client reqs =
-  check_client t client;
-  post_chunks t ~client
-    (Real_substrate.request_shard t.sub (shard_of_client t client))
-    t.client_scratch.(client) (List.length reqs) reqs
+  post_chunks t ~client t.homes.(client) t.client_scratch.(client)
+    (List.length reqs) reqs
 
 (* Messages [0 .. i] of a span, consed onto [acc] from message [i]
    down: as [(client, payload)] requests, or as bare reply payloads. *)
@@ -664,24 +687,28 @@ let receive_batch ?(server = 0) t ~max =
   if max <= 0 then invalid_arg "Rpc.receive_batch: max must be positive";
   check_server t server;
   let sub = t.sub in
-  let first = received t (receive_msg t ~server) in
-  if max = 1 then [ first ]
-  else begin
-    let st = t.servers.(server) in
-    let buf = st.scratch in
-    (* Drain the stash before the ring: stolen-handoff leftovers are the
-       oldest messages this server owns. *)
-    let want = Int.min (max - 1) (Array.length buf / 2) in
-    let n_stash = take_stash st buf ~pos:0 ~max:want in
-    let k =
+  let i = receive_msg t ~server in
+  (* The first message goes into the span ahead of the rest, so the
+     list is built in one pass. *)
+  let st = t.servers.(server) in
+  let buf = st.scratch in
+  buf.(0) <- Real_substrate.register_client sub i;
+  buf.(1) <- Real_substrate.register_word sub i;
+  let want = Int.min (max - 1) ((Array.length buf / 2) - 1) in
+  let ch = t.requests.(server) in
+  let k =
+    if t.lone then Real_substrate.dequeue_many sub ch ~buf ~pos:1 ~max:want
+    else begin
+      (* Drain the stash before the ring: stolen-handoff leftovers are
+         the oldest messages this server owns. *)
+      let n_stash = take_stash st buf ~pos:1 ~max:want in
       n_stash
-      + Real_substrate.dequeue_many sub
-          (Real_substrate.request_shard sub server)
-          ~buf ~pos:n_stash ~max:(want - n_stash)
-    in
-    bump_receives t k;
-    first :: requests t buf k
-  end
+      + Real_substrate.dequeue_many sub ch ~buf ~pos:(1 + n_stash)
+          ~max:(want - n_stash)
+    end
+  in
+  bump_receives t k;
+  requests t buf (k + 1)
 
 (* The reply span of the calling domain.  [reply_batch] may run on any
    domain — every server of a pool, or a caller with no server number
@@ -728,7 +755,7 @@ let rec reply_runs : type req rep.
   match reps with
   | [] -> ()
   | (client, _) :: _ ->
-    let ch = Real_substrate.reply_channel t.sub client in
+    let ch = t.replies.(client) in
     reply_runs t span
       (match t.rep_codec with
       | Word -> word_run t span ch client 0 reps
@@ -742,8 +769,9 @@ let reply_batch t reps = reply_runs t (Domain.DLS.get reply_span) reps
    [collect] — its C.1 is the same dequeue a sweep would make — and
    sweep whatever else has landed with one [dequeue_many].  The sweep
    that completes the call is consed back to front.  One that leaves
-   replies out (under 0.2% of the sweeps of a depth-8 echo) is built
-   front to back by [swept], and the rest of the loop after it.  The
+   replies out is built front to back by [swept], and the rest of the
+   loop after it.  Calls that fit one span take [land_replies]
+   instead (below).  The
    client's scratch span serves both directions: a burst is pushed
    before the sweep that reuses it, and a sweep's replies are decoded
    before the next burst is encoded. *)
@@ -778,19 +806,74 @@ and[@tail_mod_cons] swept t ~client ~depth ch request buf pending npending
     let r = decode t t.rep_codec buf.((2 * i) + 1) in
     r :: swept t ~client ~depth ch request buf pending npending out k (i + 1)
 
+(* A call whose replies all fit the client's span lands them there and
+   builds its list once, back to front: wait for the next reply through
+   the consumer sequence, as [collect] does, copy its word into the
+   span, and sweep whatever is queued behind it, until [n] are in. *)
+let rec land_replies t ~client ch (buf : int array) got n =
+  if got < n then begin
+    let sub = t.sub in
+    let j =
+      P.consume sub t.waiting ch ~side:Client
+        ~budget:t.adapt.(Array.length t.servers + client)
+    in
+    buf.((2 * got) + 1) <- Real_substrate.register_word sub j;
+    let k =
+      if got + 1 = n then 0
+      else
+        Real_substrate.dequeue_many sub ch ~buf ~pos:(got + 1)
+          ~max:(n - got - 1)
+    in
+    land_replies t ~client ch buf (got + 1 + k) n
+  end
+
 let collect_batch t ~client ~n =
   if n < 0 then invalid_arg "Rpc.collect_batch: negative n";
-  let ch = Real_substrate.reply_channel t.sub client in
-  (* [n] replies out, nothing left to post. *)
-  pipelined t ~client ~depth:1 ch
-    (Real_substrate.request_shard t.sub (shard_of_client t client))
-    t.client_scratch.(client) [] 0 n
+  let ch = t.replies.(client) and buf = t.client_scratch.(client) in
+  if n <= Array.length buf / 2 then begin
+    land_replies t ~client ch buf 0 n;
+    replies t buf n
+  end
+  else
+    (* [n] replies out, nothing left to post. *)
+    pipelined t ~client ~depth:1 ch t.homes.(client) buf [] 0 n
 
-let call_pipelined t ~client ~depth reqs =
+(* Copy [reqs] into the span while it has room for [k]: how many, or
+   -1 if the list is longer. *)
+let rec fill_burst ~client (buf : int array) n k reqs =
+  match reqs with
+  | [] -> n
+  | r :: rest ->
+    if n = k then -1
+    else begin
+      buf.(2 * n) <- client;
+      buf.((2 * n) + 1) <- r;
+      fill_burst ~client buf (n + 1) k rest
+    end
+
+(* A word-codec list that fits one burst is posted with one span claim
+   and collected by [land_replies]; anything else goes through
+   [pipelined].  Filling the span is how the list is measured, and a
+   boxed payload is never encoded before it is known to fit. *)
+let call_pipelined : type req rep.
+    (req, rep) t -> client:int -> depth:int -> req list -> rep list =
+ fun t ~client ~depth reqs ->
   if depth <= 0 then invalid_arg "Rpc.call_pipelined: depth must be positive";
-  let ch = Real_substrate.reply_channel t.sub client in
-  let n = List.length reqs in
-  bump_sends t n;
-  pipelined t ~client ~depth ch
-    (Real_substrate.request_shard t.sub (shard_of_client t client))
-    t.client_scratch.(client) reqs n 0
+  let ch = t.replies.(client) and buf = t.client_scratch.(client) in
+  let n =
+    match t.req_codec with
+    | Word ->
+      fill_burst ~client buf 0 (Int.min depth (Array.length buf / 2)) reqs
+    | Boxed -> -1
+  in
+  if n >= 0 then begin
+    bump_sends t n;
+    push_batch t t.homes.(client) ~target:Server buf ~pos:0 ~len:n 0;
+    land_replies t ~client ch buf 0 n;
+    replies t buf n
+  end
+  else begin
+    let n = List.length reqs in
+    bump_sends t n;
+    pipelined t ~client ~depth ch t.homes.(client) buf reqs n 0
+  end

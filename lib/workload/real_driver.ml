@@ -103,7 +103,10 @@
    so one that ends earlier has died and stranded the clients it
    served.  The parent then SIGKILLs and reaps every fork'd peer still
    running and raises naming the server (client domains stay parked:
-   a domain cannot be killed). *)
+   a domain cannot be killed).  The start barrier watches every peer's
+   pipe the same way: no peer ends before the clients have checked in,
+   so one that does fails the run, named, where a barrier that only
+   counted check-ins would wait for good. *)
 
 module Rpc = Ulipc_real.Rpc
 module Word_arena = Ulipc_real.Word_arena
@@ -282,6 +285,49 @@ let join_named what i peer =
     Error
       (Printf.sprintf "%s peer %d failed: %s" what i (Printexc.to_string e))
 
+(* The peers among [fds] whose report pipes are readable within
+   [timeout_s]. *)
+let select_readable fds timeout_s =
+  match Unix.select fds [] [] timeout_s with
+  | readable, _, _ -> readable
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+
+(* Fail the run because [what] peer [k] ended while the run still
+   needed it ([early] says when): name its failure, or [early] if it
+   shipped a report, after SIGKILLing and reaping every peer in
+   [others]. *)
+let fail_ended what k peer ~early others =
+  let msg =
+    match join_named what k peer with
+    | Error msg -> msg
+    | Ok _ -> Printf.sprintf "%s peer %d ended %s" what k early
+  in
+  List.iter (fun p -> p.kill ()) others;
+  failwith ("Real_driver.run: " ^ msg)
+
+(* The start barrier: wait until every client peer has checked in on
+   [ready_w], watching every peer's report pipe meanwhile.  No peer
+   ends before the barrier, so one that does has died (client 0's
+   probe makes real calls before it checks in) and fails the run
+   instead of leaving it waiting for good. *)
+let await_ready ctl ready_w ~servers ~clients =
+  let named what = Array.mapi (fun k p -> (what, k, p)) in
+  let peers =
+    Array.to_list
+      (Array.append (named "server" servers) (named "client" clients))
+  in
+  let fds = List.map (fun (_, _, p) -> p.fd) peers in
+  while Word_arena.at_load ctl ready_w < Array.length clients do
+    match select_readable fds 1e-4 with
+    | [] -> ()
+    | fd :: _ ->
+      let what, k, peer = List.find (fun (_, _, p) -> p.fd == fd) peers in
+      fail_ended what k peer ~early:"before the start barrier"
+        (List.filter_map
+           (fun (_, _, p) -> if p == peer then None else Some p)
+           peers)
+  done
+
 (* Wait for every client peer to finish, sampling [tel] inline: select
    over the unfinished peers' report pipes with the sampling interval as
    the timeout, one tick per wake-up, and join each peer as soon as its
@@ -295,23 +341,14 @@ let await_clients tel ~servers clients =
   let server_fds = Array.to_list (Array.map (fun s -> s.fd) servers) in
   while !pending <> [] do
     let fds = List.map (fun i -> clients.(i).fd) !pending @ server_fds in
-    let readable, _, _ =
-      try Unix.select fds [] [] interval_s
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
+    let readable = select_readable fds interval_s in
     ignore (Telemetry.tick tel : Ulipc_observe.Series.frame);
     Array.iteri
       (fun k server ->
-        if List.memq server.fd readable then begin
-          let msg =
-            match join_named "server" k server with
-            | Error msg -> msg
-            | Ok _ -> Printf.sprintf "server peer %d ended before its clients" k
-          in
-          List.iter (fun i -> clients.(i).kill ()) !pending;
-          Array.iteri (fun j s -> if j <> k then s.kill ()) servers;
-          failwith ("Real_driver.run: " ^ msg)
-        end)
+        if List.memq server.fd readable then
+          fail_ended "server" k server ~early:"before its clients"
+            (List.map (fun i -> clients.(i)) !pending
+            @ List.filteri (fun j _ -> j <> k) (Array.to_list servers)))
       servers;
     let finished, rest =
       List.partition (fun i -> List.memq clients.(i).fd readable) !pending
@@ -529,9 +566,7 @@ let run ?machine ?(traced = true) ?telemetry ?(depth = 1) ?(nservers = 1)
   let clients =
     Array.init nclient_peers (fun d -> start peers t (client_role d))
   in
-  while Word_arena.at_load ctl ready_w < nclient_peers do
-    Ulipc_real.Grace.sched_yield ()
-  done;
+  await_ready ctl ready_w ~servers ~clients;
   let t0 = Clock.now_us () in
   Word_arena.at_store ctl go_w 1;
   (* Open the measured window at t0: this frame's deltas cover only the

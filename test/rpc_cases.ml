@@ -250,6 +250,83 @@ let batch_lists ~codec ~spawn () =
           QCheck.Gen.(triple (int_range 0 40) (int_range 1 10) (int_range 1 10)))
        trial)
 
+(* The same shapes on a pool: 2 servers with every client pinned to
+   shard 0, so server 1 has no traffic of its own and steals.  Server 0
+   nudges shard 1 after each batch, so server 1 comes back to an empty
+   ring of its own while shard 0 may still be deep, and posts a claim.
+   The thief answers what it steals, and server 0 may in turn steal
+   back from a deep shard 1, so neither the replies nor a server's
+   requests keep post order: each client's replies are compared with
+   the echo of its requests as a multiset, which still catches a lost,
+   duplicated or garbled message.  Across the trials the victim must
+   have handed spans over, so the stash and steal path that a lone
+   server skips stays under the property. *)
+let pooled_batch_lists ~spawn () =
+  let nclients = 2 and nservers = 2 in
+  let request c j = (c * 1000) + j and echo v = (2 * v) + 1 in
+  let b = board () in
+  let trial (n, depth, max) =
+    let t =
+      session ~nservers ~shard_assign:(fun _ -> 0) ~nclients Rpc.Block
+    in
+    let server k () =
+      let live = ref true in
+      while !live do
+        let batch = Rpc.receive_batch ~server:k t ~max in
+        if List.length batch > max then failwith "batch longer than max";
+        Rpc.reply_batch t
+          (List.filter_map
+             (fun (c, v) ->
+               if v = nudge then None
+               else if v < 0 then begin
+                 if -1 - v = k then live := false
+                 else Rpc.post ~shard:(-1 - v) t ~client:0 v;
+                 None
+               end
+               else Some (c, echo v))
+             batch);
+        if k = 0 && !live then Rpc.post ~shard:1 t ~client:0 nudge
+      done;
+      if k = 0 then
+        ignore
+          (Word_arena.at_fetch_add b (cell 0)
+             (Rpc.counters t).Ulipc.Counters.steal_handoffs
+            : int)
+    in
+    let servers = List.init nservers (fun k -> spawn (server k)) in
+    let sorted l = List.sort compare l in
+    let client c () =
+      let reqs = List.init n (request c) in
+      if
+        sorted (Rpc.call_pipelined t ~client:c ~depth reqs)
+        <> List.map echo reqs
+      then failwith (Printf.sprintf "client %d: call_pipelined replies" c);
+      let reqs = List.init n (fun j -> request c (n + j)) in
+      Rpc.post_batch t ~client:c reqs;
+      if sorted (Rpc.collect_batch t ~client:c ~n) <> List.map echo reqs then
+        failwith (Printf.sprintf "client %d: collect_batch replies" c)
+    in
+    join_all (List.init nclients (fun c -> spawn (client c)));
+    (* Server 0 stops first, so no nudge lands after server 1 is gone. *)
+    List.iteri
+      (fun k join ->
+        Rpc.post ~shard:k t ~client:0 (-1 - k);
+        join ())
+      servers;
+    true
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:100 ~name:"pooled batch lists echo"
+       (QCheck.make
+          ~print:(fun (n, depth, max) ->
+            Printf.sprintf "n = %d, depth = %d, max = %d" n depth max)
+          QCheck.Gen.(triple (int_range 0 40) (int_range 1 10) (int_range 1 10)))
+       trial);
+  let handoffs = Word_arena.at_load b (cell 0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the victim handed spans over (%d handoffs)" handoffs)
+    true (handoffs > 0)
+
 (* The timed receive: on an idle shard it ends in a clean timeout, not a
    park; then it returns a request a peer sends, and the session is left
    without a stray credit. *)
@@ -292,4 +369,6 @@ let cases ~spawn ~within () =
       timed_receive;
     bounded "batch lists: echo in order, requests in post order"
       (batch_lists ~codec:Rpc.int_codec);
+    bounded "batch lists on a pool: every client on shard 0, one thief"
+      pooled_batch_lists;
   ]

@@ -919,6 +919,27 @@ let oldest_child parent =
   | (_, pid) :: _ -> Some pid
   | [] -> None
 
+(* [run ()], a driver run whose server is killed, must fail naming
+   server peer 0, and leave no peer of the process unreaped once
+   [reap_first] has run. *)
+let fails_naming_server ?(reap_first = ignore) run =
+  let want = "server peer 0 failed" in
+  let named msg =
+    let n = String.length want in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = want || at (i + 1))
+    in
+    at 0
+  in
+  match run () with
+  | _ -> failwith "the run outlived its server"
+  | exception Failure msg when named msg -> (
+    prerr_endline msg;
+    reap_first ();
+    match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+    | _ -> failwith "a peer was left unreaped")
+
 (* A fork'd server that dies mid-run fails the run, naming the server,
    instead of leaving the parent waiting on clients parked for replies
    that never come; the stranded client is killed and reaped.  The
@@ -936,24 +957,49 @@ let test_dead_server_named () =
           | None -> failwith "no child to kill"
       in
       let telemetry = Ulipc_observe.Telemetry.create ~on_frame () in
-      let named msg =
-        let want = "server peer 0 failed" in
-        let n = String.length want in
-        let rec at i =
-          i + n <= String.length msg && (String.sub msg i n = want || at (i + 1))
+      fails_naming_server (fun () ->
+          Ulipc_workload.Real_driver.run ~peers:Processes ~traced:false
+            ~telemetry ~nclients:1 ~messages:100_000_000 Rpc.Block))
+
+(* The children of [pid] in the order it forked them, from its task's
+   /proc children list. *)
+let children pid =
+  match
+    In_channel.with_open_text
+      (Printf.sprintf "/proc/%d/task/%d/children" pid pid)
+      In_channel.input_all
+  with
+  | exception Sys_error _ -> []
+  | line -> List.filter_map int_of_string_opt (String.split_on_char ' ' line)
+
+(* A fork'd server that dies before the clients have checked in at the
+   start barrier — client 0's allocation probe makes real calls before
+   it does — fails the run, naming the server, instead of leaving the
+   parent waiting at the barrier for good.  A watcher process, forked
+   before the run, SIGKILLs the driver's first child (the server) as
+   soon as it appears. *)
+let test_early_dead_server_named () =
+  within_deadline ~timeout_s:20.0 "a run whose server dies before the barrier"
+    (fun () ->
+      let me = Unix.getpid () in
+      match Unix.fork () with
+      | 0 ->
+        let self = Unix.getpid () in
+        let rec watch () =
+          match List.filter (( <> ) self) (children me) with
+          | pid :: _ ->
+            Unix.kill pid Sys.sigkill;
+            Unix._exit 0
+          | [] -> watch ()
         in
-        at 0
-      in
-      match
-        Ulipc_workload.Real_driver.run ~peers:Processes ~traced:false
-          ~telemetry ~nclients:1 ~messages:100_000_000 Rpc.Block
-      with
-      | _ -> failwith "the run outlived its server"
-      | exception Failure msg when named msg -> (
-        prerr_endline msg;
-        match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-        | _ -> failwith "a peer was left unreaped"))
+        watch ()
+      | watcher ->
+        fails_naming_server
+          ~reap_first:(fun () ->
+            ignore (Unix.waitpid [] watcher : int * Unix.process_status))
+          (fun () ->
+            Ulipc_workload.Real_driver.run ~peers:Processes ~traced:false
+              ~nclients:1 ~messages:1000 Rpc.Block))
 
 let test_create_rejects_negative_budgets () =
   Alcotest.check_raises "bad max_spin"
@@ -1089,5 +1135,8 @@ let suites =
           test_killed_child_named;
         Alcotest.test_case "a dead server fails the run, named" `Quick
           test_dead_server_named;
+        Alcotest.test_case "a server that dies before the barrier fails the \
+                            run, named"
+          `Quick test_early_dead_server_named;
       ] );
   ]

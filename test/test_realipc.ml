@@ -1138,7 +1138,7 @@ let test_rpc_no_stale_wakeups waiting () =
   Alcotest.(check int) "no leaked slab slots" 0
     (Slab.in_use_count (Rpc.slab t))
 
-let test_rpc_zero_alloc_steady_state () =
+let test_rpc_zero_alloc_steady_state ~nservers () =
   (* The tentpole property: with immediate-int codecs, a steady-state
      synchronous round-trip allocates nothing
      on either side's minor heap — payload words through registers and
@@ -1146,10 +1146,13 @@ let test_rpc_zero_alloc_steady_state () =
      reads its own: the client around the loop, the server between the
      two marker calls (-2 opens its window, -3 closes it) into a float
      array, which stores unboxed.  Each side's calibration pair
-     subtracts what the Gc.minor_words calls themselves charge. *)
+     subtracts what the Gc.minor_words calls themselves charge.  The
+     server runs [serve] on shard 0: with [nservers = 1] its receive
+     skips the pool's stash and steal bookkeeping, with 2 it runs it
+     (server 1 never runs, so it posts no claim). *)
   let t : (int, int) Rpc.t =
-    Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nclients:1
-      Rpc.Block
+    Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nservers
+      ~shard_assign:(fun _ -> 0) ~nclients:1 Rpc.Block
   in
   let server_words = Array.make 3 0.0 in
   let server =
@@ -1198,8 +1201,8 @@ let test_rpc_zero_alloc_steady_state () =
     (Printf.sprintf "client: 0 minor words per round-trip (got %g)" per_op)
     0.0 per_op;
   Alcotest.(check (float 0.0))
-    (Printf.sprintf "server: 0 minor words per round-trip (got %g)"
-       server_per_op)
+    (Printf.sprintf "server (%d shards): 0 minor words per serve (got %g)"
+       nservers server_per_op)
     0.0 server_per_op;
   Alcotest.(check int) "an int session never touches the slab" 0
     (Slab.high_water (Rpc.slab t))
@@ -1625,7 +1628,10 @@ let suites =
         Alcotest.test_case "pipelined validation" `Quick
           test_rpc_pipelined_validation;
         Alcotest.test_case "zero-alloc steady-state round-trip" `Quick
-          test_rpc_zero_alloc_steady_state;
+          (test_rpc_zero_alloc_steady_state ~nservers:1);
+        Alcotest.test_case "zero-alloc steady-state round-trip, pooled serve"
+          `Quick
+          (test_rpc_zero_alloc_steady_state ~nservers:2);
         Alcotest.test_case "batch plane allocation pins, int codec" `Quick
           (fun () ->
             within_domain ~timeout_s:20.0 "batch plane allocation pins"
