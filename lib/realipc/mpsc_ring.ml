@@ -1,12 +1,12 @@
 (* Bounded multi-producer/single-consumer ring over shared arena words,
    under the one-shared-line rule of Ring_layout.  Producers claim a
-   slot by CAS-ing the tail ticket; each slot carries a sequence word
-   that says whether it holds the message for the current lap, so a
-   claimed-but-unfilled slot is distinguishable from a filled one
-   without any lock.  Two states:
+   slot by CAS-ing the tail ticket; each slot's tag carries a sequence
+   number (Ring_layout's cell format) that says whether it holds the
+   message for the current lap, so a claimed-but-unfilled slot is
+   distinguishable from a filled one without any lock.  Two states:
 
      seq = index + 1        the slot holds the message for ticket
-                            [index], ready for the consumer;
+                            [index], ready for the consumer (mod 2^20);
      anything else          not ready: a claimed-but-unfilled slot (it
                             still holds an older lap's seq) or a fresh
                             one (seq 0).
@@ -37,26 +37,29 @@
 
    Layout.  Every index, the snapshot and every cell is a word of a
    Word_arena, so producers may be domains or fork'd processes alike:
-   the record holds only the mapping and word offsets.  From a
-   line-aligned base:
+   the record holds only the mapping and word offsets.  From line-aligned
+   bases:
 
      line 0       [tail] (the ticket), [head_snap]   the producers' line
      line 1       [head]                             the consumer's line
-     line 2 on    the cells: (seq, client, word, spare), four words each
+
+   and the cells, (tag, word), two to a four-word lane of each line of
+   a cell region (Ring_layout's placement): the first lane of a region
+   of the ring's own when it is carved alone ([carve]), or one lane of
+   a region it shares with a second ring ([carve_lane]).
 
    A message's sequence and payload share one cell, so a hop moves one
    line between producer and consumer, not a line of a separate
    sequence array plus a line of a payload slab; with the cells
-   line-aligned, two fill a line exactly and none straddles two.  The
-   snapshot shares the ticket's line: a producer reads both on every
-   claim and writes the snapshot only just before its CAS writes that
-   line anyway.  No ['a option] box, no write barrier, no allocation.
+   line-aligned, none straddles two.  The snapshot shares the ticket's
+   line: a producer reads both on every claim and writes the snapshot
+   only just before its CAS writes that line anyway.  No ['a option] box, no write barrier, no allocation.
    Readiness is the sequence's alone, so a payload word may be any int.
 
    Every access but the ticket claim is a plain Bigarray load or store,
    under x86-TSO (Ring_layout's argument): a producer stores the
-   message words, then the sequence (store-store); the consumer loads
-   the sequence, then the words (load-load), then stores [head]
+   word, then the tag (store-store); the consumer loads the tag, then
+   the word (load-load), then stores [head]
    (load-store).  Producers read [tail] with a plain load too; only the
    ticket CAS is a locked instruction ([Word_arena.cas], a [@@noalloc]
    stub): it is the synchronisation.  [Word_arena.create] refuses to
@@ -75,7 +78,7 @@ type t = {
   tail : int; (* producers' ticket counter (CAS) *)
   head_snap : int; (* producers' shared snapshot of [head] *)
   head : int; (* next read index; written by the consumer only *)
-  cells : int; (* 4 * ring words: (seq, client, word, spare) per slot *)
+  cells : int; (* its lane of a cell region: slot [s] at [cell q s] *)
   mask : int;
   cap : int;
 }
@@ -84,33 +87,60 @@ let nil = -1
 let line = Word_arena.cache_line_words
 let head_off = line
 let cells_off = 2 * line
-let span_words ~ring = cells_off + (4 * ring)
 
-let arena_words ~capacity =
-  span_words ~ring:(Ring_layout.ceil_pow2 capacity) + line - 1
+(* The ring's two index lines; its cells are a lane of a region the
+   caller carved. *)
+let lane_arena_words = cells_off + line - 1
 
-let carve a ~capacity =
-  let ring, mask, cap =
-    Ring_layout.geometry ~who:"Mpsc_ring.carve" ~capacity
+(* The arena is zero-filled, and seq 0 is never ready: ticket [i] is
+   ready at seq [(i + 1) mod 2^20], which is not 0 on a first lap. *)
+let carve_lane a ~capacity ~cells =
+  let _, mask, cap =
+    Ring_layout.geometry ~who:"Mpsc_ring.carve_lane" ~capacity
   in
-  (* The arena is zero-filled, and seq 0 is never ready: ticket [i] is
-     ready at seq [i + 1] >= 1. *)
-  let base = Word_arena.alloc_line a ~words:(span_words ~ring) in
+  let base = Word_arena.alloc_line a ~words:cells_off in
   {
     w = Word_arena.words a;
     tail = base;
     head_snap = base + 1;
     head = base + head_off;
-    cells = base + cells_off;
+    cells;
     mask;
     cap;
   }
+
+(* A ring carved alone: a region of its own, then the ring on its first
+   lane.  The region is whole lines, so the index lines need no
+   padding. *)
+let arena_words ~capacity =
+  Ring_layout.region_words ~capacity + line - 1 + cells_off
+
+let carve a ~capacity =
+  Ring_layout.check_capacity ~who:"Mpsc_ring.carve" capacity;
+  let cells =
+    Word_arena.alloc_line a ~words:(Ring_layout.region_words ~capacity)
+  in
+  carve_lane a ~capacity ~cells
 
 let create ~capacity () =
   Ring_layout.check_capacity ~who:"Mpsc_ring.create" capacity;
   carve (Word_arena.create ~size_words:(arena_words ~capacity) ()) ~capacity
 
 let capacity q = q.cap
+
+(* Ring_layout's cell placement and cell format, written out here (and
+   in the sibling ring) so that they compile inline: the word offset of
+   the cell for index [idx]; the tag a producer stores last, [client] in
+   the high bits and the seq, [(idx + 1) mod 2^20], in the low 20; and
+   the consumer's readiness test of a tag for index [idx]. *)
+let[@inline] cell q idx =
+  let s = idx land q.mask in
+  q.cells + ((s land -8) lsl 2) + ((s land 3) lsl 3)
+  + ((s land 4) lsr 1)
+
+let seq_mask = 0xFFFFF
+let[@inline] stamp idx client = (client lsl 20) lor ((idx + 1) land seq_mask)
+let[@inline] ready tag idx = (tag - idx - 1) land seq_mask = 0
 
 (* The snapshot said full: free room for a claim at ticket [tail]
    against a fresh [head].  The snapshot is stored only when it moves
@@ -123,12 +153,11 @@ let refreshed_room q tail =
   q.cap - (tail - head)
 
 (* Fill the cell for ticket [idx], which the caller has claimed: the
-   message words first, then the sequence that publishes them. *)
+   word first, then the tag that publishes it. *)
 let fill q idx client word =
-  let c = q.cells + ((idx land q.mask) lsl 2) in
-  A1.unsafe_set q.w (c + 1) client;
-  A1.unsafe_set q.w (c + 2) word;
-  A1.unsafe_set q.w c (idx + 1)
+  let c = cell q idx in
+  A1.unsafe_set q.w (c + 1) word;
+  A1.unsafe_set q.w c (stamp idx client)
 
 let rec enqueue_pair q ~client ~word =
   let tail = A1.unsafe_get q.w q.tail in
@@ -146,10 +175,11 @@ let rec enqueue_pair q ~client ~word =
 let dequeue_into q dst pos =
   let w = q.w in
   let head = A1.unsafe_get w q.head in
-  let c = q.cells + ((head land q.mask) lsl 2) in
-  if A1.unsafe_get w c = head + 1 then begin
-    dst.(pos) <- A1.unsafe_get w (c + 1);
-    dst.(pos + 1) <- A1.unsafe_get w (c + 2);
+  let c = cell q head in
+  let tag = A1.unsafe_get w c in
+  if ready tag head then begin
+    dst.(pos) <- tag asr 20;
+    dst.(pos + 1) <- A1.unsafe_get w (c + 1);
     A1.unsafe_set w q.head (head + 1);
     true
   end
@@ -164,9 +194,9 @@ let enqueue q v =
 let dequeue q =
   let w = q.w in
   let head = A1.unsafe_get w q.head in
-  let c = q.cells + ((head land q.mask) lsl 2) in
-  if A1.unsafe_get w c = head + 1 then begin
-    let v = A1.unsafe_get w (c + 2) in
+  let c = cell q head in
+  if ready (A1.unsafe_get w c) head then begin
+    let v = A1.unsafe_get w (c + 1) in
     A1.unsafe_set w q.head (head + 1);
     v
   end
@@ -214,11 +244,12 @@ let rec take_batch q buf ~pos ~max ~head i =
   if i >= max then i
   else begin
     let idx = head + i in
-    let c = q.cells + ((idx land q.mask) lsl 2) in
-    if A1.unsafe_get q.w c = idx + 1 then begin
+    let c = cell q idx in
+    let tag = A1.unsafe_get q.w c in
+    if ready tag idx then begin
       let s = 2 * (pos + i) in
-      Array.unsafe_set buf s (A1.unsafe_get q.w (c + 1));
-      Array.unsafe_set buf (s + 1) (A1.unsafe_get q.w (c + 2));
+      Array.unsafe_set buf s (tag asr 20);
+      Array.unsafe_set buf (s + 1) (A1.unsafe_get q.w (c + 1));
       take_batch q buf ~pos ~max ~head (i + 1)
     end
     else i

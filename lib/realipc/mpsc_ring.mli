@@ -8,12 +8,13 @@
     back — no lock, no per-message node.  Tail and head tickets sit on
     separate cache lines.
 
-    Each slot is a four-word cell — its sequence, then the two-word
-    message [(client, word)], then a spare word — so a message moves
-    one cache line from producer to consumer, payload included: no
+    Each slot is a two-word cell — a tag holding the client and the
+    sequence number, then the payload word — so a message moves one
+    cache line from producer to consumer, payload included: no
     ['a option] box, no write barrier, zero heap allocation per
-    operation.  Both message words are immediates and any int is valid:
-    readiness is the sequence number's alone.  Producers check room
+    operation.  Both message words are immediates; any int is a valid
+    word, since readiness is the sequence number's alone, and a client
+    is any int in [[-2^42, 2^42)] ({!Ring_layout}).  Producers check room
     against a shared snapshot of the consumer's index and re-read the
     index only when the snapshot says the ring is full ({!Ring_layout}'s
     one-shared-line rule).  Every index, the snapshot and every cell is
@@ -39,18 +40,33 @@ val create : capacity:int -> unit -> t
 (** A ring in an arena of its own.  The slot count is the capacity
     rounded up to a power of two, but the flow-control boundary is
     checked against [capacity] exactly.
-    @raise Invalid_argument if [capacity <= 0].
+    @raise Invalid_argument unless [1 <= capacity <= 2^19].
     @raise Failure if the arena cannot be mapped (see
     {!Word_arena.create}). *)
 
 val carve : Word_arena.t -> capacity:int -> t
 (** {!create}, but carved out of a session's arena, before any peer
     starts.
-    @raise Invalid_argument if [capacity <= 0] or the arena is full. *)
+    @raise Invalid_argument unless [1 <= capacity <= 2^19], or if the
+    arena is full. *)
 
 val arena_words : capacity:int -> int
 (** An upper bound on the arena words {!carve} takes, alignment
     included: for sizing a session's arena. *)
+
+val carve_lane : Word_arena.t -> capacity:int -> cells:int -> t
+(** {!carve}, but on one lane of a cell region the caller carved from
+    the same arena: a region of {!Ring_layout.region_words}
+    line-aligned words holds two rings of [capacity], one with [cells]
+    at its base and one at its base plus {!Ring_layout.second_lane},
+    and cell [i] of both is in one line.  Only the ring's index lines
+    are carved here.
+    @raise Invalid_argument unless [1 <= capacity <= 2^19], or if the
+    arena is full. *)
+
+val lane_arena_words : int
+(** An upper bound on the arena words {!carve_lane} takes (its index
+    lines), alignment included. *)
 
 val capacity : t -> int
 

@@ -66,6 +66,19 @@
    single-consumer).  All rings are lock-free and allocation-free per
    message.
 
+   A call's two rings share their lines where the shard map allows it.
+   A shard with exactly one home client is PAIRED: its request ring and
+   that client's reply ring are carved on the two four-word lanes of
+   one cell region (Ring_layout's cell placement), so cell [i] of each
+   sits in one line, and a synchronous call's request and reply travel
+   in that line — the client writes one lane of it and the server the
+   other, both sides in disjoint words, where separate rings would move
+   a request line and a reply line.  A lone client, and each client of
+   an [nclients = nservers] pool, is paired; clients that share a shard
+   are not, and their rings are carved alone.  The lanes change where
+   the cells lie, not how a ring uses them: the protocol core, the
+   semaphores and the TSO argument are the same for both layouts.
+
    Instrumentation lives here, on the substrate side of the signature's
    counters seam, so the protocol core stays untouched: an optional
    Trace_ring sink records the unified Ulipc_observe.Event schema
@@ -144,30 +157,56 @@ let create ?trace ?(nservers = 1) ?shard_assign ?slots ~capacity ~nclients ()
     | Some n -> n
     | None -> (nclients + nservers) * (capacity + 1)
   in
+  (* Shards with exactly one home client are paired (see the header). *)
+  let paired = Array.map (fun n -> n = 1) (Shard_map.load shard_map) in
+  let npaired = Array.fold_left (fun n p -> if p then n + 1 else n) 0 paired in
   (* Every ring, semaphore, steal token and slab word is carved from the
      session's one arena.  Mapping it refuses to start off x86-64
      ([Word_arena.create]). *)
-  let reply_words =
-    if nservers = 1 then Spsc_ring.arena_words ~capacity
-    else Mpsc_ring.arena_words ~capacity
+  let reply_words, reply_lane_words =
+    if nservers = 1 then
+      (Spsc_ring.arena_words ~capacity, Spsc_ring.lane_arena_words)
+    else (Mpsc_ring.arena_words ~capacity, Mpsc_ring.lane_arena_words)
   in
   let arena =
     Word_arena.create
       ~size_words:
-        ((nservers * Mpsc_ring.arena_words ~capacity)
-        + (nclients * reply_words)
+        (((nservers - npaired) * Mpsc_ring.arena_words ~capacity)
+        + ((nclients - npaired) * reply_words)
+        + (npaired
+          * (Mpsc_ring.lane_arena_words + reply_lane_words
+            + Ring_layout.region_words ~capacity + line - 1))
         + ((nservers + nclients) * Rsem.arena_words ())
         + (nservers * line) + line - 1
         + Slab.arena_words ~slots)
       ()
   in
-  let request_queue () = Q_mpsc (Mpsc_ring.carve arena ~capacity) in
+  (* Shard [k]'s cell region if it is paired, else -1. *)
+  let region =
+    Array.init nservers (fun k ->
+        if paired.(k) then
+          Word_arena.alloc_line arena
+            ~words:(Ring_layout.region_words ~capacity)
+        else -1)
+  in
+  let request_queue k =
+    Q_mpsc
+      (if paired.(k) then
+         Mpsc_ring.carve_lane arena ~capacity ~cells:region.(k)
+       else Mpsc_ring.carve arena ~capacity)
+  in
   (* A lone server is the unique producer of every reply channel, so the
      SPSC ring applies; a pool is not — a stolen request is answered by
      the thief, so reply channels get a second (… nth) producer and must
      ride the MPSC ring.  Still one consumer: the owning client. *)
-  let reply_queue () =
-    if nservers = 1 then Q_spsc (Spsc_ring.carve arena ~capacity)
+  let reply_queue c =
+    let k = Shard_map.shard shard_map c in
+    if paired.(k) then begin
+      let cells = region.(k) + Ring_layout.second_lane in
+      if nservers = 1 then Q_spsc (Spsc_ring.carve_lane arena ~capacity ~cells)
+      else Q_mpsc (Mpsc_ring.carve_lane arena ~capacity ~cells)
+    end
+    else if nservers = 1 then Q_spsc (Spsc_ring.carve arena ~capacity)
     else Q_mpsc (Mpsc_ring.carve arena ~capacity)
   in
   (* One register per client (0 .. nclients-1), then one per server. *)
@@ -182,10 +221,10 @@ let create ?trace ?(nservers = 1) ?shard_assign ?slots ~capacity ~nclients ()
     requests =
       Array.init nservers (fun k ->
           make_channel arena ~chan_id:(-(k + 1)) ~regs ~rx:(nclients + k)
-            (request_queue ()));
+            (request_queue k));
     replies =
       Array.init nclients (fun i ->
-          make_channel arena ~chan_id:i ~regs ~rx:i (reply_queue ()));
+          make_channel arena ~chan_id:i ~regs ~rx:i (reply_queue i));
     shard_map;
     steal;
     slab = Slab.carve arena ~slots;
@@ -212,6 +251,11 @@ let nclients t = Array.length t.replies
 let nshards t = Array.length t.requests
 let shard_map t = t.shard_map
 let shard_of_client t client = Shard_map.shard t.shard_map client
+
+let paired t k =
+  if k < 0 || k >= Array.length t.requests then
+    invalid_arg (Printf.sprintf "Real_substrate.paired: no shard %d" k);
+  (Shard_map.load t.shard_map).(k) = 1
 
 let request_shard t k =
   if k < 0 || k >= Array.length t.requests then

@@ -21,7 +21,11 @@
     client is still the only consumer), {!Spsc_ring} for reply channels
     when [nservers = 1] (the lone server is then the unique producer).
     No locks, no per-message allocation, and one {!Word_arena} per
-    session, which holds the channel semaphores' words too.
+    session, which holds the channel semaphores' words too.  A shard
+    with exactly one home client is {e paired} ({!paired}): its request
+    ring and that client's reply ring share one cell region, on the two
+    lanes of each line, so a synchronous call's request and reply
+    travel in one cache line.
 
     A blocking consumer first waits on the message: [await] polls the
     channel's queue for up to the {!Grace} spin with its awake flag
@@ -145,6 +149,14 @@ val shard_map : t -> Shard_map.t
 
 val shard_of_client : t -> int -> int
 (** Home shard of a client's requests: one array load. *)
+
+val paired : t -> int -> bool
+(** Whether shard [k] is paired: it has exactly one home client, and
+    its request ring and that client's reply ring were carved on the
+    two lanes of one cell region, so cell [i] of both is in one line
+    ({!Ring_layout}'s cell placement).  Read from the shard map, which
+    {!create} fixed.
+    @raise Invalid_argument on a bad shard number. *)
 
 val request_shard : t -> int -> channel
 (** Shard [k]'s request channel.  [request_shard t 0 == request t].

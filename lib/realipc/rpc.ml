@@ -170,6 +170,7 @@ let request_depth t k = Real_substrate.request_depth t.sub k
 let wake_residue t = Real_substrate.wake_residue t.sub
 let harvest_sem_counters t = Real_substrate.harvest_sem_counters t.sub
 let shard_of_client t client = Real_substrate.shard_of_client t.sub client
+let paired t k = Real_substrate.paired t.sub k
 
 let check_client t client =
   ignore (Real_substrate.reply_channel t.sub client : Real_substrate.channel)
@@ -376,20 +377,29 @@ let pop_stash t ~server =
 (* producer that owns none, through [produce_pair].                    *)
 (* ------------------------------------------------------------------ *)
 
-let client_budget t client = t.adapt.(nservers t + client)
+let client_budget t client = t.adapt.(Array.length t.servers + client)
+
+(* The synchronous paths index the session's channel arrays, as the
+   batch calls do, behind one range test of the client word; a bad one
+   raises Real_substrate.reply_channel's error, as a lookup through it
+   would. *)
+let check_client_word t client =
+  if client < 0 || client >= Array.length t.replies then check_client t client
 
 let send_msg t ~client m =
-  let sub = t.sub in
-  P.send sub t.waiting
-    ~req:(Real_substrate.request_shard sub (shard_of_client t client))
-    ~reply:(Real_substrate.reply_channel sub client)
+  check_client_word t client;
+  P.send t.sub t.waiting
+    ~req:(Array.unsafe_get t.homes client)
+    ~reply:(Array.unsafe_get t.replies client)
     ~budget:(client_budget t client) m
 
 (* Server receive on its own shard: the waiting-mode consumer sequence
    on the own ring, and the message lands in the server's register.  A
    lone server does nothing else.  A pool server first takes its stash
    (stolen-handoff leftovers are the oldest messages it owns), then
-   makes one token-service pass, and posts a steal claim on the deepest
+   makes one token-service pass — whose handoff may stash the tail the
+   thief's ring could not take, older than anything still on the ring,
+   so the stash is tried again — and posts a steal claim on the deepest
    sibling whenever its own ring is already empty (the claim costs one
    CAS and is retracted after the next successful receive). *)
 let receive_msg t ~server =
@@ -397,12 +407,18 @@ let receive_msg t ~server =
     P.receive t.sub t.waiting t.requests.(server) ~budget:t.adapt.(server)
   else begin
     let m = pop_stash t ~server in
+    let m =
+      if m != Real_substrate.no_msg then m
+      else begin
+        service_steal t ~server;
+        pop_stash t ~server
+      end
+    in
     if m != Real_substrate.no_msg then begin
       bump_receives t 1;
       m
     end
     else begin
-      service_steal t ~server;
       try_post_steal t ~server;
       let m =
         P.receive t.sub t.waiting t.requests.(server) ~budget:t.adapt.(server)
@@ -416,7 +432,8 @@ let receive_msg t ~server =
    on a reply channel whose "home" server never saw the request, which
    is exactly why pooled ring sessions use MPSC reply rings. *)
 let reply_msg t ~client m =
-  P.reply t.sub t.waiting (Real_substrate.reply_channel t.sub client) m
+  check_client_word t client;
+  P.reply t.sub t.waiting (Array.unsafe_get t.replies client) m
 
 (* The core's producer half (P.1–P.3) for a producer that owns no
    register: the message goes in by its words.  [post] may come from

@@ -126,6 +126,13 @@ val nservers : ('req, 'rep) t -> int
 val shard_of_client : ('req, 'rep) t -> int -> int
 (** The home shard of a client's requests (one array load). *)
 
+val paired : ('req, 'rep) t -> int -> bool
+(** Whether shard [k] has exactly one home client, whose calls then
+    carry their request and their reply in one cache line
+    ({!Real_substrate.paired}).  A property of the shard map, not a
+    setting.
+    @raise Invalid_argument on a bad shard number. *)
+
 val trace : ('req, 'rep) t -> Ulipc_observe.Trace_ring.t option
 (** The event-trace sink given at {!create} time, if any. *)
 

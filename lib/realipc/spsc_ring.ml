@@ -3,20 +3,21 @@
    (TR-10-20) shows matter on shared-cache multicores, under the
    one-shared-line rule of Ring_layout —
 
-   - each slot is a four-word cell (seq, client, word, spare) that
-     carries the message itself; the consumer polls the cell at [tail]
-     for [seq = tail + 1], copies both message words out, and never
-     reads the producer's [head] or writes the cell back (a stale cell
-     holds an older lap's seq and never reads as ready), so the slot
-     line is the only line a hop moves;
+   - each slot is a two-word cell (tag, word) that carries the message
+     itself, the client in the tag's high bits; the consumer polls the
+     cell at [tail] for the seq [tail + 1] in the tag's low bits,
+     copies the client and the word out, and never reads the
+     producer's [head] or writes the cell back (a stale cell holds an
+     older lap's seq and never reads as ready), so the slot line is the
+     only line a hop moves;
    - head and tail sit on separate cache lines, and the producer keeps
      a snapshot of the consumer's index ([cached_tail], on the line of
      its [head]), re-reading the shared [tail] only when the snapshot
      says the ring looks full;
-   - the message words are immediates, so an enqueue is three plain
+   - the message words are immediates, so an enqueue is two plain
      word stores and a dequeue copies two words into a caller-owned
      array — no [Some] allocation, no write barrier, no GC pressure;
-     readiness rides on [seq] alone, so a word may be any int;
+     readiness rides on the seq alone, so a word may be any int;
    - temporal slipping: [enqueue_batch] writes a span {e backward}
      (highest slot first), so the cell the consumer polls next is the
      last one made ready and the consumer walks a span the producer has
@@ -25,12 +26,16 @@
    Every index, snapshot and cell is a word of a Word_arena, so the
    ring works unchanged between domains and between fork'd processes:
    the record holds only the mapping and word offsets, and nothing a
-   peer must see lives in the OCaml heap.  Span layout, from a
-   line-aligned base:
+   peer must see lives in the OCaml heap.  Layout, from line-aligned
+   bases:
 
      line 0       [head], [cached_tail]   producer-owned
      line 1       [tail]                  consumer-owned
-     line 2 on    the cells, four words each
+
+   and the cells, two to a four-word lane of each line of a cell region
+   (Ring_layout's placement): the first lane of a region of the ring's
+   own when it is carved alone ([carve]), or one lane of a region it
+   shares with a second ring ([carve_lane]).
 
    [head] is still published (last, after the cell) so [is_empty] and
    [length] — BSLS's polling hint and the telemetry gauge — can read
@@ -45,8 +50,8 @@
    Every access is a plain Bigarray load or store (a bare mov natively),
    standing in for Torquati's compiler-only WMB: a fenced store alone
    costs more than the rest of the operation.  The ordering argument is
-   Ring_layout's: words before seq (store-store), seq before words on
-   the consumer side (load-load), word loads before the tail publish
+   Ring_layout's: word before tag (store-store), tag before word on
+   the consumer side (load-load), word load before the tail publish
    (load-store); TSO reorders none, and the amd64 backend schedules no
    instructions across them.  [Word_arena.create] refuses to run on a
    weakly-ordered target ([Ring_layout.require_tso]). *)
@@ -58,7 +63,7 @@ type t = {
   head : int; (* next write index; written by the producer only *)
   cached_tail : int; (* the producer's snapshot of [tail] *)
   tail : int; (* next read index; written by the consumer only *)
-  cells : int; (* 4 * ring words: (seq, client, word, spare) per slot *)
+  cells : int; (* its lane of a cell region: slot [s] at [cell q s] *)
   mask : int;
   cap : int;
 }
@@ -67,27 +72,40 @@ let nil = -1
 let line = Word_arena.cache_line_words
 let tail_off = line
 let cells_off = 2 * line
-let span_words ~ring = cells_off + (4 * ring)
 
-let arena_words ~capacity =
-  span_words ~ring:(Ring_layout.ceil_pow2 capacity) + line - 1
+(* The ring's two index lines; its cells are a lane of a region the
+   caller carved. *)
+let lane_arena_words = cells_off + line - 1
 
-let carve a ~capacity =
-  let ring, mask, cap =
-    Ring_layout.geometry ~who:"Spsc_ring.carve" ~capacity
+(* The arena is zero-filled, and seq 0 is never ready: index [i] is
+   ready at seq [(i + 1) mod 2^20], which is not 0 on a first lap. *)
+let carve_lane a ~capacity ~cells =
+  let _, mask, cap =
+    Ring_layout.geometry ~who:"Spsc_ring.carve_lane" ~capacity
   in
-  (* The arena is zero-filled, and seq 0 is never ready: index [i] is
-     ready at seq [i + 1] >= 1. *)
-  let base = Word_arena.alloc_line a ~words:(span_words ~ring) in
+  let base = Word_arena.alloc_line a ~words:cells_off in
   {
     w = Word_arena.words a;
     head = base;
     cached_tail = base + 1;
     tail = base + tail_off;
-    cells = base + cells_off;
+    cells;
     mask;
     cap;
   }
+
+(* A ring carved alone: a region of its own, then the ring on its first
+   lane.  The region is whole lines, so the index lines need no
+   padding. *)
+let arena_words ~capacity =
+  Ring_layout.region_words ~capacity + line - 1 + cells_off
+
+let carve a ~capacity =
+  Ring_layout.check_capacity ~who:"Spsc_ring.carve" capacity;
+  let cells =
+    Word_arena.alloc_line a ~words:(Ring_layout.region_words ~capacity)
+  in
+  carve_lane a ~capacity ~cells
 
 let create ~capacity () =
   Ring_layout.check_capacity ~who:"Spsc_ring.create" capacity;
@@ -95,13 +113,26 @@ let create ~capacity () =
 
 let capacity q = q.cap
 
-(* Fill the cell for index [idx]: the message words first, then the seq
-   that makes it ready (store-store under TSO). *)
+(* Ring_layout's cell placement and cell format, written out here (and
+   in the sibling ring) so that they compile inline: the word offset of
+   the cell for index [idx]; the tag a producer stores last, [client] in
+   the high bits and the seq, [(idx + 1) mod 2^20], in the low 20; and
+   the consumer's readiness test of a tag for index [idx]. *)
+let[@inline] cell q idx =
+  let s = idx land q.mask in
+  q.cells + ((s land -8) lsl 2) + ((s land 3) lsl 3)
+  + ((s land 4) lsr 1)
+
+let seq_mask = 0xFFFFF
+let[@inline] stamp idx client = (client lsl 20) lor ((idx + 1) land seq_mask)
+let[@inline] ready tag idx = (tag - idx - 1) land seq_mask = 0
+
+(* Fill the cell for index [idx]: the word first, then the tag that
+   makes it ready (store-store under TSO). *)
 let fill q idx client word =
-  let c = q.cells + ((idx land q.mask) lsl 2) in
-  A1.unsafe_set q.w (c + 1) client;
-  A1.unsafe_set q.w (c + 2) word;
-  A1.unsafe_set q.w c (idx + 1)
+  let c = cell q idx in
+  A1.unsafe_set q.w (c + 1) word;
+  A1.unsafe_set q.w c (stamp idx client)
 
 (* The bare path written out inline: without flambda a call to [fill]
    is a real cross-function call, and at ~5 ns for the whole pair each
@@ -116,25 +147,25 @@ let enqueue_pair q ~client ~word =
      head - A1.unsafe_get w q.cached_tail < q.cap)
   in
   if free then begin
-    let c = q.cells + ((head land q.mask) lsl 2) in
-    A1.unsafe_set w (c + 1) client;
-    A1.unsafe_set w (c + 2) word;
-    A1.unsafe_set w c (head + 1);
+    let c = cell q head in
+    A1.unsafe_set w (c + 1) word;
+    A1.unsafe_set w c (stamp head client);
     A1.unsafe_set w q.head (head + 1);
     true
   end
   else false
 
-(* Consumer side: poll the cell, never [head].  Both word loads precede
-   the tail publish (load-store), and the cell is left as it is — the
+(* Consumer side: poll the cell, never [head].  Both loads precede the
+   tail publish (load-store), and the cell is left as it is — the
    producer rewrites it only after observing the advanced tail. *)
 let dequeue_into q dst pos =
   let w = q.w in
   let tail = A1.unsafe_get w q.tail in
-  let c = q.cells + ((tail land q.mask) lsl 2) in
-  if A1.unsafe_get w c = tail + 1 then begin
-    dst.(pos) <- A1.unsafe_get w (c + 1);
-    dst.(pos + 1) <- A1.unsafe_get w (c + 2);
+  let c = cell q tail in
+  let tag = A1.unsafe_get w c in
+  if ready tag tail then begin
+    dst.(pos) <- tag asr 20;
+    dst.(pos + 1) <- A1.unsafe_get w (c + 1);
     A1.unsafe_set w q.tail (tail + 1);
     true
   end
@@ -150,9 +181,9 @@ let enqueue q v =
 let dequeue q =
   let w = q.w in
   let tail = A1.unsafe_get w q.tail in
-  let c = q.cells + ((tail land q.mask) lsl 2) in
-  if A1.unsafe_get w c = tail + 1 then begin
-    let v = A1.unsafe_get w (c + 2) in
+  let c = cell q tail in
+  if ready (A1.unsafe_get w c) tail then begin
+    let v = A1.unsafe_get w (c + 1) in
     A1.unsafe_set w q.tail (tail + 1);
     v
   end
@@ -200,11 +231,12 @@ let rec take_batch q buf ~pos ~max ~tail i =
   if i >= max then i
   else begin
     let idx = tail + i in
-    let c = q.cells + ((idx land q.mask) lsl 2) in
-    if A1.unsafe_get q.w c = idx + 1 then begin
+    let c = cell q idx in
+    let tag = A1.unsafe_get q.w c in
+    if ready tag idx then begin
       let s = 2 * (pos + i) in
-      Array.unsafe_set buf s (A1.unsafe_get q.w (c + 1));
-      Array.unsafe_set buf (s + 1) (A1.unsafe_get q.w (c + 2));
+      Array.unsafe_set buf s (tag asr 20);
+      Array.unsafe_set buf (s + 1) (A1.unsafe_get q.w (c + 1));
       take_batch q buf ~pos ~max ~tail (i + 1)
     end
     else i

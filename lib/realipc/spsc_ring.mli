@@ -1,8 +1,9 @@
 (** Bounded lock-free single-producer/single-consumer ring over shared
     arena words.
 
-    Four-word cells — a sequence number and a two-word message
-    [(client, word)] — and monotonically increasing head/tail indices on
+    Two-word cells — a tag holding the client and a sequence number,
+    and the payload word — and monotonically increasing head/tail
+    indices on
     separate cache lines, all of them words of a {!Word_arena}, under
     {!Ring_layout}'s one-shared-line rule: the consumer polls the cell
     at its index for a ready sequence number, copies the message out and
@@ -13,11 +14,13 @@
     in the OCaml heap, the same ring serves two domains or two fork'd
     processes.
 
-    Both message words are {e immediate ints}, and any int is a valid
-    word — readiness is the sequence number's alone, so no word acts as
-    a sentinel.  The per-operation cost is a few plain unboxed word
-    stores: no mutex, no per-message node, no ['a option] box, no write
-    barrier, zero heap allocation.
+    Both message words are {e immediate ints}: any int is a valid word
+    — readiness is the sequence number's alone, so no word acts as a
+    sentinel — and a client is any int in [[-2^42, 2^42)] (it shares
+    the tag with the sequence number; {!Ring_layout}).  The
+    per-operation cost is a few plain unboxed word stores: no mutex, no
+    per-message node, no ['a option] box, no write barrier, zero heap
+    allocation.
 
     A further Torquati (TR-10-20) refinement, {e temporal slipping}:
     {!enqueue_batch} writes its span backward (highest slot first), so
@@ -39,7 +42,7 @@ val create : capacity:int -> unit -> t
 (** A ring in an arena of its own.  The slot count is the capacity
     rounded up to a power of two, but the flow-control boundary is
     checked against [capacity] exactly.
-    @raise Invalid_argument if [capacity <= 0].
+    @raise Invalid_argument unless [1 <= capacity <= 2^19].
     @raise Failure if the arena cannot be mapped (see
     {!Word_arena.create}). *)
 
@@ -47,11 +50,26 @@ val carve : Word_arena.t -> capacity:int -> t
 (** {!create}, but carved out of a session's arena, before any peer
     starts (a fork'd session carves pre-fork; children inherit word
     offsets, not pointers).
-    @raise Invalid_argument if [capacity <= 0] or the arena is full. *)
+    @raise Invalid_argument unless [1 <= capacity <= 2^19], or if the
+    arena is full. *)
 
 val arena_words : capacity:int -> int
 (** An upper bound on the arena words {!carve} takes, alignment
     included: for sizing a session's arena. *)
+
+val carve_lane : Word_arena.t -> capacity:int -> cells:int -> t
+(** {!carve}, but on one lane of a cell region the caller carved from
+    the same arena: a region of {!Ring_layout.region_words}
+    line-aligned words holds two rings of [capacity], one with [cells]
+    at its base and one at its base plus {!Ring_layout.second_lane},
+    and cell [i] of both is in one line.  Only the ring's index lines
+    are carved here.
+    @raise Invalid_argument unless [1 <= capacity <= 2^19], or if the
+    arena is full. *)
+
+val lane_arena_words : int
+(** An upper bound on the arena words {!carve_lane} takes (its index
+    lines), alignment included. *)
 
 val capacity : t -> int
 

@@ -1,6 +1,7 @@
 (* The flat rings' cases that run both in one process and across fork:
    the FIFO model properties, the stale-snapshot cases and the
-   torn-message cases.  The rings keep every index, snapshot and cell in
+   torn-message cases, for rings carved alone and for two rings carved
+   on the lanes of one region.  The rings keep every index, snapshot and cell in
    arena words, so the same cases hold whether the producer is the
    test's own thread, a domain or a fork'd process.  Each case takes the
    producer side as a parameter:
@@ -180,13 +181,16 @@ let produce_branded ~stopped ~client ~per_producer (send_single, send_span) =
   done
 
 (* The consumer side, three single dequeues to one span dequeue, until
-   [total] messages arrived or 20 s passed. *)
-let consume_branded ~total ~check dequeue_into dequeue_batch =
+   [total] messages arrived or 20 s passed.  [rings] are the
+   [(dequeue_into, dequeue_batch)] of every ring it consumes, polled in
+   turn. *)
+let consume_branded ~total ~check rings =
   let reg = Array.make 2 0 and buf = Array.make 8 0 in
   let got = ref 0 and turn = ref 0 and misses = ref 0 in
   let deadline = Unix.gettimeofday () +. 20.0 in
   while !got < total && Unix.gettimeofday () < deadline do
     incr turn;
+    let dequeue_into, dequeue_batch = rings.(!turn mod Array.length rings) in
     let k =
       if !turn land 3 <> 0 then
         if dequeue_into reg 0 then begin
@@ -208,39 +212,48 @@ let consume_branded ~total ~check dequeue_into dequeue_batch =
 
 (* [start ~nproducers produce] runs [produce ~client ~stopped] for
    clients 1..nproducers on peers of its choice and returns the function
-   that stops and reaps them once the consumer is done. *)
-let torn_case ~start ~nproducers ~per_producer ~senders dequeue_into
-    dequeue_batch =
+   that stops and reaps them once the consumer is done.  Client [c]
+   sends with [senders c]. *)
+let torn_case ~start ~nproducers ~per_producer ~senders rings =
   let check, result = torn_check ~nproducers ~per_producer in
   let finish =
     start ~nproducers (fun ~client ~stopped ->
-        produce_branded ~stopped ~client ~per_producer senders)
+        produce_branded ~stopped ~client ~per_producer (senders client))
   in
-  consume_branded ~total:(nproducers * per_producer) ~check dequeue_into
-    dequeue_batch;
+  consume_branded ~total:(nproducers * per_producer) ~check rings;
   finish ();
   let bad, complete = result () in
   Alcotest.(check int) "every pair arrived whole and in order" 0 bad;
   Alcotest.(check bool) "every message arrived" true complete
 
+let mpsc_senders q =
+  ( (fun ~client ~word -> Mpsc_ring.enqueue_pair q ~client ~word),
+    fun span k -> Mpsc_ring.enqueue_batch q span ~pos:0 ~len:k )
+
+let mpsc_takers q =
+  ( Mpsc_ring.dequeue_into q,
+    fun buf max -> Mpsc_ring.dequeue_batch q buf ~pos:0 ~max )
+
+let spsc_senders q =
+  ( (fun ~client ~word -> Spsc_ring.enqueue_pair q ~client ~word),
+    fun span k -> Spsc_ring.enqueue_batch q span ~pos:0 ~len:k )
+
+let spsc_takers q =
+  ( Spsc_ring.dequeue_into q,
+    fun buf max -> Spsc_ring.dequeue_batch q buf ~pos:0 ~max )
+
 let mpsc_torn ?(per_producer = 200_000) ~start ~capacity () =
   let q = Mpsc_ring.create ~capacity () in
   torn_case ~start ~nproducers:2 ~per_producer
-    ~senders:
-      ( (fun ~client ~word -> Mpsc_ring.enqueue_pair q ~client ~word),
-        fun span k -> Mpsc_ring.enqueue_batch q span ~pos:0 ~len:k )
-    (Mpsc_ring.dequeue_into q)
-    (fun buf max -> Mpsc_ring.dequeue_batch q buf ~pos:0 ~max)
+    ~senders:(fun _ -> mpsc_senders q)
+    [| mpsc_takers q |]
 
 (* The SPSC ring's one producer alternates plain and span sends. *)
 let spsc_torn ?(per_producer = 400_000) ~start ~capacity () =
   let q = Spsc_ring.create ~capacity () in
   torn_case ~start ~nproducers:1 ~per_producer
-    ~senders:
-      ( (fun ~client ~word -> Spsc_ring.enqueue_pair q ~client ~word),
-        fun span k -> Spsc_ring.enqueue_batch q span ~pos:0 ~len:k )
-    (Spsc_ring.dequeue_into q)
-    (fun buf max -> Spsc_ring.dequeue_batch q buf ~pos:0 ~max)
+    ~senders:(fun _ -> spsc_senders q)
+    [| spsc_takers q |]
 
 let torn_cases ?per_producer ~start name case =
   List.map
@@ -250,3 +263,121 @@ let torn_cases ?per_producer ~start name case =
         `Quick
         (case ?per_producer ~start ~capacity))
     [ 1; 2; 3; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* Two rings on one region.  A session pairs a shard's request ring
+   (MPSC) with its one home client's reply ring (SPSC beside a lone
+   server, MPSC in a pool) on the two lanes of one cell region, so cell
+   [i] of both shares a line.  Each lane must behave exactly as a ring
+   carved alone, whatever traffic the other lane carries. *)
+
+(* The arena words a paired carve takes at most: the region, aligned,
+   and each ring's index lines. *)
+let paired_arena_words ~capacity ~second_lane_words =
+  Ring_layout.region_words ~capacity
+  + Word_arena.cache_line_words - 1 + Mpsc_ring.lane_arena_words
+  + second_lane_words
+
+(* The region and the request ring on its first lane; [carve_second]
+   takes the second lane. *)
+let carve_paired a ~capacity carve_second =
+  let cells =
+    Word_arena.alloc_line a ~words:(Ring_layout.region_words ~capacity)
+  in
+  ( Mpsc_ring.carve_lane a ~capacity ~cells,
+    carve_second a ~capacity ~cells:(cells + Ring_layout.second_lane) )
+
+(* The two rings of a pair, as the model sees them. *)
+type lane = {
+  enqueue_pair : client:int -> word:int -> bool;
+  dequeue_into : int array -> int -> bool;
+  length : unit -> int;
+}
+
+let mpsc_lane q =
+  {
+    enqueue_pair = Mpsc_ring.enqueue_pair q;
+    dequeue_into = Mpsc_ring.dequeue_into q;
+    length = (fun () -> Mpsc_ring.length q);
+  }
+
+let spsc_lane q =
+  {
+    enqueue_pair = Spsc_ring.enqueue_pair q;
+    dequeue_into = Spsc_ring.dequeue_into q;
+    length = (fun () -> Spsc_ring.length q);
+  }
+
+(* The shapes a session pairs: [spsc] for a lone server's reply ring,
+   else an MPSC one. *)
+let paired_lanes ~spsc ~capacity =
+  let second_lane_words =
+    if spsc then Spsc_ring.lane_arena_words else Mpsc_ring.lane_arena_words
+  in
+  let a =
+    Word_arena.create
+      ~size_words:(paired_arena_words ~capacity ~second_lane_words)
+      ()
+  in
+  if spsc then
+    let r, p = carve_paired a ~capacity Spsc_ring.carve_lane in
+    (mpsc_lane r, spsc_lane p)
+  else
+    let r, p = carve_paired a ~capacity Mpsc_ring.carve_lane in
+    (mpsc_lane r, mpsc_lane p)
+
+(* Both lanes against a FIFO model each: an op picks a lane, then
+   enqueues on it ([Some m], on the producer side) or dequeues. *)
+let prop_paired_model ?(count = 300) ?(producer = in_process)
+    ?(program = QCheck.list) ~spsc ~name () =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair model_capacity (program (pair bool (option msg_gen))))
+    (fun (cap, program) ->
+      let first, second = paired_lanes ~spsc ~capacity:cap in
+      let models = (Queue.create (), Queue.create ()) in
+      List.for_all
+        (fun (on_second, op) ->
+          let lane, model =
+            if on_second then (second, snd models) else (first, fst models)
+          in
+          (match op with
+          | Some ((client, word) as v) ->
+            let accepted =
+              producer (fun () -> lane.enqueue_pair ~client ~word)
+            in
+            let model_accepts = Queue.length model < cap in
+            if model_accepts then Queue.add v model;
+            accepted = model_accepts
+          | None ->
+            deq_into_matches_model (fun l -> l.dequeue_into) lane model)
+          && first.length () = Queue.length (fst models)
+          && second.length () = Queue.length (snd models))
+        program)
+
+(* The torn-message case on both lanes at once: clients 1 and 2 produce
+   on the request lane (MPSC), client 3 on the reply lane (SPSC), every
+   one of them into the lines the others write, and one consumer takes
+   from both lanes in turn. *)
+let paired_torn ?(per_producer = 200_000) ~start ~capacity () =
+  let a =
+    Word_arena.create
+      ~size_words:
+        (paired_arena_words ~capacity
+           ~second_lane_words:Spsc_ring.lane_arena_words)
+      ()
+  in
+  let request, reply = carve_paired a ~capacity Spsc_ring.carve_lane in
+  torn_case ~start ~nproducers:3 ~per_producer
+    ~senders:(fun client ->
+      if client <= 2 then mpsc_senders request else spsc_senders reply)
+    [| mpsc_takers request; spsc_takers reply |]
+
+(* Capacities below a block of eight slots and across two. *)
+let paired_torn_cases ?per_producer ~start name =
+  List.map
+    (fun capacity ->
+      Alcotest.test_case
+        (Printf.sprintf "%s torn messages at capacity %d" name capacity)
+        `Quick
+        (paired_torn ?per_producer ~start ~capacity))
+    [ 1; 4; 13 ]

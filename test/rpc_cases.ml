@@ -327,6 +327,55 @@ let pooled_batch_lists ~spawn () =
     (Printf.sprintf "the victim handed spans over (%d handoffs)" handoffs)
     true (handoffs > 0)
 
+(* A pool server that honours a steal claim while the thief's ring is
+   full keeps the span it took in its stash, and those requests are
+   older than everything still on its ring, so its receive must return
+   them first.  Capacity 4, 2 servers, requests 10, 11 and 12 on shard
+   0; server 1 finds its own ring empty, posts a claim on shard 0 and
+   parks; shard 1 is then filled with 4 posts, and server 0's
+   [receive_batch] takes the claim, hands request 10 over, finds the
+   thief's ring full and stashes it.  The thief is a thread of the
+   process running the case, woken by the posts but normally held off
+   by the runtime lock until the batch is in; a systhreads tick can
+   still hand it the lock in that window, and then it drains a message
+   and the handoff succeeds.  Such an attempt does not take the stash
+   path, so it is run again on a fresh session. *)
+let stash_order ~spawn:_ () =
+  let attempt () =
+    let t =
+      session ~capacity:4 ~nservers:2 ~shard_assign:(fun _ -> 0) ~nclients:1
+        Rpc.Block
+    in
+    List.iter (fun v -> Rpc.post t ~client:0 v) [ 10; 11; 12 ];
+    let thief =
+      Thread.create (fun () -> ignore (Rpc.receive ~server:1 t)) ()
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while
+      (Rpc.counters t).Ulipc.Counters.steal_posts = 0
+      && Unix.gettimeofday () < deadline
+    do
+      Thread.delay 0.001
+    done;
+    Alcotest.(check int) "server 1 posted a claim" 1
+      (Rpc.counters t).Ulipc.Counters.steal_posts;
+    for i = 1 to 4 do
+      Rpc.post ~shard:1 t ~client:0 (100 + i)
+    done;
+    let batch = Rpc.receive_batch ~server:0 t ~max:4 in
+    Thread.join thief;
+    ((Rpc.counters t).Ulipc.Counters.steal_handoffs, List.map snd batch)
+  in
+  let rec stashed tries =
+    match attempt () with
+    | 0, order -> order
+    | handoffs, _ when tries <= 1 ->
+      Alcotest.failf "the thief's ring took %d in every attempt" handoffs
+    | _ -> stashed (tries - 1)
+  in
+  Alcotest.(check (list int)) "shard 0's requests in post order"
+    [ 10; 11; 12 ] (stashed 5)
+
 (* The timed receive: on an idle shard it ends in a clean timeout, not a
    park; then it returns a request a peer sends, and the session is left
    without a stray credit. *)
@@ -371,4 +420,5 @@ let cases ~spawn ~within () =
       (batch_lists ~codec:Rpc.int_codec);
     bounded "batch lists on a pool: every client on shard 0, one thief"
       pooled_batch_lists;
+    bounded "a pool server returns its stash before its ring" stash_order;
   ]

@@ -408,7 +408,7 @@ let test_session_arena_sizing () =
       for _ = 1 to Slab.slots slab do
         Alcotest.(check bool) "slot" true (Slab.try_alloc slab <> Slab.nil)
       done)
-    [ (1, 1, 1); (1, 3, 3); (1, 64, 1000); (3, 5, 7) ]
+    [ (1, 1, 1); (1, 3, 3); (1, 64, 1000); (3, 5, 7); (2, 2, 13) ]
 
 (* ------------------------------------------------------------------ *)
 (* The slab across fork: a slot allocated in the child is in use in the
@@ -1094,7 +1094,21 @@ let suites =
       @ Ring_cases.torn_cases ?per_producer:fork_torn_messages
           ~start:in_processes "spsc 1p/1c across fork" Ring_cases.spsc_torn
       @ Ring_cases.torn_cases ?per_producer:fork_torn_messages
-          ~start:in_processes "mpsc 2p/1c across fork" Ring_cases.mpsc_torn );
+          ~start:in_processes "mpsc 2p/1c across fork" Ring_cases.mpsc_torn
+      @ [
+          QCheck_alcotest.to_alcotest
+            (Ring_cases.prop_paired_model ~count:100 ~producer:in_child
+               ~program:fork_program ~spsc:true
+               ~name:"paired mpsc+spsc lanes match FIFO models across fork"
+               ());
+          QCheck_alcotest.to_alcotest
+            (Ring_cases.prop_paired_model ~count:100 ~producer:in_child
+               ~program:fork_program ~spsc:false
+               ~name:"paired mpsc+mpsc lanes match FIFO models across fork"
+               ());
+        ]
+      @ Ring_cases.paired_torn_cases ?per_producer:fork_torn_messages
+          ~start:in_processes "paired mpsc 2p + spsc 1p across fork" );
     ( "procipc.differential",
       [
         QCheck_alcotest.to_alcotest

@@ -329,6 +329,43 @@ let arena_words_case arena_words carve enqueue dequeue () =
       | exception Invalid_argument _ -> ())
     [ 1; 3; 8; 13 ]
 
+(* The paired carve: [Ring_cases.paired_arena_words] take the region
+   and both rings' index lines from any offset, the worst alignment
+   included, both lanes fill to their bound and drain in order, and no
+   second pair fits. *)
+let paired_arena_words_case ~second_lane_words carve_second enqueue dequeue
+    () =
+  List.iter
+    (fun capacity ->
+      let a =
+        Word_arena.create
+          ~size_words:
+            (1 + Ring_cases.paired_arena_words ~capacity ~second_lane_words)
+          ()
+      in
+      ignore (Word_arena.alloc a ~words:1 ~align:1 : int);
+      let request, second =
+        Ring_cases.carve_paired a ~capacity carve_second
+      in
+      for i = 1 to capacity do
+        Alcotest.(check bool) "request lane fills" true
+          (Mpsc_ring.enqueue request i);
+        Alcotest.(check bool) "second lane fills" true
+          (enqueue second (1000 + i))
+      done;
+      Alcotest.(check bool) "request lane to its bound" false
+        (Mpsc_ring.enqueue request 0);
+      Alcotest.(check bool) "second lane to its bound" false
+        (enqueue second 0);
+      for i = 1 to capacity do
+        Alcotest.(check int) "request fifo" i (Mpsc_ring.dequeue request);
+        Alcotest.(check int) "second fifo" (1000 + i) (dequeue second)
+      done;
+      match Ring_cases.carve_paired a ~capacity carve_second with
+      | _ -> Alcotest.failf "a second capacity-%d pair fit" capacity
+      | exception Invalid_argument _ -> ())
+    [ 1; 3; 8; 13 ]
+
 (* ------------------------------------------------------------------ *)
 (* Batch operations: on both rings, a batch must be observationally
    identical to n single ops — FIFO, no loss/duplication, exact capacity
@@ -1115,6 +1152,9 @@ let test_rpc_validation () =
   Alcotest.check_raises "bad client"
     (Invalid_argument "Real_substrate.reply_channel: no channel 9") (fun () ->
       ignore (Rpc.post t ~client:9 0));
+  Alcotest.check_raises "bad client, synchronous"
+    (Invalid_argument "Real_substrate.reply_channel: no channel 9") (fun () ->
+      ignore (Rpc.send t ~client:9 0 : int));
   Alcotest.check_raises "bad nclients"
     (Invalid_argument "Rpc.create: nclients must be positive") (fun () ->
       ignore (Rpc.create ~nclients:0 Rpc.Block : (int, int) Rpc.t));
@@ -1154,6 +1194,8 @@ let test_rpc_zero_alloc_steady_state ~nservers () =
     Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nservers
       ~shard_assign:(fun _ -> 0) ~nclients:1 Rpc.Block
   in
+  Alcotest.(check bool) "the call's request and reply share their lines" true
+    (Rpc.paired t 0);
   let server_words = Array.make 3 0.0 in
   let server =
     Domain.spawn (fun () ->
@@ -1222,6 +1264,8 @@ let test_rpc_batch_alloc_pins () =
     Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nclients:1
       Rpc.Block
   in
+  Alcotest.(check bool) "the bursts' requests and replies share lines" true
+    (Rpc.paired t 0);
   let recv_words = ref 0 and recv_msgs = ref 0 and reply_words = ref 0 in
   let server =
     Domain.spawn (fun () ->
@@ -1461,6 +1505,31 @@ let test_rpc_batch_one_domain () =
     (Invalid_argument "Rpc.collect_batch: negative n") (fun () ->
       ignore (Rpc.collect_batch t ~client:0 ~n:(-1)))
 
+(* A shard is paired exactly when one client is homed on it. *)
+let test_rpc_pairing_rule () =
+  let pairing ?shard_assign ~nservers ~nclients () =
+    let t : (int, int) Rpc.t =
+      Rpc.create ~nservers ?shard_assign ~nclients Rpc.Block
+    in
+    List.init nservers (Rpc.paired t)
+  in
+  Alcotest.(check (list bool)) "one client, one server" [ true ]
+    (pairing ~nservers:1 ~nclients:1 ());
+  Alcotest.(check (list bool)) "two clients on one shard" [ false ]
+    (pairing ~nservers:1 ~nclients:2 ());
+  Alcotest.(check (list bool)) "nclients = nservers: every shard"
+    [ true; true; true ]
+    (pairing ~nservers:3 ~nclients:3 ());
+  Alcotest.(check (list bool)) "a pool: only the shard with one client"
+    [ false; true; false ]
+    (pairing ~nservers:3 ~nclients:3
+       ~shard_assign:(fun c -> if c = 1 then 1 else 0)
+       ());
+  let t : (int, int) Rpc.t = Rpc.create ~nclients:1 Rpc.Block in
+  Alcotest.check_raises "bad shard"
+    (Invalid_argument "Real_substrate.paired: no shard 1") (fun () ->
+      ignore (Rpc.paired t 1 : bool))
+
 let test_rpc_pipelined_validation () =
   let t : (int, int) Rpc.t = Rpc.create ~nclients:1 Rpc.Block in
   Alcotest.(check (list int)) "empty request list" []
@@ -1512,7 +1581,19 @@ let suites =
           (fun ~capacity -> Spsc_ring.create ~capacity ())
           Spsc_ring.enqueue Spsc_ring.dequeue Spsc_ring.nil
       @ Ring_cases.torn_cases ~start:in_domains "spsc 1p/1c"
-          Ring_cases.spsc_torn );
+          Ring_cases.spsc_torn
+      @ [
+          Alcotest.test_case "arena_words covers a paired carve at any offset"
+            `Quick
+            (paired_arena_words_case
+               ~second_lane_words:Spsc_ring.lane_arena_words
+               Spsc_ring.carve_lane Spsc_ring.enqueue Spsc_ring.dequeue);
+          QCheck_alcotest.to_alcotest
+            (Ring_cases.prop_paired_model ~spsc:true
+               ~name:"paired mpsc+spsc lanes match FIFO models" ());
+        ]
+      @ Ring_cases.paired_torn_cases ~start:in_domains
+          "paired mpsc 2p + spsc 1p" );
     ( "realipc.slab",
       [
         QCheck_alcotest.to_alcotest prop_slab_model;
@@ -1563,7 +1644,17 @@ let suites =
           (fun ~capacity -> Mpsc_ring.create ~capacity ())
           Mpsc_ring.enqueue Mpsc_ring.dequeue Mpsc_ring.nil
       @ Ring_cases.torn_cases ~start:in_domains "mpsc 2p/1c"
-          Ring_cases.mpsc_torn );
+          Ring_cases.mpsc_torn
+      @ [
+          Alcotest.test_case "arena_words covers a paired carve at any offset"
+            `Quick
+            (paired_arena_words_case
+               ~second_lane_words:Mpsc_ring.lane_arena_words
+               Mpsc_ring.carve_lane Mpsc_ring.enqueue Mpsc_ring.dequeue);
+          QCheck_alcotest.to_alcotest
+            (Ring_cases.prop_paired_model ~spsc:false
+               ~name:"paired mpsc+mpsc lanes match FIFO models" ());
+        ] );
     ( "realipc.rsem",
       Sem_cases.cases ~spawn:in_domain ~within:within_domain ()
       @ [
@@ -1612,6 +1703,8 @@ let suites =
           (echo_exchange ~messages:200 ~nclients:4 (Rpc.Adaptive 4096));
         Alcotest.test_case "async post/collect" `Quick test_rpc_async;
         Alcotest.test_case "validation" `Quick test_rpc_validation;
+        Alcotest.test_case "a shard with one home client is paired" `Quick
+          test_rpc_pairing_rule;
         Alcotest.test_case "no stale wake-ups (try_p drain, ring)" `Quick
           (test_rpc_no_stale_wakeups Rpc.Block);
         Alcotest.test_case "no stale wake-ups (try_p drain, BSWY)" `Quick
