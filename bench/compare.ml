@@ -21,8 +21,8 @@
    defaults to "inproc" for pre-/8 baselines — and its saturation
    throughput (msg/ms) must not fall below baseline/3F — the whole row
    class is scheduler-bound, hence the wide factor; what the gate exists
-   to catch is the order-of-magnitude cliff of a sharding or stealing
-   bug serialising the fleet.  Throughput on these rows depends on the
+   to catch is the order-of-magnitude cliff of a sharding bug
+   serialising the fleet.  Throughput on these rows depends on the
    per-cell message budget (a 512-message quick cell is startup-
    dominated where an 8192-message full cell is steady-state), so the
    two sections must be gated against *like-mode* baselines: CI runs

@@ -377,7 +377,8 @@ let real_rows ~quick () =
    pool with a fixed total message budget, so every cell costs about the
    same wall time; quick mode is the CI smoke — a small client sweep
    crossed with pool sizes 1 and 4, enough to key rows by
-   (nclients, nservers) and exercise stealing without the long tail. *)
+   (nclients, nservers) and exercise the static shards without the
+   long tail. *)
 let sweep_rows ~quick () =
   let nclients_list = if quick then [ 2; 8; 32 ] else [ 2; 8; 32; 128; 512 ] in
   let nservers_list = if quick then [ 1; 4 ] else [ 4 ] in

@@ -2,7 +2,7 @@
    workload on the real-domains or cross-process backend with a
    [Telemetry.t] attached and repaint a small status screen from every
    sampled frame — throughput sparkline, current-window latency
-   percentiles, per-shard queue depths, park/wake/steal rates.
+   percentiles, per-shard queue depths, park/wake rates.
 
      ulipc_top --backend real --protocol bsw --nclients 8
      ulipc_top --backend proc --protocol adapt:4096 --messages 50000
@@ -140,7 +140,6 @@ let render_frame buf ~header hist (f : S.frame) =
     [
       ("parks", sum_rates [ "client_blocks"; "server_blocks" ]);
       ("wakes", sum_rates [ "client_wakeups"; "server_wakeups" ]);
-      ("steals", sum_rates [ "steal_msgs" ]);
       ("backoff", sum_rates [ "backoff_sleeps" ]);
       ("sem_parks", sum_rates [ "sem_parks" ]);
     ]

@@ -3,8 +3,10 @@
    and two fields on one line make each bump pull the line from the
    peer.  So the fields a client writes per message come first, the
    ones a server writes per message last, and eight rarely written
-   fields (64 bytes) sit between them: no client field can share a
-   64-byte line with a server field, whatever the record's alignment. *)
+   words (64 bytes) sit between them: no client field can share a
+   64-byte line with a server field, whatever the record's alignment.
+   Five of the eight are counters; [pad0] .. [pad2] are explicit pad
+   words that nothing writes, and that keep the gap at eight. *)
 type t = {
   mutable sends : int;
   mutable client_blocks : int;
@@ -13,9 +15,9 @@ type t = {
   mutable spin_fallthroughs : int;
   mutable queue_full_sleeps : int;
   mutable backoff_sleeps : int;
-  mutable steal_posts : int;
-  mutable steal_handoffs : int;
-  mutable steal_msgs : int;
+  pad0 : int;
+  pad1 : int;
+  pad2 : int;
   mutable slab_hwm : int;
   mutable sem_parks : int;
   mutable sem_grants : int;
@@ -44,9 +46,9 @@ let create () =
     server_spin_iterations = 0;
     server_spin_fallthroughs = 0;
     backoff_sleeps = 0;
-    steal_posts = 0;
-    steal_handoffs = 0;
-    steal_msgs = 0;
+    pad0 = 0;
+    pad1 = 0;
+    pad2 = 0;
     slab_hwm = 0;
     sem_parks = 0;
     sem_grants = 0;
@@ -67,9 +69,6 @@ let reset t =
   t.server_spin_iterations <- 0;
   t.server_spin_fallthroughs <- 0;
   t.backoff_sleeps <- 0;
-  t.steal_posts <- 0;
-  t.steal_handoffs <- 0;
-  t.steal_msgs <- 0;
   t.slab_hwm <- 0;
   t.sem_parks <- 0;
   t.sem_grants <- 0
@@ -91,9 +90,6 @@ let add dst src =
   dst.server_spin_fallthroughs <-
     dst.server_spin_fallthroughs + src.server_spin_fallthroughs;
   dst.backoff_sleeps <- dst.backoff_sleeps + src.backoff_sleeps;
-  dst.steal_posts <- dst.steal_posts + src.steal_posts;
-  dst.steal_handoffs <- dst.steal_handoffs + src.steal_handoffs;
-  dst.steal_msgs <- dst.steal_msgs + src.steal_msgs;
   (* a high-water mark, not a flow: merging two observations of the same
      slab keeps the larger *)
   dst.slab_hwm <- max dst.slab_hwm src.slab_hwm;
@@ -128,9 +124,9 @@ let diff a b =
     server_spin_fallthroughs =
       a.server_spin_fallthroughs - b.server_spin_fallthroughs;
     backoff_sleeps = a.backoff_sleeps - b.backoff_sleeps;
-    steal_posts = a.steal_posts - b.steal_posts;
-    steal_handoffs = a.steal_handoffs - b.steal_handoffs;
-    steal_msgs = a.steal_msgs - b.steal_msgs;
+    pad0 = 0;
+    pad1 = 0;
+    pad2 = 0;
     slab_hwm = a.slab_hwm;
     sem_parks = a.sem_parks - b.sem_parks;
     sem_grants = a.sem_grants - b.sem_grants;
@@ -152,9 +148,6 @@ let to_fields t =
     ("server_spin_iterations", t.server_spin_iterations);
     ("server_spin_fallthroughs", t.server_spin_fallthroughs);
     ("backoff_sleeps", t.backoff_sleeps);
-    ("steal_posts", t.steal_posts);
-    ("steal_handoffs", t.steal_handoffs);
-    ("steal_msgs", t.steal_msgs);
     ("slab_hwm", t.slab_hwm);
     ("sem_parks", t.sem_parks);
     ("sem_grants", t.sem_grants);

@@ -9,8 +9,8 @@
 
     The field order is a cache layout: fields a client bumps per message
     first, fields a server bumps per message last, 64 bytes of rarely
-    written fields between, so the two sides of a real session never
-    write one line. *)
+    written fields and pad words between, so the two sides of a real
+    session never write one line. *)
 
 type t = {
   mutable sends : int;  (** completed synchronous sends *)
@@ -24,13 +24,12 @@ type t = {
       (** busy-wait steps that escalated past the bounded spin budget to
           a real (bounded exponential) sleep — the real backend's yield;
           always 0 on the simulator *)
-  mutable steal_posts : int;
-      (** steal tokens posted by idle servers on loaded siblings (real
-          backend, [nservers > 1] only) *)
-  mutable steal_handoffs : int;
-      (** tokens honoured: a victim drained a span of its backlog and
-          re-enqueued it on the thief's ring *)
-  mutable steal_msgs : int;  (** messages moved across shards by handoffs *)
+  pad0 : int;
+      (** [pad0] .. [pad2]: pad words, always 0 and in no flattening;
+          with the rarely written fields around them they keep 64 bytes
+          between the client's fields and the server's *)
+  pad1 : int;
+  pad2 : int;
   mutable slab_hwm : int;
       (** payload-slab in-use high-water mark observed over the run;
           merged by [max], not by sum *)

@@ -5,7 +5,7 @@
    consumer's awake flag as its low bit, and the {!Grace} back-off
    ladder or a one-shot pause or yield for every scheduling hint.  Every
    word the peers
-   share — rings, semaphores, steal tokens, the slab's free list — is
+   share — rings, semaphores, the slab's free list — is
    carved from one {!Word_arena} per session, a MAP_SHARED mapping, so
    a session created before a fork works between the processes exactly
    as between domains: the fork'd peers' copies of the records below
@@ -38,7 +38,7 @@
    [no_msg] sentinel (-1), never an option — so the steady-state data
    path touches no heap: no message records, no option boxing, no
    queue nodes.  Paths whose caller is not an endpoint (a post, a reply
-   from [receive]'s caller, the batch and steal spans) pass
+   from [receive]'s caller, the batch spans) pass
    [(client, word)] pairs directly.
 
    The request plane is SHARDED: [nservers] request channels, each the
@@ -49,22 +49,12 @@
    keeps the old [-1], and every consumer-side role test is just
    [chan_id < 0]); reply channels keep their client number.
 
-   Cross-shard rebalancing hangs off the per-shard STEAL TOKENS, one
-   arena word each: an idle server CAS-claims the token of a loaded
-   sibling, and that sibling — the only consumer its Mpsc_ring permits
-   — hands a span of its backlog over by draining and re-enqueueing
-   onto the thief's ring.  The token is the whole substrate-side
-   mechanism (the operations below); the orchestration lives in
-   {!Rpc}.
-
    The queues exploit the session shape: each request shard has many
    producers and exactly one consumer (Mpsc_ring), and each reply
-   channel has one consumer — the owning client.  At [nservers = 1] the
-   reply producer is unique too (the server), so replies ride
-   {!Spsc_ring}; with a server *pool* any server may answer a stolen
-   request, so reply channels switch to {!Mpsc_ring} (still
-   single-consumer).  All rings are lock-free and allocation-free per
-   message.
+   channel has one producer — the server of the client's home shard —
+   and one consumer — the owning client — so replies ride {!Spsc_ring}
+   at every shard count.  All rings are lock-free and allocation-free
+   per message.
 
    A call's two rings share their lines where the shard map allows it.
    A shard with exactly one home client is PAIRED: its request ring and
@@ -73,7 +63,7 @@
    sits in one line, and a synchronous call's request and reply travel
    in that line — the client writes one lane of it and the server the
    other, both sides in disjoint words, where separate rings would move
-   a request line and a reply line.  A lone client, and each client of
+   a request line and a reply line.  A single client, and each client of
    an [nclients = nservers] pool, is paired; clients that share a shard
    are not, and their rings are carved alone.  The lanes change where
    the cells lie, not how a ring uses them: the protocol core, the
@@ -108,14 +98,9 @@ type channel = {
 
 type t = {
   arena : Word_arena.t;
-  words : Word_arena.words; (* the arena's, for the token externals *)
   requests : channel array; (* one per server shard *)
   replies : channel array;
   shard_map : Shard_map.t;
-  steal : int;
-      (* arena offset of shard 0's steal token; shard [k]'s is [k] lines
-         on.  -1 = free, else the shard id of the idle server asking
-         this shard's owner for a span of its backlog *)
   slab : Slab.t; (* the boxed codec's side table *)
   regs : int array;
       (* the register file: register [m]'s (client, word) at
@@ -160,24 +145,18 @@ let create ?trace ?(nservers = 1) ?shard_assign ?slots ~capacity ~nclients ()
   (* Shards with exactly one home client are paired (see the header). *)
   let paired = Array.map (fun n -> n = 1) (Shard_map.load shard_map) in
   let npaired = Array.fold_left (fun n p -> if p then n + 1 else n) 0 paired in
-  (* Every ring, semaphore, steal token and slab word is carved from the
-     session's one arena.  Mapping it refuses to start off x86-64
+  (* Every ring, semaphore and slab word is carved from the session's
+     one arena.  Mapping it refuses to start off x86-64
      ([Word_arena.create]). *)
-  let reply_words, reply_lane_words =
-    if nservers = 1 then
-      (Spsc_ring.arena_words ~capacity, Spsc_ring.lane_arena_words)
-    else (Mpsc_ring.arena_words ~capacity, Mpsc_ring.lane_arena_words)
-  in
   let arena =
     Word_arena.create
       ~size_words:
         (((nservers - npaired) * Mpsc_ring.arena_words ~capacity)
-        + ((nclients - npaired) * reply_words)
+        + ((nclients - npaired) * Spsc_ring.arena_words ~capacity)
         + (npaired
-          * (Mpsc_ring.lane_arena_words + reply_lane_words
+          * (Mpsc_ring.lane_arena_words + Spsc_ring.lane_arena_words
             + Ring_layout.region_words ~capacity + line - 1))
         + ((nservers + nclients) * Rsem.arena_words ())
-        + (nservers * line) + line - 1
         + Slab.arena_words ~slots)
       ()
   in
@@ -195,29 +174,20 @@ let create ?trace ?(nservers = 1) ?shard_assign ?slots ~capacity ~nclients ()
          Mpsc_ring.carve_lane arena ~capacity ~cells:region.(k)
        else Mpsc_ring.carve arena ~capacity)
   in
-  (* A lone server is the unique producer of every reply channel, so the
-     SPSC ring applies; a pool is not — a stolen request is answered by
-     the thief, so reply channels get a second (… nth) producer and must
-     ride the MPSC ring.  Still one consumer: the owning client. *)
+  (* The home server is a reply channel's one producer and the owning
+     client its one consumer. *)
   let reply_queue c =
     let k = Shard_map.shard shard_map c in
-    if paired.(k) then begin
-      let cells = region.(k) + Ring_layout.second_lane in
-      if nservers = 1 then Q_spsc (Spsc_ring.carve_lane arena ~capacity ~cells)
-      else Q_mpsc (Mpsc_ring.carve_lane arena ~capacity ~cells)
-    end
-    else if nservers = 1 then Q_spsc (Spsc_ring.carve arena ~capacity)
-    else Q_mpsc (Mpsc_ring.carve arena ~capacity)
+    Q_spsc
+      (if paired.(k) then
+         Spsc_ring.carve_lane arena ~capacity
+           ~cells:(region.(k) + Ring_layout.second_lane)
+       else Spsc_ring.carve arena ~capacity)
   in
   (* One register per client (0 .. nclients-1), then one per server. *)
   let regs = Array.make (reg_pos (nclients + nservers)) 0 in
-  let steal = Word_arena.alloc_line arena ~words:(nservers * line) in
-  for k = 0 to nservers - 1 do
-    Word_arena.set arena (steal + (k * line)) (-1)
-  done;
   {
     arena;
-    words = Word_arena.words arena;
     requests =
       Array.init nservers (fun k ->
           make_channel arena ~chan_id:(-(k + 1)) ~regs ~rx:(nclients + k)
@@ -226,7 +196,6 @@ let create ?trace ?(nservers = 1) ?shard_assign ?slots ~capacity ~nclients ()
       Array.init nclients (fun i ->
           make_channel arena ~chan_id:i ~regs ~rx:i (reply_queue i));
     shard_map;
-    steal;
     slab = Slab.carve arena ~slots;
     regs;
     (* Both domains write the counters on every call.  Their field
@@ -284,34 +253,6 @@ let queue_length = function
   | Q_mpsc q -> Mpsc_ring.length q
 
 let request_depth t k = queue_length t.requests.(k).queue
-
-(* Steal token: one CAS word per shard.  [steal_claim] is the thief's
-   side (post my shard id on a loaded victim, exactly one thief at a
-   time); [steal_take] is the victim's side (consume the token before
-   servicing it, so a token is honoured at most once); [steal_retract]
-   lets a thief withdraw a request its own ring has since made moot —
-   CAS, not set, because the victim may be taking it concurrently.
-   Either CAS failing is benign: the token was already consumed.  The
-   tokens are arena words, so fork'd servers share them; they go through
-   Word_arena's [external]s, which compile inline, because a pooled
-   server reads its token on every receive. *)
-let token t k =
-  if k < 0 || k >= Array.length t.requests then
-    invalid_arg (Printf.sprintf "Real_substrate: no shard %d" k);
-  t.steal + (k * line)
-
-let steal_claim t ~victim ~thief =
-  Word_arena.cas t.words (token t victim) (-1) thief
-
-let steal_take t ~shard =
-  let tok = token t shard in
-  let thief = Word_arena.get_word t.words tok in
-  if thief >= 0 && Word_arena.cas t.words tok thief (-1) then thief else -1
-
-let steal_retract t ~victim ~thief =
-  ignore (Word_arena.cas t.words (token t victim) thief (-1) : bool)
-
-let steal_pending t ~shard = Word_arena.get_word t.words (token t shard)
 
 let emit t ch kind =
   match t.trace with

@@ -7,8 +7,8 @@
     line — and the {!Grace} back-off ladder or a one-shot pause or
     yield for every scheduling hint.
 
-    Every word the peers share (rings, semaphores, steal tokens, the
-    slab's free list) is carved from one {!Word_arena} per session, a
+    Every word the peers share (rings, semaphores, the slab's free
+    list) is carved from one {!Word_arena} per session, a
     [MAP_SHARED] mapping.  A session created before [fork] therefore
     works between the fork'd processes exactly as between domains; what
     stays on the heap is either written by one endpoint only (the
@@ -16,11 +16,9 @@
     purpose (counters, trace rings, consumer marks).
 
     The rings are shaped to the session: {!Mpsc_ring} for each request
-    shard (many clients, one server) and for the reply channels of a
-    pooled session (any server may answer a stolen request; the owning
-    client is still the only consumer), {!Spsc_ring} for reply channels
-    when [nservers = 1] (the lone server is then the unique producer).
-    No locks, no per-message allocation, and one {!Word_arena} per
+    shard (many clients, one server) and {!Spsc_ring} for every reply
+    channel (the client's home server is its one producer, the client
+    its one consumer).  No locks, no per-message allocation, and one {!Word_arena} per
     session, which holds the channel semaphores' words too.  A shard
     with exactly one home client is {e paired} ({!paired}): its request
     ring and that client's reply ring share one cell region, on the two
@@ -42,8 +40,7 @@
     endpoint's own domain may write its register, so the steady-state
     data path allocates nothing and takes no lock; a fork'd endpoint's
     copy of the register file is all it needs.  Producers that are
-    not the endpoint ({!Rpc.post}, {!Rpc.reply}, the batch and steal
-    paths) pass [(client, word)] pairs directly ({!enqueue_pair},
+    not the endpoint ({!Rpc.post}, {!Rpc.reply}, the batch paths) pass [(client, word)] pairs directly ({!enqueue_pair},
     {!enqueue_many}).  The single
     [Ulipc.Protocol_core.Make (Real_substrate)] application in {!Rpc}
     still serves sessions of every request/reply type, via codecs that
@@ -52,10 +49,8 @@
     The request plane is {e sharded}: [nservers] request channels, one
     per server domain, with clients statically mapped to a home shard by
     a {!Shard_map} (round-robin by client id unless overridden).  At
-    [nservers = 1] this is exactly the old single-queue session.
-    Cross-shard rebalancing rides the per-shard steal tokens below; the
-    orchestration (when to claim, how a victim hands a span over) lives
-    in {!Rpc}. *)
+    [nservers = 1] this is exactly the old single-queue session.  No
+    message ever moves between shards. *)
 
 type t
 type channel
@@ -163,37 +158,8 @@ val request_shard : t -> int -> channel
     @raise Invalid_argument on a bad shard number. *)
 
 val request_depth : t -> int -> int
-(** Occupancy snapshot of shard [k]'s request queue — how the steal
-    orchestration picks its victim.  Conservative under concurrency
-    (see {!Mpsc_ring.length}). *)
-
-(** {2 Steal tokens}
-
-    One arena word per shard, on a line of its own, [-1] when free.  A server with nothing to do
-    posts its shard id on a loaded sibling ({!steal_claim}); the
-    sibling — its ring's only legal consumer — consumes the token
-    ({!steal_take}), drains a span of its backlog and re-enqueues it on
-    the thief's ring.  At most one thief per victim at a time, and a
-    token is honoured at most once.  All three operations are benign
-    under races: a failed CAS just means the token was already taken. *)
-
-val steal_claim : t -> victim:int -> thief:int -> bool
-(** Post [thief]'s shard id on [victim]'s token; [false] if some token
-    is already posted there. *)
-
-val steal_take : t -> shard:int -> int
-(** Consume the token posted on [shard] (the caller must be its owning
-    server): the thief's shard id, or [-1] if none was posted. *)
-
-val steal_retract : t -> victim:int -> thief:int -> unit
-(** Withdraw a claim [thief] posted on [victim], if still pending — a
-    thief whose own ring has since filled no longer wants the handoff.
-    No-op if the victim already took it (the span will just arrive; the
-    thief's consumer loop handles it like any other traffic). *)
-
-val steal_pending : t -> shard:int -> int
-(** The thief id currently posted on [shard], or [-1]; for the owning
-    server's fast-path check and for tests. *)
+(** Occupancy snapshot of shard [k]'s request queue, for the telemetry
+    sampler.  Conservative under concurrency (see {!Mpsc_ring.length}). *)
 
 (** {1 Batch data path}
 

@@ -14,27 +14,18 @@
 
    The peers may be domains or processes: every word they share lives
    in the substrate's session arena, and the heap state below is either
-   owned by one endpoint (each server's scratch spans and stash, each
-   client's span, each channel's ADAPT budget) or per-process by
-   design (the counters).  A session created before [fork] therefore
-   serves fork'd peers unchanged, with int codecs: a boxed payload is
-   a heap pointer, which the slab refuses to hand across fork.
+   owned by one endpoint (each server's scratch span, each client's
+   span, each channel's ADAPT budget) or per-process by design (the
+   counters).  A session created before [fork] therefore serves fork'd
+   peers unchanged, with int codecs: a boxed payload is a heap pointer,
+   which the slab refuses to hand across fork.
 
-   Cross-shard rebalancing is handoff-based stealing.  Mpsc_ring has
-   exactly one legal consumer, so an idle server cannot dequeue from a
-   sibling's ring; instead it posts a steal token (one CAS word per
-   shard) on the deepest loaded sibling and goes through its normal
-   blocking sequence.  The victim — checking its token once per receive
-   — honours it by draining a span of its own backlog (dequeue_many, its
-   right as the ring's consumer) and re-enqueueing the span on the
-   thief's ring (enqueue_many; any domain may produce), then waking the
-   thief like any other producer would.  A message is two words, so a
-   steal copies word pairs between rings through the victim's private
-   span buffers.  Whatever the thief's ring cannot accept stays in the
-   victim's private stash, consumed before its own ring — a message
-   leaves its home ring at most once and can never be lost or
-   duplicated.  A lone server has no sibling, so it does none of this
-   pool work: one test per receive skips the stash and the tokens.
+   A pool is [nservers] static shards with one consumer each: a
+   client's requests all enter its home shard's ring, that shard's
+   server answers every one of them, and so each reply ring has one
+   producer as well as one consumer.  Per-client FIFO therefore holds
+   end to end, on a pool as on a single server, and a receive has one
+   path whatever the shard count.
 
    What this module also owns is how a typed payload becomes a message.
    A message is two words in a ring cell, the client number and one
@@ -43,7 +34,7 @@
    registers: a client writes its own register and [send]s it, a
    server's receive lands in the server's register, and [serve]
    rewrites that register in place for the reply.  Every other producer
-   — [post], [reply], the batch and steal paths — hands the substrate
+   — [post], [reply], the batch paths — hands the substrate
    [(client, word)] pairs directly, because it is not necessarily the
    register's owner.  With the word codec a steady-state round-trip
    allocates nothing on the minor heap and makes no
@@ -76,26 +67,6 @@ type _ codec = Word : int codec | Boxed : 'a codec
 let boxed_codec () = Boxed
 let int_codec = Word
 
-(* Per-server mutable state, owned exclusively by that server's domain
-   (the scratch buffers and the stash are single-writer by the same
-   convention that makes the Mpsc_ring consumer unique). *)
-type server_state = {
-  scratch : int array;
-      (* (client, word) span buffer for batch drains: the first message
-         and up to a ring's worth behind it *)
-  steal_buf : int array; (* span buffer for honouring a steal token *)
-  stash : int array;
-      (* handoff leftovers the thief's ring could not accept, as a span:
-         consumed before the own ring, so stealing can never lose a
-         message *)
-  mutable stash_pos : int;
-  mutable stash_len : int;
-  mutable posted_on : int;
-      (* the victim shard this server currently has a steal token posted
-         on, -1 if none — so a server never posts two claims at once and
-         can retract after its own traffic resumes *)
-}
-
 type ('req, 'rep) t = {
   waiting : waiting;
   sub : Real_substrate.t;
@@ -106,13 +77,13 @@ type ('req, 'rep) t = {
          Atomic for cross-domain publication, never contended. *)
   req_codec : 'req codec;
   rep_codec : 'rep codec;
-  servers : server_state array;
+  server_scratch : int array array;
+      (* (client, word) span buffer per server, for its batch drains:
+         the first message and up to a ring's worth behind it; owned by
+         the server domain of that number *)
   client_scratch : int array array;
       (* span buffer per client, for its bursts and batch collects;
          owned by the client domain of that number *)
-  lone : bool;
-      (* one request shard: no sibling to steal from or for, so a
-         receive skips the stash and the steal tokens *)
   requests : Real_substrate.channel array; (* shard [k]'s channel *)
   homes : Real_substrate.channel array; (* client [i]'s home shard's *)
   replies : Real_substrate.channel array; (* client [i]'s reply channel *)
@@ -130,7 +101,6 @@ let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
   let rep_codec =
     match rep_codec with Some c -> c | None -> boxed_codec ()
   in
-  let span () = Array.make (2 * capacity) 0 in
   let sub =
     Real_substrate.create ?trace ~nservers ?shard_assign ?slots ~capacity
       ~nclients ()
@@ -142,18 +112,10 @@ let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
     adapt = Array.init (nservers + nclients) (fun _ -> Atomic.make 0);
     req_codec;
     rep_codec;
-    servers =
-      Array.init nservers (fun _ ->
-          {
-            scratch = Array.make (2 * (capacity + 1)) 0;
-            steal_buf = span ();
-            stash = span ();
-            stash_pos = 0;
-            stash_len = 0;
-            posted_on = -1;
-          });
-    client_scratch = Array.init nclients (fun _ -> span ());
-    lone = nservers = 1;
+    server_scratch =
+      Array.init nservers (fun _ -> Array.make (2 * (capacity + 1)) 0);
+    client_scratch =
+      Array.init nclients (fun _ -> Array.make (2 * capacity) 0);
     requests;
     homes =
       Array.init nclients (fun c ->
@@ -239,145 +201,12 @@ let decode : type a req rep. (req, rep) t -> a codec -> int -> a =
     v
 
 (* ------------------------------------------------------------------ *)
-(* Steal orchestration.                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* A shard is worth stealing from only if a span survives the handoff
-   round-trip: below two messages the victim would hand over its entire
-   backlog and the pair would just ping-pong single messages. *)
-let steal_min = 2
-
-(* Thief side: if my ring is empty, post a claim on the deepest loaded
-   sibling and then block as usual — the handoff arrives on MY ring, so
-   the normal producer wake-up protocol covers the delivery and there is
-   no second wait primitive to get wrong.  At most one outstanding claim
-   per server ([posted_on]); claims on an already-claimed victim simply
-   fail (one thief per victim at a time). *)
-let try_post_steal t ~server =
-  let sub = t.sub in
-  let n = Real_substrate.nshards sub in
-  let st = t.servers.(server) in
-  if
-    n > 1 && st.posted_on < 0
-    && Real_substrate.queue_is_empty sub
-         (Real_substrate.request_shard sub server)
-  then begin
-    let best = ref (-1) and best_depth = ref (steal_min - 1) in
-    for k = 0 to n - 1 do
-      if k <> server then begin
-        let d = Real_substrate.request_depth sub k in
-        if d > !best_depth then begin
-          best := k;
-          best_depth := d
-        end
-      end
-    done;
-    if !best >= 0 && Real_substrate.steal_claim sub ~victim:!best ~thief:server
-    then begin
-      st.posted_on <- !best;
-      let c = ctrs t in
-      c.Ulipc.Counters.steal_posts <- c.Ulipc.Counters.steal_posts + 1
-    end
-  end
-
-(* After a successful receive the thief no longer needs the claim.  The
-   retract CAS may lose to the victim taking the token concurrently —
-   then the span is already on its way and the thief's next receive
-   consumes it like any other traffic. *)
-let retract_steal t ~server =
-  let st = t.servers.(server) in
-  if st.posted_on >= 0 then begin
-    Real_substrate.steal_retract t.sub ~victim:st.posted_on ~thief:server;
-    st.posted_on <- -1
-  end
-
-(* Victim side: called once per receive, before draining the own ring.
-   Honouring a token = drain half my backlog (span-claimed dequeue_many:
-   I am this ring's only consumer) and re-enqueue it on the thief's ring
-   (enqueue_many: anyone may produce), then wake the thief exactly as a
-   client producer would.  Only runs when the stash is empty, so the
-   leftover span always fits ([steal_buf] and [stash] share the ring
-   capacity bound). *)
-let service_steal t ~server =
-  let sub = t.sub in
-  if
-    Real_substrate.nshards sub > 1
-    && Real_substrate.steal_pending sub ~shard:server >= 0
-    && Real_substrate.request_depth sub server >= steal_min
-  then begin
-    let thief = Real_substrate.steal_take sub ~shard:server in
-    if thief >= 0 && thief <> server then begin
-      let st = t.servers.(server) in
-      let own = Real_substrate.request_shard sub server in
-      let depth = Real_substrate.request_depth sub server in
-      let want = min (Array.length st.steal_buf / 2) (max 1 (depth / 2)) in
-      let k =
-        Real_substrate.dequeue_many sub own ~buf:st.steal_buf ~pos:0 ~max:want
-      in
-      if k > 0 then begin
-        let thief_ch = Real_substrate.request_shard sub thief in
-        let a =
-          Real_substrate.enqueue_many sub thief_ch st.steal_buf ~pos:0 ~len:k
-        in
-        if a > 0 then begin
-          ignore
-            (P.Prims.wake_consumer sub thief_ch ~target:Server : bool);
-          let c = ctrs t in
-          c.Ulipc.Counters.steal_handoffs <-
-            c.Ulipc.Counters.steal_handoffs + 1;
-          c.Ulipc.Counters.steal_msgs <- c.Ulipc.Counters.steal_msgs + a
-        end;
-        if a < k then begin
-          (* The thief's ring filled mid-handoff (its own clients raced
-             us): keep the tail ourselves.  Dequeued means owned — these
-             must not be re-enqueued on our ring behind newer traffic,
-             or per-shard FIFO would invert; the stash preserves their
-             position at the head of our backlog. *)
-          Array.blit st.steal_buf (2 * a) st.stash 0 (2 * (k - a));
-          st.stash_pos <- 0;
-          st.stash_len <- k - a
-        end
-      end
-    end
-  end
-
-let drop_stashed st n =
-  st.stash_pos <- st.stash_pos + n;
-  if st.stash_pos = st.stash_len then begin
-    st.stash_pos <- 0;
-    st.stash_len <- 0
-  end
-
-(* Move up to [max] stashed messages into the span of [buf] at [pos];
-   returns how many. *)
-let take_stash st buf ~pos ~max =
-  let n = min max (st.stash_len - st.stash_pos) in
-  if n > 0 then begin
-    Array.blit st.stash (2 * st.stash_pos) buf (2 * pos) (2 * n);
-    drop_stashed st n
-  end;
-  n
-
-(* The oldest stashed message, into the server's register, or [no_msg]. *)
-let pop_stash t ~server =
-  let st = t.servers.(server) in
-  if st.stash_pos < st.stash_len then begin
-    let p = 2 * st.stash_pos in
-    let r = Real_substrate.server_register t.sub server in
-    Real_substrate.set_register t.sub r ~client:st.stash.(p)
-      ~word:st.stash.(p + 1);
-    drop_stashed st 1;
-    r
-  end
-  else Real_substrate.no_msg
-
-(* ------------------------------------------------------------------ *)
 (* The raw message planes: one core operation on the shard's or the   *)
 (* client's channel, through the caller's own register — or, for a    *)
 (* producer that owns none, through [produce_pair].                    *)
 (* ------------------------------------------------------------------ *)
 
-let client_budget t client = t.adapt.(Array.length t.servers + client)
+let client_budget t client = t.adapt.(Array.length t.server_scratch + client)
 
 (* The synchronous paths index the session's channel arrays, as the
    batch calls do, behind one range test of the client word; a bad one
@@ -394,53 +223,21 @@ let send_msg t ~client m =
     ~budget:(client_budget t client) m
 
 (* Server receive on its own shard: the waiting-mode consumer sequence
-   on the own ring, and the message lands in the server's register.  A
-   lone server does nothing else.  A pool server first takes its stash
-   (stolen-handoff leftovers are the oldest messages it owns), then
-   makes one token-service pass — whose handoff may stash the tail the
-   thief's ring could not take, older than anything still on the ring,
-   so the stash is tried again — and posts a steal claim on the deepest
-   sibling whenever its own ring is already empty (the claim costs one
-   CAS and is retracted after the next successful receive). *)
+   on the own ring, and the message lands in the server's register. *)
 let receive_msg t ~server =
-  if t.lone then
-    P.receive t.sub t.waiting t.requests.(server) ~budget:t.adapt.(server)
-  else begin
-    let m = pop_stash t ~server in
-    let m =
-      if m != Real_substrate.no_msg then m
-      else begin
-        service_steal t ~server;
-        pop_stash t ~server
-      end
-    in
-    if m != Real_substrate.no_msg then begin
-      bump_receives t 1;
-      m
-    end
-    else begin
-      try_post_steal t ~server;
-      let m =
-        P.receive t.sub t.waiting t.requests.(server) ~budget:t.adapt.(server)
-      in
-      retract_steal t ~server;
-      m
-    end
-  end
+  P.receive t.sub t.waiting t.requests.(server) ~budget:t.adapt.(server)
 
-(* Any server may reply to any client — after a steal the thief answers
-   on a reply channel whose "home" server never saw the request, which
-   is exactly why pooled ring sessions use MPSC reply rings. *)
+(* Only the client's home server replies to it, so the reply ring has
+   one producer. *)
 let reply_msg t ~client m =
   check_client_word t client;
   P.reply t.sub t.waiting (Array.unsafe_get t.replies client) m
 
 (* The core's producer half (P.1–P.3) for a producer that owns no
    register: the message goes in by its words.  [post] may come from
-   any domain (shutdown fan-out does), and [reply] from whichever
-   server received the request — in a pool two servers can be replying
-   to one client at once — so neither may borrow a register.  [n]
-   counts the failed waits for room. *)
+   any domain (shutdown fan-out does), and [reply] takes no server
+   number, so neither can name a register of the caller's.  [n] counts
+   the failed waits for room. *)
 let rec produce_pair t ch ~target ~client ~word n =
   if Real_substrate.enqueue_pair t.sub ch ~client ~word then
     ignore
@@ -541,17 +338,12 @@ let rec receive_until t ch ~deadline =
     end
   end
 
-(* Stash first, as in [receive_msg]: stolen-handoff leftovers are the
-   oldest messages this server owns. *)
 let receive_opt ?(server = 0) t ~timeout_ns =
   check_server t server;
-  let m = pop_stash t ~server in
   let m =
-    if m != Real_substrate.no_msg then m
-    else
-      receive_until t
-        (Real_substrate.request_shard t.sub server)
-        ~deadline:(Ulipc_observe.Clock.now_ns () + timeout_ns)
+    receive_until t
+      (Real_substrate.request_shard t.sub server)
+      ~deadline:(Ulipc_observe.Clock.now_ns () + timeout_ns)
   in
   if m == Real_substrate.no_msg then None
   else begin
@@ -707,22 +499,12 @@ let receive_batch ?(server = 0) t ~max =
   let i = receive_msg t ~server in
   (* The first message goes into the span ahead of the rest, so the
      list is built in one pass. *)
-  let st = t.servers.(server) in
-  let buf = st.scratch in
+  let buf = t.server_scratch.(server) in
   buf.(0) <- Real_substrate.register_client sub i;
   buf.(1) <- Real_substrate.register_word sub i;
   let want = Int.min (max - 1) ((Array.length buf / 2) - 1) in
-  let ch = t.requests.(server) in
   let k =
-    if t.lone then Real_substrate.dequeue_many sub ch ~buf ~pos:1 ~max:want
-    else begin
-      (* Drain the stash before the ring: stolen-handoff leftovers are
-         the oldest messages this server owns. *)
-      let n_stash = take_stash st buf ~pos:1 ~max:want in
-      n_stash
-      + Real_substrate.dequeue_many sub ch ~buf ~pos:(1 + n_stash)
-          ~max:(want - n_stash)
-    end
+    Real_substrate.dequeue_many sub t.requests.(server) ~buf ~pos:1 ~max:want
   in
   bump_receives t k;
   requests t buf (k + 1)
@@ -832,7 +614,7 @@ let rec land_replies t ~client ch (buf : int array) got n =
     let sub = t.sub in
     let j =
       P.consume sub t.waiting ch ~side:Client
-        ~budget:t.adapt.(Array.length t.servers + client)
+        ~budget:t.adapt.(Array.length t.server_scratch + client)
     in
     buf.((2 * got) + 1) <- Real_substrate.register_word sub j;
     let k =

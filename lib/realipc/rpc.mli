@@ -12,15 +12,10 @@
     A session has [nservers] request shards (one per server domain,
     default 1 — then exactly the classic one-queue session) and one
     reply channel per client, the client→shard map being static
-    round-robin affinity ({!Shard_map}).  Load imbalance between shards
-    is smoothed by {e handoff-based stealing}: an idle server CAS-posts
-    a steal token on the deepest loaded sibling, and that sibling — the
-    only legal consumer of its MPSC ring — hands half its backlog over
-    by draining and re-enqueueing a span onto the idle server's ring.
-    A message is two words, so a steal moves word pairs between rings;
-    no message is ever lost, duplicated, or consumed by two servers (the
-    token is consumed exactly once, and dequeued overflow waits in the
-    victim's private stash).
+    round-robin affinity ({!Shard_map}).  Each shard has one consumer,
+    its server, and each reply channel one producer, the client's home
+    server: a client's requests and replies never leave its shard, so
+    both keep the client's order, on a pool as on a single server.
 
     Requests and replies are arbitrary OCaml values, but each travels as
     one word in the ring cell next to the client number: a {!type-codec}
@@ -108,8 +103,7 @@ val create :
     [nservers] (default 1) shards the request plane: server domain [k]
     must pass [~server:k] to {!receive}/{!serve}/{!receive_batch}, and
     clients are mapped to shards round-robin by client id unless
-    [shard_assign] overrides the map (tests pin all clients to one
-    shard to force stealing).
+    [shard_assign] overrides the map.
     On a single-CPU host [Limited_spin]/[Adaptive] budgets are clamped
     to 0 ({!Ulipc.Protocol_core.validate}).
     @raise Invalid_argument if [nclients <= 0], [capacity <= 0],
@@ -154,14 +148,15 @@ val call : ('req, 'rep) t -> client:int -> 'req -> 'rep
 val receive : ?server:int -> ('req, 'rep) t -> int * 'req
 (** Server side: next request on shard [server] (default 0) as
     [(client, payload)].  Only shard [server]'s own server domain may
-    call this — it is the MPSC ring's single consumer.  Also services
-    pending steal tokens and, when its own shard is empty, posts one on
-    the deepest loaded sibling.  (The pair is the one allocation this
-    entails; {!serve} avoids it.)
+    call this — it is the MPSC ring's single consumer.  (The pair is
+    the one allocation this entails; {!serve} avoids it.)
     @raise Invalid_argument on a bad server number. *)
 
 val reply : ('req, 'rep) t -> client:int -> 'rep -> unit
-(** Send a reply to client [client], from any domain. *)
+(** Send a reply to client [client].  A client's reply ring has one
+    producer at a time: only the server of the client's home shard,
+    which received the request, may reply to it — a second replier
+    would be a second producer on an SPSC ring. *)
 
 val serve : ?server:int -> ('req, 'rep) t -> (client:int -> 'req -> 'rep) -> unit
 (** One allocation-free server turn on shard [server] (default 0):
@@ -173,17 +168,19 @@ val receive_opt :
   ?server:int -> ('req, 'rep) t -> timeout_ns:int -> (int * 'req) option
 (** {!receive} with the kernel wait bounded: [None] if no request
     arrives on shard [server] (default 0) within [timeout_ns] — the
-    dead-peer guard of a server whose clients may die.  Takes stashed
-    handoff leftovers first, then waits on the shard's own ring with the
-    blocking sequence whatever the session's waiting mode; services no
-    steal token.  Its wait polls ({!Rsem.p_timed}), so an arrival is
+    dead-peer guard of a server whose clients may die.  Waits on the
+    shard's ring with the blocking sequence whatever the session's
+    waiting mode.  Its wait polls ({!Rsem.p_timed}), so an arrival is
     noticed up to 50 µs late.
     @raise Invalid_argument on a bad server number. *)
 
 val post : ?shard:int -> ('req, 'rep) t -> client:int -> 'req -> unit
-(** Asynchronous send: enqueue on the client's home shard (or [shard]
-    if given — shutdown fan-out uses this to target every server) and
-    wake that server, do not wait.  May be called from any domain.
+(** Asynchronous send: enqueue on the client's home shard and wake that
+    server, do not wait.  May be called from any domain.  [shard]
+    targets another shard, for control messages that get no reply
+    (shutdown fan-out posts one poison per server this way): the server
+    of a shard that is not the client's home must not reply, since only
+    the home server produces on the client's reply ring.
     @raise Invalid_argument on a bad client or shard number. *)
 
 val collect : ('req, 'rep) t -> client:int -> 'rep
@@ -218,13 +215,13 @@ val collect_batch : ('req, 'rep) t -> client:int -> n:int -> 'rep list
 val receive_batch : ?server:int -> ('req, 'rep) t -> max:int -> (int * 'req) list
 (** Server side: wait for the next request on shard [server] (default 0)
     per the session's waiting mode, then drain up to [max - 1] further
-    already-queued requests (stolen-handoff leftovers first, then the
-    shard's ring) with one span claim.  Always returns at least one
+    already-queued requests from the shard's ring with one span claim.  Always returns at least one
     request.
     @raise Invalid_argument if [max <= 0] or on a bad server number. *)
 
 val reply_batch : ('req, 'rep) t -> (int * 'rep) list -> unit
-(** Send every [(client, reply)] pair, from any domain; each run of
+(** Send every [(client, reply)] pair, as {!reply} does (each client's
+    replies come from its home shard's server only); each run of
     consecutive same-client replies is encoded into the calling
     domain's reply span and pushed with one span claim and at most one
     wake-up (runs longer than the span go out in span-sized chunks).
@@ -237,29 +234,25 @@ val call_pipelined :
 (** Synchronous calls with up to [depth] requests outstanding: a sliding
     window over span-claimed bursts and batch collection.  Returns the
     replies in request order ([depth = 1] degenerates to sequential
-    {!send}s).  Replies must preserve request order for this to pair
-    correctly — true of single-server echo sessions, whose reply channel
-    is FIFO per client; on a pooled session ([nservers > 1]) stealing
-    may reorder a client's in-flight requests, so pair replies by
-    content, not position, there.
+    {!send}s).  Replies are paired by position, which holds whenever the
+    server answers each client's requests in the order it receives them:
+    a client's requests and replies each ride one FIFO ring, on a pool
+    as on a single server.
     @raise Invalid_argument if [depth <= 0] or on a bad client number. *)
 
 val request_depth : ('req, 'rep) t -> int -> int
 (** Conservative occupancy snapshot of shard [k]'s request queue (see
     {!Ulipc_real.Mpsc_ring.length}): never negative, may over-report
-    against a racing consumer.  What the steal orchestration already
-    reads to pick a victim, exposed here so the telemetry sampler can
-    gauge per-shard queue depth live.
+    against a racing consumer.  The telemetry sampler gauges per-shard
+    queue depth with it, live.
     @raise Invalid_argument on a bad shard number. *)
 
 val counters : ('req, 'rep) t -> Ulipc.Counters.t
 (** The protocol-event counters the shared core maintains — the same
     fields the simulator reports (sends, receives, wake-ups, spin
-    fall-throughs, race fixes, ...), plus the steal-protocol fields
-    ([steal_posts]/[steal_handoffs]/[steal_msgs]).  Incremented without
-    atomicity from several domains: totals are exact only for fields
-    written by a single domain (e.g. per-victim handoff counts),
-    otherwise lower bounds.  A fork'd process counts into its own
+    fall-throughs, race fixes, ...).  Incremented without atomicity from
+    several domains: totals are exact only for fields written by a
+    single domain, otherwise lower bounds.  A fork'd process counts into its own
     copy. *)
 
 val wake_residue : ('req, 'rep) t -> int

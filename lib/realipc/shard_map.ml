@@ -9,12 +9,10 @@
    cache-friendly layout.  Static affinity (rather than
    rebalancing the map itself) is deliberate: a client's requests all
    land in one Mpsc_ring whose single consumer is that shard's server,
-   so per-client FIFO order needs no cross-shard reasoning.  Imbalance
-   is handled one layer up, by the steal-token protocol in Rpc, which
-   moves *messages* between rings, never clients between shards.
+   so per-client FIFO order needs no cross-shard reasoning.  Nothing
+   rebalances: no message ever leaves its home shard's ring.
 
-   [assign] exists for tests: pinning every client to shard 0 is how the
-   differential suite forces the steal path to carry all the traffic. *)
+   [assign] exists for tests, which pin clients to chosen shards. *)
 
 type t = { nshards : int; map : int array }
 
@@ -42,8 +40,8 @@ let nshards t = t.nshards
 let nclients t = Array.length t.map
 let shard t client = t.map.(client)
 
-(* How many clients land on each shard — the balance the steal protocol
-   has to smooth out.  For reports and tests. *)
+(* How many clients land on each shard: which shards are paired, and
+   the balance a report or a test reads. *)
 let load t =
   let counts = Array.make t.nshards 0 in
   Array.iter (fun s -> counts.(s) <- counts.(s) + 1) t.map;

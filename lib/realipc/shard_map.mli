@@ -3,16 +3,15 @@
     Resolved once into a flat array at creation: the per-send lookup is
     one array load.  Default assignment is round-robin
     ([client mod nshards]) — exactly balanced for any client count.
-    Load imbalance is corrected at the message level by the steal-token
-    protocol in {!Rpc}, never by remapping clients: a client's requests
-    always enter its home shard's ring, so per-client FIFO needs no
-    cross-shard argument. *)
+    Nothing rebalances: a client's requests always enter its home
+    shard's ring, and no message moves between shards, so per-client
+    FIFO needs no cross-shard argument. *)
 
 type t
 
 val create : ?assign:(int -> int) -> nclients:int -> nshards:int -> unit -> t
-(** [assign] overrides the round-robin default (tests pin every client
-    to one shard to force stealing).
+(** [assign] overrides the round-robin default (tests pin clients to
+    chosen shards).
     @raise Invalid_argument if a count is non-positive or [assign] maps
     a client outside [0 .. nshards-1]. *)
 

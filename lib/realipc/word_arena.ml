@@ -1,6 +1,6 @@
 (* One mmap(MAP_SHARED) region of intnat words, viewed through a
    Bigarray and carved up by a bump allocator: the storage of every flat
-   ring, channel semaphore, steal token and slab free list, on both real
+   ring, channel semaphore and slab free list, on both real
    backends.
 
    This is the real-path realisation of the layout the sim-only

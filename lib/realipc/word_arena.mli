@@ -1,7 +1,7 @@
 (** A shared word arena: an mmap'd ([MAP_SHARED]) region of intnat
     words behind a Bigarray, carved up by a bump allocator.  Every flat
-    ring ({!Spsc_ring}, {!Mpsc_ring}), channel semaphore ({!Rsem}),
-    steal token and slab free list ({!Slab}) lives in one, whether a
+    ring ({!Spsc_ring}, {!Mpsc_ring}), channel semaphore ({!Rsem})
+    and slab free list ({!Slab}) lives in one, whether a
     session's peers are domains or fork'd processes
     ([Ulipc_procipc.Parena] is this module plus a yield).
 

@@ -32,7 +32,7 @@ type t = {
   utilization_max : float;
       (** the busiest single server's utilization; equals [utilization]
           when [nservers = 1].  The spread between the two is the
-          imbalance the steal protocol did not (or could not) smooth *)
+          imbalance of the static client→shard map *)
   depth : int;
       (** pipelining depth: requests a client keeps outstanding at once
           (1 = synchronous send/receive/reply) *)

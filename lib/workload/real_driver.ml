@@ -46,19 +46,15 @@
    has a single writer, a plain store after every call, which the
    parent reads for the live "messages" counter.
 
-   Shutdown: with a pool no server can know its share of the traffic in
-   advance (stealing moves work between shards), so servers are stopped
-   by poison rather than by counting.  After every client peer has
-   finished — every request has been replied to and the rings are
-   empty — the parent posts one poison request per shard, payload
-   [-1 - shard], into the shared rings, which reach fork'd servers
-   exactly as they reach server domains.  A server that receives a
-   poison naming its own shard exits; one naming a sibling (possible
-   only if a steal moved it, which the [steal_min >= 2] floor prevents
-   once rings hold a single poison each) is forwarded to its target
-   with [Rpc.post ~shard].  Poisons are never replied to.  The batch
-   server stops on its poison the same way, so a client that fails
-   mid-run cannot leave a server counting messages that never come.
+   Shutdown: servers are stopped by poison rather than by counting, so
+   a client that fails mid-run cannot leave a server counting messages
+   that never come.  After every client peer has finished — every
+   request has been replied to and the rings are empty — the parent
+   posts one poison request per shard, payload [-1 - shard], with
+   [Rpc.post ~shard] into the shared rings, which reach fork'd servers
+   exactly as they reach server domains.  A poison lands on the shard
+   it names, so the server that receives one exits.  Poisons are never
+   replied to; the batch server stops on its poison the same way.
 
    Timing: every stamp is [Clock.now_us] (CLOCK_MONOTONIC: no NTP
    steps, and per-boot system-wide, so a child's stamps and the
@@ -77,15 +73,16 @@
    per batch).  The histogram then records mean per-message latency per
    burst — the per-message number a pipelined client actually observes.
    call_pipelined pairs replies with requests by queue position, which
-   stealing may permute, so depth > 1 requires nservers = 1.
+   holds at any pool size: a client's requests all go to its home
+   shard, and only that shard's server answers them, in order.
 
    Utilization: each server accumulates the time it spends waiting
    inside receive for calls that return a real request (the final
    poison wait is post-measurement and excluded); busy time is the
    measured interval minus that waiting, so per-server utilization is
    1 - waiting/elapsed.  The metrics row reports the pool mean and the
-   busiest server — the gap between them is the imbalance stealing did
-   not smooth.
+   busiest server — the gap between them is the imbalance of the static
+   shard map.
 
    Tracing: the driver attaches its own Trace_ring, sized so one peer's
    ring holds every event of the run.  A fork'd peer's events are
@@ -366,10 +363,6 @@ let run ?machine ?(traced = true) ?telemetry ?(depth = 1) ?(nservers = 1)
   if depth <= 0 then invalid_arg "Real_driver.run: depth must be positive";
   if messages <= 0 then
     invalid_arg "Real_driver.run: messages must be positive";
-  if depth > 1 && nservers > 1 then
-    invalid_arg
-      "Real_driver.run: depth > 1 requires nservers = 1 (stealing reorders \
-       a client's in-flight requests, which breaks pipelined pairing)";
   let machine =
     match machine with
     | Some m -> m
@@ -443,11 +436,6 @@ let run ?machine ?(traced = true) ?telemetry ?(depth = 1) ?(nservers = 1)
   let server_role k () =
     let waiting_us = ref 0.0 in
     let live = ref true in
-    let stop_on_poison v =
-      let target = -1 - v in
-      if target = k then live := false
-      else Rpc.post ~shard:target t ~client:0 v
-    in
     if depth = 1 then
       while !live do
         let before = Clock.now_us () in
@@ -456,7 +444,7 @@ let run ?machine ?(traced = true) ?telemetry ?(depth = 1) ?(nservers = 1)
           waiting_us := !waiting_us +. (Clock.now_us () -. before);
           Rpc.reply t ~client (v + 1)
         end
-        else stop_on_poison v
+        else live := false
       done
     else
       while !live do
@@ -467,7 +455,7 @@ let run ?machine ?(traced = true) ?telemetry ?(depth = 1) ?(nservers = 1)
             (fun (client, v) ->
               if v >= 0 then Some (client, v + 1)
               else begin
-                stop_on_poison v;
+                live := false;
                 None
               end)
             batch

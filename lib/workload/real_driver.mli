@@ -74,8 +74,8 @@ val run :
     next round, so each logical client still has exactly one call
     outstanding and the recorded round duration is its observed
     round-trip.  Servers are stopped by per-shard poison requests the
-    parent posts after the measured interval, since with stealing no
-    pool member can count its share of the traffic in advance.
+    parent posts after the measured interval, so a client that fails
+    cannot leave a server waiting for its share of the traffic.
 
     [depth] (default 1) is the pipelining depth.  At 1 every call is a
     synchronous {!Ulipc_real.Rpc.send} and the server answers one request
@@ -83,8 +83,9 @@ val run :
     outstanding ({!Ulipc_real.Rpc.call_pipelined}, issued in bursts of
     [depth]) and the server uses the batched receive/reply path — one
     span claim and at most one wake-up per batch.  The result's [depth]
-    field records the value.  Pipelining pairs replies positionally, so
-    [depth > 1] requires [nservers = 1].
+    field records the value.  Pipelining pairs replies positionally,
+    which holds on a pool too: a client's requests and replies stay on
+    its home shard, in order.
 
     The measured interval excludes peer start-up and tear-down: client
     peers check in on a start barrier in a small shared control arena,
@@ -97,8 +98,7 @@ val run :
     measured: 1 minus the fraction of the interval each server spent
     waiting inside receive, clamped to [0, 1] per server — the pool
     mean, with the busiest server in [utilization_max].  The result's
-    counters carry the slab's high-water mark ([slab_hwm]) and the
-    steal-protocol totals.
+    counters carry the slab's high-water mark ([slab_hwm]).
 
     Every run is live-sampled on [telemetry] (default: a fresh private
     registry with a 10 ms interval): a messages counter summed from the
@@ -119,8 +119,7 @@ val run :
     server peer that ends while clients are still running (it can only
     have died) fails the run at once with ["server peer K failed: ..."],
     after every fork'd peer still running is SIGKILLed and reaped.
-    @raise Invalid_argument if [depth <= 0], [messages <= 0], or
-    [depth > 1] with [nservers > 1]. *)
+    @raise Invalid_argument if [depth <= 0] or [messages <= 0]. *)
 
 val status_text : Unix.process_status -> string
 (** How a failed fork'd peer ended, as [run]'s failure names it:

@@ -2,8 +2,9 @@
    domains as peers (main) and with fork'd processes (main_proc).
    Real_driver.run is one code path for both kinds of peer, so the same
    checks must hold for each: the counters balance, the merged trace is
-   causally clean, and [Limited_spin 0] never charges a spin
-   fall-through.  The driver itself fails on a wrong echo.  This module
+   causally clean, [Limited_spin 0] never charges a spin fall-through,
+   and pipelined calls on a pool keep each client's order.  The driver
+   itself fails on a wrong echo.  This module
    is linked into both test binaries, so it spawns neither domains nor
    processes except through the driver under test. *)
 
@@ -73,3 +74,20 @@ let bsls0_never_falls_through ~peers ~within () =
         c.Ulipc.Counters.spin_fallthroughs <> 0
         || c.Ulipc.Counters.server_spin_fallthroughs <> 0
       then failwith "BSLS(0) charged a spin fall-through")
+
+(* Pipelining on a pool: 4 clients 8 deep against 2 servers, so each
+   shard serves two clients' bursts interleaved.  The driver pairs each
+   burst's replies with its requests by position and fails on the
+   first mismatch, so the run passes only if every client's replies
+   come back in request order. *)
+let pooled_pipelining ~peers ~within () =
+  within ~timeout_s:20.0 "depth-8 echo on 2 servers" (fun () ->
+      let nclients = 4 and messages = 400 in
+      let residue = ref (-1) in
+      let m =
+        Real_driver.run ~peers ~depth:8 ~nservers:2 ~wake_residue_out:residue
+          ~nclients ~messages Ulipc_real.Rpc.Block
+      in
+      Alcotest.(check int) "driver reports all messages" (nclients * messages)
+        m.Metrics.messages;
+      Alcotest.(check int) "no wake residue" 0 !residue)

@@ -37,6 +37,56 @@ let test_counters_add_reset () =
   Ulipc.Counters.reset a;
   Alcotest.(check int) "reset" 0 a.Ulipc.Counters.sends
 
+(* The record's field order is a cache layout (counters.ml): every field
+   a client bumps per message must sit at least 8 words, one 64-byte
+   line, from every field a server bumps per message, whatever the
+   record's alignment.  Each field's word index is found by setting it
+   alone in a fresh record and looking for the value. *)
+let test_counters_layout () =
+  let open Ulipc.Counters in
+  let index (name, set) =
+    let c = create () in
+    set c 0x5eed;
+    let r = Obj.repr c in
+    let rec find i =
+      if i >= Obj.size r then Alcotest.failf "field %s not found" name
+      else if Obj.field r i = Obj.repr 0x5eed then i
+      else find (i + 1)
+    in
+    (name, find 0)
+  in
+  let client =
+    List.map index
+      [
+        ("sends", fun c v -> c.sends <- v);
+        ("client_blocks", fun c v -> c.client_blocks <- v);
+        ("server_wakeups", fun c v -> c.server_wakeups <- v);
+        ("spin_iterations", fun c v -> c.spin_iterations <- v);
+        ("spin_fallthroughs", fun c v -> c.spin_fallthroughs <- v);
+      ]
+  and server =
+    List.map index
+      [
+        ("receives", fun c v -> c.receives <- v);
+        ("replies", fun c v -> c.replies <- v);
+        ("server_blocks", fun c v -> c.server_blocks <- v);
+        ("client_wakeups", fun c v -> c.client_wakeups <- v);
+        ("race_fix_p", fun c v -> c.race_fix_p <- v);
+        ("server_spin_iterations", fun c v -> c.server_spin_iterations <- v);
+        ("server_spin_fallthroughs", fun c v -> c.server_spin_fallthroughs <- v);
+      ]
+  in
+  List.iter
+    (fun (cn, ci) ->
+      List.iter
+        (fun (sn, si) ->
+          if abs (si - ci) < 8 then
+            Alcotest.failf "%s (word %d) and %s (word %d) are %d words apart"
+              cn ci sn si
+              (abs (si - ci)))
+        server)
+    client
+
 (* ------------------------------------------------------------------ *)
 (* Session *)
 
@@ -354,6 +404,8 @@ let suites =
         Alcotest.test_case "echo reply round trip" `Quick test_message_roundtrip;
         Alcotest.test_case "opcode equality" `Quick test_message_opcode_equal;
         Alcotest.test_case "counters add/reset" `Quick test_counters_add_reset;
+        Alcotest.test_case "counters: client and server fields a line apart"
+          `Quick test_counters_layout;
       ] );
     ( "core.session",
       [

@@ -519,6 +519,9 @@ let suites =
         Alcotest.test_case "BSLS(0) never falls through" `Quick
           (Driver_cases.bsls0_never_falls_through ~peers:Domains
              ~within:Test_realipc.within_domain);
+        Alcotest.test_case "depth 8 on 2 servers keeps order" `Quick
+          (Driver_cases.pooled_pipelining ~peers:Domains
+             ~within:Test_realipc.within_domain);
         Alcotest.test_case "a peer's exit status names its signal" `Quick
           test_status_text;
       ] );

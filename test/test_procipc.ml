@@ -362,9 +362,9 @@ let in_processes ~nproducers produce =
 (* Session arena sizing: every ring of a large session, request and
    reply alike, is driven through its last cell, and the rings are all
    full at once before any is drained, so a span that overlapped its
-   neighbour would corrupt values.  Pooled sessions are sized too: their
-   reply rings are MPSC and they carve a steal token per shard.  Then
-   every slot of the session's slab is allocated, so the slab's words
+   neighbour would corrupt values.  Pooled sessions are sized too, with
+   paired shards (one home client, lanes of one region) and shared ones
+   (rings carved alone) side by side.  Then every slot of the session's slab is allocated, so the slab's words
    fit after the rings'. *)
 let test_session_arena_sizing () =
   List.iter
@@ -1140,6 +1140,9 @@ let suites =
         Alcotest.test_case "fd baselines echo" `Quick test_fd_baseline_echoes;
         Alcotest.test_case "BSLS(0) never falls through" `Quick
           (Driver_cases.bsls0_never_falls_through ~peers:Processes
+             ~within:within_deadline);
+        Alcotest.test_case "depth 8 on 2 servers keeps order" `Quick
+          (Driver_cases.pooled_pipelining ~peers:Processes
              ~within:within_deadline);
         Alcotest.test_case "create rejects negative budgets" `Quick
           test_create_rejects_negative_budgets;

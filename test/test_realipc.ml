@@ -1187,9 +1187,9 @@ let test_rpc_zero_alloc_steady_state ~nservers () =
      two marker calls (-2 opens its window, -3 closes it) into a float
      array, which stores unboxed.  Each side's calibration pair
      subtracts what the Gc.minor_words calls themselves charge.  The
-     server runs [serve] on shard 0: with [nservers = 1] its receive
-     skips the pool's stash and steal bookkeeping, with 2 it runs it
-     (server 1 never runs, so it posts no claim). *)
+     server runs [serve] on shard 0, of a pool of 1 or of 2 (server 1
+     never runs): a pooled receive must allocate no more than a single
+     server's. *)
   let t : (int, int) Rpc.t =
     Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nservers
       ~shard_assign:(fun _ -> 0) ~nclients:1 Rpc.Block
