@@ -112,6 +112,16 @@ let check_span ~who span ~pos ~len =
 
 let second_lane = 4
 
+(* Cell placement and cell format (see the header), inlined into the
+   rings' hot paths. *)
+let[@inline] cell ~cells ~mask idx =
+  let s = idx land mask in
+  cells + ((s land -8) lsl 2) + ((s land 3) lsl 3) + ((s land 4) lsr 1)
+
+let seq_mask = 0xFFFFF
+let[@inline] stamp idx client = (client lsl 20) lor ((idx + 1) land seq_mask)
+let[@inline] ready tag idx = (tag - idx - 1) land seq_mask = 0
+
 (* A block of eight slots takes four lines; a smaller ring still puts
    each slot on a line of its own. *)
 let region_words ~capacity =

@@ -47,6 +47,16 @@ val check_span : who:string -> int array -> pos:int -> len:int -> unit
     [cells + 4 * (s land -8) + 8 * (s land 3) + (s land 4) / 2], with
     [cells] the start of the ring's lane. *)
 
+val cell : cells:int -> mask:int -> int -> int
+(** [cell ~cells ~mask idx]: the cell of index [idx] (its tag; the word
+    follows) in a ring of [mask + 1] slots on the lane at [cells]. *)
+
+val stamp : int -> int -> int
+(** [stamp idx client]: the tag that makes index [idx]'s cell ready. *)
+
+val ready : int -> int -> bool
+(** [ready tag idx]: [tag] holds index [idx]'s seq. *)
+
 val second_lane : int
 (** [4]: the word offset, within each line of a region, of its second
     lane; the first lane starts at word 0. *)

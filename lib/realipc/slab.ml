@@ -13,8 +13,8 @@
    Every word peers share — the free-list head, the [next] links, the
    in-use marks, the live count and the high-water mark — is a
    Word_arena word, reached through Word_arena's functions (on the hot
-   path its [external]s, which compile inline), so a slab carved before
-   a fork is one free list in every process.  Only the
+   path its [external]s over the raw words), so a slab carved before a
+   fork is one free list in every process.  Only the
    [box] column is OCaml heap: a boxed value means nothing in another
    address space, so [get_box]/[set_box] refuse once the arena has
    outlived a fork.

@@ -113,26 +113,14 @@ let create ~capacity () =
 
 let capacity q = q.cap
 
-(* Ring_layout's cell placement and cell format, written out here (and
-   in the sibling ring) so that they compile inline: the word offset of
-   the cell for index [idx]; the tag a producer stores last, [client] in
-   the high bits and the seq, [(idx + 1) mod 2^20], in the low 20; and
-   the consumer's readiness test of a tag for index [idx]. *)
-let[@inline] cell q idx =
-  let s = idx land q.mask in
-  q.cells + ((s land -8) lsl 2) + ((s land 3) lsl 3)
-  + ((s land 4) lsr 1)
-
-let seq_mask = 0xFFFFF
-let[@inline] stamp idx client = (client lsl 20) lor ((idx + 1) land seq_mask)
-let[@inline] ready tag idx = (tag - idx - 1) land seq_mask = 0
+let[@inline] cell q idx = Ring_layout.cell ~cells:q.cells ~mask:q.mask idx
 
 (* Fill the cell for index [idx]: the word first, then the tag that
    makes it ready (store-store under TSO). *)
 let fill q idx client word =
   let c = cell q idx in
   A1.unsafe_set q.w (c + 1) word;
-  A1.unsafe_set q.w c (stamp idx client)
+  A1.unsafe_set q.w c (Ring_layout.stamp idx client)
 
 (* The bare path written out inline: without flambda a call to [fill]
    is a real cross-function call, and at ~5 ns for the whole pair each
@@ -149,7 +137,7 @@ let enqueue_pair q ~client ~word =
   if free then begin
     let c = cell q head in
     A1.unsafe_set w (c + 1) word;
-    A1.unsafe_set w c (stamp head client);
+    A1.unsafe_set w c (Ring_layout.stamp head client);
     A1.unsafe_set w q.head (head + 1);
     true
   end
@@ -163,7 +151,7 @@ let dequeue_into q dst pos =
   let tail = A1.unsafe_get w q.tail in
   let c = cell q tail in
   let tag = A1.unsafe_get w c in
-  if ready tag tail then begin
+  if Ring_layout.ready tag tail then begin
     dst.(pos) <- tag asr 20;
     dst.(pos + 1) <- A1.unsafe_get w (c + 1);
     A1.unsafe_set w q.tail (tail + 1);
@@ -182,7 +170,7 @@ let dequeue q =
   let w = q.w in
   let tail = A1.unsafe_get w q.tail in
   let c = cell q tail in
-  if ready (A1.unsafe_get w c) tail then begin
+  if Ring_layout.ready (A1.unsafe_get w c) tail then begin
     let v = A1.unsafe_get w (c + 1) in
     A1.unsafe_set w q.tail (tail + 1);
     v
@@ -233,7 +221,7 @@ let rec take_batch q buf ~pos ~max ~tail i =
     let idx = tail + i in
     let c = cell q idx in
     let tag = A1.unsafe_get q.w c in
-    if ready tag idx then begin
+    if Ring_layout.ready tag idx then begin
       let s = 2 * (pos + i) in
       Array.unsafe_set buf s (tag asr 20);
       Array.unsafe_set buf (s + 1) (A1.unsafe_get q.w (c + 1));

@@ -63,10 +63,11 @@ val set : t -> int -> int -> unit
 (** Plain (fenceless) word store. *)
 
 external get_word : words -> int -> int = "%caml_ba_ref_1"
-(** [get_word w i]: {!get} on the raw words, declared [external] so that
-    callers in other modules compile it inline — a [val] is an unknown
-    call once modules are compiled [-opaque], as dune's default profile
-    does.  For the shared words of a hot path ({!Slab}'s free list). *)
+(** [get_word w i]: {!get} on the raw words, for the shared words of a
+    hot path that keeps {!words} in a local ({!Slab}'s free list): it
+    skips {!get}'s load of the arena record, and it compiles inline even
+    under [-opaque] ([dune build --profile dev]), where a [val] of
+    another module is an unknown call. *)
 
 external set_word : words -> int -> int -> unit = "%caml_ba_set_1"
 (** {!set} on the raw words, inline as {!get_word} is. *)

@@ -307,6 +307,61 @@ let carved_apart_case arena_words carve enqueue dequeue nil () =
     Alcotest.(check int) "second drained" nil (dequeue q2)
   done
 
+(* Ring_layout's cell placement, which both rings use, at every capacity
+   up to 2^10, for a region at a line-aligned offset: both lanes give
+   each slot a two-word cell (tag, message word) of its own inside the
+   region, and no word belongs to two cells of either lane; cell [i] of
+   both lanes shares a line; slots [s] and [s + 4] of a block of eight
+   share a line, and the block spans four lines (a ring of fewer than
+   eight slots puts each slot on a line of its own). *)
+let test_cell_placement () =
+  let line = Word_arena.cache_line_words in
+  let base = 5 * line and lanes = [ 0; Ring_layout.second_lane ] in
+  let nlines l = List.length (List.sort_uniq compare l) in
+  for capacity = 1 to 1 lsl 10 do
+    let ring = Ring_layout.ceil_pow2 capacity in
+    let words = Ring_layout.region_words ~capacity in
+    let cell lane s =
+      Ring_layout.cell ~cells:(base + lane) ~mask:(ring - 1) s
+    in
+    let line_of lane s = (cell lane s - base) / line in
+    let fail fmt = Alcotest.failf ("capacity %d: " ^^ fmt) capacity in
+    let owner = Hashtbl.create (4 * ring) in
+    List.iter
+      (fun lane ->
+        for s = 0 to ring - 1 do
+          let c = cell lane s in
+          if c < base || c + 1 >= base + words then
+            fail "lane %d slot %d at %d, outside the region's %d words" lane
+              s (c - base) words;
+          List.iter
+            (fun w ->
+              match Hashtbl.find_opt owner w with
+              | Some (l, s') ->
+                  fail "word %d is in lane %d slot %d and lane %d slot %d"
+                    (w - base) l s' lane s
+              | None -> Hashtbl.add owner w (lane, s))
+            [ c; c + 1 ]
+        done)
+      lanes;
+    for s = 0 to ring - 1 do
+      if line_of 0 s <> line_of Ring_layout.second_lane s then
+        fail "the lanes' cells %d are on different lines" s;
+      if s land 4 = 0 && s + 4 < ring && line_of 0 s <> line_of 0 (s + 4)
+      then fail "slots %d and %d are on different lines" s (s + 4)
+    done;
+    if ring < 8 then begin
+      if nlines (List.init ring (line_of 0)) <> ring then
+        fail "two slots share a line"
+    end
+    else
+      for b = 0 to (ring / 8) - 1 do
+        let block = List.init 8 (fun i -> line_of 0 ((8 * b) + i)) in
+        if nlines block <> 4 then
+          fail "block %d spans %d lines" b (nlines block)
+      done
+  done
+
 (* Both rings: [arena_words ~capacity] words take one carve from any
    offset, the worst alignment included — one word into a fresh line,
    where the carve skips the other seven — and the ring fills to its
@@ -1544,6 +1599,8 @@ let test_rpc_pipelined_validation () =
 
 let suites =
   [
+    ( "realipc.ring_layout",
+      [ Alcotest.test_case "cell placement" `Quick test_cell_placement ] );
     ( "realipc.spsc_ring",
       [
         Alcotest.test_case "fifo" `Quick test_spsc_fifo;
