@@ -44,30 +44,45 @@
    The request plane is SHARDED: [nservers] request channels, each the
    inbox of one server domain, with clients mapped to a home shard by a
    static {!Shard_map} (round-robin by client id unless overridden).
-   At [nservers = 1] this degenerates to exactly the old single-queue
-   session.  Shard channels carry negative ids [-(k+1)] (so shard 0
+   At [nservers = 1] every client is homed on the one server.  Shard
+   channels carry negative ids [-(k+1)] (so shard 0
    keeps the old [-1], and every consumer-side role test is just
    [chan_id < 0]); reply channels keep their client number.
 
-   The queues exploit the session shape: each request shard has many
-   producers and exactly one consumer (Mpsc_ring), and each reply
-   channel has one producer — the server of the client's home shard —
-   and one consumer — the owning client — so replies ride {!Spsc_ring}
-   at every shard count.  All rings are lock-free and allocation-free
-   per message.
+   The queues exploit the session shape.  Every client owns one cell
+   region of the arena, two four-word lanes per line (Ring_layout's
+   cell placement): its REQUEST LANE, an Mpsc_ring on the first lane,
+   and its reply ring, an Spsc_ring on the second, so cell [i] of each
+   sits in one line.  A synchronous call's request and reply travel in
+   that line — the client writes one lane of it and the server the
+   other, both sides in disjoint words, where separate rings would
+   move a request line and a reply line.  A reply ring has one
+   producer, the server of the client's home shard, and one consumer,
+   the client.  A request shard is the set of its home clients'
+   request lanes under one semaphore and one awake flag, both owned by
+   its one server: the server's dequeue, [await], [dequeue_many],
+   [queue_is_empty] and [queue_length] cover all of them.  A scan goes
+   round robin from the lane after the one served last, so a busy
+   client cannot starve another; the order across clients is that
+   round robin, and each client's own requests stay FIFO in its lane.
+   The scan cursor is an arena word on a line of its own, which no
+   producer reads or writes: the same cursor on a lane's ticket line
+   made a 2-client call ~18% slower (EXPERIMENTS.md, "Every call on
+   one line").
 
-   A call's two rings share their lines where the shard map allows it.
-   A shard with exactly one home client is PAIRED: its request ring and
-   that client's reply ring are carved on the two four-word lanes of
-   one cell region (Ring_layout's cell placement), so cell [i] of each
-   sits in one line, and a synchronous call's request and reply travel
-   in that line — the client writes one lane of it and the server the
-   other, both sides in disjoint words, where separate rings would move
-   a request line and a reply line.  A single client, and each client of
-   an [nclients = nservers] pool, is paired; clients that share a shard
-   are not, and their rings are carved alone.  The lanes change where
-   the cells lie, not how a ring uses them: the protocol core, the
-   semaphores and the TSO argument are the same for both layouts.
+   A client enqueues through a channel of its own that differs from
+   its shard's only in its queue, its lane; a shard with one home
+   client has one lane and that channel is the shard's, so a one-lane
+   shard's operations are its one ring's.  The lanes stay
+   MPSC, because producers that are not the home client can reach
+   them too: a post to another shard, or any enqueue on the shard's
+   channel itself, goes to the shard's first lane.  A shard with no
+   home client has one ring carved alone, so that poisons and other
+   control posts reach its server.  The protocol core, the semaphores
+   and the TSO argument are the same as for one ring: the "queue" C.1
+   and C.3 read is the union of the lanes, and the flag clear at C.2
+   is a locked operation that precedes every lane load at C.3.  All
+   rings are lock-free and allocation-free per message.
 
    Instrumentation lives here, on the substrate side of the signature's
    counters seam, so the protocol core stays untouched: an optional
@@ -82,8 +97,14 @@
    consumed. *)
 
 module Trace_ring = Ulipc_observe.Trace_ring
+module A1 = Bigarray.Array1
 
-type queue = Q_spsc of Spsc_ring.t | Q_mpsc of Mpsc_ring.t
+(* A shard with two or more home clients: their request lanes, and the
+   lane its server served last, in a word of a line no producer
+   touches. *)
+type lanes = { rings : Mpsc_ring.t array; w : Word_arena.words; cursor : int }
+
+type queue = Q_spsc of Spsc_ring.t | Q_mpsc of Mpsc_ring.t | Q_lanes of lanes
 
 type channel = {
   queue : queue;
@@ -98,7 +119,8 @@ type channel = {
 
 type t = {
   arena : Word_arena.t;
-  requests : channel array; (* one per server shard *)
+  requests : channel array; (* one per server shard: its server's *)
+  lanes : channel array; (* one per client: its shard's, on its lane *)
   replies : channel array;
   shard_map : Shard_map.t;
   slab : Slab.t; (* the boxed codec's side table *)
@@ -135,76 +157,93 @@ let create ?trace ?(nservers = 1) ?shard_assign ?slots ~capacity ~nclients ()
   let shard_map =
     Shard_map.create ?assign:shard_assign ~nclients ~nshards:nservers ()
   in
-  (* Default side-table sizing: every channel full of boxed payloads
-     plus one in flight per endpoint can never exhaust it. *)
+  let load = Shard_map.load shard_map in
+  let count p = Array.fold_left (fun n l -> if p l then n + 1 else n) 0 load in
+  let nempty = count (fun l -> l = 0) and nshared = count (fun l -> l > 1) in
+  (* Default side-table sizing: every ring full of boxed payloads plus
+     one in flight per endpoint can never exhaust it. *)
   let slots =
     match slots with
     | Some n -> n
-    | None -> (nclients + nservers) * (capacity + 1)
+    | None -> (((2 * nclients) + nempty) * capacity) + nclients + nservers
   in
-  (* Shards with exactly one home client are paired (see the header). *)
-  let paired = Array.map (fun n -> n = 1) (Shard_map.load shard_map) in
-  let npaired = Array.fold_left (fun n p -> if p then n + 1 else n) 0 paired in
-  (* Every ring, semaphore and slab word is carved from the session's
-     one arena.  Mapping it refuses to start off x86-64
+  (* Every ring, semaphore, scan cursor and slab word is carved from the
+     session's one arena.  Mapping it refuses to start off x86-64
      ([Word_arena.create]). *)
   let arena =
     Word_arena.create
       ~size_words:
-        (((nservers - npaired) * Mpsc_ring.arena_words ~capacity)
-        + ((nclients - npaired) * Spsc_ring.arena_words ~capacity)
-        + (npaired
-          * (Mpsc_ring.lane_arena_words + Spsc_ring.lane_arena_words
-            + Ring_layout.region_words ~capacity + line - 1))
+        ((nclients
+         * (Mpsc_ring.lane_arena_words + Spsc_ring.lane_arena_words
+           + Ring_layout.region_words ~capacity + line - 1))
+        + (nempty * Mpsc_ring.arena_words ~capacity)
+        + (nshared * ((2 * line) - 1))
         + ((nservers + nclients) * Rsem.arena_words ())
         + Slab.arena_words ~slots)
       ()
   in
-  (* Shard [k]'s cell region if it is paired, else -1. *)
+  (* Client [c]'s cell region: its request lane, then its reply ring. *)
   let region =
-    Array.init nservers (fun k ->
-        if paired.(k) then
-          Word_arena.alloc_line arena
-            ~words:(Ring_layout.region_words ~capacity)
-        else -1)
-  in
-  let request_queue k =
-    Q_mpsc
-      (if paired.(k) then
-         Mpsc_ring.carve_lane arena ~capacity ~cells:region.(k)
-       else Mpsc_ring.carve arena ~capacity)
-  in
-  (* The home server is a reply channel's one producer and the owning
-     client its one consumer. *)
-  let reply_queue c =
-    let k = Shard_map.shard shard_map c in
-    Q_spsc
-      (if paired.(k) then
-         Spsc_ring.carve_lane arena ~capacity
-           ~cells:(region.(k) + Ring_layout.second_lane)
-       else Spsc_ring.carve arena ~capacity)
+    Array.init nclients (fun _ ->
+        Word_arena.alloc_line arena ~words:(Ring_layout.region_words ~capacity))
   in
   (* One register per client (0 .. nclients-1), then one per server. *)
   let regs = Array.make (reg_pos (nclients + nservers)) 0 in
+  (* Both domains write the counters on every call.  Their field order
+     keeps the client's fields off the server's lines; the padding keeps
+     the record's last line off the next heap block.  Without it the
+     sync round trip swung ~20% with the heap's alignment
+     (EXPERIMENTS.md, "The wait loop keeps its own spin count"). *)
+  let counters = Padding.copy_padded (Ulipc.Counters.create ()) in
+  let slab = Slab.carve arena ~slots in
+  (* The home server is a reply ring's one producer and the owning
+     client its one consumer. *)
+  let replies =
+    Array.init nclients (fun c ->
+        make_channel arena ~chan_id:c ~regs ~rx:c
+          (Q_spsc
+             (Spsc_ring.carve_lane arena ~capacity
+                ~cells:(region.(c) + Ring_layout.second_lane))))
+  in
+  let lane =
+    Array.init nclients (fun c ->
+        Mpsc_ring.carve_lane arena ~capacity ~cells:region.(c))
+  in
+  let request_queue k =
+    match
+      List.filter
+        (fun c -> Shard_map.shard shard_map c = k)
+        (List.init nclients Fun.id)
+    with
+    | [] -> Q_mpsc (Mpsc_ring.carve arena ~capacity)
+    | [ c ] -> Q_mpsc lane.(c)
+    | home ->
+      Q_lanes
+        {
+          rings = Array.of_list (List.map (Array.get lane) home);
+          w = Word_arena.words arena;
+          cursor = Word_arena.alloc_line arena ~words:line;
+        }
+  in
+  let requests =
+    Array.init nservers (fun k ->
+        make_channel arena ~chan_id:(-(k + 1)) ~regs ~rx:(nclients + k)
+          (request_queue k))
+  in
   {
     arena;
-    requests =
-      Array.init nservers (fun k ->
-          make_channel arena ~chan_id:(-(k + 1)) ~regs ~rx:(nclients + k)
-            (request_queue k));
-    replies =
-      Array.init nclients (fun i ->
-          make_channel arena ~chan_id:i ~regs ~rx:i (reply_queue i));
+    requests;
+    lanes =
+      Array.init nclients (fun c ->
+          let home = requests.(Shard_map.shard shard_map c) in
+          match home.queue with
+          | Q_lanes _ -> { home with queue = Q_mpsc lane.(c) }
+          | Q_spsc _ | Q_mpsc _ -> home);
+    replies;
     shard_map;
-    slab = Slab.carve arena ~slots;
+    slab;
     regs;
-    (* Both domains write the counters on every call.  Their field
-       order keeps the client's fields off the server's lines; the
-       padding keeps the record's last line off the next heap block.
-       Without it the sync round trip swung ~20% with the heap's
-       alignment (EXPERIMENTS.md, "The wait loop keeps its own spin
-       count"). *)
-    counters = Padding.copy_padded (Ulipc.Counters.create ());
+    counters;
     trace;
   }
 
@@ -221,15 +260,22 @@ let nshards t = Array.length t.requests
 let shard_map t = t.shard_map
 let shard_of_client t client = Shard_map.shard t.shard_map client
 
-let paired t k =
-  if k < 0 || k >= Array.length t.requests then
-    invalid_arg (Printf.sprintf "Real_substrate.paired: no shard %d" k);
-  (Shard_map.load t.shard_map).(k) = 1
-
 let request_shard t k =
   if k < 0 || k >= Array.length t.requests then
     invalid_arg (Printf.sprintf "Real_substrate.request_shard: no shard %d" k);
   t.requests.(k)
+
+let request_lane t c =
+  if c < 0 || c >= Array.length t.lanes then
+    invalid_arg (Printf.sprintf "Real_substrate.request_lane: no client %d" c);
+  t.lanes.(c)
+
+let arena t = t.arena
+
+let scan_cursor t k =
+  match (request_shard t k).queue with
+  | Q_lanes l -> l.cursor
+  | Q_spsc _ | Q_mpsc _ -> -1
 
 let reply_channel t n =
   if n < 0 || n >= Array.length t.replies then
@@ -251,6 +297,7 @@ let set_register t m ~client ~word =
 let queue_length = function
   | Q_spsc q -> Spsc_ring.length q
   | Q_mpsc q -> Mpsc_ring.length q
+  | Q_lanes l -> Array.fold_left (fun n q -> n + Mpsc_ring.length q) 0 l.rings
 
 let request_depth t k = queue_length t.requests.(k).queue
 
@@ -278,6 +325,7 @@ let enqueue_pair t ch ~client ~word =
     match ch.queue with
     | Q_spsc q -> Spsc_ring.enqueue_pair q ~client ~word
     | Q_mpsc q -> Mpsc_ring.enqueue_pair q ~client ~word
+    | Q_lanes l -> Mpsc_ring.enqueue_pair l.rings.(0) ~client ~word
   in
   if ok then emit_at t ch Ulipc_observe.Event.Enqueue ~t_ns;
   ok
@@ -287,6 +335,22 @@ let enqueue t ch m =
   let p = reg_pos m in
   enqueue_pair t ch ~client:t.regs.(p) ~word:t.regs.(p + 1)
 
+(* A shard's lanes, round robin: each lane once, from lane [i] on,
+   into [dst] at [pos]; the lane that yields a message becomes the one
+   served last. *)
+let rec scan l dst pos i left =
+  left > 0
+  &&
+  let i = if i = Array.length l.rings then 0 else i in
+  if Mpsc_ring.dequeue_into (Array.unsafe_get l.rings i) dst pos then begin
+    A1.unsafe_set l.w l.cursor i;
+    true
+  end
+  else scan l dst pos (i + 1) (left - 1)
+
+let lanes_dequeue l dst pos =
+  scan l dst pos (A1.unsafe_get l.w l.cursor + 1) (Array.length l.rings)
+
 (* The ring's dequeue alone, into the consumer's register: what [await]
    polls. *)
 let raw_dequeue ch =
@@ -295,6 +359,7 @@ let raw_dequeue ch =
     match ch.queue with
     | Q_spsc q -> Spsc_ring.dequeue_into q ch.regs p
     | Q_mpsc q -> Mpsc_ring.dequeue_into q ch.regs p
+    | Q_lanes l -> lanes_dequeue l ch.regs p
   in
   if ok then ch.rx else no_msg
 
@@ -330,6 +395,7 @@ let enqueue_many t ch span ~pos ~len =
     match ch.queue with
     | Q_spsc q -> Spsc_ring.enqueue_batch q span ~pos ~len
     | Q_mpsc q -> Mpsc_ring.enqueue_batch q span ~pos ~len
+    | Q_lanes l -> Mpsc_ring.enqueue_batch l.rings.(0) span ~pos ~len
   in
   (match t.trace with
   | None -> ()
@@ -340,11 +406,23 @@ let enqueue_many t ch span ~pos ~len =
     done);
   k
 
+(* A sweep over a shard's lanes takes one message per scan, so it
+   keeps their round robin. *)
+let rec sweep l buf ~pos ~max k =
+  if k < max && lanes_dequeue l buf (2 * (pos + k)) then
+    sweep l buf ~pos ~max (k + 1)
+  else k
+
 let dequeue_many t ch ~buf ~pos ~max =
   let k =
     match ch.queue with
     | Q_spsc q -> Spsc_ring.dequeue_batch q buf ~pos ~max
     | Q_mpsc q -> Mpsc_ring.dequeue_batch q buf ~pos ~max
+    | Q_lanes l ->
+      if max < 0 then invalid_arg "Real_substrate.dequeue_many: negative max";
+      Ring_layout.check_span ~who:"Real_substrate.dequeue_many" buf ~pos
+        ~len:max;
+      sweep l buf ~pos ~max 0
   in
   (match t.trace with
   | None -> ()
@@ -358,6 +436,7 @@ let queue_is_empty _ ch =
   match ch.queue with
   | Q_spsc q -> Spsc_ring.is_empty q
   | Q_mpsc q -> Mpsc_ring.is_empty q
+  | Q_lanes l -> Array.for_all Mpsc_ring.is_empty l.rings
 
 (* The awake flag is the channel semaphore's flag bit.  The three
    writes are full barriers (see Rsem): the test-and-set orders P.1's

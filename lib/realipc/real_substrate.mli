@@ -15,15 +15,19 @@
     register file), immutable (the shard map), or per-process on
     purpose (counters, trace rings, consumer marks).
 
-    The rings are shaped to the session: {!Mpsc_ring} for each request
-    shard (many clients, one server) and {!Spsc_ring} for every reply
-    channel (the client's home server is its one producer, the client
-    its one consumer).  No locks, no per-message allocation, and one {!Word_arena} per
-    session, which holds the channel semaphores' words too.  A shard
-    with exactly one home client is {e paired} ({!paired}): its request
-    ring and that client's reply ring share one cell region, on the two
-    lanes of each line, so a synchronous call's request and reply
-    travel in one cache line.
+    The rings are shaped to the session.  Every client owns one cell
+    region, two lanes to a line ({!Ring_layout}'s cell placement): its
+    request lane, an {!Mpsc_ring}, on the first lane and its reply ring,
+    an {!Spsc_ring} (the client's home server is its one producer, the
+    client its one consumer), on the second.  So on every session, cell
+    [i] of a client's requests and cell [i] of its replies share one
+    line, and a synchronous call's request and reply travel in it.  A
+    request shard is the set of its home clients' lanes under one
+    semaphore and one awake flag, owned by its one server, whose
+    dequeues scan the lanes round robin from the lane after the one it
+    served last.  No locks, no per-message allocation, and one
+    {!Word_arena} per session, which holds the channel semaphores' words
+    and the shards' scan cursors too.
 
     A blocking consumer first waits on the message: [await] polls the
     channel's queue for up to the {!Grace} spin with its awake flag
@@ -48,9 +52,10 @@
 
     The request plane is {e sharded}: [nservers] request channels, one
     per server domain, with clients statically mapped to a home shard by
-    a {!Shard_map} (round-robin by client id unless overridden).  At
-    [nservers = 1] this is exactly the old single-queue session.  No
-    message ever moves between shards. *)
+    a {!Shard_map} (round-robin by client id unless overridden).  No
+    message ever moves between shards.  Each client's requests are FIFO
+    in its lane; across the clients of a shard, the order is the
+    server's round robin. *)
 
 type t
 type channel
@@ -69,10 +74,14 @@ val create :
   unit ->
   t
 (** [nservers] request shard channels (default 1) plus [nclients] reply
-    channels, each bounded by [capacity], a register file of
-    [nclients + nservers] registers, a {!Slab} of [slots] boxed-payload
-    slots (default [(nclients + nservers) * (capacity + 1)]), and a
-    fresh {!Ulipc.Counters} sink.  [shard_assign] overrides
+    channels, a register file of [nclients + nservers] registers, a
+    {!Slab} of [slots] boxed-payload slots (default: every ring full
+    plus one payload per endpoint, [(2 * nclients + e) * capacity +
+    nclients + nservers] where [e] counts the shards no client is homed
+    on), and a fresh {!Ulipc.Counters} sink.  [capacity] bounds each
+    client's request lane and each reply ring: a client has at most
+    [capacity] requests in flight, and a shard at most [capacity] per
+    home client.  [shard_assign] overrides
     the round-robin client→shard map (see {!Shard_map.create}).
     [trace] attaches an event-trace sink: every
     successful enqueue/dequeue, every semaphore block/wake and every
@@ -145,21 +154,37 @@ val shard_map : t -> Shard_map.t
 val shard_of_client : t -> int -> int
 (** Home shard of a client's requests: one array load. *)
 
-val paired : t -> int -> bool
-(** Whether shard [k] is paired: it has exactly one home client, and
-    its request ring and that client's reply ring were carved on the
-    two lanes of one cell region, so cell [i] of both is in one line
-    ({!Ring_layout}'s cell placement).  Read from the shard map, which
-    {!create} fixed.
+val request_shard : t -> int -> channel
+(** Shard [k]'s request channel, its server's: a dequeue scans every
+    lane of the shard.  An enqueue on it goes to the shard's first lane
+    (on a shard no client is homed on, its one ring): for control
+    messages from producers not homed there.  [request_shard t 0 ==
+    request t].
     @raise Invalid_argument on a bad shard number. *)
 
-val request_shard : t -> int -> channel
-(** Shard [k]'s request channel.  [request_shard t 0 == request t].
+val request_lane : t -> int -> channel
+(** Client [c]'s request channel: its home shard's, but an enqueue on it
+    goes to [c]'s own lane.  On a shard with one home client this is
+    the shard's channel itself.  Enqueue only: the shard's server
+    dequeues through {!request_shard}.
+    @raise Invalid_argument on a bad client number. *)
+
+(** {1 Layout}
+
+    For tests that pin where the shared words lie. *)
+
+val arena : t -> Word_arena.t
+
+val scan_cursor : t -> int -> int
+(** The arena word holding the lane shard [k]'s server served last, or
+    [-1] on a shard with at most one lane, which has none.  It sits on
+    a line of its own.
     @raise Invalid_argument on a bad shard number. *)
 
 val request_depth : t -> int -> int
-(** Occupancy snapshot of shard [k]'s request queue, for the telemetry
-    sampler.  Conservative under concurrency (see {!Mpsc_ring.length}). *)
+(** Occupancy snapshot of shard [k]'s request queue, all its lanes, for
+    the telemetry sampler.  Conservative under concurrency (see
+    {!Mpsc_ring.length}). *)
 
 (** {1 Batch data path}
 
@@ -179,7 +204,9 @@ val enqueue_many : t -> channel -> int array -> pos:int -> len:int -> int
 
 val dequeue_many : t -> channel -> buf:int array -> pos:int -> max:int -> int
 (** Dequeue up to [max] messages into the span of [buf] at [pos] with
-    one span claim; returns how many were taken (FIFO, possibly 0). *)
+    one span claim; returns how many were taken (FIFO, possibly 0).  On
+    a shard with several lanes it takes one message per lane in turn,
+    the same round robin as {!dequeue}. *)
 
 include
   Ulipc.Substrate.S

@@ -30,16 +30,15 @@
 
    A ring carved alone takes a region of its own and its first lane;
    two rings can share one region, one on each lane, and then cell [i]
-   of both sits in one line.  A session pairs the request ring of a
-   shard that has exactly one home client with that client's reply
-   ring this way: a synchronous call's request and its reply then
-   travel in one line, and a burst of 8 calls still spans 4 lines each
-   way.
+   of both sits in one line.  A session gives every client one region,
+   its request lane on the first lane and its reply ring on the
+   second: a synchronous call's request and its reply then travel in
+   one line, and a burst of 8 calls still spans 4 lines each way.
 
    One-shared-line rule.  A cell is the only line both sides write, the
    consumer writes only its own index, and a producer reads the
    consumer's index only when its private snapshot of it says the ring
-   is full.  On a paired region a call's request and reply share that
+   is full.  On a client's region a call's request and reply share that
    one line: the client writes the request lane and the server the
    reply lane of it, so both sides write the line, in disjoint words —
    each lane keeps every rule below on its own, and a hop still moves
@@ -57,7 +56,7 @@
      waits for.
 
    So a hop moves the one cell line from producer to consumer (on a
-   paired region a synchronous call's two hops move the same line
+   client's region a synchronous call's two hops move the same line
    there and back, where dense rings move a request line and a reply
    line); the consumer's index line moves only when a producer's
    snapshot runs out of room (once per [cap] messages at a steady
@@ -74,7 +73,7 @@
    cell's new word can never reach a consumer load of the old message:
    a message can neither arrive torn between two laps nor half-written.
    Readiness is the seq alone, so the word may hold any value.  The
-   lanes of a paired region are disjoint words, so neither ring's
+   lanes of a client's region are disjoint words, so neither ring's
    stores or loads touch the other's, and the argument holds for each
    lane as it does for a ring alone.
    Every ring publishes with plain stores, a release only under TSO:

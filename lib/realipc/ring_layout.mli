@@ -10,7 +10,7 @@
     of the first ring's cell [i].
 
     Both rings follow one rule: a cell is the only line both sides
-    write (on a paired region a call's request and reply cells share
+    write (on a client's region a call's request and reply cells share
     that line, in disjoint lanes), the consumer copies the message out
     before it writes its own index (and writes nothing else), and a
     producer reads the consumer's index only when its snapshot says the

@@ -21,11 +21,12 @@
    which the slab refuses to hand across fork.
 
    A pool is [nservers] static shards with one consumer each: a
-   client's requests all enter its home shard's ring, that shard's
-   server answers every one of them, and so each reply ring has one
-   producer as well as one consumer.  Per-client FIFO therefore holds
-   end to end, on a pool as on a single server, and a receive has one
-   path whatever the shard count.
+   client's requests all enter its own lane of its home shard, that
+   shard's server answers every one of them, and so each reply ring has
+   one producer as well as one consumer.  Per-client FIFO therefore
+   holds end to end, on a pool as on a single server, and a receive has
+   one path whatever the shard count; across a shard's clients the
+   server takes their lanes round robin.
 
    What this module also owns is how a typed payload becomes a message.
    A message is two words in a ring cell, the client number and one
@@ -85,7 +86,7 @@ type ('req, 'rep) t = {
       (* span buffer per client, for its bursts and batch collects;
          owned by the client domain of that number *)
   requests : Real_substrate.channel array; (* shard [k]'s channel *)
-  homes : Real_substrate.channel array; (* client [i]'s home shard's *)
+  homes : Real_substrate.channel array; (* client [i]'s lane of its shard *)
   replies : Real_substrate.channel array; (* client [i]'s reply channel *)
 }
 
@@ -117,9 +118,7 @@ let create ?(capacity = 64) ?trace ?slots ?req_codec ?rep_codec
     client_scratch =
       Array.init nclients (fun _ -> Array.make (2 * capacity) 0);
     requests;
-    homes =
-      Array.init nclients (fun c ->
-          requests.(Real_substrate.shard_of_client sub c));
+    homes = Array.init nclients (Real_substrate.request_lane sub);
     replies = Array.init nclients (Real_substrate.reply_channel sub);
   }
 
@@ -132,7 +131,6 @@ let request_depth t k = Real_substrate.request_depth t.sub k
 let wake_residue t = Real_substrate.wake_residue t.sub
 let harvest_sem_counters t = Real_substrate.harvest_sem_counters t.sub
 let shard_of_client t client = Real_substrate.shard_of_client t.sub client
-let paired t k = Real_substrate.paired t.sub k
 
 let check_client t client =
   ignore (Real_substrate.reply_channel t.sub client : Real_substrate.channel)
@@ -223,7 +221,8 @@ let send_msg t ~client m =
     ~budget:(client_budget t client) m
 
 (* Server receive on its own shard: the waiting-mode consumer sequence
-   on the own ring, and the message lands in the server's register. *)
+   over the shard's lanes, and the message lands in the server's
+   register. *)
 let receive_msg t ~server =
   P.receive t.sub t.waiting t.requests.(server) ~budget:t.adapt.(server)
 
@@ -355,13 +354,17 @@ let receive_opt ?(server = 0) t ~timeout_ns =
    client consumer half of [send] (cf. Ulipc.Async on the simulator
    side). *)
 
+(* A post to the client's home shard rides the client's lane, behind
+   its calls; one to another shard goes to that shard's first lane. *)
 let post ?shard t ~client req =
   check_client t client;
-  let sh = match shard with Some s -> s | None -> shard_of_client t client in
-  check_server t sh;
-  produce_pair t
-    (Real_substrate.request_shard t.sub sh)
-    ~target:Server ~client ~word:(encode t t.req_codec req) 0
+  let ch =
+    match shard with
+    | Some s when s <> shard_of_client t client ->
+      Real_substrate.request_shard t.sub s
+    | Some _ | None -> t.homes.(client)
+  in
+  produce_pair t ch ~target:Server ~client ~word:(encode t t.req_codec req) 0
 
 let collect_msg t ~client =
   P.consume t.sub t.waiting

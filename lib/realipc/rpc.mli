@@ -12,10 +12,15 @@
     A session has [nservers] request shards (one per server domain,
     default 1 — then exactly the classic one-queue session) and one
     reply channel per client, the client→shard map being static
-    round-robin affinity ({!Shard_map}).  Each shard has one consumer,
-    its server, and each reply channel one producer, the client's home
-    server: a client's requests and replies never leave its shard, so
-    both keep the client's order, on a pool as on a single server.
+    round-robin affinity ({!Shard_map}).  Each client sends on a request
+    lane of its own, whose cells share their lines with its reply
+    ring's, so a call's request and reply travel in one cache line.  A
+    shard is its home clients' lanes, with one consumer, its server,
+    which takes them round robin; each reply channel has one producer,
+    the client's home server.  A client's requests and replies never
+    leave its shard, so both keep the client's order, on a pool as on a
+    single server; across the clients of a shard the order is the round
+    robin.
 
     Requests and replies are arbitrary OCaml values, but each travels as
     one word in the ring cell next to the client number: a {!type-codec}
@@ -88,13 +93,16 @@ val create :
   nclients:int ->
   waiting ->
   ('req, 'rep) t
-(** [capacity] (default 64) bounds every queue.  [trace] attaches a
+(** [capacity] (default 64) bounds every queue: each client's request
+    lane, so a client has at most [capacity] requests in flight (a
+    shard holds up to [capacity] per home client), and each reply
+    ring.  [trace] attaches a
     {!Ulipc_observe.Trace_ring} sink recording timestamped
     enqueue/dequeue/block/wake/handoff events into per-domain bounded
     rings, drained after the run with {!Ulipc_observe.Trace_ring.events}.  [slots]
-    sizes the boxed codec's side table (default
-    [(nclients + nservers) * (capacity + 1)]: every channel full plus
-    one payload in flight per endpoint, so it can never exhaust; an
+    sizes the boxed codec's side table (default: every ring full plus
+    one payload in flight per endpoint, so it can never exhaust; see
+    {!Real_substrate.create}; an
     explicit undersized [slots] fails a boxed sender with a clear
     [Failure] ["Rpc: payload slab exhausted ..."] after bounded back-off
     rather than hanging).  [req_codec] / [rep_codec] (default
@@ -120,13 +128,6 @@ val nservers : ('req, 'rep) t -> int
 val shard_of_client : ('req, 'rep) t -> int -> int
 (** The home shard of a client's requests (one array load). *)
 
-val paired : ('req, 'rep) t -> int -> bool
-(** Whether shard [k] has exactly one home client, whose calls then
-    carry their request and their reply in one cache line
-    ({!Real_substrate.paired}).  A property of the shard map, not a
-    setting.
-    @raise Invalid_argument on a bad shard number. *)
-
 val trace : ('req, 'rep) t -> Ulipc_observe.Trace_ring.t option
 (** The event-trace sink given at {!create} time, if any. *)
 
@@ -147,8 +148,10 @@ val call : ('req, 'rep) t -> client:int -> 'req -> 'rep
 
 val receive : ?server:int -> ('req, 'rep) t -> int * 'req
 (** Server side: next request on shard [server] (default 0) as
-    [(client, payload)].  Only shard [server]'s own server domain may
-    call this — it is the MPSC ring's single consumer.  (The pair is
+    [(client, payload)], taken round robin over the shard's client
+    lanes from the lane after the one served last.  Only shard
+    [server]'s own server domain may call this — it is the lanes'
+    single consumer.  (The pair is
     the one allocation this entails; {!serve} avoids it.)
     @raise Invalid_argument on a bad server number. *)
 
@@ -175,12 +178,13 @@ val receive_opt :
     @raise Invalid_argument on a bad server number. *)
 
 val post : ?shard:int -> ('req, 'rep) t -> client:int -> 'req -> unit
-(** Asynchronous send: enqueue on the client's home shard and wake that
-    server, do not wait.  May be called from any domain.  [shard]
-    targets another shard, for control messages that get no reply
-    (shutdown fan-out posts one poison per server this way): the server
-    of a shard that is not the client's home must not reply, since only
-    the home server produces on the client's reply ring.
+(** Asynchronous send: enqueue on the client's lane of its home shard,
+    behind its earlier requests, and wake that server; do not wait.  May
+    be called from any domain.  [shard] targets another shard, for
+    control messages that get no reply (shutdown fan-out posts one
+    poison per server this way): they go to that shard's first lane, and
+    its server must not reply, since only the home server produces on
+    the client's reply ring.
     @raise Invalid_argument on a bad client or shard number. *)
 
 val collect : ('req, 'rep) t -> client:int -> 'rep
@@ -215,8 +219,9 @@ val collect_batch : ('req, 'rep) t -> client:int -> n:int -> 'rep list
 val receive_batch : ?server:int -> ('req, 'rep) t -> max:int -> (int * 'req) list
 (** Server side: wait for the next request on shard [server] (default 0)
     per the session's waiting mode, then drain up to [max - 1] further
-    already-queued requests from the shard's ring with one span claim.  Always returns at least one
-    request.
+    already-queued requests from the shard: with one span claim on a
+    shard with one home client, else one request per lane in turn, as
+    {!receive} takes them.  Always returns at least one request.
     @raise Invalid_argument if [max <= 0] or on a bad server number. *)
 
 val reply_batch : ('req, 'rep) t -> (int * 'rep) list -> unit

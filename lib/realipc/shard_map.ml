@@ -8,9 +8,10 @@
    — it keeps each client domain's traffic on one shard, which is the
    cache-friendly layout.  Static affinity (rather than
    rebalancing the map itself) is deliberate: a client's requests all
-   land in one Mpsc_ring whose single consumer is that shard's server,
-   so per-client FIFO order needs no cross-shard reasoning.  Nothing
-   rebalances: no message ever leaves its home shard's ring.
+   land in its own request lane, an Mpsc_ring whose single consumer is
+   its shard's server, so per-client FIFO order needs no cross-shard
+   reasoning; the server takes its clients' lanes round robin.  Nothing
+   rebalances: no message ever leaves its home shard's lanes.
 
    [assign] exists for tests, which pin clients to chosen shards. *)
 
@@ -40,8 +41,8 @@ let nshards t = t.nshards
 let nclients t = Array.length t.map
 let shard t client = t.map.(client)
 
-(* How many clients land on each shard: which shards are paired, and
-   the balance a report or a test reads. *)
+(* How many clients land on each shard: how many lanes each shard's
+   server scans, and the balance a report or a test reads. *)
 let load t =
   let counts = Array.make t.nshards 0 in
   Array.iter (fun s -> counts.(s) <- counts.(s) + 1) t.map;

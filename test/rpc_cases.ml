@@ -166,6 +166,68 @@ let pinned_shard ~spawn () =
          spawn (windowed_client t ~messages ~window ~reply_of c)));
   poison t ~nservers servers
 
+(* Round robin across a shard's clients.  Every round, client 0 posts
+   a full lane ([capacity] requests) and client 1 makes one synchronous
+   call, and the server starts the round only once all of them are
+   queued (it watches the shard's depth).  A scan starts after the lane
+   served last, and the last round ended on client 0's, so the server
+   takes client 1's call first, then client 0's backlog: receive goes
+   to the other lane whenever it holds a request.  (Second is allowed
+   too: the depth counts a request whose cell is claimed but not yet
+   filled.)  The server answers the call only at the end of the round,
+   so the next one waits for the next round.  A server that scanned
+   from lane 0 would take the call last, or a later round's backlog
+   before it.  The server checks each client's requests, and each
+   client its replies, in order. *)
+let round_robin ~spawn () =
+  let capacity = 8 and rounds = 200 in
+  let t = session ~capacity ~nclients:2 Rpc.Block in
+  let reply_of v = v + 5 in
+  let server =
+    spawn (fun () ->
+        for r = 1 to rounds do
+          let waits = ref 0 in
+          while Rpc.request_depth t 0 < capacity + 1 do
+            incr waits;
+            if !waits < 100 then Domain.cpu_relax () else Unix.sleepf 20e-6
+          done;
+          let next = ref (r * 100) in
+          for i = 1 to capacity + 1 do
+            match Rpc.receive t with
+            | 1, v when v = r && i <= 2 -> ()
+            | 0, v when v = !next ->
+              incr next;
+              Rpc.reply t ~client:0 (reply_of v)
+            | c, v ->
+              failwith
+                (Printf.sprintf "round %d, receive %d of %d: client %d's %d" r
+                   i (capacity + 1) c v)
+          done;
+          Rpc.reply t ~client:1 (reply_of r)
+        done)
+  in
+  let flooder =
+    spawn (fun () ->
+        for r = 1 to rounds do
+          let reqs = List.init capacity (fun j -> (r * 100) + j) in
+          List.iter (Rpc.post t ~client:0) reqs;
+          List.iter
+            (fun v ->
+              if Rpc.collect t ~client:0 <> reply_of v then
+                failwith "client 0: replies out of order")
+            reqs
+        done)
+  in
+  let caller =
+    spawn (fun () ->
+        for r = 1 to rounds do
+          if Rpc.call t ~client:1 r <> reply_of r then
+            failwith "client 1: wrong reply"
+        done)
+  in
+  (* The server first: a server that fails leaves the clients waiting. *)
+  join_all [ server; caller; flooder ]
+
 (* Both batch list builders, on random shapes: [nclients] clients each
    send [n] requests through [call_pipelined ~depth], then [n] more
    with [post_batch] and [collect_batch ~n], to a batch server that
@@ -323,6 +385,7 @@ let cases ~spawn ~within () =
     bounded "BSW pooled batch echo never hangs" pooled_batch;
     bounded "fleet: a pinned shard's idle sibling receives nothing"
       pinned_shard;
+    bounded "round robin: a full lane does not starve a caller" round_robin;
     bounded "receive_opt: clean timeout, then a peer's request"
       timed_receive;
     bounded "batch lists: echo in order, requests in post order"

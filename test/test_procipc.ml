@@ -359,56 +359,88 @@ let in_processes ~nproducers produce =
         ignore (Unix.waitpid [] pid))
       pids
 
-(* Session arena sizing: every ring of a large session, request and
-   reply alike, is driven through its last cell, and the rings are all
-   full at once before any is drained, so a span that overlapped its
-   neighbour would corrupt values.  Pooled sessions are sized too, with
-   paired shards (one home client, lanes of one region) and shared ones
-   (rings carved alone) side by side.  Then every slot of the session's slab is allocated, so the slab's words
-   fit after the rings'. *)
+(* Session arena sizing: every ring of a large session, request lanes
+   and reply rings alike, is driven through its last cell, and the rings
+   are all full at once before any is drained, so a span that overlapped
+   its neighbour would corrupt values.  Shards with one home client, with
+   several, and with none (one ring carved alone, which a client on
+   another shard reaches) are sized side by side.  Each producer's
+   messages must come back from its consumer in order.  Then every slot
+   of the session's slab is allocated, so the slab's words fit after the
+   rings'. *)
 let test_session_arena_sizing () =
   List.iter
-    (fun (nservers, nclients, capacity) ->
-      let sub = Real_substrate.create ~nservers ~capacity ~nclients () in
+    (fun (nservers, nclients, capacity, shard_assign) ->
+      let sub =
+        Real_substrate.create ~nservers ?shard_assign ~capacity ~nclients ()
+      in
       let ring = Ulipc_real.Ring_layout.ceil_pow2 capacity in
-      let chans =
-        List.init nservers (Real_substrate.request_shard sub)
+      let shard = Real_substrate.request_shard sub in
+      let load = Ulipc_real.Shard_map.load (Real_substrate.shard_map sub) in
+      (* (producer, consumer) of every ring *)
+      let rings =
+        List.init nclients (fun c ->
+            ( Real_substrate.request_lane sub c,
+              shard (Real_substrate.shard_of_client sub c) ))
+        @ List.filter_map
+            (fun k -> if load.(k) = 0 then Some (shard k, shard k) else None)
+            (List.init nservers Fun.id)
+        @ List.init nclients (fun c ->
+              let ch = Real_substrate.reply_channel sub c in
+              (ch, ch))
+      in
+      let consumers =
+        List.init nservers shard
         @ List.init nclients (Real_substrate.reply_channel sub)
       in
       let enq ch v =
         Alcotest.(check bool) "enqueue" true
           (Real_substrate.enqueue_pair sub ch ~client:0 ~word:v)
       in
-      let deq ch v =
+      let deq ch =
         let m = Real_substrate.dequeue sub ch in
-        Alcotest.(check bool) "dequeue" true (m <> Real_substrate.no_msg);
-        Alcotest.(check int) "dequeue" v (Real_substrate.register_word sub m)
+        if m = Real_substrate.no_msg then None
+        else Some (Real_substrate.register_word sub m)
       in
       (* Advance each ring so a full one ends on its last cell. *)
       List.iter
-        (fun ch ->
+        (fun (p, c) ->
           for i = 1 to ring - capacity do
-            enq ch i;
-            deq ch i
+            enq p i;
+            Alcotest.(check (option int)) "dequeue" (Some i) (deq c)
           done)
-        chans;
+        rings;
       List.iteri
-        (fun k ch ->
+        (fun k (p, _) ->
           for i = 1 to capacity do
-            enq ch ((k * 1_000_000) + i)
+            enq p ((k * 1_000_000) + i)
           done)
-        chans;
+        rings;
+      let rec drain ch acc =
+        match deq ch with None -> List.rev acc | Some v -> drain ch (v :: acc)
+      in
+      let got = List.concat_map (fun ch -> drain ch []) consumers in
+      Alcotest.(check int) "every message" (List.length rings * capacity)
+        (List.length got);
       List.iteri
-        (fun k ch ->
-          for i = 1 to capacity do
-            deq ch ((k * 1_000_000) + i)
-          done)
-        chans;
+        (fun k _ ->
+          Alcotest.(check (list int)) "a ring's messages, in order"
+            (List.init capacity (fun i -> (k * 1_000_000) + i + 1))
+            (List.filter (fun v -> v / 1_000_000 = k) got))
+        rings;
       let slab = Real_substrate.slab sub in
       for _ = 1 to Slab.slots slab do
         Alcotest.(check bool) "slot" true (Slab.try_alloc slab <> Slab.nil)
       done)
-    [ (1, 1, 1); (1, 3, 3); (1, 64, 1000); (3, 5, 7); (2, 2, 13) ]
+    [
+      (1, 1, 1, None);
+      (1, 3, 3, None);
+      (1, 64, 1000, None);
+      (3, 5, 7, None);
+      (2, 2, 13, None);
+      (3, 3, 13, Some (fun c -> c mod 2));
+      (1, 2, 5, None);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The slab across fork: a slot allocated in the child is in use in the

@@ -1249,8 +1249,6 @@ let test_rpc_zero_alloc_steady_state ~nservers () =
     Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nservers
       ~shard_assign:(fun _ -> 0) ~nclients:1 Rpc.Block
   in
-  Alcotest.(check bool) "the call's request and reply share their lines" true
-    (Rpc.paired t 0);
   let server_words = Array.make 3 0.0 in
   let server =
     Domain.spawn (fun () ->
@@ -1319,8 +1317,6 @@ let test_rpc_batch_alloc_pins () =
     Rpc.create ~req_codec:Rpc.int_codec ~rep_codec:Rpc.int_codec ~nclients:1
       Rpc.Block
   in
-  Alcotest.(check bool) "the bursts' requests and replies share lines" true
-    (Rpc.paired t 0);
   let recv_words = ref 0 and recv_msgs = ref 0 and reply_words = ref 0 in
   let server =
     Domain.spawn (fun () ->
@@ -1560,30 +1556,133 @@ let test_rpc_batch_one_domain () =
     (Invalid_argument "Rpc.collect_batch: negative n") (fun () ->
       ignore (Rpc.collect_batch t ~client:0 ~n:(-1)))
 
-(* A shard is paired exactly when one client is homed on it. *)
-let test_rpc_pairing_rule () =
-  let pairing ?shard_assign ~nservers ~nclients () =
-    let t : (int, int) Rpc.t =
-      Rpc.create ~nservers ?shard_assign ~nclients Rpc.Block
+(* Every client's request cell [i] and reply cell [i] share a line, on
+   a shard with two home clients, over two laps of the rings.  Each
+   message's word is a sentinel, looked up in the arena after its
+   enqueue; the two clients' lines are disjoint. *)
+let test_rpc_call_on_one_line () =
+  let capacity = 5 in
+  let sub = Real_substrate.create ~capacity ~nclients:2 () in
+  let a = Real_substrate.arena sub in
+  let find v =
+    let rec go i =
+      if i >= Word_arena.used_words a then
+        Alcotest.failf "word %#x is not in the arena" v
+      else if Word_arena.get a i = v then i
+      else go (i + 1)
     in
-    List.init nservers (Rpc.paired t)
+    go 0
   in
-  Alcotest.(check (list bool)) "one client, one server" [ true ]
-    (pairing ~nservers:1 ~nclients:1 ());
-  Alcotest.(check (list bool)) "two clients on one shard" [ false ]
-    (pairing ~nservers:1 ~nclients:2 ());
-  Alcotest.(check (list bool)) "nclients = nservers: every shard"
-    [ true; true; true ]
-    (pairing ~nservers:3 ~nclients:3 ());
-  Alcotest.(check (list bool)) "a pool: only the shard with one client"
-    [ false; true; false ]
-    (pairing ~nservers:3 ~nclients:3
-       ~shard_assign:(fun c -> if c = 1 then 1 else 0)
-       ());
-  let t : (int, int) Rpc.t = Rpc.create ~nclients:1 Rpc.Block in
-  Alcotest.check_raises "bad shard"
-    (Invalid_argument "Real_substrate.paired: no shard 1") (fun () ->
-      ignore (Rpc.paired t 1 : bool))
+  let line w = w / Word_arena.cache_line_words in
+  let pass ch ~client v =
+    Alcotest.(check bool) "enqueue" true
+      (Real_substrate.enqueue_pair sub ch ~client ~word:v);
+    let w = find v in
+    let m =
+      Real_substrate.dequeue sub
+        (if ch == Real_substrate.reply_channel sub client then ch
+         else Real_substrate.request_shard sub 0)
+    in
+    Alcotest.(check (pair int int))
+      "dequeue" (client, v)
+      (Real_substrate.register_client sub m, Real_substrate.register_word sub m);
+    w
+  in
+  let lines =
+    List.init 2 (fun c ->
+        List.init
+          (2 * Ring_layout.ceil_pow2 capacity)
+          (fun i ->
+            let v = 0x7e50000 + (c lsl 12) + (2 * i) in
+            let req = pass (Real_substrate.request_lane sub c) ~client:c v
+            and rep =
+              pass (Real_substrate.reply_channel sub c) ~client:c (v + 1)
+            in
+            if line req <> line rep then
+              Alcotest.failf
+                "client %d, message %d: request word %d and reply word %d on \
+                 lines %d and %d"
+                c i req rep (line req) (line rep);
+            line req))
+  in
+  match lines with
+  | [ l0; l1 ] ->
+    Alcotest.(check bool) "the clients' lines are disjoint" true
+      (List.for_all (fun l -> not (List.mem l l1)) l0)
+  | _ -> assert false
+
+(* The server's scan cursor shares no cache line with any word that a
+   producer reads or writes per call: the lanes' index lines, their
+   cells and the shard semaphore's line.  A 2-client shard is driven by
+   hand through what its calls do: both lanes filled until an enqueue
+   fails (the producers re-read the consumer's index), each request's
+   P.2 test-and-set and V, the server's scans, its C.2 clear, a P on a
+   producer's credit and the C.5 set, and every reply.  Of all the
+   arena words that changed, only the cursor may be on the cursor's
+   line.  The scans also take the lanes in turn. *)
+let test_scan_cursor_line () =
+  let capacity = 4 in
+  let sub = Real_substrate.create ~capacity ~nclients:2 () in
+  let a = Real_substrate.arena sub
+  and shard = Real_substrate.request_shard sub 0
+  and cursor = Real_substrate.scan_cursor sub 0 in
+  Alcotest.(check bool)
+    "a shard with two lanes has a cursor" true (cursor >= 0);
+  Alcotest.(check int)
+    "a shard with one lane has none" (-1)
+    (Real_substrate.scan_cursor
+       (Real_substrate.create ~capacity ~nclients:1 ())
+       0);
+  let before = Array.init (Word_arena.used_words a) (Word_arena.get a) in
+  let request c v =
+    let lane = Real_substrate.request_lane sub c in
+    let ok = Real_substrate.enqueue_pair sub lane ~client:c ~word:v in
+    if ok && not (Real_substrate.awake_test_and_set sub lane) then
+      Real_substrate.sem_v sub lane;
+    ok
+  in
+  let serve () =
+    let m = Real_substrate.dequeue sub shard in
+    Alcotest.(check bool) "a request" true (m <> Real_substrate.no_msg);
+    let c = Real_substrate.register_client sub m in
+    let reply = Real_substrate.reply_channel sub c in
+    ignore
+      (Real_substrate.enqueue_pair sub reply ~client:c
+         ~word:(Real_substrate.register_word sub m)
+        : bool);
+    ignore (Real_substrate.dequeue sub reply : Real_substrate.msg);
+    c
+  in
+  for round = 1 to 3 * capacity do
+    for c = 0 to 1 do
+      for j = 1 to capacity do
+        Alcotest.(check bool) "room" true (request c ((round * 100) + j))
+      done;
+      Alcotest.(check bool) "a full lane" false (request c 0)
+    done;
+    let served = List.init (2 * capacity) (fun _ -> serve ()) in
+    let first = List.hd served in
+    Alcotest.(check (list int)) "the scans alternate"
+      (List.init (2 * capacity) (fun i -> (first + i) land 1))
+      served;
+    (* The server sleeps: C.2, an empty C.3, a client's request and V,
+       the P that takes it, C.5. *)
+    Real_substrate.awake_clear sub shard;
+    Alcotest.(check bool) "empty" true
+      (Real_substrate.dequeue sub shard = Real_substrate.no_msg);
+    Alcotest.(check bool) "room" true (request (round land 1) round);
+    Real_substrate.sem_p sub shard;
+    Real_substrate.awake_set sub shard;
+    ignore (serve () : int)
+  done;
+  let line w = w / Word_arena.cache_line_words in
+  Array.iteri
+    (fun w v ->
+      if w <> cursor && line w = line cursor && Word_arena.get a w <> v then
+        Alcotest.failf "word %d, on the cursor's line %d, changed" w
+          (line cursor))
+    before;
+  Alcotest.(check int) "no wake residue" 0 (Real_substrate.wake_residue sub)
 
 let test_rpc_pipelined_validation () =
   let t : (int, int) Rpc.t = Rpc.create ~nclients:1 Rpc.Block in
@@ -1760,8 +1859,12 @@ let suites =
           (echo_exchange ~messages:200 ~nclients:4 (Rpc.Adaptive 4096));
         Alcotest.test_case "async post/collect" `Quick test_rpc_async;
         Alcotest.test_case "validation" `Quick test_rpc_validation;
-        Alcotest.test_case "a shard with one home client is paired" `Quick
-          test_rpc_pairing_rule;
+        Alcotest.test_case
+          "every client's request and reply cell i share a line" `Quick
+          test_rpc_call_on_one_line;
+        Alcotest.test_case
+          "the scan cursor shares no line with a producer's words" `Quick
+          test_scan_cursor_line;
         Alcotest.test_case "no stale wake-ups (try_p drain, ring)" `Quick
           (test_rpc_no_stale_wakeups Rpc.Block);
         Alcotest.test_case "no stale wake-ups (try_p drain, BSWY)" `Quick
