@@ -28,7 +28,10 @@
      [desched_gap_ns] apart mean this thread lost its CPU, i.e. runnable
      threads outnumber CPUs, and every further pause only delays the
      peer it is waiting for (Figure 11's positive feedback).  The guard
-     observes oversubscription; no flag declares it.
+     observes oversubscription; no flag declares it.  A slow poll
+     must read the clock more often ([run_checking]): a shard that
+     scans 32 request lanes polls in ~150 ns, so 16 polls alone span
+     the gap, and its grace ended after ~3.5 µs instead of 20.
    - The spinner offers its CPU every [yield_every_ns] (2 µs) with one
      sched_yield.  The guard cannot see the opposite case, where the
      peer sits runnable on THIS CPU and the spinner is never preempted
@@ -67,13 +70,14 @@ let stop_spinning ~deadline ~prev ~now =
   now >= deadline || now - prev > desched_gap_ns
 
 (* [prev] is the previous clock read, [yield_at] the time of the next
-   yield, and [pauses] the pauses left before the next clock read. *)
-let rec loop poll x ~miss ~deadline ~prev ~yield_at pauses =
+   yield, and [pauses] the pauses left before the next clock read, out
+   of [every]. *)
+let rec loop poll x ~miss ~deadline ~prev ~yield_at ~every pauses =
   let r = poll x in
   if r != miss then r
   else if pauses > 0 then begin
     Domain.cpu_relax ();
-    loop poll x ~miss ~deadline ~prev ~yield_at (pauses - 1)
+    loop poll x ~miss ~deadline ~prev ~yield_at ~every (pauses - 1)
   end
   else begin
     let now = Ulipc_observe.Clock.now_ns () in
@@ -81,18 +85,21 @@ let rec loop poll x ~miss ~deadline ~prev ~yield_at pauses =
     else if now >= yield_at then begin
       sched_yield ();
       loop poll x ~miss ~deadline ~prev:now ~yield_at:(now + yield_every_ns)
-        pauses_per_check
+        ~every every
     end
-    else loop poll x ~miss ~deadline ~prev:now ~yield_at pauses_per_check
+    else loop poll x ~miss ~deadline ~prev:now ~yield_at ~every every
   end
 
-let run ~grace poll x ~miss =
+let run_checking ~grace ~every poll x ~miss =
   if grace <= 0 then miss
   else begin
     let now = Ulipc_observe.Clock.now_ns () in
     loop poll x ~miss ~deadline:(now + grace) ~prev:now
-      ~yield_at:(now + yield_every_ns) pauses_per_check
+      ~yield_at:(now + yield_every_ns) ~every every
   end
+
+let run ~grace poll x ~miss =
+  run_checking ~grace ~every:pauses_per_check poll x ~miss
 
 (* The back-off ladder: what one failed wait of a retry loop does,
    given how many waits that loop has already failed.  It serves the

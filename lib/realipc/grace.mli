@@ -40,6 +40,16 @@ val run : grace:int -> ('a -> 'b) -> 'a -> miss:'b -> 'b
     once without polling.  Allocates nothing when [poll] is a top-level
     function and its results are immediates. *)
 
+val pauses_per_check : int
+(** The polls {!run} makes between two clock reads: 16. *)
+
+val run_checking : grace:int -> every:int -> ('a -> 'b) -> 'a -> miss:'b -> 'b
+(** [run] reading the clock once every [every >= 1] polls instead of
+    every {!pauses_per_check}: for a poll so slow that
+    {!pauses_per_check} of them would outlast {!desched_gap_ns} and end
+    the grace as if descheduled.  [run ~grace] is
+    [run_checking ~grace ~every:pauses_per_check]. *)
+
 external sched_yield : unit -> unit = "ulipc_sched_yield"
 (** [sched_yield(2)] with the OCaml runtime lock released: hands the CPU
     to a runnable thread or process that shares it, and returns at once

@@ -99,10 +99,16 @@
 module Trace_ring = Ulipc_observe.Trace_ring
 module A1 = Bigarray.Array1
 
-(* A shard with two or more home clients: their request lanes, and the
+(* A shard with two or more home clients: their request lanes, the
    lane its server served last, in a word of a line no producer
-   touches. *)
-type lanes = { rings : Mpsc_ring.t array; w : Word_arena.words; cursor : int }
+   touches, and how many of its scans [await] makes between two clock
+   reads. *)
+type lanes = {
+  rings : Mpsc_ring.t array;
+  w : Word_arena.words;
+  cursor : int;
+  every : int;
+}
 
 type queue = Q_spsc of Spsc_ring.t | Q_mpsc of Mpsc_ring.t | Q_lanes of lanes
 
@@ -143,6 +149,13 @@ let reg_pos m = (m lsl 4) + 8
 
 (* Consumers start awake.  No grace in the semaphore: [await] has spent
    it on the queue before the consumer gets to P. *)
+(* A scan of [n] empty lanes takes ~4.6 ns a lane, so [await]'s grace
+   reads the clock once every 128 lane polls at most: every 16 scans,
+   as on one ring, up to 8 lanes, and after every scan from 128 on.
+   With 16 scans of 32 lanes between two reads the grace took its own
+   polls for a descheduling and ended after ~3.5 µs. *)
+let scans_per_check n = max 1 (min Grace.pauses_per_check (128 / n))
+
 let make_channel arena ~chan_id ~regs ~rx queue =
   let sem = Rsem.carve ~spin:0 arena 0 in
   Rsem.flag_set sem;
@@ -223,6 +236,7 @@ let create ?trace ?(nservers = 1) ?shard_assign ?slots ~capacity ~nclients ()
           rings = Array.of_list (List.map (Array.get lane) home);
           w = Word_arena.words arena;
           cursor = Word_arena.alloc_line arena ~words:line;
+          every = scans_per_check (List.length home);
         }
   in
   let requests =
@@ -270,12 +284,14 @@ let request_lane t c =
     invalid_arg (Printf.sprintf "Real_substrate.request_lane: no client %d" c);
   t.lanes.(c)
 
-let arena t = t.arena
+module For_tests = struct
+  let arena t = t.arena
 
-let scan_cursor t k =
-  match (request_shard t k).queue with
-  | Q_lanes l -> l.cursor
-  | Q_spsc _ | Q_mpsc _ -> -1
+  let scan_cursor t k =
+    match (request_shard t k).queue with
+    | Q_lanes l -> l.cursor
+    | Q_spsc _ | Q_mpsc _ -> -1
+end
 
 let reply_channel t n =
   if n < 0 || n >= Array.length t.replies then
@@ -374,11 +390,20 @@ let note_spin_exhausted t ch = emit t ch Ulipc_observe.Event.Spin_exhaust
 
 (* Wait on the message with the awake flag still set (see the header).
    Polls the ring only, never the flag or the semaphore, so a grace
-   that runs out leaves C.2–C.5 exactly as the paper has them. *)
+   that runs out leaves C.2–C.5 exactly as the paper has them.  A
+   shard's scan reads every lane, so a shard of many lanes reads the
+   clock after fewer scans (see [scans_per_check]). *)
 let await t ch =
   if Grace.default = 0 then no_msg
   else begin
-    let m = Grace.run ~grace:Grace.default raw_dequeue ch ~miss:no_msg in
+    let m =
+      match ch.queue with
+      | Q_lanes l ->
+        Grace.run_checking ~grace:Grace.default ~every:l.every raw_dequeue ch
+          ~miss:no_msg
+      | Q_spsc _ | Q_mpsc _ ->
+        Grace.run ~grace:Grace.default raw_dequeue ch ~miss:no_msg
+    in
     if m != no_msg then dequeued t ch else note_spin_exhausted t ch;
     m
   end
@@ -406,12 +431,20 @@ let enqueue_many t ch span ~pos ~len =
     done);
   k
 
-(* A sweep over a shard's lanes takes one message per scan, so it
-   keeps their round robin. *)
-let rec sweep l buf ~pos ~max k =
-  if k < max && lanes_dequeue l buf (2 * (pos + k)) then
-    sweep l buf ~pos ~max (k + 1)
-  else k
+(* A sweep over a shard's lanes drains each lane with one span claim,
+   in turn from the lane after the one served last, which becomes the
+   last lane it took from.  A client's burst stays one run in the
+   span, so its replies go back as one run too.  The first lane's
+   claim, which every sweep makes, checks the whole span. *)
+let rec sweep l buf ~pos ~max i left k =
+  let i = if i = Array.length l.rings then 0 else i in
+  let n =
+    Mpsc_ring.dequeue_batch (Array.unsafe_get l.rings i) buf ~pos:(pos + k)
+      ~max:(max - k)
+  in
+  if n > 0 then A1.unsafe_set l.w l.cursor i;
+  let k = k + n in
+  if left = 1 || k = max then k else sweep l buf ~pos ~max (i + 1) (left - 1) k
 
 let dequeue_many t ch ~buf ~pos ~max =
   let k =
@@ -419,10 +452,9 @@ let dequeue_many t ch ~buf ~pos ~max =
     | Q_spsc q -> Spsc_ring.dequeue_batch q buf ~pos ~max
     | Q_mpsc q -> Mpsc_ring.dequeue_batch q buf ~pos ~max
     | Q_lanes l ->
-      if max < 0 then invalid_arg "Real_substrate.dequeue_many: negative max";
-      Ring_layout.check_span ~who:"Real_substrate.dequeue_many" buf ~pos
-        ~len:max;
-      sweep l buf ~pos ~max 0
+      sweep l buf ~pos ~max
+        (A1.unsafe_get l.w l.cursor + 1)
+        (Array.length l.rings) 0
   in
   (match t.trace with
   | None -> ()
@@ -432,11 +464,17 @@ let dequeue_many t ch ~buf ~pos ~max =
     done);
   k
 
+(* A direct loop: [Array.for_all] would call [Mpsc_ring.is_empty]
+   through a closure, once a lane. *)
+let rec lanes_empty rings i =
+  i = Array.length rings
+  || (Mpsc_ring.is_empty (Array.unsafe_get rings i) && lanes_empty rings (i + 1))
+
 let queue_is_empty _ ch =
   match ch.queue with
   | Q_spsc q -> Spsc_ring.is_empty q
   | Q_mpsc q -> Mpsc_ring.is_empty q
-  | Q_lanes l -> Array.for_all Mpsc_ring.is_empty l.rings
+  | Q_lanes l -> lanes_empty l.rings 0
 
 (* The awake flag is the channel semaphore's flag bit.  The three
    writes are full barriers (see Rsem): the test-and-set orders P.1's

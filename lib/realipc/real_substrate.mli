@@ -158,8 +158,9 @@ val request_shard : t -> int -> channel
 (** Shard [k]'s request channel, its server's: a dequeue scans every
     lane of the shard.  An enqueue on it goes to the shard's first lane
     (on a shard no client is homed on, its one ring): for control
-    messages from producers not homed there.  [request_shard t 0 ==
-    request t].
+    messages from producers not homed there.  Such a message takes a
+    cell of the first home client's lane, so it counts against that
+    client's [capacity].  [request_shard t 0 == request t].
     @raise Invalid_argument on a bad shard number. *)
 
 val request_lane : t -> int -> channel
@@ -169,17 +170,17 @@ val request_lane : t -> int -> channel
     dequeues through {!request_shard}.
     @raise Invalid_argument on a bad client number. *)
 
-(** {1 Layout}
+(** Where the shared words lie, for the tests that pin the layout.  No
+    library code uses these. *)
+module For_tests : sig
+  val arena : t -> Word_arena.t
 
-    For tests that pin where the shared words lie. *)
-
-val arena : t -> Word_arena.t
-
-val scan_cursor : t -> int -> int
-(** The arena word holding the lane shard [k]'s server served last, or
-    [-1] on a shard with at most one lane, which has none.  It sits on
-    a line of its own.
-    @raise Invalid_argument on a bad shard number. *)
+  val scan_cursor : t -> int -> int
+  (** The arena word holding the lane shard [k]'s server served last,
+      or [-1] on a shard with at most one lane, which has none.  It
+      sits on a line of its own.
+      @raise Invalid_argument on a bad shard number. *)
+end
 
 val request_depth : t -> int -> int
 (** Occupancy snapshot of shard [k]'s request queue, all its lanes, for
@@ -205,8 +206,9 @@ val enqueue_many : t -> channel -> int array -> pos:int -> len:int -> int
 val dequeue_many : t -> channel -> buf:int array -> pos:int -> max:int -> int
 (** Dequeue up to [max] messages into the span of [buf] at [pos] with
     one span claim; returns how many were taken (FIFO, possibly 0).  On
-    a shard with several lanes it takes one message per lane in turn,
-    the same round robin as {!dequeue}. *)
+    a shard with several lanes it takes one span claim per lane, the
+    lanes in the same round robin as {!dequeue}: each client's messages
+    stay one run in the span, FIFO. *)
 
 include
   Ulipc.Substrate.S

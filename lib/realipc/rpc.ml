@@ -355,7 +355,8 @@ let receive_opt ?(server = 0) t ~timeout_ns =
    side). *)
 
 (* A post to the client's home shard rides the client's lane, behind
-   its calls; one to another shard goes to that shard's first lane. *)
+   its calls; one to another shard goes to that shard's first lane and
+   takes a cell of its first home client's capacity. *)
 let post ?shard t ~client req =
   check_client t client;
   let ch =

@@ -95,7 +95,8 @@ val create :
   ('req, 'rep) t
 (** [capacity] (default 64) bounds every queue: each client's request
     lane, so a client has at most [capacity] requests in flight (a
-    shard holds up to [capacity] per home client), and each reply
+    shard holds up to [capacity] per home client; a {!post} from another
+    shard takes a cell of its first home client's), and each reply
     ring.  [trace] attaches a
     {!Ulipc_observe.Trace_ring} sink recording timestamped
     enqueue/dequeue/block/wake/handoff events into per-domain bounded
@@ -182,9 +183,10 @@ val post : ?shard:int -> ('req, 'rep) t -> client:int -> 'req -> unit
     behind its earlier requests, and wake that server; do not wait.  May
     be called from any domain.  [shard] targets another shard, for
     control messages that get no reply (shutdown fan-out posts one
-    poison per server this way): they go to that shard's first lane, and
-    its server must not reply, since only the home server produces on
-    the client's reply ring.
+    poison per server this way): they go to that shard's first lane, so
+    they count against its first home client's [capacity] and wait
+    behind that client's requests, and its server must not reply, since
+    only the home server produces on the client's reply ring.
     @raise Invalid_argument on a bad client or shard number. *)
 
 val collect : ('req, 'rep) t -> client:int -> 'rep
@@ -219,9 +221,10 @@ val collect_batch : ('req, 'rep) t -> client:int -> n:int -> 'rep list
 val receive_batch : ?server:int -> ('req, 'rep) t -> max:int -> (int * 'req) list
 (** Server side: wait for the next request on shard [server] (default 0)
     per the session's waiting mode, then drain up to [max - 1] further
-    already-queued requests from the shard: with one span claim on a
-    shard with one home client, else one request per lane in turn, as
-    {!receive} takes them.  Always returns at least one request.
+    already-queued requests from the shard, with one span claim per
+    lane, the lanes in the round robin {!receive} takes them in: each
+    client's requests stay one run, so {!reply_batch} sends its replies
+    as one run.  Always returns at least one request.
     @raise Invalid_argument if [max <= 0] or on a bad server number. *)
 
 val reply_batch : ('req, 'rep) t -> (int * 'rep) list -> unit

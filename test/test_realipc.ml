@@ -1069,6 +1069,30 @@ let test_await_empty_gives_up () =
     (if Grace.default = 0 then 0 else 1)
     exhausts
 
+(* A scan of a shard's 32 empty lanes takes ~150 ns, so an [await]
+   that read the clock only every 16 scans took its own polls for a
+   descheduling and gave up after ~3.5 us.  The median of 21 empty waits
+   must last most of the grace: a real descheduling ends a wait early,
+   hence the median. *)
+let test_await_many_lanes_lasts_the_grace () =
+  if Grace.default = 0 then Alcotest.skip ();
+  let sub = Real_substrate.create ~capacity:4 ~nclients:32 () in
+  let ch = Real_substrate.request_shard sub 0 in
+  let wait () =
+    let t0 = Ulipc_observe.Clock.now_ns () in
+    let m = Real_substrate.await sub ch in
+    let elapsed = Ulipc_observe.Clock.now_ns () - t0 in
+    Alcotest.(check int) "no message" Real_substrate.no_msg m;
+    elapsed
+  in
+  let median = List.nth (List.sort compare (List.init 21 (fun _ -> wait ()))) 10 in
+  Alcotest.(check bool)
+    (Printf.sprintf "median empty wait %d ns of a %d ns grace" median
+       Grace.default)
+    true
+    (median >= Grace.default * 3 / 4);
+  Alcotest.(check bool) "flag still set" true (Real_substrate.awake_read sub ch)
+
 (* The back-off ladder as a pure function: every rung boundary on a
    multiprocessor and a uniprocessor, and both park lengths, capped
    however long the loop has waited. *)
@@ -1563,7 +1587,7 @@ let test_rpc_batch_one_domain () =
 let test_rpc_call_on_one_line () =
   let capacity = 5 in
   let sub = Real_substrate.create ~capacity ~nclients:2 () in
-  let a = Real_substrate.arena sub in
+  let a = Real_substrate.For_tests.arena sub in
   let find v =
     let rec go i =
       if i >= Word_arena.used_words a then
@@ -1623,14 +1647,14 @@ let test_rpc_call_on_one_line () =
 let test_scan_cursor_line () =
   let capacity = 4 in
   let sub = Real_substrate.create ~capacity ~nclients:2 () in
-  let a = Real_substrate.arena sub
+  let a = Real_substrate.For_tests.arena sub
   and shard = Real_substrate.request_shard sub 0
-  and cursor = Real_substrate.scan_cursor sub 0 in
+  and cursor = Real_substrate.For_tests.scan_cursor sub 0 in
   Alcotest.(check bool)
     "a shard with two lanes has a cursor" true (cursor >= 0);
   Alcotest.(check int)
     "a shard with one lane has none" (-1)
-    (Real_substrate.scan_cursor
+    (Real_substrate.For_tests.scan_cursor
        (Real_substrate.create ~capacity ~nclients:1 ())
        0);
   let before = Array.init (Word_arena.used_words a) (Word_arena.get a) in
@@ -1683,6 +1707,54 @@ let test_scan_cursor_line () =
           (line cursor))
     before;
   Alcotest.(check int) "no wake residue" 0 (Real_substrate.wake_residue sub)
+
+(* A sweep of a shard's lanes takes each lane's messages as one run, in
+   FIFO order, the lanes round robin from the lane after the one it
+   took from last: a client's burst stays contiguous, so a batch server
+   replies to it with one run.  The cursor starts on lane 0. *)
+let test_sweep_runs () =
+  let sub = Real_substrate.create ~capacity:4 ~nclients:3 () in
+  let shard = Real_substrate.request_shard sub 0 in
+  let sent = Array.make 3 0 in
+  let post c n =
+    for _ = 1 to n do
+      sent.(c) <- sent.(c) + 1;
+      Alcotest.(check bool)
+        "room" true
+        (Real_substrate.enqueue_pair sub
+           (Real_substrate.request_lane sub c)
+           ~client:c
+           ~word:((100 * c) + sent.(c)))
+    done
+  in
+  let buf = Array.make 20 (-1) in
+  let sweep ~max =
+    let k = Real_substrate.dequeue_many sub shard ~buf ~pos:1 ~max in
+    List.init k (fun i ->
+        let c = buf.(2 * (i + 1)) and w = buf.((2 * (i + 1)) + 1) in
+        Alcotest.(check int) "the word's client" c (w / 100);
+        w)
+  in
+  post 0 3;
+  post 1 2;
+  post 2 4;
+  Alcotest.(check (list int))
+    "lanes 1 and 2, up to max" [ 101; 102; 201; 202; 203 ] (sweep ~max:5);
+  Alcotest.(check (list int)) "lane 0, then lane 2's rest" [ 1; 2; 3; 204 ]
+    (sweep ~max:9);
+  Alcotest.(check (list int)) "empty" [] (sweep ~max:9);
+  post 1 1;
+  post 0 2;
+  Alcotest.(check (list int)) "from lane 0 again" [ 4; 5; 103 ] (sweep ~max:9);
+  Alcotest.check_raises "negative max"
+    (Invalid_argument "Mpsc_ring.dequeue_batch: negative max") (fun () ->
+      ignore (sweep ~max:(-1)));
+  Alcotest.check_raises "a span past the buffer"
+    (Invalid_argument "Mpsc_ring.dequeue_batch: bad span") (fun () ->
+      ignore (sweep ~max:10));
+  Alcotest.check_raises "an empty span past the buffer"
+    (Invalid_argument "Mpsc_ring.dequeue_batch: bad span") (fun () ->
+      ignore (Real_substrate.dequeue_many sub shard ~buf ~pos:11 ~max:0))
 
 let test_rpc_pipelined_validation () =
   let t : (int, int) Rpc.t = Rpc.create ~nclients:1 Rpc.Block in
@@ -1837,6 +1909,8 @@ let suites =
           test_await_catches_late_message;
         Alcotest.test_case "await on an empty channel gives up" `Quick
           test_await_empty_gives_up;
+        Alcotest.test_case "await on 32 empty lanes lasts the grace" `Quick
+          test_await_many_lanes_lasts_the_grace;
         Alcotest.test_case "back-off ladder rungs" `Quick test_ladder_rungs;
       ] );
     ( "realipc.rpc",
@@ -1865,6 +1939,8 @@ let suites =
         Alcotest.test_case
           "the scan cursor shares no line with a producer's words" `Quick
           test_scan_cursor_line;
+        Alcotest.test_case "a sweep takes each lane's messages as one run"
+          `Quick test_sweep_runs;
         Alcotest.test_case "no stale wake-ups (try_p drain, ring)" `Quick
           (test_rpc_no_stale_wakeups Rpc.Block);
         Alcotest.test_case "no stale wake-ups (try_p drain, BSWY)" `Quick
